@@ -157,6 +157,9 @@ def _vertex_path(plan: Graph, eids: Sequence[int]) -> tuple[int, ...]:
     """The vertex path of an edge-id walk; raises if it is not a simple path."""
     if not eids:
         raise ValueError("empty trace")
+    for e in eids:
+        if not (isinstance(e, int) and 0 <= e < plan.m):
+            raise ValueError(f"unknown plan edge {e}")
     if len(eids) == 1:
         return plan.edges[eids[0]]
     first, second = plan.edges[eids[0]], plan.edges[eids[1]]

@@ -10,8 +10,15 @@ from __future__ import annotations
 import random
 
 from .cluster import Certificate
-from .drawing import Drawing, SubdivisionPlan, is_k_planar
-from .geometry import Point, drawing_from_segments, pt
+from .drawing import Drawing, SubdivisionPlan
+from .geometry import (
+    Point,
+    cross_point,
+    drawing_from_segments,
+    properly_cross,
+    pt,
+    strictly_inside,
+)
 from .graphs import Fan, Graph
 
 
@@ -155,26 +162,47 @@ def random_kplanar(n: int, k: int, seed: int) -> Drawing:
 
     Vertices sit at distinct integer x positions (so the backbone path is
     crossing-free); random chords are added greedily while the drawing stays
-    non-degenerate and k-planar.
+    non-degenerate and k-planar.  Each candidate chord is tested only against
+    the accepted segments, with the exact integer predicates; the drawing is
+    built once at the end.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if k < 0:
         raise ValueError("k must be nonnegative")
     rng = random.Random(seed)
-    pos = {i: pt(i, rng.randrange(0, 2 * n + 1)) for i in range(n)}
+    pos = {i: (i, rng.randrange(0, 2 * n + 1)) for i in range(n)}
     edges = [(i, i + 1) for i in range(n - 1)]
-    d = drawing_from_segments(Graph.make(range(n), edges), pos)
+    load = {e: 0 for e in edges}  # crossings on each accepted edge
+    points: set[Point] = set()  # crossing points of the accepted edges
+    # A chord is kept only where drawing_from_segments would accept it: no
+    # vertex inside it, no crossing point shared by three edges, and at most
+    # k crossings on it and on every edge it crosses.
     for _ in range(3 * n):
         u, w = rng.randrange(n), rng.randrange(n)
         u, w = min(u, w), max(u, w)
-        if w - u < 2 or (u, w) in edges:
+        if w - u < 2 or (u, w) in load:
             continue
-        try:
-            cand = drawing_from_segments(Graph.make(range(n), edges + [(u, w)]), pos)
-        except ValueError:
+        a, b = pos[u], pos[w]
+        if any(strictly_inside(a, b, pos[v]) for v in range(n)):
             continue
-        if is_k_planar(cand, k):
+        hits: list[tuple[int, int]] = []
+        new: set[Point] = set()
+        for e in edges:
+            c, d = pos[e[0]], pos[e[1]]
+            if not properly_cross(a, b, c, d):
+                continue
+            hits.append(e)
+            if len(hits) > k or load[e] >= k:
+                break
+            x = cross_point(a, b, c, d)
+            if x in points or x in new:
+                break
+            new.add(x)
+        else:
+            for e in hits:
+                load[e] += 1
+            load[(u, w)] = len(hits)
             edges.append((u, w))
-            d = cand
-    return d
+            points |= new
+    return drawing_from_segments(Graph.make(range(n), edges), pos)

@@ -1,24 +1,34 @@
-"""Exact rational plane geometry and drawing builders.
+"""Exact integer plane geometry and drawing builders.
 
-All coordinates are :class:`fractions.Fraction`, so every incidence test is
-exact: no epsilons, no floating point.  The entry points
-:func:`drawing_from_segments` and :func:`drawing_from_polylines` turn a graph
-with vertex positions (and optional per-edge bend chains) into a
-:class:`~fancross.drawing.Drawing`, rejecting every degenerate configuration
-outright.
+Callers give coordinates as ints, strings or :class:`fractions.Fraction`.
+:func:`drawing_from_polylines` multiplies every vertex and bend point once by
+the least common multiple of their denominators; positions only decide
+orders (crossing ids, rotations, the order of crossings along an edge, the
+outer face), and a positive common scale keeps every one of them.  From then
+on the predicates :func:`orientation`, :func:`strictly_inside` and
+:func:`properly_cross` see plain ``int`` coordinates, and the only rationals
+are crossing points and parameters, which :func:`cross_point` and
+:func:`param_along` build as ``Fraction(numerator, denominator)`` from
+integer parts.  Every incidence test is exact: no epsilons, no rounding.
+The entry points :func:`drawing_from_segments` and
+:func:`drawing_from_polylines` turn a graph with vertex positions (and
+optional per-edge bend chains) into a :class:`~fancross.drawing.Drawing`,
+rejecting every degenerate configuration outright.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Iterable, Mapping, Optional, Sequence
+from math import lcm
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .drawing import Drawing
 from .graphs import Graph
 
-Point = tuple[Fraction, Fraction]
-Vec = tuple[Fraction, Fraction]
+Coord = Union[int, Fraction]
+Point = tuple[Coord, Coord]
+Vec = tuple[Coord, Coord]
 
 
 # ===== Primitives =====
@@ -52,24 +62,27 @@ def properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     )
 
 
-def cross_point(a: Point, b: Point, c: Point, d: Point) -> Point:
+def cross_point(a: Point, b: Point, c: Point, d: Point) -> tuple[Fraction, Fraction]:
     """The intersection point of the lines ``ab`` and ``cd`` (must not be
-    parallel)."""
+    parallel), as ``Fraction`` coordinates."""
     r: Vec = (b[0] - a[0], b[1] - a[1])
     s: Vec = (d[0] - c[0], d[1] - c[1])
-    denom = r[0] * s[1] - r[1] * s[0]
-    if denom == 0:
+    den = r[0] * s[1] - r[1] * s[0]
+    if den == 0:
         raise ValueError("parallel lines have no crossing point")
-    t = ((c[0] - a[0]) * s[1] - (c[1] - a[1]) * s[0]) / denom
-    return (a[0] + t * r[0], a[1] + t * r[1])
+    num = (c[0] - a[0]) * s[1] - (c[1] - a[1]) * s[0]
+    return (
+        Fraction(a[0] * den + num * r[0], den),
+        Fraction(a[1] * den + num * r[1], den),
+    )
 
 
 def param_along(a: Point, b: Point, x: Point) -> Fraction:
     """The parameter ``t`` with ``x = a + t*(b-a)`` for a point on line ``ab``."""
     if b[0] != a[0]:
-        return (x[0] - a[0]) / (b[0] - a[0])
+        return Fraction(x[0] - a[0], b[0] - a[0])
     if b[1] != a[1]:
-        return (x[1] - a[1]) / (b[1] - a[1])
+        return Fraction(x[1] - a[1], b[1] - a[1])
     raise ValueError("degenerate segment")
 
 
@@ -96,10 +109,6 @@ def sort_ccw(items: Iterable[tuple[object, Vec]]) -> list[object]:
     return [k for k, _ in pairs]
 
 
-def _vec(frm: Point, to: Point) -> Vec:
-    return (to[0] - frm[0], to[1] - frm[1])
-
-
 # ===== Polyline drawings =====
 
 
@@ -121,31 +130,33 @@ def drawing_from_polylines(
     for v in g.vertices:
         if v not in pos:
             raise ValueError(f"vertex {v} has no position")
-    pts = {v: (Fraction(pos[v][0]), Fraction(pos[v][1])) for v in g.vertices}
     bends = bends or {}
     for eid in bends:
         if not (0 <= eid < g.m):
             raise ValueError(f"unknown edge {eid} in bends")
 
-    chains: dict[int, list[Point]] = {}
-    for eid, (u, v) in enumerate(g.edges):
-        mid = [(Fraction(x), Fraction(y)) for x, y in bends.get(eid, ())]
-        chains[eid] = [pts[u], *mid, pts[v]]
+    # One common integer scale for every vertex and bend point.
+    given = [pos[v] for v in g.vertices] + [p for chain in bends.values() for p in chain]
+    scale = lcm(*(Fraction(c).denominator for p in given for c in p))
+
+    def grid(p: Point) -> tuple[int, int]:
+        return (int(Fraction(p[0]) * scale), int(Fraction(p[1]) * scale))
+
+    pts = {v: grid(pos[v]) for v in g.vertices}
+    chains = {
+        eid: [pts[u], *map(grid, bends.get(eid, ())), pts[v]]
+        for eid, (u, v) in enumerate(g.edges)
+    }
 
     # Every vertex and bend point is a node; nodes are pairwise distinct.
-    node_pts: dict[Point, tuple] = {}
-    for v in g.vertices:
-        if pts[v] in node_pts:
+    node_pts: set[tuple[int, int]] = set()
+    for p in [*pts.values(), *(p for eid in sorted(bends) for p in chains[eid][1:-1])]:
+        if p in node_pts:
             raise ValueError("coincident vertices")
-        node_pts[pts[v]] = ("v", v)
-    for eid in sorted(bends):
-        for i, p in enumerate(chains[eid][1:-1]):
-            if p in node_pts:
-                raise ValueError("coincident vertices")
-            node_pts[p] = ("b", eid, i)
+        node_pts.add(p)
 
     # Segments: (edge, index along chain, endpoints).
-    segs: list[tuple[int, int, Point, Point]] = []
+    segs: list[tuple[int, int, tuple[int, int], tuple[int, int]]] = []
     for eid, chain in chains.items():
         for i, (a, b) in enumerate(zip(chain, chain[1:])):
             if a == b:
@@ -159,7 +170,8 @@ def drawing_from_polylines(
 
     # Any collinear overlap between segments puts some chain point strictly
     # inside another segment, so the check above already rejected it.
-    hits: dict[Point, dict[int, tuple[int, Fraction]]] = {}
+    hits: dict[Point, set[int]] = {}  # crossing point -> the two edges
+    along: dict[tuple[int, int], list[tuple[Fraction, Point]]] = {}
     for s1 in range(len(segs)):
         for s2 in range(s1 + 1, len(segs)):
             e1, i1, a, b = segs[s1]
@@ -170,21 +182,22 @@ def drawing_from_polylines(
                 continue
             if properly_cross(a, b, c, d):
                 x = cross_point(a, b, c, d)
-                entry = hits.setdefault(x, {})
-                if len(set(entry) | {e1, e2}) > 2:
+                entry = hits.setdefault(x, set())
+                entry |= {e1, e2}
+                if len(entry) > 2:
                     raise ValueError("concurrent crossings")
-                entry[e1] = (i1, param_along(a, b, x))
-                entry[e2] = (i2, param_along(c, d, x))
+                along.setdefault((e1, i1), []).append((param_along(a, b, x), x))
+                along.setdefault((e2, i2), []).append((param_along(c, d, x), x))
 
     fresh = max(g.vertices, default=-1) + 1
     kind = {v: f"real:{v}" for v in g.vertices}
     ppos: dict[int, Point] = dict(pts)
     bend_id: dict[tuple[int, int], int] = {}
     for eid in sorted(bends):
-        for i in range(len(chains[eid]) - 2):
+        for i, p in enumerate(chains[eid][1:-1]):
             bend_id[(eid, i)] = fresh
             kind[fresh] = "subdivision"
-            ppos[fresh] = chains[eid][i + 1]
+            ppos[fresh] = p
             fresh += 1
     xid: dict[Point, int] = {}
     for x in sorted(hits):
@@ -194,22 +207,21 @@ def drawing_from_polylines(
         fresh += 1
 
     # Plan paths: walk each chain, inserting crossings in parameter order and
-    # bend vertices at the chain corners.
+    # bend vertices at the chain corners.  Every plan edge lies on one
+    # segment, so its direction is that segment's integer direction.
     paths: dict[int, list[int]] = {}
+    dart_dir: dict[tuple[int, int], Vec] = {}
     for eid, (u, v) in enumerate(g.edges):
+        chain = chains[eid]
         path = [u]
-        nsegs = len(chains[eid]) - 1
-        for i in range(nsegs):
-            own = sorted(
-                (prm, x)
-                for x, entry in hits.items()
-                if eid in entry and entry[eid][0] == i
-                for prm in [entry[eid][1]]
-            )
-            path.extend(xid[x] for _, x in own)
-            if i < nsegs - 1:
-                path.append(bend_id[(eid, i)])
-        path.append(v)
+        for i, (a, b) in enumerate(zip(chain, chain[1:])):
+            r = (b[0] - a[0], b[1] - a[1])
+            stops = [xid[x] for _, x in sorted(along.get((eid, i), ()))]
+            stops.append(bend_id[(eid, i)] if i < len(chain) - 2 else v)
+            for q in stops:
+                dart_dir[(path[-1], q)] = r
+                dart_dir[(q, path[-1])] = (-r[0], -r[1])
+                path.append(q)
         paths[eid] = path
     plan_edges = [(p, q) for path in paths.values() for p, q in zip(path, path[1:])]
     plan = Graph.make(sorted(ppos), plan_edges)
@@ -223,8 +235,7 @@ def drawing_from_polylines(
         items = []
         for peid in adj_eids[p]:
             a, b = plan.edges[peid]
-            other = b if a == p else a
-            items.append((peid, _vec(ppos[p], ppos[other])))
+            items.append((peid, dart_dir[(p, b if a == p else a)]))
         rotation[p] = tuple(sort_ccw(items))
 
     trace = {
@@ -233,7 +244,7 @@ def drawing_from_polylines(
     }
     d = Drawing(g, plan, rotation, kind, trace, 0)
     if plan.m:
-        d = Drawing(g, plan, rotation, kind, trace, _outer_face_index(d, ppos))
+        d = Drawing(g, plan, rotation, kind, trace, _outer_face_index(d, ppos, dart_dir))
     return d
 
 
@@ -242,7 +253,9 @@ def drawing_from_segments(g: Graph, pos: Mapping[int, Point]) -> Drawing:
     return drawing_from_polylines(g, pos, None)
 
 
-def _outer_face_index(d: Drawing, ppos: Mapping[int, Point]) -> int:
+def _outer_face_index(
+    d: Drawing, ppos: Mapping[int, Point], dart_dir: Mapping[tuple[int, int], Vec]
+) -> int:
     """The face on the unbounded side: walk from the lowest plan vertex along
     its highest-angle edge; the face left of that dart is outer."""
     p0 = min(
@@ -251,7 +264,7 @@ def _outer_face_index(d: Drawing, ppos: Mapping[int, Point]) -> int:
     )
     best = None
     for q in d.plan.neighbors(p0):
-        v = _vec(ppos[p0], ppos[q])
+        v = dart_dir[(p0, q)]
         if best is None or dir_cmp(v, best[1]) > 0:
             best = (q, v)
     assert best is not None

@@ -13,11 +13,11 @@ independent verifier before returning it; on failure it retries with the
 opposite bundle order, and if that also fails it refuses to answer rather
 than return an unverified drawing.
 
-Region interiors are realized as straight chords between exact rational
+Region interiors are realized as straight chords between exact integer
 points on a convex arc: two chords cross exactly when their boundary
-positions interleave, so the whole arrangement is decided by exact
-orientation tests, and lane orderings chosen per region make same-owner
-chords nested rather than crossing.
+positions interleave, so the whole arrangement is decided by the integer
+orientation tests of :mod:`fancross.geometry`, and lane orderings chosen per
+region make same-owner chords nested rather than crossing.
 """
 
 from __future__ import annotations
@@ -270,24 +270,22 @@ def _arena(
 ]:
     """Realize one region as straight chords between convex positions.
 
-    Positions sit on a parabola at slightly jittered abscissae; the jitter
-    is retried until no three chords pass through a common point.  Returns
-    the plan-vertex chain of every chord, the chord fragment edges, the
-    circular neighbor order at crossings and at positions of degree two or
-    more, and the new crossing vertex ids.
+    Positions sit on a parabola at slightly jittered abscissae ``t = N/D``,
+    scaled by ``D**2`` to the integer points ``(N*D, N*N)``; the jitter is
+    retried until no three chords pass through a common point.  Returns the
+    plan-vertex chain of every chord, the chord fragment edges, the circular
+    neighbor order at crossings and at positions of degree two or more, and
+    the new crossing vertex ids.
     """
     n = len(vids)
-    pts: list[Point] = []
+    denom = 999983 * 2000
+    pts: list[tuple[int, int]] = []
     recs: list[tuple[Point, int, int]] = []
     for attempt in range(1000):
-        denom = 999983 * 2000
         pts = []
         for j in range(n):
-            t = Fraction(
-                j * denom + attempt * ((j * j * 7919 + j * 104729 + 12345) % 999983),
-                denom,
-            )
-            pts.append((t, t * t))
+            num = j * denom + attempt * ((j * j * 7919 + j * 104729 + 12345) % 999983)
+            pts.append((num * denom, num * num))
         seen: set[Point] = set()
         recs = []
         ok = True
@@ -314,36 +312,33 @@ def _arena(
     recs.sort(key=lambda r: r[0])
     xids = [next(fresh) for _ in recs]
 
-    events: dict[int, list[tuple[Fraction, int, Point]]] = {}
+    # (parameter along the chord, plan vertex); every fragment of a chord
+    # points along the chord's own integer direction.
+    events: dict[int, list[tuple[Fraction, int]]] = {}
     for idx, (_, a, b) in enumerate(chords):
-        events[idx] = [(Fraction(0), vids[a], pts[a]), (Fraction(1), vids[b], pts[b])]
+        events[idx] = [(Fraction(0), vids[a]), (Fraction(1), vids[b])]
     for (x, i, j), xv in zip(recs, xids):
         for c in (i, j):
             _, a, b = chords[c]
-            events[c].append((param_along(pts[a], pts[b], x), xv, x))
+            events[c].append((param_along(pts[a], pts[b], x), xv))
 
     chains: dict[tuple[int, int], list[int]] = {}
     edges: list[tuple[int, int]] = []
-    around: dict[int, list[tuple[int, tuple[Fraction, Fraction]]]] = {}
-    endpoint_rays: dict[int, list[tuple[int, tuple[Fraction, Fraction]]]] = {}
+    around: dict[int, list[tuple[int, tuple[int, int]]]] = {}
+    endpoint_rays: dict[int, list[tuple[int, tuple[int, int]]]] = {}
     for idx, (ref, a, b) in enumerate(chords):
         evs = sorted(events[idx], key=lambda e: e[0])
-        chains[ref] = [vid for _, vid, _ in evs]
-        for (_, va, pa), (_, vb, pb) in zip(evs, evs[1:]):
-            edges.append((va, vb))
-        for t in range(1, len(evs) - 1):
-            _, xv, xp = evs[t]
-            for s in (t - 1, t + 1):
-                _, nv, np_ = evs[s]
-                around.setdefault(xv, []).append(
-                    (nv, (np_[0] - xp[0], np_[1] - xp[1]))
-                )
-        for endpos, nbpos in ((a, 1), (b, len(evs) - 2)):
-            _, nv, np_ = evs[nbpos]
-            p0 = pts[endpos]
-            endpoint_rays.setdefault(endpos, []).append(
-                (nv, (np_[0] - p0[0], np_[1] - p0[1]))
+        chain = [vid for _, vid in evs]
+        chains[ref] = chain
+        edges.extend(zip(chain, chain[1:]))
+        fwd = (pts[b][0] - pts[a][0], pts[b][1] - pts[a][1])
+        back = (-fwd[0], -fwd[1])
+        for t in range(1, len(chain) - 1):
+            around.setdefault(chain[t], []).extend(
+                [(chain[t - 1], back), (chain[t + 1], fwd)]
             )
+        endpoint_rays.setdefault(a, []).append((chain[1], fwd))
+        endpoint_rays.setdefault(b, []).append((chain[-2], back))
 
     rots: dict[int, tuple[int, ...]] = {}
     for xv, items in around.items():

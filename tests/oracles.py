@@ -223,3 +223,36 @@ def oracle_contains_minor_c1(host, pattern, d: int) -> bool:
         if ok:
             return True
     return False
+
+
+# ===== Fixture oracle (rebuild per candidate) =====
+
+
+def oracle_random_kplanar(n: int, k: int, seed: int):
+    """``fixtures.random_kplanar`` the slow way: every candidate chord is
+    tried by building the whole drawing with it and checking k-planarity.
+
+    Draws from the random generator in the same order as the library.
+    """
+    import random
+
+    from fancross.drawing import is_k_planar
+    from fancross.geometry import drawing_from_segments, pt
+
+    rng = random.Random(seed)
+    pos = {i: pt(i, rng.randrange(0, 2 * n + 1)) for i in range(n)}
+    edges = [(i, i + 1) for i in range(n - 1)]
+    d = drawing_from_segments(Graph.make(range(n), edges), pos)
+    for _ in range(3 * n):
+        u, w = rng.randrange(n), rng.randrange(n)
+        u, w = min(u, w), max(u, w)
+        if w - u < 2 or (u, w) in edges:
+            continue
+        try:
+            cand = drawing_from_segments(Graph.make(range(n), edges + [(u, w)]), pos)
+        except ValueError:
+            continue
+        if is_k_planar(cand, k):
+            edges.append((u, w))
+            d = cand
+    return d

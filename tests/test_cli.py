@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -63,6 +64,18 @@ def test_validate_reports_broken_drawing(tmp_path, fig1a_files, capsys):
     bad.write_text(json.dumps(doc))
     code, obj = run_json(capsys, "validate", str(bad))
     assert code == 1 and obj["ok"] is False and obj["errors"]
+
+
+def test_validate_reports_out_of_range_trace(tmp_path, fig3_file, capsys):
+    doc = json.loads(open(fig3_file).read())
+    doc["trace"]["0"] = [999]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(bad))
+    obj = json.loads(out)
+    assert code == 1 and obj["ok"] is False
+    assert "trace path: edge 0: unknown plan edge 999" in obj["errors"]
+    assert "Traceback" not in err
 
 
 def test_unreadable_file_is_a_parse_error(capsys):
@@ -293,6 +306,25 @@ def test_gen_is_byte_identical(capsys):
     code1, out1, _ = run(capsys, "gen", "fig1a-cert")
     code2, out2, _ = run(capsys, "gen", "fig1a-cert")
     assert code1 == code2 == 0 and out1 == out2
+
+
+# sha256 of the ``gen`` output, recorded before the integer geometry kernel
+# and incremental chord insertion replaced the rational arithmetic.
+GEN_DIGESTS = {
+    ("fig1a",): "8265ce4912b46fe31fd311d0817ae2db69827da169c2bb46019aeb492ec00da3",
+    ("fig1a-cert",): "11851c1d8f3cb2bbd540ba0c294c4e734c195a6ffd2785ad2de4dc4894d51c74",
+    ("fig1b", "--m", "6"): "76898f1a23383927a5b86c99a39cb67f1dc4719c3f5bc51c00bb2b74ce5bc523",
+    ("fig3",): "28dd3a2bee094fb4f0f70286cbda8337020c543360ecbb46780a991359ea019f",
+    ("random-kplanar", "--n", "12", "--k", "2", "--seed", "7"):
+        "dc49bc3b7ed3a474ed57a7ec3f89298b39ce63cb88a9b5980e889850af6b8025",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GEN_DIGESTS))
+def test_gen_matches_golden_digest(argv, capsys):
+    code, out, _ = run(capsys, "gen", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_DIGESTS[argv]
 
 
 def test_gen_random_kplanar_is_seeded(capsys):

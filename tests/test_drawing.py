@@ -10,6 +10,7 @@ from fancross.drawing import (
     ArcRef,
     Drawing,
     SubdivisionPlan,
+    _vertex_path,
     crossing_graph,
     crossings_per_edge,
     fan_property,
@@ -90,6 +91,21 @@ def test_validate_flags_bad_rotation():
     rot[6] = (rot[6][0], rot[6][0])
     bad = Drawing(d.base, d.plan, rot, d.kind, d.trace, d.outer)
     assert any(v.startswith("rotation:") for v in validate(bad))
+
+
+def test_vertex_path_rejects_unknown_plan_edge():
+    d = xfix()
+    for bad in ([999], [0, 999], [-1], [0.0], ["0"]):
+        with pytest.raises(ValueError, match="unknown plan edge"):
+            _vertex_path(d.plan, bad)
+
+
+def test_validate_reports_out_of_range_trace():
+    d = xfix()
+    trace = dict(d.trace)
+    trace[0] = (999,)
+    bad = Drawing(d.base, d.plan, d.rotation, d.kind, trace, d.outer)
+    assert "trace path: edge 0: unknown plan edge 999" in validate(bad)
 
 
 def test_validate_flags_tangential_crossing():

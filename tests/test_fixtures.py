@@ -8,6 +8,8 @@ from fancross.cluster import verify_certificate
 from fancross.drawing import crossing_graph, is_k_planar, planarize, validate
 from fancross.fixtures import fig1a, fig1a_certificate, fig1b, fig3, random_kplanar
 from fancross.graphs import is_connected
+from fancross.jsonio import drawing_to_json
+from oracles import oracle_random_kplanar
 
 
 # ===== The heavily crossed two-hub drawing (fig1a) =====
@@ -154,6 +156,25 @@ def test_random_kplanar_is_deterministic_and_valid():
         assert validate(d1) == []
         assert is_k_planar(d1, 2)
         assert is_connected(d1.base)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_random_kplanar_matches_rebuild_oracle(n):
+    # The incremental generator must accept exactly the chords that
+    # rebuilding the whole drawing per candidate accepts.
+    for k in range(4):
+        for seed in range(20):
+            got = drawing_to_json(random_kplanar(n, k, seed))
+            assert got == drawing_to_json(oracle_random_kplanar(n, k, seed)), (n, k, seed)
+
+
+@pytest.mark.parametrize("n, k, seed", [(12, 3, 228), (13, 3, 228), (14, 3, 251)])
+def test_random_kplanar_skips_chords_through_crossings(n, k, seed):
+    # In these runs a candidate chord passes through the crossing point of
+    # two accepted edges and no other check rejects it; it must be rejected
+    # as the rebuild would reject it.
+    got = drawing_to_json(random_kplanar(n, k, seed))
+    assert got == drawing_to_json(oracle_random_kplanar(n, k, seed))
 
 
 def test_random_kplanar_varies_with_seed():

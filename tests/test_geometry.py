@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fancross.drawing import crossings_per_edge, validate
 from fancross.geometry import (
     cross_point,
     dir_cmp,
+    drawing_from_polylines,
     drawing_from_segments,
     orientation,
     param_along,
@@ -51,6 +55,106 @@ def test_properly_cross_and_point():
 def test_param_along():
     assert param_along(pt(0, 0), pt(4, 0), pt(1, 0)) == Fraction(1, 4)
     assert param_along(pt(0, 0), pt(0, 4), pt(0, 3)) == Fraction(3, 4)
+
+
+@pytest.mark.parametrize("p", [lambda x, y: (x, y), pt], ids=["int", "Fraction"])
+def test_cross_point_and_param_are_fractions(p):
+    x = cross_point(p(0, 0), p(3, 1), p(0, 1), p(3, 0))
+    assert x == (Fraction(3, 2), Fraction(1, 2))
+    assert all(type(c) is Fraction for c in x)
+    t = param_along(p(0, 0), p(3, 0), p(1, 0))
+    assert t == Fraction(1, 3) and type(t) is Fraction
+
+
+# ----- the integer kernel against a naive rational reference -----
+
+
+def _ref_orient(a, b, c):
+    cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (cross > 0) - (cross < 0)
+
+
+def _ref_inside(a, b, x):
+    # x = a + t (b - a) with 0 < t < 1.
+    if _ref_orient(a, b, x) != 0:
+        return False
+    i = 0 if a[0] != b[0] else 1
+    t = (x[i] - a[i]) / (b[i] - a[i])
+    return 0 < t < 1
+
+
+def _ref_cross_point(a, b, c, d):
+    # Solve a + t (b - a) = c + u (d - c) by Cramer's rule.
+    r = (b[0] - a[0], b[1] - a[1])
+    s = (d[0] - c[0], d[1] - c[1])
+    t = ((c[0] - a[0]) * s[1] - (c[1] - a[1]) * s[0]) / (r[0] * s[1] - r[1] * s[0])
+    return (a[0] + t * r[0], a[1] + t * r[1])
+
+
+rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+points = st.tuples(rationals, rationals)
+
+
+def _scaled(*ps):
+    """The points times the lcm of their denominators, as ints, and the scale."""
+    scale = lcm(*(c.denominator for p in ps for c in p))
+    return [(int(p[0] * scale), int(p[1] * scale)) for p in ps], scale
+
+
+@given(points, points, points, points)
+def test_integer_predicates_match_rational_reference(a, b, c, d):
+    (ia, ib, ic, id_), scale = _scaled(a, b, c, d)
+    assert all(type(v) is int for p in (ia, ib, ic, id_) for v in p)
+    assert orientation(ia, ib, ic) == _ref_orient(a, b, c)
+    if a != b:
+        assert strictly_inside(ia, ib, ic) == _ref_inside(a, b, c)
+    crosses = properly_cross(ia, ib, ic, id_)
+    ref = (
+        _ref_orient(a, b, c) * _ref_orient(a, b, d) < 0
+        and _ref_orient(c, d, a) * _ref_orient(c, d, b) < 0
+    )
+    assert crosses == ref
+    if crosses:
+        x = cross_point(ia, ib, ic, id_)
+        assert (x[0] / scale, x[1] / scale) == _ref_cross_point(a, b, c, d)
+        assert _ref_inside(a, b, _ref_cross_point(a, b, c, d))
+        t = param_along(ia, ib, x)
+        assert type(t) is Fraction and 0 < t < 1
+        assert x == (ia[0] + t * (ib[0] - ia[0]), ia[1] + t * (ib[1] - ia[1]))
+
+
+@st.composite
+def polyline_inputs(draw):
+    n = draw(st.integers(3, 7))
+    coord = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+    spots = st.tuples(coord, coord)
+    pos = dict(enumerate(draw(st.lists(spots, min_size=n, max_size=n, unique=True))))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=2, max_size=9))
+    g = Graph.make(range(n), edges)
+    bends = {}
+    for eid in range(g.m):
+        chain = draw(st.lists(spots, max_size=2))
+        if chain:
+            bends[eid] = chain
+    return g, pos, bends
+
+
+def _build(g, pos, bends):
+    try:
+        return drawing_from_polylines(g, pos, bends)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(polyline_inputs(), st.fractions(min_value=Fraction(1, 50), max_value=50))
+def test_drawing_is_invariant_under_positive_scaling(inp, factor):
+    # Positions only decide orders, so any positive common scale, including
+    # one that makes every coordinate a non-integer, gives the same drawing.
+    g, pos, bends = inp
+    spos = {v: (x * factor, y * factor) for v, (x, y) in pos.items()}
+    sbends = {e: [(x * factor, y * factor) for x, y in ch] for e, ch in bends.items()}
+    assert _build(g, spos, sbends) == _build(g, pos, bends)
 
 
 def test_ccw_sort_starts_east():

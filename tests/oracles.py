@@ -8,8 +8,11 @@ enumerating every subdivision plan and every fan cover.
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Iterable, Optional, Sequence
 
+from fancross.drawing import is_k_planar
+from fancross.geometry import drawing_from_segments, pt
 from fancross.graphs import Graph
 
 
@@ -232,13 +235,10 @@ def oracle_random_kplanar(n: int, k: int, seed: int):
     """``fixtures.random_kplanar`` the slow way: every candidate chord is
     tried by building the whole drawing with it and checking k-planarity.
 
-    Draws from the random generator in the same order as the library.
+    Draws from the random generator in the same order as the library.  It
+    shares the library's drawing builder, so what it checks is the
+    generator's incremental bookkeeping, not the geometry.
     """
-    import random
-
-    from fancross.drawing import is_k_planar
-    from fancross.geometry import drawing_from_segments, pt
-
     rng = random.Random(seed)
     pos = {i: pt(i, rng.randrange(0, 2 * n + 1)) for i in range(n)}
     edges = [(i, i + 1) for i in range(n - 1)]

@@ -21,6 +21,7 @@ from .drawing import (
     subdivide_with_map,
     validate,
 )
+from .errors import CapExceeded, InvariantBroken
 from .graphs import (
     ColoredGraph,
     ColorLabel,
@@ -50,6 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArcRef",
+    "CapExceeded",
     "Certificate",
     "ClusterReport",
     "ColorLabel",
@@ -58,6 +60,7 @@ __all__ = [
     "Drawing",
     "Fan",
     "Graph",
+    "InvariantBroken",
     "MinorModel",
     "RegionTag",
     "SubdivisionPlan",

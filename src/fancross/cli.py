@@ -16,6 +16,7 @@ from typing import Any, Optional
 from . import fixtures
 from .cluster import Certificate, min_ell, search_certificate, verify_certificate
 from .drawing import Drawing, crossing_graph, is_k_planar, validate
+from .errors import CapExceeded, InvariantBroken
 from .graphs import Graph
 from .jsonio import (
     certificate_from_json,
@@ -40,8 +41,6 @@ from .transduce import (
 )
 
 OK, FALSE, USAGE, PARSE = 0, 1, 2, 3
-
-_BROKEN = "construction invariant broken"
 
 
 class _CliError(Exception):
@@ -201,11 +200,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     m = model_from_json(_load_json(args.model))
     try:
         res = synthesize(d, m)
-    except ValueError as exc:
-        if str(exc) == _BROKEN:
-            _emit({"ok": False, "error": str(exc)})
-            return FALSE
-        raise
+    except InvariantBroken as exc:
+        _emit({"ok": False, "error": str(exc)})
+        return FALSE
     _emit(synthresult_to_json(res), args.out)
     return OK
 
@@ -216,11 +213,9 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     m = model_from_json(_load_json(args.model))
     try:
         dropped, res = pipeline_theorem2(host_plus, args.apex, d, m, args.k)
-    except ValueError as exc:
-        if str(exc) == _BROKEN:
-            _emit({"ok": False, "error": str(exc)})
-            return FALSE
-        raise
+    except InvariantBroken as exc:
+        _emit({"ok": False, "error": str(exc)})
+        return FALSE
     _emit(
         {"dropped": list(dropped), "result": synthresult_to_json(res)}, args.out
     )
@@ -436,10 +431,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except ValueError as exc:
-        msg = str(exc)
-        code = USAGE if "cap exceeded" in msg else PARSE
-        print(f"error: {msg}", file=sys.stderr)
-        return code
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE if isinstance(exc, CapExceeded) else PARSE
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from .drawing import (
     stitched_path,
     subdivide_with_map,
 )
+from .errors import CapExceeded
 from .graphs import Fan, Graph, fan_cover
 
 
@@ -291,7 +292,7 @@ def search_certificate(
         raise ValueError("bad search parameters: k and ell must be positive")
     total = sum(1 for p in d.plan.vertices if d.kind_of(p) == "crossing")
     if total > cap:
-        raise ValueError("search cap exceeded")
+        raise CapExceeded("search cap exceeded")
     if ell == 1 and any(
         not (set(d.base.edges[e1]) & set(d.base.edges[e2]))
         for e1, e2 in _crossing_pairs(d)

@@ -1,0 +1,15 @@
+"""Typed errors for the outcomes callers tell apart from bad input.
+
+Both subclass ``ValueError``, so code that catches ``ValueError`` for any
+refused input keeps working.
+"""
+
+from __future__ import annotations
+
+
+class CapExceeded(ValueError):
+    """An exhaustive search refused an input larger than its cap."""
+
+
+class InvariantBroken(ValueError):
+    """A construction failed its own check of its output."""

@@ -74,13 +74,22 @@ def drawing_from_json(obj: Mapping[str, Any]) -> Drawing:
     try:
         base = graph_from_json(obj["base"])
         plan = graph_from_json(obj["plan"])
-        rotation = {int(v): tuple(r) for v, r in obj["rotation"].items()}
+        rotation = {int(v): _ids("rotation", r) for v, r in obj["rotation"].items()}
         kind = {int(v): str(k) for v, k in obj["kind"].items()}
-        trace = {int(e): tuple(t) for e, t in obj["trace"].items()}
+        trace = {int(e): _ids("trace", t) for e, t in obj["trace"].items()}
         outer = int(obj["outer"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"bad drawing document: {exc}") from exc
     return Drawing(base, plan, rotation, kind, trace, outer)
+
+
+def _ids(field: str, entries: Any) -> tuple[int, ...]:
+    """A list of plan edge ids; ``bool`` is refused although it is an int."""
+    ids = tuple(entries)
+    for i in ids:
+        if type(i) is not int:
+            raise ValueError(f"bad drawing document: {field} entry {i!r} is not an integer")
+    return ids
 
 
 # ===== Certificate =====

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .errors import CapExceeded
 from .graphs import Graph, induced, radius_center
 
 
@@ -129,7 +130,7 @@ def find_model_bruteforce(
     if c < 1 or d < 0:
         raise ValueError("bad model: c must be positive and d nonnegative")
     if host.n > cap:
-        raise ValueError("search cap exceeded")
+        raise CapExceeded("search cap exceeded")
     pverts = list(pattern.vertices)
     load = {u: 0 for u in host.vertices}
     branch: dict[int, tuple[int, ...]] = {}

@@ -29,6 +29,7 @@ from typing import Iterator, Optional
 
 from .cluster import Certificate, verify_certificate
 from .drawing import Drawing, SubdivisionPlan, crossing_graph, validate
+from .errors import InvariantBroken
 from .geometry import Point, cross_point, param_along, properly_cross, sort_ccw
 from .graphs import Fan, Graph, radius_center
 from .minors import MinorModel, strip_universal, verify_model
@@ -175,7 +176,7 @@ def _make_routes(
                     found = (heid, b, a)
                     break
             if found is None:
-                raise ValueError("construction invariant broken")
+                raise InvariantBroken("construction invariant broken")
             heid, av, aw = found
             conns[eid] = ("edge", (heid, av, aw))
             split.add(heid)
@@ -307,7 +308,7 @@ def _arena(
         if ok:
             break
     else:
-        raise ValueError("construction invariant broken")
+        raise InvariantBroken("construction invariant broken")
 
     recs.sort(key=lambda r: r[0])
     xids = [next(fresh) for _ in recs]
@@ -736,9 +737,8 @@ def synthesize(host: Drawing, m: MinorModel) -> SynthResult:
     and the reported fold count ``kPrime`` stays within a constant factor
     of ``k``.
 
-    Raises ``ValueError`` on invalid inputs, and the sentinel
-    ``ValueError("construction invariant broken")`` if self-verification
-    fails for both bundle orientations.
+    Raises ``ValueError`` on invalid inputs, and ``InvariantBroken`` if
+    self-verification fails for both bundle orientations.
     """
     k = _checked_inputs(host, m)
     roots: dict[int, int] = {}
@@ -756,7 +756,7 @@ def synthesize(host: Drawing, m: MinorModel) -> SynthResult:
         ).run()
         if res is not None:
             return res
-    raise ValueError("construction invariant broken")
+    raise InvariantBroken("construction invariant broken")
 
 
 def pipeline_theorem2(

@@ -14,15 +14,18 @@ short colored path.
   a ``b0`` hub whose spokes are colored by fan membership (``b_j`` on the
   center side, ``bP_j`` on the far side).
 
-``eval_formula`` evaluates the formula by exact bounded-depth simple-path
-search, and ``roundtrip`` checks that evaluation returns the original graph.
+``eval_formula`` evaluates the formula exactly.  It pairs the holders of
+each handshake color, and runs one bounded simple-path search per source
+vertex that looks only for the images of the later vertices and stops once
+all of them are witnessed.  ``roundtrip`` checks that evaluation returns the
+original graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .cluster import Certificate, _arc_keys, verify_certificate
 from .drawing import (
@@ -33,6 +36,7 @@ from .drawing import (
     subdivide_with_map,
     validate,
 )
+from .errors import InvariantBroken
 from .graphs import ColorLabel, ColoredGraph, Graph, induced
 
 # ===== Output containers =====
@@ -79,6 +83,16 @@ class TransductionOutput:
     embed: dict[int, int]
     formula: TransductionFormula
     x: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        g = self.colored.graph
+        for h, v in self.embed.items():
+            if not g.has_vertex(v):
+                raise ValueError(f"embed maps {h} to {v}, not a vertex of the colored graph")
+        if len(set(self.embed.values())) != len(self.embed):
+            raise ValueError("embed is not injective")
+        if not set(self.x) <= set(self.embed):
+            raise ValueError("X is not a subset of the embedded vertices")
 
 
 # ===== Rotation-system surgery =====
@@ -167,7 +181,7 @@ class _RotSys:
         verts = sorted(self.rot)
         pairs = {e: (min(ab), max(ab)) for e, ab in self.ends.items()}
         if len(set(pairs.values())) != len(pairs):
-            raise ValueError("construction invariant broken")
+            raise InvariantBroken("construction invariant broken")
         base = Graph.make(verts, pairs.values())
         emap = {e: base.edge_id(*ab) for e, ab in pairs.items()}
         rotation = {v: tuple(emap[e] for e in self.rot[v]) for v in verts}
@@ -231,7 +245,7 @@ def _assemble(
     """Validates the surgered system and relabels it into the output graph."""
     dd, _ = rs.materialize()
     if validate(dd):
-        raise ValueError("construction invariant broken")
+        raise InvariantBroken("construction invariant broken")
     hverts = sorted(set(d.base.vertices) | set(x_edges))
     fresh = max(hverts, default=-1) + 1
     ren: dict[int, int] = {}
@@ -414,7 +428,7 @@ def _crossed_piece(d1: Drawing, e2: int, pieces_d1: dict[int, list[int]]) -> int
     for piece, ne in enumerate(pieces_d1[e2]):
         if d1.edge_crossings[ne]:
             return piece
-    raise ValueError("construction invariant broken")
+    raise InvariantBroken("construction invariant broken")
 
 
 def _chain_from(g: Graph, eids: list[int], start: int) -> list[int]:
@@ -430,7 +444,7 @@ def _chain_from(g: Graph, eids: list[int], start: int) -> list[int]:
     while len(out) < len(eids):
         step = [e for e in inc[cur] if e not in used]
         if len(step) != 1:
-            raise ValueError("construction invariant broken")
+            raise InvariantBroken("construction invariant broken")
         e = step[0]
         used.add(e)
         out.append(e)
@@ -447,7 +461,7 @@ def _contract_into(rs: _RotSys, keep: int, interior: set[int]) -> None:
             (e for e in rs.rot[keep] if rs.other(e, keep) in left), None
         )
         if eid is None:
-            raise ValueError("construction invariant broken")
+            raise InvariantBroken("construction invariant broken")
         gone = rs.other(eid, keep)
         rs.contract(eid, keep)
         left.discard(gone)
@@ -463,103 +477,133 @@ def eval_formula(out: TransductionOutput) -> Graph:
     present iff the color handshake for some deleted vertex holds, or a
     simple path within the length budget satisfies the positional color
     constraints of the mode.
+
+    The handshake pairs every holder of ``c_i`` with every holder of
+    ``cP_i``.  The path clause runs one bounded simple-path search per
+    original vertex ``a``: it looks only for the images of the vertices
+    after ``a``, and stops as soon as all of them are witnessed.
     """
-    hverts = sorted(out.embed)
-    edges = []
-    for a, b in combinations(hverts, 2):
-        ga, gb = out.embed[a], out.embed[b]
-        if _handshake(out.colored, ga, gb, out.formula.k) or _witness_path(
-            out.colored, ga, gb, out.formula
-        ):
-            edges.append((a, b))
+    cg, f, embed = out.colored, out.formula, out.embed
+    hverts = sorted(embed)
+    edges: set[tuple[int, int]] = set()
+    holders: dict[ColorLabel, list[int]] = {}
+    for a in hverts:
+        for label in cg.labels(embed[a]):
+            holders.setdefault(label, []).append(a)
+    for label, has_c in holders.items():
+        if label.kind == "c" and label.index <= f.k:
+            for b in holders.get(ColorLabel("cP", label.index), ()):
+                edges.update((min(a, b), max(a, b)) for a in has_c if a != b)
+    witnessed = _path_search(cg, f)
+    orig = {g: h for h, g in embed.items()}
+    later = set(orig)
+    for a in hverts:
+        later.discard(embed[a])
+        if later:
+            edges.update((a, orig[g]) for g in witnessed(embed[a], later))
     return Graph.make(hverts, edges)
 
 
-def _handshake(cg: ColoredGraph, ga: int, gb: int, k: int) -> bool:
-    la, lb = cg.labels(ga), cg.labels(gb)
-    for i in range(1, k + 1):
-        ci, cpi = ColorLabel("c", i), ColorLabel("cP", i)
-        if (ci in la and cpi in lb) or (ci in lb and cpi in la):
-            return True
-    return False
+def _path_search(
+    cg: ColoredGraph, f: TransductionFormula
+) -> Callable[[int, set[int]], list[int]]:
+    """The path clause of ``f`` on ``cg``, as a one-source search.
 
-
-def _witness_path(cg: ColoredGraph, gx: int, gy: int, f: TransductionFormula) -> bool:
-    """Exact bounded-depth simple-path search for the path clause."""
-    g = cg.graph
+    Returns ``witnessed(src, targets)``, the targets ``t`` joined to ``src``
+    by a simple path of at most ``f.max_path_len`` edges that avoids ``t``
+    inside and meets the mode's conditions: ``may_enter`` for each internal
+    vertex at its position, ``mid_ok`` for each internal vertex between the
+    first and the last, and ``may_close`` for the last one.  A witnessed
+    target may still sit inside a path to another target.
+    """
+    adj = cg.graph.adj
     labels = cg.labels
+    budget = f.max_path_len
     b0 = ColorLabel("b", 0)
     if f.mode == "kplanar":
-        body = (ColorLabel("b", 1), ColorLabel("b", 2))
-        allowed = frozenset()
-    else:
-        body = ()
-        allowed = frozenset(
-            {ColorLabel("bP", 0)}
-            | {ColorLabel(kd, j) for kd in ("b", "bP") for j in range(1, f.k + 1)}
-        )
+        b1, b2 = ColorLabel("b", 1), ColorLabel("b", 2)
 
-    def mid_ok(prev: int, z: int, nxt: int) -> bool:
-        lz = labels(z)
-        if f.mode == "kplanar":
-            if body[0] in lz or body[1] in lz:
+        def may_enter(v: int, position: int) -> bool:
+            return True
+
+        def mid_ok(prev: int, z: int, nxt: int) -> bool:
+            lz = labels(z)
+            if b1 in lz or b2 in lz:
                 return True
             if b0 not in lz:
                 return False
             lp, ln = labels(prev), labels(nxt)
-            return any(c in lp and c in ln for c in body)
-        if allowed & lz:
+            return (b1 in lp and b1 in ln) or (b2 in lp and b2 in ln)
+
+        def may_close(z: int, internals: int) -> bool:
             return True
-        if b0 not in lz:
-            return False
-        lp, ln = labels(prev), labels(nxt)
-        for j in range(1, f.k + 1):
-            bj, bpj = ColorLabel("b", j), ColorLabel("bP", j)
-            if (bj in lp and bpj in ln) or (bpj in lp and bj in ln):
+
+    else:
+        # ``allowed`` is bP0 plus b_j and bP_j for 1 <= j <= k.  Both it and
+        # ``swaps`` keep only labels that occur in ``cg``, so a large k in
+        # a document costs nothing.
+        allowed = frozenset(
+            label
+            for ls in cg.colors.values()
+            for label in ls
+            if label.kind in ("b", "bP") and label.index <= f.k and label != b0
+        )
+        swaps = [
+            (label, ColorLabel("bP", label.index))
+            for label in sorted(allowed)
+            if label.kind == "b"
+        ]
+
+        def may_enter(v: int, position: int) -> bool:
+            lv = labels(v)
+            return bool(allowed & lv) or (b0 in lv and position >= 2)
+
+        def mid_ok(prev: int, z: int, nxt: int) -> bool:
+            lz = labels(z)
+            if allowed & lz:
                 return True
-        return False
+            if b0 not in lz:
+                return False
+            lp, ln = labels(prev), labels(nxt)
+            return any(
+                (bj in lp and bpj in ln) or (bpj in lp and bj in ln) for bj, bpj in swaps
+            )
 
-    def may_enter(v: int, position: int) -> bool:
-        if f.mode == "kplanar":
-            return True
-        lv = labels(v)
-        if allowed & lv:
-            return True
-        return b0 in lv and position >= 2
+        def may_close(z: int, internals: int) -> bool:
+            return internals == 0 or bool(allowed & labels(z))
 
-    def may_close(z: int, internals: int) -> bool:
-        if internals == 0 or f.mode == "kplanar":
-            return True
-        return bool(allowed & labels(z))
+    def witnessed(src: int, targets: set[int]) -> list[int]:
+        left = set(targets)
+        found: list[int] = []
+        path = [src]
+        onpath = {src}
+        todo = [iter(adj[src])]
+        while todo:
+            cur, used = path[-1], len(path) - 1
+            for w in todo[-1]:
+                if w in onpath:
+                    continue
+                if w in left and may_close(cur, used):
+                    left.remove(w)
+                    found.append(w)
+                    if not left:
+                        return found
+                # Entering w leaves room for the closing edge only if
+                # used + 2 edges fit the budget.
+                if used + 2 > budget or not may_enter(w, used + 1):
+                    continue
+                if used >= 2 and not mid_ok(path[-2], cur, w):
+                    continue
+                path.append(w)
+                onpath.add(w)
+                todo.append(iter(adj[w]))
+                break
+            else:
+                todo.pop()
+                onpath.remove(path.pop())
+        return found
 
-    path = [gx]
-    onpath = {gx}
-
-    def dfs() -> bool:
-        cur = path[-1]
-        used = len(path) - 1
-        for w in g.neighbors(cur):
-            if w == gy:
-                if used + 1 <= f.max_path_len and may_close(cur, used):
-                    return True
-                continue
-            if w in onpath or used + 1 > f.max_path_len - 1:
-                continue
-            if not may_enter(w, used + 1):
-                continue
-            if used >= 2 and not mid_ok(path[-2], cur, w):
-                continue
-            path.append(w)
-            onpath.add(w)
-            if dfs():
-                return True
-            path.pop()
-            onpath.remove(w)
-        return False
-
-    if gx == gy:
-        return False
-    return dfs()
+    return witnessed
 
 
 def roundtrip(

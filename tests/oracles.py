@@ -1,8 +1,9 @@
 """Independent brute-force oracles used only by the test suite.
 
 These deliberately avoid the library's own algorithms: radii come from
-Floyd-Warshall, covers from subset enumeration, and cluster feasibility from
-enumerating every subdivision plan and every fan cover.
+Floyd-Warshall, covers from subset enumeration, cluster feasibility from
+enumerating every subdivision plan and every fan cover, and the decoded
+graph of a transduction from one path search per vertex pair.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from typing import Iterable, Optional, Sequence
 
 from fancross.drawing import is_k_planar
 from fancross.geometry import drawing_from_segments, pt
-from fancross.graphs import Graph
+from fancross.graphs import ColoredGraph, ColorLabel, Graph
+from fancross.transduce import TransductionFormula, TransductionOutput
 
 
 # ===== Metric oracles (Floyd-Warshall based) =====
@@ -256,3 +258,108 @@ def oracle_random_kplanar(n: int, k: int, seed: int):
             edges.append((u, w))
             d = cand
     return d
+
+
+# ===== Formula oracle (one search per vertex pair) =====
+
+
+def oracle_eval_formula(out: TransductionOutput) -> Graph:
+    """``transduce.eval_formula`` the slow way: one handshake test and one
+    bounded simple-path search for every pair of original vertices.
+    """
+    hverts = sorted(out.embed)
+    edges = []
+    for a, b in itertools.combinations(hverts, 2):
+        ga, gb = out.embed[a], out.embed[b]
+        if _oracle_handshake(out.colored, ga, gb, out.formula.k) or _oracle_witness_path(
+            out.colored, ga, gb, out.formula
+        ):
+            edges.append((a, b))
+    return Graph.make(hverts, edges)
+
+
+def _oracle_handshake(cg: ColoredGraph, ga: int, gb: int, k: int) -> bool:
+    la, lb = cg.labels(ga), cg.labels(gb)
+    for i in range(1, k + 1):
+        ci, cpi = ColorLabel("c", i), ColorLabel("cP", i)
+        if (ci in la and cpi in lb) or (ci in lb and cpi in la):
+            return True
+    return False
+
+
+def _oracle_witness_path(cg: ColoredGraph, gx: int, gy: int, f: TransductionFormula) -> bool:
+    """Exact bounded-depth simple-path search for the path clause."""
+    g = cg.graph
+    labels = cg.labels
+    b0 = ColorLabel("b", 0)
+    if f.mode == "kplanar":
+        body = (ColorLabel("b", 1), ColorLabel("b", 2))
+        allowed = frozenset()
+    else:
+        body = ()
+        allowed = frozenset(
+            {ColorLabel("bP", 0)}
+            | {ColorLabel(kd, j) for kd in ("b", "bP") for j in range(1, f.k + 1)}
+        )
+
+    def mid_ok(prev: int, z: int, nxt: int) -> bool:
+        lz = labels(z)
+        if f.mode == "kplanar":
+            if body[0] in lz or body[1] in lz:
+                return True
+            if b0 not in lz:
+                return False
+            lp, ln = labels(prev), labels(nxt)
+            return any(c in lp and c in ln for c in body)
+        if allowed & lz:
+            return True
+        if b0 not in lz:
+            return False
+        lp, ln = labels(prev), labels(nxt)
+        for j in range(1, f.k + 1):
+            bj, bpj = ColorLabel("b", j), ColorLabel("bP", j)
+            if (bj in lp and bpj in ln) or (bpj in lp and bj in ln):
+                return True
+        return False
+
+    def may_enter(v: int, position: int) -> bool:
+        if f.mode == "kplanar":
+            return True
+        lv = labels(v)
+        if allowed & lv:
+            return True
+        return b0 in lv and position >= 2
+
+    def may_close(z: int, internals: int) -> bool:
+        if internals == 0 or f.mode == "kplanar":
+            return True
+        return bool(allowed & labels(z))
+
+    path = [gx]
+    onpath = {gx}
+
+    def dfs() -> bool:
+        cur = path[-1]
+        used = len(path) - 1
+        for w in g.neighbors(cur):
+            if w == gy:
+                if used + 1 <= f.max_path_len and may_close(cur, used):
+                    return True
+                continue
+            if w in onpath or used + 1 > f.max_path_len - 1:
+                continue
+            if not may_enter(w, used + 1):
+                continue
+            if used >= 2 and not mid_ok(path[-2], cur, w):
+                continue
+            path.append(w)
+            onpath.add(w)
+            if dfs():
+                return True
+            path.pop()
+            onpath.remove(w)
+        return False
+
+    if gx == gy:
+        return False
+    return dfs()

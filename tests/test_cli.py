@@ -3,19 +3,31 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from fancross import cli
 from fancross.cli import main
+from fancross.errors import CapExceeded, InvariantBroken
+from fancross.fixtures import fig1a, fig1a_certificate, fig3
 from fancross.geometry import drawing_from_segments, pt
-from fancross.graphs import Graph, add_universal_vertex, cycle, grid2d
+from fancross.graphs import Graph, add_universal_vertex, complete, cycle, grid2d
 from fancross.jsonio import (
     drawing_to_json,
     graph_to_json,
     model_to_json,
+    transduction_to_json,
 )
 from fancross.minors import MinorModel
+from fancross.transduce import transduce_clustered, transduce_kplanar
 
 
 def run(capsys, *argv):
@@ -76,6 +88,17 @@ def test_validate_reports_out_of_range_trace(tmp_path, fig3_file, capsys):
     assert code == 1 and obj["ok"] is False
     assert "trace path: edge 0: unknown plan edge 999" in obj["errors"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, key", [("rotation", "0"), ("trace", "1")])
+def test_validate_rejects_non_integer_ids(tmp_path, fig3_file, capsys, field, key):
+    doc = json.loads(open(fig3_file).read())
+    doc[field][key][0] = float(doc[field][key][0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 3 and out == ""
+    assert f"bad drawing document: {field} entry" in err and "Traceback" not in err
 
 
 def test_unreadable_file_is_a_parse_error(capsys):
@@ -234,6 +257,35 @@ def test_pipeline_drops_apex_branches(tmp_path, capsys):
     assert obj["result"]["kPrime"] == 1
 
 
+def raising(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+def test_synth_exit_code_follows_the_error_type(tmp_path, monkeypatch, capsys):
+    g, dpath = grid_files(tmp_path)
+    m = MinorModel(g, cycle(4), {0: (0,), 1: (1,), 2: (3,), 3: (2,)}, 1, 1)
+    mpath = tmp_path / "model.json"
+    mpath.write_text(json.dumps(model_to_json(m)))
+    monkeypatch.setattr(cli, "synthesize", raising(InvariantBroken("construction invariant broken")))
+    code, obj = run_json(capsys, "synth", dpath, "--model", str(mpath))
+    assert code == 1 and obj == {"ok": False, "error": "construction invariant broken"}
+    monkeypatch.setattr(cli, "synthesize", raising(ValueError("construction invariant broken")))
+    code, out, _ = run(capsys, "synth", dpath, "--model", str(mpath))
+    assert code == 3 and out == ""
+
+
+def test_cap_exit_code_follows_the_error_type(fig3_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "search_certificate", raising(ValueError("search cap exceeded")))
+    code, _, _ = run(capsys, "cluster-search", fig3_file, "--k", "1", "--ell", "1")
+    assert code == 3
+    monkeypatch.setattr(cli, "search_certificate", raising(CapExceeded("search cap exceeded")))
+    code, _, _ = run(capsys, "cluster-search", fig3_file, "--k", "1", "--ell", "1")
+    assert code == 2
+
+
 # ===== transduce / eval / roundtrip =====
 
 
@@ -251,6 +303,21 @@ def test_transduce_eval_recovers_k5(tmp_path, fig3_file, capsys):
     assert sorted(map(tuple, obj["edges"])) == [
         (u, v) for u in range(5) for v in range(u + 1, 5)
     ]
+
+
+def test_eval_rejects_malformed_embed(tmp_path, fig3_file, capsys):
+    tpath = tmp_path / "out.json"
+    assert main(["transduce", fig3_file, "--mode", "kplanar", "--k", "2", "--out", str(tpath)]) == 0
+    capsys.readouterr()
+    doc = json.loads(tpath.read_text())
+    for embed, message in (
+        ({**doc["embed"], "0": 9999}, "not a vertex of the colored graph"),
+        ({**doc["embed"], "1": doc["embed"]["0"]}, "embed is not injective"),
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, "embed": embed}))
+        code, out, err = run(capsys, "eval", str(bad))
+        assert code == 3 and out == "" and message in err
 
 
 def test_transduce_rejects_underbudget_k(fig3_file, capsys):
@@ -368,3 +435,86 @@ def test_bad_vertex_list_is_usage_error(fig3_file, capsys):
         "--x", "1,zap", "--graph", fig3_file,
     )
     assert code == 2 and "bad vertex list" in err
+
+
+# ===== Fuzzing: mutated documents never crash the CLI =====
+
+JUNK = st.one_of(
+    st.integers(-3, 60),
+    st.sampled_from([0.0, 1.5, True, False, None, "x", "0", [], {}]),
+)
+LABEL_TEXT = st.sampled_from(["b0", "b1", "b2", "bP0", "bP1", "c1", "cP1", "c3", "zz", "", "b-1"])
+
+
+@lru_cache(maxsize=1)
+def fuzz_transductions() -> tuple[dict, ...]:
+    apex = transduce_kplanar(
+        drawing_from_segments(complete(4), {0: pt(0, 0), 1: pt(4, 0), 2: pt(4, 4), 3: pt(0, 4)}),
+        {4: (0, 1, 2, 3)},
+        2,
+    )
+    return (
+        transduction_to_json(transduce_kplanar(fig3(), {}, 2)),
+        transduction_to_json(apex),
+        transduction_to_json(transduce_clustered(fig1a(), fig1a_certificate(), {}, 2)),
+    )
+
+
+@st.composite
+def mutated_transduction(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(fuzz_transductions()))))
+    for _ in range(draw(st.integers(1, 3))):
+        field = draw(st.sampled_from(["embed", "colors", "k", "mode", "X"]))
+        if field == "embed":
+            doc["embed"][draw(st.sampled_from(sorted(doc["embed"]) + ["99"]))] = draw(JUNK)
+        elif field == "colors":
+            key = str(draw(st.sampled_from(doc["vertices"])))
+            doc["colors"][key] = draw(st.one_of(JUNK, st.lists(LABEL_TEXT, max_size=3)))
+        elif field == "k":
+            doc["formula"]["k"] = draw(st.one_of(JUNK, st.just(10**9)))
+        elif field == "mode":
+            doc["formula"]["mode"] = draw(st.sampled_from(["kplanar", "clustered", "fan", None, 3]))
+        else:
+            doc["X"] = draw(st.one_of(JUNK, st.lists(JUNK, max_size=3)))
+    return doc
+
+
+@st.composite
+def mutated_drawing(draw):
+    d = draw(st.sampled_from([fig3, fig1a]))()
+    doc = drawing_to_json(d)
+    for _ in range(draw(st.integers(1, 3))):
+        field = draw(st.sampled_from(["rotation", "trace"]))
+        key = draw(st.sampled_from(sorted(doc[field])))
+        entries = doc[field][key]
+        how = draw(st.sampled_from(["replace", "append", "whole"]))
+        if how == "whole" or not isinstance(entries, list):
+            doc[field][key] = draw(JUNK)
+        elif how == "append" or not entries:
+            entries.append(draw(JUNK))
+        else:
+            entries[draw(st.integers(0, len(entries) - 1))] = draw(JUNK)
+    return doc
+
+
+def run_on_document(command: str, doc: dict) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, path])
+    return code, err.getvalue()
+
+
+@given(mutated_transduction())
+def test_fuzz_eval_exit_codes(doc):
+    code, err = run_on_document("eval", doc)
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+
+@given(mutated_drawing())
+def test_fuzz_validate_exit_codes(doc):
+    code, err = run_on_document("validate", doc)
+    assert code in (0, 1, 2, 3) and "Traceback" not in err

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from fancross.errors import CapExceeded
 from fancross.cluster import (
     Certificate,
     min_ell,
@@ -248,7 +249,7 @@ def test_min_ell_monotone_in_fold():
 
 
 def test_search_cap():
-    with pytest.raises(ValueError, match="search cap exceeded"):
+    with pytest.raises(CapExceeded, match="search cap exceeded"):
         search_certificate(fig1a(), 2, 2)
 
 

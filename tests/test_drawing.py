@@ -377,3 +377,13 @@ def test_drawing_json_round_trip():
 def test_drawing_json_rejects_malformed():
     with pytest.raises(ValueError, match="bad drawing document"):
         drawing_from_json({"base": {"vertices": [], "edges": []}})
+
+
+def test_drawing_json_rejects_non_integer_ids():
+    doc = json.loads(json.dumps(drawing_to_json(lens())))
+    for field, key in (("rotation", "6"), ("trace", "0")):
+        for bad in (0.0, True, "0", None):
+            broken = json.loads(json.dumps(doc))
+            broken[field][key][0] = bad
+            with pytest.raises(ValueError, match=f"bad drawing document: {field} entry"):
+                drawing_from_json(broken)

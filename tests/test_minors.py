@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from fancross.errors import CapExceeded
 from fancross.graphs import Graph, complete, cycle, grid2d, path
 from fancross.jsonio import model_from_json, model_to_json
 from fancross.minors import (
@@ -139,7 +140,7 @@ def test_congestion_two_allows_overlap():
 
 
 def test_search_cap():
-    with pytest.raises(ValueError, match="search cap exceeded"):
+    with pytest.raises(CapExceeded, match="search cap exceeded"):
         find_model_bruteforce(grid2d(4, 3), path(2), 1, 1)
     assert find_model_bruteforce(grid2d(4, 3), path(2), 1, 1, cap=12) is not None
 

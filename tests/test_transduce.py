@@ -5,15 +5,29 @@ from __future__ import annotations
 import dataclasses
 import random
 from collections import Counter
+from functools import lru_cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import oracle_eval_formula
 
 from fancross.cluster import Certificate, search_certificate
 from fancross.drawing import Drawing, SubdivisionPlan
 from fancross.fixtures import fig1a, fig1a_certificate, fig3, random_kplanar
-from fancross.geometry import drawing_from_polylines, drawing_from_segments
-from fancross.graphs import ColorLabel, ColoredGraph, Fan, Graph, bfs_dists, complete
+from fancross.geometry import drawing_from_polylines, drawing_from_segments, pt
+from fancross.graphs import (
+    ColorLabel,
+    ColoredGraph,
+    Fan,
+    Graph,
+    bfs_dists,
+    complete,
+    grid2d,
+)
 from fancross.jsonio import transduction_from_json, transduction_to_json
+from fancross.minors import find_model_bruteforce
+from fancross.synth import synthesize
 from fancross.transduce import (
     TransductionFormula,
     TransductionOutput,
@@ -321,6 +335,20 @@ def test_deleted_vertices_are_isolated():
     assert out.colored.graph.degree(5) == 0
 
 
+def test_output_rejects_malformed_embed_and_x():
+    out = transduce_kplanar(fig3(), {}, 2)
+    with pytest.raises(ValueError, match="embed maps 0 to 9999, not a vertex"):
+        dataclasses.replace(out, embed={**out.embed, 0: 9999})
+    with pytest.raises(ValueError, match="embed is not injective"):
+        dataclasses.replace(out, embed={**out.embed, 1: out.embed[0]})
+    with pytest.raises(ValueError, match="X is not a subset of the embedded vertices"):
+        dataclasses.replace(out, x=(9,))
+    doc = transduction_to_json(out)
+    doc["embed"]["0"] = 9999
+    with pytest.raises(ValueError, match="not a vertex of the colored graph"):
+        transduction_from_json(doc)
+
+
 def test_eval_is_deterministic():
     out = transduce_clustered(fig1a(), fig1a_certificate(), {}, 2)
     assert eval_formula(out) == eval_formula(out)
@@ -375,6 +403,120 @@ def test_seeded_clustered_roundtrips():
         if done == 10:
             break
     assert done == 10
+
+
+# ===== Evaluator against the per-pair oracle =====
+
+
+def random_x(rng: random.Random, d: Drawing, k: int) -> dict[int, tuple[int, ...]]:
+    """Up to k deleted vertices, each with up to three random neighbors."""
+    base = list(d.base.vertices)
+    xs = list(range(max(base) + 1, max(base) + 1 + rng.randint(0, k)))
+    return {
+        x: tuple(rng.sample([v for v in base + xs if v != x], rng.randint(0, 3)))
+        for x in xs
+    }
+
+
+def synth_grid_drawing(rows: int, cols: int) -> Drawing:
+    g = grid2d(rows, cols)
+    return drawing_from_segments(
+        g, {i * cols + j: pt(j, i) for i in range(rows) for j in range(cols)}
+    )
+
+
+@lru_cache(maxsize=1)
+def oracle_corpus() -> tuple[TransductionOutput, ...]:
+    """k-planar outputs for n in 4..14 and k in 1..3 with random X, fig1a at
+    (2, 2), and synthesized drawings of K4, K5, K6 and the 3x3 grid."""
+    outs = []
+    for n in range(4, 15):
+        for k in range(1, 4):
+            seed = 100 * n + k
+            d = random_kplanar(n, k, seed)
+            outs.append(transduce_kplanar(d, random_x(random.Random(seed), d, k), k))
+    outs.append(transduce_clustered(fig1a(), fig1a_certificate(), {}, 2))
+    for pattern, rows, cols, k in [
+        (complete(4), 2, 2, 2),
+        (complete(5), 2, 2, 2),
+        (complete(6), 2, 2, 2),
+        (grid2d(3, 3), 3, 3, 1),
+    ]:
+        m = find_model_bruteforce(grid2d(rows, cols), pattern, k, k, cap=16)
+        res = synthesize(synth_grid_drawing(rows, cols), m)
+        outs.append(transduce_clustered(res.drawing, res.cert, {}, res.kPrime))
+    return tuple(outs)
+
+
+def test_eval_matches_per_pair_oracle():
+    corpus = oracle_corpus()
+    assert len(corpus) == 33 + 1 + 4
+    for i, out in enumerate(corpus):
+        assert eval_formula(out) == oracle_eval_formula(out), i
+
+
+def chain_output(length: int, mode: str, inner: ColorLabel) -> TransductionOutput:
+    """Original vertices 0 and 1 joined by a path of ``length`` edges whose
+    internal vertices 2, 3, ... all carry ``inner``."""
+    verts = [0] + list(range(2, length + 1)) + [1]
+    g = Graph.make(verts, zip(verts, verts[1:]))
+    colors = {v: frozenset({inner}) for v in verts[1:-1]}
+    return TransductionOutput(
+        ColoredGraph(g, colors), {0: 0, 1: 1}, TransductionFormula.for_mode(1, mode), ()
+    )
+
+
+@pytest.mark.parametrize("mode, inner", [("kplanar", B1), ("clustered", ColorLabel("bP", 0))])
+def test_path_budget_is_exact(mode, inner):
+    budget = TransductionFormula.for_mode(1, mode).max_path_len
+    for length, adjacent in ((budget, True), (budget + 1, False)):
+        out = chain_output(length, mode, inner)
+        got = eval_formula(out)
+        assert got == oracle_eval_formula(out)
+        assert got.has_edge(0, 1) == adjacent, length
+
+
+def test_witnessed_target_stays_usable_inside_later_paths():
+    """In kplanar mode an original vertex may sit inside a path, so on the
+    path 0-1-2 the source 0 reaches 2 through the target 1 it witnessed."""
+    g = Graph.make(range(3), [(0, 1), (1, 2)])
+    out = TransductionOutput(
+        ColoredGraph(g), {v: v for v in range(3)}, TransductionFormula.for_mode(1, "kplanar"), ()
+    )
+    assert eval_formula(out) == oracle_eval_formula(out) == complete(3)
+
+
+RECOLOR_LABELS = [
+    ColorLabel(kind, j) for kind in ("b", "bP") for j in range(4)
+] + [ColorLabel(kind, j) for kind in ("c", "cP") for j in range(1, 4)]
+
+
+@given(st.data())
+def test_eval_matches_oracle_after_recoloring_and_mode_swap(data):
+    out = data.draw(st.sampled_from(oracle_corpus()))
+    g = out.colored.graph
+    colors = dict(out.colored.colors)
+    for v in data.draw(st.lists(st.sampled_from(g.vertices), max_size=8, unique=True)):
+        colors[v] = frozenset(data.draw(st.sets(st.sampled_from(RECOLOR_LABELS), max_size=3)))
+    mode = data.draw(st.sampled_from(("kplanar", "clustered")))
+    mutated = TransductionOutput(
+        ColoredGraph(g, colors),
+        out.embed,
+        TransductionFormula.for_mode(out.formula.k, mode),
+        out.x,
+    )
+    assert eval_formula(mutated) == oracle_eval_formula(mutated)
+
+
+def test_handshake_reads_indices_up_to_k_at_any_k():
+    out = transduce_kplanar(k4_drawing(), {4: (0, 1)}, 1)
+    colors = dict(out.colored.colors)
+    colors[4] |= {ColorLabel("c", 2)}
+    colors[2] = frozenset({ColorLabel("cP", 2)})
+    mutated = dataclasses.replace(out, colored=ColoredGraph(out.colored.graph, colors))
+    assert (2, 4) not in eval_formula(mutated).edges
+    wide = dataclasses.replace(mutated, formula=TransductionFormula.for_mode(10**9, "clustered"))
+    assert (2, 4) in eval_formula(wide).edges
 
 
 # ===== Rendering =====

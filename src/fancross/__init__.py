@@ -21,7 +21,7 @@ from .drawing import (
     subdivide_with_map,
     validate,
 )
-from .errors import CapExceeded, InvariantBroken
+from .errors import CapExceeded, Infeasible, InvariantBroken
 from .graphs import (
     ColoredGraph,
     ColorLabel,
@@ -60,6 +60,7 @@ __all__ = [
     "Drawing",
     "Fan",
     "Graph",
+    "Infeasible",
     "InvariantBroken",
     "MinorModel",
     "RegionTag",

@@ -16,7 +16,7 @@ from typing import Any, Optional
 from . import fixtures
 from .cluster import Certificate, min_ell, search_certificate, verify_certificate
 from .drawing import Drawing, crossing_graph, is_k_planar, validate
-from .errors import CapExceeded, InvariantBroken
+from .errors import CapExceeded, Infeasible, InvariantBroken
 from .graphs import Graph
 from .jsonio import (
     certificate_from_json,
@@ -233,12 +233,9 @@ def _cmd_transduce(args: argparse.Namespace) -> int:
                 raise _CliError(USAGE, "clustered mode needs --cert")
             cert = _load_cert(args.cert, d.base)
             out = transduce_clustered(d, cert, xe, args.k)
-    except ValueError as exc:
-        msg = str(exc)
-        if msg in ("not k-planar", "certificate invalid"):
-            _emit({"ok": False, "error": msg})
-            return FALSE
-        raise
+    except (Infeasible, InvariantBroken) as exc:
+        _emit({"ok": False, "error": str(exc)})
+        return FALSE
     _emit(transduction_to_json(out), args.out)
     return OK
 
@@ -258,12 +255,9 @@ def _cmd_roundtrip(args: argparse.Namespace) -> int:
     cert = _load_cert(args.cert, d.base) if args.cert else None
     try:
         ok = roundtrip(h, d, xs, args.k, args.mode, cert)
-    except ValueError as exc:
-        msg = str(exc)
-        if msg in ("not k-planar", "certificate invalid"):
-            _emit({"roundtrip": False, "error": msg})
-            return FALSE
-        raise
+    except (Infeasible, InvariantBroken) as exc:
+        _emit({"roundtrip": False, "error": str(exc)})
+        return FALSE
     _emit({"roundtrip": ok})
     return OK if ok else FALSE
 
@@ -342,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", required=True)
     p.add_argument("--strong", action="store_true")
 
-    p = cmd("cluster-search", _cmd_cluster_search, "exhaustive certificate search")
+    p = cmd("cluster-search", _cmd_cluster_search, "exact certificate search")
     p.add_argument("drawing")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)

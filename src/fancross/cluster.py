@@ -6,10 +6,24 @@ nontrivial component of the resulting crossing graph, a cover by at most
 ``ell`` fans and an assignment of each arc to the fan containing its edge.
 Strong verification additionally checks, for every fan and every crossed
 arc, the one-sided non-enclosing fan-crossing property.
+
+The exact search returns the first certificate in a fixed order: the product
+order of every edge's interior cut options (edge 0 varying slowest), with the
+first (strong) cover of each component.  It never walks that product.  Cuts
+only split components, so each component of the uncut crossing graph is
+searched on its own and the search spaces add up instead of multiplying.
+Inside one, edges are decided in id order by backtracking, and a partial
+choice is dropped as soon as a component of the decided arcs has no cover:
+its edges plus the undecided edges it crosses must share one final
+component, so they need at most ``ell`` fans, and a component that crosses
+no undecided edge is final and gets the full check.  Dropping a prefix that
+no completion can satisfy, and joining the per-component first choices,
+gives exactly the first choice of the whole product.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -24,8 +38,8 @@ from .drawing import (
     stitched_path,
     subdivide_with_map,
 )
-from .errors import CapExceeded
-from .graphs import Fan, Graph, fan_cover
+from .errors import CapExceeded, InvariantBroken
+from .graphs import Fan, Graph, fan_cover, vertex_cover
 
 
 # ===== Certificates =====
@@ -175,6 +189,10 @@ def _strong_failures(
 
 
 def _subdivided(d: Drawing, plan: SubdivisionPlan):
+    """``d`` cut per ``plan``, with arc and per-edge piece maps.  A plan with
+    no cuts gives ``d`` itself, whose faces are then computed only once."""
+    if not plan.cuts:
+        return d, {(e, 0): e for e in range(d.base.m)}, {e: [e] for e in range(d.base.m)}
     d2, arc_to_new, _ = subdivide_with_map(d, plan)
     pieces_of: dict[int, list[int]] = {}
     for (eid, piece), neid in sorted(arc_to_new.items()):
@@ -281,57 +299,215 @@ def _strong_cover(
 def search_certificate(
     d: Drawing, k: int, ell: int, strong: bool = False, cap: int = 12
 ) -> Optional[Certificate]:
-    """Exhaustive search for a certificate with the given ``k`` and ``ell``.
+    """Exact search for a certificate with the given ``k`` and ``ell``.
 
-    Enumerates interior cut positions per edge and, per component, minimal
-    canonical fan covers; returns the first certificate found in that
-    deterministic order, or None.  Drawings with more than ``cap`` crossings
-    are refused.
+    Returns the first certificate in product order of the edges'
+    :func:`_cut_options` (edge 0 slowest), or None.  Each component of the
+    uncut crossing graph constrains only its own edges, so the first plan
+    overall is the union of every component's first plan; each is found by
+    :class:`_GroupSearch`.  The certificate is then built on that plan by
+    :func:`_certificate`, which checks every component again and raises
+    ``InvariantBroken`` if one fails.  Drawings with more than ``cap``
+    crossings are refused with ``CapExceeded``.
     """
     if k < 1 or ell < 1:
         raise ValueError("bad search parameters: k and ell must be positive")
     total = sum(1 for p in d.plan.vertices if d.kind_of(p) == "crossing")
     if total > cap:
         raise CapExceeded("search cap exceeded")
-    if ell == 1 and any(
-        not (set(d.base.edges[e1]) & set(d.base.edges[e2]))
-        for e1, e2 in _crossing_pairs(d)
-    ):
+    pairs = _crossing_pairs(d)
+    if ell == 1 and any(not (set(d.base.edges[e1]) & set(d.base.edges[e2])) for e1, e2 in pairs):
         return None
-    for choice in itertools.product(*_cut_options(d, k)):
-        cuts = {eid: gaps for eid, gaps in enumerate(choice) if gaps}
-        plan = SubdivisionPlan(cuts)
+    search = _GroupSearch(d, _cut_options(d, k), ell, strong)
+    cuts: dict[int, tuple[int, ...]] = {}
+    for group in _edge_groups(pairs):
+        found = search.first_plan(group)
+        if found is None:
+            return None
+        cuts.update(found)
+    cert = _certificate(d, k, ell, strong, SubdivisionPlan(cuts))
+    if cert is None:
+        raise InvariantBroken("certificate search invariant broken")
+    return cert
+
+
+def _edge_groups(pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """The edge sets of the uncut crossing graph's components, each sorted."""
+    adj: dict[int, set[int]] = {}
+    for e1, e2 in pairs:
+        adj.setdefault(e1, set()).add(e2)
+        adj.setdefault(e2, set()).add(e1)
+    groups: list[list[int]] = []
+    seen: set[int] = set()
+    for e in sorted(adj):
+        if e in seen:
+            continue
+        seen.add(e)
+        stack, group = [e], []
+        while stack:
+            f = stack.pop()
+            group.append(f)
+            for g in adj[f] - seen:
+                seen.add(g)
+                stack.append(g)
+        groups.append(sorted(group))
+    return groups
+
+
+def _certificate(
+    d: Drawing, k: int, ell: int, strong: bool, plan: SubdivisionPlan
+) -> Optional[Certificate]:
+    """The certificate on ``plan``: per component the first (strong) cover,
+    each arc assigned to its edge's fan; None if some component has none."""
+    cg = crossing_graph(d, plan)
+    comps = cg.components()
+    keys = _arc_keys(cg)
+    d2 = arc_to_new = pieces_of = None
+    if strong and comps:
+        d2, arc_to_new, pieces_of = _subdivided(d, plan)
+    covers: dict[int, tuple[Fan, ...]] = {}
+    assignment: dict[tuple[int, int], int] = {}
+    for cid, comp in enumerate(comps):
+        part = sorted({cg.nodes[n].edge for n in comp})
+        part_edges = [d.base.edges[e] for e in part]
+        if strong:
+            fans = _strong_cover(
+                d, d2, pieces_of, arc_to_new, cg, keys, comp, part_edges, ell
+            )
+        else:
+            fans = fan_cover(d.base, part_edges, ell)
+        if fans is None:
+            return None
+        covers[cid] = tuple(fans)
+        center_of = {e: f.center for f in fans for e in f.edges}
+        for n in comp:
+            assignment[keys[n]] = center_of[d.base.edges[cg.nodes[n].edge]]
+    return Certificate(k, ell, plan, covers, assignment)
+
+
+class _GroupSearch:
+    """Backtracking over the cut options of one uncut crossing-graph component.
+
+    Edges are decided in id order, options in :func:`_cut_options` order.
+    After each choice, every component of the decided arcs that holds an arc
+    of the new edge is checked:
+
+    * If it still crosses undecided edges, all of those edges and its own
+      base edges end up in one final component, so they need a vertex cover
+      of size at most ``ell``, i.e. a cover by at most ``ell`` fans.  Covers
+      only grow with more edges, and a strong certificate is also a weak
+      one, so this prune is safe in both modes.
+    * Otherwise it is final and gets the mode's full check: the same cover
+      test (weak) or ``_strong_cover`` (strong).
+
+    Weak checks are memoized by edge set, strong ones by arc set; both hold
+    for the whole search call, across components.
+    """
+
+    def __init__(self, d: Drawing, options, ell: int, strong: bool) -> None:
+        self.d, self.options, self.ell, self.strong = d, options, ell, strong
+        self.partner: dict[tuple[int, int], int] = {}  # (edge, crossing) -> other edge
+        self.index: dict[tuple[int, int], int] = {}  # (edge, crossing) -> 1-based position
+        by_point: dict[int, list[int]] = {}
+        for eid, xs in d.edge_crossings.items():
+            for j, x in enumerate(xs, 1):
+                self.index[(eid, x)] = j
+                by_point.setdefault(x, []).append(eid)
+        for x, (e1, e2) in by_point.items():
+            self.partner[(e1, x)] = e2
+            self.partner[(e2, x)] = e1
+        self.weak_memo: dict[frozenset[int], bool] = {}
+        self.strong_memo: dict[frozenset[tuple[int, int, int]], bool] = {}
+
+    def first_plan(self, edges: Sequence[int]) -> Optional[dict[int, tuple[int, ...]]]:
+        """The first cut choice for ``edges`` under which every component
+        of their arcs passes its check, or None."""
+        position = {e: i for i, e in enumerate(edges)}
+        bounds: dict[int, list[int]] = {}  # edge -> [0, *cuts, c] of its current option
+
+        def place(i: int) -> bool:
+            if i == len(edges):
+                return True
+            e = edges[i]
+            c = len(self.d.edge_crossings[e])
+            for gaps in self.options[e]:
+                bounds[e] = [0, *gaps, c]
+                if self._admissible(e, position, bounds) and place(i + 1):
+                    return True
+            return False
+
+        if not place(0):
+            return None
+        return {e: tuple(b[1:-1]) for e, b in bounds.items() if len(b) > 2}
+
+    def _admissible(
+        self, e: int, position: dict[int, int], bounds: dict[int, list[int]]
+    ) -> bool:
+        """Whether every component of the decided arcs through ``e`` passes;
+        the decided edges are ``e`` and those before it in ``position``."""
+        b = bounds[e]
+        seen: set[tuple[int, int, int]] = set()
+        for lo, hi in zip(b, b[1:]):
+            start = (e, lo, hi)
+            if start in seen:
+                continue
+            seen.add(start)
+            arcs, open_edges, stack = [start], set(), [start]
+            while stack:
+                f, alo, ahi = stack.pop()
+                for x in self.d.edge_crossings[f][alo:ahi]:
+                    g = self.partner[(f, x)]
+                    if position[g] > position[e]:
+                        open_edges.add(g)
+                        continue
+                    arc = self._arc(bounds[g], g, x)
+                    if arc not in seen:
+                        seen.add(arc)
+                        arcs.append(arc)
+                        stack.append(arc)
+            if not self._passes(arcs, open_edges, bounds):
+                return False
+        return True
+
+    def _arc(self, b: list[int], e: int, x: int) -> tuple[int, int, int]:
+        """The arc of edge ``e`` through crossing ``x`` when cut at ``b[1:-1]``."""
+        i = bisect.bisect_left(b, self.index[(e, x)]) - 1
+        return (e, b[i], b[i + 1])
+
+    def _passes(self, arcs, open_edges: set[int], bounds: dict[int, list[int]]) -> bool:
+        """The lower bound while ``open_edges`` remain, else the full check."""
+        edges = {a[0] for a in arcs}
+        if open_edges or not self.strong:
+            key = frozenset(edges | open_edges)
+            if key not in self.weak_memo:
+                target = [self.d.base.edges[f] for f in key]
+                self.weak_memo[key] = vertex_cover(target, self.ell) is not None
+            return self.weak_memo[key]
+        key = frozenset(arcs)
+        if key not in self.strong_memo:
+            self.strong_memo[key] = self._strong_ok(key, edges, bounds)
+        return self.strong_memo[key]
+
+    def _strong_ok(self, arcs, edges: set[int], bounds: dict[int, list[int]]) -> bool:
+        """``_strong_cover`` on the drawing cut only on the component's edges.
+
+        Cuts on other edges only subdivide plan edges away from the
+        component's paths, so they leave its faces alone.  The fallback outer
+        face of a plan component that misses the drawing's outer face is its
+        face with the least dart, which stays put while the component's least
+        plan vertex is a real vertex, as in every drawing built from
+        coordinates.
+        """
+        d = self.d
+        plan = SubdivisionPlan({f: bounds[f][1:-1] for f in edges})
         cg = crossing_graph(d, plan)
-        comps = cg.components()
-        keys = _arc_keys(cg)
-        d2 = arc_to_new = pieces_of = None
-        if strong and comps:
-            d2, arc_to_new, pieces_of = _subdivided(d, plan)
-        covers: dict[int, tuple[Fan, ...]] = {}
-        assignment: dict[tuple[int, int], int] = {}
-        ok = True
-        for cid, comp in enumerate(comps):
-            part = sorted({cg.nodes[n].edge for n in comp})
-            part_edges = [d.base.edges[e] for e in part]
-            if strong:
-                fans = _strong_cover(
-                    d, d2, pieces_of, arc_to_new, cg, keys, comp, part_edges, ell
-                )
-            else:
-                fans = fan_cover(d.base, part_edges, ell)
-            if fans is None:
-                ok = False
-                break
-            covers[cid] = tuple(fans)
-            center_of: dict[tuple[int, int], int] = {}
-            for f in fans:
-                for e in f.edges:
-                    center_of[e] = f.center
-            for n in comp:
-                assignment[keys[n]] = center_of[d.base.edges[cg.nodes[n].edge]]
-        if ok:
-            return Certificate(k, ell, plan, covers, assignment)
-    return None
+        comp = [n for n, a in enumerate(cg.nodes) if (a.edge, a.lo, a.hi) in arcs]
+        d2, arc_to_new, pieces_of = _subdivided(d, plan)
+        part_edges = [d.base.edges[f] for f in sorted(edges)]
+        fans = _strong_cover(
+            d, d2, pieces_of, arc_to_new, cg, _arc_keys(cg), comp, part_edges, self.ell
+        )
+        return fans is not None
 
 
 def min_ell(d: Drawing, k: int, cap: int = 12) -> int:

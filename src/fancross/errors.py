@@ -1,6 +1,6 @@
 """Typed errors for the outcomes callers tell apart from bad input.
 
-Both subclass ``ValueError``, so code that catches ``ValueError`` for any
+All subclass ``ValueError``, so code that catches ``ValueError`` for any
 refused input keeps working.
 """
 
@@ -13,3 +13,8 @@ class CapExceeded(ValueError):
 
 class InvariantBroken(ValueError):
     """A construction failed its own check of its output."""
+
+
+class Infeasible(ValueError):
+    """A well-formed input does not meet a construction's precondition: the
+    drawing is not k-planar, or the certificate does not verify."""

@@ -185,36 +185,37 @@ class Fan:
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
 
+def vertex_cover(edges: Sequence[tuple[int, int]], ell: int) -> Optional[tuple[int, ...]]:
+    """At most ``ell`` vertices touching every edge, by the classic exact
+    branching on the two ends of the first uncovered edge; None if none."""
+    if not edges:
+        return ()
+    if ell <= 0:
+        return None
+    u, v = edges[0]
+    for center in (u, v):
+        got = vertex_cover([e for e in edges if center not in e], ell - 1)
+        if got is not None:
+            return (center, *got)
+    return None
+
+
 def fan_cover(
     g: Graph, target: Iterable[Sequence[int]], ell: int
 ) -> Optional[list[Fan]]:
     """Covers the ``target`` edges by at most ``ell`` fans of ``g``, exactly.
 
     A cover exists iff the target edge set has a vertex cover of size at most
-    ``ell``; this runs the classic exact branching (depth ``ell``).  On
-    success each target edge is assigned to the smallest-id chosen center it
-    contains and one fan per used center is returned, sorted by center.
-    Returns ``None`` if no cover of size ``ell`` exists.
+    ``ell`` (:func:`vertex_cover`).  On success each target edge is assigned
+    to the smallest-id chosen center it contains and one fan per used center
+    is returned, sorted by center.  Returns ``None`` if no cover of size
+    ``ell`` exists.
     """
     edges = sorted(set((min(u, v), max(u, v)) for u, v in target))
     for e in edges:
         if not g.has_edge(*e):
             raise ValueError(f"target edge {e} not in graph")
-
-    def branch(remaining: tuple[tuple[int, int], ...], budget: int, chosen: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        if not remaining:
-            return chosen
-        if budget == 0:
-            return None
-        u, v = remaining[0]
-        for center in (u, v):
-            rest = tuple(e for e in remaining if center not in e)
-            got = branch(rest, budget - 1, chosen + (center,))
-            if got is not None:
-                return got
-        return None
-
-    centers = branch(tuple(edges), max(ell, 0), ())
+    centers = vertex_cover(edges, ell)
     if centers is None:
         return None
     cs = sorted(set(centers))

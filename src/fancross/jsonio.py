@@ -2,11 +2,13 @@
 
 The formats are stable: keys are fixed, lists are emitted in deterministic
 order, and loading is strict (malformed documents raise ``ValueError``).
+Every integer field must hold an integer: ``1.5``, ``2.0``, ``"2"`` and
+``true`` are refused, never truncated, and edge ids must name an edge.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional
 
 from .cluster import Certificate
 from .drawing import Drawing, SubdivisionPlan
@@ -28,8 +30,14 @@ def graph_to_json(g: Graph) -> dict[str, Any]:
 
 def graph_from_json(obj: Mapping[str, Any]) -> Graph:
     try:
-        return Graph.make(obj["vertices"], obj["edges"])
-    except (KeyError, TypeError, IndexError) as exc:
+        vertices = _ints("graph", "vertex", obj["vertices"])
+        edges = obj["edges"]
+        for e in edges:
+            if len(e) != 2:
+                raise ValueError(f"bad graph document: edge {e!r} is not a pair")
+        _ints("graph", "edge", [v for e in edges for v in e])
+        return Graph.make(vertices, edges)
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"bad graph document: {exc}") from exc
 
 
@@ -74,22 +82,41 @@ def drawing_from_json(obj: Mapping[str, Any]) -> Drawing:
     try:
         base = graph_from_json(obj["base"])
         plan = graph_from_json(obj["plan"])
-        rotation = {int(v): _ids("rotation", r) for v, r in obj["rotation"].items()}
+        rotation = {int(v): _ints("drawing", "rotation", r) for v, r in obj["rotation"].items()}
         kind = {int(v): str(k) for v, k in obj["kind"].items()}
-        trace = {int(e): _ids("trace", t) for e, t in obj["trace"].items()}
-        outer = int(obj["outer"])
+        trace = {int(e): _ints("drawing", "trace", t) for e, t in obj["trace"].items()}
+        outer = _int("drawing", "outer", obj["outer"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"bad drawing document: {exc}") from exc
     return Drawing(base, plan, rotation, kind, trace, outer)
 
 
-def _ids(field: str, entries: Any) -> tuple[int, ...]:
-    """A list of plan edge ids; ``bool`` is refused although it is an int."""
+def _ints(doc: str, field: str, entries: Any, bound: Optional[int] = None) -> tuple[int, ...]:
+    """A list of integers, each in ``range(bound)`` if a bound is given.
+
+    ``bool`` is refused although it is an int.
+    """
     ids = tuple(entries)
     for i in ids:
         if type(i) is not int:
-            raise ValueError(f"bad drawing document: {field} entry {i!r} is not an integer")
+            raise ValueError(f"bad {doc} document: {field} entry {i!r} is not an integer")
+        if bound is not None and not 0 <= i < bound:
+            raise ValueError(f"bad {doc} document: {field} entry {i} is out of range")
     return ids
+
+
+def _int(doc: str, field: str, value: Any, bound: Optional[int] = None) -> int:
+    return _ints(doc, field, (value,), bound)[0]
+
+
+def _key(doc: str, field: str, key: Any, bound: Optional[int] = None) -> int:
+    """An object key naming an integer; JSON keys are text, so ``"7"`` is 7."""
+    if isinstance(key, str):
+        try:
+            key = int(key)
+        except ValueError:
+            pass  # refused by _int below
+    return _int(doc, field, key, bound)
 
 
 # ===== Certificate =====
@@ -121,22 +148,30 @@ def certificate_to_json(cert: Certificate, base: Graph) -> dict[str, Any]:
 
 
 def certificate_from_json(obj: Mapping[str, Any], base: Graph) -> Certificate:
+    doc = "certificate"
     try:
-        cuts = {int(e): tuple(g) for e, g in obj.get("cuts", {}).items()}
+        cuts = {
+            _key(doc, "cuts", e, base.m): _ints(doc, "cut", g)
+            for e, g in obj.get("cuts", {}).items()
+        }
         covers = {
-            int(cid): tuple(
-                Fan(f["center"], tuple(base.edges[e] for e in f["edges"]))
+            _key(doc, "covers", cid): tuple(
+                Fan(
+                    _int(doc, "center", f["center"]),
+                    tuple(base.edges[e] for e in _ints(doc, "fan edge", f["edges"], base.m)),
+                )
                 for f in fans
             )
             for cid, fans in obj.get("covers", {}).items()
         }
         assignment = {
-            (a["edge"], a["piece"]): a["center"] for a in obj.get("assignment", [])
+            (_int(doc, "edge", a["edge"], base.m), _int(doc, "piece", a["piece"])):
+                _int(doc, "center", a["center"])
+            for a in obj.get("assignment", [])
         }
-        return Certificate(
-            int(obj["k"]), int(obj["ell"]), SubdivisionPlan(cuts), covers, assignment
-        )
-    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        k, ell = _int(doc, "k", obj["k"]), _int(doc, "ell", obj["ell"])
+        return Certificate(k, ell, SubdivisionPlan(cuts), covers, assignment)
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"bad certificate document: {exc}") from exc
 
 
@@ -158,9 +193,12 @@ def model_from_json(obj: Mapping[str, Any]) -> MinorModel:
         return MinorModel(
             graph_from_json(obj["host"]),
             graph_from_json(obj["pattern"]),
-            {int(v): tuple(vs) for v, vs in obj.get("branch", {}).items()},
-            int(obj["c"]),
-            int(obj["d"]),
+            {
+                _key("model", "branch", v): _ints("model", "branch", vs)
+                for v, vs in obj.get("branch", {}).items()
+            },
+            _int("model", "c", obj["c"]),
+            _int("model", "d", obj["d"]),
         )
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"bad model document: {exc}") from exc
@@ -180,11 +218,14 @@ def transduction_to_json(t: TransductionOutput) -> dict[str, Any]:
 def transduction_from_json(obj: Mapping[str, Any]) -> TransductionOutput:
     colored = colored_from_json(obj)
     try:
-        embed = {int(h): int(g) for h, g in obj["embed"].items()}
+        embed = {
+            _key("transduction", "embed", h): _int("transduction", "embed", g)
+            for h, g in obj["embed"].items()
+        }
         formula = TransductionFormula.for_mode(
-            int(obj["formula"]["k"]), str(obj["formula"]["mode"])
+            _int("transduction", "k", obj["formula"]["k"]), str(obj["formula"]["mode"])
         )
-        x = tuple(sorted(int(v) for v in obj["X"]))
+        x = tuple(sorted(_ints("transduction", "X", obj["X"])))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"bad transduction document: {exc}") from exc
     return TransductionOutput(colored, embed, formula, x)

@@ -36,7 +36,7 @@ from .drawing import (
     subdivide_with_map,
     validate,
 )
-from .errors import InvariantBroken
+from .errors import Infeasible, InvariantBroken
 from .graphs import ColorLabel, ColoredGraph, Graph, induced
 
 # ===== Output containers =====
@@ -284,7 +284,7 @@ def transduce_kplanar(
     """
     _checked_drawing(d, k)
     if not is_k_planar(d, k):
-        raise ValueError("not k-planar")
+        raise Infeasible("not k-planar")
     xn = _checked_x(d, x_edges, k)
 
     rs = _RotSys(d)
@@ -339,7 +339,7 @@ def transduce_clustered(
     _checked_drawing(d, k)
     report = verify_certificate(d, cert, strong=False)
     if not report.verdict or cert.k > k or cert.ell > k:
-        raise ValueError("certificate invalid")
+        raise Infeasible("certificate invalid")
     xn = _checked_x(d, x_edges, k)
 
     # Cut per certificate, then add a stub cut next to every original
@@ -626,7 +626,7 @@ def roundtrip(
         out = transduce_kplanar(d, x_edges, k)
     elif mode == "clustered":
         if cert is None:
-            raise ValueError("certificate invalid")
+            raise Infeasible("certificate invalid")
         out = transduce_clustered(d, cert, x_edges, k)
     else:
         raise ValueError(f"unknown mode {mode!r}")

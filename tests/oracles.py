@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own algorithms: radii come from
 Floyd-Warshall, covers from subset enumeration, cluster feasibility from
-enumerating every subdivision plan and every fan cover, and the decoded
+enumerating every subdivision plan and every fan cover, the first
+certificate from trying every cut choice in product order, and the decoded
 graph of a transduction from one path search per vertex pair.
 """
 
@@ -12,9 +13,19 @@ import itertools
 import random
 from typing import Iterable, Optional, Sequence
 
-from fancross.drawing import is_k_planar
+from fancross.cluster import (
+    Certificate,
+    _arc_keys,
+    _crossing_pairs,
+    _cut_options,
+    _strong_cover,
+    _subdivided,
+    verify_certificate,
+)
+from fancross.drawing import SubdivisionPlan, crossing_graph, is_k_planar
+from fancross.errors import CapExceeded
 from fancross.geometry import drawing_from_segments, pt
-from fancross.graphs import ColoredGraph, ColorLabel, Graph
+from fancross.graphs import ColoredGraph, ColorLabel, Fan, Graph, fan_cover
 from fancross.transduce import TransductionFormula, TransductionOutput
 
 
@@ -94,9 +105,6 @@ def _oracle_comp_feasible(d, plan, k, ell, strong, cg, comps, cid, memo) -> bool
         ok = oracle_vertex_cover(part_edges, cands, ell) is not None
         memo[sig] = ok
         return ok
-    from fancross.cluster import Certificate, _arc_keys, verify_certificate
-    from fancross.graphs import Fan
-
     keys = _arc_keys(cg)
     ok = False
     for size in range(1, min(ell, len(cands)) + 1):
@@ -139,8 +147,6 @@ def oracle_cluster_feasible(d, k: int, ell: int, strong: bool = False, gaps: str
     strong feasibility builds the canonical fan cover from every candidate
     center set and judges it with the verifier.
     """
-    from fancross.drawing import SubdivisionPlan, crossing_graph
-
     opts = []
     for eid in range(d.base.m):
         c = len(d.edge_crossings[eid])
@@ -160,6 +166,56 @@ def oracle_cluster_feasible(d, k: int, ell: int, strong: bool = False, gaps: str
         ):
             return True
     return False
+
+
+def oracle_search_certificate(d, k: int, ell: int, strong: bool = False, cap: int = 12):
+    """The first certificate in the product order of every edge's cut
+    options, found by trying every choice and rebuilding the crossing graph
+    for each; the library's backtracking search must return the same."""
+    if k < 1 or ell < 1:
+        raise ValueError("bad search parameters: k and ell must be positive")
+    total = sum(1 for p in d.plan.vertices if d.kind_of(p) == "crossing")
+    if total > cap:
+        raise CapExceeded("search cap exceeded")
+    if ell == 1 and any(
+        not (set(d.base.edges[e1]) & set(d.base.edges[e2]))
+        for e1, e2 in _crossing_pairs(d)
+    ):
+        return None
+    for choice in itertools.product(*_cut_options(d, k)):
+        cuts = {eid: gaps for eid, gaps in enumerate(choice) if gaps}
+        plan = SubdivisionPlan(cuts)
+        cg = crossing_graph(d, plan)
+        comps = cg.components()
+        keys = _arc_keys(cg)
+        d2 = arc_to_new = pieces_of = None
+        if strong and comps:
+            d2, arc_to_new, pieces_of = _subdivided(d, plan)
+        covers = {}
+        assignment: dict[tuple[int, int], int] = {}
+        ok = True
+        for cid, comp in enumerate(comps):
+            part = sorted({cg.nodes[n].edge for n in comp})
+            part_edges = [d.base.edges[e] for e in part]
+            if strong:
+                fans = _strong_cover(
+                    d, d2, pieces_of, arc_to_new, cg, keys, comp, part_edges, ell
+                )
+            else:
+                fans = fan_cover(d.base, part_edges, ell)
+            if fans is None:
+                ok = False
+                break
+            covers[cid] = tuple(fans)
+            center_of: dict[tuple[int, int], int] = {}
+            for f in fans:
+                for e in f.edges:
+                    center_of[e] = f.center
+            for n in comp:
+                assignment[keys[n]] = center_of[d.base.edges[cg.nodes[n].edge]]
+        if ok:
+            return Certificate(k, ell, plan, covers, assignment)
+    return None
 
 
 # ===== Minor-model oracles (APSP / partition enumeration based) =====

@@ -11,16 +11,17 @@ from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fancross import cli
 from fancross.cli import main
-from fancross.errors import CapExceeded, InvariantBroken
+from fancross.errors import CapExceeded, Infeasible, InvariantBroken
 from fancross.fixtures import fig1a, fig1a_certificate, fig3
 from fancross.geometry import drawing_from_segments, pt
 from fancross.graphs import Graph, add_universal_vertex, complete, cycle, grid2d
 from fancross.jsonio import (
+    certificate_to_json,
     drawing_to_json,
     graph_to_json,
     model_to_json,
@@ -325,6 +326,23 @@ def test_transduce_rejects_underbudget_k(fig3_file, capsys):
     assert code == 1 and obj == {"ok": False, "error": "not k-planar"}
 
 
+@pytest.mark.parametrize(
+    "command, name, key",
+    [("transduce", "transduce_kplanar", "ok"), ("roundtrip", "roundtrip", "roundtrip")],
+)
+def test_transduce_exit_code_follows_the_error_type(
+    fig3_file, monkeypatch, capsys, command, name, key
+):
+    argv = (command, fig3_file, "--mode", "kplanar", "--k", "2")
+    for exc in (Infeasible("not k-planar"), InvariantBroken("construction invariant broken")):
+        monkeypatch.setattr(cli, name, raising(exc))
+        code, obj = run_json(capsys, *argv)
+        assert code == 1 and obj == {key: False, "error": str(exc)}
+    monkeypatch.setattr(cli, name, raising(ValueError("not k-planar")))
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and "Traceback" not in err
+
+
 def test_roundtrip_clustered_fixture(fig1a_files, capsys):
     dpath, cpath = fig1a_files
     code, obj = run_json(
@@ -361,6 +379,39 @@ def test_clustered_without_cert_is_usage_error(fig1a_files, capsys):
     dpath, _ = fig1a_files
     code, _, err = run(capsys, "transduce", dpath, "--mode", "clustered", "--k", "2")
     assert code == 2 and "--cert" in err
+
+
+def write_json(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_loaders_refuse_non_integers(tmp_path, fig1a_files, fig3_file, capsys):
+    dpath, cpath = fig1a_files
+    cert = json.loads(open(cpath).read())
+    tpath = tmp_path / "t.json"
+    assert main(["transduce", fig3_file, "--mode", "kplanar", "--k", "2", "--out", str(tpath)]) == 0
+    capsys.readouterr()
+    trans = json.loads(tpath.read_text())
+    branch = {0: (0,), 1: (1,), 2: (3,), 3: (2,)}
+    model = model_to_json(MinorModel(grid2d(2, 2), cycle(4), branch, 1, 1))
+    pattern = write_json(tmp_path, "p.json", graph_to_json(cycle(4)))
+    check = ["cluster-check", dpath, "--cert"]
+    cases = [
+        (check, "c.json", {**cert, "cuts": {"7": [1.5]}}, "certificate"),
+        (check, "c.json", {**cert, "k": 2.9}, "certificate"),
+        (["eval"], "t.json", {**trans, "formula": {"k": 2.9, "mode": "kplanar"}}, "transduction"),
+        (["eval"], "t.json", {**trans, "X": [2.7]}, "transduction"),
+        (["model-verify"], "m.json", {**model, "c": 1.5}, "model"),
+        (["model-verify"], "m.json", {**model, "branch": {"0": [0.0]}}, "model"),
+        (["model-find", "--pattern", pattern, "--c", "1", "--d", "1", "--host"], "g.json",
+         {"vertices": [0, 1.9], "edges": [[0, 1.2]]}, "graph"),
+    ]
+    for argv, name, doc, kind in cases:
+        code, out, err = run(capsys, *argv, write_json(tmp_path, name, doc))
+        assert code == 3 and out == "", (argv, doc)
+        assert f"bad {kind} document" in err and "Traceback" not in err
 
 
 # ===== gen / export =====
@@ -497,15 +548,19 @@ def mutated_drawing(draw):
     return doc
 
 
+def run_quiet(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 def run_on_document(command: str, doc: dict) -> tuple[int, str]:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main([command, path])
-    return code, err.getvalue()
+        return run_quiet([command, path])
 
 
 @given(mutated_transduction())
@@ -518,3 +573,58 @@ def test_fuzz_eval_exit_codes(doc):
 def test_fuzz_validate_exit_codes(doc):
     code, err = run_on_document("validate", doc)
     assert code in (0, 1, 2, 3) and "Traceback" not in err
+
+
+@lru_cache(maxsize=1)
+def fig1a_documents() -> str:
+    d = fig1a()
+    return json.dumps([drawing_to_json(d), certificate_to_json(fig1a_certificate(), d.base)])
+
+
+@st.composite
+def mutated_cluster_input(draw):
+    drawing, cert = json.loads(fig1a_documents())
+    for _ in range(draw(st.integers(1, 3))):
+        field = draw(
+            st.sampled_from(["cuts", "k", "ell", "center", "fan edge", "assignment", "trace"])
+        )
+        if field == "cuts":
+            key = draw(st.sampled_from(sorted(cert["cuts"]) + ["0", "17", "18", "-1", "x"]))
+            cert["cuts"][key] = draw(st.one_of(JUNK, st.lists(JUNK, max_size=3)))
+        elif field in ("k", "ell"):
+            cert[field] = draw(JUNK)
+        elif field in ("center", "fan edge"):
+            fans = cert["covers"][draw(st.sampled_from(sorted(cert["covers"])))]
+            fan = fans[draw(st.integers(0, len(fans) - 1))]
+            if field == "center":
+                fan["center"] = draw(JUNK)
+            else:
+                fan["edges"][draw(st.integers(0, len(fan["edges"]) - 1))] = draw(JUNK)
+        elif field == "assignment":
+            entry = cert["assignment"][draw(st.integers(0, len(cert["assignment"]) - 1))]
+            entry[draw(st.sampled_from(["edge", "piece", "center"]))] = draw(JUNK)
+        else:
+            key = draw(st.sampled_from(sorted(drawing["trace"])))
+            drawing["trace"][key] = draw(st.lists(JUNK, min_size=1, max_size=3))
+    return drawing, cert, draw(st.integers(-1, 3)), draw(st.integers(-1, 3)), draw(st.booleans())
+
+
+@settings(max_examples=25)
+@given(mutated_cluster_input())
+def test_fuzz_cluster_commands_exit_codes(case):
+    drawing, cert, k, ell, strong = case
+    with tempfile.TemporaryDirectory() as tmp:
+        dpath, cpath = os.path.join(tmp, "d.json"), os.path.join(tmp, "c.json")
+        for path, doc in ((dpath, drawing), (cpath, cert)):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        strong_flag = ["--strong"] if strong else []
+        search = ["--k", str(k), "--ell", str(ell), "--cap", "32", *strong_flag]
+        for argv in (
+            ["cluster-check", dpath, "--cert", cpath, *strong_flag],
+            ["cluster-search", dpath, *search],
+            ["cluster-min-ell", dpath, "--k", str(k), "--cap", "32"],
+            ["transduce", dpath, "--mode", "clustered", "--k", str(k), "--cert", cpath],
+        ):
+            code, err = run_quiet(argv)
+            assert code in (0, 1, 2, 3) and "Traceback" not in err, argv

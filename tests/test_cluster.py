@@ -2,23 +2,28 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from fancross import cluster
 from fancross.errors import CapExceeded
 from fancross.cluster import (
     Certificate,
+    _cut_options,
     min_ell,
     search_certificate,
     verify_certificate,
 )
 from fancross.drawing import SubdivisionPlan
-from fancross.fixtures import fig1a, fig1a_certificate, fig1b, fig3
+from fancross.fixtures import fig1a, fig1a_certificate, fig1b, fig3, random_kplanar
 from fancross.geometry import drawing_from_polylines, drawing_from_segments, pt
 from fancross.graphs import Fan, Graph
 from fancross.jsonio import certificate_from_json, certificate_to_json
-from oracles import oracle_cluster_feasible
+from oracles import oracle_cluster_feasible, oracle_search_certificate
 
 
 def xdrawing():
@@ -203,6 +208,96 @@ def test_search_results_verify(name, make, gaps, kmax):
                 assert rep.verdict, rep.failures
 
 
+# ===== Search vs. the product-order oracle: the same first certificate =====
+
+ORACLE_SPACE = 256  # cut choices per query; keeps the exhaustive oracle fast
+
+
+def cut_space(d, k):
+    return math.prod(len(opts) for opts in _cut_options(d, k))
+
+
+def assert_same_first_certificates(d):
+    for k in (1, 2, 3):
+        if cut_space(d, k) > ORACLE_SPACE:
+            continue
+        for ell in (1, 2, 3):
+            for strong in (False, True):
+                got = search_certificate(d, k, ell, strong=strong, cap=64)
+                want = oracle_search_certificate(d, k, ell, strong=strong, cap=64)
+                assert got == want, (k, ell, strong)
+
+
+@pytest.mark.parametrize("name,make,gaps,kmax", GRID_CASES)
+def test_search_returns_oracle_certificate_on_grid(name, make, gaps, kmax):
+    assert_same_first_certificates(make())
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_search_returns_oracle_certificate_on_random_drawings(n):
+    for seed in range(10):
+        assert_same_first_certificates(random_kplanar(n, 2 + seed % 3, seed))
+
+
+@given(
+    n=st.integers(4, 9),
+    kk=st.integers(1, 4),
+    seed=st.integers(0, 10**4),
+    k=st.integers(1, 3),
+    ell=st.integers(1, 3),
+    strong=st.booleans(),
+)
+def test_search_returns_oracle_certificate_property(n, kk, seed, k, ell, strong):
+    d = random_kplanar(n, kk, seed)
+    while cut_space(d, k) > ORACLE_SPACE:
+        k -= 1
+    got = search_certificate(d, k, ell, strong=strong, cap=64)
+    assert got == oracle_search_certificate(d, k, ell, strong=strong, cap=64)
+
+
+def chain_and_zigzag(m):
+    """Two crossing-graph components: ``fig1b(m)``'s chord chain, then an
+    edge that a zigzag edge crosses five times.  An arc of the straight edge
+    is crossed twice by the zigzag edge under every cut at fold 2, so the
+    second component has a weak certificate but no strong one."""
+    n = m + 2
+    edges = [(j, j + 1) for j in range(n - 1)] + [(j, j + 2) for j in range(m)]
+    pos = {j: pt(j + 1, (j + 1) ** 2) for j in range(n)}
+    a, b, c, e = n, n + 1, n + 2, n + 3
+    pos.update({a: pt(200, 0), b: pt(240, 0), c: pt(211, 3), e: pt(221, -3)})
+    g = Graph.make(range(n + 4), edges + [(a, b), (c, e)])
+    zigzag = [pt(213, -3), pt(215, 3), pt(217, -3), pt(219, 3)]
+    return drawing_from_polylines(g, pos, {g.edge_id(c, e): zigzag})
+
+
+def test_search_adds_across_components(monkeypatch):
+    d = chain_and_zigzag(8)
+    assert search_certificate(d, 2, 2) is not None
+    calls: list[str] = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fan_cover", "vertex_cover", "_strong_cover"):
+        monkeypatch.setattr(cluster, name, counted(getattr(cluster, name)))
+    assert search_certificate(d, 2, 2, strong=True) is None
+    # 64 choices for the chain times 25 for the zigzag pair; the search
+    # settles the chain once and then tries the pair's 25 on their own.
+    assert cut_space(d, 2) == 1600
+    assert "_strong_cover" in calls and len(calls) <= 64
+
+
+def test_search_across_components_matches_oracle():
+    d = chain_and_zigzag(4)
+    for strong in (False, True):
+        want = oracle_search_certificate(d, 2, 2, strong=strong)
+        assert search_certificate(d, 2, 2, strong=strong) == want
+
+
 def test_pocket_fold_thresholds():
     d = pocket()
     assert search_certificate(d, 1, 2) is not None
@@ -268,6 +363,45 @@ def test_certificate_json_round_trip():
     back = certificate_from_json(doc, d.base)
     assert back == cert
     assert verify_certificate(d, back).verdict
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("cuts", "7"), [1.5]),
+        (("cuts", "7"), [2.0]),
+        (("cuts", "7"), ["2"]),
+        (("k",), 2.9),
+        (("k",), 2.0),
+        (("ell",), True),
+        (("covers", "0", 0, "center"), 0.0),
+        (("covers", "0", 0, "edges", 0), -1),
+        (("covers", "0", 0, "edges", 0), 18),
+        (("covers", "0", 0, "edges", 0), 2.0),
+        (("assignment", 0, "edge"), -1),
+        (("assignment", 0, "edge"), 2.0),
+        (("assignment", 0, "piece"), False),
+        (("assignment", 0, "center"), "0"),
+    ],
+)
+def test_certificate_json_refuses_non_integers(path, value):
+    d = fig1a()
+    doc = certificate_to_json(fig1a_certificate(), d.base)
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    with pytest.raises(ValueError, match="bad certificate document"):
+        certificate_from_json(doc, d.base)
+
+
+@pytest.mark.parametrize("key", ["-1", "18", "1.5", "x"])
+def test_certificate_json_refuses_bad_cut_edges(key):
+    d = fig1a()
+    doc = certificate_to_json(fig1a_certificate(), d.base)
+    doc["cuts"][key] = [1]
+    with pytest.raises(ValueError, match="bad certificate document: cuts entry"):
+        certificate_from_json(doc, d.base)
 
 
 def test_certificate_json_rejects_malformed():

@@ -379,6 +379,13 @@ def test_drawing_json_rejects_malformed():
         drawing_from_json({"base": {"vertices": [], "edges": []}})
 
 
+def test_drawing_json_refuses_non_integer_outer():
+    doc = json.loads(json.dumps(drawing_to_json(lens())))
+    for bad in (0.5, 1.0, True, "0"):
+        with pytest.raises(ValueError, match="bad drawing document: outer entry"):
+            drawing_from_json({**doc, "outer": bad})
+
+
 def test_drawing_json_rejects_non_integer_ids():
     doc = json.loads(json.dumps(drawing_to_json(lens())))
     for field, key in (("rotation", "6"), ("trace", "0")):

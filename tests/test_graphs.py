@@ -257,6 +257,21 @@ def test_graph_json_round_trip():
         graph_from_json({"vertices": [0]})
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"vertices": [0, 1.9], "edges": [[0, 1.2]]},
+        {"vertices": [0, 1], "edges": [[0, 1.0]]},
+        {"vertices": [0, True], "edges": []},
+        {"vertices": ["0", 1], "edges": []},
+        {"vertices": [0, 1, 2], "edges": [[0, 1, 2]]},
+    ],
+)
+def test_graph_json_refuses_non_integers(doc):
+    with pytest.raises(ValueError, match="bad graph document"):
+        graph_from_json(doc)
+
+
 def test_colored_json_round_trip():
     g = path(2)
     c = ColoredGraph(g, {1: frozenset({ColorLabel.parse("b0"), ColorLabel.parse("bP2")})})

@@ -186,6 +186,23 @@ def test_model_json_round_trip():
     assert model_from_json(model_to_json(m)) == m
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("c", 1.5),
+        ("c", 1.0),
+        ("d", True),
+        ("d", "1"),
+        ("branch", {"0.5": [0]}),
+        ("branch", {"0": [0.0]}),
+    ],
+)
+def test_model_json_refuses_non_integers(field, value):
+    doc = {**model_to_json(k4_in_grid()), field: value}
+    with pytest.raises(ValueError, match="bad model document"):
+        model_from_json(doc)
+
+
 def test_model_json_rejects_malformed():
     with pytest.raises(ValueError, match="bad model document"):
         model_from_json({"host": {"vertices": [], "edges": []}})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 from collections import Counter
 from functools import lru_cache
@@ -14,6 +15,7 @@ from oracles import oracle_eval_formula
 
 from fancross.cluster import Certificate, search_certificate
 from fancross.drawing import Drawing, SubdivisionPlan
+from fancross.errors import Infeasible
 from fancross.fixtures import fig1a, fig1a_certificate, fig3, random_kplanar
 from fancross.geometry import drawing_from_polylines, drawing_from_segments, pt
 from fancross.graphs import (
@@ -307,6 +309,20 @@ def test_clustered_rejections():
         roundtrip(d.base, d, [], 1, "clustered")
 
 
+def test_unmet_preconditions_raise_infeasible():
+    d = adjacent_crossing()
+    for call, message in (
+        (lambda: transduce_kplanar(fig3(), {}, 1), "not k-planar"),
+        (lambda: transduce_clustered(d, Certificate(1, 1), {}, 1), "certificate invalid"),
+        (lambda: roundtrip(d.base, d, [], 1, "clustered"), "certificate invalid"),
+    ):
+        with pytest.raises(Infeasible, match=message):
+            call()
+    with pytest.raises(ValueError, match="X overlaps the drawing") as info:
+        transduce_kplanar(k4_drawing(), {0: ()}, 1)
+    assert not isinstance(info.value, Infeasible)
+
+
 # ===== Shared output invariants =====
 
 
@@ -567,6 +583,22 @@ def test_transduction_json_shape():
     assert doc["X"] == [4]
     assert doc["embed"]["0"] == 0
     assert doc["colors"][str(out.embed[0])] == ["cP1"]
+
+
+def test_transduction_json_refuses_non_integers():
+    doc = transduction_to_json(transduce_kplanar(k4_drawing(), {4: (0, 1, 2, 3)}, 2))
+    for mutate in (
+        lambda d: d["formula"].update(k=2.9),
+        lambda d: d["formula"].update(k=True),
+        lambda d: d.update(X=[4.0]),
+        lambda d: d.update(X=[2.7]),
+        lambda d: d["embed"].update({"0": float(d["embed"]["0"])}),
+        lambda d: d["embed"].update({"0.5": 99}),
+    ):
+        broken = json.loads(json.dumps(doc))
+        mutate(broken)
+        with pytest.raises(ValueError, match="bad transduction document"):
+            transduction_from_json(broken)
 
 
 def test_transduction_json_rejects_malformed():

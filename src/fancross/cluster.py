@@ -1,9 +1,10 @@
 """Clustered fan-crossing certificates: verification and exact search.
 
 A certificate for a drawing consists of subdivision cuts (at most ``k-1``
-per edge, so each edge falls into at most ``k`` arcs) plus, for every
-nontrivial component of the resulting crossing graph, a cover by at most
-``ell`` fans and an assignment of each arc to the fan containing its edge.
+distinct positions per edge, so each edge falls into at most ``k`` arcs)
+plus, for every nontrivial component of the resulting crossing graph, a
+cover by at most ``ell`` fans and an assignment of each arc to the fan
+containing its edge.
 Strong verification additionally checks, for every fan and every crossed
 arc, the one-sided non-enclosing fan-crossing property.
 
@@ -26,10 +27,9 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .drawing import (
-    ArcRef,
     CrossingGraph,
     Drawing,
     SubdivisionPlan,
@@ -39,7 +39,7 @@ from .drawing import (
     subdivide_with_map,
 )
 from .errors import CapExceeded, InvariantBroken
-from .graphs import Fan, Graph, fan_cover, vertex_cover
+from .graphs import Fan, fan_cover, vertex_cover
 
 
 # ===== Certificates =====
@@ -87,6 +87,8 @@ def _structural_check(d: Drawing, cert: Certificate) -> None:
     for eid, gaps in cert.plan.cuts.items():
         if len(gaps) > cert.k - 1:
             raise ValueError("too many cuts")
+        if len(set(gaps)) != len(gaps):
+            raise ValueError("repeated cut")
     for fans in cert.covers.values():
         centers = [f.center for f in fans]
         if len(set(centers)) != len(centers):
@@ -183,7 +185,7 @@ def _strong_failures(
                 _fan_paths_from_center(d2, pieces_of, d.base.edge_id(u, v), (u, v), f.center)
                 for u, v in hitting
             ]
-            if not _fan_core(d2, alpha_path, d2.real_pvid[f.center], fan_paths, True):
+            if not _fan_core(d2, alpha_path, fan_paths):
                 out.append((cid, f"fan property: center {f.center} arc {keys[n]}"))
     return out
 
@@ -253,15 +255,6 @@ def _cut_options(d: Drawing, k: int) -> list[list[tuple[int, ...]]]:
     return opts
 
 
-def _crossing_pairs(d: Drawing) -> list[tuple[int, int]]:
-    """Base edge id pairs for every crossing point."""
-    by_point: dict[int, list[int]] = {}
-    for eid, xs in d.edge_crossings.items():
-        for x in xs:
-            by_point.setdefault(x, []).append(eid)
-    return [tuple(sorted(es)) for x, es in sorted(by_point.items())]
-
-
 def _strong_cover(
     d: Drawing,
     d2: Drawing,
@@ -315,7 +308,7 @@ def search_certificate(
     total = sum(1 for p in d.plan.vertices if d.kind_of(p) == "crossing")
     if total > cap:
         raise CapExceeded("search cap exceeded")
-    pairs = _crossing_pairs(d)
+    pairs = d.crossing_edges.values()
     if ell == 1 and any(not (set(d.base.edges[e1]) & set(d.base.edges[e2])) for e1, e2 in pairs):
         return None
     search = _GroupSearch(d, _cut_options(d, k), ell, strong)
@@ -331,7 +324,7 @@ def search_certificate(
     return cert
 
 
-def _edge_groups(pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
+def _edge_groups(pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     """The edge sets of the uncut crossing graph's components, each sorted."""
     adj: dict[int, set[int]] = {}
     for e1, e2 in pairs:
@@ -408,12 +401,10 @@ class _GroupSearch:
         self.d, self.options, self.ell, self.strong = d, options, ell, strong
         self.partner: dict[tuple[int, int], int] = {}  # (edge, crossing) -> other edge
         self.index: dict[tuple[int, int], int] = {}  # (edge, crossing) -> 1-based position
-        by_point: dict[int, list[int]] = {}
         for eid, xs in d.edge_crossings.items():
             for j, x in enumerate(xs, 1):
                 self.index[(eid, x)] = j
-                by_point.setdefault(x, []).append(eid)
-        for x, (e1, e2) in by_point.items():
+        for x, (e1, e2) in d.crossing_edges.items():
             self.partner[(e1, x)] = e2
             self.partner[(e2, x)] = e1
         self.weak_memo: dict[frozenset[int], bool] = {}

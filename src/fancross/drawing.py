@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from .graphs import Fan, Graph
+from .graphs import Graph
 
 Dart = tuple[int, int]
 
@@ -132,6 +132,15 @@ class Drawing:
             eid: tuple(p for p in path[1:-1] if self.kind_of(p) == "crossing")
             for eid, path in self.paths.items()
         }
+
+    @cached_property
+    def crossing_edges(self) -> dict[int, tuple[int, int]]:
+        """Crossing plan vertex -> the two base edge ids crossing there, sorted."""
+        at: dict[int, list[int]] = {}
+        for eid, xs in self.edge_crossings.items():
+            for x in xs:
+                at.setdefault(x, []).append(eid)
+        return {x: (es[0], es[1]) for x, es in sorted(at.items())}
 
     @cached_property
     def plan_components(self) -> dict[int, int]:
@@ -592,34 +601,7 @@ def planarize(d: Drawing) -> tuple[Drawing, dict[int, int]]:
     return out, xmap
 
 
-# ===== Arc geometry: spans, sides, fan property =====
-
-
-def _arc_bounds_ok(d: Drawing, arc: ArcRef) -> None:
-    if not (0 <= arc.edge < d.base.m):
-        raise ValueError(f"unknown edge {arc.edge} in arc")
-    c = len(d.edge_crossings[arc.edge])
-    if not (0 <= arc.lo <= arc.hi <= c):
-        raise ValueError(f"arc span {arc} out of range")
-
-
-def _materialize_arc(d: Drawing, arc: ArcRef) -> tuple[Drawing, int, dict[int, list[int]]]:
-    """Cuts ``d`` so the arc becomes a base edge of its own.
-
-    Returns ``(d2, arc edge id in d2, per-original-edge piece ids in order)``.
-    """
-    _arc_bounds_ok(d, arc)
-    c = len(d.edge_crossings[arc.edge])
-    cuts = tuple(sorted({arc.lo, arc.hi} - {0, c}))
-    d2, arc_to_new, _ = subdivide_with_map(d, SubdivisionPlan({arc.edge: cuts} if cuts else {}))
-    bounds = [0, *cuts, c]
-    piece = next(
-        j for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if (lo, hi) == (arc.lo, arc.hi)
-    )
-    pieces: dict[int, list[int]] = {}
-    for (eid, j), neid in sorted(arc_to_new.items()):
-        pieces.setdefault(eid, []).append(neid)
-    return d2, arc_to_new[(arc.edge, piece)], pieces
+# ===== Arc geometry: sides and the fan property =====
 
 
 def stitched_path(d2: Drawing, piece_eids: Sequence[int], start_pvid: int) -> tuple[int, ...]:
@@ -655,30 +637,6 @@ def _passage_side(d: Drawing, alpha_path: Sequence[int], x: int, other_in: Dart)
     raise ValueError("darts do not meet at the crossing")
 
 
-def side_of_approach(d: Drawing, alpha: ArcRef, x: int, other: ArcRef, other_origin: int) -> str:
-    """``"left"`` or ``"right"``: the side from which ``other`` comes to ``alpha``.
-
-    ``alpha`` is oriented along its trace (from its smaller base endpoint);
-    ``other`` is walked along its owning edge starting at the base vertex
-    ``other_origin`` (the declared fan center).
-    """
-    _arc_bounds_ok(d, alpha)
-    _arc_bounds_ok(d, other)
-    xs = d.edge_crossings[alpha.edge]
-    if x not in xs[alpha.lo : alpha.hi]:
-        raise ValueError(f"crossing {x} not on the arc span")
-    if x not in d.edge_crossings[other.edge]:
-        raise ValueError(f"crossing {x} not on the other edge")
-    u, v = d.base.edges[other.edge]
-    if other_origin not in (u, v):
-        raise ValueError("not a fan")
-    opath = d.paths[other.edge]
-    if other_origin == v:
-        opath = tuple(reversed(opath))
-    j = opath.index(x)
-    return _passage_side(d, d.paths[alpha.edge], x, (opath[j - 1], x))
-
-
 def _outer_class_face(d: Drawing, pvid: int) -> int:
     """The face representing the unbounded side for ``pvid``'s plan component:
     the drawing's outer face if it borders that component, else the
@@ -709,19 +667,15 @@ class _UnionFind:
 
 
 def _fan_core(
-    d: Drawing,
-    alpha_path: Sequence[int],
-    center_pvid: int,
-    fan_paths: Sequence[Sequence[int]],
-    strong: bool,
+    d: Drawing, alpha_path: Sequence[int], fan_paths: Sequence[Sequence[int]]
 ) -> bool:
-    """The fan-property conditions over explicit plan paths.
+    """The strong fan-property conditions over explicit plan paths.
 
     ``alpha_path`` is the arc's plan path; every entry of ``fan_paths`` is a
     full edge path oriented away from the fan center.  Checks: (1) each fan
     path meets the arc in exactly one crossing; (2) all approaches come from
-    the same side; (3, strong only) deleting everything else never encloses
-    an end of the arc.
+    the same side; (3) deleting everything else never encloses an end of the
+    arc.
     """
     alpha_x = {q for q in alpha_path[1:-1] if d.kind_of(q) == "crossing"}
     hits: list[tuple[int, Dart]] = []
@@ -735,8 +689,6 @@ def _fan_core(
     sides = {_passage_side(d, alpha_path, x, din) for x, din in hits}
     if len(sides) > 1:
         return False
-    if not strong:
-        return True
 
     kept: set[int] = set()
     for seq in [alpha_path, *fan_paths]:
@@ -755,30 +707,3 @@ def _fan_core(
         if not any(uf.find(f) == outer for f in touching):
             return False
     return True
-
-
-def fan_property(d: Drawing, alpha: ArcRef, fan: Fan, strong: bool = False) -> bool:
-    """Whether the fan's edges cross the arc once each, from one side, and
-    (if ``strong``) without enclosing either end of the arc.
-
-    The fan's edges are walked from its center.  An edge that does not cross
-    the arc exactly once makes the property fail.
-    """
-    _arc_bounds_ok(d, alpha)
-    for e in fan.edges:
-        if not d.base.has_edge(*e):
-            raise ValueError(f"fan edge {e} not in the drawing")
-    if not d.base.has_vertex(fan.center):
-        raise ValueError("not a fan")
-    if not fan.edges:
-        return True
-    d2, alpha_eid, pieces = _materialize_arc(d, alpha)
-    center_pvid = d2.real_pvid[fan.center]
-    fan_paths = []
-    for u, v in fan.edges:
-        eid = d.base.edge_id(u, v)
-        start = u if fan.center == u else v if fan.center == v else None
-        assert start is not None  # Fan guarantees incidence
-        fp = stitched_path(d2, pieces[eid], d2.real_pvid[start])
-        fan_paths.append(fp)
-    return _fan_core(d2, d2.paths[alpha_eid], center_pvid, fan_paths, strong)

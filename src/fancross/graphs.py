@@ -13,7 +13,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 # ===== Graphs =====
@@ -101,16 +101,6 @@ def induced(g: Graph, keep: Iterable[int]) -> Graph:
     )
 
 
-def relabel(g: Graph, mapping: Mapping[int, int]) -> Graph:
-    """Renames vertices through an injective ``mapping`` (total on V)."""
-    if len(set(mapping[v] for v in g.vertices)) != g.n:
-        raise ValueError("relabel mapping is not injective")
-    return Graph.make(
-        (mapping[v] for v in g.vertices),
-        ((mapping[u], mapping[v]) for u, v in g.edges),
-    )
-
-
 def bfs_dists(g: Graph, source: int, within: Optional[Iterable[int]] = None) -> dict[int, int]:
     """BFS distances from ``source``, optionally restricted to a vertex set."""
     allowed = set(g.vertices) if within is None else set(within)
@@ -125,22 +115,6 @@ def bfs_dists(g: Graph, source: int, within: Optional[Iterable[int]] = None) -> 
                 dist[w] = dist[u] + 1
                 q.append(w)
     return dist
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by smallest vertex."""
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for v in g.vertices:
-        if v in seen:
-            continue
-        comp = sorted(bfs_dists(g, v))
-        seen.update(comp)
-        comps.append(comp)
-    return comps
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
 
 
 def radius_center(g: Graph, subset: Optional[Iterable[int]] = None) -> tuple[int, int]:
@@ -284,17 +258,6 @@ class ColoredGraph:
 # ===== Composition and generators =====
 
 
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    """The disjoint union; ``g2`` is relabeled to fresh ids, order-preserving."""
-    if g1.n == 0:
-        return g2
-    if g2.n == 0:
-        return g1
-    offset = max(g1.vertices) + 1 - min(g2.vertices)
-    g2r = relabel(g2, {v: v + offset for v in g2.vertices})
-    return Graph.make(g1.vertices + g2r.vertices, g1.edges + g2r.edges)
-
-
 def add_universal_vertex(g: Graph) -> tuple[Graph, int]:
     """Adds a vertex adjacent to every existing vertex; returns it too."""
     u = (max(g.vertices) + 1) if g.n else 0
@@ -322,24 +285,6 @@ def grid2d(m: int, n: int) -> Graph:
             if i + 1 < m:
                 edges.append((i * n + j, (i + 1) * n + j))
     return Graph.make(verts, edges)
-
-
-def grid3d(m: int, n: int, p: int) -> Graph:
-    """The m-by-n-by-p grid graph; vertex ``(i, j, l)`` has id ``(i*n + j)*p + l``."""
-    _positive("grid3d", m, n, p)
-    def vid(i: int, j: int, l: int) -> int:
-        return (i * n + j) * p + l
-    edges = []
-    for i in range(m):
-        for j in range(n):
-            for l in range(p):
-                if l + 1 < p:
-                    edges.append((vid(i, j, l), vid(i, j, l + 1)))
-                if j + 1 < n:
-                    edges.append((vid(i, j, l), vid(i, j + 1, l)))
-                if i + 1 < m:
-                    edges.append((vid(i, j, l), vid(i + 1, j, l)))
-    return Graph.make(range(m * n * p), edges)
 
 
 def cycle(n: int) -> Graph:

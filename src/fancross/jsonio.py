@@ -248,14 +248,18 @@ def synthresult_to_json(r: SynthResult) -> dict[str, Any]:
 
 
 def synthresult_from_json(obj: Mapping[str, Any]) -> SynthResult:
+    doc = "synthesis"
     try:
         drawing = drawing_from_json(obj["drawing"])
         cert = certificate_from_json(obj["cert"], drawing.base)
         tags = {
-            int(pv): RegionTag(str(t["kind"]), tuple(t["ref"]))
+            _key(doc, "tags", pv): RegionTag(str(t["kind"]), _ints(doc, "ref", t["ref"]))
             for pv, t in obj.get("tags", {}).items()
         }
-        routes = {int(e): tuple(p) for e, p in obj.get("routes", {}).items()}
-        return SynthResult(drawing, cert, int(obj["kPrime"]), tags, routes)
+        routes = {
+            _key(doc, "routes", e): _ints(doc, "route", p)
+            for e, p in obj.get("routes", {}).items()
+        }
+        return SynthResult(drawing, cert, _int(doc, "kPrime", obj["kPrime"]), tags, routes)
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"bad synthesis document: {exc}") from exc

@@ -23,12 +23,12 @@ region make same-owner chords nested rather than crossing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .cluster import Certificate, verify_certificate
-from .drawing import Drawing, SubdivisionPlan, crossing_graph, validate
+from .cluster import Certificate, _arc_keys, verify_certificate
+from .drawing import Drawing, SubdivisionPlan, _UnionFind, crossing_graph, validate
 from .errors import InvariantBroken
 from .geometry import Point, cross_point, param_along, properly_cross, sort_ccw
 from .graphs import Fan, Graph, radius_center
@@ -231,27 +231,17 @@ def _host_outer_anchor(
     used edge with the merged outer class on one side, reported together
     with the direction whose left side is outer.
     """
-    nf = len(host.faces)
-    parent = list(range(nf))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    uf = _UnionFind(len(host.faces))
     for heid in range(host.base.m):
         if heid not in used:
             p = host.paths[heid]
-            a = find(host.face_of_dart((p[0], p[1])))
-            b = find(host.face_of_dart((p[1], p[0])))
-            parent[a] = b
-    cls = find(host.outer)
+            uf.union(host.face_of_dart((p[0], p[1])), host.face_of_dart((p[1], p[0])))
+    cls = uf.find(host.outer)
     for heid in sorted(used):
         p = host.paths[heid]
-        if find(host.face_of_dart((p[0], p[1]))) == cls:
+        if uf.find(host.face_of_dart((p[0], p[1]))) == cls:
             return heid, True
-        if find(host.face_of_dart((p[-1], p[-2]))) == cls:
+        if uf.find(host.face_of_dart((p[-1], p[-2]))) == cls:
             return heid, False
     return None
 
@@ -665,11 +655,7 @@ class _Builder:
         plan_obj = SubdivisionPlan(cuts)
         cg = crossing_graph(d, plan_obj)
         comps = cg.components(nontrivial=True)
-        piece_key = {}
-        counter: dict[int, int] = {}
-        for n, arc in enumerate(cg.nodes):
-            piece_key[n] = (arc.edge, counter.get(arc.edge, 0))
-            counter[arc.edge] = counter.get(arc.edge, 0) + 1
+        piece_key = _arc_keys(cg)
 
         routemap = {r.eid: r for r in self.routes}
         covers: dict[int, tuple[Fan, ...]] = {}

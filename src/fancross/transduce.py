@@ -39,6 +39,75 @@ from .drawing import (
 from .errors import Infeasible, InvariantBroken
 from .graphs import ColorLabel, ColoredGraph, Graph, induced
 
+# ===== The path clause, one table entry per mode =====
+
+
+@dataclass(frozen=True)
+class _Mode:
+    """The path clause of one mode.
+
+    An internal path vertex passes if it holds a plain label, or if it is a
+    ``b0`` hub strictly between the first and the last internal vertex, its
+    predecessor holds a plain label ``l`` and its successor holds ``l``'s
+    partner: the label of kind ``partner[l.kind]`` at the same index, which
+    is at least 1.  With ``ends_plain`` the first and the last internal
+    vertices must be plain; otherwise they may hold anything.
+    """
+
+    slope: int  # the path budget is slope * k + offset edges
+    offset: int
+    fixed: tuple[ColorLabel, ...]  # plain at every k
+    indexed: tuple[str, ...]  # plain kinds at each index 1 .. k
+    partner: dict[str, str]
+    ends_plain: bool
+
+    def plain(self, k: int) -> tuple[ColorLabel, ...]:
+        """The plain labels up to index ``k``, in rendering order."""
+        return self.fixed + tuple(
+            ColorLabel(kind, j) for j in range(1, k + 1) for kind in self.indexed
+        )
+
+    def hub_pairs(self, k: int) -> list[tuple[ColorLabel, ColorLabel]]:
+        """(label before a hub, label after it), in rendering order."""
+        return [
+            (label, ColorLabel(self.partner[label.kind], label.index))
+            for label in self.plain(k)
+            if label.index and label.kind in self.partner
+        ]
+
+
+_MODES = {
+    "kplanar": _Mode(
+        slope=3,
+        offset=3,
+        fixed=(ColorLabel("b", 1), ColorLabel("b", 2)),
+        indexed=(),
+        partner={"b": "b"},
+        ends_plain=False,
+    ),
+    "clustered": _Mode(
+        slope=4,
+        offset=2,
+        fixed=(ColorLabel("bP", 0),),
+        indexed=("b", "bP"),
+        partner={"b": "bP", "bP": "b"},
+        ends_plain=True,
+    ),
+}
+
+
+def _mode(name: str) -> _Mode:
+    entry = _MODES.get(name) if isinstance(name, str) else None
+    if entry is None:
+        raise ValueError(f"unknown mode {name!r}")
+    return entry
+
+
+def _path_budget(k: int, mode: str) -> int:
+    entry = _mode(mode)
+    return entry.slope * k + entry.offset
+
+
 # ===== Output containers =====
 
 
@@ -51,8 +120,7 @@ class TransductionFormula:
     max_path_len: int
 
     def __post_init__(self) -> None:
-        if self.mode not in ("kplanar", "clustered"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        _mode(self.mode)
         if self.k < 1:
             raise ValueError("k must be positive")
         if self.max_path_len != _path_budget(self.k, self.mode):
@@ -61,10 +129,6 @@ class TransductionFormula:
     @staticmethod
     def for_mode(k: int, mode: str) -> "TransductionFormula":
         return TransductionFormula(k, mode, _path_budget(k, mode))
-
-
-def _path_budget(k: int, mode: str) -> int:
-    return 3 * (k + 1) if mode == "kplanar" else 4 * k + 2
 
 
 @dataclass(frozen=True)
@@ -290,9 +354,9 @@ def transduce_kplanar(
     rs = _RotSys(d)
     owner = _smooth_bends(d, rs)
     rank: dict[tuple[int, int], int] = {}
-    for x, eids in _crossing_edges(d).items():
-        rank[(x, min(eids))] = 1
-        rank[(x, max(eids))] = 2
+    for x, (e1, e2) in d.crossing_edges.items():
+        rank[(x, e1)] = 1
+        rank[(x, e2)] = 2
     colors_s: dict[int, set[ColorLabel]] = {
         p: {ColorLabel("b", 0)}
         for p in d.plan.vertices
@@ -311,15 +375,6 @@ def transduce_kplanar(
 
     real_of = {d.real_pvid[v]: v for v in d.base.vertices}
     return _assemble(d, rs, real_of, colors_s, xn, k, "kplanar")
-
-
-def _crossing_edges(d: Drawing) -> dict[int, tuple[int, int]]:
-    """Crossing plan vertex -> the two base edge ids meeting there."""
-    at: dict[int, list[int]] = {}
-    for eid, xs in d.edge_crossings.items():
-        for x in xs:
-            at.setdefault(x, []).append(eid)
-    return {x: (eids[0], eids[1]) for x, eids in at.items()}
 
 
 # ===== Mode (b): clustered fan-crossing drawings =====
@@ -511,66 +566,39 @@ def _path_search(
 
     Returns ``witnessed(src, targets)``, the targets ``t`` joined to ``src``
     by a simple path of at most ``f.max_path_len`` edges that avoids ``t``
-    inside and meets the mode's conditions: ``may_enter`` for each internal
-    vertex at its position, ``mid_ok`` for each internal vertex between the
-    first and the last, and ``may_close`` for the last one.  A witnessed
-    target may still sit inside a path to another target.
+    inside and meets the conditions of the mode's ``_MODES`` entry:
+    ``mid_ok`` for each internal vertex between the first and the last and,
+    with ``ends_plain``, ``may_enter`` for each internal vertex at its
+    position and a plain last one.  A witnessed target may still sit inside
+    a path to another target.
     """
     adj = cg.graph.adj
     labels = cg.labels
     budget = f.max_path_len
     b0 = ColorLabel("b", 0)
-    if f.mode == "kplanar":
-        b1, b2 = ColorLabel("b", 1), ColorLabel("b", 2)
+    entry = _mode(f.mode)
+    ends_plain = entry.ends_plain
+    # Labels above the largest index in ``cg`` match nothing, so a large k
+    # in a document costs nothing.
+    top = min(f.k, max((label.index for ls in cg.colors.values() for label in ls), default=0))
+    plain = frozenset(entry.plain(top))
+    pairs = entry.hub_pairs(top)
 
-        def may_enter(v: int, position: int) -> bool:
+    def may_enter(v: int, position: int) -> bool:
+        lv = labels(v)
+        return not plain.isdisjoint(lv) or (b0 in lv and position >= 2)
+
+    def mid_ok(prev: int, z: int, nxt: int) -> bool:
+        lz = labels(z)
+        if not plain.isdisjoint(lz):
             return True
-
-        def mid_ok(prev: int, z: int, nxt: int) -> bool:
-            lz = labels(z)
-            if b1 in lz or b2 in lz:
+        if b0 not in lz:
+            return False
+        lp, ln = labels(prev), labels(nxt)
+        for a, b in pairs:
+            if a in lp and b in ln:
                 return True
-            if b0 not in lz:
-                return False
-            lp, ln = labels(prev), labels(nxt)
-            return (b1 in lp and b1 in ln) or (b2 in lp and b2 in ln)
-
-        def may_close(z: int, internals: int) -> bool:
-            return True
-
-    else:
-        # ``allowed`` is bP0 plus b_j and bP_j for 1 <= j <= k.  Both it and
-        # ``swaps`` keep only labels that occur in ``cg``, so a large k in
-        # a document costs nothing.
-        allowed = frozenset(
-            label
-            for ls in cg.colors.values()
-            for label in ls
-            if label.kind in ("b", "bP") and label.index <= f.k and label != b0
-        )
-        swaps = [
-            (label, ColorLabel("bP", label.index))
-            for label in sorted(allowed)
-            if label.kind == "b"
-        ]
-
-        def may_enter(v: int, position: int) -> bool:
-            lv = labels(v)
-            return bool(allowed & lv) or (b0 in lv and position >= 2)
-
-        def mid_ok(prev: int, z: int, nxt: int) -> bool:
-            lz = labels(z)
-            if allowed & lz:
-                return True
-            if b0 not in lz:
-                return False
-            lp, ln = labels(prev), labels(nxt)
-            return any(
-                (bj in lp and bpj in ln) or (bpj in lp and bj in ln) for bj, bpj in swaps
-            )
-
-        def may_close(z: int, internals: int) -> bool:
-            return internals == 0 or bool(allowed & labels(z))
+        return False
 
     def witnessed(src: int, targets: set[int]) -> list[int]:
         left = set(targets)
@@ -583,14 +611,14 @@ def _path_search(
             for w in todo[-1]:
                 if w in onpath:
                     continue
-                if w in left and may_close(cur, used):
+                if w in left and not (ends_plain and used and plain.isdisjoint(labels(cur))):
                     left.remove(w)
                     found.append(w)
                     if not left:
                         return found
                 # Entering w leaves room for the closing edge only if
                 # used + 2 edges fit the budget.
-                if used + 2 > budget or not may_enter(w, used + 1):
+                if used + 2 > budget or (ends_plain and not may_enter(w, used + 1)):
                     continue
                 if used >= 2 and not mid_ok(path[-2], cur, w):
                     continue
@@ -665,19 +693,13 @@ def _path_disjunct(f: TransductionFormula, p: int) -> str:
 def _position_constraint(
     f: TransductionFormula, names: list[str], i: int, p: int
 ) -> str:
+    entry = _mode(f.mode)
     z, prev, nxt = names[i], names[i - 1], names[i + 1]
-    if f.mode == "kplanar":
-        if not 1 < i < p:
-            return ""
-        hub = f"(b0({z}) & ((b1({prev}) & b1({nxt})) | (b2({prev}) & b2({nxt}))))"
-        return f"(b1({z}) | b2({z}) | {hub})"
-    plain = [f"bP0({z})"]
-    for j in range(1, f.k + 1):
-        plain += [f"b{j}({z})", f"bP{j}({z})"]
-    if 1 < i < p:
-        swaps = []
-        for j in range(1, f.k + 1):
-            swaps.append(f"(b{j}({prev}) & bP{j}({nxt}))")
-            swaps.append(f"(bP{j}({prev}) & b{j}({nxt}))")
-        plain.append(f"(b0({z}) & ({' | '.join(swaps)}))")
-    return "(" + " | ".join(plain) + ")"
+    inner = 1 < i < p
+    if not (inner or entry.ends_plain):
+        return ""
+    alts = [f"{label}({z})" for label in entry.plain(f.k)]
+    if inner:
+        pairs = " | ".join(f"({a}({prev}) & {b}({nxt}))" for a, b in entry.hub_pairs(f.k))
+        alts.append(f"(b0({z}) & ({pairs}))")
+    return "(" + " | ".join(alts) + ")"

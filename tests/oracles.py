@@ -4,19 +4,21 @@ These deliberately avoid the library's own algorithms: radii come from
 Floyd-Warshall, covers from subset enumeration, cluster feasibility from
 enumerating every subdivision plan and every fan cover, the first
 certificate from trying every cut choice in product order, and the decoded
-graph of a transduction from one path search per vertex pair.
+graph of a transduction from one path search per vertex pair, or from the
+rendered text of its formula.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from fancross.cluster import (
     Certificate,
     _arc_keys,
-    _crossing_pairs,
     _cut_options,
     _strong_cover,
     _subdivided,
@@ -26,7 +28,7 @@ from fancross.drawing import SubdivisionPlan, crossing_graph, is_k_planar
 from fancross.errors import CapExceeded
 from fancross.geometry import drawing_from_segments, pt
 from fancross.graphs import ColoredGraph, ColorLabel, Fan, Graph, fan_cover
-from fancross.transduce import TransductionFormula, TransductionOutput
+from fancross.transduce import TransductionFormula, TransductionOutput, render_formula
 
 
 # ===== Metric oracles (Floyd-Warshall based) =====
@@ -177,9 +179,12 @@ def oracle_search_certificate(d, k: int, ell: int, strong: bool = False, cap: in
     total = sum(1 for p in d.plan.vertices if d.kind_of(p) == "crossing")
     if total > cap:
         raise CapExceeded("search cap exceeded")
+    at: dict[int, list[int]] = {}
+    for eid, xs in d.edge_crossings.items():
+        for x in xs:
+            at.setdefault(x, []).append(eid)
     if ell == 1 and any(
-        not (set(d.base.edges[e1]) & set(d.base.edges[e2]))
-        for e1, e2 in _crossing_pairs(d)
+        not (set(d.base.edges[e1]) & set(d.base.edges[e2])) for e1, e2 in at.values()
     ):
         return None
     for choice in itertools.product(*_cut_options(d, k)):
@@ -419,3 +424,162 @@ def _oracle_witness_path(cg: ColoredGraph, gx: int, gy: int, f: TransductionForm
     if gx == gy:
         return False
     return dfs()
+
+
+# ===== Rendered-formula oracle (parse the text, try every vertex) =====
+
+_TOKEN = re.compile(r"\s*(~=|:=|[(),:&|]|[A-Za-z]\w*)")
+
+
+def oracle_eval_rendered(out: TransductionOutput) -> Graph:
+    """``transduce.eval_formula`` read off the text of ``render_formula``.
+
+    The text is parsed into a tree and evaluated on every pair of original
+    vertices.  Each quantified variable ranges over every vertex of the
+    colored graph; a conjunct is checked as soon as its variables are bound.
+    """
+    tree = _rendered_tree(out.formula)
+    hverts = sorted(out.embed)
+    edges = [
+        (a, b)
+        for a, b in itertools.combinations(hverts, 2)
+        if _holds(tree, {"x": out.embed[a], "y": out.embed[b]}, out.colored)
+    ]
+    return Graph.make(hverts, edges)
+
+
+@lru_cache(maxsize=None)
+def _rendered_tree(f: TransductionFormula):
+    return _plan(_parse(render_formula(f)), frozenset({"x", "y"}))
+
+
+def _parse(text: str):
+    """Tree of ``xi(x, y) := ...``: ``("or", parts)``, ``("and", parts)``,
+    ``("exists", var, body)``, ``("adj", a, b)``, ``("neq", a, b)`` and
+    ``("label", ColorLabel, var)``."""
+    text = text.strip()
+    toks: list[str] = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise ValueError(f"bad formula text at {pos}")
+        toks.append(m.group(1))
+        pos = m.end()
+    toks.reverse()
+
+    def take(expected: Optional[str] = None) -> str:
+        tok = toks.pop()
+        if expected is not None and tok != expected:
+            raise ValueError(f"expected {expected!r}, got {tok!r}")
+        return tok
+
+    def peek() -> Optional[str]:
+        return toks[-1] if toks else None
+
+    def disj():
+        parts = [conj()]
+        while peek() == "|":
+            take()
+            parts.append(conj())
+        return ("or", parts) if len(parts) > 1 else parts[0]
+
+    def conj():
+        parts = [unit()]
+        while peek() == "&":
+            take()
+            parts.append(unit())
+        return ("and", parts) if len(parts) > 1 else parts[0]
+
+    def unit():
+        if peek() == "(":
+            take()
+            tree = body()
+            take(")")
+            return tree
+        name = take()
+        if peek() == "~=":
+            take()
+            return ("neq", name, take())
+        take("(")
+        args = [take()]
+        while peek() == ",":
+            take()
+            args.append(take())
+        take(")")
+        if name == "adj":
+            return ("adj", *args)
+        (var,) = args
+        return ("label", ColorLabel.parse(name), var)
+
+    def body():
+        if peek() == "exists":
+            take()
+            var = take()
+            take(":")
+            return ("exists", var, body())
+        return disj()
+
+    for tok in ("xi", "(", "x", ",", "y", ")", ":="):
+        take(tok)
+    tree = disj()
+    if toks:
+        raise ValueError(f"trailing text {toks[-1]!r}")
+    return tree
+
+
+def _free(tree) -> set[str]:
+    kind = tree[0]
+    if kind in ("or", "and"):
+        return set().union(*(_free(t) for t in tree[1]))
+    if kind == "exists":
+        return _free(tree[2]) - {tree[1]}
+    if kind == "label":
+        return {tree[2]}
+    return {tree[1], tree[2]}
+
+
+def _plan(tree, bound: frozenset[str]):
+    """``tree`` with every chain of quantifiers over a conjunction turned
+    into ``("search", names, due)``: ``due[i]`` holds the conjuncts whose
+    variables are all bound once ``names[:i]`` are."""
+    kind = tree[0]
+    if kind in ("or", "and"):
+        return (kind, [_plan(t, bound) for t in tree[1]])
+    if kind != "exists":
+        return tree
+    names = []
+    while tree[0] == "exists":
+        names.append(tree[1])
+        tree = tree[2]
+    parts = tree[1] if tree[0] == "and" else [tree]
+    inner = bound | set(names)
+    due: list[list] = [[] for _ in range(len(names) + 1)]
+    for part in parts:
+        stage = max((names.index(v) + 1 for v in _free(part) - bound), default=0)
+        due[stage].append(_plan(part, inner))
+    return ("search", names, due)
+
+
+def _holds(tree, env: dict[str, int], cg: ColoredGraph) -> bool:
+    kind = tree[0]
+    if kind == "or":
+        return any(_holds(t, env, cg) for t in tree[1])
+    if kind == "and":
+        return all(_holds(t, env, cg) for t in tree[1])
+    if kind == "adj":
+        return cg.graph.has_edge(env[tree[1]], env[tree[2]])
+    if kind == "neq":
+        return env[tree[1]] != env[tree[2]]
+    if kind == "label":
+        return tree[1] in cg.labels(env[tree[2]])
+    _, names, due = tree
+
+    def assign(i: int, env: dict[str, int]) -> bool:
+        if not all(_holds(part, env, cg) for part in due[i]):
+            return False
+        if i == len(names):
+            return True
+        return any(assign(i + 1, {**env, names[i]: v}) for v in cg.graph.vertices)
+
+    return assign(0, env)

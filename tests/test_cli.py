@@ -135,6 +135,24 @@ def test_kplanar_exit_codes(fig3_file, capsys):
 # ===== cluster commands =====
 
 
+def test_repeated_cut_is_a_parse_error(tmp_path, fig1a_files, capsys):
+    dpath, cpath = fig1a_files
+    cert = json.loads(open(cpath).read())
+    cert["k"] = 3
+    cert["cuts"]["7"] = [2, 2]
+    cert["assignment"].append({"edge": 7, "piece": 2, "center": 6})
+    bad = tmp_path / "repeated.cert.json"
+    bad.write_text(json.dumps(cert))
+    for argv in (
+        ["cluster-check", dpath, "--cert", str(bad)],
+        ["cluster-check", dpath, "--cert", str(bad), "--strong"],
+        ["transduce", dpath, "--mode", "clustered", "--k", "3", "--cert", str(bad)],
+        ["roundtrip", dpath, "--mode", "clustered", "--k", "3", "--cert", str(bad)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "repeated cut" in err, argv
+
+
 def test_cluster_check_fixture_certificate(fig1a_files, capsys):
     dpath, cpath = fig1a_files
     code, obj = run_json(capsys, "cluster-check", dpath, "--cert", cpath)
@@ -625,6 +643,101 @@ def test_fuzz_cluster_commands_exit_codes(case):
             ["cluster-search", dpath, *search],
             ["cluster-min-ell", dpath, "--k", str(k), "--cap", "32"],
             ["transduce", dpath, "--mode", "clustered", "--k", str(k), "--cert", cpath],
+        ):
+            code, err = run_quiet(argv)
+            assert code in (0, 1, 2, 3) and "Traceback" not in err, argv
+
+
+def containers(doc) -> list:
+    """Every list and object in ``doc``, itself first, in a fixed order."""
+    found, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (dict, list)):
+            found.append(node)
+            stack.extend(node.values() if isinstance(node, dict) else node)
+    return found
+
+
+@st.composite
+def mutated_documents(draw, source):
+    """The documents in the JSON text ``source()``, a list or an object of
+    them, with one to three entries replaced, added or dropped anywhere
+    inside them."""
+    docs = json.loads(source())
+    for _ in range(draw(st.integers(1, 3))):
+        node = draw(st.sampled_from(containers(docs)[1:]))
+        how = draw(st.sampled_from(["replace", "add", "drop"]))
+        if isinstance(node, dict):
+            key = draw(st.sampled_from(sorted(node) + ["7", "x"]))
+            if how == "drop":
+                node.pop(key, None)
+            else:
+                node[key] = draw(JUNK)
+        elif how == "drop" and node:
+            node.pop(draw(st.integers(0, len(node) - 1)))
+        elif how == "add" or not node:
+            node.append(draw(JUNK))
+        else:
+            node[draw(st.integers(0, len(node) - 1))] = draw(JUNK)
+    return docs
+
+
+def write_documents(tmp: str, docs: dict) -> dict:
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = os.path.join(tmp, f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    return paths
+
+
+@given(mutated_documents(fig1a_documents), st.integers(-1, 3))
+def test_fuzz_drawing_commands_exit_codes(docs, k):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_documents(tmp, dict(zip(("drawing", "cert"), docs)))
+        for argv in (
+            ["crossgraph", paths["drawing"]],
+            ["crossgraph", paths["drawing"], "--cert", paths["cert"]],
+            ["kplanar", paths["drawing"], "--k", str(k)],
+        ):
+            code, err = run_quiet(argv)
+            assert code in (0, 1, 2, 3) and "Traceback" not in err, argv
+
+
+@lru_cache(maxsize=1)
+def model_documents() -> str:
+    """A 2x2 grid host with its drawing and a C4 model, plus the host with a
+    universal apex and a wheel model on it."""
+    g = grid2d(2, 2)
+    d = drawing_from_segments(g, {i * 2 + j: pt(j, i) for i in range(2) for j in range(2)})
+    gplus, apex = add_universal_vertex(g)
+    wheel = Graph.make(range(5), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
+    branch = {0: (0,), 1: (1,), 2: (3,), 3: (2,)}
+    return json.dumps(
+        {
+            "drawing": drawing_to_json(d),
+            "host": graph_to_json(g),
+            "pattern": graph_to_json(cycle(4)),
+            "model": model_to_json(MinorModel(g, cycle(4), branch, 1, 1)),
+            "hostPlus": graph_to_json(gplus),
+            "wheel": model_to_json(MinorModel(gplus, wheel, {**branch, 4: (apex,)}, 1, 1)),
+        }
+    )
+
+
+@given(mutated_documents(model_documents), st.integers(-1, 2), st.integers(-1, 5))
+def test_fuzz_model_commands_exit_codes(docs, c, apex):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_documents(tmp, docs)
+        for argv in (
+            ["model-verify", paths["model"]],
+            ["model-verify", paths["wheel"]],
+            ["model-find", "--host", paths["host"], "--pattern", paths["pattern"],
+             "--c", str(c), "--d", str(c), "--cap", "6"],
+            ["synth", paths["drawing"], "--model", paths["model"]],
+            ["pipeline", paths["drawing"], "--host-plus", paths["hostPlus"],
+             "--apex", str(apex), "--model", paths["wheel"], "--k", str(c)],
         ):
             code, err = run_quiet(argv)
             assert code in (0, 1, 2, 3) and "Traceback" not in err, argv

@@ -161,6 +161,17 @@ def test_cut_position_out_of_range_is_structural():
         verify_certificate(d, Certificate(2, 2, plan))
 
 
+def test_repeated_cut_position_is_structural():
+    # fig1a's certificate at k = 3 with its cut on edge 7 given twice: the
+    # copy spends a cut of the budget on a crossing-free arc, here assigned.
+    cert = fig1a_certificate()
+    plan = SubdivisionPlan({**cert.plan.cuts, 7: (2, 2)})
+    repeated = replace(cert, k=3, plan=plan, assignment={**cert.assignment, (7, 2): 6})
+    for strong in (False, True):
+        with pytest.raises(ValueError, match="repeated cut"):
+            verify_certificate(fig1a(), repeated, strong=strong)
+
+
 # ===== Search vs. oracle =====
 
 GRID_CASES = [

@@ -6,17 +6,18 @@ import json
 
 import pytest
 
+from fancross.cluster import Certificate, verify_certificate
 from fancross.drawing import (
     ArcRef,
     Drawing,
     SubdivisionPlan,
+    _fan_core,
+    _passage_side,
     _vertex_path,
     crossing_graph,
     crossings_per_edge,
-    fan_property,
     is_k_planar,
     planarize,
-    side_of_approach,
     subdivide,
     subdivide_with_map,
     validate,
@@ -265,41 +266,46 @@ def test_planarize_lens_keeps_bend_vertex():
 # ===== Sides and the fan property =====
 
 
+def fan_paths_from(d, center, eids):
+    """The plan paths of the base edges ``eids``, each walked from ``center``."""
+    start = d.real_pvid[center]
+    return [d.paths[e] if d.paths[e][0] == start else d.paths[e][::-1] for e in eids]
+
+
+def approach_sides(d, alpha, fan):
+    """The side from which each fan path meets the arc path ``alpha``."""
+    sides = set()
+    for p in fan:
+        (x,) = [q for q in p if q in alpha[1:-1] and d.kind_of(q) == "crossing"]
+        sides.add(_passage_side(d, alpha, x, (p[p.index(x) - 1], x)))
+    return sides
+
+
 def test_side_of_approach_is_side_dependent():
     d = xfix()
-    alpha = ArcRef(0, 0, 1)
-    other = ArcRef(1, 0, 1)
-    s2 = side_of_approach(d, alpha, 4, other, 2)
-    s3 = side_of_approach(d, alpha, 4, other, 3)
-    assert {s2, s3} == {"left", "right"}
-
-
-def test_side_of_approach_rejects_foreign_crossing():
-    d = lens()
-    with pytest.raises(ValueError, match="not on the arc span"):
-        side_of_approach(d, ArcRef(0, 0, 1), 5, ArcRef(1, 0, 2), 2)
+    fans = [fan_paths_from(d, center, [1]) for center in (2, 3)]
+    assert [approach_sides(d, d.paths[0], fan) for fan in fans] == [{"right"}, {"left"}]
 
 
 def test_fan_property_weak_on_x():
     d = xfix()
-    alpha = ArcRef(0, 0, 1)
-    assert fan_property(d, alpha, Fan(2, ((2, 3),)))
-    assert fan_property(d, alpha, Fan(3, ((2, 3),)))
-    assert fan_property(d, alpha, Fan(2, ((2, 3),)), strong=True)
+    assert _fan_core(d, d.paths[0], fan_paths_from(d, 2, [1]))
+    assert _fan_core(d, d.paths[0], fan_paths_from(d, 3, [1]))
 
 
 def test_fan_property_fails_on_double_crossing():
     d = lens()
     # The whole edge (2,3) crosses the whole edge (0,1) twice: not a fan
     # crossing pattern.
-    assert not fan_property(d, ArcRef(0, 0, 2), Fan(2, ((2, 3),)))
+    assert not _fan_core(d, d.paths[0], fan_paths_from(d, 2, [1]))
 
 
 def test_fan_property_on_arc_of_lens():
     d = lens()
-    alpha = ArcRef(0, 0, 1)  # up to the first crossing only
-    assert fan_property(d, alpha, Fan(2, ((2, 3),)))
-    assert fan_property(d, alpha, Fan(2, ((2, 3),)), strong=True)
+    # Cut (0,1) after its first crossing; the arc up to it is crossed once.
+    d2, arc_to_new, _ = subdivide_with_map(d, SubdivisionPlan({0: (1,)}))
+    alpha = d2.paths[arc_to_new[(0, 0)]]
+    assert _fan_core(d2, alpha, fan_paths_from(d2, 2, [arc_to_new[(1, 0)]]))
 
 
 def test_fan_property_same_side_requirement():
@@ -315,31 +321,17 @@ def test_fan_property_same_side_requirement():
         5: pt(4, 1),
     }
     d = drawing_from_segments(g, pos)
-    alpha = ArcRef(0, 0, 2)
-    same = Fan(3, ((2, 3),))
-    assert fan_property(d, alpha, same)
+    alpha = d.paths[0]
+    assert _fan_core(d, alpha, fan_paths_from(d, 3, [1]))
     # Mixed sides fail: walk one edge from below, the other from above.
-    assert _mixed_sides_fail(d, alpha)
-
-
-def _mixed_sides_fail(d, alpha):
-    from fancross.drawing import _materialize_arc, _fan_core
-
-    d2, aeid, pieces = _materialize_arc(d, alpha)
-    p1 = d2.paths[d2.base.edge_id(2, 3)]
-    p2 = tuple(reversed(d2.paths[d2.base.edge_id(4, 5)]))
-    return not _fan_core(d2, d2.paths[aeid], None, [p1, p2], strong=False)
-
-
-def test_fan_property_unknown_edge_rejected():
-    d = xfix()
-    with pytest.raises(ValueError, match="not in the drawing"):
-        fan_property(d, ArcRef(0, 0, 1), Fan(2, ((2, 9),)))
+    mixed = fan_paths_from(d, 2, [1]) + fan_paths_from(d, 5, [2])
+    assert approach_sides(d, alpha, mixed) == {"left", "right"}
+    assert not _fan_core(d, alpha, mixed)
 
 
 def test_fan_property_empty_fan_true():
     d = xfix()
-    assert fan_property(d, ArcRef(0, 0, 1), Fan(2, ()))
+    assert _fan_core(d, d.paths[0], [])
 
 
 def test_strong_fan_detects_enclosure():
@@ -357,10 +349,16 @@ def test_strong_fan_detects_enclosure():
     }
     d = drawing_from_polylines(g, pos, bends)
     assert validate(d) == []
-    alpha = ArcRef(2, 0, 2)
-    fan = Fan(0, ((0, 1), (0, 2)))
-    assert fan_property(d, alpha, fan)  # weak: fine
-    assert not fan_property(d, alpha, fan, strong=True)
+    alpha, fan = d.paths[2], fan_paths_from(d, 0, [0, 1])
+    assert len(approach_sides(d, alpha, fan)) == 1  # weak: fine
+    assert not _fan_core(d, alpha, fan)
+    cert = Certificate(
+        1, 2, covers={0: (Fan(0, ((0, 1), (0, 2))), Fan(4, ((3, 4),)))},
+        assignment={(0, 0): 0, (1, 0): 0, (2, 0): 4},
+    )
+    assert verify_certificate(d, cert).verdict
+    strong = verify_certificate(d, cert, strong=True)
+    assert (0, "fan property: center 0 arc (2, 0)") in strong.failures
 
 
 # ===== JSON =====

@@ -15,17 +15,12 @@ from fancross.graphs import (
     add_universal_vertex,
     bfs_dists,
     complete,
-    connected_components,
     cycle,
-    disjoint_union,
     fan_cover,
     grid2d,
-    grid3d,
     induced,
-    is_connected,
     path,
     radius_center,
-    relabel,
 )
 from fancross.jsonio import colored_from_json, colored_to_json, graph_from_json, graph_to_json
 
@@ -54,16 +49,11 @@ def test_make_rejects_bad_edges():
         Graph.make([1, 2], [(1, 3)])
 
 
-def test_induced_and_relabel():
+def test_induced():
     g = complete(4)
     h = induced(g, [0, 2, 3])
     assert h.vertices == (0, 2, 3)
     assert h.m == 3
-    r = relabel(h, {0: 10, 2: 5, 3: 7})
-    assert r.vertices == (5, 7, 10)
-    assert r.m == 3
-    with pytest.raises(ValueError):
-        relabel(h, {0: 1, 2: 1, 3: 2})
 
 
 # ===== Traversal and radius =====
@@ -72,9 +62,9 @@ def test_induced_and_relabel():
 def test_bfs_and_components():
     g = Graph.make(range(6), [(0, 1), (1, 2), (4, 5)])
     assert bfs_dists(g, 0) == {0: 0, 1: 1, 2: 2}
-    assert connected_components(g) == [[0, 1, 2], [3], [4, 5]]
-    assert not is_connected(g)
-    assert is_connected(path(4))
+    assert bfs_dists(g, 3) == {3: 0}
+    assert bfs_dists(g, 5) == {5: 0, 4: 1}
+    assert bfs_dists(path(4), 3) == {3: 0, 2: 1, 1: 2, 0: 3}
 
 
 def test_radius_center_five_cycle():
@@ -204,22 +194,6 @@ def test_colored_graph_basics():
 # ===== Composition and generators =====
 
 
-def test_disjoint_union_two_copies():
-    g = cycle(3)
-    u = disjoint_union(g, g)
-    assert u.n == 6 and u.m == 6
-    assert connected_components(u) == [[0, 1, 2], [3, 4, 5]]
-
-
-def test_disjoint_union_preserves_structure():
-    a = path(3)
-    b = Graph.make([5, 9], [(5, 9)])
-    u = disjoint_union(a, b)
-    assert u.n == 5 and u.m == 3
-    comps = connected_components(u)
-    assert [len(c) for c in comps] == [3, 2]
-
-
 def test_add_universal_vertex():
     g, u = add_universal_vertex(cycle(4))
     assert u == 4
@@ -232,15 +206,13 @@ def test_add_universal_vertex():
 def test_generators_shapes():
     g = grid2d(2, 3)
     assert g.n == 6 and g.m == 7
-    h = grid3d(2, 2, 2)
-    assert h.n == 8 and h.m == 12
     assert cycle(3).edges == complete(3).edges
     assert complete(5).m == 10
     assert path(1).n == 1 and path(1).m == 0
 
 
 def test_generators_reject_bad_dimensions():
-    for bad in [lambda: grid2d(0, 3), lambda: grid3d(1, 0, 1), lambda: cycle(2), lambda: complete(0), lambda: path(0)]:
+    for bad in [lambda: grid2d(0, 3), lambda: cycle(2), lambda: complete(0), lambda: path(0)]:
         with pytest.raises(ValueError):
             bad()
 

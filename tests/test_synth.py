@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from fancross import synth
 from fancross.cluster import verify_certificate
 from fancross.drawing import validate
+from fancross.errors import InvariantBroken
 from fancross.geometry import drawing_from_segments, pt
 from fancross.graphs import Graph, add_universal_vertex, complete, cycle, grid2d, path
 from fancross.jsonio import synthresult_from_json, synthresult_to_json
@@ -195,6 +199,23 @@ def test_bad_synthesis_document():
         synthresult_from_json({"kPrime": 1})
 
 
+def test_synthesis_document_refuses_non_integers():
+    g, hd, m = spread_k4()
+    doc = json.loads(json.dumps(synthresult_to_json(synthesize(hd, m))))
+    route, tag = sorted(doc["routes"])[0], sorted(doc["tags"])[0]
+    ref = doc["tags"][tag]["ref"]
+    broken = [{**doc, "kPrime": bad} for bad in (2.9, 2.0, "2", True, None)]
+    broken += [
+        {**doc, "routes": {**doc["routes"], route: [0.5, "x"]}},
+        {**doc, "routes": {"x": doc["routes"][route]}},
+        {**doc, "tags": {**doc["tags"], tag: {**doc["tags"][tag], "ref": [1.5, *ref[1:]]}}},
+        {**doc, "tags": {"1.5": doc["tags"][tag]}},
+    ]
+    for bad in broken:
+        with pytest.raises(ValueError, match=r"bad synthesis document: \w+ entry"):
+            synthresult_from_json(bad)
+
+
 # ===== Degenerate patterns =====
 
 
@@ -302,3 +323,39 @@ def test_region_tag_validation():
         RegionTag("vertexRegion", (1, 2))
     with pytest.raises(ValueError, match="two host vertices"):
         RegionTag("edgeRegion", (1,))
+
+
+# ===== Bundle orientation =====
+
+
+def test_flipped_bundles_rescue_a_model(monkeypatch):
+    """The first bundle orientation fails its own check on this model; the
+    retry with flipped bundles passes."""
+    g, hd = grid_drawing(3, 3)
+    m = MinorModel(g, complete(3), {0: (1, 3, 4, 6, 7), 1: (3, 4, 6, 7), 2: (0, 1)}, 2, 2)
+    assert verify_model(m) == []
+    attempts = []
+    run = synth._Builder.run
+
+    def recorded(builder):
+        res = run(builder)
+        attempts.append((builder.flip, res is None))
+        return res
+
+    monkeypatch.setattr(synth._Builder, "run", recorded)
+    check_result(synthesize(hd, m), 2)
+    assert attempts == [(False, True), (True, False)]
+
+
+@pytest.mark.xfail(strict=True, raises=InvariantBroken, reason="both orientations fail")
+def test_model_that_both_orientations_reject():
+    g, hd = grid_drawing(3, 3)
+    pattern = Graph.make(
+        range(7),
+        [(0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (2, 5), (2, 6),
+         (3, 4), (3, 5), (3, 6), (4, 5), (4, 6)],
+    )
+    branch = {0: (8,), 1: (2, 5), 2: (3, 6), 3: (7,), 4: (2, 4, 5), 5: (7, 8), 6: (0, 3, 4, 6)}
+    m = MinorModel(g, pattern, branch, 2, 2)
+    assert verify_model(m) == []
+    check_result(synthesize(hd, m), 2)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import itertools
 import json
 import random
 from collections import Counter
@@ -11,7 +13,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import oracle_eval_formula
+from oracles import oracle_eval_formula, oracle_eval_rendered
 
 from fancross.cluster import Certificate, search_certificate
 from fancross.drawing import Drawing, SubdivisionPlan
@@ -560,6 +562,72 @@ def test_render_clustered_quantifier_counts():
     assert "bP0(" in text and "bP1(" in text
     text2 = render_formula(TransductionFormula.for_mode(2, "clustered"))
     assert "c2(" in text2 and "b2(" in text2 and "bP2(" in text2
+
+
+RENDER_SHA256 = {
+    ("kplanar", 1): "d5ea7bfc58e6f436ef416b34c6b7025c72bceb2a3bed1a4c77a64344bd5071f2",
+    ("kplanar", 2): "19cf3aeafd46344f61de8498faef7a96868a2277fb6e681d8a7e6c87f9a09b22",
+    ("kplanar", 3): "15ecb8669a1ac273f5c436686c4feacba23fdd18e52a567bd6fad91b688801f3",
+    ("kplanar", 5): "be30c29d121eb739d24f47383bb643bc718c67a8ce2d7e91ac8d77994114af0a",
+    ("clustered", 1): "742f5b96a8df031af1e41669b802ceb1cabecf01d98df5162c020cacdc14eb34",
+    ("clustered", 2): "006f8bf1707c46cd9dd2f019930e738000b26c800def3f2bea721fc1a68a4239",
+    ("clustered", 3): "1f92181de20c687130449ba2b5080eae37cbf90f9edba2c649f0898a4e16e4b0",
+    ("clustered", 5): "d1e0463c33f3683adacf4e3eb4defba0583acd31e734442052dcbf7a4d90db5d",
+}
+
+
+@pytest.mark.parametrize("mode, k", sorted(RENDER_SHA256))
+def test_render_text_is_pinned(mode, k):
+    text = render_formula(TransductionFormula.for_mode(k, mode))
+    assert hashlib.sha256(text.encode()).hexdigest() == RENDER_SHA256[(mode, k)]
+
+
+SMALL_LABELS = [ColorLabel(kind, j) for kind in ("b", "bP") for j in range(3)] + [
+    ColorLabel(kind, j) for kind in ("c", "cP") for j in (1, 2)
+]
+
+
+def small_colored_output(rng: random.Random, mode: str, k: int) -> TransductionOutput:
+    """A random colored graph on at most 6 vertices, some of them original."""
+    n = rng.randint(2, 6)
+    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+    colors = {v: frozenset(rng.sample(SMALL_LABELS, rng.randint(0, 2))) for v in range(n)}
+    orig = rng.sample(range(n), rng.randint(2, n))
+    return TransductionOutput(
+        ColoredGraph(Graph.make(range(n), edges), colors),
+        dict(enumerate(orig)),
+        TransductionFormula.for_mode(k, mode),
+        (),
+    )
+
+
+PATH_LABELS = [frozenset(), frozenset({B0}), frozenset({B1}), frozenset({ColorLabel("bP", 1)}), frozenset({B2})]
+
+
+def labelled_paths(mode: str, k: int):
+    """Original vertices 0 and 1 joined by a path with up to four internal
+    vertices, under every labelling of them from ``PATH_LABELS``."""
+    for p in range(5):
+        verts = [0, *range(2, p + 2), 1]
+        g = Graph.make(verts, zip(verts, verts[1:]))
+        for labels in itertools.product(PATH_LABELS, repeat=p):
+            yield TransductionOutput(
+                ColoredGraph(g, dict(zip(verts[1:-1], labels))),
+                {0: 0, 1: 1},
+                TransductionFormula.for_mode(k, mode),
+                (),
+            )
+
+
+@pytest.mark.parametrize("mode", ["kplanar", "clustered"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_eval_matches_the_rendered_text(mode, k):
+    for i, out in enumerate(labelled_paths(mode, k)):
+        assert eval_formula(out) == oracle_eval_rendered(out), i
+    rng = random.Random(f"render-{mode}-{k}")
+    for i in range(200):
+        out = small_colored_output(rng, mode, k)
+        assert eval_formula(out) == oracle_eval_rendered(out), i
 
 
 # ===== JSON wire format =====

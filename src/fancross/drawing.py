@@ -13,9 +13,10 @@ consecutive plan vertices are kept apart by bend vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .graphs import Graph
 
@@ -52,62 +53,51 @@ class Drawing:
         """Base vertex -> its real plan copy."""
         out: dict[int, int] = {}
         for p, k in self.kind.items():
-            if k.startswith("real:"):
-                out[int(k[5:])] = p
+            v = _real_vertex(k)
+            if v is not None:
+                out[v] = p
         return out
 
     def kind_of(self, pvid: int) -> str:
         """``"real"``, ``"crossing"`` or ``"subdivision"``."""
         return self.kind[pvid].split(":", 1)[0]
 
-    @cached_property
-    def _rotpos(self) -> dict[tuple[int, int], int]:
-        """(plan vertex, incident plan edge id) -> position in its rotation."""
-        out: dict[tuple[int, int], int] = {}
-        for v, eids in self.rotation.items():
-            for i, e in enumerate(eids):
-                out[(v, e)] = i
+    def with_outer(self, outer: int) -> "Drawing":
+        """This drawing with another outer face.
+
+        No cached lookup depends on the outer face, so the new drawing keeps
+        every one already computed here, the traced faces among them.
+        """
+        out = replace(self, outer=outer)
+        out.__dict__.update((k, v) for k, v in self.__dict__.items() if k != "outer")
         return out
 
-    def next_dart(self, dart: Dart) -> Dart:
-        """The successor dart along the face on the left of ``dart``."""
-        u, v = dart
-        eid = self.plan.edge_id(u, v)
-        pos = self._rotpos[(v, eid)]
-        rot = self.rotation[v]
-        prev_eid = rot[(pos - 1) % len(rot)]
-        a, b = self.plan.edges[prev_eid]
-        return (v, b if a == v else a)
+    @cached_property
+    def _face_table(self) -> tuple[tuple[tuple[Dart, ...], ...], list[int]]:
+        """The canonical faces, and the face index of every integer dart
+        (see :func:`_face_orbits`)."""
+        darts = [t for a, b in self.plan.edges for t in ((a, b), (b, a))]
+        traced = []
+        for orbit in _face_orbits(self.plan.edges, self.rotation):
+            f = [darts[d] for d in orbit]
+            k = f.index(min(f))
+            traced.append((tuple(f[k:] + f[:k]), orbit))
+        # Faces share no dart, so this orders them by their first darts.
+        traced.sort()
+        face_of = [0] * len(darts)
+        for i, (_, orbit) in enumerate(traced):
+            for d in orbit:
+                face_of[d] = i
+        return tuple(f for f, _ in traced), face_of
 
     @cached_property
     def faces(self) -> tuple[tuple[Dart, ...], ...]:
         """All faces as dart cycles, canonically rotated and ordered."""
-        darts = [(u, v) for u, v in self.plan.edges] + [
-            (v, u) for u, v in self.plan.edges
-        ]
-        seen: set[Dart] = set()
-        out: list[tuple[Dart, ...]] = []
-        for d0 in sorted(darts):
-            if d0 in seen:
-                continue
-            orbit = [d0]
-            seen.add(d0)
-            cur = self.next_dart(d0)
-            while cur != d0:
-                orbit.append(cur)
-                seen.add(cur)
-                cur = self.next_dart(cur)
-            k = orbit.index(min(orbit))
-            out.append(tuple(orbit[k:] + orbit[:k]))
-        out.sort(key=lambda f: f[0])
-        return tuple(out)
-
-    @cached_property
-    def _face_of(self) -> dict[Dart, int]:
-        return {d: i for i, f in enumerate(self.faces) for d in f}
+        return self._face_table[0]
 
     def face_of_dart(self, dart: Dart) -> int:
-        return self._face_of[dart]
+        u, v = dart
+        return self._face_table[1][2 * self.plan.edge_id(u, v) + (u > v)]
 
     @cached_property
     def paths(self) -> dict[int, tuple[int, ...]]:
@@ -145,21 +135,81 @@ class Drawing:
     @cached_property
     def plan_components(self) -> dict[int, int]:
         """Plan vertex -> component index (components ordered by least vertex)."""
-        comp: dict[int, int] = {}
-        idx = 0
-        for v in self.plan.vertices:
-            if v in comp:
-                continue
-            stack = [v]
-            comp[v] = idx
-            while stack:
-                u = stack.pop()
-                for w in self.plan.neighbors(u):
-                    if w not in comp:
-                        comp[w] = idx
-                        stack.append(w)
-            idx += 1
-        return comp
+        return _component_index(self.plan.vertices, self.plan.edges)
+
+
+_REAL = re.compile(r"real:(-?[0-9]+)")
+
+
+def _real_vertex(kind: str) -> Optional[int]:
+    """The base vertex named by a ``"real:<vid>"`` kind, else None."""
+    m = _REAL.fullmatch(kind)
+    return int(m.group(1)) if m else None
+
+
+# ===== Face tracing on integer darts =====
+
+
+def _face_orbits(
+    edges: Sequence[tuple[int, int]], rotation: Mapping[int, Sequence[int]]
+) -> list[list[int]]:
+    """The faces of a rotation system, as cycles of integer darts.
+
+    Dart ``2e`` runs along edge ``e`` from ``edges[e][0]`` to ``edges[e][1]``,
+    and dart ``2e + 1`` runs back.  The successor of a dart entering ``v``
+    leaves ``v`` along the edge before it in ``v``'s counterclockwise
+    rotation, so each face lies on the left of its darts.  Assumes a
+    loopless system whose rotations list each incident edge once.
+    """
+    nxt = [0] * (2 * len(edges))
+    for v, rot in rotation.items():
+        outs = [2 * e + (edges[e][0] != v) for e in rot]
+        for p, o in enumerate(outs):
+            nxt[o ^ 1] = outs[p - 1]
+    seen = [False] * len(nxt)
+    out: list[list[int]] = []
+    for d0 in range(len(nxt)):
+        if seen[d0]:
+            continue
+        orbit = []
+        d = d0
+        while not seen[d]:
+            seen[d] = True
+            orbit.append(d)
+            d = nxt[d]
+        out.append(orbit)
+    return out
+
+
+def _component_index(
+    vertices: Iterable[int], edges: Iterable[tuple[int, int]]
+) -> dict[int, int]:
+    """Vertex -> component index, components ordered by least vertex."""
+    vs = sorted(vertices)
+    at = {v: i for i, v in enumerate(vs)}
+    uf = _UnionFind(len(vs))
+    for a, b in edges:
+        uf.union(at[a], at[b])
+    index: dict[int, int] = {}
+    return {v: index.setdefault(uf.find(at[v]), len(index)) for v in vs}
+
+
+def _euler_failures(
+    comp: Mapping[int, int], edges: Iterable[tuple[int, int]], face_vertices: Iterable[int]
+) -> list[int]:
+    """Components where V - E + F != 2; ``face_vertices`` holds one vertex
+    on each face.  A component without edges has one face and lists none."""
+    ncomp = max(comp.values(), default=-1) + 1
+    vcnt, ecnt, fcnt = [0] * ncomp, [0] * ncomp, [0] * ncomp
+    for c in comp.values():
+        vcnt[c] += 1
+    for a, _ in edges:
+        ecnt[comp[a]] += 1
+    for v in face_vertices:
+        fcnt[comp[v]] += 1
+    return [
+        i for i in range(ncomp) if vcnt[i] - ecnt[i] + (fcnt[i] if ecnt[i] else 1) != 2
+    ]
 
 
 def _vertex_path(plan: Graph, eids: Sequence[int]) -> tuple[int, ...]:
@@ -206,8 +256,9 @@ def validate(d: Drawing) -> list[str]:
     reals: dict[int, list[int]] = {}
     for p in sorted(d.kind):
         k = d.kind[p]
-        if k.startswith("real:") and k[5:].lstrip("-").isdigit():
-            reals.setdefault(int(k[5:]), []).append(p)
+        v = _real_vertex(k)
+        if v is not None:
+            reals.setdefault(v, []).append(p)
         elif k not in ("crossing", "subdivision"):
             out.append(f"kind value: vertex {p} has {k!r}")
     for v in d.base.vertices:
@@ -300,31 +351,10 @@ def validate(d: Drawing) -> list[str]:
         return out
 
     # Per-component Euler formula, and the outer face index.
-    try:
-        faces = d.faces
-    except (KeyError, ValueError) as exc:
-        out.append(f"faces: {exc}")
-        return out
-    comp = d.plan_components
-    ncomp = max(comp.values()) + 1 if comp else 0
-    vcnt = [0] * ncomp
-    ecnt = [0] * ncomp
-    fcnt = [0] * ncomp
-    for v in d.plan.vertices:
-        vcnt[comp[v]] += 1
-    for a, _ in d.plan.edges:
-        ecnt[comp[a]] += 1
-    for f in faces:
-        fcnt[comp[f[0][0]]] += 1
-    for i in range(ncomp):
-        f = fcnt[i] if ecnt[i] else 1
-        if vcnt[i] - ecnt[i] + f != 2:
-            out.append(f"euler: plan component {i}")
-    nfaces = len(faces)
-    if nfaces == 0:
-        if d.outer != 0:
-            out.append("outer face: index out of range")
-    elif not (0 <= d.outer < nfaces):
+    faces = d.faces
+    for i in _euler_failures(d.plan_components, d.plan.edges, (f[0][0] for f in faces)):
+        out.append(f"euler: plan component {i}")
+    if not (0 <= d.outer < max(len(faces), 1)):
         out.append("outer face: index out of range")
     return out
 
@@ -563,14 +593,9 @@ def subdivide_with_map(
         new_trace[neid] = tuple(new_plan.edge_id(a, b) for a, b in zip(pp, pp[1:]))
 
     # Track the outer face through the refinement.
+    d2 = Drawing(new_base, new_plan, new_rotation, vkind, new_trace, d.outer)
     if d.plan.m:
-        a, b = d.faces[d.outer][0]
-        na, nb = dart_map[(a, b)]
-        d2 = Drawing(new_base, new_plan, new_rotation, vkind, new_trace, 0)
-        outer = d2.face_of_dart((na, nb))
-        d2 = Drawing(new_base, new_plan, new_rotation, vkind, new_trace, outer)
-    else:
-        d2 = Drawing(new_base, new_plan, new_rotation, vkind, new_trace, d.outer)
+        d2 = d2.with_outer(d2.face_of_dart(dart_map[d.faces[d.outer][0]]))
     new_to_arc = {neid: key for key, neid in arc_to_new.items()}
     return d2, arc_to_new, new_to_arc
 
@@ -695,9 +720,10 @@ def _fan_core(
         for a, b in zip(seq, seq[1:]):
             kept.add(d.plan.edge_id(a, b))
     uf = _UnionFind(len(d.faces))
-    for peid, (a, b) in enumerate(d.plan.edges):
+    face_of = d._face_table[1]
+    for peid in range(d.plan.m):
         if peid not in kept:
-            uf.union(d.face_of_dart((a, b)), d.face_of_dart((b, a)))
+            uf.union(face_of[2 * peid], face_of[2 * peid + 1])
     outer = uf.find(_outer_class_face(d, alpha_path[0]))
     for p in (alpha_path[0], alpha_path[-1]):
         touching = set()

@@ -244,7 +244,7 @@ def drawing_from_polylines(
     }
     d = Drawing(g, plan, rotation, kind, trace, 0)
     if plan.m:
-        d = Drawing(g, plan, rotation, kind, trace, _outer_face_index(d, ppos, dart_dir))
+        d = d.with_outer(_outer_face_index(d, ppos, dart_dir))
     return d
 
 

@@ -23,7 +23,7 @@ region make same-owner chords nested rather than crossing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -627,7 +627,7 @@ class _Builder:
             other = c[1] if c[0] == u0 else c[0]
             dart = (self.port_id[(f, c, u0)], self.port_id[(f, c, other)])
             outer = probe.face_of_dart(dart)
-        return replace(probe, outer=outer)
+        return probe.with_outer(outer)
 
     # -- certificate --
 

@@ -14,6 +14,11 @@ short colored path.
   a ``b0`` hub whose spokes are colored by fan membership (``b_j`` on the
   center side, ``bP_j`` on the far side).
 
+Both do their surgery on a mutable rotation system and check it there before
+building the output graph: a simple graph whose rotations list each incident
+edge once and which satisfies Euler's formula on every component is a plane
+drawing, so no intermediate ``Drawing`` is built or validated.
+
 ``eval_formula`` evaluates the formula exactly.  It pairs the holders of
 each handshake color, and runs one bounded simple-path search per source
 vertex that looks only for the images of the later vertices and stops once
@@ -31,6 +36,9 @@ from .cluster import Certificate, _arc_keys, verify_certificate
 from .drawing import (
     Drawing,
     SubdivisionPlan,
+    _component_index,
+    _euler_failures,
+    _face_orbits,
     crossing_graph,
     is_k_planar,
     subdivide_with_map,
@@ -166,7 +174,8 @@ class _RotSys:
     """A mutable rotation system; tolerates parallel edges mid-surgery.
 
     Every operation below preserves realizability in the plane, so the
-    finished system materializes into a drawing that passes validation.
+    finished system is a plane simple graph; ``_assemble`` checks that with
+    :meth:`is_plane_simple` before it builds the output graph.
     """
 
     def __init__(self, d: Drawing) -> None:
@@ -237,21 +246,38 @@ class _RotSys:
         self.rot[s] = [e1, e2]
         return s, e1, e2
 
-    def materialize(self) -> tuple[Drawing, dict[int, int]]:
-        """Builds the crossing-free drawing of the finished system.
+    def is_plane_simple(self) -> bool:
+        """Whether the finished system is a simple graph embedded in the plane.
 
-        Returns the drawing plus the map from local edge ids to base ids.
+        Checks that every edge joins two distinct vertices of the system,
+        that no two edges join the same pair, that each rotation lists its
+        incident edges exactly once, and that Euler's formula holds on every
+        component.  These are the checks of :func:`validate` that the
+        surgery can break.  Its other checks hold by construction on the
+        output drawing: every vertex is real (``real:<v>`` for itself) and
+        every trace is the single edge it draws, so there are no crossing or
+        subdivision vertices, and the kinds, the real-copy bijection and the
+        traces are right.
         """
-        verts = sorted(self.rot)
-        pairs = {e: (min(ab), max(ab)) for e, ab in self.ends.items()}
-        if len(set(pairs.values())) != len(pairs):
-            raise InvariantBroken("construction invariant broken")
-        base = Graph.make(verts, pairs.values())
-        emap = {e: base.edge_id(*ab) for e, ab in pairs.items()}
-        rotation = {v: tuple(emap[e] for e in self.rot[v]) for v in verts}
-        kind = {v: f"real:{v}" for v in verts}
-        trace = {i: (i,) for i in range(base.m)}
-        return Drawing(base, base, rotation, kind, trace, 0), emap
+        index = {e: i for i, e in enumerate(self.ends)}
+        ends = list(self.ends.values())
+        pairs = set()
+        for a, b in ends:
+            if a == b or a not in self.rot or b not in self.rot:
+                return False
+            pairs.add((a, b) if a < b else (b, a))
+        if len(pairs) != len(ends):
+            return False
+        rotation: dict[int, list[int]] = {}
+        for v, r in self.rot.items():
+            if len(set(r)) != len(r) or any(v not in self.ends.get(e, ()) for e in r):
+                return False
+            rotation[v] = [index[e] for e in r]
+        if sum(map(len, rotation.values())) != 2 * len(ends):
+            return False
+        orbits = _face_orbits(ends, rotation)
+        face_vertices = (ends[o[0] >> 1][o[0] & 1] for o in orbits)
+        return not _euler_failures(_component_index(self.rot, ends), ends, face_vertices)
 
 
 def _smooth_bends(d: Drawing, rs: _RotSys) -> dict[int, int]:
@@ -306,22 +332,20 @@ def _assemble(
     k: int,
     mode: str,
 ) -> TransductionOutput:
-    """Validates the surgered system and relabels it into the output graph."""
-    dd, _ = rs.materialize()
-    if validate(dd):
+    """Checks the surgered system and relabels it into the output graph."""
+    if not rs.is_plane_simple():
         raise InvariantBroken("construction invariant broken")
     hverts = sorted(set(d.base.vertices) | set(x_edges))
     fresh = max(hverts, default=-1) + 1
     ren: dict[int, int] = {}
-    for p in dd.base.vertices:
+    for p in sorted(rs.rot):
         if p in real_of:
             ren[p] = real_of[p]
-    for p in dd.base.vertices:
-        if p not in ren:
+        else:
             ren[p] = fresh
             fresh += 1
     gverts = sorted(ren.values()) + sorted(x_edges)
-    gedges = [(ren[a], ren[b]) for a, b in dd.base.edges]
+    gedges = [(ren[a], ren[b]) for a, b in rs.ends.values()]
     g = Graph.make(gverts, gedges)
     colors: dict[int, set[ColorLabel]] = {ren[p]: set(ls) for p, ls in colors_s.items()}
     for i, xv in enumerate(sorted(x_edges), start=1):

@@ -3,9 +3,11 @@
 These deliberately avoid the library's own algorithms: radii come from
 Floyd-Warshall, covers from subset enumeration, cluster feasibility from
 enumerating every subdivision plan and every fan cover, the first
-certificate from trying every cut choice in product order, and the decoded
-graph of a transduction from one path search per vertex pair, or from the
-rendered text of its formula.
+certificate from trying every cut choice in product order, faces from
+stepping ``(u, v)`` dart tuples through rotation positions, the
+transducer's surgery check from rebuilding the surgered drawing and running
+``validate`` on it, and the decoded graph of a transduction from one path
+search per vertex pair, or from the rendered text of its formula.
 """
 
 from __future__ import annotations
@@ -24,11 +26,16 @@ from fancross.cluster import (
     _subdivided,
     verify_certificate,
 )
-from fancross.drawing import SubdivisionPlan, crossing_graph, is_k_planar
-from fancross.errors import CapExceeded
+from fancross.drawing import Drawing, SubdivisionPlan, crossing_graph, is_k_planar, validate
+from fancross.errors import CapExceeded, InvariantBroken
 from fancross.geometry import drawing_from_segments, pt
 from fancross.graphs import ColoredGraph, ColorLabel, Fan, Graph, fan_cover
-from fancross.transduce import TransductionFormula, TransductionOutput, render_formula
+from fancross.transduce import (
+    TransductionFormula,
+    TransductionOutput,
+    _RotSys,
+    render_formula,
+)
 
 
 # ===== Metric oracles (Floyd-Warshall based) =====
@@ -319,6 +326,69 @@ def oracle_random_kplanar(n: int, k: int, seed: int):
             edges.append((u, w))
             d = cand
     return d
+
+
+# ===== Face oracles (dart tuples; a rebuilt and validated drawing) =====
+
+
+def oracle_faces(d: Drawing) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``Drawing.faces`` the slow way: darts are ``(u, v)`` tuples, stepped
+    through the plan's edge ids and a ``(vertex, edge)`` -> rotation
+    position table, with an orbit started at every unseen dart in sorted
+    order."""
+    rotpos = {(v, e): i for v, eids in d.rotation.items() for i, e in enumerate(eids)}
+
+    def next_dart(dart: tuple[int, int]) -> tuple[int, int]:
+        u, v = dart
+        rot = d.rotation[v]
+        a, b = d.plan.edges[rot[(rotpos[(v, d.plan.edge_id(u, v))] - 1) % len(rot)]]
+        return (v, b if a == v else a)
+
+    darts = [(u, v) for u, v in d.plan.edges] + [(v, u) for u, v in d.plan.edges]
+    seen: set[tuple[int, int]] = set()
+    out = []
+    for d0 in sorted(darts):
+        if d0 in seen:
+            continue
+        orbit = [d0]
+        seen.add(d0)
+        cur = next_dart(d0)
+        while cur != d0:
+            orbit.append(cur)
+            seen.add(cur)
+            cur = next_dart(cur)
+        k = orbit.index(min(orbit))
+        out.append(tuple(orbit[k:] + orbit[:k]))
+    out.sort(key=lambda f: f[0])
+    return tuple(out)
+
+
+def oracle_materialize(rs: _RotSys) -> Drawing:
+    """The crossing-free drawing of a finished rotation system.
+
+    Raises ``InvariantBroken`` on parallel edges, ``ValueError`` on loops or
+    unknown endpoints, and ``KeyError`` when a rotation lists an unknown
+    edge.
+    """
+    verts = sorted(rs.rot)
+    pairs = {e: (min(ab), max(ab)) for e, ab in rs.ends.items()}
+    if len(set(pairs.values())) != len(pairs):
+        raise InvariantBroken("construction invariant broken")
+    base = Graph.make(verts, pairs.values())
+    emap = {e: base.edge_id(*ab) for e, ab in pairs.items()}
+    rotation = {v: tuple(emap[e] for e in rs.rot[v]) for v in verts}
+    kind = {v: f"real:{v}" for v in verts}
+    trace = {i: (i,) for i in range(base.m)}
+    return Drawing(base, base, rotation, kind, trace, 0)
+
+
+def oracle_surgery_ok(rs: _RotSys) -> bool:
+    """Whether the system materializes into a drawing that passes the whole
+    of ``validate``."""
+    try:
+        return not validate(oracle_materialize(rs))
+    except (InvariantBroken, KeyError, ValueError):
+        return False
 
 
 # ===== Formula oracle (one search per vertex pair) =====

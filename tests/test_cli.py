@@ -91,6 +91,19 @@ def test_validate_reports_out_of_range_trace(tmp_path, fig3_file, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bad", ["real:--0", "real:\u00b2", "real:\u0663"])
+def test_validate_reports_malformed_real_kind(tmp_path, fig3_file, capsys, bad):
+    doc = json.loads(open(fig3_file).read())
+    doc["kind"]["0"] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(path))
+    obj = json.loads(out)
+    assert code == 1 and obj["ok"] is False
+    assert obj["errors"][0] == f"kind value: vertex 0 has {bad!r}"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("field, key", [("rotation", "0"), ("trace", "1")])
 def test_validate_rejects_non_integer_ids(tmp_path, fig3_file, capsys, field, key):
     doc = json.loads(open(fig3_file).read())

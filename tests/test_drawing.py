@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import oracle_faces
 
+from fancross import drawing
 from fancross.cluster import Certificate, verify_certificate
 from fancross.drawing import (
     ArcRef,
@@ -22,6 +27,7 @@ from fancross.drawing import (
     subdivide_with_map,
     validate,
 )
+from fancross.fixtures import fig1a, fig1b, fig3, random_kplanar
 from fancross.geometry import drawing_from_segments, pt
 from fancross.graphs import Fan, Graph
 from fancross.jsonio import drawing_from_json, drawing_to_json
@@ -135,6 +141,41 @@ def test_validate_flags_missing_real_copy():
     assert any(v.startswith("real bijection") for v in errs)
 
 
+@pytest.mark.parametrize("bad", ["real:--0", "real:\u00b2", "real:\u0663", "real:0x1", "real: 1"])
+def test_validate_reports_malformed_real_kind(bad):
+    d = xfix()
+    kind = dict(d.kind)
+    kind[0] = bad
+    broken = Drawing(d.base, d.plan, d.rotation, kind, d.trace, d.outer)
+    assert validate(broken) == [
+        f"kind value: vertex 0 has {bad!r}",
+        "real bijection: base vertex 0",
+    ]
+    assert broken.real_pvid == {1: 1, 2: 2, 3: 3}
+
+
+def test_real_kind_reads_signed_ascii_digits():
+    d = xfix()
+    kind = dict(d.kind)
+    kind[0] = "real:-0"
+    assert validate(Drawing(d.base, d.plan, d.rotation, kind, d.trace, d.outer)) == []
+    kind[0] = "real:-1"
+    errs = validate(Drawing(d.base, d.plan, d.rotation, kind, d.trace, d.outer))
+    assert errs == ["real bijection: base vertex 0", "real bijection: unknown base vertex -1"]
+
+
+def test_validate_flags_non_planar_rotation():
+    d = drawing_from_segments(
+        Graph.make(range(4), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+        {0: pt(0, 0), 1: pt(4, 0), 2: pt(0, 4), 3: pt(1, 1)},
+    )
+    rot = dict(d.rotation)
+    a, b, c = rot[3]
+    rot[3] = (b, a, c)
+    bad = Drawing(d.base, d.plan, rot, d.kind, d.trace, d.outer)
+    assert validate(bad) == ["euler: plan component 0"]
+
+
 def test_validate_flags_outer_out_of_range():
     d = xfix()
     bad = Drawing(d.base, d.plan, d.rotation, d.kind, d.trace, 99)
@@ -148,6 +189,78 @@ def test_validate_flags_unused_plan_edge():
     bad = Drawing(d.base, d.plan, d.rotation, d.kind, trace, d.outer)
     errs = validate(bad)
     assert any(v.startswith("edge coverage") for v in errs)
+
+
+# ===== Faces =====
+
+
+def face_corpus():
+    """Fixtures, seeded k-planar drawings, and their subdivisions and
+    planarizations."""
+    out = [xfix(), lens(), fig1a(), fig1b(4), fig3()]
+    for n in range(4, 15):
+        for k in range(1, 4):
+            out.append(random_kplanar(n, k, 10 * n + k))
+    derived = []
+    for i, d in enumerate(out):
+        derived.append(subdivide(d, random_plan(d, random.Random(i))))
+        derived.append(planarize(d)[0])
+    return out + derived
+
+
+def random_plan(d, rng):
+    """Up to two cut positions on up to three random base edges."""
+    cuts = {}
+    for eid in rng.sample(range(d.base.m), min(3, d.base.m)):
+        c = len(d.edge_crossings[eid])
+        cuts[eid] = tuple(rng.randint(0, c) for _ in range(rng.randint(1, 2)))
+    return SubdivisionPlan(cuts)
+
+
+def assert_faces_match_oracle(d):
+    expected = oracle_faces(d)
+    assert d.faces == expected
+    for i, f in enumerate(expected):
+        for dart in f:
+            assert d.face_of_dart(dart) == i
+
+
+def test_faces_match_oracle():
+    for d in face_corpus():
+        assert_faces_match_oracle(d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 14), st.integers(1, 3), st.integers(0, 10**6))
+def test_faces_match_oracle_on_random_drawings(n, k, seed):
+    d = random_kplanar(n, k, seed)
+    for each in (d, subdivide(d, random_plan(d, random.Random(seed))), planarize(d)[0]):
+        assert_faces_match_oracle(each)
+
+
+def test_face_of_unknown_dart_raises():
+    with pytest.raises(KeyError):
+        xfix().face_of_dart((0, 1))
+
+
+def test_constructed_drawings_trace_faces_once(monkeypatch):
+    calls = []
+    real = drawing._face_orbits
+
+    def counted(edges, rotation):
+        calls.append(len(edges))
+        return real(edges, rotation)
+
+    monkeypatch.setattr(drawing, "_face_orbits", counted)
+    d = fig3()
+    assert len(calls) == 1
+    d.faces
+    assert len(calls) == 1
+    for plan in (SubdivisionPlan({0: (0,)}), SubdivisionPlan({5: (1,), 6: (0, 2)})):
+        calls.clear()
+        d2 = subdivide_with_map(d, plan)[0]
+        assert validate(d2) == [] and d2.faces[d2.outer]
+        assert len(calls) == 1
 
 
 # ===== Subdivision =====

@@ -13,11 +13,12 @@ from functools import lru_cache
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import oracle_eval_formula, oracle_eval_rendered
+from oracles import oracle_eval_formula, oracle_eval_rendered, oracle_surgery_ok
 
+from fancross import transduce
 from fancross.cluster import Certificate, search_certificate
 from fancross.drawing import Drawing, SubdivisionPlan
-from fancross.errors import Infeasible
+from fancross.errors import Infeasible, InvariantBroken
 from fancross.fixtures import fig1a, fig1a_certificate, fig3, random_kplanar
 from fancross.geometry import drawing_from_polylines, drawing_from_segments, pt
 from fancross.graphs import (
@@ -43,6 +44,21 @@ from fancross.transduce import (
 )
 
 B0, B1, B2 = ColorLabel("b", 0), ColorLabel("b", 1), ColorLabel("b", 2)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def surgery_checked_by_oracle():
+    """Every surgered rotation system this module builds is also judged by
+    ``oracle_surgery_ok``, and the library's check must agree with it."""
+    real = transduce._assemble
+
+    def checked(d, rs, *rest):
+        assert rs.is_plane_simple() == oracle_surgery_ok(rs)
+        return real(d, rs, *rest)
+
+    transduce._assemble = checked
+    yield
+    transduce._assemble = real
 
 
 def triangle_drawing():
@@ -323,6 +339,60 @@ def test_unmet_preconditions_raise_infeasible():
     with pytest.raises(ValueError, match="X overlaps the drawing") as info:
         transduce_kplanar(k4_drawing(), {0: ()}, 1)
     assert not isinstance(info.value, Infeasible)
+
+
+# ===== The surgery self-check =====
+
+
+def swap_at_degree_three(rs):
+    v = min(v for v, r in rs.rot.items() if len(r) == 3)
+    r = rs.rot[v]
+    r[0], r[1] = r[1], r[0]
+
+
+def duplicate_an_edge(rs):
+    e = min(rs.ends)
+    a, b = rs.ends[e]
+    ne = rs.new_edge_id()
+    rs.ends[ne] = (a, b)
+    rs.rot[a].insert(rs.rot[a].index(e) + 1, ne)
+    rs.rot[b].insert(rs.rot[b].index(e), ne)
+
+
+def drop_from_a_rotation(rs):
+    e = min(rs.ends)
+    rs.rot[rs.ends[e][0]].remove(e)
+
+
+def add_a_loop(rs):
+    v = min(rs.rot)
+    ne = rs.new_edge_id()
+    rs.ends[ne] = (v, v)
+    rs.rot[v][:0] = [ne, ne]
+
+
+@pytest.mark.parametrize(
+    "corrupt", [swap_at_degree_three, duplicate_an_edge, drop_from_a_rotation, add_a_loop]
+)
+@pytest.mark.parametrize("mode", ["kplanar", "clustered"])
+def test_corrupted_surgery_is_refused(monkeypatch, corrupt, mode):
+    seen = []
+    checked = transduce._assemble
+
+    def corrupted(d, rs, *rest):
+        assert rs.is_plane_simple()
+        corrupt(rs)
+        seen.append(rs)
+        return checked(d, rs, *rest)
+
+    monkeypatch.setattr(transduce, "_assemble", corrupted)
+    with pytest.raises(InvariantBroken, match="construction invariant broken"):
+        if mode == "kplanar":
+            transduce_kplanar(k4_drawing(), {}, 1)
+        else:
+            transduce_clustered(fig1a(), fig1a_certificate(), {}, 2)
+    assert len(seen) == 1
+    assert not seen[0].is_plane_simple() and not oracle_surgery_ok(seen[0])
 
 
 # ===== Shared output invariants =====

@@ -185,13 +185,22 @@ def _component_index(
     vertices: Iterable[int], edges: Iterable[tuple[int, int]]
 ) -> dict[int, int]:
     """Vertex -> component index, components ordered by least vertex."""
-    vs = sorted(vertices)
-    at = {v: i for i, v in enumerate(vs)}
-    uf = _UnionFind(len(vs))
+    comp = dict.fromkeys(sorted(vertices), -1)
+    adj: dict[int, list[int]] = {v: [] for v in comp}
     for a, b in edges:
-        uf.union(at[a], at[b])
-    index: dict[int, int] = {}
-    return {v: index.setdefault(uf.find(at[v]), len(index)) for v in vs}
+        adj[a].append(b)
+        adj[b].append(a)
+    count = 0
+    for s in comp:
+        if comp[s] < 0:
+            comp[s], stack = count, [s]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if comp[w] < 0:
+                        comp[w] = count
+                        stack.append(w)
+            count += 1
+    return comp
 
 
 def _euler_failures(

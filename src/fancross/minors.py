@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Optional
 
 from .errors import CapExceeded
@@ -96,33 +98,43 @@ def _admissible(host: Graph, subset: tuple[int, ...], d: int) -> bool:
     return r <= d
 
 
-def _zones_nonempty(
-    host: Graph,
-    pattern: Graph,
-    branch: dict[int, tuple[int, ...]],
-    load: dict[int, int],
-    c: int,
-    remaining: Iterable[int],
-) -> bool:
-    """Sound prune: every unassigned pattern vertex adjacent to an assigned
-    one still has a free host vertex in or next to each such branch set."""
-    for w in remaining:
-        for wp in pattern.neighbors(w):
-            if wp not in branch:
-                continue
-            zone = set(branch[wp])
-            for u in branch[wp]:
-                zone.update(host.neighbors(u))
-            if not any(load[u] < c for u in zone):
-                return False
-    return True
+def _twin_chain(pattern: Graph) -> list[Optional[int]]:
+    """For each pattern vertex, by position in ``pattern.vertices``, the
+    position of its latest earlier twin, or None.  Twins ``v`` and ``w``
+    have N(v) - {w} = N(w) - {v}: equal open or equal closed
+    neighbourhoods."""
+    vs = pattern.vertices
+    nbrs = [set(pattern.neighbors(v)) for v in vs]
+    return [
+        max((j for j in range(i) if nbrs[i] - {vs[j]} == nbrs[j] - {vs[i]}), default=None)
+        for i in range(len(vs))
+    ]
 
 
 def find_model_bruteforce(
     host: Graph, pattern: Graph, c: int, d: int, cap: int = 10
 ) -> Optional[MinorModel]:
-    """Finds the first congestion-``c`` depth-``d`` model in deterministic
-    order (branch sets by size, then lexicographically), or None.
+    """Finds the first congestion-``c`` depth-``d`` model, or None.
+
+    Pattern vertices are assigned in ``pattern.vertices`` order.  Each takes
+    its branch set from the admissible sets (connected, radius <= ``d``) in
+    (size, lex) order: by size, then as ``itertools.combinations`` yields them
+    over ``host.vertices``.  The capacity and zone prunes only cut branches
+    with no valid completion, so the model returned is the least valid one
+    when models are compared by the positions of their branch sets, vertex
+    by vertex.  Host vertex ``i`` of ``host.vertices`` is bit ``1 << i``; a set
+    is kept with its mask and its zone, the union of its members' closed
+    neighbourhoods, so two sets touch exactly when one's mask meets the
+    other's zone.
+
+    Twins are pattern vertices ``w`` and ``v`` with N(v) - {w} = N(w) - {v}.
+    When ``w`` is the latest earlier twin of ``v``, the sets tried for ``v``
+    start at the position of ``w``'s set; equal sets are allowed.  This
+    keeps the first model: if a valid model put ``w``'s set after ``v``'s,
+    swapping the two sets would keep every branch set, every load and every
+    touching pattern edge (the twins have the same other neighbours), so it
+    would be a valid model that comes earlier.  Twinship is an equivalence,
+    so chaining each vertex to its latest earlier twin orders a whole class.
 
     Hosts with more than ``cap`` vertices are refused; raise the cap
     explicitly for larger exhaustive runs.
@@ -131,41 +143,65 @@ def find_model_bruteforce(
         raise ValueError("bad model: c must be positive and d nonnegative")
     if host.n > cap:
         raise CapExceeded("search cap exceeded")
-    pverts = list(pattern.vertices)
-    load = {u: 0 for u in host.vertices}
-    branch: dict[int, tuple[int, ...]] = {}
+    hverts = host.vertices
+    bit = {u: 1 << i for i, u in enumerate(hverts)}
+    closed = {u: bit[u] | sum(bit[w] for w in host.neighbors(u)) for u in hverts}
+    ball = dict(bit)  # host vertices within distance d
+    for _ in range(min(d, host.n)):
+        ball = {u: reduce(or_, (closed[w] for w in hverts if b & bit[w])) for u, b in ball.items()}
+    by_size: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
 
-    def candidates(v: int):
-        assigned = [w for w in pattern.neighbors(v) if w in branch]
-        allowed = [u for u in host.vertices if load[u] < c]
-        for size in range(1, len(allowed) + 1):
-            for subset in itertools.combinations(allowed, size):
-                if not _admissible(host, subset, d):
-                    continue
-                if all(_touch(host, subset, branch[w]) for w in assigned):
-                    yield subset
+    def sets_of(size: int) -> list[tuple[tuple[int, ...], int, int]]:
+        if size not in by_size:
+            by_size[size] = []
+            for s in itertools.combinations(hverts, size):
+                mask = sum(bit[u] for u in s)
+                # A set of radius <= d lies in the host d-ball of its centre.
+                # That is enough for one vertex, and for d < 2 (a star).
+                if any(not mask & ~ball[u] for u in s) and (
+                    size == 1 or d < 2 or _admissible(host, s, d)
+                ):
+                    by_size[size].append((s, mask, reduce(or_, (closed[u] for u in s))))
+        return by_size[size]
 
-    def rec(i: int) -> bool:
-        if i == len(pverts):
+    pverts = pattern.vertices
+    p, capacity = len(pverts), c * host.n
+    at = {v: i for i, v in enumerate(pverts)}
+    nbrs = [{at[w] for w in pattern.neighbors(v)} for v in pverts]
+    earlier = [sorted(j for j in nbrs[i] if j < i) for i in range(p)]
+    # watch[i]: assigned vertices with a neighbour still unassigned at depth i
+    watch = [[j for j in range(i) if max(nbrs[j], default=-1) >= i] for i in range(p)]
+    twin = _twin_chain(pattern)
+    chosen: list[tuple[int, ...]] = [()] * p
+    zones = [0] * p
+    pos = [(1, 0)] * p
+
+    def rec(i: int, loads: tuple[int, ...], used: int) -> bool:
+        # loads[j] masks the host vertices in more than j chosen sets
+        if i == p:
             return True
-        if sum(c - load[u] for u in host.vertices) < len(pverts) - i:
+        if capacity - used < p - i:
             return False
-        if not _zones_nonempty(host, pattern, branch, load, c, pverts[i:]):
+        full = loads[-1]
+        if any(not zones[j] & ~full for j in watch[i]):
             return False
-        v = pverts[i]
-        for subset in candidates(v):
-            branch[v] = subset
-            for u in subset:
-                load[u] += 1
-            if rec(i + 1):
-                return True
-            for u in subset:
-                load[u] -= 1
-            del branch[v]
+        first_size, first_index = (1, 0) if twin[i] is None else pos[twin[i]]
+        for size in range(first_size, host.n - full.bit_count() + 1):
+            sets = sets_of(size)
+            for k in range(first_index if size == first_size else 0, len(sets)):
+                subset, mask, zone = sets[k]
+                if mask & full or any(not mask & zones[j] for j in earlier[i]):
+                    continue
+                chosen[i], zones[i], pos[i] = subset, zone, (size, k)
+                grown = (loads[0] | mask,) + tuple(
+                    loads[j] | (loads[j - 1] & mask) for j in range(1, c)
+                )
+                if rec(i + 1, grown, used + size):
+                    return True
         return False
 
-    if rec(0):
-        return MinorModel(host, pattern, dict(branch), c, d)
+    if rec(0, (0,) * c, 0):
+        return MinorModel(host, pattern, dict(zip(pverts, chosen)), c, d)
     return None
 
 

@@ -270,8 +270,11 @@ class _RotSys:
             return False
         rotation: dict[int, list[int]] = {}
         for v, r in self.rot.items():
-            if len(set(r)) != len(r) or any(v not in self.ends.get(e, ()) for e in r):
+            if len(set(r)) != len(r):
                 return False
+            for e in r:
+                if v not in self.ends.get(e, ()):
+                    return False
             rotation[v] = [index[e] for e in r]
         if sum(map(len, rotation.values())) != 2 * len(ends):
             return False

@@ -3,7 +3,9 @@
 These deliberately avoid the library's own algorithms: radii come from
 Floyd-Warshall, covers from subset enumeration, cluster feasibility from
 enumerating every subdivision plan and every fan cover, the first
-certificate from trying every cut choice in product order, faces from
+certificate from trying every cut choice in product order, the first minor
+model from trying every admissible branch set of the free host vertices,
+components from one BFS per unvisited vertex, faces from
 stepping ``(u, v)`` dart tuples through rotation positions, the
 transducer's surgery check from rebuilding the surgered drawing and running
 ``validate`` on it, and the decoded graph of a transduction from one path
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from collections import deque
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -30,6 +33,7 @@ from fancross.drawing import Drawing, SubdivisionPlan, crossing_graph, is_k_plan
 from fancross.errors import CapExceeded, InvariantBroken
 from fancross.geometry import drawing_from_segments, pt
 from fancross.graphs import ColoredGraph, ColorLabel, Fan, Graph, fan_cover
+from fancross.minors import MinorModel, _admissible, _touch
 from fancross.transduce import (
     TransductionFormula,
     TransductionOutput,
@@ -298,6 +302,79 @@ def oracle_contains_minor_c1(host, pattern, d: int) -> bool:
     return False
 
 
+def _zones_nonempty(
+    host: Graph,
+    pattern: Graph,
+    branch: dict[int, tuple[int, ...]],
+    load: dict[int, int],
+    c: int,
+    remaining: Iterable[int],
+) -> bool:
+    """Sound prune: every unassigned pattern vertex adjacent to an assigned
+    one still has a free host vertex in or next to each such branch set."""
+    for w in remaining:
+        for wp in pattern.neighbors(w):
+            if wp not in branch:
+                continue
+            zone = set(branch[wp])
+            for u in branch[wp]:
+                zone.update(host.neighbors(u))
+            if not any(load[u] < c for u in zone):
+                return False
+    return True
+
+
+def oracle_find_model(
+    host: Graph, pattern: Graph, c: int, d: int, cap: int = 10
+) -> Optional[MinorModel]:
+    """Finds the first congestion-``c`` depth-``d`` model in deterministic
+    order (branch sets by size, then lexicographically), or None.
+
+    Hosts with more than ``cap`` vertices are refused; raise the cap
+    explicitly for larger exhaustive runs.
+    """
+    if c < 1 or d < 0:
+        raise ValueError("bad model: c must be positive and d nonnegative")
+    if host.n > cap:
+        raise CapExceeded("search cap exceeded")
+    pverts = list(pattern.vertices)
+    load = {u: 0 for u in host.vertices}
+    branch: dict[int, tuple[int, ...]] = {}
+
+    def candidates(v: int):
+        assigned = [w for w in pattern.neighbors(v) if w in branch]
+        allowed = [u for u in host.vertices if load[u] < c]
+        for size in range(1, len(allowed) + 1):
+            for subset in itertools.combinations(allowed, size):
+                if not _admissible(host, subset, d):
+                    continue
+                if all(_touch(host, subset, branch[w]) for w in assigned):
+                    yield subset
+
+    def rec(i: int) -> bool:
+        if i == len(pverts):
+            return True
+        if sum(c - load[u] for u in host.vertices) < len(pverts) - i:
+            return False
+        if not _zones_nonempty(host, pattern, branch, load, c, pverts[i:]):
+            return False
+        v = pverts[i]
+        for subset in candidates(v):
+            branch[v] = subset
+            for u in subset:
+                load[u] += 1
+            if rec(i + 1):
+                return True
+            for u in subset:
+                load[u] -= 1
+            del branch[v]
+        return False
+
+    if rec(0):
+        return MinorModel(host, pattern, dict(branch), c, d)
+    return None
+
+
 # ===== Fixture oracle (rebuild per candidate) =====
 
 
@@ -329,6 +406,26 @@ def oracle_random_kplanar(n: int, k: int, seed: int):
 
 
 # ===== Face oracles (dart tuples; a rebuilt and validated drawing) =====
+
+
+def oracle_component_index(vertices, edges) -> dict[int, int]:
+    """Vertex -> component number by BFS, numbered in order of least vertex."""
+    comp: dict[int, int] = {}
+    for s in sorted(vertices):
+        if s in comp:
+            continue
+        label = len(set(comp.values()))
+        comp[s] = label
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for a, b in edges:
+                if u in (a, b):
+                    w = b if u == a else a
+                    if w not in comp:
+                        comp[w] = label
+                        queue.append(w)
+    return comp
 
 
 def oracle_faces(d: Drawing) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_faces
+from oracles import oracle_component_index, oracle_faces
 
 from fancross import drawing
 from fancross.cluster import Certificate, verify_certificate
@@ -16,6 +16,7 @@ from fancross.drawing import (
     ArcRef,
     Drawing,
     SubdivisionPlan,
+    _component_index,
     _fan_core,
     _passage_side,
     _vertex_path,
@@ -236,6 +237,18 @@ def test_faces_match_oracle_on_random_drawings(n, k, seed):
     d = random_kplanar(n, k, seed)
     for each in (d, subdivide(d, random_plan(d, random.Random(seed))), planarize(d)[0]):
         assert_faces_match_oracle(each)
+
+
+def test_component_index_matches_bfs_oracle():
+    for seed in range(200):
+        rng = random.Random(seed)
+        vs = rng.sample(range(40), rng.randint(0, 15))
+        p = rng.random() * 0.4
+        es = [(a, b) for a in vs for b in vs if a < b and rng.random() < p]
+        rng.shuffle(es)
+        got = _component_index(vs, es)
+        assert got == oracle_component_index(vs, es), seed
+        assert list(got) == sorted(vs)
 
 
 def test_face_of_unknown_dart_raises():

@@ -3,19 +3,23 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fancross.errors import CapExceeded
 from fancross.graphs import Graph, complete, cycle, grid2d, path
 from fancross.jsonio import model_from_json, model_to_json
 from fancross.minors import (
     MinorModel,
+    _twin_chain,
     find_model_bruteforce,
     strip_universal,
     verify_model,
 )
-from oracles import oracle_contains_minor_c1, oracle_model_violations
+from oracles import oracle_contains_minor_c1, oracle_find_model, oracle_model_violations
 
 
 def k4_in_grid():
@@ -150,6 +154,99 @@ def test_search_rejects_bad_parameters():
         find_model_bruteforce(path(3), path(2), 0, 1)
     with pytest.raises(ValueError, match="d nonnegative"):
         find_model_bruteforce(path(3), path(2), 1, -1)
+
+
+# ===== First model against the old search =====
+
+
+def bipartite(a: int, b: int) -> Graph:
+    """K_{a,b} on parts 0..a-1 and a..a+b-1; a star when a = 1."""
+    return Graph.make(range(a + b), [(u, a + v) for u in range(a) for v in range(b)])
+
+
+# Closed twins {0, 1}, open twins {2, 3} and open twins {4, 5}.
+MIXED_TWINS = Graph.make(
+    range(6), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5)]
+)
+
+
+def assert_same_first_model(host, pattern, c, d) -> bool:
+    """Checks the search against the old one; returns whether a model exists."""
+    got = find_model_bruteforce(host, pattern, c, d)
+    want = oracle_find_model(host, pattern, c, d)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got.branch == want.branch
+    return want is not None
+
+
+def _random_graph(rng: random.Random, n: int) -> Graph:
+    p = rng.random()
+    return Graph.make(
+        range(n), [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
+
+
+def test_twin_chain():
+    assert _twin_chain(complete(4)) == [None, 0, 1, 2]
+    assert _twin_chain(bipartite(2, 3)) == [None, 0, None, 2, 3]
+    assert _twin_chain(bipartite(1, 4)) == [None, None, 1, 2, 3]
+    assert _twin_chain(path(3)) == [None, None, 0]
+    assert _twin_chain(path(4)) == [None] * 4
+    assert _twin_chain(MIXED_TWINS) == [None, 0, None, 2, None, 4]
+    assert _twin_chain(Graph.make([3, 7, 9], [(3, 9), (7, 9)])) == [None, 0, None]
+
+
+def test_first_model_matches_oracle_on_seeded_corpus():
+    found = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        host, pattern = _random_graph(rng, rng.randint(2, 8)), _random_graph(rng, rng.randint(1, 6))
+        found += assert_same_first_model(host, pattern, rng.randint(1, 3), rng.randint(0, 2))
+    assert 150 < found < 280  # both verdicts are well represented
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(2, 8),
+    st.integers(1, 6),
+    st.integers(1, 3),
+    st.integers(0, 2),
+    st.integers(0, 2**28 - 1),
+    st.integers(0, 2**15 - 1),
+)
+def test_first_model_matches_oracle_on_random_graphs(n, p, c, d, hbits, pbits):
+    hpairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    ppairs = [(u, v) for u in range(p) for v in range(u + 1, p)]
+    host = Graph.make(range(n), [e for i, e in enumerate(hpairs) if hbits >> i & 1])
+    pattern = Graph.make(range(p), [e for i, e in enumerate(ppairs) if pbits >> i & 1])
+    assert_same_first_model(host, pattern, c, d)
+
+
+TWIN_PATTERNS = [complete(n) for n in (2, 3, 4, 5)] + [
+    bipartite(2, 2), bipartite(2, 3), bipartite(1, 3), bipartite(1, 4), MIXED_TWINS,
+]
+
+
+@pytest.mark.parametrize("pattern", TWIN_PATTERNS)
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_first_model_matches_oracle_on_twin_patterns(pattern, c):
+    for host in (grid2d(2, 3), cycle(5), path(4), complete(4)):
+        for d in (0, 1, 2):
+            assert_same_first_model(host, pattern, c, d)
+
+
+@pytest.mark.parametrize("rows, cols, n, model", [
+    (2, 3, 7, False), (2, 3, 8, False), (3, 3, 7, True),
+])
+def test_large_complete_patterns_at_congestion_two(rows, cols, n, model):
+    start = time.perf_counter()
+    m = find_model_bruteforce(grid2d(rows, cols), complete(n), 2, 2)
+    assert time.perf_counter() - start < 5.0
+    assert (m is not None) == model
+    if m is not None:
+        assert verify_model(m) == [] and oracle_model_violations(m) == []
 
 
 # ===== Universal-vertex reduction =====

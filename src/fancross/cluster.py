@@ -136,22 +136,6 @@ def _weak_failures(
     return out
 
 
-def _fan_paths_from_center(
-    d2: Drawing,
-    pieces_of: dict[int, list[int]],
-    eid: int,
-    edge: tuple[int, int],
-    center: int,
-) -> tuple[int, ...]:
-    """The full plan path of a (possibly cut) edge, walked from the center."""
-    pieces = pieces_of[eid]
-    if center == edge[0]:
-        ordered = pieces
-    else:
-        ordered = list(reversed(pieces))
-    return stitched_path(d2, ordered, d2.real_pvid[center])
-
-
 def _strong_failures(
     d: Drawing,
     d2: Drawing,
@@ -168,24 +152,32 @@ def _strong_failures(
     for n in comp:
         comp_x_of_edge.setdefault(cg.nodes[n].edge, set()).update(cg.crossings[n])
     for f in fans:
+        fan_eids: set[int] = set()
+        # Per fan edge crossing the component: its crossings there, its
+        # full plan path walked from the center, and its plan edge ids.
+        spokes: list[tuple[set[int], tuple[int, ...], list[int]]] = []
+        for edge in f.edges:
+            eid = d.base.edge_id(*edge)
+            fan_eids.add(eid)
+            if eid in comp_x_of_edge:
+                pieces = pieces_of[eid]
+                path = stitched_path(
+                    d2, pieces if f.center == edge[0] else pieces[::-1], d2.real_pvid[f.center]
+                )
+                trace = [pe for piece in pieces for pe in d2.trace[piece]]
+                spokes.append((comp_x_of_edge[eid], path, trace))
         for n in comp:
-            arc_edge = cg.nodes[n].edge
-            if d.base.edges[arc_edge] in f.edges:
+            if cg.nodes[n].edge in fan_eids:
                 continue
             alpha_x = set(cg.crossings[n])
-            hitting = [
-                (u, v)
-                for u, v in f.edges
-                if comp_x_of_edge.get(d.base.edge_id(u, v), set()) & alpha_x
-            ]
+            hitting = [s for s in spokes if s[0] & alpha_x]
             if not hitting:
                 continue
-            alpha_path = d2.paths[arc_to_new[keys[n]]]
-            fan_paths = [
-                _fan_paths_from_center(d2, pieces_of, d.base.edge_id(u, v), (u, v), f.center)
-                for u, v in hitting
-            ]
-            if not _fan_core(d2, alpha_path, fan_paths):
+            neid = arc_to_new[keys[n]]
+            kept = set(d2.trace[neid])
+            for _, _, trace in hitting:
+                kept.update(trace)
+            if not _fan_core(d2, d2.paths[neid], [p for _, p, _ in hitting], kept):
                 out.append((cid, f"fan property: center {f.center} arc {keys[n]}"))
     return out
 

@@ -65,20 +65,24 @@ class Drawing:
     def with_outer(self, outer: int) -> "Drawing":
         """This drawing with another outer face.
 
-        No cached lookup depends on the outer face, so the new drawing keeps
-        every one already computed here, the traced faces among them.
+        The new drawing keeps every cached lookup already computed here, the
+        traced faces among them, except :attr:`_dual_tree`: it is rooted at
+        the outer face, so the new drawing builds its own.
         """
         out = replace(self, outer=outer)
-        out.__dict__.update((k, v) for k, v in self.__dict__.items() if k != "outer")
+        out.__dict__.update(
+            (k, v) for k, v in self.__dict__.items() if k not in ("outer", "_dual_tree")
+        )
         return out
 
     @cached_property
-    def _face_table(self) -> tuple[tuple[tuple[Dart, ...], ...], list[int]]:
-        """The canonical faces, and the face index of every integer dart
-        (see :func:`_face_orbits`)."""
+    def _face_table(self) -> tuple[tuple[tuple[Dart, ...], ...], list[int], list[int]]:
+        """The canonical faces, the face index of every integer dart, and
+        every dart's face successor (see :func:`_face_orbits`)."""
+        nxt, orbits = _face_orbits(self.plan.edges, self.rotation)
         darts = [t for a, b in self.plan.edges for t in ((a, b), (b, a))]
         traced = []
-        for orbit in _face_orbits(self.plan.edges, self.rotation):
+        for orbit in orbits:
             f = [darts[d] for d in orbit]
             k = f.index(min(f))
             traced.append((tuple(f[k:] + f[:k]), orbit))
@@ -88,7 +92,35 @@ class Drawing:
         for i, (_, orbit) in enumerate(traced):
             for d in orbit:
                 face_of[d] = i
-        return tuple(f for f, _ in traced), face_of
+        return tuple(f for f, _ in traced), face_of, nxt
+
+    @cached_property
+    def _dual_tree(self) -> list[int]:
+        """Per face, the dart crossed to enter it in a breadth-first search
+        of the dual, or -1 at a root; the entered face lies on the dart's
+        left.  Each plan component is rooted at the outer face if that face
+        lies in it, else at the component's canonically first face."""
+        faces, face_of, nxt = self._face_table
+        some_dart = [0] * len(faces)
+        for x, f in enumerate(face_of):
+            some_dart[f] = x
+        enter = [None] * len(faces)
+        for root in (self.outer, *range(len(faces))):
+            if enter[root] is not None:
+                continue
+            enter[root] = -1
+            queue = [some_dart[root]]
+            for start in queue:
+                x = start
+                while True:
+                    g = face_of[x ^ 1]
+                    if enter[g] is None:
+                        enter[g] = x ^ 1
+                        queue.append(x ^ 1)
+                    x = nxt[x]
+                    if x == start:
+                        break
+        return enter
 
     @cached_property
     def faces(self) -> tuple[tuple[Dart, ...], ...]:
@@ -152,8 +184,9 @@ def _real_vertex(kind: str) -> Optional[int]:
 
 def _face_orbits(
     edges: Sequence[tuple[int, int]], rotation: Mapping[int, Sequence[int]]
-) -> list[list[int]]:
-    """The faces of a rotation system, as cycles of integer darts.
+) -> tuple[list[int], list[list[int]]]:
+    """The face successor of every integer dart of a rotation system, and
+    its faces as cycles of integer darts.
 
     Dart ``2e`` runs along edge ``e`` from ``edges[e][0]`` to ``edges[e][1]``,
     and dart ``2e + 1`` runs back.  The successor of a dart entering ``v``
@@ -178,7 +211,7 @@ def _face_orbits(
             orbit.append(d)
             d = nxt[d]
         out.append(orbit)
-    return out
+    return nxt, out
 
 
 def _component_index(
@@ -671,19 +704,6 @@ def _passage_side(d: Drawing, alpha_path: Sequence[int], x: int, other_in: Dart)
     raise ValueError("darts do not meet at the crossing")
 
 
-def _outer_class_face(d: Drawing, pvid: int) -> int:
-    """The face representing the unbounded side for ``pvid``'s plan component:
-    the drawing's outer face if it borders that component, else the
-    component's canonically first face."""
-    comp = d.plan_components[pvid]
-    if d.faces and d.plan_components[d.faces[d.outer][0][0]] == comp:
-        return d.outer
-    for i, f in enumerate(d.faces):
-        if d.plan_components[f[0][0]] == comp:
-            return i
-    raise ValueError("component has no faces")
-
-
 class _UnionFind:
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
@@ -701,15 +721,32 @@ class _UnionFind:
 
 
 def _fan_core(
-    d: Drawing, alpha_path: Sequence[int], fan_paths: Sequence[Sequence[int]]
+    d: Drawing,
+    alpha_path: Sequence[int],
+    fan_paths: Sequence[Sequence[int]],
+    kept: set[int],
 ) -> bool:
     """The strong fan-property conditions over explicit plan paths.
 
     ``alpha_path`` is the arc's plan path; every entry of ``fan_paths`` is a
-    full edge path oriented away from the fan center.  Checks: (1) each fan
-    path meets the arc in exactly one crossing; (2) all approaches come from
-    the same side; (3) deleting everything else never encloses an end of the
-    arc.
+    full edge path oriented away from the fan center; ``kept`` holds the
+    plan edge ids of all these paths.  Checks: (1) each fan path meets the
+    arc in exactly one crossing; (2) all approaches come from the same side;
+    (3) deleting everything else never encloses an end of the arc.
+
+    Condition (3) is traced on the kept subgraph H.  After (1) every fan
+    path meets the arc, and all of them share the center, so H is connected.
+    The faces of a connected H are then exactly the faces of the arc's plan
+    component merged across every edge outside H, and the face of H that
+    holds the component's root (see :attr:`Drawing._dual_tree`) meets an
+    end of the arc iff its boundary passes through it.  The walk from a dart
+    of H up the dual tree locates that face: the last kept edge crossed
+    gives a dart of H with the root's side on its left, or, if none is
+    crossed, the start dart has it.  The face is then traced with the
+    rotation restricted to H (skip every edge outside H, backwards round the
+    vertex) until both ends of the arc have been seen.  The cost is the
+    depth of the dual tree plus the plan degrees along the traced face of
+    H, not the size of the drawing.
     """
     alpha_x = {q for q in alpha_path[1:-1] if d.kind_of(q) == "crossing"}
     hits: list[tuple[int, Dart]] = []
@@ -724,21 +761,24 @@ def _fan_core(
     if len(sides) > 1:
         return False
 
-    kept: set[int] = set()
-    for seq in [alpha_path, *fan_paths]:
-        for a, b in zip(seq, seq[1:]):
-            kept.add(d.plan.edge_id(a, b))
-    uf = _UnionFind(len(d.faces))
-    face_of = d._face_table[1]
-    for peid in range(d.plan.m):
-        if peid not in kept:
-            uf.union(face_of[2 * peid], face_of[2 * peid + 1])
-    outer = uf.find(_outer_class_face(d, alpha_path[0]))
-    for p in (alpha_path[0], alpha_path[-1]):
-        touching = set()
-        for q in d.plan.neighbors(p):
-            touching.add(d.face_of_dart((p, q)))
-            touching.add(d.face_of_dart((q, p)))
-        if not any(uf.find(f) == outer for f in touching):
+    _, face_of, nxt = d._face_table
+    enter = d._dual_tree
+    start = 2 * next(iter(kept))
+    f = face_of[start]
+    while enter[f] >= 0:
+        x = enter[f] ^ 1
+        if x >> 1 in kept:
+            start = x
+        f = face_of[x]
+    ends = {alpha_path[0], alpha_path[-1]}
+    edges = d.plan.edges
+    x = start
+    while True:
+        ends.discard(edges[x >> 1][x & 1])
+        if not ends:
+            return True
+        x = nxt[x]
+        while x >> 1 not in kept:
+            x = nxt[x ^ 1]
+        if x == start:
             return False
-    return True

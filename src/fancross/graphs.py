@@ -147,16 +147,19 @@ def radius_center(g: Graph, subset: Optional[Iterable[int]] = None) -> tuple[int
 
 @dataclass(frozen=True)
 class Fan:
-    """A center vertex together with a set of edges incident to it."""
+    """A center vertex together with a set of edges incident to it, each
+    stored as ``(min, max)`` like a :class:`Graph` edge."""
 
     center: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        edges = []
         for u, v in self.edges:
             if self.center != u and self.center != v:
                 raise ValueError("not a fan")
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+            edges.append((u, v) if u < v else (v, u))
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
 
 
 def vertex_cover(edges: Sequence[tuple[int, int]], ell: int) -> Optional[tuple[int, ...]]:

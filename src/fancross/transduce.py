@@ -278,7 +278,7 @@ class _RotSys:
             rotation[v] = [index[e] for e in r]
         if sum(map(len, rotation.values())) != 2 * len(ends):
             return False
-        orbits = _face_orbits(ends, rotation)
+        _, orbits = _face_orbits(ends, rotation)
         face_vertices = (ends[o[0] >> 1][o[0] & 1] for o in orbits)
         return not _euler_failures(_component_index(self.rot, ends), ends, face_vertices)
 

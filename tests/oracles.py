@@ -9,7 +9,8 @@ components from one BFS per unvisited vertex, faces from
 stepping ``(u, v)`` dart tuples through rotation positions, the
 transducer's surgery check from rebuilding the surgered drawing and running
 ``validate`` on it, and the decoded graph of a transduction from one path
-search per vertex pair, or from the rendered text of its formula.
+search per vertex pair, or from the rendered text of its formula, and
+the strong fan property from a face union-find over the whole plan.
 """
 
 from __future__ import annotations
@@ -29,7 +30,16 @@ from fancross.cluster import (
     _subdivided,
     verify_certificate,
 )
-from fancross.drawing import Drawing, SubdivisionPlan, crossing_graph, is_k_planar, validate
+from fancross.drawing import (
+    Dart,
+    Drawing,
+    SubdivisionPlan,
+    _passage_side,
+    _UnionFind,
+    crossing_graph,
+    is_k_planar,
+    validate,
+)
 from fancross.errors import CapExceeded, InvariantBroken
 from fancross.geometry import drawing_from_segments, pt
 from fancross.graphs import ColoredGraph, ColorLabel, Fan, Graph, fan_cover
@@ -458,6 +468,70 @@ def oracle_faces(d: Drawing) -> tuple[tuple[tuple[int, int], ...], ...]:
         out.append(tuple(orbit[k:] + orbit[:k]))
     out.sort(key=lambda f: f[0])
     return tuple(out)
+
+
+# ===== Strong fan-property oracle (a face union-find over the whole plan) =====
+
+
+def _outer_class_face(d: Drawing, pvid: int) -> int:
+    """The face representing the unbounded side for ``pvid``'s plan component:
+    the drawing's outer face if it borders that component, else the
+    component's canonically first face."""
+    comp = d.plan_components[pvid]
+    if d.faces and d.plan_components[d.faces[d.outer][0][0]] == comp:
+        return d.outer
+    for i, f in enumerate(d.faces):
+        if d.plan_components[f[0][0]] == comp:
+            return i
+    raise ValueError("component has no faces")
+
+
+def oracle_fan_core(
+    d: Drawing, alpha_path: Sequence[int], fan_paths: Sequence[Sequence[int]]
+) -> bool:
+    """``drawing._fan_core`` the slow way: condition (3) merges faces across
+    every plan edge off the paths in a union-find, and the kept edges are
+    found through ``Graph.edge_id``.
+
+    The strong fan-property conditions over explicit plan paths.
+
+    ``alpha_path`` is the arc's plan path; every entry of ``fan_paths`` is a
+    full edge path oriented away from the fan center.  Checks: (1) each fan
+    path meets the arc in exactly one crossing; (2) all approaches come from
+    the same side; (3) deleting everything else never encloses an end of the
+    arc.
+    """
+    alpha_x = {q for q in alpha_path[1:-1] if d.kind_of(q) == "crossing"}
+    hits: list[tuple[int, Dart]] = []
+    for fp in fan_paths:
+        common = [q for q in fp if q in alpha_x]
+        if len(common) != 1:
+            return False
+        x = common[0]
+        j = fp.index(x)
+        hits.append((x, (fp[j - 1], x)))
+    sides = {_passage_side(d, alpha_path, x, din) for x, din in hits}
+    if len(sides) > 1:
+        return False
+
+    kept: set[int] = set()
+    for seq in [alpha_path, *fan_paths]:
+        for a, b in zip(seq, seq[1:]):
+            kept.add(d.plan.edge_id(a, b))
+    uf = _UnionFind(len(d.faces))
+    face_of = d._face_table[1]
+    for peid in range(d.plan.m):
+        if peid not in kept:
+            uf.union(face_of[2 * peid], face_of[2 * peid + 1])
+    outer = uf.find(_outer_class_face(d, alpha_path[0]))
+    for p in (alpha_path[0], alpha_path[-1]):
+        touching = set()
+        for q in d.plan.neighbors(p):
+            touching.add(d.face_of_dart((p, q)))
+            touching.add(d.face_of_dart((q, p)))
+        if not any(uf.find(f) == outer for f in touching):
+            return False
+    return True
 
 
 def oracle_materialize(rs: _RotSys) -> Drawing:

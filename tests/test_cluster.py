@@ -102,6 +102,19 @@ def test_assignment_to_foreign_fan_is_reported():
     assert rep.failures == ((0, f"arc not covered by its fan: {key}"),)
 
 
+def test_fan_edges_written_backwards_verify_the_same():
+    d = fig1a()
+    cert = fig1a_certificate()
+    covers = {
+        cid: tuple(Fan(f.center, tuple((v, u) for u, v in f.edges)) for f in fans)
+        for cid, fans in cert.covers.items()
+    }
+    flipped = replace(cert, covers=covers)
+    assert flipped.covers == cert.covers
+    for strong in (False, True):
+        assert verify_certificate(d, flipped, strong) == verify_certificate(d, cert, strong)
+
+
 def test_fan_budget_is_reported_per_component():
     rep = verify_certificate(fig1a(), replace(fig1a_certificate(), ell=1))
     assert not rep.verdict

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_component_index, oracle_faces
+from oracles import oracle_component_index, oracle_faces, oracle_fan_core
 
 from fancross import drawing
 from fancross.cluster import Certificate, verify_certificate
@@ -24,6 +24,7 @@ from fancross.drawing import (
     crossings_per_edge,
     is_k_planar,
     planarize,
+    stitched_path,
     subdivide,
     subdivide_with_map,
     validate,
@@ -398,6 +399,18 @@ def fan_paths_from(d, center, eids):
     return [d.paths[e] if d.paths[e][0] == start else d.paths[e][::-1] for e in eids]
 
 
+def kept_edges(d, alpha, fan):
+    """The plan edge ids of the arc path and the fan paths."""
+    return {d.plan.edge_id(a, b) for p in (alpha, *fan) for a, b in zip(p, p[1:])}
+
+
+def strong_fan(d, alpha, fan):
+    """``_fan_core`` on these paths, checked against ``oracle_fan_core``."""
+    got = _fan_core(d, alpha, fan, kept_edges(d, alpha, fan))
+    assert got == oracle_fan_core(d, alpha, fan)
+    return got
+
+
 def approach_sides(d, alpha, fan):
     """The side from which each fan path meets the arc path ``alpha``."""
     sides = set()
@@ -415,15 +428,15 @@ def test_side_of_approach_is_side_dependent():
 
 def test_fan_property_weak_on_x():
     d = xfix()
-    assert _fan_core(d, d.paths[0], fan_paths_from(d, 2, [1]))
-    assert _fan_core(d, d.paths[0], fan_paths_from(d, 3, [1]))
+    assert strong_fan(d, d.paths[0], fan_paths_from(d, 2, [1]))
+    assert strong_fan(d, d.paths[0], fan_paths_from(d, 3, [1]))
 
 
 def test_fan_property_fails_on_double_crossing():
     d = lens()
     # The whole edge (2,3) crosses the whole edge (0,1) twice: not a fan
     # crossing pattern.
-    assert not _fan_core(d, d.paths[0], fan_paths_from(d, 2, [1]))
+    assert not strong_fan(d, d.paths[0], fan_paths_from(d, 2, [1]))
 
 
 def test_fan_property_on_arc_of_lens():
@@ -431,7 +444,7 @@ def test_fan_property_on_arc_of_lens():
     # Cut (0,1) after its first crossing; the arc up to it is crossed once.
     d2, arc_to_new, _ = subdivide_with_map(d, SubdivisionPlan({0: (1,)}))
     alpha = d2.paths[arc_to_new[(0, 0)]]
-    assert _fan_core(d2, alpha, fan_paths_from(d2, 2, [arc_to_new[(1, 0)]]))
+    assert strong_fan(d2, alpha, fan_paths_from(d2, 2, [arc_to_new[(1, 0)]]))
 
 
 def test_fan_property_same_side_requirement():
@@ -448,16 +461,16 @@ def test_fan_property_same_side_requirement():
     }
     d = drawing_from_segments(g, pos)
     alpha = d.paths[0]
-    assert _fan_core(d, alpha, fan_paths_from(d, 3, [1]))
+    assert strong_fan(d, alpha, fan_paths_from(d, 3, [1]))
     # Mixed sides fail: walk one edge from below, the other from above.
     mixed = fan_paths_from(d, 2, [1]) + fan_paths_from(d, 5, [2])
     assert approach_sides(d, alpha, mixed) == {"left", "right"}
-    assert not _fan_core(d, alpha, mixed)
+    assert not strong_fan(d, alpha, mixed)
 
 
 def test_fan_property_empty_fan_true():
     d = xfix()
-    assert _fan_core(d, d.paths[0], [])
+    assert strong_fan(d, d.paths[0], [])
 
 
 def test_strong_fan_detects_enclosure():
@@ -477,7 +490,7 @@ def test_strong_fan_detects_enclosure():
     assert validate(d) == []
     alpha, fan = d.paths[2], fan_paths_from(d, 0, [0, 1])
     assert len(approach_sides(d, alpha, fan)) == 1  # weak: fine
-    assert not _fan_core(d, alpha, fan)
+    assert not strong_fan(d, alpha, fan)
     cert = Certificate(
         1, 2, covers={0: (Fan(0, ((0, 1), (0, 2))), Fan(4, ((3, 4),)))},
         assignment={(0, 0): 0, (1, 0): 0, (2, 0): 4},
@@ -485,6 +498,109 @@ def test_strong_fan_detects_enclosure():
     assert verify_certificate(d, cert).verdict
     strong = verify_certificate(d, cert, strong=True)
     assert (0, "fan property: center 0 arc (2, 0)") in strong.failures
+
+
+def fan_case_drawing(n, k, seed):
+    """``random_kplanar(n, k, seed)``, maybe beside a copy of itself with
+    edges dropped, maybe cut by a random plan.  Returns the uncut drawing,
+    the cut one, the arc map and the random generator for the cases."""
+    rng = random.Random(seed)
+    d = random_kplanar(n, k, seed)
+    if rng.random() < 0.5:
+        # The generator's vertex positions are its first n draws.  Any subset
+        # of its edges is again a valid straight-line drawing, and so is a
+        # copy to the right of it, a plan component that misses the outer
+        # face.
+        prng = random.Random(seed)
+        ys = [prng.randrange(0, 2 * n + 1) for _ in range(n)]
+        pos = {i: pt(i, ys[i % n]) for i in range(2 * n)}
+        edges = [e for e in d.base.edges if rng.random() < 0.6]
+        edges += [(u + n, v + n) for u, v in d.base.edges]
+        d = drawing_from_segments(Graph.make(range(2 * n), edges), pos)
+    plan = random_plan(d, rng) if d.base.m and rng.random() < 0.5 else SubdivisionPlan()
+    d2, arc_to_new, _ = subdivide_with_map(d, plan)
+    return d, d2, arc_to_new, rng
+
+
+def fan_cases(d, d2, arc_to_new, rng, count):
+    """Random strong fan checks on ``d2``: a crossed arc, a center at an end
+    of an edge crossing it (most often the end with the most such edges),
+    and a random subset of the center's edges that cross the arc, each
+    walked from the center through its pieces.  Some cases move the outer
+    face to a random face or to a face beside the arc."""
+    pieces_of = {}
+    for (eid, _), neid in sorted(arc_to_new.items()):
+        pieces_of.setdefault(eid, []).append(neid)
+    arcs = [neid for _, neid in sorted(arc_to_new.items()) if d2.edge_crossings[neid]]
+    for _ in range(count if arcs else 0):
+        neid = rng.choice(arcs)
+        ax = set(d2.edge_crossings[neid])
+        hit = [e for e in range(d.base.m) if ax & set(d.edge_crossings[e])]
+        ends = [v for e in hit for v in d.base.edges[e]]
+        if rng.random() < 0.7:
+            center = max(sorted(set(ends)), key=ends.count)
+        else:
+            center = rng.choice(ends)
+        fan = []
+        for e in hit:
+            if center in d.base.edges[e] and rng.random() < 0.8:
+                pieces = pieces_of[e] if d.base.edges[e][0] == center else pieces_of[e][::-1]
+                fan.append(stitched_path(d2, pieces, d2.real_pvid[center]))
+        alpha, rooted = d2.paths[neid], d2
+        if rng.random() < 0.3:
+            rooted = d2.with_outer(rng.randrange(len(d2.faces)))
+        elif rng.random() < 0.5:
+            i = rng.randrange(len(alpha) - 1)
+            dart = (alpha[i], alpha[i + 1])
+            rooted = d2.with_outer(d2.face_of_dart(dart if rng.random() < 0.5 else dart[::-1]))
+        yield rooted, alpha, fan
+
+
+def decided_by_enclosure(d, alpha, fan):
+    """Whether conditions (1) and (2) hold, so that (3) decides."""
+    inner = {q for q in alpha[1:-1] if d.kind_of(q) == "crossing"}
+    if any(sum(q in inner for q in p) != 1 for p in fan):
+        return False
+    return len(approach_sides(d, alpha, fan)) <= 1
+
+
+def off_outer_component(d, alpha):
+    """Whether the arc's plan component misses the outer face."""
+    comp = d.plan_components
+    return comp[alpha[0]] != comp[d.faces[d.outer][0][0]]
+
+
+def test_strong_fan_matches_oracle_on_seeded_corpus():
+    enclosed = off_outer = 0
+    for seed in range(400):
+        n, k = 4 + seed % 13, 1 + seed % 3
+        d, d2, arc_to_new, rng = fan_case_drawing(n, k, seed)
+        for d3, alpha, fan in fan_cases(d, d2, arc_to_new, rng, 6):
+            got = strong_fan(d3, alpha, fan)
+            enclosed += not got and decided_by_enclosure(d3, alpha, fan)
+            off_outer += off_outer_component(d3, alpha)
+    assert enclosed > 0 and off_outer > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 14), st.integers(1, 3), st.integers(0, 10**6))
+def test_strong_fan_matches_oracle_on_random_drawings(n, k, seed):
+    d, d2, arc_to_new, rng = fan_case_drawing(n, k, seed)
+    for d3, alpha, fan in fan_cases(d, d2, arc_to_new, rng, 4):
+        strong_fan(d3, alpha, fan)
+
+
+def test_strong_fan_follows_the_outer_face():
+    # The diagonal (1, 4) of the convex pentagon is crossed by the fan of
+    # 0; with the outer face inside the triangle the fan cuts off, the kept
+    # paths enclose both ends of the diagonal.
+    # Each re-rooted drawing starts from one whose dual tree is built.
+    d = fig3()
+    eid = d.base.edge_id
+    alpha, fan = d.paths[eid(1, 4)], fan_paths_from(d, 0, [eid(0, 2), eid(0, 3)])
+    assert strong_fan(d, alpha, fan)
+    got = [strong_fan(d.with_outer(i), alpha, fan) for i in range(len(d.faces))]
+    assert True in got and False in got
 
 
 # ===== JSON =====

@@ -140,7 +140,6 @@ def _strong_failures(
     d: Drawing,
     d2: Drawing,
     pieces_of: dict[int, list[int]],
-    arc_to_new: dict[tuple[int, int], int],
     cg: CrossingGraph,
     keys: dict[int, tuple[int, int]],
     cid: int,
@@ -173,25 +172,14 @@ def _strong_failures(
             hitting = [s for s in spokes if s[0] & alpha_x]
             if not hitting:
                 continue
-            neid = arc_to_new[keys[n]]
+            eid, piece = keys[n]
+            neid = pieces_of[eid][piece]
             kept = set(d2.trace[neid])
             for _, _, trace in hitting:
                 kept.update(trace)
             if not _fan_core(d2, d2.paths[neid], [p for _, p, _ in hitting], kept):
                 out.append((cid, f"fan property: center {f.center} arc {keys[n]}"))
     return out
-
-
-def _subdivided(d: Drawing, plan: SubdivisionPlan):
-    """``d`` cut per ``plan``, with arc and per-edge piece maps.  A plan with
-    no cuts gives ``d`` itself, whose faces are then computed only once."""
-    if not plan.cuts:
-        return d, {(e, 0): e for e in range(d.base.m)}, {e: [e] for e in range(d.base.m)}
-    d2, arc_to_new, _ = subdivide_with_map(d, plan)
-    pieces_of: dict[int, list[int]] = {}
-    for (eid, piece), neid in sorted(arc_to_new.items()):
-        pieces_of.setdefault(eid, []).append(neid)
-    return d2, arc_to_new, pieces_of
 
 
 def verify_certificate(d: Drawing, cert: Certificate, strong: bool = False) -> ClusterReport:
@@ -205,9 +193,9 @@ def verify_certificate(d: Drawing, cert: Certificate, strong: bool = False) -> C
     for cid in sorted(cert.covers):
         if not (0 <= cid < len(comps)):
             failures.append((cid, "unknown component"))
-    d2 = arc_to_new = pieces_of = None
+    d2 = pieces_of = None
     if strong and comps:
-        d2, arc_to_new, pieces_of = _subdivided(d, cert.plan)
+        d2, pieces_of = subdivide_with_map(d, cert.plan)
     for cid, comp in enumerate(comps):
         fans = cert.covers.get(cid)
         if fans is None:
@@ -215,9 +203,7 @@ def verify_certificate(d: Drawing, cert: Certificate, strong: bool = False) -> C
             continue
         failures += _weak_failures(d, cg, keys, cid, comp, fans, cert.ell, cert.assignment)
         if strong:
-            failures += _strong_failures(
-                d, d2, pieces_of, arc_to_new, cg, keys, cid, comp, fans
-            )
+            failures += _strong_failures(d, d2, pieces_of, cg, keys, cid, comp, fans)
     failures.sort()
     stats = {
         "components": len(comps),
@@ -251,7 +237,6 @@ def _strong_cover(
     d: Drawing,
     d2: Drawing,
     pieces_of: dict[int, list[int]],
-    arc_to_new: dict[tuple[int, int], int],
     cg: CrossingGraph,
     keys: dict[int, tuple[int, int]],
     comp: Sequence[int],
@@ -274,9 +259,7 @@ def _strong_cover(
             if not ok:
                 continue
             fans = [Fan(c, tuple(groups[c])) for c in sorted(groups)]
-            if not _strong_failures(
-                d, d2, pieces_of, arc_to_new, cg, keys, 0, comp, fans
-            ):
+            if not _strong_failures(d, d2, pieces_of, cg, keys, 0, comp, fans):
                 return fans
     return None
 
@@ -347,18 +330,16 @@ def _certificate(
     cg = crossing_graph(d, plan)
     comps = cg.components()
     keys = _arc_keys(cg)
-    d2 = arc_to_new = pieces_of = None
+    d2 = pieces_of = None
     if strong and comps:
-        d2, arc_to_new, pieces_of = _subdivided(d, plan)
+        d2, pieces_of = subdivide_with_map(d, plan)
     covers: dict[int, tuple[Fan, ...]] = {}
     assignment: dict[tuple[int, int], int] = {}
     for cid, comp in enumerate(comps):
         part = sorted({cg.nodes[n].edge for n in comp})
         part_edges = [d.base.edges[e] for e in part]
         if strong:
-            fans = _strong_cover(
-                d, d2, pieces_of, arc_to_new, cg, keys, comp, part_edges, ell
-            )
+            fans = _strong_cover(d, d2, pieces_of, cg, keys, comp, part_edges, ell)
         else:
             fans = fan_cover(d.base, part_edges, ell)
         if fans is None:
@@ -485,11 +466,9 @@ class _GroupSearch:
         plan = SubdivisionPlan({f: bounds[f][1:-1] for f in edges})
         cg = crossing_graph(d, plan)
         comp = [n for n, a in enumerate(cg.nodes) if (a.edge, a.lo, a.hi) in arcs]
-        d2, arc_to_new, pieces_of = _subdivided(d, plan)
+        d2, pieces_of = subdivide_with_map(d, plan)
         part_edges = [d.base.edges[f] for f in sorted(edges)]
-        fans = _strong_cover(
-            d, d2, pieces_of, arc_to_new, cg, _arc_keys(cg), comp, part_edges, self.ell
-        )
+        fans = _strong_cover(d, d2, pieces_of, cg, _arc_keys(cg), comp, part_edges, self.ell)
         return fans is not None
 
 

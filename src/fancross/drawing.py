@@ -534,112 +534,190 @@ def crossing_graph(d: Drawing, plan: Optional[SubdivisionPlan] = None) -> Crossi
     return CrossingGraph(tuple(nodes), tuple(sorted(edges)), tuple(crossings))
 
 
+# ===== The mutable rotation system =====
+
+
+class _RotSys:
+    """A mutable rotation system, the one builder behind every edit of a
+    plan: cutting base edges (:func:`subdivide_with_map`) and the
+    transducers' surgery.  It is an edge list with counterclockwise
+    rotations, as in a doubly-connected edge list, and tolerates parallel
+    edges mid-surgery.
+
+    Edge ids are local: the plan's ids to start with, fresh ones above them
+    for every new edge.  New vertex ids start above both the plan's and the
+    base's ids, so a cut vertex can also be a base vertex.  Every operation
+    below preserves realizability in the plane; :meth:`is_plane_simple`
+    checks that a finished surgery is a plane simple graph.
+    """
+
+    def __init__(self, d: Drawing) -> None:
+        self.rot: dict[int, list[int]] = {v: list(r) for v, r in d.rotation.items()}
+        self.ends: dict[int, tuple[int, int]] = dict(enumerate(d.plan.edges))
+        self._fresh_e = d.plan.m
+        self._fresh_v = max((*d.plan.vertices, *d.base.vertices), default=-1) + 1
+
+    def other(self, eid: int, v: int) -> int:
+        a, b = self.ends[eid]
+        return b if a == v else a
+
+    def new_edge_id(self) -> int:
+        self._fresh_e += 1
+        return self._fresh_e - 1
+
+    def new_vertex_id(self) -> int:
+        self._fresh_v += 1
+        return self._fresh_v - 1
+
+    def smooth(self, v: int) -> int:
+        """Removes a degree-2 vertex, fusing its two edges into one."""
+        e1, e2 = self.rot[v]
+        p, q = self.other(e1, v), self.other(e2, v)
+        ne = self.new_edge_id()
+        self.ends[ne] = (p, q)
+        self.rot[p][self.rot[p].index(e1)] = ne
+        self.rot[q][self.rot[q].index(e2)] = ne
+        del self.rot[v], self.ends[e1], self.ends[e2]
+        return ne
+
+    def contract(self, eid: int, keep: int) -> None:
+        """Contracts an edge, merging its other endpoint into ``keep``.
+
+        The absorbed rotation is spliced in at the edge's slot; edges that
+        become loops are dropped (each drop merges two faces, keeping the
+        system planar).
+        """
+        gone = self.other(eid, keep)
+        ra, rb = self.rot[keep], self.rot[gone]
+        ia, ib = ra.index(eid), rb.index(eid)
+        spliced = ra[:ia] + rb[ib + 1 :] + rb[:ib] + ra[ia + 1 :]
+        del self.rot[gone], self.ends[eid]
+        for f in rb:
+            if f == eid:
+                continue
+            a, b = self.ends[f]
+            self.ends[f] = (keep if a == gone else a, keep if b == gone else b)
+        kept = [f for f in spliced if self.ends[f][0] != self.ends[f][1]]
+        for f in set(spliced) - set(kept):
+            del self.ends[f]
+        self.rot[keep] = kept
+
+    def remove_edge(self, eid: int) -> None:
+        a, b = self.ends.pop(eid)
+        self.rot[a].remove(eid)
+        self.rot[b].remove(eid)
+
+    def subdivide_edge(self, eid: int, start: int) -> tuple[int, int, int]:
+        """Splits an edge once at a new vertex ``s``.
+
+        Returns ``s``, the new edge from ``start`` to ``s`` and the new edge
+        from ``s`` to the other end.  Each end keeps the edge's rotation
+        slot, and ``s`` lists the two edges in that order.
+        """
+        end = self.other(eid, start)
+        del self.ends[eid]
+        s = self.new_vertex_id()
+        e1, e2 = self.new_edge_id(), self.new_edge_id()
+        self.ends[e1] = (start, s)
+        self.ends[e2] = (s, end)
+        self.rot[start][self.rot[start].index(eid)] = e1
+        self.rot[end][self.rot[end].index(eid)] = e2
+        self.rot[s] = [e1, e2]
+        return s, e1, e2
+
+    def is_plane_simple(self) -> bool:
+        """Whether the finished system is a simple graph embedded in the plane.
+
+        Checks that every edge joins two distinct vertices of the system,
+        that no two edges join the same pair, that each rotation lists its
+        incident edges exactly once, and that Euler's formula holds on every
+        component.  These are the checks of :func:`validate` that the
+        surgery can break.  Its other checks hold by construction on the
+        transducers' output drawing: every vertex is real (``real:<v>`` for
+        itself) and every trace is the single edge it draws, so there are no
+        crossing or subdivision vertices, and the kinds, the real-copy
+        bijection and the traces are right.
+        """
+        index = {e: i for i, e in enumerate(self.ends)}
+        ends = list(self.ends.values())
+        pairs = set()
+        for a, b in ends:
+            if a == b or a not in self.rot or b not in self.rot:
+                return False
+            pairs.add((a, b) if a < b else (b, a))
+        if len(pairs) != len(ends):
+            return False
+        rotation: dict[int, list[int]] = {}
+        for v, r in self.rot.items():
+            if len(set(r)) != len(r):
+                return False
+            for e in r:
+                if v not in self.ends.get(e, ()):
+                    return False
+            rotation[v] = [index[e] for e in r]
+        if sum(map(len, rotation.values())) != 2 * len(ends):
+            return False
+        _, orbits = _face_orbits(ends, rotation)
+        face_vertices = (ends[o[0] >> 1][o[0] & 1] for o in orbits)
+        return not _euler_failures(_component_index(self.rot, ends), ends, face_vertices)
+
+
 # ===== Subdivision =====
 
 
-def subdivide_with_map(
-    d: Drawing, plan: SubdivisionPlan
-) -> tuple["Drawing", dict[tuple[int, int], int], dict[int, tuple[int, int]]]:
-    """Like :func:`subdivide`, also returning the arc correspondence.
+def subdivide_with_map(d: Drawing, plan: SubdivisionPlan) -> tuple[Drawing, dict[int, list[int]]]:
+    """Like :func:`subdivide`, also returning the pieces of every edge.
 
-    Returns ``(d2, arc_to_new, new_to_arc)`` where arcs are keyed by
-    ``(original edge id, piece index)`` and map to base edge ids of ``d2``.
-    Uncut edges count as their own single piece.
+    Returns ``(d2, pieces)``: ``pieces[e]`` lists the base edge ids of
+    ``d2`` that edge ``e`` of ``d`` falls into, in cut order from its smaller
+    endpoint; an uncut edge is its own single piece.  A plan without cuts
+    returns ``d`` itself, whose faces are then traced only once.
+
+    The cuts are made on a :class:`_RotSys`: every edge's trace is walked
+    from its smaller endpoint and split at each of its cuts in turn, so cut
+    vertices are numbered by edge, then along the trace.  A split keeps the
+    rotation slots of the split edge's ends, so the outer face is found
+    again through the slot of its first dart's tail.
     """
     cuts = _checked_cuts(d, plan)
-    fresh = max((*d.plan.vertices, *d.base.vertices), default=-1) + 1
+    if not cuts:
+        return d, {e: [e] for e in range(d.base.m)}
+    rs = _RotSys(d)
+    kind = dict(d.kind)
+    made: list[tuple[int, tuple[int, int], list[int]]] = []  # edge, piece ends, builder trace
+    for eid, (u, v) in enumerate(d.base.edges):
+        path, steps = d.paths[eid], d.trace[eid]
+        if path[0] not in d.plan.edges[steps[0]]:
+            steps = steps[::-1]
+        xs = d.edge_crossings[eid]
+        at = [path.index(xs[g - 1]) if g else 0 for g in cuts.get(eid, ())]
+        tail, piece = u, []
+        for i, pe in enumerate(steps):
+            a = path[i]
+            for _ in range(at.count(i)):
+                s, e1, pe = rs.subdivide_edge(pe, a)
+                kind[s] = f"real:{s}"
+                made.append((eid, (tail, s), piece + [e1]))
+                tail, piece, a = s, [], s
+            piece.append(pe)
+        made.append((eid, (tail, v), piece))
 
-    # Where each cut lands: the first plan edge of its gap, as a directed
-    # path-edge index along the trace.
-    split_at: dict[int, dict[int, list[int]]] = {}  # eid -> path edge idx -> new vids
-    chains: dict[int, list[int]] = {}  # eid -> cut vertices in trace order
-    for eid in sorted(cuts):
-        path = d.paths[eid]
-        xs_pos = [i for i, q in enumerate(path) if d.kind_of(q) == "crossing"]
-        per_edge = split_at.setdefault(eid, {})
-        chain = chains.setdefault(eid, [])
-        for g in cuts[eid]:
-            idx = 0 if g == 0 else xs_pos[g - 1]
-            per_edge.setdefault(idx, []).append(fresh)
-            chain.append(fresh)
-            fresh += 1
+    new_plan = Graph.make(rs.rot, rs.ends.values())
+    canon = {e: new_plan.edge_id(a, b) for e, (a, b) in rs.ends.items()}
+    rotation = {v: tuple(canon[e] for e in r) for v, r in rs.rot.items()}
+    cut_vertices = [v for v in rs.rot if v not in d.rotation]
+    new_base = Graph.make((*d.base.vertices, *cut_vertices), (ends for _, ends, _ in made))
+    trace: dict[int, tuple[int, ...]] = {}
+    pieces: dict[int, list[int]] = {e: [] for e in range(d.base.m)}
+    for eid, ends, steps in made:
+        ne = new_base.edge_id(*ends)
+        pieces[eid].append(ne)
+        trace[ne] = tuple(canon[e] for e in steps)
 
-    # New plan: replace each split plan edge by its chain.
-    new_pedges: list[tuple[int, int]] = []
-    dart_map: dict[Dart, Dart] = {}  # old directed plan edge -> new first dart
-    vkind = dict(d.kind)
-    sub_rot: dict[int, list[tuple[int, int]]] = {}
-    replaced: set[int] = set()
-    for eid, per_edge in split_at.items():
-        path = d.paths[eid]
-        for idx, new_vids in per_edge.items():
-            a, b = path[idx], path[idx + 1]
-            replaced.add(d.plan.edge_id(a, b))
-            seq = [a, *new_vids, b]
-            for x, y in zip(seq, seq[1:]):
-                new_pedges.append((x, y))
-            dart_map[(a, b)] = (a, seq[1])
-            dart_map[(b, a)] = (b, seq[-2])
-            for i, s in enumerate(new_vids):
-                vkind[s] = f"real:{s}"
-                sub_rot[s] = [(seq[i], s), (s, seq[i + 2])]
-    for peid, (a, b) in enumerate(d.plan.edges):
-        if peid not in replaced:
-            new_pedges.append((a, b))
-            dart_map[(a, b)] = (a, b)
-            dart_map[(b, a)] = (b, a)
-    new_plan = Graph.make(
-        tuple(d.plan.vertices) + tuple(v for vs in chains.values() for v in vs),
-        new_pedges,
-    )
-
-    # Rotations: positional replacement at old vertices, two-entry lists at
-    # the new subdivision vertices.
-    new_rotation: dict[int, tuple[int, ...]] = {}
-    for v, rot in d.rotation.items():
-        ids = []
-        for old_eid in rot:
-            a, b = d.plan.edges[old_eid]
-            other = b if a == v else a
-            na, nb = dart_map[(v, other)]
-            ids.append(new_plan.edge_id(na, nb))
-        new_rotation[v] = tuple(ids)
-    for s, darts in sub_rot.items():
-        new_rotation[s] = tuple(new_plan.edge_id(a, b) for a, b in darts)
-
-    # New base and traces: each original edge splits at its cut vertices.
-    # Piece endpoints are base vertex ids (real copies map back through kind).
-    new_bverts = tuple(d.base.vertices) + tuple(v for vs in chains.values() for v in vs)
-    piece_edges: dict[tuple[int, int], tuple[int, int]] = {}
-    piece_paths: dict[tuple[int, int], list[int]] = {}
-    for eid in range(d.base.m):
-        path = d.paths[eid]
-        per_edge = split_at.get(eid, {})
-        full: list[int] = []
-        for i, q in enumerate(path):
-            full.append(q)
-            if i in per_edge:
-                full.extend(per_edge[i])
-        chain = chains.get(eid, [])
-        marks = [0] + [full.index(s) for s in chain] + [len(full) - 1]
-        for j, (a, b) in enumerate(zip(marks, marks[1:])):
-            piece_edges[(eid, j)] = (int(vkind[full[a]][5:]), int(vkind[full[b]][5:]))
-            piece_paths[(eid, j)] = full[a : b + 1]
-    new_base = Graph.make(new_bverts, piece_edges.values())
-    new_trace: dict[int, tuple[int, ...]] = {}
-    arc_to_new: dict[tuple[int, int], int] = {}
-    for key, (x, y) in piece_edges.items():
-        neid = new_base.edge_id(x, y)
-        arc_to_new[key] = neid
-        pp = piece_paths[key]
-        new_trace[neid] = tuple(new_plan.edge_id(a, b) for a, b in zip(pp, pp[1:]))
-
-    # Track the outer face through the refinement.
-    d2 = Drawing(new_base, new_plan, new_rotation, vkind, new_trace, d.outer)
-    if d.plan.m:
-        d2 = d2.with_outer(d2.face_of_dart(dart_map[d.faces[d.outer][0]]))
-    new_to_arc = {neid: key for key, neid in arc_to_new.items()}
-    return d2, arc_to_new, new_to_arc
+    d2 = Drawing(new_base, new_plan, rotation, kind, trace, d.outer)
+    a, b = d.faces[d.outer][0]
+    first = rs.rot[a][d.rotation[a].index(d.plan.edge_id(a, b))]
+    return d2.with_outer(d2.face_of_dart((a, rs.other(first, a)))), pieces
 
 
 def subdivide(d: Drawing, plan: SubdivisionPlan) -> Drawing:

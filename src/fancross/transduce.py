@@ -14,7 +14,8 @@ short colored path.
   a ``b0`` hub whose spokes are colored by fan membership (``b_j`` on the
   center side, ``bP_j`` on the far side).
 
-Both do their surgery on a mutable rotation system and check it there before
+Both do their surgery on ``drawing._RotSys``, the mutable rotation system
+that also cuts edges for ``subdivide_with_map``, and check it there before
 building the output graph: a simple graph whose rotations list each incident
 edge once and which satisfies Euler's formula on every component is a plane
 drawing, so no intermediate ``Drawing`` is built or validated.
@@ -36,9 +37,7 @@ from .cluster import Certificate, _arc_keys, verify_certificate
 from .drawing import (
     Drawing,
     SubdivisionPlan,
-    _component_index,
-    _euler_failures,
-    _face_orbits,
+    _RotSys,
     crossing_graph,
     is_k_planar,
     subdivide_with_map,
@@ -170,119 +169,6 @@ class TransductionOutput:
 # ===== Rotation-system surgery =====
 
 
-class _RotSys:
-    """A mutable rotation system; tolerates parallel edges mid-surgery.
-
-    Every operation below preserves realizability in the plane, so the
-    finished system is a plane simple graph; ``_assemble`` checks that with
-    :meth:`is_plane_simple` before it builds the output graph.
-    """
-
-    def __init__(self, d: Drawing) -> None:
-        self.rot: dict[int, list[int]] = {v: list(r) for v, r in d.rotation.items()}
-        self.ends: dict[int, tuple[int, int]] = dict(enumerate(d.plan.edges))
-        self._fresh_e = d.plan.m
-        self._fresh_v = max(d.plan.vertices, default=-1) + 1
-
-    def other(self, eid: int, v: int) -> int:
-        a, b = self.ends[eid]
-        return b if a == v else a
-
-    def new_edge_id(self) -> int:
-        self._fresh_e += 1
-        return self._fresh_e - 1
-
-    def new_vertex_id(self) -> int:
-        self._fresh_v += 1
-        return self._fresh_v - 1
-
-    def smooth(self, v: int) -> int:
-        """Removes a degree-2 vertex, fusing its two edges into one."""
-        e1, e2 = self.rot[v]
-        p, q = self.other(e1, v), self.other(e2, v)
-        ne = self.new_edge_id()
-        self.ends[ne] = (p, q)
-        self.rot[p][self.rot[p].index(e1)] = ne
-        self.rot[q][self.rot[q].index(e2)] = ne
-        del self.rot[v], self.ends[e1], self.ends[e2]
-        return ne
-
-    def contract(self, eid: int, keep: int) -> None:
-        """Contracts an edge, merging its other endpoint into ``keep``.
-
-        The absorbed rotation is spliced in at the edge's slot; edges that
-        become loops are dropped (each drop merges two faces, keeping the
-        system planar).
-        """
-        gone = self.other(eid, keep)
-        ra, rb = self.rot[keep], self.rot[gone]
-        ia, ib = ra.index(eid), rb.index(eid)
-        spliced = ra[:ia] + rb[ib + 1 :] + rb[:ib] + ra[ia + 1 :]
-        del self.rot[gone], self.ends[eid]
-        for f in rb:
-            if f == eid:
-                continue
-            a, b = self.ends[f]
-            self.ends[f] = (keep if a == gone else a, keep if b == gone else b)
-        kept = [f for f in spliced if self.ends[f][0] != self.ends[f][1]]
-        for f in set(spliced) - set(kept):
-            del self.ends[f]
-        self.rot[keep] = kept
-
-    def remove_edge(self, eid: int) -> None:
-        a, b = self.ends.pop(eid)
-        self.rot[a].remove(eid)
-        self.rot[b].remove(eid)
-
-    def subdivide_edge(self, eid: int) -> tuple[int, int, int]:
-        """Splits an edge once; returns the new vertex and its two edges."""
-        a, b = self.ends.pop(eid)
-        s = self.new_vertex_id()
-        e1, e2 = self.new_edge_id(), self.new_edge_id()
-        self.ends[e1] = (a, s)
-        self.ends[e2] = (s, b)
-        self.rot[a][self.rot[a].index(eid)] = e1
-        self.rot[b][self.rot[b].index(eid)] = e2
-        self.rot[s] = [e1, e2]
-        return s, e1, e2
-
-    def is_plane_simple(self) -> bool:
-        """Whether the finished system is a simple graph embedded in the plane.
-
-        Checks that every edge joins two distinct vertices of the system,
-        that no two edges join the same pair, that each rotation lists its
-        incident edges exactly once, and that Euler's formula holds on every
-        component.  These are the checks of :func:`validate` that the
-        surgery can break.  Its other checks hold by construction on the
-        output drawing: every vertex is real (``real:<v>`` for itself) and
-        every trace is the single edge it draws, so there are no crossing or
-        subdivision vertices, and the kinds, the real-copy bijection and the
-        traces are right.
-        """
-        index = {e: i for i, e in enumerate(self.ends)}
-        ends = list(self.ends.values())
-        pairs = set()
-        for a, b in ends:
-            if a == b or a not in self.rot or b not in self.rot:
-                return False
-            pairs.add((a, b) if a < b else (b, a))
-        if len(pairs) != len(ends):
-            return False
-        rotation: dict[int, list[int]] = {}
-        for v, r in self.rot.items():
-            if len(set(r)) != len(r):
-                return False
-            for e in r:
-                if v not in self.ends.get(e, ()):
-                    return False
-            rotation[v] = [index[e] for e in r]
-        if sum(map(len, rotation.values())) != 2 * len(ends):
-            return False
-        _, orbits = _face_orbits(ends, rotation)
-        face_vertices = (ends[o[0] >> 1][o[0] & 1] for o in orbits)
-        return not _euler_failures(_component_index(self.rot, ends), ends, face_vertices)
-
-
 def _smooth_bends(d: Drawing, rs: _RotSys) -> dict[int, int]:
     """Removes bend vertices; returns local edge id -> owning base edge id."""
     owner = {pe: eid for eid, t in d.trace.items() for pe in t}
@@ -393,8 +279,8 @@ def transduce_kplanar(
     for e in sorted(rs.ends):
         a, b = rs.ends[e]
         own = owner[e]
-        s1, _, tail = rs.subdivide_edge(e)
-        s2, _, _ = rs.subdivide_edge(tail)
+        s1, _, tail = rs.subdivide_edge(e, a)
+        s2, _, _ = rs.subdivide_edge(tail, s1)
         if a in is_crossing:
             colors_s.setdefault(s1, set()).add(ColorLabel("b", rank[(a, own)]))
         if b in is_crossing:
@@ -426,7 +312,7 @@ def transduce_clustered(
 
     # Cut per certificate, then add a stub cut next to every original
     # endpoint so no original vertex touches a crossed edge.
-    d2, arc_to_new, _ = subdivide_with_map(d, cert.plan)
+    d2, pieces_d2 = subdivide_with_map(d, cert.plan)
     orig = set(d.base.vertices)
     stub_cuts: dict[int, tuple[int, ...]] = {}
     for e2, (u, v) in enumerate(d2.base.edges):
@@ -434,21 +320,13 @@ def transduce_clustered(
         gaps = (0,) * (u in orig) + (c2,) * (v in orig)
         if gaps:
             stub_cuts[e2] = gaps
-    d1, arc2_to_new, _ = subdivide_with_map(d2, SubdivisionPlan(stub_cuts))
-
-    pieces_d2: dict[int, list[int]] = {}
-    for (eid, piece), ne in sorted(arc_to_new.items()):
-        pieces_d2.setdefault(eid, []).append(ne)
-    pieces_d1: dict[int, list[int]] = {}
-    for (e2, piece), ne in sorted(arc2_to_new.items()):
-        pieces_d1.setdefault(e2, []).append(ne)
+    d1, pieces_d1 = subdivide_with_map(d2, SubdivisionPlan(stub_cuts))
 
     def strands(eid: int) -> list[int]:
         return [ne for e2 in pieces_d2[eid] for ne in pieces_d1[e2]]
 
     cg = crossing_graph(d, cert.plan)
     keys = _arc_keys(cg)
-    node_of = {key: n for n, key in keys.items()}
     comps = cg.components(nontrivial=True)
 
     rs = _RotSys(d1)
@@ -459,7 +337,10 @@ def transduce_clustered(
             colors_s[d1.real_pvid[v]] = {ColorLabel("bP", 0)}
 
     for ci, comp in enumerate(comps):
-        cluster = {arc2_to_new[(arc_to_new[keys[n]], _crossed_piece(d1, arc_to_new[keys[n]], pieces_d1))] for n in comp}
+        cluster = {
+            _crossed_piece(d1, pieces_d1[pieces_d2[eid][piece]])
+            for eid, piece in (keys[n] for n in comp)
+        }
         # Reachable / far endpoint sets per fan of this component's cover.
         fan_sides: list[tuple[set[int], set[int]]] = []
         for fan in cert.covers[ci]:
@@ -491,7 +372,7 @@ def transduce_clustered(
             spokes = [e for e in rs.rot[leaf] if rs.other(e, leaf) == hub]
             for e in spokes[1:]:
                 rs.remove_edge(e)
-            s, _, _ = rs.subdivide_edge(spokes[0])
+            s, _, _ = rs.subdivide_edge(spokes[0], leaf)
             lb = int(d1.kind[leaf][5:])
             marks = set()
             for j, (near, far) in enumerate(fan_sides, start=1):
@@ -505,11 +386,11 @@ def transduce_clustered(
     return _assemble(d, rs, real_of, colors_s, xn, k, "clustered")
 
 
-def _crossed_piece(d1: Drawing, e2: int, pieces_d1: dict[int, list[int]]) -> int:
-    """The piece index (within its cut edge) that carries the crossings."""
-    for piece, ne in enumerate(pieces_d1[e2]):
+def _crossed_piece(d1: Drawing, pieces: list[int]) -> int:
+    """The one piece of a stub-cut edge that carries its crossings."""
+    for ne in pieces:
         if d1.edge_crossings[ne]:
-            return piece
+            return ne
     raise InvariantBroken("construction invariant broken")
 
 

@@ -10,7 +10,9 @@ stepping ``(u, v)`` dart tuples through rotation positions, the
 transducer's surgery check from rebuilding the surgered drawing and running
 ``validate`` on it, and the decoded graph of a transduction from one path
 search per vertex pair, or from the rendered text of its formula, and
-the strong fan property from a face union-find over the whole plan.
+the strong fan property from a face union-find over the whole plan, and
+cut drawings from rewriting every rotation entry by position through dart
+and edge-id maps.
 """
 
 from __future__ import annotations
@@ -27,29 +29,26 @@ from fancross.cluster import (
     _arc_keys,
     _cut_options,
     _strong_cover,
-    _subdivided,
     verify_certificate,
 )
 from fancross.drawing import (
     Dart,
     Drawing,
     SubdivisionPlan,
+    _checked_cuts,
     _passage_side,
+    _RotSys,
     _UnionFind,
     crossing_graph,
     is_k_planar,
+    subdivide_with_map,
     validate,
 )
 from fancross.errors import CapExceeded, InvariantBroken
 from fancross.geometry import drawing_from_segments, pt
 from fancross.graphs import ColoredGraph, ColorLabel, Fan, Graph, fan_cover
 from fancross.minors import MinorModel, _admissible, _touch
-from fancross.transduce import (
-    TransductionFormula,
-    TransductionOutput,
-    _RotSys,
-    render_formula,
-)
+from fancross.transduce import TransductionFormula, TransductionOutput, render_formula
 
 
 # ===== Metric oracles (Floyd-Warshall based) =====
@@ -214,9 +213,9 @@ def oracle_search_certificate(d, k: int, ell: int, strong: bool = False, cap: in
         cg = crossing_graph(d, plan)
         comps = cg.components()
         keys = _arc_keys(cg)
-        d2 = arc_to_new = pieces_of = None
+        d2 = pieces_of = None
         if strong and comps:
-            d2, arc_to_new, pieces_of = _subdivided(d, plan)
+            d2, pieces_of = subdivide_with_map(d, plan)
         covers = {}
         assignment: dict[tuple[int, int], int] = {}
         ok = True
@@ -224,9 +223,7 @@ def oracle_search_certificate(d, k: int, ell: int, strong: bool = False, cap: in
             part = sorted({cg.nodes[n].edge for n in comp})
             part_edges = [d.base.edges[e] for e in part]
             if strong:
-                fans = _strong_cover(
-                    d, d2, pieces_of, arc_to_new, cg, keys, comp, part_edges, ell
-                )
+                fans = _strong_cover(d, d2, pieces_of, cg, keys, comp, part_edges, ell)
             else:
                 fans = fan_cover(d.base, part_edges, ell)
             if fans is None:
@@ -242,6 +239,114 @@ def oracle_search_certificate(d, k: int, ell: int, strong: bool = False, cap: in
         if ok:
             return Certificate(k, ell, plan, covers, assignment)
     return None
+
+
+# ===== Cutting oracle (positional rotation rewrite) =====
+
+
+def oracle_subdivide_with_map(
+    d: Drawing, plan: SubdivisionPlan
+) -> tuple["Drawing", dict[tuple[int, int], int], dict[int, tuple[int, int]]]:
+    """Like :func:`subdivide`, also returning the arc correspondence.
+
+    Returns ``(d2, arc_to_new, new_to_arc)`` where arcs are keyed by
+    ``(original edge id, piece index)`` and map to base edge ids of ``d2``.
+    Uncut edges count as their own single piece.
+    """
+    cuts = _checked_cuts(d, plan)
+    fresh = max((*d.plan.vertices, *d.base.vertices), default=-1) + 1
+
+    # Where each cut lands: the first plan edge of its gap, as a directed
+    # path-edge index along the trace.
+    split_at: dict[int, dict[int, list[int]]] = {}  # eid -> path edge idx -> new vids
+    chains: dict[int, list[int]] = {}  # eid -> cut vertices in trace order
+    for eid in sorted(cuts):
+        path = d.paths[eid]
+        xs_pos = [i for i, q in enumerate(path) if d.kind_of(q) == "crossing"]
+        per_edge = split_at.setdefault(eid, {})
+        chain = chains.setdefault(eid, [])
+        for g in cuts[eid]:
+            idx = 0 if g == 0 else xs_pos[g - 1]
+            per_edge.setdefault(idx, []).append(fresh)
+            chain.append(fresh)
+            fresh += 1
+
+    # New plan: replace each split plan edge by its chain.
+    new_pedges: list[tuple[int, int]] = []
+    dart_map: dict[Dart, Dart] = {}  # old directed plan edge -> new first dart
+    vkind = dict(d.kind)
+    sub_rot: dict[int, list[tuple[int, int]]] = {}
+    replaced: set[int] = set()
+    for eid, per_edge in split_at.items():
+        path = d.paths[eid]
+        for idx, new_vids in per_edge.items():
+            a, b = path[idx], path[idx + 1]
+            replaced.add(d.plan.edge_id(a, b))
+            seq = [a, *new_vids, b]
+            for x, y in zip(seq, seq[1:]):
+                new_pedges.append((x, y))
+            dart_map[(a, b)] = (a, seq[1])
+            dart_map[(b, a)] = (b, seq[-2])
+            for i, s in enumerate(new_vids):
+                vkind[s] = f"real:{s}"
+                sub_rot[s] = [(seq[i], s), (s, seq[i + 2])]
+    for peid, (a, b) in enumerate(d.plan.edges):
+        if peid not in replaced:
+            new_pedges.append((a, b))
+            dart_map[(a, b)] = (a, b)
+            dart_map[(b, a)] = (b, a)
+    new_plan = Graph.make(
+        tuple(d.plan.vertices) + tuple(v for vs in chains.values() for v in vs),
+        new_pedges,
+    )
+
+    # Rotations: positional replacement at old vertices, two-entry lists at
+    # the new subdivision vertices.
+    new_rotation: dict[int, tuple[int, ...]] = {}
+    for v, rot in d.rotation.items():
+        ids = []
+        for old_eid in rot:
+            a, b = d.plan.edges[old_eid]
+            other = b if a == v else a
+            na, nb = dart_map[(v, other)]
+            ids.append(new_plan.edge_id(na, nb))
+        new_rotation[v] = tuple(ids)
+    for s, darts in sub_rot.items():
+        new_rotation[s] = tuple(new_plan.edge_id(a, b) for a, b in darts)
+
+    # New base and traces: each original edge splits at its cut vertices.
+    # Piece endpoints are base vertex ids (real copies map back through kind).
+    new_bverts = tuple(d.base.vertices) + tuple(v for vs in chains.values() for v in vs)
+    piece_edges: dict[tuple[int, int], tuple[int, int]] = {}
+    piece_paths: dict[tuple[int, int], list[int]] = {}
+    for eid in range(d.base.m):
+        path = d.paths[eid]
+        per_edge = split_at.get(eid, {})
+        full: list[int] = []
+        for i, q in enumerate(path):
+            full.append(q)
+            if i in per_edge:
+                full.extend(per_edge[i])
+        chain = chains.get(eid, [])
+        marks = [0] + [full.index(s) for s in chain] + [len(full) - 1]
+        for j, (a, b) in enumerate(zip(marks, marks[1:])):
+            piece_edges[(eid, j)] = (int(vkind[full[a]][5:]), int(vkind[full[b]][5:]))
+            piece_paths[(eid, j)] = full[a : b + 1]
+    new_base = Graph.make(new_bverts, piece_edges.values())
+    new_trace: dict[int, tuple[int, ...]] = {}
+    arc_to_new: dict[tuple[int, int], int] = {}
+    for key, (x, y) in piece_edges.items():
+        neid = new_base.edge_id(x, y)
+        arc_to_new[key] = neid
+        pp = piece_paths[key]
+        new_trace[neid] = tuple(new_plan.edge_id(a, b) for a, b in zip(pp, pp[1:]))
+
+    # Track the outer face through the refinement.
+    d2 = Drawing(new_base, new_plan, new_rotation, vkind, new_trace, d.outer)
+    if d.plan.m:
+        d2 = d2.with_outer(d2.face_of_dart(dart_map[d.faces[d.outer][0]]))
+    new_to_arc = {neid: key for key, neid in arc_to_new.items()}
+    return d2, arc_to_new, new_to_arc
 
 
 # ===== Minor-model oracles (APSP / partition enumeration based) =====

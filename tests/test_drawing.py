@@ -8,7 +8,12 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_component_index, oracle_faces, oracle_fan_core
+from oracles import (
+    oracle_component_index,
+    oracle_faces,
+    oracle_fan_core,
+    oracle_subdivide_with_map,
+)
 
 from fancross import drawing
 from fancross.cluster import Certificate, verify_certificate
@@ -275,6 +280,11 @@ def test_constructed_drawings_trace_faces_once(monkeypatch):
         d2 = subdivide_with_map(d, plan)[0]
         assert validate(d2) == [] and d2.faces[d2.outer]
         assert len(calls) == 1
+    # A plan without cuts hands back the drawing itself, faces and all.
+    calls.clear()
+    d2, pieces = subdivide_with_map(d, SubdivisionPlan({3: ()}))
+    assert d2 is d and pieces == {e: [e] for e in range(d.base.m)}
+    assert d2.faces and calls == []
 
 
 # ===== Subdivision =====
@@ -282,15 +292,14 @@ def test_constructed_drawings_trace_faces_once(monkeypatch):
 
 def test_subdivide_lens_between_crossings():
     d = lens()
-    d2, arc_to_new, new_to_arc = subdivide_with_map(d, SubdivisionPlan({1: (1,)}))
+    d2, pieces = subdivide_with_map(d, SubdivisionPlan({1: (1,)}))
     assert validate(d2) == []
     # Edge (2,3) split at a fresh vertex 7 on plan edge (4,6).
     assert sorted(d2.base.vertices) == [0, 1, 2, 3, 7]
     assert d2.base.edges == ((0, 1), (2, 7), (3, 7))
     assert d2.kind[7] == "real:7"
-    assert arc_to_new[(1, 0)] == d2.base.edge_id(2, 7)
-    assert arc_to_new[(1, 1)] == d2.base.edge_id(3, 7)
-    assert new_to_arc[d2.base.edge_id(0, 1)] == (0, 0)
+    assert pieces[1] == [d2.base.edge_id(2, 7), d2.base.edge_id(3, 7)]
+    assert pieces[0] == [d2.base.edge_id(0, 1)]
     assert crossings_per_edge(d2) == {
         d2.base.edge_id(0, 1): 2,
         d2.base.edge_id(2, 7): 1,
@@ -321,10 +330,10 @@ def test_subdivide_preserves_crossing_graph():
     d = lens()
     plan = SubdivisionPlan({0: (1,), 1: (1,)})
     cg = crossing_graph(d, plan)
-    d2, arc_to_new, _ = subdivide_with_map(d, plan)
+    d2, pieces = subdivide_with_map(d, plan)
     cg2 = crossing_graph(d2)
     mapped = sorted(
-        (arc_to_new[(a.edge, i)], xs)
+        (pieces[a.edge][i], xs)
         for (a, i, xs) in (
             (node, _piece_index(cg, n), cg.crossings[n])
             for n, node in enumerate(cg.nodes)
@@ -337,6 +346,68 @@ def test_subdivide_preserves_crossing_graph():
 def _piece_index(cg, n):
     node = cg.nodes[n]
     return sum(1 for other in cg.nodes if other.edge == node.edge and other < node)
+
+
+def relabelled(d, rng):
+    """``d`` with its base vertices renamed, in a random order, to ids above
+    every plan vertex; the plan is untouched."""
+    low = max(d.plan.vertices) + 1 + rng.randrange(4)
+    new = dict(zip(d.base.vertices, rng.sample(range(low, low + 2 * d.base.n), d.base.n)))
+    base = Graph.make(new.values(), [(new[u], new[v]) for u, v in d.base.edges])
+    kind = dict(d.kind)
+    for v, p in d.real_pvid.items():
+        kind[p] = f"real:{new[v]}"
+    trace = {base.edge_id(new[u], new[v]): d.trace[e] for e, (u, v) in enumerate(d.base.edges)}
+    return Drawing(base, d.plan, d.rotation, kind, trace, d.outer)
+
+
+def cut_plan(d, rng):
+    """Cuts on up to four random edges: at gap 0, at the last gap, at a
+    repeated gap, or at random gaps."""
+    cuts = {}
+    for eid in rng.sample(range(d.base.m), rng.randint(1, min(4, d.base.m))):
+        c = len(d.edge_crossings[eid])
+        g = rng.randint(0, c)
+        cuts[eid] = rng.choice([(0,), (c,), (g, g), (0, c), (g,), (0, g, g, c)])
+    return SubdivisionPlan(cuts)
+
+
+def cutting_case(d, seed):
+    """``d``, maybe relabelled and maybe with a random outer face, and a
+    random cut plan for it."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        d = relabelled(d, rng)
+    if rng.random() < 0.5:
+        d = d.with_outer(rng.randrange(len(d.faces)))
+    return d, cut_plan(d, rng)
+
+
+def assert_cuts_match_oracle(d, plan):
+    assert validate(d) == []
+    d2, pieces = subdivide_with_map(d, plan)
+    o2, arc_to_new, _ = oracle_subdivide_with_map(d, plan)
+    for name in ("base", "plan", "rotation", "kind", "trace", "outer"):
+        assert getattr(d2, name) == getattr(o2, name), name
+    assert d2.rotation.keys() == o2.rotation.keys()
+    expected = {}
+    for (eid, _), ne in sorted(arc_to_new.items()):
+        expected.setdefault(eid, []).append(ne)
+    assert pieces == expected
+
+
+def test_cutting_matches_oracle_on_seeded_corpus():
+    fixed = [xfix(), lens(), fig1a(), fig1b(4), fig3()]
+    for seed in range(240):
+        n, k = 4 + seed % 15, 1 + seed // 15 % 3
+        d = fixed[seed % 5] if seed < 40 else random_kplanar(n, k, seed)
+        assert_cuts_match_oracle(*cutting_case(d, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 18), st.integers(1, 3), st.integers(0, 10**6))
+def test_cutting_matches_oracle_on_random_drawings(n, k, seed):
+    assert_cuts_match_oracle(*cutting_case(random_kplanar(n, k, seed), seed))
 
 
 # ===== Crossing graphs =====
@@ -442,9 +513,9 @@ def test_fan_property_fails_on_double_crossing():
 def test_fan_property_on_arc_of_lens():
     d = lens()
     # Cut (0,1) after its first crossing; the arc up to it is crossed once.
-    d2, arc_to_new, _ = subdivide_with_map(d, SubdivisionPlan({0: (1,)}))
-    alpha = d2.paths[arc_to_new[(0, 0)]]
-    assert strong_fan(d2, alpha, fan_paths_from(d2, 2, [arc_to_new[(1, 0)]]))
+    d2, pieces = subdivide_with_map(d, SubdivisionPlan({0: (1,)}))
+    alpha = d2.paths[pieces[0][0]]
+    assert strong_fan(d2, alpha, fan_paths_from(d2, 2, [pieces[1][0]]))
 
 
 def test_fan_property_same_side_requirement():
@@ -503,7 +574,8 @@ def test_strong_fan_detects_enclosure():
 def fan_case_drawing(n, k, seed):
     """``random_kplanar(n, k, seed)``, maybe beside a copy of itself with
     edges dropped, maybe cut by a random plan.  Returns the uncut drawing,
-    the cut one, the arc map and the random generator for the cases."""
+    the cut one, the pieces of every edge and the random generator for the
+    cases."""
     rng = random.Random(seed)
     d = random_kplanar(n, k, seed)
     if rng.random() < 0.5:
@@ -518,20 +590,17 @@ def fan_case_drawing(n, k, seed):
         edges += [(u + n, v + n) for u, v in d.base.edges]
         d = drawing_from_segments(Graph.make(range(2 * n), edges), pos)
     plan = random_plan(d, rng) if d.base.m and rng.random() < 0.5 else SubdivisionPlan()
-    d2, arc_to_new, _ = subdivide_with_map(d, plan)
-    return d, d2, arc_to_new, rng
+    d2, pieces = subdivide_with_map(d, plan)
+    return d, d2, pieces, rng
 
 
-def fan_cases(d, d2, arc_to_new, rng, count):
+def fan_cases(d, d2, pieces_of, rng, count):
     """Random strong fan checks on ``d2``: a crossed arc, a center at an end
     of an edge crossing it (most often the end with the most such edges),
     and a random subset of the center's edges that cross the arc, each
     walked from the center through its pieces.  Some cases move the outer
     face to a random face or to a face beside the arc."""
-    pieces_of = {}
-    for (eid, _), neid in sorted(arc_to_new.items()):
-        pieces_of.setdefault(eid, []).append(neid)
-    arcs = [neid for _, neid in sorted(arc_to_new.items()) if d2.edge_crossings[neid]]
+    arcs = [neid for eid in sorted(pieces_of) for neid in pieces_of[eid] if d2.edge_crossings[neid]]
     for _ in range(count if arcs else 0):
         neid = rng.choice(arcs)
         ax = set(d2.edge_crossings[neid])
@@ -574,8 +643,8 @@ def test_strong_fan_matches_oracle_on_seeded_corpus():
     enclosed = off_outer = 0
     for seed in range(400):
         n, k = 4 + seed % 13, 1 + seed % 3
-        d, d2, arc_to_new, rng = fan_case_drawing(n, k, seed)
-        for d3, alpha, fan in fan_cases(d, d2, arc_to_new, rng, 6):
+        d, d2, pieces, rng = fan_case_drawing(n, k, seed)
+        for d3, alpha, fan in fan_cases(d, d2, pieces, rng, 6):
             got = strong_fan(d3, alpha, fan)
             enclosed += not got and decided_by_enclosure(d3, alpha, fan)
             off_outer += off_outer_component(d3, alpha)
@@ -585,8 +654,8 @@ def test_strong_fan_matches_oracle_on_seeded_corpus():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(4, 14), st.integers(1, 3), st.integers(0, 10**6))
 def test_strong_fan_matches_oracle_on_random_drawings(n, k, seed):
-    d, d2, arc_to_new, rng = fan_case_drawing(n, k, seed)
-    for d3, alpha, fan in fan_cases(d, d2, arc_to_new, rng, 4):
+    d, d2, pieces, rng = fan_case_drawing(n, k, seed)
+    for d3, alpha, fan in fan_cases(d, d2, pieces, rng, 4):
         strong_fan(d3, alpha, fan)
 
 

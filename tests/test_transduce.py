@@ -19,7 +19,7 @@ from fancross import transduce
 from fancross.cluster import Certificate, search_certificate
 from fancross.drawing import Drawing, SubdivisionPlan
 from fancross.errors import Infeasible, InvariantBroken
-from fancross.fixtures import fig1a, fig1a_certificate, fig3, random_kplanar
+from fancross.fixtures import fig1a, fig1a_certificate, fig1b, fig3, random_kplanar
 from fancross.geometry import drawing_from_polylines, drawing_from_segments, pt
 from fancross.graphs import (
     ColorLabel,
@@ -650,6 +650,31 @@ RENDER_SHA256 = {
 def test_render_text_is_pinned(mode, k):
     text = render_formula(TransductionFormula.for_mode(k, mode))
     assert hashlib.sha256(text.encode()).hexdigest() == RENDER_SHA256[(mode, k)]
+
+
+# sha256 of the compact, key-sorted transduction JSON, recorded before the
+# cuts moved onto the shared rotation-system builder.
+TRANSDUCTIONS = {
+    "kplanar-fig1a": (lambda: transduce_kplanar(fig1a(), {}, 7),
+                      "51f8dc1ac0ff90e309657a743cb33fcd243d766415d2ea9917d0cd978a9edbac"),
+    "kplanar-fig1b": (lambda: transduce_kplanar(fig1b(4), {}, 2),
+                      "f6bcf8dac13aead76c9107b8ad08606f75108a9c5c7b676068ea74efef399cfb"),
+    "kplanar-fig3": (lambda: transduce_kplanar(fig3(), {5: (0, 1, 2, 3, 4)}, 2),
+                     "30d5ae33896e56db99cb22b229bed21db159388101b46a4992bbf29fe44f65e3"),
+    "kplanar-random-10-2-5": (lambda: transduce_kplanar(random_kplanar(10, 2, 5), {}, 2),
+                              "0fac119a0690d91893f30996705c306c3a1753955ffc0ebefe930d998f3f04ec"),
+    "kplanar-random-14-3-11": (lambda: transduce_kplanar(random_kplanar(14, 3, 11), {}, 3),
+                               "20e59d5c716f2a993b43148a4c79b583d36f3c59290e9711af4989121eff5b82"),
+    "clustered-fig1a": (lambda: transduce_clustered(fig1a(), fig1a_certificate(), {}, 2),
+                        "09c319a9eec6e46714258062386b238fd8d90ef0790ec488bf2a2916da20668d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSDUCTIONS))
+def test_transduction_bytes_are_pinned(name):
+    build, digest = TRANSDUCTIONS[name]
+    doc = json.dumps(transduction_to_json(build()), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
 SMALL_LABELS = [ColorLabel(kind, j) for kind in ("b", "bP") for j in range(3)] + [

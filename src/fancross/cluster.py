@@ -185,6 +185,14 @@ def _strong_failures(
 def verify_certificate(d: Drawing, cert: Certificate, strong: bool = False) -> ClusterReport:
     """Checks a certificate; malformed certificates raise, semantic failures
     are reported per component with a stable reason phrase."""
+    return _verified(d, cert, strong)[0]
+
+
+def _verified(
+    d: Drawing, cert: Certificate, strong: bool
+) -> tuple[ClusterReport, CrossingGraph, list[list[int]], dict[int, tuple[int, int]]]:
+    """:func:`verify_certificate`'s report, with the crossing graph of the
+    certificate's plan, its nontrivial components and its arc keys."""
     _structural_check(d, cert)
     cg = crossing_graph(d, cert.plan)
     comps = cg.components()
@@ -210,7 +218,7 @@ def verify_certificate(d: Drawing, cert: Certificate, strong: bool = False) -> C
         "arcs": sum(len(c) for c in comps),
         "maxFans": max((len(f) for f in cert.covers.values()), default=0),
     }
-    return ClusterReport(not failures, tuple(failures), stats)
+    return ClusterReport(not failures, tuple(failures), stats), cg, comps, keys
 
 
 # ===== Search =====

@@ -630,36 +630,92 @@ class _RotSys:
 
         Checks that every edge joins two distinct vertices of the system,
         that no two edges join the same pair, that each rotation lists its
-        incident edges exactly once, and that Euler's formula holds on every
-        component.  These are the checks of :func:`validate` that the
-        surgery can break.  Its other checks hold by construction on the
-        transducers' output drawing: every vertex is real (``real:<v>`` for
-        itself) and every trace is the single edge it draws, so there are no
-        crossing or subdivision vertices, and the kinds, the real-copy
-        bijection and the traces are right.
+        incident edges exactly once, and that the system is plane.  These are
+        the checks of :func:`validate` that the surgery can break.  Its other
+        checks hold by construction on the transducers' output drawing: every
+        vertex is real (``real:<v>`` for itself) and every trace is the
+        single edge it draws, so there are no crossing or subdivision
+        vertices, and the kinds, the real-copy bijection and the traces are
+        right.
+
+        Planarity is one count over the whole system.  A connected rotation
+        system with ``V`` vertices, ``E >= 1`` edges and ``F`` face orbits
+        embeds cellularly in the orientable surface of genus ``g >= 0``
+        where ``V - E + F = 2 - 2g`` (Mohar and Thomassen, *Graphs on
+        Surfaces*, ch. 3), so ``V - E + F <= 2`` with equality exactly when
+        it is plane.  An isolated vertex has no darts and traces no face;
+        counted once in ``V`` and once more as isolated, it adds the 2 of a
+        plane component.  Summed over all ``C`` components, isolated ones
+        included, ``V - E + F + isolated <= 2C``, with equality exactly when
+        every component is plane.
+
+        Edges get dense ids ``0 .. E-1`` in one pass over ``ends``, and one
+        pass over the rotations writes the face successor of every integer
+        dart (as in :func:`_face_orbits`).  A dart written twice is an edge
+        listed twice at one vertex; with none written twice, the rotations
+        list every edge at both ends exactly when all ``2E`` darts are
+        written.  The components with edges are the orbits of the face
+        successor together with the twin map ``d -> d ^ 1``, so one search
+        over darts counts both them and, tracing each face once as it is
+        reached, the faces.
         """
-        index = {e: i for i, e in enumerate(self.ends)}
-        ends = list(self.ends.values())
+        rot, ends = self.rot, self.ends
+        index: dict[int, int] = {}
+        tails: list[int] = []
+        heads: list[int] = []
         pairs = set()
-        for a, b in ends:
-            if a == b or a not in self.rot or b not in self.rot:
+        for e, (a, b) in ends.items():
+            if a == b or a not in rot or b not in rot:
                 return False
             pairs.add((a, b) if a < b else (b, a))
-        if len(pairs) != len(ends):
+            index[e] = len(tails)
+            tails.append(a)
+            heads.append(b)
+        if len(pairs) != len(tails):
             return False
-        rotation: dict[int, list[int]] = {}
-        for v, r in self.rot.items():
-            if len(set(r)) != len(r):
+        nxt = [-1] * (2 * len(tails))
+        isolated = 0
+        for v, r in rot.items():
+            if not r:
+                isolated += 1
+                continue
+            i = index.get(r[-1])
+            if i is None:
                 return False
+            last = 2 * i + (tails[i] != v)  # the loop checks that v is an end
             for e in r:
-                if v not in self.ends.get(e, ()):
+                i = index.get(e)
+                if i is None:
                     return False
-            rotation[v] = [index[e] for e in r]
-        if sum(map(len, rotation.values())) != 2 * len(ends):
+                if tails[i] == v:
+                    o = 2 * i
+                elif heads[i] == v:
+                    o = 2 * i + 1
+                else:
+                    return False
+                if nxt[o ^ 1] >= 0:
+                    return False
+                nxt[o ^ 1] = last
+                last = o
+        if -1 in nxt:
             return False
-        _, orbits = _face_orbits(ends, rotation)
-        face_vertices = (ends[o[0] >> 1][o[0] & 1] for o in orbits)
-        return not _euler_failures(_component_index(self.rot, ends), ends, face_vertices)
+        faces = comps = 0
+        seen = bytearray(len(nxt))
+        for d0 in range(len(nxt)):
+            if seen[d0]:
+                continue
+            comps += 1
+            stack = [d0]
+            while stack:
+                d = stack.pop()
+                if seen[d]:
+                    continue
+                faces += 1
+                while not seen[d]:
+                    seen[d] = 1
+                    stack.append(d ^ 1)
+                    d = nxt[d]
+        return len(rot) - len(tails) + faces + isolated == 2 * (comps + isolated)
 
 
 # ===== Subdivision =====

@@ -17,14 +17,17 @@ short colored path.
 Both do their surgery on ``drawing._RotSys``, the mutable rotation system
 that also cuts edges for ``subdivide_with_map``, and check it there before
 building the output graph: a simple graph whose rotations list each incident
-edge once and which satisfies Euler's formula on every component is a plane
-drawing, so no intermediate ``Drawing`` is built or validated.
+edge once and whose Euler count over integer darts shows genus 0 on every
+component is a plane drawing, so no intermediate ``Drawing`` is built or
+validated.
 
 ``eval_formula`` evaluates the formula exactly.  It pairs the holders of
 each handshake color, and runs one bounded simple-path search per source
 vertex that looks only for the images of the later vertices and stops once
-all of them are witnessed.  ``roundtrip`` checks that evaluation returns the
-original graph.
+all of them are witnessed.  The search reads the labels once, into integer
+tables (the plain vertices, the ``b0`` hubs, and per vertex bitmasks of the
+hub pairs it opens and closes), and never hashes a label inside the search.
+``roundtrip`` checks that evaluation returns the original graph.
 """
 
 from __future__ import annotations
@@ -33,12 +36,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Optional
 
-from .cluster import Certificate, _arc_keys, verify_certificate
+from .cluster import Certificate, _verified
 from .drawing import (
     Drawing,
     SubdivisionPlan,
     _RotSys,
-    crossing_graph,
     is_k_planar,
     subdivide_with_map,
     validate,
@@ -266,25 +268,22 @@ def transduce_kplanar(
 
     rs = _RotSys(d)
     owner = _smooth_bends(d, rs)
-    rank: dict[tuple[int, int], int] = {}
-    for x, (e1, e2) in d.crossing_edges.items():
-        rank[(x, e1)] = 1
-        rank[(x, e2)] = 2
-    colors_s: dict[int, set[ColorLabel]] = {
-        p: {ColorLabel("b", 0)}
-        for p in d.plan.vertices
-        if d.kind_of(p) == "crossing"
-    }
-    is_crossing = {p for p in d.plan.vertices if d.kind_of(p) == "crossing"}
+    b0, b1, b2 = ColorLabel("b", 0), ColorLabel("b", 1), ColorLabel("b", 2)
+    crossing_edges = d.crossing_edges
+    rank: dict[tuple[int, int], ColorLabel] = {}
+    for x, (e1, e2) in crossing_edges.items():
+        rank[(x, e1)] = b1
+        rank[(x, e2)] = b2
+    colors_s: dict[int, set[ColorLabel]] = {x: {b0} for x in crossing_edges}
     for e in sorted(rs.ends):
         a, b = rs.ends[e]
         own = owner[e]
         s1, _, tail = rs.subdivide_edge(e, a)
         s2, _, _ = rs.subdivide_edge(tail, s1)
-        if a in is_crossing:
-            colors_s.setdefault(s1, set()).add(ColorLabel("b", rank[(a, own)]))
-        if b in is_crossing:
-            colors_s.setdefault(s2, set()).add(ColorLabel("b", rank[(b, own)]))
+        if a in crossing_edges:
+            colors_s.setdefault(s1, set()).add(rank[(a, own)])
+        if b in crossing_edges:
+            colors_s.setdefault(s2, set()).add(rank[(b, own)])
 
     real_of = {d.real_pvid[v]: v for v in d.base.vertices}
     return _assemble(d, rs, real_of, colors_s, xn, k, "kplanar")
@@ -305,7 +304,7 @@ def transduce_clustered(
     fan ``j``'s center without traversing the cluster, ``bP_j`` otherwise.
     """
     _checked_drawing(d, k)
-    report = verify_certificate(d, cert, strong=False)
+    report, cg, comps, keys = _verified(d, cert, strong=False)
     if not report.verdict or cert.k > k or cert.ell > k:
         raise Infeasible("certificate invalid")
     xn = _checked_x(d, x_edges, k)
@@ -324,10 +323,6 @@ def transduce_clustered(
 
     def strands(eid: int) -> list[int]:
         return [ne for e2 in pieces_d2[eid] for ne in pieces_d1[e2]]
-
-    cg = crossing_graph(d, cert.plan)
-    keys = _arc_keys(cg)
-    comps = cg.components(nontrivial=True)
 
     rs = _RotSys(d1)
     _smooth_bends(d1, rs)
@@ -474,39 +469,48 @@ def _path_search(
 
     Returns ``witnessed(src, targets)``, the targets ``t`` joined to ``src``
     by a simple path of at most ``f.max_path_len`` edges that avoids ``t``
-    inside and meets the conditions of the mode's ``_MODES`` entry:
-    ``mid_ok`` for each internal vertex between the first and the last and,
-    with ``ends_plain``, ``may_enter`` for each internal vertex at its
-    position and a plain last one.  A witnessed target may still sit inside
-    a path to another target.
+    inside and meets the conditions of the mode's ``_MODES`` entry.  The
+    labels are read once, into four integer tables: the vertices holding a
+    plain label, the ``b0`` hubs, and per vertex the bitmasks of the hub
+    pairs it opens (holds the label before the hub) and closes (holds the
+    label after it).  An internal vertex ``z`` between the first and the
+    last passes if it is plain, or a hub whose predecessor opens a pair its
+    successor closes.  With ``ends_plain``, a vertex may be entered at
+    position ``p`` only if it is plain or, for ``p >= 2``, a hub, and the
+    last internal vertex must be plain.  A witnessed target may still sit
+    inside a path to another target.
     """
     adj = cg.graph.adj
-    labels = cg.labels
     budget = f.max_path_len
-    b0 = ColorLabel("b", 0)
     entry = _mode(f.mode)
     ends_plain = entry.ends_plain
     # Labels above the largest index in ``cg`` match nothing, so a large k
     # in a document costs nothing.
     top = min(f.k, max((label.index for ls in cg.colors.values() for label in ls), default=0))
-    plain = frozenset(entry.plain(top))
-    pairs = entry.hub_pairs(top)
-
-    def may_enter(v: int, position: int) -> bool:
-        lv = labels(v)
-        return not plain.isdisjoint(lv) or (b0 in lv and position >= 2)
-
-    def mid_ok(prev: int, z: int, nxt: int) -> bool:
-        lz = labels(z)
-        if not plain.isdisjoint(lz):
-            return True
-        if b0 not in lz:
-            return False
-        lp, ln = labels(prev), labels(nxt)
-        for a, b in pairs:
-            if a in lp and b in ln:
-                return True
-        return False
+    plain_labels = frozenset(entry.plain(top))
+    opens: dict[ColorLabel, int] = {}
+    closes: dict[ColorLabel, int] = {}
+    for i, (a, b) in enumerate(entry.hub_pairs(top)):
+        opens[a] = opens.get(a, 0) | 1 << i
+        closes[b] = closes.get(b, 0) | 1 << i
+    b0 = ColorLabel("b", 0)
+    plain: set[int] = set()
+    hubs: set[int] = set()  # b0 and no plain label
+    before: dict[int, int] = {}
+    after: dict[int, int] = {}
+    for v, ls in cg.colors.items():
+        if not plain_labels.isdisjoint(ls):
+            plain.add(v)
+        elif b0 in ls:
+            hubs.add(v)
+        bits_in = bits_out = 0
+        for label in ls:
+            bits_in |= opens.get(label, 0)
+            bits_out |= closes.get(label, 0)
+        if bits_in:
+            before[v] = bits_in
+        if bits_out:
+            after[v] = bits_out
 
     def witnessed(src: int, targets: set[int]) -> list[int]:
         left = set(targets)
@@ -516,19 +520,24 @@ def _path_search(
         todo = [iter(adj[src])]
         while todo:
             cur, used = path[-1], len(path) - 1
+            may_end = not (ends_plain and used) or cur in plain
+            # Entering w leaves room for the closing edge only if used + 2
+            # edges fit the budget.  A non-plain cur in the middle lets only
+            # a successor through that closes a pair its predecessor opens.
+            deeper = used + 2 <= budget
+            mid = used >= 2 and cur not in plain
+            opened = before.get(path[-2], 0) if mid and cur in hubs else 0
             for w in todo[-1]:
                 if w in onpath:
                     continue
-                if w in left and not (ends_plain and used and plain.isdisjoint(labels(cur))):
+                if w in left and may_end:
                     left.remove(w)
                     found.append(w)
                     if not left:
                         return found
-                # Entering w leaves room for the closing edge only if
-                # used + 2 edges fit the budget.
-                if used + 2 > budget or (ends_plain and not may_enter(w, used + 1)):
+                if not deeper or (ends_plain and w not in plain and not (used and w in hubs)):
                     continue
-                if used >= 2 and not mid_ok(path[-2], cur, w):
+                if mid and not opened & after.get(w, 0):
                     continue
                 path.append(w)
                 onpath.add(w)

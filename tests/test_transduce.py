@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -11,13 +12,18 @@ from collections import Counter
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_eval_formula, oracle_eval_rendered, oracle_surgery_ok
+from oracles import (
+    oracle_eval_formula,
+    oracle_eval_rendered,
+    oracle_materialize,
+    oracle_surgery_ok,
+)
 
 from fancross import transduce
 from fancross.cluster import Certificate, search_certificate
-from fancross.drawing import Drawing, SubdivisionPlan
+from fancross.drawing import Drawing, SubdivisionPlan, _RotSys, validate
 from fancross.errors import Infeasible, InvariantBroken
 from fancross.fixtures import fig1a, fig1a_certificate, fig1b, fig3, random_kplanar
 from fancross.geometry import drawing_from_polylines, drawing_from_segments, pt
@@ -395,6 +401,247 @@ def test_corrupted_surgery_is_refused(monkeypatch, corrupt, mode):
     assert not seen[0].is_plane_simple() and not oracle_surgery_ok(seen[0])
 
 
+def plane_k4_drawing():
+    g = complete(4)
+    return drawing_from_segments(g, {0: (0, 0), 1: (6, 0), 2: (3, 6), 3: (3, 2)})
+
+
+def disjoint_union(rs: _RotSys, other: _RotSys) -> None:
+    """Adds a copy of ``other`` to ``rs``, on vertex and edge ids above
+    those ``rs`` has handed out."""
+    dv, de = rs._fresh_v, rs._fresh_e
+    for v, r in other.rot.items():
+        rs.rot[v + dv] = [e + de for e in r]
+    for e, (a, b) in other.ends.items():
+        rs.ends[e + de] = (a + dv, b + dv)
+    rs._fresh_v += other._fresh_v
+    rs._fresh_e += other._fresh_e
+
+
+def add_isolated_vertex(rs: _RotSys) -> None:
+    rs.rot[rs.new_vertex_id()] = []
+
+
+def test_nonplane_component_beside_plane_ones_is_refused():
+    """K4 with one rotation swapped has genus 1: V - E + F = 4 - 6 + 2 = 0.
+    A plane triangle (3 - 3 + 2) and an isolated vertex (1 + 1) beside it
+    bring V - E + F + isolated to 0 + 2 + 2 = 4 against 2C = 6."""
+    rs = _RotSys(plane_k4_drawing())
+    disjoint_union(rs, _RotSys(triangle_drawing()))
+    add_isolated_vertex(rs)
+    assert rs.is_plane_simple() and oracle_surgery_ok(rs)
+    swap_at_degree_three(rs)
+    assert min(v for v, r in rs.rot.items() if len(r) == 3) < 4
+    assert not rs.is_plane_simple()
+    assert not oracle_surgery_ok(rs)
+
+
+# Corruptions of a rotation system, each applicable after any other.
+
+
+def _discard(rs, v, e):
+    if e in rs.rot.get(v, ()):
+        rs.rot[v].remove(e)
+
+
+def _insert(rs, rng, v, e):
+    if v in rs.rot:
+        rs.rot[v].insert(rng.randint(0, len(rs.rot[v])), e)
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_edge_listed_away_from_its_end_is_refused(end):
+    """The edge 0-1 listed at one of its ends and at 2.  Taking the entry
+    at 2 for the missing end would write each dart once and give
+    V - E + F + isolated = 3 - 1 + 1 + 1 = 2C, so only the end check
+    refuses it."""
+    rs = _RotSys(triangle_drawing())
+    for e in list(rs.ends):
+        rs.remove_edge(e)
+    e = rs.new_edge_id()
+    rs.ends[e] = (0, 1)
+    rs.rot[end].append(e)
+    rs.rot[2].append(e)
+    assert not rs.is_plane_simple()
+    assert not oracle_surgery_ok(rs)
+
+
+def swap_two(rs, rng):
+    v = rng.choice([v for v, r in rs.rot.items() if len(r) >= 3] or [min(rs.rot)])
+    r = rs.rot[v]
+    if len(r) >= 2:
+        i, j = rng.sample(range(len(r)), 2)
+        r[i], r[j] = r[j], r[i]
+
+
+def reverse_one(rs, rng):
+    rs.rot[rng.choice(sorted(rs.rot))].reverse()
+
+
+def move_one(rs, rng):
+    r = rs.rot[rng.choice(sorted(rs.rot))]
+    if r:
+        r.insert(rng.randrange(len(r)), r.pop(rng.randrange(len(r))))
+
+
+def add_chord(rs, rng):
+    """An edge between two vertices at random rotation slots; plane exactly
+    when the two slots open onto one face."""
+    a, b = rng.sample(sorted(rs.rot), 2)
+    ne = rs.new_edge_id()
+    rs.ends[ne] = (a, b)
+    _insert(rs, rng, a, ne)
+    _insert(rs, rng, b, ne)
+
+
+def add_parallel(rs, rng):
+    if rs.ends:
+        a, b = rs.ends[rng.choice(sorted(rs.ends))]
+        ne = rs.new_edge_id()
+        rs.ends[ne] = (a, b)
+        _insert(rs, rng, a, ne)
+        _insert(rs, rng, b, ne)
+
+
+def add_loop(rs, rng):
+    v = rng.choice(sorted(rs.rot))
+    ne = rs.new_edge_id()
+    rs.ends[ne] = (v, v)
+    _insert(rs, rng, v, ne)
+    _insert(rs, rng, v, ne)
+
+
+def remove_one(rs, rng):
+    if rs.ends:
+        e = rng.choice(sorted(rs.ends))
+        for v in rs.ends.pop(e):
+            _discard(rs, v, e)
+
+
+def contract_one(rs, rng):
+    """Plane, but may leave parallel edges behind."""
+    if rs.ends:
+        e = rng.choice(sorted(rs.ends))
+        keep, gone = rs.ends[e]
+        if keep != gone and all(
+            rs.rot.get(v, []).count(e) == 1 and all(f in rs.ends for f in rs.rot[v])
+            for v in (keep, gone)
+        ):
+            rs.contract(e, keep)
+
+
+def drop_entry(rs, rng):
+    r = rs.rot[rng.choice([v for v, r in rs.rot.items() if r] or [min(rs.rot)])]
+    if r:
+        r.pop(rng.randrange(len(r)))
+
+
+def list_twice(rs, rng):
+    if rs.ends:
+        e = rng.choice(sorted(rs.ends))
+        _insert(rs, rng, rs.ends[e][0], e)
+
+
+def list_unknown_edge(rs, rng):
+    _insert(rs, rng, rng.choice(sorted(rs.rot)), rs.new_edge_id())
+
+
+def list_at_a_non_end(rs, rng):
+    """Moves an edge's entry from one of its ends to another vertex."""
+    if rs.ends:
+        e = rng.choice(sorted(rs.ends))
+        _discard(rs, rng.choice(rs.ends[e]), e)
+        _insert(rs, rng, rng.choice(sorted(rs.rot)), e)
+
+
+def end_at_unknown_vertex(rs, rng):
+    if rs.ends:
+        e = rng.choice(sorted(rs.ends))
+        a, b = rs.ends[e]
+        _discard(rs, b, e)
+        rs.ends[e] = (a, rs.new_vertex_id())
+
+
+CORRUPTIONS = [
+    swap_two,
+    reverse_one,
+    move_one,
+    add_chord,
+    add_chord,
+    add_parallel,
+    add_loop,
+    remove_one,
+    contract_one,
+    drop_entry,
+    list_twice,
+    list_unknown_edge,
+    list_at_a_non_end,
+    end_at_unknown_vertex,
+    lambda rs, rng: add_isolated_vertex(rs),
+]
+
+
+def surgery_case(rng: random.Random, parts: list[tuple[int, int, int]], isolated: int,
+                 corrupt: list[int]) -> tuple[_RotSys, list[bool]]:
+    """The plans of ``random_kplanar(n, k, seed)`` for each part, side by
+    side, plus isolated vertices; the first part gets the corruptions.
+    Also returns the oracle's verdict on each part alone."""
+    systems = [_RotSys(random_kplanar(n, k, seed)) for n, k, seed in parts]
+    for i in corrupt:
+        CORRUPTIONS[i % len(CORRUPTIONS)](systems[0], rng)
+    alone = [oracle_surgery_ok(copy.deepcopy(part)) for part in systems]
+    rs = systems[0]
+    for other in systems[1:]:
+        disjoint_union(rs, other)
+    for _ in range(isolated):
+        add_isolated_vertex(rs)
+    return rs, alone
+
+
+def only_euler_fails(rs: _RotSys) -> bool:
+    """Whether the system is simple and well listed but not plane."""
+    try:
+        errs = validate(oracle_materialize(rs))
+    except (InvariantBroken, KeyError, ValueError):
+        return False
+    return bool(errs) and all(e.startswith("euler") for e in errs)
+
+
+def test_surgery_check_matches_oracle_on_seeded_corpus():
+    verdicts = Counter()
+    for seed in range(240):
+        rng = random.Random(f"surgery-{seed}")
+        parts = [(rng.randint(4, 14), rng.randint(1, 3), rng.randrange(10**6))
+                 for _ in range(rng.randint(1, 3))]
+        corrupt = [rng.randrange(len(CORRUPTIONS)) for _ in range(rng.choice((0, 1, 1, 2)))]
+        rs, alone = surgery_case(rng, parts, rng.randint(0, 2), corrupt)
+        got = rs.is_plane_simple()
+        assert got == oracle_surgery_ok(rs), seed
+        one_bad = len(parts) > 1 and not alone[0] and all(alone[1:])
+        euler = only_euler_fails(rs)
+        verdicts[got] += 1
+        verdicts["one bad part"] += one_bad
+        verdicts["not plane"] += euler
+        verdicts["one part not plane"] += one_bad and euler
+    assert verdicts[True] >= 60 and verdicts[False] >= 100
+    assert verdicts["one bad part"] >= 60
+    assert verdicts["not plane"] >= 25
+    assert verdicts["one part not plane"] >= 12
+
+
+@settings(max_examples=80)
+@given(
+    st.lists(st.tuples(st.integers(4, 12), st.integers(1, 3), st.integers(0, 10**6)),
+             min_size=1, max_size=3),
+    st.integers(0, 2),
+    st.lists(st.integers(0, len(CORRUPTIONS) - 1), max_size=3),
+    st.integers(0, 10**6),
+)
+def test_surgery_check_matches_oracle_on_random_systems(parts, isolated, corrupt, seed):
+    rs, _ = surgery_case(random.Random(seed), parts, isolated, corrupt)
+    assert rs.is_plane_simple() == oracle_surgery_ok(rs)
+
+
 # ===== Shared output invariants =====
 
 
@@ -543,6 +790,22 @@ def test_eval_matches_per_pair_oracle():
         assert eval_formula(out) == oracle_eval_formula(out), i
 
 
+def test_eval_matches_per_pair_oracle_on_decode_sized_outputs():
+    """k-planar outputs of the size the decode benchmark runs, with two
+    deleted vertices, read in their own mode and in the clustered one."""
+    rng = random.Random("decode-sized")
+    for i in range(40):
+        n, k = rng.randint(16, 24), rng.randint(2, 4)
+        d = random_kplanar(n, k, rng.randrange(10**6))
+        base = list(d.base.vertices)
+        xs = (max(base) + 1, max(base) + 2)
+        x_edges = {x: tuple(rng.sample(base, rng.randint(1, 4))) for x in xs}
+        out = transduce_kplanar(d, x_edges, k)
+        swapped = dataclasses.replace(out, formula=TransductionFormula.for_mode(k, "clustered"))
+        for o in (out, swapped):
+            assert eval_formula(o) == oracle_eval_formula(o), (i, o.formula.mode)
+
+
 def chain_output(length: int, mode: str, inner: ColorLabel) -> TransductionOutput:
     """Original vertices 0 and 1 joined by a path of ``length`` edges whose
     internal vertices 2, 3, ... all carry ``inner``."""
@@ -574,9 +837,14 @@ def test_witnessed_target_stays_usable_inside_later_paths():
     assert eval_formula(out) == oracle_eval_formula(out) == complete(3)
 
 
+# Indices run past every corpus output's largest index and its k, so a
+# recolored graph can hold hub-pair labels no table entry matches.
 RECOLOR_LABELS = [
-    ColorLabel(kind, j) for kind in ("b", "bP") for j in range(4)
-] + [ColorLabel(kind, j) for kind in ("c", "cP") for j in range(1, 4)]
+    ColorLabel(kind, j) for kind in ("b", "bP") for j in range(7)
+] + [ColorLabel(kind, j) for kind in ("c", "cP") for j in range(1, 7)]
+PLAIN_LABELS = [B1, B2, ColorLabel("bP", 0)] + [
+    ColorLabel(kind, j) for kind in ("b", "bP") for j in range(3, 7)
+]
 
 
 @given(st.data())
@@ -585,7 +853,11 @@ def test_eval_matches_oracle_after_recoloring_and_mode_swap(data):
     g = out.colored.graph
     colors = dict(out.colored.colors)
     for v in data.draw(st.lists(st.sampled_from(g.vertices), max_size=8, unique=True)):
-        colors[v] = frozenset(data.draw(st.sets(st.sampled_from(RECOLOR_LABELS), max_size=3)))
+        labels = data.draw(st.sets(st.sampled_from(RECOLOR_LABELS), max_size=4))
+        if data.draw(st.booleans()):
+            # A hub that also holds a label plain in one of the modes.
+            labels |= {B0, data.draw(st.sampled_from(PLAIN_LABELS))}
+        colors[v] = frozenset(labels)
     mode = data.draw(st.sampled_from(("kplanar", "clustered")))
     mutated = TransductionOutput(
         ColoredGraph(g, colors),

@@ -33,6 +33,8 @@ from .drawing import (
     CrossingGraph,
     Drawing,
     SubdivisionPlan,
+    _crossing_graph,
+    _cut,
     _fan_core,
     crossing_graph,
     stitched_path,
@@ -469,12 +471,15 @@ class _GroupSearch:
         face with the least dart, which stays put while the component's least
         plan vertex is a real vertex, as in every drawing built from
         coordinates.
+
+        Candidates are cut by the uncached builders, so they neither evict
+        the plan slot of ``d`` nor stay in memory.
         """
         d = self.d
-        plan = SubdivisionPlan({f: bounds[f][1:-1] for f in edges})
-        cg = crossing_graph(d, plan)
+        cuts = {f: tuple(bounds[f][1:-1]) for f in edges if len(bounds[f]) > 2}
+        cg = _crossing_graph(d, cuts)
         comp = [n for n, a in enumerate(cg.nodes) if (a.edge, a.lo, a.hi) in arcs]
-        d2, pieces_of = subdivide_with_map(d, plan)
+        d2, pieces_of = _cut(d, cuts)
         part_edges = [d.base.edges[f] for f in sorted(edges)]
         fans = _strong_cover(d, d2, pieces_of, cg, _arc_keys(cg), comp, part_edges, self.ell)
         return fans is not None

@@ -14,9 +14,10 @@ consecutive plan vertices are kept apart by bend vertices.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .graphs import Graph
 
@@ -37,14 +38,23 @@ class Drawing:
         kind: plan vertex -> ``"real:<vid>"`` | ``"crossing"`` | ``"subdivision"``.
         trace: base edge id -> plan edge ids forming the drawn path.
         outer: index of the outer face in canonical face order.
+
+    The three maps are read-only views of private copies, so a drawing never
+    changes and every fact derived from it is computed once: the lookups
+    below, the :func:`validate` verdict, and the crossing graph and cut of
+    the last plan with cuts (see :meth:`_planned`).
     """
 
     base: Graph
     plan: Graph
-    rotation: dict[int, tuple[int, ...]]
-    kind: dict[int, str]
-    trace: dict[int, tuple[int, ...]]
+    rotation: Mapping[int, tuple[int, ...]]
+    kind: Mapping[int, str]
+    trace: Mapping[int, tuple[int, ...]]
     outer: int
+
+    def __post_init__(self) -> None:
+        for name in ("rotation", "kind", "trace"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     # ----- derived lookups (assume a valid drawing) -----
 
@@ -65,15 +75,34 @@ class Drawing:
     def with_outer(self, outer: int) -> "Drawing":
         """This drawing with another outer face.
 
-        The new drawing keeps every cached lookup already computed here, the
-        traced faces among them, except :attr:`_dual_tree`: it is rooted at
-        the outer face, so the new drawing builds its own.
+        The new drawing shares the read-only maps and keeps every cached
+        lookup already computed here, the traced faces among them, except
+        those that depend on the outer face: :attr:`_dual_tree` is rooted at
+        it, the verdict checks its index and the cut drawing inherits it.
         """
-        out = replace(self, outer=outer)
+        out = object.__new__(Drawing)
         out.__dict__.update(
-            (k, v) for k, v in self.__dict__.items() if k not in ("outer", "_dual_tree")
+            (k, v) for k, v in self.__dict__.items() if k not in _OUTER_DEPENDENT
         )
+        object.__setattr__(out, "outer", outer)
         return out
+
+    def _planned(self, cuts: Mapping[int, tuple[int, ...]], i: int, build: Callable):
+        """``build(self, cuts)``, kept in entry ``i`` of the slot of the last
+        plan with cuts, ``[cuts, crossing graph, (d2, pieces)]``.  A plan
+        with other cuts replaces the slot, so a drawing holds at most one
+        cut drawing."""
+        slot = self.__dict__.get("_plan_slot")
+        if slot is None or slot[0] != cuts:
+            slot = self.__dict__["_plan_slot"] = [cuts, None, None]
+        if slot[i] is None:
+            slot[i] = build(self, cuts)
+        return slot[i]
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        """The verdict of :func:`validate`."""
+        return tuple(_validate(self))
 
     @cached_property
     def _face_table(self) -> tuple[tuple[tuple[Dart, ...], ...], list[int], list[int]]:
@@ -169,6 +198,8 @@ class Drawing:
         """Plan vertex -> component index (components ordered by least vertex)."""
         return _component_index(self.plan.vertices, self.plan.edges)
 
+
+_OUTER_DEPENDENT = ("_dual_tree", "_violations", "_plan_slot")
 
 _REAL = re.compile(r"real:(-?[0-9]+)")
 
@@ -288,7 +319,14 @@ def _vertex_path(plan: Graph, eids: Sequence[int]) -> tuple[int, ...]:
 
 
 def validate(d: Drawing) -> list[str]:
-    """Checks all drawing invariants; returns a deterministic violation list."""
+    """Checks all drawing invariants; returns a deterministic violation list.
+
+    The checks run once per drawing; later calls copy the kept verdict.
+    """
+    return list(d._violations)
+
+
+def _validate(d: Drawing) -> list[str]:
     out: list[str] = []
     pverts = set(d.plan.vertices)
 
@@ -506,9 +544,15 @@ def crossing_graph(d: Drawing, plan: Optional[SubdivisionPlan] = None) -> Crossi
 
     Nodes are whole edges (no plan) or the arcs delimited by the plan's cut
     positions; piece indices follow cut order.  Crossing-free arcs appear as
-    isolated nodes.
+    isolated nodes.  The graph of a plan with cuts is kept in ``d``'s plan
+    slot and shared by later calls on the same cuts.
     """
     cuts = _checked_cuts(d, plan)
+    return d._planned(cuts, 1, _crossing_graph) if cuts else _crossing_graph(d, cuts)
+
+
+def _crossing_graph(d: Drawing, cuts: Mapping[int, tuple[int, ...]]) -> CrossingGraph:
+    """:func:`crossing_graph` on checked cuts, outside the plan slot."""
     nodes: list[ArcRef] = []
     crossings: list[tuple[int, ...]] = []
     owner: dict[tuple[int, int], int] = {}  # (edge, 1-based crossing idx) -> node
@@ -727,7 +771,18 @@ def subdivide_with_map(d: Drawing, plan: SubdivisionPlan) -> tuple[Drawing, dict
     Returns ``(d2, pieces)``: ``pieces[e]`` lists the base edge ids of
     ``d2`` that edge ``e`` of ``d`` falls into, in cut order from its smaller
     endpoint; an uncut edge is its own single piece.  A plan without cuts
-    returns ``d`` itself, whose faces are then traced only once.
+    returns ``d`` itself, whose faces are then traced only once.  The result
+    of a plan with cuts is kept in ``d``'s plan slot and shared by later
+    calls on the same cuts, so callers must not modify ``pieces``.
+    """
+    cuts = _checked_cuts(d, plan)
+    return d._planned(cuts, 2, _cut) if cuts else _cut(d, cuts)
+
+
+def _cut(
+    d: Drawing, cuts: Mapping[int, tuple[int, ...]]
+) -> tuple[Drawing, dict[int, list[int]]]:
+    """:func:`subdivide_with_map` on checked cuts, outside the plan slot.
 
     The cuts are made on a :class:`_RotSys`: every edge's trace is walked
     from its smaller endpoint and split at each of its cuts in turn, so cut
@@ -735,7 +790,6 @@ def subdivide_with_map(d: Drawing, plan: SubdivisionPlan) -> tuple[Drawing, dict
     rotation slots of the split edge's ends, so the outer face is found
     again through the slot of its first dart's tail.
     """
-    cuts = _checked_cuts(d, plan)
     if not cuts:
         return d, {e: [e] for e in range(d.base.m)}
     rs = _RotSys(d)
@@ -797,7 +851,7 @@ def planarize(d: Drawing) -> tuple[Drawing, dict[int, int]]:
     base = Graph.make(d.plan.vertices, d.plan.edges)
     kind = {p: f"real:{p}" for p in d.plan.vertices}
     trace = {eid: (eid,) for eid in range(base.m)}
-    out = Drawing(base, d.plan, dict(d.rotation), kind, trace, d.outer)
+    out = Drawing(base, d.plan, d.rotation, kind, trace, d.outer)
     xmap = {p: p for p in d.plan.vertices if d.kind_of(p) == "crossing"}
     return out, xmap
 
@@ -836,22 +890,6 @@ def _passage_side(d: Drawing, alpha_path: Sequence[int], x: int, other_in: Dart)
         if e == a_out:
             return "right"
     raise ValueError("darts do not meet at the crossing")
-
-
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 def _fan_core(

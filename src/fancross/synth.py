@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .cluster import Certificate, _arc_keys, verify_certificate
-from .drawing import Drawing, SubdivisionPlan, _UnionFind, crossing_graph, validate
+from .drawing import Drawing, SubdivisionPlan, crossing_graph, validate
 from .errors import InvariantBroken
 from .geometry import Point, cross_point, param_along, properly_cross, sort_ccw
 from .graphs import Fan, Graph, radius_center
@@ -227,21 +227,29 @@ def _host_outer_anchor(
 ) -> Optional[tuple[int, bool]]:
     """A used host edge bordering the outer area, and its outward side.
 
-    Host faces merge across every unused host edge; the anchor is the first
-    used edge with the merged outer class on one side, reported together
+    Host faces merge across every unused host edge, and a breadth-first
+    search from the outer face collects the merged outer class; the anchor
+    is the first used edge with that class on one side, reported together
     with the direction whose left side is outer.
     """
-    uf = _UnionFind(len(host.faces))
+    across: list[list[int]] = [[] for _ in host.faces]
     for heid in range(host.base.m):
         if heid not in used:
             p = host.paths[heid]
-            uf.union(host.face_of_dart((p[0], p[1])), host.face_of_dart((p[1], p[0])))
-    cls = uf.find(host.outer)
+            f, g = host.face_of_dart((p[0], p[1])), host.face_of_dart((p[1], p[0]))
+            across[f].append(g)
+            across[g].append(f)
+    outer, queue = {host.outer}, [host.outer]
+    for f in queue:
+        for g in across[f]:
+            if g not in outer:
+                outer.add(g)
+                queue.append(g)
     for heid in sorted(used):
         p = host.paths[heid]
-        if uf.find(host.face_of_dart((p[0], p[1]))) == cls:
+        if host.face_of_dart((p[0], p[1])) in outer:
             return heid, True
-        if uf.find(host.face_of_dart((p[-1], p[-2]))) == cls:
+        if host.face_of_dart((p[-1], p[-2])) in outer:
             return heid, False
     return None
 

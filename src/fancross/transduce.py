@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping, Optional
 from .cluster import Certificate, _verified
 from .drawing import (
     Drawing,
-    SubdivisionPlan,
+    _cut,
     _RotSys,
     is_k_planar,
     subdivide_with_map,
@@ -319,7 +319,8 @@ def transduce_clustered(
         gaps = (0,) * (u in orig) + (c2,) * (v in orig)
         if gaps:
             stub_cuts[e2] = gaps
-    d1, pieces_d1 = subdivide_with_map(d2, SubdivisionPlan(stub_cuts))
+    # The stub cut is built outside d2's plan slot, so d never holds d1.
+    d1, pieces_d1 = _cut(d2, stub_cuts)
 
     def strands(eid: int) -> list[int]:
         return [ne for e2 in pieces_d2[eid] for ne in pieces_d1[e2]]

@@ -36,12 +36,11 @@ from fancross.drawing import (
     Drawing,
     SubdivisionPlan,
     _checked_cuts,
+    _crossing_graph,
+    _cut,
     _passage_side,
     _RotSys,
-    _UnionFind,
-    crossing_graph,
     is_k_planar,
-    subdivide_with_map,
     validate,
 )
 from fancross.errors import CapExceeded, InvariantBroken
@@ -180,7 +179,7 @@ def oracle_cluster_feasible(d, k: int, ell: int, strong: bool = False, gaps: str
     memo: dict = {}
     for choice in itertools.product(*opts):
         plan = SubdivisionPlan({e: g for e, g in enumerate(choice) if g})
-        cg = crossing_graph(d, plan)
+        cg = _crossing_graph(d, _checked_cuts(d, plan))
         comps = cg.components()
         if all(
             _oracle_comp_feasible(d, plan, k, ell, strong, cg, comps, cid, memo)
@@ -210,12 +209,14 @@ def oracle_search_certificate(d, k: int, ell: int, strong: bool = False, cap: in
     for choice in itertools.product(*_cut_options(d, k)):
         cuts = {eid: gaps for eid, gaps in enumerate(choice) if gaps}
         plan = SubdivisionPlan(cuts)
-        cg = crossing_graph(d, plan)
+        # The uncached builders: the oracle reads nothing the library kept.
+        checked = _checked_cuts(d, plan)
+        cg = _crossing_graph(d, checked)
         comps = cg.components()
         keys = _arc_keys(cg)
         d2 = pieces_of = None
         if strong and comps:
-            d2, pieces_of = subdivide_with_map(d, plan)
+            d2, pieces_of = _cut(d, checked)
         covers = {}
         assignment: dict[tuple[int, int], int] = {}
         ok = True
@@ -576,6 +577,22 @@ def oracle_faces(d: Drawing) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 # ===== Strong fan-property oracle (a face union-find over the whole plan) =====
+
+
+class _UnionFind:
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+
+    def find(self, a: int) -> int:
+        while self.parent[a] != a:
+            self.parent[a] = self.parent[self.parent[a]]
+            a = self.parent[a]
+        return a
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
 
 
 def _outer_class_face(d: Drawing, pvid: int) -> int:

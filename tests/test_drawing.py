@@ -15,8 +15,8 @@ from oracles import (
     oracle_subdivide_with_map,
 )
 
-from fancross import drawing
-from fancross.cluster import Certificate, verify_certificate
+from fancross import cluster, drawing, transduce
+from fancross.cluster import Certificate, search_certificate, verify_certificate
 from fancross.drawing import (
     ArcRef,
     Drawing,
@@ -36,8 +36,11 @@ from fancross.drawing import (
 )
 from fancross.fixtures import fig1a, fig1b, fig3, random_kplanar
 from fancross.geometry import drawing_from_segments, pt
-from fancross.graphs import Fan, Graph
+from fancross.graphs import Fan, Graph, complete, grid2d
 from fancross.jsonio import drawing_from_json, drawing_to_json
+from fancross.minors import find_model_bruteforce
+from fancross.synth import synthesize
+from fancross.transduce import eval_formula, transduce_clustered, transduce_kplanar
 
 
 def xfix():
@@ -408,6 +411,130 @@ def test_cutting_matches_oracle_on_seeded_corpus():
 @given(st.integers(4, 18), st.integers(1, 3), st.integers(0, 10**6))
 def test_cutting_matches_oracle_on_random_drawings(n, k, seed):
     assert_cuts_match_oracle(*cutting_case(random_kplanar(n, k, seed), seed))
+
+
+# ===== Facts derived once per drawing =====
+
+
+def test_drawing_maps_are_read_only():
+    d = lens()
+    with pytest.raises(TypeError):
+        d.rotation[0] = ()
+    with pytest.raises(TypeError):
+        d.kind[4] = "subdivision"
+    with pytest.raises(TypeError):
+        d.trace[0] = (0,)
+    assert validate(d) == []
+
+
+@pytest.mark.parametrize("validated_first", [True, False])
+def test_caller_dicts_do_not_reach_the_drawing(validated_first):
+    src = lens()
+    rotation, kind, trace = dict(src.rotation), dict(src.kind), dict(src.trace)
+    d = Drawing(src.base, src.plan, rotation, kind, trace, src.outer)
+    if validated_first:
+        assert validate(d) == []
+    rotation[6] = (rotation[6][0], rotation[6][0])
+    kind[4] = "subdivision"
+    trace[1] = trace[0]
+    assert (d.rotation, d.kind, d.trace) == (src.rotation, src.kind, src.trace)
+    assert validate(d) == []
+    # The same dicts, mutated, make a drawing that is refused.
+    assert validate(Drawing(src.base, src.plan, rotation, kind, trace, src.outer))
+
+
+def cut_outcome(d, plan):
+    try:
+        return subdivide_with_map(d, plan)[0].outer
+    except IndexError:
+        return "IndexError"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 14), st.integers(1, 3), st.integers(0, 10**6))
+def test_with_outer_drops_what_depends_on_the_outer_face(n, k, seed):
+    d = random_kplanar(n, k, seed)
+    plan = cut_plan(d, random.Random(seed))
+    assert validate(d) == []
+    subdivide_with_map(d, plan)
+    d._dual_tree
+    for o in range(-2, len(d.faces) + 2):
+        moved = d.with_outer(o)
+        fresh = Drawing(d.base, d.plan, d.rotation, d.kind, d.trace, o)
+        assert moved == fresh
+        assert validate(moved) == validate(fresh)
+        in_range = 0 <= o < len(d.faces)
+        assert ("outer face: index out of range" in validate(moved)) != in_range
+        assert cut_outcome(moved, plan) == cut_outcome(fresh, plan)
+        if in_range:
+            assert moved._dual_tree == fresh._dual_tree
+
+
+def count_derivations(monkeypatch):
+    """Counts every run of the uncached validator, cut builder and crossing
+    graph builder, wherever they are imported, as ``(drawing, cuts)``."""
+    calls = {"_validate": [], "_cut": [], "_crossing_graph": []}
+    for name, modules in (
+        ("_validate", (drawing,)),
+        ("_cut", (drawing, cluster, transduce)),
+        ("_crossing_graph", (drawing, cluster)),
+    ):
+        real = getattr(drawing, name)
+
+        def counted(d, *rest, real=real, log=calls[name]):
+            log.append((d, *rest))
+            return real(d, *rest)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_pipeline_derives_each_fact_once(monkeypatch):
+    calls = count_derivations(monkeypatch)
+    g = grid2d(2, 3)
+    host = drawing_from_segments(g, {i * 3 + j: pt(j, i) for i in range(2) for j in range(3)})
+    m = find_model_bruteforce(g, complete(4), 2, 2, cap=16)
+    res = synthesize(host, m)
+    synthesize(host, m)
+    d, cert = res.drawing, res.cert
+    assert cert.plan.cuts
+    assert validate(d) == []
+    assert verify_certificate(d, cert, strong=True).verdict
+    out = transduce_clustered(d, cert, {}, res.kPrime)
+    assert eval_formula(out) == d.base
+    d2 = subdivide_with_map(d, cert.plan)[0]
+
+    def on(name, x):
+        return [rest for y, *rest in calls[name] if y is x]
+
+    assert on("_validate", host) == [[]]
+    assert on("_validate", d) == [[]]
+    assert on("_cut", d) == [[cert.plan.cuts]]
+    assert on("_crossing_graph", d) == [[cert.plan.cuts]]
+    assert len(on("_cut", d2)) == 1 and on("_validate", d2) == []
+    assert "_plan_slot" not in d2.__dict__
+
+    k4 = fig3()
+    transduce_kplanar(k4, {}, 2)
+    calls["_validate"].clear()
+    transduce_kplanar(k4, {}, 2)
+    assert calls["_validate"] == []
+
+
+def test_strong_search_leaves_only_its_certificate_in_the_slot(monkeypatch):
+    calls = count_derivations(monkeypatch)
+    d = fig3()
+    cert = search_certificate(d, 2, 2, strong=True)
+    tried = [cuts for y, cuts in calls["_cut"] if y is d]
+    assert any(cuts != cert.plan.cuts for cuts in tried)
+    assert d.__dict__["_plan_slot"][0] == cert.plan.cuts
+    assert subdivide_with_map(d, cert.plan) is d.__dict__["_plan_slot"][2]
+    # Candidates bypass the slot, so searching again finds the cut kept.
+    slot_cuts = []
+    monkeypatch.setattr(drawing, "_cut", lambda d, cuts: slot_cuts.append(cuts))
+    assert search_certificate(d, 2, 2, strong=True) == cert
+    assert slot_cuts == []
 
 
 # ===== Crossing graphs =====

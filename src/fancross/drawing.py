@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .graphs import Graph
 
@@ -105,13 +105,26 @@ class Drawing:
         return tuple(_validate(self))
 
     @cached_property
+    def _embedding(self) -> _Embedding:
+        """The plan's faces, components and genera; darts ``2e`` and
+        ``2e + 1`` run along plan edge ``e`` (see :func:`_embed`)."""
+        emb = _embed(dict(enumerate(self.plan.edges)), self.rotation)
+        if emb is None:
+            raise ValueError("rotations do not list every plan edge once at both ends")
+        return emb
+
+    @cached_property
     def _face_table(self) -> tuple[tuple[tuple[Dart, ...], ...], list[int], list[int]]:
         """The canonical faces, the face index of every integer dart, and
-        every dart's face successor (see :func:`_face_orbits`)."""
-        nxt, orbits = _face_orbits(self.plan.edges, self.rotation)
+        every dart's face successor."""
+        nxt = self._embedding.nxt
         darts = [t for a, b in self.plan.edges for t in ((a, b), (b, a))]
         traced = []
-        for orbit in orbits:
+        for start in self._embedding.faces:
+            orbit, d = [start], nxt[start]
+            while d != start:
+                orbit.append(d)
+                d = nxt[d]
             f = [darts[d] for d in orbit]
             k = f.index(min(f))
             traced.append((tuple(f[k:] + f[:k]), orbit))
@@ -195,8 +208,16 @@ class Drawing:
 
     @cached_property
     def plan_components(self) -> dict[int, int]:
-        """Plan vertex -> component index (components ordered by least vertex)."""
-        return _component_index(self.plan.vertices, self.plan.edges)
+        """Plan vertex -> component index (components ordered by least vertex).
+
+        Found by the dart search that traces the faces, so like :attr:`faces`
+        it raises ValueError unless the rotations are valid.
+        """
+        label: dict[int, int] = {}
+        return {
+            v: label.setdefault(c, len(label))
+            for v, c in sorted(zip(self.rotation, self._embedding.comp))
+        }
 
 
 _OUTER_DEPENDENT = ("_dual_tree", "_violations", "_plan_slot")
@@ -210,79 +231,108 @@ def _real_vertex(kind: str) -> Optional[int]:
     return int(m.group(1)) if m else None
 
 
-# ===== Face tracing on integer darts =====
+# ===== The dart kernel: faces, components and genus =====
 
 
-def _face_orbits(
-    edges: Sequence[tuple[int, int]], rotation: Mapping[int, Sequence[int]]
-) -> tuple[list[int], list[list[int]]]:
-    """The face successor of every integer dart of a rotation system, and
-    its faces as cycles of integer darts.
+class _Embedding(NamedTuple):
+    """The surface embedding a rotation system defines (see :func:`_embed`)."""
 
-    Dart ``2e`` runs along edge ``e`` from ``edges[e][0]`` to ``edges[e][1]``,
-    and dart ``2e + 1`` runs back.  The successor of a dart entering ``v``
-    leaves ``v`` along the edge before it in ``v``'s counterclockwise
-    rotation, so each face lies on the left of its darts.  Assumes a
-    loopless system whose rotations list each incident edge once.
+    nxt: list[int]  # integer dart -> its face successor
+    faces: list[int]  # one dart on each face; the face is its orbit in nxt
+    comp: list[int]  # the component of each vertex, in rotation order
+    genus: list[int]  # component -> genus of its surface
+
+
+def _embed(
+    ends: Mapping[int, tuple[int, int]], rot: Mapping[int, Sequence[int]]
+) -> Optional[_Embedding]:
+    """The faces, components and genera of a rotation system, or None
+    unless each rotation lists every edge exactly once at each of its two
+    distinct ends.
+
+    Edges are numbered densely in the order of ``ends``: dart ``2i`` runs
+    along the ``i``-th edge from its first end to its second, and dart
+    ``2i + 1`` runs back.  The successor of a dart entering ``v`` leaves
+    ``v`` along the edge before it in ``v``'s counterclockwise rotation, so
+    each face lies on the left of its darts.  A dart written twice is an
+    edge listed twice at one vertex; with none written twice, the rotations
+    list every edge at both ends exactly when all darts are written.
+
+    The components with edges are the orbits of the face successor together
+    with the twin map ``d -> d ^ 1``, so one search from each vertex's first
+    dart finds both them and, tracing each face once as it is reached, the
+    faces.  Components are numbered in the order of their first vertices in
+    ``rot``.  A connected rotation system with ``V`` vertices, ``E`` edges
+    and ``F`` faces embeds cellularly in the orientable surface of genus
+    ``g`` where ``V - E + F = 2 - 2g`` (Mohar and Thomassen, *Graphs on
+    Surfaces*, ch. 3); an isolated vertex is a plane component with one
+    face.
     """
-    nxt = [0] * (2 * len(edges))
-    for v, rot in rotation.items():
-        outs = [2 * e + (edges[e][0] != v) for e in rot]
-        for p, o in enumerate(outs):
-            nxt[o ^ 1] = outs[p - 1]
-    seen = [False] * len(nxt)
-    out: list[list[int]] = []
-    for d0 in range(len(nxt)):
-        if seen[d0]:
+    index: dict[int, int] = {}
+    tails: list[int] = []
+    heads: list[int] = []
+    for e, (a, b) in ends.items():
+        if a == b or a not in rot or b not in rot:
+            return None
+        index[e] = len(tails)
+        tails.append(a)
+        heads.append(b)
+    nxt = [-1] * (2 * len(tails))
+    for v, r in rot.items():
+        if not r:
             continue
-        orbit = []
-        d = d0
-        while not seen[d]:
-            seen[d] = True
-            orbit.append(d)
-            d = nxt[d]
-        out.append(orbit)
-    return nxt, out
+        i = index.get(r[-1])
+        if i is None:
+            return None
+        last = 2 * i + (tails[i] != v)  # the loop checks that v is an end
+        for e in r:
+            i = index.get(e)
+            if i is None:
+                return None
+            if tails[i] == v:
+                o = 2 * i
+            elif heads[i] == v:
+                o = 2 * i + 1
+            else:
+                return None
+            if nxt[o ^ 1] >= 0:
+                return None
+            nxt[o ^ 1] = last
+            last = o
+    if -1 in nxt:
+        return None
 
-
-def _component_index(
-    vertices: Iterable[int], edges: Iterable[tuple[int, int]]
-) -> dict[int, int]:
-    """Vertex -> component index, components ordered by least vertex."""
-    comp = dict.fromkeys(sorted(vertices), -1)
-    adj: dict[int, list[int]] = {v: [] for v in comp}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    count = 0
-    for s in comp:
-        if comp[s] < 0:
-            comp[s], stack = count, [s]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if comp[w] < 0:
-                        comp[w] = count
-                        stack.append(w)
-            count += 1
-    return comp
-
-
-def _euler_failures(
-    comp: Mapping[int, int], edges: Iterable[tuple[int, int]], face_vertices: Iterable[int]
-) -> list[int]:
-    """Components where V - E + F != 2; ``face_vertices`` holds one vertex
-    on each face.  A component without edges has one face and lists none."""
-    ncomp = max(comp.values(), default=-1) + 1
-    vcnt, ecnt, fcnt = [0] * ncomp, [0] * ncomp, [0] * ncomp
-    for c in comp.values():
-        vcnt[c] += 1
-    for a, _ in edges:
-        ecnt[comp[a]] += 1
-    for v in face_vertices:
-        fcnt[comp[v]] += 1
-    return [
-        i for i in range(ncomp) if vcnt[i] - ecnt[i] + (fcnt[i] if ecnt[i] else 1) != 2
-    ]
+    dart_comp = [-1] * len(nxt)
+    faces: list[int] = []
+    comp: list[int] = []
+    euler: list[int] = []  # per component, V - E + F so far
+    for v, r in rot.items():
+        c = len(euler)
+        if not r:
+            euler.append(1)  # the one face of an isolated vertex
+        else:
+            i = index[r[0]]
+            d = 2 * i + (tails[i] != v)
+            if dart_comp[d] >= 0:
+                c = dart_comp[d]
+            else:
+                first, darts, stack = len(faces), 0, [d]
+                while stack:
+                    d = stack.pop()
+                    if dart_comp[d] >= 0:
+                        continue
+                    faces.append(d)
+                    while dart_comp[d] < 0:
+                        dart_comp[d] = c
+                        darts += 1
+                        stack.append(d ^ 1)
+                        d = nxt[d]
+                euler.append(len(faces) - first - darts // 2)
+        comp.append(c)
+        euler[c] += 1
+    # g = 1 - (V - E + F) / 2; V - E + F is even, and were it miscounted odd
+    # the floor would round g up, away from a plane 0.
+    return _Embedding(nxt, faces, comp, [1 - x // 2 for x in euler])
 
 
 def _vertex_path(plan: Graph, eids: Sequence[int]) -> tuple[int, ...]:
@@ -431,10 +481,10 @@ def _validate(d: Drawing) -> list[str]:
         return out
 
     # Per-component Euler formula, and the outer face index.
-    faces = d.faces
-    for i in _euler_failures(d.plan_components, d.plan.edges, (f[0][0] for f in faces)):
+    emb, comp = d._embedding, d.plan_components
+    for i in sorted({comp[v] for v, c in zip(d.rotation, emb.comp) if emb.genus[c]}):
         out.append(f"euler: plan component {i}")
-    if not (0 <= d.outer < max(len(faces), 1)):
+    if not (0 <= d.outer < max(len(d.faces), 1)):
         out.append("outer face: index out of range")
     return out
 
@@ -672,94 +722,20 @@ class _RotSys:
     def is_plane_simple(self) -> bool:
         """Whether the finished system is a simple graph embedded in the plane.
 
-        Checks that every edge joins two distinct vertices of the system,
-        that no two edges join the same pair, that each rotation lists its
-        incident edges exactly once, and that the system is plane.  These are
+        Beyond what :func:`_embed` checks, no two edges may join the same
+        pair of vertices, and every component must have genus 0.  These are
         the checks of :func:`validate` that the surgery can break.  Its other
         checks hold by construction on the transducers' output drawing: every
         vertex is real (``real:<v>`` for itself) and every trace is the
         single edge it draws, so there are no crossing or subdivision
         vertices, and the kinds, the real-copy bijection and the traces are
         right.
-
-        Planarity is one count over the whole system.  A connected rotation
-        system with ``V`` vertices, ``E >= 1`` edges and ``F`` face orbits
-        embeds cellularly in the orientable surface of genus ``g >= 0``
-        where ``V - E + F = 2 - 2g`` (Mohar and Thomassen, *Graphs on
-        Surfaces*, ch. 3), so ``V - E + F <= 2`` with equality exactly when
-        it is plane.  An isolated vertex has no darts and traces no face;
-        counted once in ``V`` and once more as isolated, it adds the 2 of a
-        plane component.  Summed over all ``C`` components, isolated ones
-        included, ``V - E + F + isolated <= 2C``, with equality exactly when
-        every component is plane.
-
-        Edges get dense ids ``0 .. E-1`` in one pass over ``ends``, and one
-        pass over the rotations writes the face successor of every integer
-        dart (as in :func:`_face_orbits`).  A dart written twice is an edge
-        listed twice at one vertex; with none written twice, the rotations
-        list every edge at both ends exactly when all ``2E`` darts are
-        written.  The components with edges are the orbits of the face
-        successor together with the twin map ``d -> d ^ 1``, so one search
-        over darts counts both them and, tracing each face once as it is
-        reached, the faces.
         """
-        rot, ends = self.rot, self.ends
-        index: dict[int, int] = {}
-        tails: list[int] = []
-        heads: list[int] = []
-        pairs = set()
-        for e, (a, b) in ends.items():
-            if a == b or a not in rot or b not in rot:
-                return False
-            pairs.add((a, b) if a < b else (b, a))
-            index[e] = len(tails)
-            tails.append(a)
-            heads.append(b)
-        if len(pairs) != len(tails):
+        pairs = {(a, b) if a < b else (b, a) for a, b in self.ends.values()}
+        if len(pairs) != len(self.ends):
             return False
-        nxt = [-1] * (2 * len(tails))
-        isolated = 0
-        for v, r in rot.items():
-            if not r:
-                isolated += 1
-                continue
-            i = index.get(r[-1])
-            if i is None:
-                return False
-            last = 2 * i + (tails[i] != v)  # the loop checks that v is an end
-            for e in r:
-                i = index.get(e)
-                if i is None:
-                    return False
-                if tails[i] == v:
-                    o = 2 * i
-                elif heads[i] == v:
-                    o = 2 * i + 1
-                else:
-                    return False
-                if nxt[o ^ 1] >= 0:
-                    return False
-                nxt[o ^ 1] = last
-                last = o
-        if -1 in nxt:
-            return False
-        faces = comps = 0
-        seen = bytearray(len(nxt))
-        for d0 in range(len(nxt)):
-            if seen[d0]:
-                continue
-            comps += 1
-            stack = [d0]
-            while stack:
-                d = stack.pop()
-                if seen[d]:
-                    continue
-                faces += 1
-                while not seen[d]:
-                    seen[d] = 1
-                    stack.append(d ^ 1)
-                    d = nxt[d]
-        return len(rot) - len(tails) + faces + isolated == 2 * (comps + isolated)
+        emb = _embed(self.ends, self.rot)
+        return emb is not None and not any(emb.genus)
 
 
 # ===== Subdivision =====

@@ -16,10 +16,10 @@ short colored path.
 
 Both do their surgery on ``drawing._RotSys``, the mutable rotation system
 that also cuts edges for ``subdivide_with_map``, and check it there before
-building the output graph: a simple graph whose rotations list each incident
-edge once and whose Euler count over integer darts shows genus 0 on every
-component is a plane drawing, so no intermediate ``Drawing`` is built or
-validated.
+building the output graph: a simple graph that the dart kernel
+``drawing._embed``, which also traces every ``Drawing``'s faces, accepts
+with genus 0 on every component is a plane drawing, so no intermediate
+``Drawing`` is built or validated.
 
 ``eval_formula`` evaluates the formula exactly.  It pairs the holders of
 each handshake color, and runs one bounded simple-path search per source

@@ -6,9 +6,11 @@ enumerating every subdivision plan and every fan cover, the first
 certificate from trying every cut choice in product order, the first minor
 model from trying every admissible branch set of the free host vertices,
 components from one BFS per unvisited vertex, faces from
-stepping ``(u, v)`` dart tuples through rotation positions, the
-transducer's surgery check from rebuilding the surgered drawing and running
-``validate`` on it, and the decoded graph of a transduction from one path
+stepping ``(u, v)`` dart tuples through rotation positions, non-plane
+components from V - E + F over those components and faces, the
+transducer's surgery check from rebuilding the surgered drawing, running
+``validate`` on it but for its Euler check and counting V - E + F instead,
+and the decoded graph of a transduction from one path
 search per vertex pair, or from the rendered text of its formula, and
 the strong fan property from a face union-find over the whole plan, and
 cut drawings from rewriting every rotation entry by position through dart
@@ -20,7 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from collections import deque
+from collections import Counter, deque
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -576,6 +578,22 @@ def oracle_faces(d: Drawing) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(out)
 
 
+def oracle_nonplane_components(d: Drawing) -> list[int]:
+    """The plan components, numbered as by ``oracle_component_index``,
+    whose V - E + F is not 2 over the faces of ``oracle_faces``; an isolated
+    vertex has one face."""
+    comp = oracle_component_index(d.plan.vertices, d.plan.edges)
+    euler = Counter(comp.values())
+    for a, _ in d.plan.edges:
+        euler[comp[a]] -= 1
+    for f in oracle_faces(d):
+        euler[comp[f[0][0]]] += 1
+    for v in d.plan.vertices:
+        if not d.plan.degree(v):
+            euler[comp[v]] += 1
+    return sorted(c for c, x in euler.items() if x != 2)
+
+
 # ===== Strong fan-property oracle (a face union-find over the whole plan) =====
 
 
@@ -599,11 +617,12 @@ def _outer_class_face(d: Drawing, pvid: int) -> int:
     """The face representing the unbounded side for ``pvid``'s plan component:
     the drawing's outer face if it borders that component, else the
     component's canonically first face."""
-    comp = d.plan_components[pvid]
-    if d.faces and d.plan_components[d.faces[d.outer][0][0]] == comp:
+    comps = oracle_component_index(d.plan.vertices, d.plan.edges)
+    comp = comps[pvid]
+    if d.faces and comps[d.faces[d.outer][0][0]] == comp:
         return d.outer
     for i, f in enumerate(d.faces):
-        if d.plan_components[f[0][0]] == comp:
+        if comps[f[0][0]] == comp:
             return i
     raise ValueError("component has no faces")
 
@@ -675,13 +694,25 @@ def oracle_materialize(rs: _RotSys) -> Drawing:
     return Drawing(base, base, rotation, kind, trace, 0)
 
 
-def oracle_surgery_ok(rs: _RotSys) -> bool:
-    """Whether the system materializes into a drawing that passes the whole
-    of ``validate``."""
+def oracle_surgery_nonplane(rs: _RotSys) -> Optional[list[int]]:
+    """The non-plane components of the system's materialized drawing, by
+    ``oracle_nonplane_components``, or None if it fails to materialize or
+    fails a check of ``validate`` other than the Euler one."""
     try:
-        return not validate(oracle_materialize(rs))
+        d = oracle_materialize(rs)
+        errs = validate(d)
     except (InvariantBroken, KeyError, ValueError):
-        return False
+        return None
+    if any(not e.startswith("euler:") for e in errs):
+        return None
+    return oracle_nonplane_components(d)
+
+
+def oracle_surgery_ok(rs: _RotSys) -> bool:
+    """Whether the system materializes into a drawing that passes every
+    check of ``validate`` but the Euler one, with every component plane by
+    the oracle's own count."""
+    return oracle_surgery_nonplane(rs) == []
 
 
 # ===== Formula oracle (one search per vertex pair) =====

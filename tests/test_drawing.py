@@ -21,9 +21,9 @@ from fancross.drawing import (
     ArcRef,
     Drawing,
     SubdivisionPlan,
-    _component_index,
     _fan_core,
     _passage_side,
+    _RotSys,
     _vertex_path,
     crossing_graph,
     crossings_per_edge,
@@ -108,6 +108,8 @@ def test_validate_flags_bad_rotation():
     rot[6] = (rot[6][0], rot[6][0])
     bad = Drawing(d.base, d.plan, rot, d.kind, d.trace, d.outer)
     assert any(v.startswith("rotation:") for v in validate(bad))
+    with pytest.raises(ValueError, match="rotations do not list"):
+        bad.faces
 
 
 def test_vertex_path_rejects_unknown_plan_edge():
@@ -186,6 +188,22 @@ def test_validate_flags_non_planar_rotation():
     assert validate(bad) == ["euler: plan component 0"]
 
 
+def test_validate_names_the_nonplane_component_by_least_vertex():
+    """An isolated vertex, a plane triangle and K4 with one rotation
+    swapped, in that id order: only component 2 is not plane."""
+    edges = [(1, 2), (1, 3), (2, 3)] + [(a, b) for a in range(4, 8) for b in range(a + 1, 8)]
+    pos = {0: pt(-4, 0), 1: pt(-2, 0), 2: pt(-1, 0), 3: pt(-2, 1)}
+    pos.update({4: pt(0, 0), 5: pt(4, 0), 6: pt(0, 4), 7: pt(1, 1)})
+    d = drawing_from_segments(Graph.make(range(8), edges), pos)
+    assert validate(d) == [] and _RotSys(d).is_plane_simple()
+    rot = dict(d.rotation)
+    a, b, c = rot[7]
+    rot[7] = (b, a, c)
+    bad = Drawing(d.base, d.plan, rot, d.kind, d.trace, d.outer)
+    assert validate(bad) == ["euler: plan component 2"]
+    assert not _RotSys(bad).is_plane_simple()
+
+
 def test_validate_flags_outer_out_of_range():
     d = xfix()
     bad = Drawing(d.base, d.plan, d.rotation, d.kind, d.trace, 99)
@@ -255,7 +273,15 @@ def test_component_index_matches_bfs_oracle():
         p = rng.random() * 0.4
         es = [(a, b) for a in vs for b in vs if a < b and rng.random() < p]
         rng.shuffle(es)
-        got = _component_index(vs, es)
+        g = Graph.make(vs, es)
+        incident = {v: [] for v in g.vertices}
+        for e, (a, b) in enumerate(g.edges):
+            incident[a].append(e)
+            incident[b].append(e)
+        rotation = {v: rng.sample(r, len(r)) for v, r in incident.items()}
+        kind = {v: f"real:{v}" for v in g.vertices}
+        d = Drawing(g, g, rotation, kind, {e: (e,) for e in range(g.m)}, 0)
+        got = d.plan_components
         assert got == oracle_component_index(vs, es), seed
         assert list(got) == sorted(vs)
 
@@ -267,16 +293,24 @@ def test_face_of_unknown_dart_raises():
 
 def test_constructed_drawings_trace_faces_once(monkeypatch):
     calls = []
-    real = drawing._face_orbits
+    real = drawing._embed
 
-    def counted(edges, rotation):
-        calls.append(len(edges))
-        return real(edges, rotation)
+    def counted(ends, rot):
+        calls.append(len(ends))
+        return real(ends, rot)
 
-    monkeypatch.setattr(drawing, "_face_orbits", counted)
+    monkeypatch.setattr(drawing, "_embed", counted)
     d = fig3()
     assert len(calls) == 1
     d.faces
+    assert len(calls) == 1
+    # One kernel call serves faces, components, the Euler check and every
+    # outer face.
+    calls.clear()
+    fresh = Drawing(d.base, d.plan, d.rotation, d.kind, d.trace, d.outer)
+    assert validate(fresh) == []
+    assert fresh.faces == d.faces and fresh.plan_components
+    assert fresh.with_outer(0).faces == d.faces
     assert len(calls) == 1
     for plan in (SubdivisionPlan({0: (0,)}), SubdivisionPlan({5: (1,), 6: (0, 2)})):
         calls.clear()
@@ -762,7 +796,7 @@ def decided_by_enclosure(d, alpha, fan):
 
 def off_outer_component(d, alpha):
     """Whether the arc's plan component misses the outer face."""
-    comp = d.plan_components
+    comp = oracle_component_index(d.plan.vertices, d.plan.edges)
     return comp[alpha[0]] != comp[d.faces[d.outer][0][0]]
 
 

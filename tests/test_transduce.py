@@ -18,6 +18,8 @@ from oracles import (
     oracle_eval_formula,
     oracle_eval_rendered,
     oracle_materialize,
+    oracle_nonplane_components,
+    oracle_surgery_nonplane,
     oracle_surgery_ok,
 )
 
@@ -425,7 +427,7 @@ def add_isolated_vertex(rs: _RotSys) -> None:
 def test_nonplane_component_beside_plane_ones_is_refused():
     """K4 with one rotation swapped has genus 1: V - E + F = 4 - 6 + 2 = 0.
     A plane triangle (3 - 3 + 2) and an isolated vertex (1 + 1) beside it
-    bring V - E + F + isolated to 0 + 2 + 2 = 4 against 2C = 6."""
+    do not hide it."""
     rs = _RotSys(plane_k4_drawing())
     disjoint_union(rs, _RotSys(triangle_drawing()))
     add_isolated_vertex(rs)
@@ -452,8 +454,8 @@ def _insert(rs, rng, v, e):
 @pytest.mark.parametrize("end", [0, 1])
 def test_edge_listed_away_from_its_end_is_refused(end):
     """The edge 0-1 listed at one of its ends and at 2.  Taking the entry
-    at 2 for the missing end would write each dart once and give
-    V - E + F + isolated = 3 - 1 + 1 + 1 = 2C, so only the end check
+    at 2 for the missing end would write each dart once and give a plane
+    edge (2 - 1 + 1) beside an isolated vertex, so only the end check
     refuses it."""
     rs = _RotSys(triangle_drawing())
     for e in list(rs.ends):
@@ -598,15 +600,6 @@ def surgery_case(rng: random.Random, parts: list[tuple[int, int, int]], isolated
     return rs, alone
 
 
-def only_euler_fails(rs: _RotSys) -> bool:
-    """Whether the system is simple and well listed but not plane."""
-    try:
-        errs = validate(oracle_materialize(rs))
-    except (InvariantBroken, KeyError, ValueError):
-        return False
-    return bool(errs) and all(e.startswith("euler") for e in errs)
-
-
 def test_surgery_check_matches_oracle_on_seeded_corpus():
     verdicts = Counter()
     for seed in range(240):
@@ -618,7 +611,7 @@ def test_surgery_check_matches_oracle_on_seeded_corpus():
         got = rs.is_plane_simple()
         assert got == oracle_surgery_ok(rs), seed
         one_bad = len(parts) > 1 and not alone[0] and all(alone[1:])
-        euler = only_euler_fails(rs)
+        euler = bool(oracle_surgery_nonplane(rs))  # simple and well listed, not plane
         verdicts[got] += 1
         verdicts["one bad part"] += one_bad
         verdicts["not plane"] += euler
@@ -640,6 +633,34 @@ def test_surgery_check_matches_oracle_on_seeded_corpus():
 def test_surgery_check_matches_oracle_on_random_systems(parts, isolated, corrupt, seed):
     rs, _ = surgery_case(random.Random(seed), parts, isolated, corrupt)
     assert rs.is_plane_simple() == oracle_surgery_ok(rs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(4, 12), st.integers(1, 3), st.integers(0, 10**6), st.integers(0, 2)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(0, 10**6),
+)
+def test_validate_flags_exactly_the_nonplane_components(parts, seed):
+    """Plans side by side, each with up to two rotation swaps: ``validate``
+    flags the components whose V - E + F is not 2 by the oracle's count."""
+    rng = random.Random(seed)
+    systems = []
+    for n, k, s, swaps in parts:
+        systems.append(_RotSys(random_kplanar(n, k, s)))
+        for _ in range(swaps):
+            swap_two(systems[-1], rng)
+    rs = systems[0]
+    for other in systems[1:]:
+        disjoint_union(rs, other)
+    d = oracle_materialize(rs)
+    errs = validate(d)
+    assert all(e.startswith("euler: plan component ") for e in errs)
+    assert [int(e.rsplit(" ", 1)[1]) for e in errs] == oracle_nonplane_components(d)
+    assert rs.is_plane_simple() == (not errs) == oracle_surgery_ok(rs)
 
 
 # ===== Shared output invariants =====

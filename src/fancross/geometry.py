@@ -13,7 +13,11 @@ integer parts.  Every incidence test is exact: no epsilons, no rounding.
 The entry points :func:`drawing_from_segments` and
 :func:`drawing_from_polylines` turn a graph with vertex positions (and
 optional per-edge bend chains) into a :class:`~fancross.drawing.Drawing`,
-rejecting every degenerate configuration outright.
+rejecting every degenerate configuration outright.  They and the
+synthesizer's region arenas draw through one path: :func:`_arrangement`
+finds and numbers the crossings of tagged segments, :func:`_rotations`
+orders each vertex's neighbours from straight runs of vertices, and
+:func:`_drawing_along` assembles the plan, rotations and traces.
 """
 
 from __future__ import annotations
@@ -109,6 +113,77 @@ def sort_ccw(items: Iterable[tuple[object, Vec]]) -> list[object]:
     return [k for k, _ in pairs]
 
 
+# ===== Segment arrangements and the drawings along them =====
+
+
+def _arrangement(
+    segs: Sequence[tuple[object, Point, Point]],
+) -> Optional[tuple[list[Point], list[list[int]]]]:
+    """The crossings of the integer segments ``(tag, a, b)``.
+
+    Segments that share an endpoint are never tested.  Two crossing segments
+    with one tag raise ``ValueError("edge crosses itself")``, and the answer
+    is None as soon as a crossing point repeats under another set of tags.
+    Otherwise returns the crossing points in coordinate order and, for each
+    segment, the numbers of its crossings in order from ``a``.
+    """
+    tags_at: dict[Point, set[object]] = {}
+    recs: list[tuple[Point, int, int]] = []
+    for s1, (t1, a, b) in enumerate(segs):
+        for s2 in range(s1 + 1, len(segs)):
+            t2, c, d = segs[s2]
+            if a == c or a == d or b == c or b == d or not properly_cross(a, b, c, d):
+                continue
+            if t1 == t2:
+                raise ValueError("edge crosses itself")
+            x = cross_point(a, b, c, d)
+            tags = {t1, t2}
+            if tags_at.setdefault(x, tags) != tags:
+                return None
+            recs.append((x, s1, s2))
+    recs.sort()
+    along: list[list[tuple[Fraction, int]]] = [[] for _ in segs]
+    for i, (x, s1, s2) in enumerate(recs):
+        for s in (s1, s2):
+            _, a, b = segs[s]
+            along[s].append((param_along(a, b, x), i))
+    return [x for x, _, _ in recs], [[i for _, i in sorted(on)] for on in along]
+
+
+def _rotations(runs: Iterable[tuple[Sequence[int], Vec]]) -> dict[int, tuple[int, ...]]:
+    """Each vertex's neighbours in counterclockwise order, from straight runs
+    of vertices, each given with its integer direction from first to last."""
+    rays: dict[int, list[tuple[int, Vec]]] = {}
+    for run, (dx, dy) in runs:
+        fwd, back = (dx, dy), (-dx, -dy)
+        for p, q in zip(run, run[1:]):
+            rays.setdefault(p, []).append((q, fwd))
+            rays.setdefault(q, []).append((p, back))
+    return {v: tuple(sort_ccw(items)) for v, items in rays.items()}
+
+
+def _drawing_along(
+    base: Graph,
+    kind: Mapping[int, str],
+    paths: Mapping[int, Sequence[int]],
+    around: Mapping[int, Sequence[int]],
+) -> Drawing:
+    """The drawing of ``base`` whose edge ``eid`` runs through the plan
+    vertices ``paths[eid]``, with outer face 0.
+
+    The plan vertices are the keys of ``kind``.  ``around[v]`` lists the
+    neighbours of ``v`` in counterclockwise order; a vertex missing from it
+    lists its edges by id, which is the order of its sorted neighbours.
+    """
+    plan = Graph.make(kind, (e for path in paths.values() for e in zip(path, path[1:])))
+    eid = plan.edge_id
+    rotation = {
+        v: tuple(eid(v, w) for w in around.get(v, plan.adj[v])) for v in plan.vertices
+    }
+    trace = {e: tuple(eid(p, q) for p, q in zip(path, path[1:])) for e, path in paths.items()}
+    return Drawing(base, plan, rotation, kind, trace, 0)
+
+
 # ===== Polyline drawings =====
 
 
@@ -155,96 +230,59 @@ def drawing_from_polylines(
             raise ValueError("coincident vertices")
         node_pts.add(p)
 
-    # Segments: (edge, index along chain, endpoints).
-    segs: list[tuple[int, int, tuple[int, int], tuple[int, int]]] = []
+    # Segments, tagged by their edge, in chain order.
+    segs: list[tuple[int, Point, Point]] = []
     for eid, chain in chains.items():
-        for i, (a, b) in enumerate(zip(chain, chain[1:])):
+        for a, b in zip(chain, chain[1:]):
             if a == b:
                 raise ValueError("degenerate segment")
-            segs.append((eid, i, a, b))
+            segs.append((eid, a, b))
 
     for p in node_pts:
-        for _, _, a, b in segs:
+        for _, a, b in segs:
             if strictly_inside(a, b, p):
                 raise ValueError("vertex on edge")
 
     # Any collinear overlap between segments puts some chain point strictly
     # inside another segment, so the check above already rejected it.
-    hits: dict[Point, set[int]] = {}  # crossing point -> the two edges
-    along: dict[tuple[int, int], list[tuple[Fraction, Point]]] = {}
-    for s1 in range(len(segs)):
-        for s2 in range(s1 + 1, len(segs)):
-            e1, i1, a, b = segs[s1]
-            e2, i2, c, d = segs[s2]
-            if e1 == e2:
-                if abs(i1 - i2) > 1 and properly_cross(a, b, c, d):
-                    raise ValueError("edge crosses itself")
-                continue
-            if properly_cross(a, b, c, d):
-                x = cross_point(a, b, c, d)
-                entry = hits.setdefault(x, set())
-                entry |= {e1, e2}
-                if len(entry) > 2:
-                    raise ValueError("concurrent crossings")
-                along.setdefault((e1, i1), []).append((param_along(a, b, x), x))
-                along.setdefault((e2, i2), []).append((param_along(c, d, x), x))
+    arr = _arrangement(segs)
+    if arr is None:
+        raise ValueError("concurrent crossings")
+    xs, along = arr
 
     fresh = max(g.vertices, default=-1) + 1
     kind = {v: f"real:{v}" for v in g.vertices}
     ppos: dict[int, Point] = dict(pts)
-    bend_id: dict[tuple[int, int], int] = {}
+    corners: dict[int, list[int]] = {}
     for eid in sorted(bends):
-        for i, p in enumerate(chains[eid][1:-1]):
-            bend_id[(eid, i)] = fresh
+        corners[eid] = []
+        for p in chains[eid][1:-1]:
+            corners[eid].append(fresh)
             kind[fresh] = "subdivision"
             ppos[fresh] = p
             fresh += 1
-    xid: dict[Point, int] = {}
-    for x in sorted(hits):
-        xid[x] = fresh
-        kind[fresh] = "crossing"
-        ppos[fresh] = x
-        fresh += 1
+    xid = range(fresh, fresh + len(xs))
+    for p, x in zip(xid, xs):
+        kind[p] = "crossing"
+        ppos[p] = x
 
-    # Plan paths: walk each chain, inserting crossings in parameter order and
-    # bend vertices at the chain corners.  Every plan edge lies on one
-    # segment, so its direction is that segment's integer direction.
+    # Plan paths: each segment runs from its first corner through its
+    # crossings to the next corner, along the segment's integer direction.
     paths: dict[int, list[int]] = {}
-    dart_dir: dict[tuple[int, int], Vec] = {}
+    runs: list[tuple[list[int], Vec]] = []
+    crossings_on = iter(along)
     for eid, (u, v) in enumerate(g.edges):
         chain = chains[eid]
         path = [u]
-        for i, (a, b) in enumerate(zip(chain, chain[1:])):
-            r = (b[0] - a[0], b[1] - a[1])
-            stops = [xid[x] for _, x in sorted(along.get((eid, i), ()))]
-            stops.append(bend_id[(eid, i)] if i < len(chain) - 2 else v)
-            for q in stops:
-                dart_dir[(path[-1], q)] = r
-                dart_dir[(q, path[-1])] = (-r[0], -r[1])
-                path.append(q)
+        for a, b, q in zip(chain, chain[1:], [*corners.get(eid, ()), v]):
+            run = [path[-1], *(xid[c] for c in next(crossings_on)), q]
+            runs.append((run, (b[0] - a[0], b[1] - a[1])))
+            path.extend(run[1:])
         paths[eid] = path
-    plan_edges = [(p, q) for path in paths.values() for p, q in zip(path, path[1:])]
-    plan = Graph.make(sorted(ppos), plan_edges)
 
-    rotation: dict[int, tuple[int, ...]] = {}
-    adj_eids: dict[int, list[int]] = {p: [] for p in plan.vertices}
-    for peid, (p, q) in enumerate(plan.edges):
-        adj_eids[p].append(peid)
-        adj_eids[q].append(peid)
-    for p in plan.vertices:
-        items = []
-        for peid in adj_eids[p]:
-            a, b = plan.edges[peid]
-            items.append((peid, dart_dir[(p, b if a == p else a)]))
-        rotation[p] = tuple(sort_ccw(items))
-
-    trace = {
-        eid: tuple(plan.edge_id(a, b) for a, b in zip(path, path[1:]))
-        for eid, path in paths.items()
-    }
-    d = Drawing(g, plan, rotation, kind, trace, 0)
-    if plan.m:
-        d = d.with_outer(_outer_face_index(d, ppos, dart_dir))
+    d = _drawing_along(g, kind, paths, _rotations(runs))
+    if d.plan.m:
+        d = d.with_outer(_outer_face_index(d, ppos))
     return d
 
 
@@ -253,19 +291,13 @@ def drawing_from_segments(g: Graph, pos: Mapping[int, Point]) -> Drawing:
     return drawing_from_polylines(g, pos, None)
 
 
-def _outer_face_index(
-    d: Drawing, ppos: Mapping[int, Point], dart_dir: Mapping[tuple[int, int], Vec]
-) -> int:
-    """The face on the unbounded side: walk from the lowest plan vertex along
-    its highest-angle edge; the face left of that dart is outer."""
+def _outer_face_index(d: Drawing, ppos: Mapping[int, Point]) -> int:
+    """The face on the unbounded side.  Every edge at the lowest plan vertex
+    points into the closed upper half-plane, so the last edge of its
+    rotation has the highest angle, and the face left of it is outer."""
     p0 = min(
         (p for p in d.plan.vertices if d.plan.degree(p)),
         key=lambda p: (ppos[p][1], ppos[p][0]),
     )
-    best = None
-    for q in d.plan.neighbors(p0):
-        v = dart_dir[(p0, q)]
-        if best is None or dir_cmp(v, best[1]) > 0:
-            best = (q, v)
-    assert best is not None
-    return d.face_of_dart((p0, best[0]))
+    a, b = d.plan.edges[d.rotation[p0][-1]]
+    return d.face_of_dart((p0, b if a == p0 else a))

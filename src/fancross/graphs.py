@@ -130,16 +130,14 @@ def radius_center(g: Graph, subset: Optional[Iterable[int]] = None) -> tuple[int
     verts = sorted(set(g.vertices if subset is None else subset))
     if not verts:
         raise ValueError("not connected")
-    best: Optional[tuple[int, int]] = None
+    eccs = []
     for v in verts:
         dist = bfs_dists(g, v, within=verts)
         if len(dist) != len(verts):
             raise ValueError("not connected")
-        ecc = max(dist.values())
-        if best is None or ecc < best[1]:
-            best = (v, ecc)
-    assert best is not None
-    return best
+        eccs.append((max(dist.values()), v))
+    ecc, center = min(eccs)
+    return center, ecc
 
 
 # ===== Fans and fan covers =====

@@ -15,22 +15,23 @@ than return an unverified drawing.
 
 Region interiors are realized as straight chords between exact integer
 points on a convex arc: two chords cross exactly when their boundary
-positions interleave, so the whole arrangement is decided by the integer
-orientation tests of :mod:`fancross.geometry`, and lane orderings chosen per
-region make same-owner chords nested rather than crossing.
+positions interleave, and lane orderings chosen per region make same-owner
+chords nested rather than crossing.  Each region's chords go through the
+segment arrangement of :mod:`fancross.geometry` that the fixture drawings
+use, and the whole pattern is assembled by its plan builder, with the
+corridor between two regions as one plan edge per lane.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .cluster import Certificate, _arc_keys, verify_certificate
 from .drawing import Drawing, SubdivisionPlan, crossing_graph, validate
 from .errors import InvariantBroken
-from .geometry import Point, cross_point, param_along, properly_cross, sort_ccw
+from .geometry import Vec, _arrangement, _drawing_along, _rotations
 from .graphs import Fan, Graph, radius_center
 from .minors import MinorModel, strip_universal, verify_model
 
@@ -261,91 +262,38 @@ def _arena(
     vids: list[int],
     chords: list[tuple[tuple[int, int], int, int]],
     fresh: Iterator[int],
-) -> tuple[
-    dict[tuple[int, int], list[int]],
-    list[tuple[int, int]],
-    dict[int, tuple[int, ...]],
-    list[int],
-]:
+) -> tuple[dict[tuple[int, int], tuple[list[int], Vec]], list[int]]:
     """Realize one region as straight chords between convex positions.
 
     Positions sit on a parabola at slightly jittered abscissae ``t = N/D``,
     scaled by ``D**2`` to the integer points ``(N*D, N*N)``; the jitter is
-    retried until no three chords pass through a common point.  Returns the
-    plan-vertex chain of every chord, the chord fragment edges, the circular
-    neighbor order at crossings and at positions of degree two or more, and
-    the new crossing vertex ids.
+    retried until the arrangement has no three chords through one point.
+    Returns every chord's plan-vertex chain with its integer direction, and
+    the new crossing vertex ids in coordinate order.
     """
     n = len(vids)
     denom = 999983 * 2000
-    pts: list[tuple[int, int]] = []
-    recs: list[tuple[Point, int, int]] = []
     for attempt in range(1000):
-        pts = []
+        pts: list[tuple[int, int]] = []
         for j in range(n):
             num = j * denom + attempt * ((j * j * 7919 + j * 104729 + 12345) % 999983)
             pts.append((num * denom, num * num))
-        seen: set[Point] = set()
-        recs = []
-        ok = True
-        for i, (_, a1, b1) in enumerate(chords):
-            for j in range(i + 1, len(chords)):
-                _, a2, b2 = chords[j]
-                if {a1, b1} & {a2, b2}:
-                    continue
-                if not properly_cross(pts[a1], pts[b1], pts[a2], pts[b2]):
-                    continue
-                x = cross_point(pts[a1], pts[b1], pts[a2], pts[b2])
-                if x in seen:
-                    ok = False
-                    break
-                seen.add(x)
-                recs.append((x, i, j))
-            if not ok:
-                break
-        if ok:
+        arr = _arrangement([(ref, pts[a], pts[b]) for ref, a, b in chords])
+        if arr is not None:
             break
     else:
         raise InvariantBroken("construction invariant broken")
 
-    recs.sort(key=lambda r: r[0])
-    xids = [next(fresh) for _ in recs]
-
-    # (parameter along the chord, plan vertex); every fragment of a chord
-    # points along the chord's own integer direction.
-    events: dict[int, list[tuple[Fraction, int]]] = {}
-    for idx, (_, a, b) in enumerate(chords):
-        events[idx] = [(Fraction(0), vids[a]), (Fraction(1), vids[b])]
-    for (x, i, j), xv in zip(recs, xids):
-        for c in (i, j):
-            _, a, b = chords[c]
-            events[c].append((param_along(pts[a], pts[b], x), xv))
-
-    chains: dict[tuple[int, int], list[int]] = {}
-    edges: list[tuple[int, int]] = []
-    around: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    endpoint_rays: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for idx, (ref, a, b) in enumerate(chords):
-        evs = sorted(events[idx], key=lambda e: e[0])
-        chain = [vid for _, vid in evs]
-        chains[ref] = chain
-        edges.extend(zip(chain, chain[1:]))
-        fwd = (pts[b][0] - pts[a][0], pts[b][1] - pts[a][1])
-        back = (-fwd[0], -fwd[1])
-        for t in range(1, len(chain) - 1):
-            around.setdefault(chain[t], []).extend(
-                [(chain[t - 1], back), (chain[t + 1], fwd)]
-            )
-        endpoint_rays.setdefault(a, []).append((chain[1], fwd))
-        endpoint_rays.setdefault(b, []).append((chain[-2], back))
-
-    rots: dict[int, tuple[int, ...]] = {}
-    for xv, items in around.items():
-        rots[xv] = tuple(sort_ccw(items))
-    for pos, items in endpoint_rays.items():
-        if len(items) >= 2:
-            rots[vids[pos]] = tuple(sort_ccw(items))
-    return chains, edges, rots, xids
+    xs, along = arr
+    xids = [next(fresh) for _ in xs]
+    runs = {
+        ref: (
+            [vids[a], *(xids[c] for c in on), vids[b]],
+            (pts[b][0] - pts[a][0], pts[b][1] - pts[a][1]),
+        )
+        for (ref, a, b), on in zip(chords, along)
+    }
+    return runs, xids
 
 
 # ===== The builder =====
@@ -362,7 +310,6 @@ class _Builder:
         self,
         host: Drawing,
         m: MinorModel,
-        k: int,
         routes: list[_Route],
         roots: dict[int, int],
         mid_of: dict[int, int],
@@ -372,7 +319,6 @@ class _Builder:
     ) -> None:
         self.host = host
         self.m = m
-        self.k = k
         self.routes = routes
         self.roots = roots
         self.mid_of = mid_of
@@ -434,11 +380,7 @@ class _Builder:
         owner_of = {
             pe: beid for beid, pes in self.host.trace.items() for pe in pes
         }
-        for vid, pv in (
-            (int(self.host.kind[pv].split(":", 1)[1]), pv)
-            for pv in self.host.plan.vertices
-            if self.host.kind[pv].startswith("real:")
-        ):
+        for vid, pv in self.host.real_pvid.items():
             base_rot[vid] = [owner_of[pe] for pe in self.host.rotation[pv]]
         self.region_rot: dict[int, list[tuple[int, int]]] = {}
         for u in self.regions:
@@ -558,64 +500,27 @@ class _Builder:
 
     # -- assembly --
 
-    def _build_drawing(self, fresh: Iterator[int]) -> Optional[Drawing]:
-        self.chains: dict[tuple[int, int], list[int]] = {}
+    def _build_drawing(self, fresh: Iterator[int]) -> Drawing:
+        runs: dict[tuple[int, int], tuple[list[int], Vec]] = {}
         self.xregion: dict[int, int] = {}
-        edges: list[tuple[int, int]] = []
-        rots: dict[int, tuple[int, ...]] = {}
         for u in self.regions:
-            if not self.chords[u]:
-                continue
-            chains, es, rs, xids = _arena(self.pos_vid[u], self.chords[u], fresh)
-            self.chains.update(chains)
-            edges.extend(es)
-            rots.update(rs)
-            for xv in xids:
-                self.xregion[xv] = u
-        for c in sorted(self.lanes):
-            for x in sorted(self.lanes[c]):
-                for f in self.lanes[c][x]:
-                    edges.append(
-                        (self.port_id[(f, c, c[0])], self.port_id[(f, c, c[1])])
-                    )
-
-        verts = list(self.m.pattern.vertices)
-        verts.extend(self.port_id.values())
-        verts.extend(self.xregion)
-        plan = Graph.make(verts, edges)
+            if self.chords[u]:
+                rs, xids = _arena(self.pos_vid[u], self.chords[u], fresh)
+                runs.update(rs)
+                self.xregion.update(dict.fromkeys(xids, u))
+        self.chains = {ref: chain for ref, (chain, _) in runs.items()}
 
         kind = {v: f"real:{v}" for v in self.m.pattern.vertices}
         kind.update({pv: "subdivision" for pv in self.port_id.values()})
         kind.update({pv: "crossing" for pv in self.xregion})
-
-        incident: dict[int, list[int]] = {v: [] for v in plan.vertices}
-        for eid, (a, b) in enumerate(plan.edges):
-            incident[a].append(eid)
-            incident[b].append(eid)
-        rotation = {}
-        for v in plan.vertices:
-            if v in rots:
-                rotation[v] = tuple(plan.edge_id(v, nb) for nb in rots[v])
-            else:
-                rotation[v] = tuple(incident[v])
-
-        trace = {}
-        for r in self.routes:
-            path: list[int] = []
-            for i in range(len(r.regions)):
-                path.extend(self.chains[(r.eid, i)])
-            trace[r.eid] = tuple(
-                plan.edge_id(a, b) for a, b in zip(path, path[1:])
-            )
-
-        probe = Drawing(
-            base=self.m.pattern,
-            plan=plan,
-            rotation=rotation,
-            kind=kind,
-            trace=trace,
-            outer=0,
-        )
+        # The arenas fix the circular order at crossings and at positions
+        # where two or more chords end; a port's other edge is its corridor.
+        around = {v: nb for v, nb in _rotations(runs.values()).items() if len(nb) > 1}
+        paths = {
+            r.eid: [p for i in range(len(r.regions)) for p in self.chains[(r.eid, i)]]
+            for r in self.routes
+        }
+        probe = _drawing_along(self.m.pattern, kind, paths, around)
         outer = 0
         if self.anchor is not None:
             heid, forward = self.anchor
@@ -639,7 +544,7 @@ class _Builder:
 
     # -- certificate --
 
-    def _certificate(self, d: Drawing) -> Optional[tuple[Certificate, dict]]:
+    def _certificate(self, d: Drawing) -> Optional[Certificate]:
         counts = {ref: len(chain) - 2 for ref, chain in self.chains.items()}
         cuts: dict[int, tuple[int, ...]] = {}
         for r in self.routes:
@@ -687,8 +592,7 @@ class _Builder:
 
         kcert = max(1, 1 + max((len(g) for g in cuts.values()), default=0))
         ell = max(1, max((len(fs) for fs in covers.values()), default=0))
-        cert = Certificate(kcert, ell, plan_obj, covers, assignment)
-        return cert, counts
+        return Certificate(kcert, ell, plan_obj, covers, assignment)
 
     def run(self) -> Optional[SynthResult]:
         self._collect_lanes()
@@ -699,13 +603,10 @@ class _Builder:
         self._assign_ports(fresh)
         self._place_regions()
         d = self._build_drawing(fresh)
-        if d is None or validate(d):
+        if validate(d):
             return None
-        built = self._certificate(d)
-        if built is None:
-            return None
-        cert, _counts = built
-        if not verify_certificate(d, cert, strong=True).verdict:
+        cert = self._certificate(d)
+        if cert is None or not verify_certificate(d, cert, strong=True).verdict:
             return None
 
         tags = {}
@@ -740,13 +641,13 @@ def synthesize(host: Drawing, m: MinorModel) -> SynthResult:
     for x in m.pattern.vertices:
         roots[x], parents[x] = _branch_tree(m.host, m.branch[x])
     routes, mid_of, eid_of_mid = _make_routes(m, roots, parents)
-    for r in routes:
-        assert len(r.segments) <= 2 * k + 1
+    if any(len(r.segments) > 2 * k + 1 for r in routes):
+        raise InvariantBroken("a route uses more than 2k + 1 host edges")
     used = {heid for r in routes for heid, _ in r.segments}
     anchor = _host_outer_anchor(host, used) if used else None
     for flip in (False, True):
         res = _Builder(
-            host, m, k, routes, roots, mid_of, eid_of_mid, anchor, flip
+            host, m, routes, roots, mid_of, eid_of_mid, anchor, flip
         ).run()
         if res is not None:
             return res
@@ -775,5 +676,6 @@ def pipeline_theorem2(
     if bad:
         raise ValueError(f"invalid model: {bad[0]}")
     dropped, m2 = strip_universal(m, u)
-    assert len(dropped) <= k
+    if len(dropped) > k:
+        raise InvariantBroken("more than k pattern vertices use the apex")
     return dropped, synthesize(drawing, m2)

@@ -12,9 +12,10 @@ transducer's surgery check from rebuilding the surgered drawing, running
 ``validate`` on it but for its Euler check and counting V - E + F instead,
 and the decoded graph of a transduction from one path
 search per vertex pair, or from the rendered text of its formula, and
-the strong fan property from a face union-find over the whole plan, and
+the strong fan property from a face union-find over the whole plan,
 cut drawings from rewriting every rotation entry by position through dart
-and edge-id maps.
+and edge-id maps, and the synthesizer's region arenas and polyline drawings
+from a pair loop and rotation code of their own each.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ import random
 import re
 from collections import Counter, deque
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from fractions import Fraction
+from math import lcm
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from fancross.cluster import (
     Certificate,
@@ -46,7 +49,18 @@ from fancross.drawing import (
     validate,
 )
 from fancross.errors import CapExceeded, InvariantBroken
-from fancross.geometry import drawing_from_segments, pt
+from fancross.geometry import (
+    Point,
+    Vec,
+    cross_point,
+    dir_cmp,
+    drawing_from_segments,
+    param_along,
+    properly_cross,
+    pt,
+    sort_ccw,
+    strictly_inside,
+)
 from fancross.graphs import ColoredGraph, ColorLabel, Fan, Graph, fan_cover
 from fancross.minors import MinorModel, _admissible, _touch
 from fancross.transduce import TransductionFormula, TransductionOutput, render_formula
@@ -491,6 +505,257 @@ def oracle_find_model(
     if rec(0):
         return MinorModel(host, pattern, dict(branch), c, d)
     return None
+
+
+# ===== Arrangement oracles (one pair loop per caller) =====
+#
+# The synthesizer's region arena and the polyline drawing builder as they
+# were before both drew through the shared arrangement in ``geometry``.
+
+
+def oracle_arena(
+    vids: list[int],
+    chords: list[tuple[tuple[int, int], int, int]],
+    fresh: Iterator[int],
+) -> tuple[
+    dict[tuple[int, int], list[int]],
+    list[tuple[int, int]],
+    dict[int, tuple[int, ...]],
+    list[int],
+]:
+    """Realize one region as straight chords between convex positions.
+
+    Positions sit on a parabola at slightly jittered abscissae ``t = N/D``,
+    scaled by ``D**2`` to the integer points ``(N*D, N*N)``; the jitter is
+    retried until no three chords pass through a common point.  Returns the
+    plan-vertex chain of every chord, the chord fragment edges, the circular
+    neighbor order at crossings and at positions of degree two or more, and
+    the new crossing vertex ids.
+    """
+    n = len(vids)
+    denom = 999983 * 2000
+    pts: list[tuple[int, int]] = []
+    recs: list[tuple[Point, int, int]] = []
+    for attempt in range(1000):
+        pts = []
+        for j in range(n):
+            num = j * denom + attempt * ((j * j * 7919 + j * 104729 + 12345) % 999983)
+            pts.append((num * denom, num * num))
+        seen: set[Point] = set()
+        recs = []
+        ok = True
+        for i, (_, a1, b1) in enumerate(chords):
+            for j in range(i + 1, len(chords)):
+                _, a2, b2 = chords[j]
+                if {a1, b1} & {a2, b2}:
+                    continue
+                if not properly_cross(pts[a1], pts[b1], pts[a2], pts[b2]):
+                    continue
+                x = cross_point(pts[a1], pts[b1], pts[a2], pts[b2])
+                if x in seen:
+                    ok = False
+                    break
+                seen.add(x)
+                recs.append((x, i, j))
+            if not ok:
+                break
+        if ok:
+            break
+    else:
+        raise InvariantBroken("construction invariant broken")
+
+    recs.sort(key=lambda r: r[0])
+    xids = [next(fresh) for _ in recs]
+
+    # (parameter along the chord, plan vertex); every fragment of a chord
+    # points along the chord's own integer direction.
+    events: dict[int, list[tuple[Fraction, int]]] = {}
+    for idx, (_, a, b) in enumerate(chords):
+        events[idx] = [(Fraction(0), vids[a]), (Fraction(1), vids[b])]
+    for (x, i, j), xv in zip(recs, xids):
+        for c in (i, j):
+            _, a, b = chords[c]
+            events[c].append((param_along(pts[a], pts[b], x), xv))
+
+    chains: dict[tuple[int, int], list[int]] = {}
+    edges: list[tuple[int, int]] = []
+    around: dict[int, list[tuple[int, tuple[int, int]]]] = {}
+    endpoint_rays: dict[int, list[tuple[int, tuple[int, int]]]] = {}
+    for idx, (ref, a, b) in enumerate(chords):
+        evs = sorted(events[idx], key=lambda e: e[0])
+        chain = [vid for _, vid in evs]
+        chains[ref] = chain
+        edges.extend(zip(chain, chain[1:]))
+        fwd = (pts[b][0] - pts[a][0], pts[b][1] - pts[a][1])
+        back = (-fwd[0], -fwd[1])
+        for t in range(1, len(chain) - 1):
+            around.setdefault(chain[t], []).extend(
+                [(chain[t - 1], back), (chain[t + 1], fwd)]
+            )
+        endpoint_rays.setdefault(a, []).append((chain[1], fwd))
+        endpoint_rays.setdefault(b, []).append((chain[-2], back))
+
+    rots: dict[int, tuple[int, ...]] = {}
+    for xv, items in around.items():
+        rots[xv] = tuple(sort_ccw(items))
+    for pos, items in endpoint_rays.items():
+        if len(items) >= 2:
+            rots[vids[pos]] = tuple(sort_ccw(items))
+    return chains, edges, rots, xids
+
+
+def oracle_drawing_from_polylines(
+    g: Graph,
+    pos: Mapping[int, Point],
+    bends: Optional[Mapping[int, Sequence[Point]]] = None,
+) -> Drawing:
+    """Builds the drawing of ``g`` where each edge follows a polyline.
+
+    ``bends[eid]`` lists an edge's interior corner points in order from its
+    smaller endpoint; corners become subdivision vertices of the plan.
+    Degenerate inputs raise ValueError: coincident points, a vertex or bend
+    in the interior of any segment, overlapping collinear pieces,
+    self-crossing edges, or three edges through one point.  Crossing vertices
+    get fresh ids in coordinate order; the outer face is recovered from the
+    geometry.
+    """
+    for v in g.vertices:
+        if v not in pos:
+            raise ValueError(f"vertex {v} has no position")
+    bends = bends or {}
+    for eid in bends:
+        if not (0 <= eid < g.m):
+            raise ValueError(f"unknown edge {eid} in bends")
+
+    # One common integer scale for every vertex and bend point.
+    given = [pos[v] for v in g.vertices] + [p for chain in bends.values() for p in chain]
+    scale = lcm(*(Fraction(c).denominator for p in given for c in p))
+
+    def grid(p: Point) -> tuple[int, int]:
+        return (int(Fraction(p[0]) * scale), int(Fraction(p[1]) * scale))
+
+    pts = {v: grid(pos[v]) for v in g.vertices}
+    chains = {
+        eid: [pts[u], *map(grid, bends.get(eid, ())), pts[v]]
+        for eid, (u, v) in enumerate(g.edges)
+    }
+
+    # Every vertex and bend point is a node; nodes are pairwise distinct.
+    node_pts: set[tuple[int, int]] = set()
+    for p in [*pts.values(), *(p for eid in sorted(bends) for p in chains[eid][1:-1])]:
+        if p in node_pts:
+            raise ValueError("coincident vertices")
+        node_pts.add(p)
+
+    # Segments: (edge, index along chain, endpoints).
+    segs: list[tuple[int, int, tuple[int, int], tuple[int, int]]] = []
+    for eid, chain in chains.items():
+        for i, (a, b) in enumerate(zip(chain, chain[1:])):
+            if a == b:
+                raise ValueError("degenerate segment")
+            segs.append((eid, i, a, b))
+
+    for p in node_pts:
+        for _, _, a, b in segs:
+            if strictly_inside(a, b, p):
+                raise ValueError("vertex on edge")
+
+    # Any collinear overlap between segments puts some chain point strictly
+    # inside another segment, so the check above already rejected it.
+    hits: dict[Point, set[int]] = {}  # crossing point -> the two edges
+    along: dict[tuple[int, int], list[tuple[Fraction, Point]]] = {}
+    for s1 in range(len(segs)):
+        for s2 in range(s1 + 1, len(segs)):
+            e1, i1, a, b = segs[s1]
+            e2, i2, c, d = segs[s2]
+            if e1 == e2:
+                if abs(i1 - i2) > 1 and properly_cross(a, b, c, d):
+                    raise ValueError("edge crosses itself")
+                continue
+            if properly_cross(a, b, c, d):
+                x = cross_point(a, b, c, d)
+                entry = hits.setdefault(x, set())
+                entry |= {e1, e2}
+                if len(entry) > 2:
+                    raise ValueError("concurrent crossings")
+                along.setdefault((e1, i1), []).append((param_along(a, b, x), x))
+                along.setdefault((e2, i2), []).append((param_along(c, d, x), x))
+
+    fresh = max(g.vertices, default=-1) + 1
+    kind = {v: f"real:{v}" for v in g.vertices}
+    ppos: dict[int, Point] = dict(pts)
+    bend_id: dict[tuple[int, int], int] = {}
+    for eid in sorted(bends):
+        for i, p in enumerate(chains[eid][1:-1]):
+            bend_id[(eid, i)] = fresh
+            kind[fresh] = "subdivision"
+            ppos[fresh] = p
+            fresh += 1
+    xid: dict[Point, int] = {}
+    for x in sorted(hits):
+        xid[x] = fresh
+        kind[fresh] = "crossing"
+        ppos[fresh] = x
+        fresh += 1
+
+    # Plan paths: walk each chain, inserting crossings in parameter order and
+    # bend vertices at the chain corners.  Every plan edge lies on one
+    # segment, so its direction is that segment's integer direction.
+    paths: dict[int, list[int]] = {}
+    dart_dir: dict[tuple[int, int], Vec] = {}
+    for eid, (u, v) in enumerate(g.edges):
+        chain = chains[eid]
+        path = [u]
+        for i, (a, b) in enumerate(zip(chain, chain[1:])):
+            r = (b[0] - a[0], b[1] - a[1])
+            stops = [xid[x] for _, x in sorted(along.get((eid, i), ()))]
+            stops.append(bend_id[(eid, i)] if i < len(chain) - 2 else v)
+            for q in stops:
+                dart_dir[(path[-1], q)] = r
+                dart_dir[(q, path[-1])] = (-r[0], -r[1])
+                path.append(q)
+        paths[eid] = path
+    plan_edges = [(p, q) for path in paths.values() for p, q in zip(path, path[1:])]
+    plan = Graph.make(sorted(ppos), plan_edges)
+
+    rotation: dict[int, tuple[int, ...]] = {}
+    adj_eids: dict[int, list[int]] = {p: [] for p in plan.vertices}
+    for peid, (p, q) in enumerate(plan.edges):
+        adj_eids[p].append(peid)
+        adj_eids[q].append(peid)
+    for p in plan.vertices:
+        items = []
+        for peid in adj_eids[p]:
+            a, b = plan.edges[peid]
+            items.append((peid, dart_dir[(p, b if a == p else a)]))
+        rotation[p] = tuple(sort_ccw(items))
+
+    trace = {
+        eid: tuple(plan.edge_id(a, b) for a, b in zip(path, path[1:]))
+        for eid, path in paths.items()
+    }
+    d = Drawing(g, plan, rotation, kind, trace, 0)
+    if plan.m:
+        d = d.with_outer(_oracle_outer_face_index(d, ppos, dart_dir))
+    return d
+
+
+def _oracle_outer_face_index(
+    d: Drawing, ppos: Mapping[int, Point], dart_dir: Mapping[tuple[int, int], Vec]
+) -> int:
+    """The face on the unbounded side: walk from the lowest plan vertex along
+    its highest-angle edge; the face left of that dart is outer."""
+    p0 = min(
+        (p for p in d.plan.vertices if d.plan.degree(p)),
+        key=lambda p: (ppos[p][1], ppos[p][0]),
+    )
+    best = None
+    for q in d.plan.neighbors(p0):
+        v = dart_dir[(p0, q)]
+        if best is None or dir_cmp(v, best[1]) > 0:
+            best = (q, v)
+    assert best is not None
+    return d.face_of_dart((p0, best[0]))
 
 
 # ===== Fixture oracle (rebuild per candidate) =====

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import oracle_drawing_from_polylines
 
+from fancross import fixtures
 from fancross.drawing import crossings_per_edge, validate
 from fancross.geometry import (
     cross_point,
@@ -140,9 +145,9 @@ def polyline_inputs(draw):
     return g, pos, bends
 
 
-def _build(g, pos, bends):
+def _build(g, pos, bends, build=drawing_from_polylines):
     try:
-        return drawing_from_polylines(g, pos, bends)
+        return build(g, pos, bends)
     except ValueError as exc:
         return str(exc)
 
@@ -334,3 +339,105 @@ def test_polyline_rejects_bend_on_edge():
     pos = {0: pt(0, 0), 1: pt(4, 0), 2: pt(0, 2), 3: pt(4, 2)}
     with pytest.raises(ValueError, match="vertex on edge"):
         drawing_from_polylines(g, pos, {1: [pt(2, 0)]})
+
+
+# ===== The shared arrangement against the builder it replaced =====
+
+
+def random_polylines(rng):
+    """A small graph with random bends on a lattice coarse enough that
+    coincident points, vertices on edges, self-crossings and concurrent
+    crossings all occur."""
+    n = rng.randint(2, 7)
+    span = rng.choice((2, 5, 12))
+
+    def spot():
+        x = Fraction(rng.randint(-span, span), rng.choice((1, 1, 2, 3)))
+        return (x, Fraction(rng.randint(-span, span)))
+
+    pos = {v: spot() for v in range(n)}
+    pairs = list(itertools.combinations(range(n), 2))
+    g = Graph.make(range(n), rng.sample(pairs, rng.randint(1, min(len(pairs), 9))))
+    bends = {
+        eid: [spot() for _ in range(rng.randint(1, 3))]
+        for eid in range(g.m)
+        if rng.random() < 0.4
+    }
+    return g, pos, bends
+
+
+def edges_in_order(*edges):
+    """Edges given as ``(start, bends, end)``, numbered in the order given."""
+    g = Graph.make(range(2 * len(edges)), [(2 * i, 2 * i + 1) for i in range(len(edges))])
+    pos, bends = {}, {}
+    for i, (a, chain, b) in enumerate(edges):
+        pos[2 * i], pos[2 * i + 1] = pt(*a), pt(*b)
+        if chain:
+            bends[i] = [pt(*p) for p in chain]
+    return g, pos, bends
+
+
+LOOP = ((0, 0), [(4, 2), (4, 0)], (0, 2))  # crosses itself at (2, 1)
+UP = ((2, -2), [], (2, 4))  # through (2, 1)
+ACROSS = ((-1, 1), [], (5, 1))  # through (2, 1)
+SLOPE = ((0, 0), [], (4, 2))  # through (2, 1)
+
+# The builder reports the first degeneracy its pair loop meets.  LOOP
+# crosses itself at a point that UP and ACROSS also pass through.  When LOOP
+# comes first, its own segments are paired first.  When UP comes first, its
+# pairs at that point come first: with LOOP alone they have one tag set, so
+# the self-crossing still follows, and with ACROSS too the tag sets differ.
+DEGENERATE = [
+    (edges_in_order(((0, 0), [], (2, 0)), ((2, 0), [], (2, 2))), "coincident vertices"),
+    (edges_in_order(((0, 0), [(3, 3)], (0, 4)), ((3, 3), [], (5, 5))), "coincident vertices"),
+    (edges_in_order(((0, 0), [], (4, 0)), ((2, 0), [], (2, 3))), "vertex on edge"),
+    (edges_in_order(((0, 0), [(2, 0)], (2, 2)), ((1, 0), [], (1, 3))), "vertex on edge"),
+    (edges_in_order(LOOP), "edge crosses itself"),
+    (edges_in_order(SLOPE, UP, ACROSS), "concurrent crossings"),
+    (edges_in_order(LOOP, UP), "edge crosses itself"),
+    (edges_in_order(UP, LOOP), "edge crosses itself"),
+    (edges_in_order(LOOP, UP, ACROSS), "edge crosses itself"),
+    (edges_in_order(UP, ACROSS, LOOP), "concurrent crossings"),
+    (edges_in_order(UP, LOOP, ACROSS), "concurrent crossings"),
+]
+
+
+def test_polylines_match_the_replaced_builder_on_a_seeded_corpus(monkeypatch):
+    corpus = [inp for inp, _ in DEGENERATE]
+    segments = fixtures.drawing_from_segments
+
+    def recorded(g, pos):
+        corpus.append((g, pos, None))
+        return segments(g, pos)
+
+    monkeypatch.setattr(fixtures, "drawing_from_segments", recorded)
+    fixtures.fig1a()
+    fixtures.fig3()
+    for m in range(1, 6):
+        fixtures.fig1b(m)
+    for n, k, seed in itertools.product(range(4, 13), range(1, 4), range(3)):
+        fixtures.random_kplanar(n, k, seed)
+    rng = random.Random(1301)
+    corpus += [random_polylines(rng) for _ in range(300)]
+
+    outcomes = Counter()
+    for g, pos, bends in corpus:
+        got = _build(g, pos, bends)
+        assert got == _build(g, pos, bends, oracle_drawing_from_polylines)
+        outcomes[got if isinstance(got, str) else "drawn"] += 1
+    for (g, pos, bends), err in DEGENERATE:
+        assert _build(g, pos, bends) == err
+    assert set(outcomes) == {
+        "drawn",
+        "coincident vertices",
+        "vertex on edge",
+        "edge crosses itself",
+        "concurrent crossings",
+    }
+    assert outcomes["drawn"] > len(corpus) // 2
+
+
+@given(st.randoms(use_true_random=False))
+def test_random_polylines_match_the_replaced_builder(rng):
+    g, pos, bends = random_polylines(rng)
+    assert _build(g, pos, bends) == _build(g, pos, bends, oracle_drawing_from_polylines)

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import oracle_arena
 
 from fancross import synth
 from fancross.cluster import verify_certificate
 from fancross.drawing import validate
 from fancross.errors import InvariantBroken
-from fancross.geometry import drawing_from_segments, pt
+from fancross.geometry import _rotations, drawing_from_segments, pt
 from fancross.graphs import Graph, add_universal_vertex, complete, cycle, grid2d, path
 from fancross.jsonio import synthresult_from_json, synthresult_to_json
 from fancross.minors import MinorModel, find_model_bruteforce, verify_model
@@ -323,6 +329,122 @@ def test_region_tag_validation():
         RegionTag("vertexRegion", (1, 2))
     with pytest.raises(ValueError, match="two host vertices"):
         RegionTag("edgeRegion", (1,))
+
+
+# ===== Region arenas =====
+
+# Chord sets, as position pairs, whose first jitter puts three chords through
+# one point: the arenas that need a retry when K6, K7 and K8 are drawn in the
+# 2x2 grid at k = 3.
+RETRY_CHORDS = [
+    (12, [(0, 9), (3, 10), (6, 11), (1, 9), (4, 10), (7, 11), (2, 9), (5, 10), (8, 11),
+          (9, 10), (9, 11), (10, 11)]),
+    (15, [(3, 12), (6, 13), (9, 14), (4, 12), (7, 13), (10, 14), (5, 12), (8, 13),
+          (11, 14), (12, 13), (12, 14), (12, 2), (13, 14), (13, 1), (14, 0)]),
+    (18, [(6, 15), (9, 16), (12, 17), (7, 15), (10, 16), (13, 17), (8, 15), (11, 16),
+          (14, 17), (15, 16), (15, 17), (15, 5), (15, 4), (16, 17), (16, 3), (16, 2),
+          (17, 1), (17, 0)]),
+]
+
+
+def random_chords(rng):
+    """Plan vertex ids for 2-18 positions and distinct chords between them."""
+    n = rng.randint(2, 18)
+    pairs = list(itertools.combinations(range(n), 2))
+    picked = rng.sample(pairs, rng.randint(1, min(len(pairs), 20)))
+    chords = [
+        ((i, rng.randrange(3)), *(p if rng.random() < 0.5 else p[::-1]))
+        for i, p in enumerate(picked)
+    ]
+    return rng.sample(range(10 * n), n), chords
+
+
+def arena_outcome(arena, vids, chords):
+    """Chains, rotations and crossing ids of one arena, and the next fresh id."""
+    fresh = itertools.count(1000)
+    try:
+        if arena is oracle_arena:
+            chains, _, rots, xids = oracle_arena(vids, chords, fresh)
+        else:
+            runs, xids = arena(vids, chords, fresh)
+            chains = {ref: chain for ref, (chain, _) in runs.items()}
+            # As the builder does: an order needs two or more arena edges.
+            rots = {v: r for v, r in _rotations(runs.values()).items() if len(r) > 1}
+    except InvariantBroken as exc:
+        return str(exc)
+    return chains, rots, xids, next(fresh)
+
+
+def test_arenas_match_the_replaced_arena_on_a_seeded_corpus():
+    rng = random.Random(4127)
+    corpus = [random_chords(rng) for _ in range(200)]
+    for n, pairs in RETRY_CHORDS:
+        corpus.append((list(range(n)), [((i, 0), a, b) for i, (a, b) in enumerate(pairs)]))
+    crossings = 0
+    for vids, chords in corpus:
+        got = arena_outcome(synth._arena, vids, chords)
+        assert got == arena_outcome(oracle_arena, vids, chords)
+        crossings += len(got[2])
+    assert crossings > 1000
+
+
+@given(st.randoms(use_true_random=False))
+def test_random_arenas_match_the_replaced_arena(rng):
+    vids, chords = random_chords(rng)
+    assert arena_outcome(synth._arena, vids, chords) == arena_outcome(oracle_arena, vids, chords)
+
+
+def test_arena_retries_the_jitter_for_k6_in_the_2x2_grid(monkeypatch):
+    refused = []
+    arrangement = synth._arrangement
+
+    def recorded(segs):
+        arr = arrangement(segs)
+        if arr is None:
+            refused.append(len(segs))
+        return arr
+
+    monkeypatch.setattr(synth, "_arrangement", recorded)
+    g, hd = grid_drawing(2, 2)
+    m = find_model_bruteforce(g, complete(6), 3, 3, cap=16)
+    assert m is not None
+    check_result(synthesize(hd, m), 3)
+    assert refused
+
+
+# ===== Construction invariants =====
+
+
+def test_overlong_route_is_an_invariant_error(monkeypatch):
+    make_routes = synth._make_routes
+
+    def padded(*args):
+        routes, mid_of, eid_of_mid = make_routes(*args)
+        routes[0] = dataclasses.replace(routes[0], segments=routes[0].segments * 4)
+        return routes, mid_of, eid_of_mid
+
+    monkeypatch.setattr(synth, "_make_routes", padded)
+    g, hd = grid_drawing(2, 3)
+    m = find_model_bruteforce(g, cycle(4), 1, 1, cap=6)
+    with pytest.raises(InvariantBroken, match=r"more than 2k \+ 1 host edges"):
+        synthesize(hd, m)
+
+
+def test_too_many_apex_branches_is_an_invariant_error(monkeypatch):
+    strip = synth.strip_universal
+
+    def overcounted(m, u):
+        dropped, m2 = strip(m, u)
+        return dropped + (98, 99), m2
+
+    monkeypatch.setattr(synth, "strip_universal", overcounted)
+    g, hd = grid_drawing(2, 2)
+    gplus, apex = add_universal_vertex(g)
+    m = MinorModel(
+        gplus, wheel5(), {0: (0,), 1: (1,), 2: (3,), 3: (2,), 4: (apex,)}, 1, 1
+    )
+    with pytest.raises(InvariantBroken, match="more than k pattern vertices"):
+        pipeline_theorem2(gplus, apex, hd, m, 1)
 
 
 # ===== Bundle orientation =====

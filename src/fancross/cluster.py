@@ -6,7 +6,11 @@ plus, for every nontrivial component of the resulting crossing graph, a
 cover by at most ``ell`` fans and an assignment of each arc to the fan
 containing its edge.
 Strong verification additionally checks, for every fan and every crossed
-arc, the one-sided non-enclosing fan-crossing property.
+arc, the one-sided non-enclosing fan-crossing property.  It runs on the
+uncut drawing wherever it is used (verification, the search and its final
+certificate): an arc is a stretch ``(edge, lo, hi)`` of its edge's path, and
+a cut adds only a degree-2 vertex inside one plan edge, leaving every face
+as it is (see :func:`drawing._fan_core`), so no strong check cuts anything.
 
 The exact search returns the first certificate in a fixed order: the product
 order of every edge's interior cut options (edge 0 varying slowest), with the
@@ -27,19 +31,9 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .drawing import (
-    CrossingGraph,
-    Drawing,
-    SubdivisionPlan,
-    _crossing_graph,
-    _cut,
-    _fan_core,
-    crossing_graph,
-    stitched_path,
-    subdivide_with_map,
-)
+from .drawing import CrossingGraph, Drawing, SubdivisionPlan, _fan_core, crossing_graph
 from .errors import CapExceeded, InvariantBroken
 from .graphs import Fan, fan_cover, vertex_cover
 
@@ -140,48 +134,36 @@ def _weak_failures(
 
 def _strong_failures(
     d: Drawing,
-    d2: Drawing,
-    pieces_of: dict[int, list[int]],
-    cg: CrossingGraph,
-    keys: dict[int, tuple[int, int]],
+    cuts: dict[int, tuple[int, ...]],
     cid: int,
-    comp: Sequence[int],
+    arcs: Sequence[tuple[int, int, int]],
     fans: Sequence[Fan],
-) -> list[tuple[int, str]]:
-    out: list[tuple[int, str]] = []
+) -> Iterator[tuple[int, str]]:
+    """The strong failures of component ``cid``, whose arcs are ``(edge,
+    lo, hi)`` (see :class:`ArcRef`) under ``cuts``, checked on the uncut
+    drawing by :func:`_fan_core`: one per fan and crossed arc whose edge is
+    not in the fan, in fan order and then arc order."""
     comp_x_of_edge: dict[int, set[int]] = {}
-    for n in comp:
-        comp_x_of_edge.setdefault(cg.nodes[n].edge, set()).update(cg.crossings[n])
+    for e, lo, hi in arcs:
+        comp_x_of_edge.setdefault(e, set()).update(d.edge_crossings[e][lo:hi])
     for f in fans:
         fan_eids: set[int] = set()
-        # Per fan edge crossing the component: its crossings there, its
-        # full plan path walked from the center, and its plan edge ids.
-        spokes: list[tuple[set[int], tuple[int, ...], list[int]]] = []
+        # Per fan edge crossing the component: its crossings there, its id
+        # and whether the center is the start of its path.
+        spokes: list[tuple[set[int], int, bool]] = []
         for edge in f.edges:
             eid = d.base.edge_id(*edge)
             fan_eids.add(eid)
             if eid in comp_x_of_edge:
-                pieces = pieces_of[eid]
-                path = stitched_path(
-                    d2, pieces if f.center == edge[0] else pieces[::-1], d2.real_pvid[f.center]
-                )
-                trace = [pe for piece in pieces for pe in d2.trace[piece]]
-                spokes.append((comp_x_of_edge[eid], path, trace))
-        for n in comp:
-            if cg.nodes[n].edge in fan_eids:
+                spokes.append((comp_x_of_edge[eid], eid, f.center == d.base.edges[eid][0]))
+        for e, lo, hi in arcs:
+            if e in fan_eids:
                 continue
-            alpha_x = set(cg.crossings[n])
-            hitting = [s for s in spokes if s[0] & alpha_x]
-            if not hitting:
-                continue
-            eid, piece = keys[n]
-            neid = pieces_of[eid][piece]
-            kept = set(d2.trace[neid])
-            for _, _, trace in hitting:
-                kept.update(trace)
-            if not _fan_core(d2, d2.paths[neid], [p for _, p, _ in hitting], kept):
-                out.append((cid, f"fan property: center {f.center} arc {keys[n]}"))
-    return out
+            alpha_x = set(d.edge_crossings[e][lo:hi])
+            hitting = [(eid, forward) for xs, eid, forward in spokes if xs & alpha_x]
+            if hitting and not _fan_core(d, e, lo, hi, cuts, hitting):
+                key = (e, bisect.bisect_right(cuts.get(e, ()), lo))
+                yield (cid, f"fan property: center {f.center} arc {key}")
 
 
 def verify_certificate(d: Drawing, cert: Certificate, strong: bool = False) -> ClusterReport:
@@ -203,9 +185,6 @@ def _verified(
     for cid in sorted(cert.covers):
         if not (0 <= cid < len(comps)):
             failures.append((cid, "unknown component"))
-    d2 = pieces_of = None
-    if strong and comps:
-        d2, pieces_of = subdivide_with_map(d, cert.plan)
     for cid, comp in enumerate(comps):
         fans = cert.covers.get(cid)
         if fans is None:
@@ -213,7 +192,7 @@ def _verified(
             continue
         failures += _weak_failures(d, cg, keys, cid, comp, fans, cert.ell, cert.assignment)
         if strong:
-            failures += _strong_failures(d, d2, pieces_of, cg, keys, cid, comp, fans)
+            failures += _strong_failures(d, cert.plan.cuts, cid, _arcs(cg, comp), fans)
     failures.sort()
     stats = {
         "components": len(comps),
@@ -243,18 +222,21 @@ def _cut_options(d: Drawing, k: int) -> list[list[tuple[int, ...]]]:
     return opts
 
 
+def _arcs(cg: CrossingGraph, comp: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The arcs of a component as ``(edge, lo, hi)``, in node order."""
+    return [(a.edge, a.lo, a.hi) for a in (cg.nodes[n] for n in comp)]
+
+
 def _strong_cover(
     d: Drawing,
-    d2: Drawing,
-    pieces_of: dict[int, list[int]],
-    cg: CrossingGraph,
-    keys: dict[int, tuple[int, int]],
-    comp: Sequence[int],
+    cuts: dict[int, tuple[int, ...]],
+    arcs: Sequence[tuple[int, int, int]],
     part: Sequence[tuple[int, int]],
     ell: int,
 ) -> Optional[list[Fan]]:
     """The first center set (by size, then lexicographically) whose canonical
-    fan cover of the participating edges passes the strong conditions."""
+    fan cover of the participating edges passes the strong conditions on
+    the component's arcs."""
     cands = sorted({u for e in part for u in e})
     for size in range(1, min(ell, len(cands)) + 1):
         for chosen in itertools.combinations(cands, size):
@@ -269,7 +251,7 @@ def _strong_cover(
             if not ok:
                 continue
             fans = [Fan(c, tuple(groups[c])) for c in sorted(groups)]
-            if not _strong_failures(d, d2, pieces_of, cg, keys, 0, comp, fans):
+            if next(_strong_failures(d, cuts, 0, arcs, fans), None) is None:
                 return fans
     return None
 
@@ -340,16 +322,13 @@ def _certificate(
     cg = crossing_graph(d, plan)
     comps = cg.components()
     keys = _arc_keys(cg)
-    d2 = pieces_of = None
-    if strong and comps:
-        d2, pieces_of = subdivide_with_map(d, plan)
     covers: dict[int, tuple[Fan, ...]] = {}
     assignment: dict[tuple[int, int], int] = {}
     for cid, comp in enumerate(comps):
         part = sorted({cg.nodes[n].edge for n in comp})
         part_edges = [d.base.edges[e] for e in part]
         if strong:
-            fans = _strong_cover(d, d2, pieces_of, cg, keys, comp, part_edges, ell)
+            fans = _strong_cover(d, plan.cuts, _arcs(cg, comp), part_edges, ell)
         else:
             fans = fan_cover(d.base, part_edges, ell)
         if fans is None:
@@ -463,26 +442,20 @@ class _GroupSearch:
         return self.strong_memo[key]
 
     def _strong_ok(self, arcs, edges: set[int], bounds: dict[int, list[int]]) -> bool:
-        """``_strong_cover`` on the drawing cut only on the component's edges.
+        """``_strong_cover`` on the component's arcs, under the cuts on the
+        component's edges.
 
-        Cuts on other edges only subdivide plan edges away from the
-        component's paths, so they leave its faces alone.  The fallback outer
-        face of a plan component that misses the drawing's outer face is its
-        face with the least dart, which stays put while the component's least
-        plan vertex is a real vertex, as in every drawing built from
-        coordinates.
-
-        Candidates are cut by the uncached builders, so they neither evict
-        the plan slot of ``d`` nor stay in memory.
+        The arcs and their bounds are the search's own, and the check runs
+        on the uncut drawing, so no candidate builds a drawing or a crossing
+        graph.  Cuts on other edges lie away from the component's paths.
+        They could move only the root face of a plan component that misses
+        the outer face (see :func:`drawing._cut_root`), through a cut in a
+        plan edge at its least vertex; an interior cut never lies there
+        when that vertex is real, as in every drawing built from coordinates.
         """
-        d = self.d
         cuts = {f: tuple(bounds[f][1:-1]) for f in edges if len(bounds[f]) > 2}
-        cg = _crossing_graph(d, cuts)
-        comp = [n for n, a in enumerate(cg.nodes) if (a.edge, a.lo, a.hi) in arcs]
-        d2, pieces_of = _cut(d, cuts)
-        part_edges = [d.base.edges[f] for f in sorted(edges)]
-        fans = _strong_cover(d, d2, pieces_of, cg, _arc_keys(cg), comp, part_edges, self.ell)
-        return fans is not None
+        part_edges = [self.d.base.edges[f] for f in sorted(edges)]
+        return _strong_cover(self.d, cuts, sorted(arcs), part_edges, self.ell) is not None
 
 
 def min_ell(d: Drawing, k: int, cap: int = 12) -> int:

@@ -760,34 +760,13 @@ def _cut(
 ) -> tuple[Drawing, dict[int, list[int]]]:
     """:func:`subdivide_with_map` on checked cuts, outside the plan slot.
 
-    The cuts are made on a :class:`_RotSys`: every edge's trace is walked
-    from its smaller endpoint and split at each of its cuts in turn, so cut
-    vertices are numbered by edge, then along the trace.  A split keeps the
-    rotation slots of the split edge's ends, so the outer face is found
-    again through the slot of its first dart's tail.
+    The cuts are made by :func:`_split` and wrapped into a drawing here.  A
+    split keeps the rotation slots of the split edge's ends, so the outer
+    face is found again through the slot of its first dart's tail.
     """
     if not cuts:
         return d, {e: [e] for e in range(d.base.m)}
-    rs = _RotSys(d)
-    kind = dict(d.kind)
-    made: list[tuple[int, tuple[int, int], list[int]]] = []  # edge, piece ends, builder trace
-    for eid, (u, v) in enumerate(d.base.edges):
-        path, steps = d.paths[eid], d.trace[eid]
-        if path[0] not in d.plan.edges[steps[0]]:
-            steps = steps[::-1]
-        xs = d.edge_crossings[eid]
-        at = [path.index(xs[g - 1]) if g else 0 for g in cuts.get(eid, ())]
-        tail, piece = u, []
-        for i, pe in enumerate(steps):
-            a = path[i]
-            for _ in range(at.count(i)):
-                s, e1, pe = rs.subdivide_edge(pe, a)
-                kind[s] = f"real:{s}"
-                made.append((eid, (tail, s), piece + [e1]))
-                tail, piece, a = s, [], s
-            piece.append(pe)
-        made.append((eid, (tail, v), piece))
-
+    rs, kind, made = _split(d, cuts)
     new_plan = Graph.make(rs.rot, rs.ends.values())
     canon = {e: new_plan.edge_id(a, b) for e, (a, b) in rs.ends.items()}
     rotation = {v: tuple(canon[e] for e in r) for v, r in rs.rot.items()}
@@ -804,6 +783,50 @@ def _cut(
     a, b = d.faces[d.outer][0]
     first = rs.rot[a][d.rotation[a].index(d.plan.edge_id(a, b))]
     return d2.with_outer(d2.face_of_dart((a, rs.other(first, a)))), pieces
+
+
+def _split(
+    d: Drawing, cuts: Mapping[int, tuple[int, ...]]
+) -> tuple[_RotSys, dict[int, str], list[tuple[int, tuple[int, int], list[int]]]]:
+    """The cuts made on a :class:`_RotSys`, with no drawing built.
+
+    Every edge's trace is walked from its smaller endpoint and split at each
+    of its cuts in turn (see :func:`_cut_step`), so cut vertices are
+    numbered by edge, then along the trace, and each is the real copy of
+    itself.  Returns the system, the kind of every vertex, and every piece
+    in that order as (edge of ``d``, its two end vertices, its plan edges in
+    the system's edge ids).
+    """
+    rs = _RotSys(d)
+    kind = dict(d.kind)
+    made: list[tuple[int, tuple[int, int], list[int]]] = []
+    for eid, (u, v) in enumerate(d.base.edges):
+        path, steps = d.paths[eid], _steps(d, eid)
+        at = [_cut_step(d, eid, g) for g in cuts.get(eid, ())]
+        tail, piece = u, []
+        for i, pe in enumerate(steps):
+            a = path[i]
+            for _ in range(at.count(i)):
+                s, e1, pe = rs.subdivide_edge(pe, a)
+                kind[s] = f"real:{s}"
+                made.append((eid, (tail, s), piece + [e1]))
+                tail, piece, a = s, [], s
+            piece.append(pe)
+        made.append((eid, (tail, v), piece))
+    return rs, kind, made
+
+
+def _steps(d: Drawing, eid: int) -> tuple[int, ...]:
+    """The plan edges of base edge ``eid``'s trace in the order of its path."""
+    steps = d.trace[eid]
+    return steps if d.paths[eid][0] in d.plan.edges[steps[0]] else steps[::-1]
+
+
+def _cut_step(d: Drawing, eid: int, gap: int) -> int:
+    """The position along base edge ``eid``'s path of the plan edge that a
+    cut at ``gap`` lies in: the first plan edge after crossing ``gap``, or
+    the path's first plan edge at gap 0."""
+    return d.paths[eid].index(d.edge_crossings[eid][gap - 1]) if gap else 0
 
 
 def subdivide(d: Drawing, plan: SubdivisionPlan) -> Drawing:
@@ -835,28 +858,21 @@ def planarize(d: Drawing) -> tuple[Drawing, dict[int, int]]:
 # ===== Arc geometry: sides and the fan property =====
 
 
-def stitched_path(d2: Drawing, piece_eids: Sequence[int], start_pvid: int) -> tuple[int, ...]:
-    """Concatenates piece paths of one original edge, oriented from ``start_pvid``."""
-    cur = start_pvid
-    out = [cur]
-    for neid in piece_eids:
-        p = d2.paths[neid]
-        if p[-1] == cur:
-            p = tuple(reversed(p))
-        if p[0] != cur:
-            raise ValueError("pieces do not chain")
-        out.extend(p[1:])
-        cur = out[-1]
-    return tuple(out)
+def _around(d: Drawing, eid: int, x: int) -> tuple[int, int]:
+    """The plan edges of base edge ``eid``'s trace just before and just after
+    its interior plan vertex ``x``, in the order of its path."""
+    i = d.paths[eid].index(x)
+    steps = _steps(d, eid)
+    return steps[i - 1], steps[i]
 
 
-def _passage_side(d: Drawing, alpha_path: Sequence[int], x: int, other_in: Dart) -> str:
-    """Which side the dart ``other_in`` arrives from at crossing ``x``,
-    relative to the orientation of ``alpha_path``."""
-    i = alpha_path.index(x)
-    a_in = d.plan.edge_id(alpha_path[i - 1], x)
-    a_out = d.plan.edge_id(x, alpha_path[i + 1])
-    o_in = d.plan.edge_id(other_in[0], other_in[1])
+def _passage_side(d: Drawing, eid: int, x: int, fid: int, forward: bool) -> str:
+    """Which side base edge ``fid`` arrives from at crossing ``x``, relative
+    to the orientation of base edge ``eid``'s path; ``fid`` is walked along
+    its path if ``forward``, else against it."""
+    a_in, a_out = _around(d, eid, x)
+    f_in, f_out = _around(d, fid, x)
+    o_in = f_in if forward else f_out
     rot = d.rotation[x]
     pos = rot.index(a_in)
     for step in range(1, 4):
@@ -870,44 +886,85 @@ def _passage_side(d: Drawing, alpha_path: Sequence[int], x: int, other_in: Dart)
 
 def _fan_core(
     d: Drawing,
-    alpha_path: Sequence[int],
-    fan_paths: Sequence[Sequence[int]],
-    kept: set[int],
+    eid: int,
+    lo: int,
+    hi: int,
+    cuts: Mapping[int, tuple[int, ...]],
+    spokes: Sequence[tuple[int, bool]],
 ) -> bool:
-    """The strong fan-property conditions over explicit plan paths.
+    """The strong fan-property conditions for one arc and one fan, checked
+    on the uncut drawing.
 
-    ``alpha_path`` is the arc's plan path; every entry of ``fan_paths`` is a
-    full edge path oriented away from the fan center; ``kept`` holds the
-    plan edge ids of all these paths.  Checks: (1) each fan path meets the
-    arc in exactly one crossing; (2) all approaches come from the same side;
-    (3) deleting everything else never encloses an end of the arc.
+    The arc is the stretch of base edge ``eid`` from gap ``lo`` to gap
+    ``hi`` (see :class:`ArcRef`); ``cuts`` holds every cut in effect, as
+    distinct gaps per base edge, and an end of the arc is a cut iff its gap
+    is one of ``eid``'s cuts.  Each spoke is a whole fan edge ``(base edge
+    id, forward)``, walked from the fan center, which is along its path iff
+    ``forward``.  Checks: (1) each spoke meets the arc in exactly one
+    crossing; (2) all approaches come from the same side; (3) deleting
+    everything else never encloses an end of the arc.
 
-    Condition (3) is traced on the kept subgraph H.  After (1) every fan
-    path meets the arc, and all of them share the center, so H is connected.
-    The faces of a connected H are then exactly the faces of the arc's plan
-    component merged across every edge outside H, and the face of H that
-    holds the component's root (see :attr:`Drawing._dual_tree`) meets an
-    end of the arc iff its boundary passes through it.  The walk from a dart
-    of H up the dual tree locates that face: the last kept edge crossed
-    gives a dart of H with the root's side on its left, or, if none is
-    crossed, the start dart has it.  The face is then traced with the
-    rotation restricted to H (skip every edge outside H, backwards round the
-    vertex) until both ends of the arc have been seen.  The cost is the
-    depth of the dual tree plus the plan degrees along the traced face of
-    H, not the size of the drawing.
+    A cut only adds a degree-2 vertex inside the first plan edge after
+    crossing ``gap`` (see :func:`_cut_step`) and leaves every face as it
+    is, so nothing is cut here.  Condition (3) is traced on the kept
+    subgraph H: the spokes' plan edges, the arc's plan edges strictly
+    between its ends, and at each end that is a cut, the half of its plan
+    edge on the arc's side.  After (1) every spoke meets the arc, and all of
+    them share the center, so H is connected.  The faces of a connected H
+    are then exactly the faces of the arc's plan component merged across
+    every edge outside H, and the face of H that holds the component's root
+    (see :attr:`Drawing._dual_tree`) meets an end of the arc iff its
+    boundary passes through it.  The walk from a dart of H up the dual tree
+    locates that face: the last kept edge crossed gives a dart of H with
+    the root's side on its left, or, if none is crossed, the start dart has
+    it.  A half-kept plan edge counts as not kept there, as both of its
+    sides lie in one face of H.  The face is then traced with the rotation
+    restricted to H (skip every edge outside H, backwards round the vertex)
+    until both ends of the arc have been seen.  A half-kept plan edge is in
+    that rotation only at its end on the arc's side; the walk along it
+    reaches the cut, which is an end of the arc, and turns back.  The cost
+    is the depth of the dual tree plus the plan degrees along the traced
+    face of H, not the size of the drawing.
+
+    A plan component that misses the outer face is rooted at its face with
+    the least dart, and the cut drawing numbers its cut vertices above
+    every vertex of ``d``; when that moves the least dart, the face of H
+    sought is the one holding the cut drawing's root (see :func:`_cut_root`).
     """
-    alpha_x = {q for q in alpha_path[1:-1] if d.kind_of(q) == "crossing"}
-    hits: list[tuple[int, Dart]] = []
-    for fp in fan_paths:
-        common = [q for q in fp if q in alpha_x]
+    xs = d.edge_crossings[eid]
+    alpha_x = set(xs[lo:hi])
+    hits: list[tuple[int, int, bool]] = []
+    for fid, forward in spokes:
+        common = [q for q in d.edge_crossings[fid] if q in alpha_x]
         if len(common) != 1:
             return False
-        x = common[0]
-        j = fp.index(x)
-        hits.append((x, (fp[j - 1], x)))
-    sides = {_passage_side(d, alpha_path, x, din) for x, din in hits}
+        hits.append((common[0], fid, forward))
+    sides = {_passage_side(d, eid, x, fid, forward) for x, fid, forward in hits}
     if len(sides) > 1:
         return False
+    if not spokes:
+        return True  # H is the arc alone, whose one face passes both ends
+
+    path, steps, edges = d.paths[eid], _steps(d, eid), d.plan.edges
+    gaps = cuts.get(eid, ())
+    ends: set = set()
+    turn: dict[int, tuple[str, int]] = {}  # dart from H towards a cut -> that end
+    first, last = 0, len(steps)
+    if lo in gaps:
+        i = _cut_step(d, eid, lo)
+        first = i + 1
+        turn[2 * steps[i] + (edges[steps[i]][0] != path[first])] = ("cut", lo)
+    else:
+        ends.add(path[0])
+    if hi in gaps:
+        last = _cut_step(d, eid, hi)
+        turn[2 * steps[last] + (edges[steps[last]][0] != path[last])] = ("cut", hi)
+    else:
+        ends.add(path[-1])
+    ends.update(turn.values())
+    kept = set(steps[first:last])
+    for fid, _ in spokes:
+        kept.update(d.trace[fid])
 
     _, face_of, nxt = d._face_table
     enter = d._dual_tree
@@ -918,15 +975,55 @@ def _fan_core(
         if x >> 1 in kept:
             start = x
         f = face_of[x]
-    ends = {alpha_path[0], alpha_path[-1]}
-    edges = d.plan.edges
+    if f != d.outer:
+        f = _cut_root(d, cuts, f)
+        while enter[f] >= 0:
+            x = enter[f]
+            if x >> 1 in kept:
+                start = x
+                break
+            f = face_of[x ^ 1]
     x = start
-    while True:
+    while ends:
         ends.discard(edges[x >> 1][x & 1])
-        if not ends:
-            return True
-        x = nxt[x]
-        while x >> 1 not in kept:
-            x = nxt[x ^ 1]
+        if x in turn:  # the walk reaches a cut, an end of the arc, and turns back
+            ends.discard(turn[x])
+            x ^= 1
+        else:
+            x = nxt[x]
+            while x >> 1 not in kept and x not in turn:
+                x = nxt[x ^ 1]
         if x == start:
-            return False
+            return not ends
+    return True
+
+
+def _cut_root(d: Drawing, cuts: Mapping[int, tuple[int, ...]], root: int) -> int:
+    """The face of ``d`` holding the root, in ``d`` cut at ``cuts``, of the
+    plan component whose root face in ``d`` is ``root``, for a component
+    that misses the outer face.
+
+    The root is the face with the least dart (see :attr:`Drawing._dual_tree`).
+    Cut vertices are numbered above every vertex of ``d``, by edge and then
+    along it (see :func:`_split`), so the least dart still leaves the
+    component's least vertex, along its uncut plan edge to the least
+    neighbour, or along its first cut plan edge if every one is cut.
+    """
+    a = d.faces[root][0][0]
+    incident = set(d.rotation[a])
+    cut_of: dict[int, tuple[int, int]] = {}
+    for eid, gaps in cuts.items():
+        steps = _steps(d, eid)
+        for g in gaps:
+            pe = steps[_cut_step(d, eid, g)]
+            if pe in incident:
+                cut_of[pe] = (eid, g)
+
+    def rank(pe: int) -> tuple[int, ...]:
+        if pe in cut_of:
+            return (1, *cut_of[pe])
+        u, v = d.plan.edges[pe]
+        return (0, v if u == a else u)
+
+    pe = min(incident, key=rank)
+    return d._face_table[1][2 * pe + (d.plan.edges[pe][0] != a)]

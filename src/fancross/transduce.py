@@ -34,17 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .cluster import Certificate, _verified
-from .drawing import (
-    Drawing,
-    _cut,
-    _RotSys,
-    is_k_planar,
-    subdivide_with_map,
-    validate,
-)
+from .drawing import Drawing, _RotSys, _split, is_k_planar, subdivide_with_map, validate
 from .errors import Infeasible, InvariantBroken
 from .graphs import ColorLabel, ColoredGraph, Graph, induced
 
@@ -171,13 +164,9 @@ class TransductionOutput:
 # ===== Rotation-system surgery =====
 
 
-def _smooth_bends(d: Drawing, rs: _RotSys) -> dict[int, int]:
-    """Removes bend vertices; returns local edge id -> owning base edge id."""
-    owner = {pe: eid for eid, t in d.trace.items() for pe in t}
-    for b in sorted(p for p in d.plan.vertices if d.kind_of(p) == "subdivision"):
-        e1, _e2 = rs.rot[b]
-        owner[rs.smooth(b)] = owner[e1]
-    return owner
+def _bends(d: Drawing) -> list[int]:
+    """The bend vertices of the plan, sorted."""
+    return sorted(p for p in d.plan.vertices if d.kind_of(p) == "subdivision")
 
 
 # ===== Shared input checks and assembly =====
@@ -267,7 +256,11 @@ def transduce_kplanar(
     xn = _checked_x(d, x_edges, k)
 
     rs = _RotSys(d)
-    owner = _smooth_bends(d, rs)
+    # Smooth the bends away; owner maps local edge ids to base edge ids.
+    owner = {pe: eid for eid, t in d.trace.items() for pe in t}
+    for bend in _bends(d):
+        e1, _e2 = rs.rot[bend]
+        owner[rs.smooth(bend)] = owner[e1]
     b0, b1, b2 = ColorLabel("b", 0), ColorLabel("b", 1), ColorLabel("b", 2)
     crossing_edges = d.crossing_edges
     rank: dict[tuple[int, int], ColorLabel] = {}
@@ -319,24 +312,33 @@ def transduce_clustered(
         gaps = (0,) * (u in orig) + (c2,) * (v in orig)
         if gaps:
             stub_cuts[e2] = gaps
-    # The stub cut is built outside d2's plan slot, so d never holds d1.
-    d1, pieces_d1 = _cut(d2, stub_cuts)
+    # The stub cut stays a rotation system: the surgery reads no face of it.
+    # Pieces are numbered in the order made; a new vertex is its own real
+    # copy, and an old one keeps its copy in d2.
+    rs, kind, made = _split(d2, stub_cuts)
+    ends = [pair for _, pair, _ in made]
+    pieces_d1: dict[int, list[int]] = {}
+    for ne, (e2, _, _) in enumerate(made):
+        pieces_d1.setdefault(e2, []).append(ne)
 
     def strands(eid: int) -> list[int]:
         return [ne for e2 in pieces_d2[eid] for ne in pieces_d1[e2]]
 
-    rs = _RotSys(d1)
-    _smooth_bends(d1, rs)
+    def crossed(e2: int) -> int:
+        """The one piece of ``e2`` that carries its crossings: the one after
+        the stub at its first end, if that end is original."""
+        if not d2.edge_crossings[e2]:
+            raise InvariantBroken("construction invariant broken")
+        return pieces_d1[e2][d2.base.edges[e2][0] in orig]
+
+    for bend in _bends(d2):
+        rs.smooth(bend)
     colors_s: dict[int, set[ColorLabel]] = {}
-    for v in d1.base.vertices:
-        if v not in orig:
-            colors_s[d1.real_pvid[v]] = {ColorLabel("bP", 0)}
+    for v in sorted({v for pair in ends for v in pair} - orig):
+        colors_s[v] = {ColorLabel("bP", 0)}
 
     for ci, comp in enumerate(comps):
-        cluster = {
-            _crossed_piece(d1, pieces_d1[pieces_d2[eid][piece]])
-            for eid, piece in (keys[n] for n in comp)
-        }
+        cluster = {crossed(pieces_d2[eid][piece]) for eid, piece in (keys[n] for n in comp)}
         # Reachable / far endpoint sets per fan of this component's cover.
         fan_sides: list[tuple[set[int], set[int]]] = []
         for fan in cert.covers[ci]:
@@ -346,8 +348,8 @@ def transduce_clustered(
                 eid = d.base.edge_id(u, v)
                 cur = fan.center
                 reachable = True
-                for ne in _chain_from(d1.base, strands(eid), fan.center):
-                    a, b = d1.base.edges[ne]
+                for ne in _chain_from(ends, strands(eid), fan.center):
+                    a, b = ends[ne]
                     far = b if a == cur else a
                     if ne in cluster:
                         incident.update((cur, far))
@@ -359,9 +361,7 @@ def transduce_clustered(
 
         interior = sorted({x for n in comp for x in cg.crossings[n]})
         hub = interior[0]
-        leaves = sorted(
-            {d1.real_pvid[w] for ne in cluster for w in d1.base.edges[ne]}
-        )
+        leaves = sorted({d2.real_pvid.get(w, w) for ne in cluster for w in ends[ne]})
         _contract_into(rs, hub, set(interior))
         colors_s[hub] = {ColorLabel("b", 0)}
         for leaf in leaves:
@@ -369,7 +369,7 @@ def transduce_clustered(
             for e in spokes[1:]:
                 rs.remove_edge(e)
             s, _, _ = rs.subdivide_edge(spokes[0], leaf)
-            lb = int(d1.kind[leaf][5:])
+            lb = int(kind[leaf][5:])
             marks = set()
             for j, (near, far) in enumerate(fan_sides, start=1):
                 if lb in near:
@@ -378,23 +378,15 @@ def transduce_clustered(
                     marks.add(ColorLabel("bP", j))
             colors_s[s] = marks
 
-    real_of = {d1.real_pvid[v]: v for v in d.base.vertices}
+    real_of = {d2.real_pvid[v]: v for v in d.base.vertices}
     return _assemble(d, rs, real_of, colors_s, xn, k, "clustered")
 
 
-def _crossed_piece(d1: Drawing, pieces: list[int]) -> int:
-    """The one piece of a stub-cut edge that carries its crossings."""
-    for ne in pieces:
-        if d1.edge_crossings[ne]:
-            return ne
-    raise InvariantBroken("construction invariant broken")
-
-
-def _chain_from(g: Graph, eids: list[int], start: int) -> list[int]:
+def _chain_from(ends: Sequence[tuple[int, int]], eids: list[int], start: int) -> list[int]:
     """Orders path-forming edges by walking from the endpoint ``start``."""
     inc: dict[int, list[int]] = {}
     for e in eids:
-        u, v = g.edges[e]
+        u, v = ends[e]
         inc.setdefault(u, []).append(e)
         inc.setdefault(v, []).append(e)
     out: list[int] = []
@@ -407,7 +399,7 @@ def _chain_from(g: Graph, eids: list[int], start: int) -> list[int]:
         e = step[0]
         used.add(e)
         out.append(e)
-        u, v = g.edges[e]
+        u, v = ends[e]
         cur = v if u == cur else u
     return out
 

@@ -13,6 +13,7 @@ transducer's surgery check from rebuilding the surgered drawing, running
 and the decoded graph of a transduction from one path
 search per vertex pair, or from the rendered text of its formula, and
 the strong fan property from a face union-find over the whole plan,
+strong certificates from the earlier path checks on the cut drawing,
 cut drawings from rewriting every rotation entry by position through dart
 and edge-id maps, and the synthesizer's region arenas and polyline drawings
 from a pair loop and rotation code of their own each.
@@ -33,17 +34,16 @@ from fancross.cluster import (
     Certificate,
     _arc_keys,
     _cut_options,
-    _strong_cover,
     verify_certificate,
 )
 from fancross.drawing import (
+    CrossingGraph,
     Dart,
     Drawing,
     SubdivisionPlan,
     _checked_cuts,
     _crossing_graph,
     _cut,
-    _passage_side,
     _RotSys,
     is_k_planar,
     validate,
@@ -208,7 +208,8 @@ def oracle_cluster_feasible(d, k: int, ell: int, strong: bool = False, gaps: str
 def oracle_search_certificate(d, k: int, ell: int, strong: bool = False, cap: int = 12):
     """The first certificate in the product order of every edge's cut
     options, found by trying every choice and rebuilding the crossing graph
-    for each; the library's backtracking search must return the same."""
+    for each, with strong covers judged by the path checks on the cut
+    drawing; the library's backtracking search must return the same."""
     if k < 1 or ell < 1:
         raise ValueError("bad search parameters: k and ell must be positive")
     total = sum(1 for p in d.plan.vertices if d.kind_of(p) == "crossing")
@@ -255,6 +256,188 @@ def oracle_search_certificate(d, k: int, ell: int, strong: bool = False, cap: in
                 assignment[keys[n]] = center_of[d.base.edges[cg.nodes[n].edge]]
         if ok:
             return Certificate(k, ell, plan, covers, assignment)
+    return None
+
+
+# ===== Strong certificates on the cut drawing (the path checks) =====
+#
+# The strong fan check as it ran before it moved onto the uncut drawing,
+# kept verbatim: it cuts the drawing, stitches every fan edge's pieces into
+# one plan path and traces faces of the cut drawing.  The library's check
+# must give the same failures on the same plan.
+
+
+def stitched_path(d2: Drawing, piece_eids: Sequence[int], start_pvid: int) -> tuple[int, ...]:
+    """Concatenates piece paths of one original edge, oriented from ``start_pvid``."""
+    cur = start_pvid
+    out = [cur]
+    for neid in piece_eids:
+        p = d2.paths[neid]
+        if p[-1] == cur:
+            p = tuple(reversed(p))
+        if p[0] != cur:
+            raise ValueError("pieces do not chain")
+        out.extend(p[1:])
+        cur = out[-1]
+    return tuple(out)
+
+
+def _passage_side(d: Drawing, alpha_path: Sequence[int], x: int, other_in: Dart) -> str:
+    """Which side the dart ``other_in`` arrives from at crossing ``x``,
+    relative to the orientation of ``alpha_path``."""
+    i = alpha_path.index(x)
+    a_in = d.plan.edge_id(alpha_path[i - 1], x)
+    a_out = d.plan.edge_id(x, alpha_path[i + 1])
+    o_in = d.plan.edge_id(other_in[0], other_in[1])
+    rot = d.rotation[x]
+    pos = rot.index(a_in)
+    for step in range(1, 4):
+        e = rot[(pos + step) % 4]
+        if e == o_in:
+            return "left"
+        if e == a_out:
+            return "right"
+    raise ValueError("darts do not meet at the crossing")
+
+
+def _fan_core(
+    d: Drawing,
+    alpha_path: Sequence[int],
+    fan_paths: Sequence[Sequence[int]],
+    kept: set[int],
+) -> bool:
+    """The strong fan-property conditions over explicit plan paths.
+
+    ``alpha_path`` is the arc's plan path; every entry of ``fan_paths`` is a
+    full edge path oriented away from the fan center; ``kept`` holds the
+    plan edge ids of all these paths.  Checks: (1) each fan path meets the
+    arc in exactly one crossing; (2) all approaches come from the same side;
+    (3) deleting everything else never encloses an end of the arc.
+
+    Condition (3) is traced on the kept subgraph H.  After (1) every fan
+    path meets the arc, and all of them share the center, so H is connected.
+    The faces of a connected H are then exactly the faces of the arc's plan
+    component merged across every edge outside H, and the face of H that
+    holds the component's root (see :attr:`Drawing._dual_tree`) meets an
+    end of the arc iff its boundary passes through it.  The walk from a dart
+    of H up the dual tree locates that face: the last kept edge crossed
+    gives a dart of H with the root's side on its left, or, if none is
+    crossed, the start dart has it.  The face is then traced with the
+    rotation restricted to H (skip every edge outside H, backwards round the
+    vertex) until both ends of the arc have been seen.  The cost is the
+    depth of the dual tree plus the plan degrees along the traced face of
+    H, not the size of the drawing.
+    """
+    alpha_x = {q for q in alpha_path[1:-1] if d.kind_of(q) == "crossing"}
+    hits: list[tuple[int, Dart]] = []
+    for fp in fan_paths:
+        common = [q for q in fp if q in alpha_x]
+        if len(common) != 1:
+            return False
+        x = common[0]
+        j = fp.index(x)
+        hits.append((x, (fp[j - 1], x)))
+    sides = {_passage_side(d, alpha_path, x, din) for x, din in hits}
+    if len(sides) > 1:
+        return False
+
+    _, face_of, nxt = d._face_table
+    enter = d._dual_tree
+    start = 2 * next(iter(kept))
+    f = face_of[start]
+    while enter[f] >= 0:
+        x = enter[f] ^ 1
+        if x >> 1 in kept:
+            start = x
+        f = face_of[x]
+    ends = {alpha_path[0], alpha_path[-1]}
+    edges = d.plan.edges
+    x = start
+    while True:
+        ends.discard(edges[x >> 1][x & 1])
+        if not ends:
+            return True
+        x = nxt[x]
+        while x >> 1 not in kept:
+            x = nxt[x ^ 1]
+        if x == start:
+            return False
+
+
+def _strong_failures(
+    d: Drawing,
+    d2: Drawing,
+    pieces_of: dict[int, list[int]],
+    cg: CrossingGraph,
+    keys: dict[int, tuple[int, int]],
+    cid: int,
+    comp: Sequence[int],
+    fans: Sequence[Fan],
+) -> list[tuple[int, str]]:
+    out: list[tuple[int, str]] = []
+    comp_x_of_edge: dict[int, set[int]] = {}
+    for n in comp:
+        comp_x_of_edge.setdefault(cg.nodes[n].edge, set()).update(cg.crossings[n])
+    for f in fans:
+        fan_eids: set[int] = set()
+        # Per fan edge crossing the component: its crossings there, its
+        # full plan path walked from the center, and its plan edge ids.
+        spokes: list[tuple[set[int], tuple[int, ...], list[int]]] = []
+        for edge in f.edges:
+            eid = d.base.edge_id(*edge)
+            fan_eids.add(eid)
+            if eid in comp_x_of_edge:
+                pieces = pieces_of[eid]
+                path = stitched_path(
+                    d2, pieces if f.center == edge[0] else pieces[::-1], d2.real_pvid[f.center]
+                )
+                trace = [pe for piece in pieces for pe in d2.trace[piece]]
+                spokes.append((comp_x_of_edge[eid], path, trace))
+        for n in comp:
+            if cg.nodes[n].edge in fan_eids:
+                continue
+            alpha_x = set(cg.crossings[n])
+            hitting = [s for s in spokes if s[0] & alpha_x]
+            if not hitting:
+                continue
+            eid, piece = keys[n]
+            neid = pieces_of[eid][piece]
+            kept = set(d2.trace[neid])
+            for _, _, trace in hitting:
+                kept.update(trace)
+            if not _fan_core(d2, d2.paths[neid], [p for _, p, _ in hitting], kept):
+                out.append((cid, f"fan property: center {f.center} arc {keys[n]}"))
+    return out
+
+
+def _strong_cover(
+    d: Drawing,
+    d2: Drawing,
+    pieces_of: dict[int, list[int]],
+    cg: CrossingGraph,
+    keys: dict[int, tuple[int, int]],
+    comp: Sequence[int],
+    part: Sequence[tuple[int, int]],
+    ell: int,
+) -> Optional[list[Fan]]:
+    """The first center set (by size, then lexicographically) whose canonical
+    fan cover of the participating edges passes the strong conditions."""
+    cands = sorted({u for e in part for u in e})
+    for size in range(1, min(ell, len(cands)) + 1):
+        for chosen in itertools.combinations(cands, size):
+            groups: dict[int, list[tuple[int, int]]] = {}
+            ok = True
+            for e in part:
+                incident = [c for c in chosen if c in e]
+                if not incident:
+                    ok = False
+                    break
+                groups.setdefault(min(incident), []).append(e)
+            if not ok:
+                continue
+            fans = [Fan(c, tuple(groups[c])) for c in sorted(groups)]
+            if not _strong_failures(d, d2, pieces_of, cg, keys, 0, comp, fans):
+                return fans
     return None
 
 

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fancross import cluster
-from fancross.errors import CapExceeded
+from fancross import cluster, synth
+from fancross.errors import CapExceeded, InvariantBroken
 from fancross.cluster import (
     Certificate,
     _cut_options,
@@ -18,10 +18,11 @@ from fancross.cluster import (
     search_certificate,
     verify_certificate,
 )
-from fancross.drawing import SubdivisionPlan
+from fancross.drawing import CrossingGraph, Drawing, SubdivisionPlan
 from fancross.fixtures import fig1a, fig1a_certificate, fig1b, fig3, random_kplanar
 from fancross.geometry import drawing_from_polylines, drawing_from_segments, pt
-from fancross.graphs import Fan, Graph
+from fancross.graphs import Fan, Graph, grid2d
+from fancross.minors import MinorModel
 from fancross.jsonio import certificate_from_json, certificate_to_json
 from oracles import oracle_cluster_feasible, oracle_search_certificate
 
@@ -338,6 +339,76 @@ def test_adjacent_crossing_single_fan_is_strong():
 
 def test_disjoint_crossing_blocks_single_fan():
     assert search_certificate(xdrawing(), 3, 1) is None
+
+
+# ===== Strong candidates are checked on the uncut drawing =====
+
+
+def test_strong_candidates_build_no_drawing_and_no_crossing_graph(monkeypatch):
+    checks, built, inside = [], [], []
+    real_ok = cluster._GroupSearch._strong_ok
+
+    def strong_ok(self, *args):
+        checks.append(args[0])
+        inside.append(True)
+        try:
+            return real_ok(self, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cluster._GroupSearch, "_strong_ok", strong_ok)
+    builders = ((Drawing, "__post_init__"), (Drawing, "with_outer"), (CrossingGraph, "__init__"))
+    for cls, name in builders:
+
+        def counted(self, *args, real=getattr(cls, name), name=name, **kwargs):
+            if inside:
+                built.append(name)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    drawings = [fig3(), fig1a(), pocket(), chain_and_zigzag(4)]
+    drawings += [random_kplanar(9, 3, seed) for seed in range(6)]
+    for d in drawings:
+        for k, ell in ((2, 2), (3, 2), (3, 1)):
+            search_certificate(d, k, ell, strong=True, cap=40)
+    assert any(len({a[0] for a in arcs}) < len(arcs) for arcs in checks)  # some arcs cut
+    assert built == []
+
+
+def unflipped_synth_drawing():
+    """The drawing that ``synthesize`` builds with its bundles unflipped for
+    the model of ``test_synth.test_model_that_both_orientations_reject``
+    (a 7-vertex pattern in the 3 x 3 grid at k = 2): the first drawing it
+    hands to ``verify_certificate``."""
+    g = grid2d(3, 3)
+    host = drawing_from_segments(g, {i * 3 + j: pt(j, i) for i in range(3) for j in range(3)})
+    pattern = Graph.make(
+        range(7),
+        [(0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (2, 5), (2, 6),
+         (3, 4), (3, 5), (3, 6), (4, 5), (4, 6)],
+    )
+    branch = {0: (8,), 1: (2, 5), 2: (3, 6), 3: (7,), 4: (2, 4, 5), 5: (7, 8), 6: (0, 3, 4, 6)}
+    seen = []
+    real = synth.verify_certificate
+
+    def recorded(d, cert, strong=False):
+        seen.append(d)
+        return real(d, cert, strong)
+
+    synth.verify_certificate = recorded
+    try:
+        synth.synthesize(host, MinorModel(g, pattern, branch, 2, 2))
+    except InvariantBroken:
+        pass
+    finally:
+        synth.verify_certificate = real
+    return seen[0]
+
+
+def test_strong_search_refuses_the_unflipped_synth_drawing():
+    d = unflipped_synth_drawing()
+    assert sum(d.kind_of(p) == "crossing" for p in d.plan.vertices) == 19
+    assert search_certificate(d, 2, 2, strong=True, cap=19) is None
 
 
 # ===== Minimum cluster count =====

@@ -2,40 +2,50 @@
 
 from __future__ import annotations
 
+import bisect
 import json
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import _passage_side as oracle_passage_side
+from oracles import _strong_failures as oracle_strong_failures
 from oracles import (
     oracle_component_index,
     oracle_faces,
     oracle_fan_core,
     oracle_subdivide_with_map,
+    stitched_path,
 )
 
 from fancross import cluster, drawing, transduce
-from fancross.cluster import Certificate, search_certificate, verify_certificate
+from fancross.cluster import Certificate, _arc_keys, search_certificate, verify_certificate
 from fancross.drawing import (
     ArcRef,
     Drawing,
     SubdivisionPlan,
+    _crossing_graph,
+    _cut,
+    _cut_root,
+    _cut_step,
     _fan_core,
     _passage_side,
     _RotSys,
+    _steps,
     _vertex_path,
     crossing_graph,
     crossings_per_edge,
     is_k_planar,
     planarize,
-    stitched_path,
     subdivide,
     subdivide_with_map,
     validate,
 )
 from fancross.fixtures import fig1a, fig1b, fig3, random_kplanar
-from fancross.geometry import drawing_from_segments, pt
+from fancross.geometry import drawing_from_polylines, drawing_from_segments, pt
 from fancross.graphs import Fan, Graph, complete, grid2d
 from fancross.jsonio import drawing_from_json, drawing_to_json
 from fancross.minors import find_model_bruteforce
@@ -505,13 +515,15 @@ def test_with_outer_drops_what_depends_on_the_outer_face(n, k, seed):
 
 
 def count_derivations(monkeypatch):
-    """Counts every run of the uncached validator, cut builder and crossing
-    graph builder, wherever they are imported, as ``(drawing, cuts)``."""
-    calls = {"_validate": [], "_cut": [], "_crossing_graph": []}
+    """Counts every run of the uncached validator, cut builder, rotation
+    system cut and crossing graph builder, wherever they are imported, as
+    ``(drawing, cuts)``."""
+    calls = {"_validate": [], "_cut": [], "_split": [], "_crossing_graph": []}
     for name, modules in (
         ("_validate", (drawing,)),
-        ("_cut", (drawing, cluster, transduce)),
-        ("_crossing_graph", (drawing, cluster)),
+        ("_cut", (drawing,)),
+        ("_split", (drawing, transduce)),
+        ("_crossing_graph", (drawing,)),
     ):
         real = getattr(drawing, name)
 
@@ -546,7 +558,9 @@ def test_pipeline_derives_each_fact_once(monkeypatch):
     assert on("_validate", d) == [[]]
     assert on("_cut", d) == [[cert.plan.cuts]]
     assert on("_crossing_graph", d) == [[cert.plan.cuts]]
-    assert len(on("_cut", d2)) == 1 and on("_validate", d2) == []
+    # The stub cut of d2 stays a rotation system: no drawing, no faces.
+    assert on("_cut", d2) == [] and len(on("_split", d2)) == 1
+    assert on("_validate", d2) == []
     assert "_plan_slot" not in d2.__dict__
 
     k4 = fig3()
@@ -560,15 +574,17 @@ def test_strong_search_leaves_only_its_certificate_in_the_slot(monkeypatch):
     calls = count_derivations(monkeypatch)
     d = fig3()
     cert = search_certificate(d, 2, 2, strong=True)
-    tried = [cuts for y, cuts in calls["_cut"] if y is d]
-    assert any(cuts != cert.plan.cuts for cuts in tried)
+    assert cert.plan.cuts
+    # Strong candidates are checked on d itself: nothing is cut, and the
+    # only crossing graph with cuts is the certificate's, kept in the slot.
+    assert calls["_cut"] == [] and calls["_split"] == []
+    assert calls["_crossing_graph"] == [(d, cert.plan.cuts)]
     assert d.__dict__["_plan_slot"][0] == cert.plan.cuts
+    assert d.__dict__["_plan_slot"][2] is None
     assert subdivide_with_map(d, cert.plan) is d.__dict__["_plan_slot"][2]
-    # Candidates bypass the slot, so searching again finds the cut kept.
-    slot_cuts = []
-    monkeypatch.setattr(drawing, "_cut", lambda d, cuts: slot_cuts.append(cuts))
+    # Searching again finds the certificate's crossing graph kept.
     assert search_certificate(d, 2, 2, strong=True) == cert
-    assert slot_cuts == []
+    assert calls["_crossing_graph"] == [(d, cert.plan.cuts)]
 
 
 # ===== Crossing graphs =====
@@ -625,58 +641,78 @@ def test_planarize_lens_keeps_bend_vertex():
 # ===== Sides and the fan property =====
 
 
-def fan_paths_from(d, center, eids):
-    """The plan paths of the base edges ``eids``, each walked from ``center``."""
-    start = d.real_pvid[center]
-    return [d.paths[e] if d.paths[e][0] == start else d.paths[e][::-1] for e in eids]
+def spokes_from(d, center, eids):
+    """The base edges ``eids`` as ``_fan_core`` spokes walked from ``center``."""
+    return [(e, d.base.edges[e][0] == center) for e in eids]
 
 
-def kept_edges(d, alpha, fan):
-    """The plan edge ids of the arc path and the fan paths."""
-    return {d.plan.edge_id(a, b) for p in (alpha, *fan) for a, b in zip(p, p[1:])}
+def on_cut_drawing(d, eid, lo, hi, cuts, spokes):
+    """The same case as the path oracles take it: the drawing cut at
+    ``cuts``, the arc's plan path there and every spoke's stitched plan
+    path from the center."""
+    d2, pieces = _cut(d, cuts)
+    alpha = d2.paths[pieces[eid][bisect.bisect_right(cuts.get(eid, ()), lo)]]
+    fan = []
+    for f, forward in spokes:
+        center = d.base.edges[f][0 if forward else 1]
+        chain = pieces[f] if forward else pieces[f][::-1]
+        fan.append(stitched_path(d2, chain, d2.real_pvid[center]))
+    return d2, alpha, fan
 
 
-def strong_fan(d, alpha, fan):
-    """``_fan_core`` on these paths, checked against ``oracle_fan_core``."""
-    got = _fan_core(d, alpha, fan, kept_edges(d, alpha, fan))
-    assert got == oracle_fan_core(d, alpha, fan)
+def strong_fan(d, eid, spokes, lo=0, hi=None, cuts=None):
+    """``_fan_core`` on the arc of ``eid`` from gap ``lo`` to gap ``hi`` (by
+    default its whole edge) under ``cuts``, checked against
+    ``oracle_fan_core`` on the cut drawing."""
+    cuts = cuts or {}
+    hi = len(d.edge_crossings[eid]) if hi is None else hi
+    got = _fan_core(d, eid, lo, hi, cuts, spokes)
+    assert got == oracle_fan_core(*on_cut_drawing(d, eid, lo, hi, cuts, spokes))
     return got
 
 
-def approach_sides(d, alpha, fan):
-    """The side from which each fan path meets the arc path ``alpha``."""
+def approach_sides(d, eid, spokes, lo=0, hi=None):
+    """The side from which each spoke meets the arc of ``eid`` from gap
+    ``lo`` to gap ``hi``, each checked against the path oracle's side."""
+    ax = set(d.edge_crossings[eid][lo:hi])
     sides = set()
-    for p in fan:
-        (x,) = [q for q in p if q in alpha[1:-1] and d.kind_of(q) == "crossing"]
-        sides.add(_passage_side(d, alpha, x, (p[p.index(x) - 1], x)))
+    for f, forward in spokes:
+        (x,) = ax & set(d.edge_crossings[f])
+        side = _passage_side(d, eid, x, f, forward)
+        p = d.paths[f] if forward else d.paths[f][::-1]
+        assert side == oracle_passage_side(d, d.paths[eid], x, (p[p.index(x) - 1], x))
+        sides.add(side)
     return sides
 
 
 def test_side_of_approach_is_side_dependent():
     d = xfix()
-    fans = [fan_paths_from(d, center, [1]) for center in (2, 3)]
-    assert [approach_sides(d, d.paths[0], fan) for fan in fans] == [{"right"}, {"left"}]
+    sides = [approach_sides(d, 0, spokes_from(d, center, [1])) for center in (2, 3)]
+    assert sides == [{"right"}, {"left"}]
 
 
 def test_fan_property_weak_on_x():
     d = xfix()
-    assert strong_fan(d, d.paths[0], fan_paths_from(d, 2, [1]))
-    assert strong_fan(d, d.paths[0], fan_paths_from(d, 3, [1]))
+    assert strong_fan(d, 0, spokes_from(d, 2, [1]))
+    assert strong_fan(d, 0, spokes_from(d, 3, [1]))
 
 
 def test_fan_property_fails_on_double_crossing():
     d = lens()
     # The whole edge (2,3) crosses the whole edge (0,1) twice: not a fan
     # crossing pattern.
-    assert not strong_fan(d, d.paths[0], fan_paths_from(d, 2, [1]))
+    assert not strong_fan(d, 0, spokes_from(d, 2, [1]))
 
 
 def test_fan_property_on_arc_of_lens():
     d = lens()
     # Cut (0,1) after its first crossing; the arc up to it is crossed once.
-    d2, pieces = subdivide_with_map(d, SubdivisionPlan({0: (1,)}))
-    alpha = d2.paths[pieces[0][0]]
-    assert strong_fan(d2, alpha, fan_paths_from(d2, 2, [pieces[1][0]]))
+    assert strong_fan(d, 0, spokes_from(d, 2, [1]), 0, 1, {0: (1,)})
+    assert strong_fan(d, 0, spokes_from(d, 2, [1]), 1, 2, {0: (1,)})
+    # A cut on (2,3) after its first crossing lies next to the bend 6.
+    assert 6 in d.plan.edges[_steps(d, 1)[_cut_step(d, 1, 1)]]
+    for lo, hi in ((0, 1), (1, 2)):
+        strong_fan(d, 1, spokes_from(d, 0, [0]), lo, hi, {1: (1,)})
 
 
 def test_fan_property_same_side_requirement():
@@ -692,17 +728,16 @@ def test_fan_property_same_side_requirement():
         5: pt(4, 1),
     }
     d = drawing_from_segments(g, pos)
-    alpha = d.paths[0]
-    assert strong_fan(d, alpha, fan_paths_from(d, 3, [1]))
+    assert strong_fan(d, 0, spokes_from(d, 3, [1]))
     # Mixed sides fail: walk one edge from below, the other from above.
-    mixed = fan_paths_from(d, 2, [1]) + fan_paths_from(d, 5, [2])
-    assert approach_sides(d, alpha, mixed) == {"left", "right"}
-    assert not strong_fan(d, alpha, mixed)
+    mixed = spokes_from(d, 2, [1]) + spokes_from(d, 5, [2])
+    assert approach_sides(d, 0, mixed) == {"left", "right"}
+    assert not strong_fan(d, 0, mixed)
 
 
 def test_fan_property_empty_fan_true():
     d = xfix()
-    assert strong_fan(d, d.paths[0], [])
+    assert strong_fan(d, 0, [])
 
 
 def test_strong_fan_detects_enclosure():
@@ -710,8 +745,6 @@ def test_strong_fan_detects_enclosure():
     # the crossed edge sneaks in through them and ends inside.  Each fan edge
     # crosses it exactly once and from the same side, so the weak property
     # holds, but the end of the edge cannot reach the outer face.
-    from fancross.geometry import drawing_from_polylines
-
     g = Graph.make([0, 1, 2, 3, 4], [(0, 1), (0, 2), (3, 4)])
     pos = {0: pt(0, 0), 1: pt(2, 4), 2: pt(4, -1), 3: pt(12, 2), 4: pt(6, 2)}
     bends = {
@@ -720,9 +753,9 @@ def test_strong_fan_detects_enclosure():
     }
     d = drawing_from_polylines(g, pos, bends)
     assert validate(d) == []
-    alpha, fan = d.paths[2], fan_paths_from(d, 0, [0, 1])
-    assert len(approach_sides(d, alpha, fan)) == 1  # weak: fine
-    assert not strong_fan(d, alpha, fan)
+    spokes = spokes_from(d, 0, [0, 1])
+    assert len(approach_sides(d, 2, spokes)) == 1  # weak: fine
+    assert not strong_fan(d, 2, spokes)
     cert = Certificate(
         1, 2, covers={0: (Fan(0, ((0, 1), (0, 2))), Fan(4, ((3, 4),)))},
         assignment={(0, 0): 0, (1, 0): 0, (2, 0): 4},
@@ -732,92 +765,117 @@ def test_strong_fan_detects_enclosure():
     assert (0, "fan property: center 0 arc (2, 0)") in strong.failures
 
 
-def fan_case_drawing(n, k, seed):
+def case_drawing(n, k, seed):
     """``random_kplanar(n, k, seed)``, maybe beside a copy of itself with
-    edges dropped, maybe cut by a random plan.  Returns the uncut drawing,
-    the cut one, the pieces of every edge and the random generator for the
-    cases."""
+    edges dropped, maybe with a bend on some edges, and distinct random cuts
+    at any gaps, 0 and the last among them.  Returns the drawing, its cuts
+    and the random generator for the cases."""
     rng = random.Random(seed)
     d = random_kplanar(n, k, seed)
+    # The generator's vertex positions are its first n draws.  Any subset of
+    # its edges is again a valid straight-line drawing, and so is a copy to
+    # the right of it, a plan component that misses the outer face.
+    prng = random.Random(seed)
+    ys = [prng.randrange(0, 2 * n + 1) for _ in range(n)]
+    edges = list(d.base.edges)
+    pos = {i: pt(i, ys[i]) for i in range(n)}
     if rng.random() < 0.5:
-        # The generator's vertex positions are its first n draws.  Any subset
-        # of its edges is again a valid straight-line drawing, and so is a
-        # copy to the right of it, a plan component that misses the outer
-        # face.
-        prng = random.Random(seed)
-        ys = [prng.randrange(0, 2 * n + 1) for _ in range(n)]
-        pos = {i: pt(i, ys[i % n]) for i in range(2 * n)}
-        edges = [e for e in d.base.edges if rng.random() < 0.6]
-        edges += [(u + n, v + n) for u, v in d.base.edges]
-        d = drawing_from_segments(Graph.make(range(2 * n), edges), pos)
-    plan = random_plan(d, rng) if d.base.m and rng.random() < 0.5 else SubdivisionPlan()
-    d2, pieces = subdivide_with_map(d, plan)
-    return d, d2, pieces, rng
+        pos.update({i + n: pt(i + n, ys[i]) for i in range(n)})
+        edges = [e for e in edges if rng.random() < 0.6] + [(u + n, v + n) for u, v in edges]
+    g = Graph.make(range(len(pos)), edges)
+    bends = {}
+    if rng.random() < 0.5:
+        for eid, (u, v) in enumerate(g.edges):
+            if rng.random() < 0.3:
+                (x1, y1), (x2, y2) = pos[u], pos[v]
+                lift = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), 3)
+                bends[eid] = [pt((x1 + x2) / 2, (y1 + y2) / 2 + lift)]
+    if bends or len(pos) > n:
+        try:
+            d = drawing_from_polylines(g, pos, bends)
+        except ValueError:  # a bend on a vertex, a segment or a crossing
+            d = drawing_from_segments(g, pos)
+    cuts = {}
+    for eid in rng.sample(range(d.base.m), rng.randint(1, min(4, d.base.m))):
+        c = len(d.edge_crossings[eid])
+        some = tuple(sorted(rng.sample(range(c + 1), min(2, c + 1))))
+        cuts[eid] = rng.choice([(0,), (c,), tuple(sorted({0, c})), some, (rng.randint(0, c),)])
+    return d, cuts, rng
 
 
-def fan_cases(d, d2, pieces_of, rng, count):
-    """Random strong fan checks on ``d2``: a crossed arc, a center at an end
-    of an edge crossing it (most often the end with the most such edges),
-    and a random subset of the center's edges that cross the arc, each
-    walked from the center through its pieces.  Some cases move the outer
-    face to a random face or to a face beside the arc."""
-    arcs = [neid for eid in sorted(pieces_of) for neid in pieces_of[eid] if d2.edge_crossings[neid]]
+def crossed_arcs(d, cuts):
+    """Every arc ``(edge, lo, hi)`` of the plan that has a crossing."""
+    out = []
+    for e, xs in d.edge_crossings.items():
+        b = [0, *cuts.get(e, ()), len(xs)]
+        out += [(e, lo, hi) for lo, hi in zip(b, b[1:]) if lo < hi]
+    return out
+
+
+def fan_cases(d, cuts, rng, count):
+    """Random strong fan checks: a crossed arc, a center at an end of an
+    edge crossing it (most often the end with the most such edges), and a
+    random subset of the center's edges that cross the arc.  Some cases move
+    the outer face to a random face or to a face beside the arc."""
+    arcs = crossed_arcs(d, cuts)
     for _ in range(count if arcs else 0):
-        neid = rng.choice(arcs)
-        ax = set(d2.edge_crossings[neid])
-        hit = [e for e in range(d.base.m) if ax & set(d.edge_crossings[e])]
-        ends = [v for e in hit for v in d.base.edges[e]]
+        e, lo, hi = rng.choice(arcs)
+        ax = set(d.edge_crossings[e][lo:hi])
+        hit = [f for f in range(d.base.m) if f != e and ax & set(d.edge_crossings[f])]
+        ends = [v for f in hit for v in d.base.edges[f]]
         if rng.random() < 0.7:
             center = max(sorted(set(ends)), key=ends.count)
         else:
             center = rng.choice(ends)
-        fan = []
-        for e in hit:
-            if center in d.base.edges[e] and rng.random() < 0.8:
-                pieces = pieces_of[e] if d.base.edges[e][0] == center else pieces_of[e][::-1]
-                fan.append(stitched_path(d2, pieces, d2.real_pvid[center]))
-        alpha, rooted = d2.paths[neid], d2
+        spokes = [
+            (f, d.base.edges[f][0] == center)
+            for f in hit
+            if center in d.base.edges[f] and rng.random() < 0.8
+        ]
+        rooted = d
         if rng.random() < 0.3:
-            rooted = d2.with_outer(rng.randrange(len(d2.faces)))
+            rooted = d.with_outer(rng.randrange(len(d.faces)))
         elif rng.random() < 0.5:
-            i = rng.randrange(len(alpha) - 1)
-            dart = (alpha[i], alpha[i + 1])
-            rooted = d2.with_outer(d2.face_of_dart(dart if rng.random() < 0.5 else dart[::-1]))
-        yield rooted, alpha, fan
+            path = d.paths[e]
+            i = rng.randrange(len(path) - 1)
+            dart = (path[i], path[i + 1])
+            rooted = d.with_outer(d.face_of_dart(dart if rng.random() < 0.5 else dart[::-1]))
+        yield rooted, e, lo, hi, spokes
 
 
-def decided_by_enclosure(d, alpha, fan):
+def decided_by_enclosure(d, e, lo, hi, spokes):
     """Whether conditions (1) and (2) hold, so that (3) decides."""
-    inner = {q for q in alpha[1:-1] if d.kind_of(q) == "crossing"}
-    if any(sum(q in inner for q in p) != 1 for p in fan):
+    ax = set(d.edge_crossings[e][lo:hi])
+    if any(len(ax & set(d.edge_crossings[f])) != 1 for f, _ in spokes):
         return False
-    return len(approach_sides(d, alpha, fan)) <= 1
+    return len(approach_sides(d, e, spokes, lo, hi)) <= 1
 
 
-def off_outer_component(d, alpha):
-    """Whether the arc's plan component misses the outer face."""
+def off_outer_component(d, e):
+    """Whether base edge ``e``'s plan component misses the outer face."""
     comp = oracle_component_index(d.plan.vertices, d.plan.edges)
-    return comp[alpha[0]] != comp[d.faces[d.outer][0][0]]
+    return comp[d.paths[e][0]] != comp[d.faces[d.outer][0][0]]
 
 
 def test_strong_fan_matches_oracle_on_seeded_corpus():
-    enclosed = off_outer = 0
+    enclosed = off_outer = at_cut = 0
     for seed in range(400):
         n, k = 4 + seed % 13, 1 + seed % 3
-        d, d2, pieces, rng = fan_case_drawing(n, k, seed)
-        for d3, alpha, fan in fan_cases(d, d2, pieces, rng, 6):
-            got = strong_fan(d3, alpha, fan)
-            enclosed += not got and decided_by_enclosure(d3, alpha, fan)
-            off_outer += off_outer_component(d3, alpha)
-    assert enclosed > 0 and off_outer > 0
+        d, cuts, rng = case_drawing(n, k, seed)
+        for d3, e, lo, hi, spokes in fan_cases(d, cuts, rng, 6):
+            got = strong_fan(d3, e, spokes, lo, hi, cuts)
+            enclosed += not got and decided_by_enclosure(d3, e, lo, hi, spokes)
+            off_outer += off_outer_component(d3, e)
+            at_cut += lo in cuts.get(e, ()) or hi in cuts.get(e, ())
+    assert enclosed > 0 and off_outer > 0 and at_cut > 0
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(4, 14), st.integers(1, 3), st.integers(0, 10**6))
 def test_strong_fan_matches_oracle_on_random_drawings(n, k, seed):
-    d, d2, pieces, rng = fan_case_drawing(n, k, seed)
-    for d3, alpha, fan in fan_cases(d, d2, pieces, rng, 4):
-        strong_fan(d3, alpha, fan)
+    d, cuts, rng = case_drawing(n, k, seed)
+    for d3, e, lo, hi, spokes in fan_cases(d, cuts, rng, 4):
+        strong_fan(d3, e, spokes, lo, hi, cuts)
 
 
 def test_strong_fan_follows_the_outer_face():
@@ -827,10 +885,68 @@ def test_strong_fan_follows_the_outer_face():
     # Each re-rooted drawing starts from one whose dual tree is built.
     d = fig3()
     eid = d.base.edge_id
-    alpha, fan = d.paths[eid(1, 4)], fan_paths_from(d, 0, [eid(0, 2), eid(0, 3)])
-    assert strong_fan(d, alpha, fan)
-    got = [strong_fan(d.with_outer(i), alpha, fan) for i in range(len(d.faces))]
+    alpha, spokes = eid(1, 4), spokes_from(d, 0, [eid(0, 2), eid(0, 3)])
+    assert strong_fan(d, alpha, spokes)
+    got = [strong_fan(d.with_outer(i), alpha, spokes) for i in range(len(d.faces))]
     assert True in got and False in got
+
+
+# ===== Strong failures against the path checks on the cut drawing =====
+
+
+def strong_failures_agree(d, cuts, rng):
+    """Every component of ``cuts`` under a random fan cover (each edge in the
+    fan of a random end): ``cluster._strong_failures`` on ``d`` must list
+    the same failures as the path checks on ``_cut(d, cuts)``.  Returns
+    what the comparison covered: failing components, arcs that start at a
+    cut at gap 0 or end at a cut at the last gap, components that miss the
+    outer face, and cuts next to a bend."""
+    cg = _crossing_graph(d, cuts)
+    keys = _arc_keys(cg)
+    d2, pieces = _cut(d, cuts)
+    comp_of = oracle_component_index(d.plan.vertices, d.plan.edges)
+    outer = comp_of[d.faces[d.outer][0][0]]
+    seen = Counter()
+    for cid, comp in enumerate(cg.components()):
+        arcs = [(a.edge, a.lo, a.hi) for a in (cg.nodes[n] for n in comp)]
+        groups = {}
+        for e in sorted({a[0] for a in arcs}):
+            groups.setdefault(rng.choice(d.base.edges[e]), []).append(d.base.edges[e])
+        fans = [Fan(c, tuple(es)) for c, es in sorted(groups.items())]
+        got = list(cluster._strong_failures(d, cuts, cid, arcs, fans))
+        assert got == oracle_strong_failures(d, d2, pieces, cg, keys, cid, comp, fans)
+        seen["failing"] += bool(got)
+        seen["off outer"] += comp_of[d.paths[arcs[0][0]][0]] != outer
+        for e, lo, hi in arcs:
+            gaps = cuts.get(e, ())
+            seen["gap 0"] += lo == 0 and 0 in gaps
+            seen["gap c"] += hi == len(d.edge_crossings[e]) and hi in gaps
+    for e, gaps in cuts.items():
+        for g in gaps:
+            ends = d.plan.edges[_steps(d, e)[_cut_step(d, e, g)]]
+            seen["bend"] += any(d.kind_of(p) == "subdivision" for p in ends)
+    return seen
+
+
+def test_strong_failures_match_path_checks_on_seeded_corpus():
+    seen = Counter()
+    moved = 0
+    for seed in range(300):
+        d, cuts, rng = case_drawing(6 + seed % 9, 1 + seed % 3, seed)
+        if rng.random() < 0.3:
+            d = d.with_outer(rng.randrange(len(d.faces)))
+        seen += strong_failures_agree(d, cuts, rng)
+        roots = [f for f, x in enumerate(d._dual_tree) if x < 0 and f != d.outer]
+        moved += any(_cut_root(d, cuts, f) != f for f in roots)
+    assert set(seen) == {"failing", "off outer", "gap 0", "gap c", "bend"}
+    assert moved > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(6, 14), st.integers(1, 3), st.integers(0, 10**6))
+def test_strong_failures_match_path_checks_on_random_drawings(n, k, seed):
+    d, cuts, rng = case_drawing(n, k, seed)
+    strong_failures_agree(d, cuts, rng)
 
 
 # ===== JSON =====

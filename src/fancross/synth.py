@@ -9,9 +9,10 @@ regions, one around each host vertex and one at the midpoint of each host
 edge that connects two disjoint branch sets.  The construction then emits
 subdivision cuts, fan covers, and an arc assignment certifying the drawing
 as clustered strongly fan-crossing, and checks its own output with the
-independent verifier before returning it; on failure it retries with the
-opposite bundle order, and if that also fails it refuses to answer rather
-than return an unverified drawing.
+independent verifier before returning it.  Where its fixed fan assignment
+fails that check, the exact per-component strong covers of
+:mod:`fancross.cluster` certify the same drawing on the same cuts; if those
+fail too it refuses to answer rather than return an unverified drawing.
 
 Region interiors are realized as straight chords between exact integer
 points on a convex arc: two chords cross exactly when their boundary
@@ -25,10 +26,10 @@ corridor between two regions as one plan edge per lane.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-from .cluster import Certificate, _arc_keys, verify_certificate
+from .cluster import Certificate, _arc_keys, _certificate, verify_certificate
 from .drawing import Drawing, SubdivisionPlan, crossing_graph, validate
 from .errors import InvariantBroken
 from .geometry import Vec, _arrangement, _drawing_along, _rotations
@@ -128,8 +129,7 @@ class _Route:
 
     ``regions`` walks from the smaller endpoint's root to the larger's and
     may pass synthetic edge-midpoint regions; ``jidx`` indexes the meeting
-    region, ``conn_eid`` is the connecting host edge for disjoint branch
-    sets, and ``segments`` lists ``(host edge id, corridor boundaries)``
+    region, and ``segments`` lists ``(host edge id, corridor boundaries)``
     per host edge along the walk.
     """
 
@@ -138,7 +138,6 @@ class _Route:
     w: int
     regions: tuple[int, ...]
     jidx: int
-    conn_eid: Optional[int]
     segments: tuple[tuple[int, tuple[int, ...]], ...]
     real_path: tuple[int, ...]
 
@@ -215,7 +214,7 @@ def _make_routes(
                 i += 1
         real_path = tuple(r for r in regions if r not in eid_of_mid)
         routes.append(
-            _Route(eid, v, w, tuple(regions), jidx, conn_eid, tuple(segs), real_path)
+            _Route(eid, v, w, tuple(regions), jidx, tuple(segs), real_path)
         )
     return routes, mid_of, eid_of_mid
 
@@ -304,7 +303,7 @@ def _corr(a: int, b: int) -> tuple[int, int]:
 
 
 class _Builder:
-    """One synthesis attempt with a fixed bundle orientation."""
+    """One synthesis: the drawing, its cut plan and its certificate."""
 
     def __init__(
         self,
@@ -315,7 +314,6 @@ class _Builder:
         mid_of: dict[int, int],
         eid_of_mid: dict[int, int],
         anchor: Optional[tuple[int, bool]],
-        flip: bool,
     ) -> None:
         self.host = host
         self.m = m
@@ -324,7 +322,6 @@ class _Builder:
         self.mid_of = mid_of
         self.eid_of_mid = eid_of_mid
         self.anchor = anchor
-        self.flip = flip
 
     # -- lanes and groups --
 
@@ -363,16 +360,10 @@ class _Builder:
                 a, _b = self.host.base.edges[self.eid_of_mid[r2]]
                 goes = [x for x in owners if self.passing[(c, x)]]
                 ends = [x for x in owners if not self.passing[(c, x)]]
-                if r1 == a:
-                    at_far = goes + ends
-                else:
-                    at_far = ends[::-1] + goes[::-1]
-                if self.flip:
-                    at_far = at_far[::-1]
+                at_far = goes + ends if r1 == a else ends[::-1] + goes[::-1]
                 self.glist[c] = {r2: at_far, r1: at_far[::-1]}
             else:
-                at_min = owners[::-1] if self.flip else owners
-                self.glist[c] = {r1: at_min, r2: at_min[::-1]}
+                self.glist[c] = {r1: owners, r2: owners[::-1]}
 
     def _region_rotations(self) -> None:
         """Corridors around each region, in the host's circular order."""
@@ -407,8 +398,7 @@ class _Builder:
             out: list[tuple] = []
             for c in self.region_rot[u]:
                 out.extend((c, x) for x in self.glist[c][u])
-            rs = self.roots_at.get(u, [])
-            out.extend(("root", x) for x in (rs[::-1] if self.flip else rs))
+            out.extend(("root", x) for x in self.roots_at.get(u, []))
             self._objcache[u] = cached = out
         return cached
 
@@ -544,33 +534,29 @@ class _Builder:
 
     # -- certificate --
 
-    def _certificate(self, d: Drawing) -> Optional[Certificate]:
+    def _plan(self) -> SubdivisionPlan:
+        """Per route, a cut wherever it crosses a host edge's corridor with
+        crossings on both sides of that point."""
         counts = {ref: len(chain) - 2 for ref, chain in self.chains.items()}
         cuts: dict[int, tuple[int, ...]] = {}
         for r in self.routes:
             pref = [0]
             for i in range(len(r.regions)):
                 pref.append(pref[-1] + counts.get((r.eid, i), 0))
-            total = pref[-1]
-            gaps = []
-            for heid, bs in r.segments:
-                if r.conn_eid == heid:
-                    use = bs
-                elif len(bs) == 2:
-                    use = bs if counts[(r.eid, bs[0])] > 0 else bs[:1]
-                else:
-                    use = bs
-                gaps.extend(pref[b] for b in use)
-            keep = sorted({g for g in gaps if 0 < g < total})
+            gaps = {pref[b] for _, bs in r.segments for b in bs}
+            keep = sorted(gaps - {0, pref[-1]})
             if keep:
                 cuts[r.eid] = tuple(keep)
+        return SubdivisionPlan(cuts)
 
-        plan_obj = SubdivisionPlan(cuts)
-        cg = crossing_graph(d, plan_obj)
+    def _fan_certificate(
+        self, d: Drawing, k: int, plan: SubdivisionPlan
+    ) -> Optional[Certificate]:
+        """Every arc in the fan of the route end owning its region; None if
+        a component spans two regions."""
+        cg = crossing_graph(d, plan)
         comps = cg.components(nontrivial=True)
         piece_key = _arc_keys(cg)
-
-        routemap = {r.eid: r for r in self.routes}
         covers: dict[int, tuple[Fan, ...]] = {}
         assignment: dict[tuple[int, int], int] = {}
         for cid, comp in enumerate(comps):
@@ -581,7 +567,7 @@ class _Builder:
                 if len(regs) != 1:
                     return None
                 u = regs.pop()
-                r = routemap[eid]
+                r = self.routes[eid]
                 i = self.route_pos[eid][u]
                 x = r.v if i <= r.jidx else r.w
                 fans.setdefault(x, set()).add(self.m.pattern.edges[eid])
@@ -590,11 +576,9 @@ class _Builder:
                 Fan(x, tuple(sorted(es))) for x, es in sorted(fans.items())
             )
 
-        kcert = max(1, 1 + max((len(g) for g in cuts.values()), default=0))
-        ell = max(1, max((len(fs) for fs in covers.values()), default=0))
-        return Certificate(kcert, ell, plan_obj, covers, assignment)
+        return Certificate(k, _least_ell(covers), plan, covers, assignment)
 
-    def run(self) -> Optional[SynthResult]:
+    def run(self) -> SynthResult:
         self._collect_lanes()
         self._group_lists()
         self._region_rotations()
@@ -604,10 +588,16 @@ class _Builder:
         self._place_regions()
         d = self._build_drawing(fresh)
         if validate(d):
-            return None
-        cert = self._certificate(d)
+            raise InvariantBroken("construction invariant broken")
+        plan = self._plan()
+        k = 1 + max((len(g) for g in plan.cuts.values()), default=0)
+        cert = self._fan_certificate(d, k, plan)
         if cert is None or not verify_certificate(d, cert, strong=True).verdict:
-            return None
+            # Each component's first least cover; pattern.n centers always suffice.
+            exact = _certificate(d, k, self.m.pattern.n, True, plan)
+            cert = exact and replace(exact, ell=_least_ell(exact.covers))
+            if cert is None or not verify_certificate(d, cert, strong=True).verdict:
+                raise InvariantBroken("no strong certificate on the synthesized cuts")
 
         tags = {}
         for xv, u in self.xregion.items():
@@ -617,6 +607,10 @@ class _Builder:
                 tags[xv] = RegionTag("vertexRegion", (u,))
         routes_out = {r.eid: r.real_path for r in self.routes}
         return SynthResult(d, cert, max(cert.k, cert.ell), tags, routes_out)
+
+
+def _least_ell(covers: dict[int, tuple[Fan, ...]]) -> int:
+    return max(1, max((len(fs) for fs in covers.values()), default=0))
 
 
 # ===== Entry points =====
@@ -632,8 +626,10 @@ def synthesize(host: Drawing, m: MinorModel) -> SynthResult:
     and the reported fold count ``kPrime`` stays within a constant factor
     of ``k``.
 
-    Raises ``ValueError`` on invalid inputs, and ``InvariantBroken`` if
-    self-verification fails for both bundle orientations.
+    The certificate is the construction's own fan assignment if that passes
+    the strong verifier, else the exact strong covers on the same cuts, with
+    ``ell`` the largest cover used.  Raises ``ValueError`` on invalid
+    inputs, and ``InvariantBroken`` if no strong certificate verifies.
     """
     k = _checked_inputs(host, m)
     roots: dict[int, int] = {}
@@ -645,13 +641,7 @@ def synthesize(host: Drawing, m: MinorModel) -> SynthResult:
         raise InvariantBroken("a route uses more than 2k + 1 host edges")
     used = {heid for r in routes for heid, _ in r.segments}
     anchor = _host_outer_anchor(host, used) if used else None
-    for flip in (False, True):
-        res = _Builder(
-            host, m, routes, roots, mid_of, eid_of_mid, anchor, flip
-        ).run()
-        if res is not None:
-            return res
-    raise InvariantBroken("construction invariant broken")
+    return _Builder(host, m, routes, roots, mid_of, eid_of_mid, anchor).run()
 
 
 def pipeline_theorem2(

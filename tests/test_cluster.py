@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fancross import cluster, synth
-from fancross.errors import CapExceeded, InvariantBroken
+from fancross.errors import CapExceeded
 from fancross.cluster import (
     Certificate,
     _cut_options,
@@ -375,11 +375,10 @@ def test_strong_candidates_build_no_drawing_and_no_crossing_graph(monkeypatch):
     assert built == []
 
 
-def unflipped_synth_drawing():
-    """The drawing that ``synthesize`` builds with its bundles unflipped for
-    the model of ``test_synth.test_model_that_both_orientations_reject``
-    (a 7-vertex pattern in the 3 x 3 grid at k = 2): the first drawing it
-    hands to ``verify_certificate``."""
+def synth_drawing_with_19_crossings():
+    """The drawing that ``synthesize`` builds for a 7-vertex pattern in the
+    3 x 3 grid at k = 2: 19 crossings, where the construction's own fan
+    assignment fails the strong check and exact covers need three fans."""
     g = grid2d(3, 3)
     host = drawing_from_segments(g, {i * 3 + j: pt(j, i) for i in range(3) for j in range(3)})
     pattern = Graph.make(
@@ -388,25 +387,11 @@ def unflipped_synth_drawing():
          (3, 4), (3, 5), (3, 6), (4, 5), (4, 6)],
     )
     branch = {0: (8,), 1: (2, 5), 2: (3, 6), 3: (7,), 4: (2, 4, 5), 5: (7, 8), 6: (0, 3, 4, 6)}
-    seen = []
-    real = synth.verify_certificate
-
-    def recorded(d, cert, strong=False):
-        seen.append(d)
-        return real(d, cert, strong)
-
-    synth.verify_certificate = recorded
-    try:
-        synth.synthesize(host, MinorModel(g, pattern, branch, 2, 2))
-    except InvariantBroken:
-        pass
-    finally:
-        synth.verify_certificate = real
-    return seen[0]
+    return synth.synthesize(host, MinorModel(g, pattern, branch, 2, 2)).drawing
 
 
-def test_strong_search_refuses_the_unflipped_synth_drawing():
-    d = unflipped_synth_drawing()
+def test_strong_search_refuses_the_19_crossing_synth_drawing():
+    d = synth_drawing_with_19_crossings()
     assert sum(d.kind_of(p) == "crossing" for p in d.plan.vertices) == 19
     assert search_certificate(d, 2, 2, strong=True, cap=19) is None
 

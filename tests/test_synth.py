@@ -3,23 +3,24 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import oracle_arena
 
-from fancross import synth
+from fancross import cluster, synth
 from fancross.cluster import verify_certificate
 from fancross.drawing import validate
 from fancross.errors import InvariantBroken
 from fancross.geometry import _rotations, drawing_from_segments, pt
 from fancross.graphs import Graph, add_universal_vertex, complete, cycle, grid2d, path
 from fancross.jsonio import synthresult_from_json, synthresult_to_json
-from fancross.minors import MinorModel, find_model_bruteforce, verify_model
+from fancross.minors import MinorModel, _touch, find_model_bruteforce, verify_model
 from fancross.synth import RegionTag, SynthResult, pipeline_theorem2, synthesize
 
 
@@ -161,7 +162,8 @@ def test_small_grid_matrix(pat, rows, cols, k):
     assert res.kPrime <= 8 * k
 
 
-def test_remapped_model_on_8x8_grid():
+def remapped_8x8_model():
+    """The first K4 model in the 3 x 3 grid at k = 1, moved into the 8 x 8 grid."""
     m0 = find_model_bruteforce(grid2d(3, 3), complete(4), 1, 1, cap=9)
     remap = lambda v: (v // 3) * 8 + (v % 3)
     g8, hd8 = grid_drawing(8, 8)
@@ -172,9 +174,42 @@ def test_remapped_model_on_8x8_grid():
         1,
         1,
     )
+    return hd8, m
+
+
+def test_remapped_model_on_8x8_grid():
+    hd8, m = remapped_8x8_model()
     assert verify_model(m) == []
     res = check_result(synthesize(hd8, m), 1)
     assert res.kPrime <= 8
+
+
+# sha256 of each result's JSON document (``json.dumps(..., sort_keys=True)``)
+# for the grid matrix above and the remapped 8 x 8 model, recorded while
+# synthesis still retried with reversed bundles.  These models are certified
+# by the construction's own fan assignment, so their output must not change.
+SYNTH_DIGESTS = {
+    ("path3", 1, 3, 1): "755623cb2f03c5a738b9b75c9671a6cee3a1bb46dbb3966e09ab5a8da62c93e5",
+    ("path3", 1, 3, 2): "1b1d89fa271cc2f98953e5cb382db233093be357c532fe745de91ee951aa764b",
+    ("cycle4", 2, 2, 1): "3ec0b85b6d8b676c9daf8bd129aeeab6741a81775fa97971d3b5d1c92cf746a0",
+    ("cycle4", 2, 2, 2): "b950839d13b9483198fc2a517419db4685cbcaf9a79a11c7a6a4e2477c343793",
+    ("k4", 3, 3, 1): "a3b54356a2642b593a227b0329eb030e7542dea7de896a08bcdefd397dafcc5c",
+    ("k4", 3, 3, 2): "4cd4a5698740da4d8534c47d9d4bd400e37b795a4eab32520210239e0e3e80b1",
+    ("k4-remapped", 8, 8, 1): "43a10250e212be6bdc6654e97b69b0cbc308f0c07599552700539ebdf5dfe6c5",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SYNTH_DIGESTS))
+def test_synthesis_matches_golden_digest(case):
+    name, rows, cols, k = case
+    if name == "k4-remapped":
+        hd, m = remapped_8x8_model()
+    else:
+        g, hd = grid_drawing(rows, cols)
+        pat = {"path3": path(3), "cycle4": cycle(4), "k4": complete(4)}[name]
+        m = find_model_bruteforce(g, pat, k, k, cap=9)
+    doc = json.dumps(synthresult_to_json(synthesize(hd, m)), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == SYNTH_DIGESTS[case]
 
 
 # ===== Determinism and serialization =====
@@ -447,30 +482,54 @@ def test_too_many_apex_branches_is_an_invariant_error(monkeypatch):
         pipeline_theorem2(gplus, apex, hd, m, 1)
 
 
-# ===== Bundle orientation =====
+@pytest.mark.parametrize(
+    "fallback",
+    [lambda *args: None, lambda *args: dataclasses.replace(cluster._certificate(*args), covers={})],
+    ids=["none", "unverified"],
+)
+def test_missing_strong_certificate_is_an_invariant_error(monkeypatch, fallback):
+    monkeypatch.setattr(synth, "_certificate", fallback)
+    hd, m = k3_in_3x3_grid()
+    with pytest.raises(InvariantBroken, match="no strong certificate on the synthesized cuts"):
+        synthesize(hd, m)
 
 
-def test_flipped_bundles_rescue_a_model(monkeypatch):
-    """The first bundle orientation fails its own check on this model; the
-    retry with flipped bundles passes."""
+# ===== Exact-cover fallback =====
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The exact-cover certificates synthesis computes, in call order."""
+    calls = []
+    certificate = synth._certificate
+
+    def recorded(*args):
+        calls.append(certificate(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(synth, "_certificate", recorded)
+    return calls
+
+
+def k3_in_3x3_grid():
     g, hd = grid_drawing(3, 3)
-    m = MinorModel(g, complete(3), {0: (1, 3, 4, 6, 7), 1: (3, 4, 6, 7), 2: (0, 1)}, 2, 2)
+    return hd, MinorModel(g, complete(3), {0: (1, 3, 4, 6, 7), 1: (3, 4, 6, 7), 2: (0, 1)}, 2, 2)
+
+
+def test_exact_covers_rescue_a_model(fallbacks):
+    """The construction's fan assignment fails the strong check on this
+    model; exact covers certify the same one-crossing drawing at ell = 1."""
+    hd, m = k3_in_3x3_grid()
     assert verify_model(m) == []
-    attempts = []
-    run = synth._Builder.run
-
-    def recorded(builder):
-        res = run(builder)
-        attempts.append((builder.flip, res is None))
-        return res
-
-    monkeypatch.setattr(synth._Builder, "run", recorded)
-    check_result(synthesize(hd, m), 2)
-    assert attempts == [(False, True), (True, False)]
+    res = check_result(synthesize(hd, m), 2)
+    assert crossing_count(res.drawing) == 1
+    assert (res.cert.ell, res.kPrime) == (1, 1)
+    assert len(fallbacks) == 1
 
 
-@pytest.mark.xfail(strict=True, raises=InvariantBroken, reason="both orientations fail")
-def test_model_that_both_orientations_reject():
+def test_exact_covers_certify_a_dense_model(fallbacks):
+    """A 7-vertex pattern in the 3 x 3 grid at k = 2 whose 19-crossing
+    drawing needs three fans in some component."""
     g, hd = grid_drawing(3, 3)
     pattern = Graph.make(
         range(7),
@@ -480,4 +539,83 @@ def test_model_that_both_orientations_reject():
     branch = {0: (8,), 1: (2, 5), 2: (3, 6), 3: (7,), 4: (2, 4, 5), 5: (7, 8), 6: (0, 3, 4, 6)}
     m = MinorModel(g, pattern, branch, 2, 2)
     assert verify_model(m) == []
-    check_result(synthesize(hd, m), 2)
+    res = check_result(synthesize(hd, m), 2)
+    assert crossing_count(res.drawing) == 19
+    assert (res.cert.k, res.cert.ell, res.kPrime) == (4, 3, 4)
+    assert len(fallbacks) == 1
+
+
+# Models whose drawing the construction's fan assignment could not certify
+# in either bundle order: host rows, cols, k, pattern edges, branch sets.
+# Host vertex i * cols + j sits at (j, i).
+HARD_MODELS = [
+    (5, 5, 2, [(0, 2), (0, 3), (1, 4), (2, 3)],
+     {0: (20, 21), 1: (2, 7), 2: (15,), 3: (11, 15, 16, 20, 21), 4: (7, 8), 5: (18,)}),
+    (4, 5, 3, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (2, 5), (2, 6), (4, 5), (5, 6)],
+     {0: (3,), 1: (8, 13), 2: (11, 12), 3: (10, 11, 15, 16), 4: (4, 7, 8, 9),
+      5: (7, 8, 12, 17), 6: (6, 7, 11, 16, 17)}),
+    (5, 5, 3, list(complete(4).edges),
+     {0: (13, 18, 19, 22, 23), 1: (14, 18, 19, 23), 2: (8, 9, 12, 13, 14), 3: (18, 19)}),
+    (4, 5, 3, [(0, 1), (0, 3), (0, 4), (2, 5), (3, 4)],
+     {0: (4, 9, 14), 1: (19,), 2: (0,), 3: (2, 3, 4), 4: (3, 4, 8, 13), 5: (5, 10)}),
+    (4, 5, 3, [(0, 3), (0, 4), (1, 2), (1, 5), (2, 5)],
+     {0: (13, 14, 19), 1: (10,), 2: (0, 5), 3: (13, 17, 18, 19), 4: (16, 17, 18), 5: (1, 5, 6)}),
+]
+
+
+@pytest.mark.parametrize("rows,cols,k,edges,branch", HARD_MODELS)
+def test_exact_covers_certify_hard_models(rows, cols, k, edges, branch, fallbacks):
+    g, hd = grid_drawing(rows, cols)
+    m = MinorModel(g, Graph.make(sorted(branch), edges), branch, k, k)
+    assert verify_model(m) == []
+    res = check_result(synthesize(hd, m), k)
+    assert res.kPrime <= 2 * k
+    assert len(fallbacks) == 1
+
+
+GRID_HOSTS = [(3, 3), (3, 4), (4, 4), (4, 5), (5, 5)]
+
+
+def random_model(rng):
+    """A random valid model in a grid host, and the host's drawing.
+
+    Each of 2-7 branch sets grows from a random root by 0-4 steps to a
+    random neighbour of a random member; every touching pair of branch
+    sets is a pattern edge with probability 0.7.  Draws are repeated
+    until the model is valid.
+    """
+    while True:
+        rows, cols = rng.choice(GRID_HOSTS)
+        k = rng.randint(1, 3)
+        g = grid2d(rows, cols)
+        branch = {}
+        for x in range(rng.randint(2, 7)):
+            b = {rng.randrange(g.n)}
+            for _ in range(rng.randint(0, 4)):
+                b.add(rng.choice(sorted(g.neighbors(rng.choice(sorted(b))))))
+            branch[x] = tuple(sorted(b))
+        edges = [
+            (x, y)
+            for x, y in itertools.combinations(sorted(branch), 2)
+            if _touch(g, branch[x], branch[y]) and rng.random() < 0.7
+        ]
+        m = MinorModel(g, Graph.make(sorted(branch), edges), branch, k, k)
+        if verify_model(m) == []:
+            return grid_drawing(rows, cols)[1], m
+
+
+def test_seeded_model_corpus_synthesizes(fallbacks):
+    rng = random.Random(1)
+    for _ in range(1500):
+        hd, m = random_model(rng)
+        res = check_result(synthesize(hd, m), m.c)
+        assert res.kPrime <= 2 * m.c
+    assert len(fallbacks) == 15
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_random_models_synthesize(seed):
+    hd, m = random_model(random.Random(seed))
+    res = check_result(synthesize(hd, m), m.c)
+    assert res.kPrime <= 2 * m.c

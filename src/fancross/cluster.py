@@ -106,7 +106,6 @@ def _structural_check(d: Drawing, cert: Certificate) -> None:
 
 def _weak_failures(
     d: Drawing,
-    cg: CrossingGraph,
     keys: dict[int, tuple[int, int]],
     cid: int,
     comp: Sequence[int],
@@ -190,7 +189,7 @@ def _verified(
         if fans is None:
             failures.append((cid, "no cover"))
             continue
-        failures += _weak_failures(d, cg, keys, cid, comp, fans, cert.ell, cert.assignment)
+        failures += _weak_failures(d, keys, cid, comp, fans, cert.ell, cert.assignment)
         if strong:
             failures += _strong_failures(d, cert.plan.cuts, cid, _arcs(cg, comp), fans)
     failures.sort()
@@ -448,10 +447,6 @@ class _GroupSearch:
         The arcs and their bounds are the search's own, and the check runs
         on the uncut drawing, so no candidate builds a drawing or a crossing
         graph.  Cuts on other edges lie away from the component's paths.
-        They could move only the root face of a plan component that misses
-        the outer face (see :func:`drawing._cut_root`), through a cut in a
-        plan edge at its least vertex; an interior cut never lies there
-        when that vertex is real, as in every drawing built from coordinates.
         """
         cuts = {f: tuple(bounds[f][1:-1]) for f in edges if len(bounds[f]) > 2}
         part_edges = [self.d.base.edges[f] for f in sorted(edges)]

@@ -5,7 +5,7 @@ A :class:`Drawing` records a drawn graph (the *base*) together with its
 vertices, crossing points, and inert degree-2 subdivision points (bends).
 Each base edge owns a *trace*, the plan path it is drawn along.  Faces are
 derived from the counterclockwise rotation system; the drawing designates
-one face as outer.
+the face on the unbounded side of every plan component.
 
 Parallel plan edges are never allowed: two curves that would otherwise share
 consecutive plan vertices are kept apart by bend vertices.
@@ -29,7 +29,7 @@ Dart = tuple[int, int]
 
 @dataclass(frozen=True)
 class Drawing:
-    """A drawn graph: base, plan, rotations, vertex kinds, traces, outer face.
+    """A drawn graph: base, plan, rotations, vertex kinds, traces, outer faces.
 
     Fields:
         base: the drawn graph.
@@ -38,6 +38,10 @@ class Drawing:
         kind: plan vertex -> ``"real:<vid>"`` | ``"crossing"`` | ``"subdivision"``.
         trace: base edge id -> plan edge ids forming the drawn path.
         outer: index of the outer face in canonical face order.
+        outers: for plan components other than ``outer``'s, the face on
+            their unbounded side, at most one per component, in increasing
+            order.  A component it does not name is taken to lie outside
+            its face with the least dart (see :attr:`_dual_tree`).
 
     The three maps are read-only views of private copies, so a drawing never
     changes and every fact derived from it is computed once: the lookups
@@ -51,10 +55,12 @@ class Drawing:
     kind: Mapping[int, str]
     trace: Mapping[int, tuple[int, ...]]
     outer: int
+    outers: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         for name in ("rotation", "kind", "trace"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        object.__setattr__(self, "outers", tuple(self.outers))
 
     # ----- derived lookups (assume a valid drawing) -----
 
@@ -72,19 +78,20 @@ class Drawing:
         """``"real"``, ``"crossing"`` or ``"subdivision"``."""
         return self.kind[pvid].split(":", 1)[0]
 
-    def with_outer(self, outer: int) -> "Drawing":
-        """This drawing with another outer face.
+    def with_outer(self, outer: int, outers: Sequence[int] = ()) -> "Drawing":
+        """This drawing with other outer faces (see :attr:`outers`).
 
         The new drawing shares the read-only maps and keeps every cached
         lookup already computed here, the traced faces among them, except
-        those that depend on the outer face: :attr:`_dual_tree` is rooted at
-        it, the verdict checks its index and the cut drawing inherits it.
+        those that depend on the outer faces: :attr:`_dual_tree` is rooted
+        at them, the verdict checks them and the cut drawing inherits them.
         """
         out = object.__new__(Drawing)
         out.__dict__.update(
             (k, v) for k, v in self.__dict__.items() if k not in _OUTER_DEPENDENT
         )
         object.__setattr__(out, "outer", outer)
+        object.__setattr__(out, "outers", tuple(outers))
         return out
 
     def _planned(self, cuts: Mapping[int, tuple[int, ...]], i: int, build: Callable):
@@ -140,14 +147,15 @@ class Drawing:
     def _dual_tree(self) -> list[int]:
         """Per face, the dart crossed to enter it in a breadth-first search
         of the dual, or -1 at a root; the entered face lies on the dart's
-        left.  Each plan component is rooted at the outer face if that face
-        lies in it, else at the component's canonically first face."""
+        left.  Each plan component is rooted at the face on its unbounded
+        side: :attr:`outer`, or its entry in :attr:`outers`, or by default
+        its canonically first face, the one with the least dart."""
         faces, face_of, nxt = self._face_table
         some_dart = [0] * len(faces)
         for x, f in enumerate(face_of):
             some_dart[f] = x
         enter = [None] * len(faces)
-        for root in (self.outer, *range(len(faces))):
+        for root in (self.outer, *self.outers, *range(len(faces))):
             if enter[root] is not None:
                 continue
             enter[root] = -1
@@ -480,12 +488,23 @@ def _validate(d: Drawing) -> list[str]:
     if out:
         return out
 
-    # Per-component Euler formula, and the outer face index.
+    # Per-component Euler formula, and the outer faces: at most one in each
+    # plan component.
     emb, comp = d._embedding, d.plan_components
     for i in sorted({comp[v] for v, c in zip(d.rotation, emb.comp) if emb.genus[c]}):
         out.append(f"euler: plan component {i}")
-    if not (0 <= d.outer < max(len(d.faces), 1)):
+    faces = d.faces
+    if not (0 <= d.outer < max(len(faces), 1)):
         out.append("outer face: index out of range")
+    named = {comp[faces[d.outer][0][0]]: "the outer face"} if 0 <= d.outer < len(faces) else {}
+    for f in d.outers:
+        if not 0 <= f < len(faces):
+            out.append(f"outer faces: entry {f} out of range")
+            continue
+        c = comp[faces[f][0][0]]
+        if c in named:
+            out.append(f"outer faces: entry {f} shares plan component {c} with {named[c]}")
+        named.setdefault(c, f"entry {f}")
     return out
 
 
@@ -761,8 +780,10 @@ def _cut(
     """:func:`subdivide_with_map` on checked cuts, outside the plan slot.
 
     The cuts are made by :func:`_split` and wrapped into a drawing here.  A
-    split keeps the rotation slots of the split edge's ends, so the outer
-    face is found again through the slot of its first dart's tail.
+    split keeps the rotation slots of the split edge's ends, so the root of
+    every plan component (see :attr:`Drawing._dual_tree`) is found again
+    through the slot of its first dart's tail and becomes an outer face of
+    the cut drawing.
     """
     if not cuts:
         return d, {e: [e] for e in range(d.base.m)}
@@ -780,9 +801,14 @@ def _cut(
         trace[ne] = tuple(canon[e] for e in steps)
 
     d2 = Drawing(new_base, new_plan, rotation, kind, trace, d.outer)
-    a, b = d.faces[d.outer][0]
-    first = rs.rot[a][d.rotation[a].index(d.plan.edge_id(a, b))]
-    return d2.with_outer(d2.face_of_dart((a, rs.other(first, a)))), pieces
+    image = {}  # the first dart of every root face -> that face in d2
+    for f, x in enumerate(d._dual_tree):
+        if x < 0:
+            a, b = d.faces[f][0]
+            first = rs.rot[a][d.rotation[a].index(d.plan.edge_id(a, b))]
+            image[a, b] = d2.face_of_dart((a, rs.other(first, a)))
+    outer = image.pop(d.faces[d.outer][0])
+    return d2.with_outer(outer, sorted(image.values())), pieces
 
 
 def _split(
@@ -850,7 +876,7 @@ def planarize(d: Drawing) -> tuple[Drawing, dict[int, int]]:
     base = Graph.make(d.plan.vertices, d.plan.edges)
     kind = {p: f"real:{p}" for p in d.plan.vertices}
     trace = {eid: (eid,) for eid in range(base.m)}
-    out = Drawing(base, d.plan, d.rotation, kind, trace, d.outer)
+    out = Drawing(base, d.plan, d.rotation, kind, trace, d.outer, d.outers)
     xmap = {p: p for p in d.plan.vertices if d.kind_of(p) == "crossing"}
     return out, xmap
 
@@ -925,11 +951,6 @@ def _fan_core(
     reaches the cut, which is an end of the arc, and turns back.  The cost
     is the depth of the dual tree plus the plan degrees along the traced
     face of H, not the size of the drawing.
-
-    A plan component that misses the outer face is rooted at its face with
-    the least dart, and the cut drawing numbers its cut vertices above
-    every vertex of ``d``; when that moves the least dart, the face of H
-    sought is the one holding the cut drawing's root (see :func:`_cut_root`).
     """
     xs = d.edge_crossings[eid]
     alpha_x = set(xs[lo:hi])
@@ -975,14 +996,6 @@ def _fan_core(
         if x >> 1 in kept:
             start = x
         f = face_of[x]
-    if f != d.outer:
-        f = _cut_root(d, cuts, f)
-        while enter[f] >= 0:
-            x = enter[f]
-            if x >> 1 in kept:
-                start = x
-                break
-            f = face_of[x ^ 1]
     x = start
     while ends:
         ends.discard(edges[x >> 1][x & 1])
@@ -997,33 +1010,3 @@ def _fan_core(
             return not ends
     return True
 
-
-def _cut_root(d: Drawing, cuts: Mapping[int, tuple[int, ...]], root: int) -> int:
-    """The face of ``d`` holding the root, in ``d`` cut at ``cuts``, of the
-    plan component whose root face in ``d`` is ``root``, for a component
-    that misses the outer face.
-
-    The root is the face with the least dart (see :attr:`Drawing._dual_tree`).
-    Cut vertices are numbered above every vertex of ``d``, by edge and then
-    along it (see :func:`_split`), so the least dart still leaves the
-    component's least vertex, along its uncut plan edge to the least
-    neighbour, or along its first cut plan edge if every one is cut.
-    """
-    a = d.faces[root][0][0]
-    incident = set(d.rotation[a])
-    cut_of: dict[int, tuple[int, int]] = {}
-    for eid, gaps in cuts.items():
-        steps = _steps(d, eid)
-        for g in gaps:
-            pe = steps[_cut_step(d, eid, g)]
-            if pe in incident:
-                cut_of[pe] = (eid, g)
-
-    def rank(pe: int) -> tuple[int, ...]:
-        if pe in cut_of:
-            return (1, *cut_of[pe])
-        u, v = d.plan.edges[pe]
-        return (0, v if u == a else u)
-
-    pe = min(incident, key=rank)
-    return d._face_table[1][2 * pe + (d.plan.edges[pe][0] != a)]

@@ -199,8 +199,8 @@ def drawing_from_polylines(
     Degenerate inputs raise ValueError: coincident points, a vertex or bend
     in the interior of any segment, overlapping collinear pieces,
     self-crossing edges, or three edges through one point.  Crossing vertices
-    get fresh ids in coordinate order; the outer face is recovered from the
-    geometry.
+    get fresh ids in coordinate order; the outer face, of the whole drawing
+    and of every other plan component, is recovered from the geometry.
     """
     for v in g.vertices:
         if v not in pos:
@@ -282,7 +282,13 @@ def drawing_from_polylines(
 
     d = _drawing_along(g, kind, paths, _rotations(runs))
     if d.plan.m:
-        d = d.with_outer(_outer_face_index(d, ppos))
+        lowest: dict[int, tuple[Coord, Coord, int]] = {}  # plan component -> (y, x, p)
+        for p, c in d.plan_components.items():
+            if d.plan.degree(p):
+                at = (ppos[p][1], ppos[p][0], p)
+                lowest[c] = min(lowest.get(c, at), at)
+        outer, *outers = (_outer_face_index(d, p) for *_, p in sorted(lowest.values()))
+        d = d.with_outer(outer, sorted(outers))
     return d
 
 
@@ -291,13 +297,10 @@ def drawing_from_segments(g: Graph, pos: Mapping[int, Point]) -> Drawing:
     return drawing_from_polylines(g, pos, None)
 
 
-def _outer_face_index(d: Drawing, ppos: Mapping[int, Point]) -> int:
-    """The face on the unbounded side.  Every edge at the lowest plan vertex
-    points into the closed upper half-plane, so the last edge of its
-    rotation has the highest angle, and the face left of it is outer."""
-    p0 = min(
-        (p for p in d.plan.vertices if d.plan.degree(p)),
-        key=lambda p: (ppos[p][1], ppos[p][0]),
-    )
+def _outer_face_index(d: Drawing, p0: int) -> int:
+    """The face on the unbounded side of the plan component whose lowest
+    vertex is ``p0``.  Every edge at ``p0`` points into the closed upper
+    half-plane, so the last edge of its rotation has the highest angle, and
+    the face left of it is outer."""
     a, b = d.plan.edges[d.rotation[p0][-1]]
     return d.face_of_dart((p0, b if a == p0 else a))

@@ -68,7 +68,9 @@ def colored_from_json(obj: Mapping[str, Any]) -> ColoredGraph:
 
 
 def drawing_to_json(d: Drawing) -> dict[str, Any]:
-    return {
+    """``outers`` is written only when it names a face, so a drawing whose
+    plan has one component with edges keeps its one-outer-face document."""
+    out = {
         "base": graph_to_json(d.base),
         "plan": graph_to_json(d.plan),
         "rotation": {str(v): list(d.rotation[v]) for v in sorted(d.rotation)},
@@ -76,6 +78,9 @@ def drawing_to_json(d: Drawing) -> dict[str, Any]:
         "trace": {str(e): list(d.trace[e]) for e in sorted(d.trace)},
         "outer": d.outer,
     }
+    if d.outers:
+        out["outers"] = list(d.outers)
+    return out
 
 
 def drawing_from_json(obj: Mapping[str, Any]) -> Drawing:
@@ -86,9 +91,10 @@ def drawing_from_json(obj: Mapping[str, Any]) -> Drawing:
         kind = {int(v): str(k) for v, k in obj["kind"].items()}
         trace = {int(e): _ints("drawing", "trace", t) for e, t in obj["trace"].items()}
         outer = _int("drawing", "outer", obj["outer"])
+        outers = _ints("drawing", "outers", obj.get("outers", ()))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"bad drawing document: {exc}") from exc
-    return Drawing(base, plan, rotation, kind, trace, outer)
+    return Drawing(base, plan, rotation, kind, trace, outer, outers)
 
 
 def _ints(doc: str, field: str, entries: Any, bound: Optional[int] = None) -> tuple[int, ...]:

@@ -541,10 +541,14 @@ def oracle_subdivide_with_map(
         pp = piece_paths[key]
         new_trace[neid] = tuple(new_plan.edge_id(a, b) for a, b in zip(pp, pp[1:]))
 
-    # Track the outer face through the refinement.
+    # Track the outer face of every plan component through the refinement.
     d2 = Drawing(new_base, new_plan, new_rotation, vkind, new_trace, d.outer)
     if d.plan.m:
-        d2 = d2.with_outer(d2.face_of_dart(dart_map[d.faces[d.outer][0]]))
+        outer, *outers = [
+            d2.face_of_dart(dart_map[d.faces[f][0]])
+            for f in sorted(_oracle_roots(d).values(), key=lambda f: f != d.outer)
+        ]
+        d2 = d2.with_outer(outer, sorted(outers))
     new_to_arc = {neid: key for key, neid in arc_to_new.items()}
     return d2, arc_to_new, new_to_arc
 
@@ -919,19 +923,23 @@ def oracle_drawing_from_polylines(
     }
     d = Drawing(g, plan, rotation, kind, trace, 0)
     if plan.m:
-        d = d.with_outer(_oracle_outer_face_index(d, ppos, dart_dir))
+        # Each plan component's lowest vertex, the lowest of all first.
+        comps = oracle_component_index(plan.vertices, plan.edges)
+        lowest: dict[int, int] = {}
+        for p in sorted(plan.vertices, key=lambda p: (ppos[p][1], ppos[p][0])):
+            if plan.degree(p):
+                lowest.setdefault(comps[p], p)
+        outer, *outers = [_oracle_outer_face_index(d, p, dart_dir) for p in lowest.values()]
+        d = d.with_outer(outer, sorted(outers))
     return d
 
 
 def _oracle_outer_face_index(
-    d: Drawing, ppos: Mapping[int, Point], dart_dir: Mapping[tuple[int, int], Vec]
+    d: Drawing, p0: int, dart_dir: Mapping[tuple[int, int], Vec]
 ) -> int:
-    """The face on the unbounded side: walk from the lowest plan vertex along
-    its highest-angle edge; the face left of that dart is outer."""
-    p0 = min(
-        (p for p in d.plan.vertices if d.plan.degree(p)),
-        key=lambda p: (ppos[p][1], ppos[p][0]),
-    )
+    """The face on the unbounded side of the plan component whose lowest
+    vertex is ``p0``: walk from ``p0`` along its highest-angle edge; the
+    face left of that dart is outer."""
     best = None
     for q in d.plan.neighbors(p0):
         v = dart_dir[(p0, q)]
@@ -1061,18 +1069,21 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _outer_class_face(d: Drawing, pvid: int) -> int:
-    """The face representing the unbounded side for ``pvid``'s plan component:
-    the drawing's outer face if it borders that component, else the
-    component's canonically first face."""
+def _oracle_roots(d: Drawing) -> dict[int, int]:
+    """Plan component -> the face representing its unbounded side: the
+    drawing's outer face if it borders that component, else the component's
+    entry in ``d.outers``, else its canonically first face."""
     comps = oracle_component_index(d.plan.vertices, d.plan.edges)
-    comp = comps[pvid]
-    if d.faces and comps[d.faces[d.outer][0][0]] == comp:
-        return d.outer
-    for i, f in enumerate(d.faces):
-        if comps[f[0][0]] == comp:
-            return i
-    raise ValueError("component has no faces")
+    roots: dict[int, int] = {}
+    for f in (d.outer, *d.outers, *range(len(d.faces))) if d.faces else ():
+        roots.setdefault(comps[d.faces[f][0][0]], f)
+    return roots
+
+
+def _outer_class_face(d: Drawing, pvid: int) -> int:
+    """The face representing the unbounded side for ``pvid``'s plan component."""
+    comp = oracle_component_index(d.plan.vertices, d.plan.edges)[pvid]
+    return _oracle_roots(d)[comp]
 
 
 def oracle_fan_core(

@@ -79,6 +79,39 @@ def test_validate_reports_broken_drawing(tmp_path, fig1a_files, capsys):
     assert code == 1 and obj["ok"] is False and obj["errors"]
 
 
+def two_triangles_doc():
+    g = Graph.make(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    pos = {0: pt(0, 0), 1: pt(2, 0), 2: pt(1, 2), 3: pt(10, 0), 4: pt(12, 0), 5: pt(11, 2)}
+    return drawing_to_json(drawing_from_segments(g, pos))
+
+
+@pytest.mark.parametrize(
+    "outers,code,error",
+    [
+        (None, 0, None),
+        ([True], 3, "bad drawing document: outers entry True is not an integer"),
+        ([1.5], 3, "bad drawing document: outers entry 1.5 is not an integer"),
+        ([99], 1, "outer faces: entry 99 out of range"),
+        ([0, 1, 2, 3], 1, "outer faces: entry 0 shares plan component 0 with the outer face"),
+    ],
+)
+def test_validate_checks_the_outer_faces(tmp_path, capsys, outers, code, error):
+    doc = two_triangles_doc()
+    assert len(doc["outers"]) == 1
+    if outers is not None:
+        doc["outers"] = outers
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = run(capsys, "validate", str(path))
+    assert got == code and "Traceback" not in err
+    if code == 3:
+        assert err == f"error: {error}\n"
+    else:
+        obj = json.loads(out)
+        assert obj["ok"] == (error is None)
+        assert error is None or error in obj["errors"]
+
+
 def test_validate_reports_out_of_range_trace(tmp_path, fig3_file, capsys):
     doc = json.loads(open(fig3_file).read())
     doc["trace"]["0"] = [999]

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fancross import cluster, synth
@@ -18,7 +19,7 @@ from fancross.cluster import (
     search_certificate,
     verify_certificate,
 )
-from fancross.drawing import CrossingGraph, Drawing, SubdivisionPlan
+from fancross.drawing import CrossingGraph, Drawing, SubdivisionPlan, _fan_core, validate
 from fancross.fixtures import fig1a, fig1a_certificate, fig1b, fig3, random_kplanar
 from fancross.geometry import drawing_from_polylines, drawing_from_segments, pt
 from fancross.graphs import Fan, Graph, grid2d
@@ -394,6 +395,96 @@ def test_strong_search_refuses_the_19_crossing_synth_drawing():
     d = synth_drawing_with_19_crossings()
     assert sum(d.kind_of(p) == "crossing" for p in d.plan.vertices) == 19
     assert search_certificate(d, 2, 2, strong=True, cap=19) is None
+
+
+# ===== Strong verdicts and vertex ids =====
+
+
+def beside_a_copy(n, k, seed, perm, dx, dy):
+    """``random_kplanar(n, k, seed)``, then the same geometry translated by
+    ``(dx, dy)`` with vertex ``u`` renamed ``n + perm[u]``, alone and beside
+    the original.  The generator's vertex positions are its first n draws."""
+    d = random_kplanar(n, k, seed)
+    rng = random.Random(seed)
+    pos = {i: pt(i, rng.randrange(0, 2 * n + 1)) for i in range(n)}
+    moved = {n + perm[u]: pt(x + dx, y + dy) for u, (x, y) in pos.items()}
+    copy_edges = [(n + perm[u], n + perm[v]) for u, v in d.base.edges]
+    alone = drawing_from_segments(Graph.make(moved, copy_edges), moved)
+    union = Graph.make(range(2 * n), [*d.base.edges, *copy_edges])
+    return d, alone, drawing_from_segments(union, {**pos, **moved})
+
+
+def test_strong_verdict_ignores_the_ids_of_a_second_copy():
+    # Renamed so, the copy's face with the least dart is a bounded triangle
+    # at its vertex 9, the original's vertex 3, not its unbounded face.
+    perm = [2, 3, 1, 0, 4, 5, 6, 7, 8]
+    d, alone, union = beside_a_copy(9, 2, 2, perm, 1000, 0)
+    assert validate(union) == [] and len(set(union.plan_components.values())) == 2
+    assert len(union.outers) == 1
+    assert search_certificate(union, 1, 2) is not None
+    for drawing in (d, alone, union):
+        assert search_certificate(drawing, 1, 2, strong=True, cap=24) is not None
+
+
+def fan_verdicts(d, union):
+    """For every edge of ``d`` and every end of an edge crossing it, whether
+    that end's edges crossing it pass ``_fan_core``, in ``d`` and in
+    ``union``, which draws ``d`` with the same vertex ids beside more."""
+
+    def check(g, alpha, center, ends):
+        spokes = [(g.base.edge_id(*e), e[0] == center) for e in ends]
+        eid = g.base.edge_id(*alpha)
+        return _fan_core(g, eid, 0, len(g.edge_crossings[eid]), {}, spokes)
+
+    out = []
+    for e, alpha in enumerate(d.base.edges):
+        xs = set(d.edge_crossings[e])
+        hit = [d.base.edges[f] for f in range(d.base.m) if xs & set(d.edge_crossings[f])]
+        for center in sorted({v for ends in hit for v in ends}):
+            ends = [f for f in hit if center in f]
+            out.append((check(d, alpha, center, ends), check(union, alpha, center, ends)))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(4, 10),
+    st.integers(1, 3),
+    st.integers(0, 10**6),
+    st.integers(1, 2),
+    st.integers(1, 3),
+    st.randoms(use_true_random=False),
+)
+def test_strong_verdict_ignores_a_relabelled_translated_copy(n, kk, seed, k, ell, rng):
+    perm = rng.sample(range(n), n)
+    shift = (rng.randint(n, 3 * n), rng.randint(-2 * n, 2 * n))
+    d, alone, union = beside_a_copy(n, kk, seed, perm, *shift)
+    assert validate(union) == []
+    for part in (d, alone):
+        for got, expected in fan_verdicts(part, union):
+            assert got == expected
+    expected = search_certificate(d, k, ell, strong=True, cap=24) is not None
+    assert (search_certificate(union, k, ell, strong=True, cap=48) is not None) == expected
+
+
+def test_fan_verdicts_ignore_a_relabelled_translated_copy_on_seeded_corpus():
+    rng = random.Random(16)
+    default_differs = 0
+    for _ in range(300):
+        n = rng.randint(4, 10)
+        perm = rng.sample(range(n), n)
+        shift = (rng.randint(n, 3 * n), rng.randint(-2 * n, 2 * n))
+        d, alone, union = beside_a_copy(n, rng.randint(1, 3), rng.randrange(10**6), perm, *shift)
+        # The same drawing with every component but the outer face's rooted
+        # at its least-dart face.
+        by_ids = union.with_outer(union.outer)
+        differs = False
+        for part in (d, alone):
+            for got, expected in fan_verdicts(part, union):
+                assert got == expected
+            differs |= fan_verdicts(part, by_ids) != fan_verdicts(part, union)
+        default_differs += differs
+    assert default_differs > 0
 
 
 # ===== Minimum cluster count =====

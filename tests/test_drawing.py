@@ -29,7 +29,6 @@ from fancross.drawing import (
     SubdivisionPlan,
     _crossing_graph,
     _cut,
-    _cut_root,
     _cut_step,
     _fan_core,
     _passage_side,
@@ -220,6 +219,38 @@ def test_validate_flags_outer_out_of_range():
     assert "outer face: index out of range" in validate(bad)
 
 
+def two_triangles():
+    """Two triangles side by side: two plan components of two faces each,
+    the left one holding the outer face."""
+    g = Graph.make(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    pos = {0: pt(0, 0), 1: pt(2, 0), 2: pt(1, 2), 3: pt(10, 0), 4: pt(12, 0), 5: pt(11, 2)}
+    return drawing_from_segments(g, pos)
+
+
+def test_every_plan_component_is_rooted_at_its_outer_face():
+    d = two_triangles()
+    assert validate(d) == [] and len(d.outers) == 1
+    for f in (d.outer, *d.outers):
+        assert d._dual_tree[f] == -1
+        assert set(d.faces[f]) & {(0, 2), (3, 5)}  # clockwise round a triangle
+
+
+def test_validate_flags_outer_faces_outside_their_components():
+    d = two_triangles()
+    comp = d.plan_components
+    left, right = ([f for f, face in enumerate(d.faces) if comp[face[0][0]] == c] for c in (0, 1))
+    inner = next(f for f in left if f != d.outer)
+    for f in right:
+        assert validate(d.with_outer(d.outer, [f])) == []
+    for outers, error in (
+        ([len(d.faces)], f"outer faces: entry {len(d.faces)} out of range"),
+        ([-1], "outer faces: entry -1 out of range"),
+        ([inner], f"outer faces: entry {inner} shares plan component 0 with the outer face"),
+        (right, f"outer faces: entry {right[1]} shares plan component 1 with entry {right[0]}"),
+    ):
+        assert validate(d.with_outer(d.outer, outers)) == [error]
+
+
 def test_validate_flags_unused_plan_edge():
     d = lens()
     trace = dict(d.trace)
@@ -405,7 +436,7 @@ def relabelled(d, rng):
     for v, p in d.real_pvid.items():
         kind[p] = f"real:{new[v]}"
     trace = {base.edge_id(new[u], new[v]): d.trace[e] for e, (u, v) in enumerate(d.base.edges)}
-    return Drawing(base, d.plan, d.rotation, kind, trace, d.outer)
+    return Drawing(base, d.plan, d.rotation, kind, trace, d.outer, d.outers)
 
 
 def cut_plan(d, rng):
@@ -434,7 +465,7 @@ def assert_cuts_match_oracle(d, plan):
     assert validate(d) == []
     d2, pieces = subdivide_with_map(d, plan)
     o2, arc_to_new, _ = oracle_subdivide_with_map(d, plan)
-    for name in ("base", "plan", "rotation", "kind", "trace", "outer"):
+    for name in ("base", "plan", "rotation", "kind", "trace", "outer", "outers"):
         assert getattr(d2, name) == getattr(o2, name), name
     assert d2.rotation.keys() == o2.rotation.keys()
     expected = {}
@@ -449,6 +480,13 @@ def test_cutting_matches_oracle_on_seeded_corpus():
         n, k = 4 + seed % 15, 1 + seed // 15 % 3
         d = fixed[seed % 5] if seed < 40 else random_kplanar(n, k, seed)
         assert_cuts_match_oracle(*cutting_case(d, seed))
+    # Drawings with two plan components, whose cuts carry both outer faces.
+    two = 0
+    for seed in range(60):
+        d = case_drawing(4 + seed % 9, 1 + seed % 3, seed)[0]
+        two += len(set(d.plan_components.values())) > 1
+        assert_cuts_match_oracle(*cutting_case(d, seed))
+    assert two > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -936,8 +974,14 @@ def test_strong_failures_match_path_checks_on_seeded_corpus():
         if rng.random() < 0.3:
             d = d.with_outer(rng.randrange(len(d.faces)))
         seen += strong_failures_agree(d, cuts, rng)
-        roots = [f for f, x in enumerate(d._dual_tree) if x < 0 and f != d.outer]
-        moved += any(_cut_root(d, cuts, f) != f for f in roots)
+        # A cut drawing names the root of every plan component besides the
+        # outer face's; count those that are not the least-dart default.
+        d2 = _cut(d, cuts)[0]
+        comp = d2.plan_components
+        first = {}
+        for i, face in enumerate(d2.faces):
+            first.setdefault(comp[face[0][0]], i)
+        moved += any(first[comp[d2.faces[f][0][0]]] != f for f in d2.outers)
     assert set(seen) == {"failing", "off outer", "gap 0", "gap c", "bend"}
     assert moved > 0
 
@@ -958,6 +1002,22 @@ def test_drawing_json_round_trip():
     d2 = drawing_from_json(doc)
     assert d2 == d
     assert validate(d2) == []
+
+
+def test_drawing_json_round_trip_with_two_plan_components():
+    d = two_triangles()
+    doc = json.loads(json.dumps(drawing_to_json(d)))
+    assert doc["outers"] == list(d.outers)
+    assert drawing_from_json(doc) == d
+    # A drawing with one plan component keeps its one-outer-face document.
+    assert "outers" not in drawing_to_json(lens())
+
+
+def test_drawing_json_refuses_non_integer_outers():
+    doc = json.loads(json.dumps(drawing_to_json(two_triangles())))
+    for bad in (True, 1.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match="bad drawing document: outers entry"):
+            drawing_from_json({**doc, "outers": [bad]})
 
 
 def test_drawing_json_rejects_malformed():

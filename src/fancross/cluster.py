@@ -265,9 +265,10 @@ def search_certificate(
     uncut crossing graph constrains only its own edges, so the first plan
     overall is the union of every component's first plan; each is found by
     :class:`_GroupSearch`.  The certificate is then built on that plan by
-    :func:`_certificate`, which checks every component again and raises
-    ``InvariantBroken`` if one fails.  Drawings with more than ``cap``
-    crossings are refused with ``CapExceeded``.
+    :func:`_certificate`, which checks every component again (in strong
+    mode, the cover the search found for it) and raises ``InvariantBroken``
+    if one fails.  Drawings with more than ``cap`` crossings are refused
+    with ``CapExceeded``.
     """
     if k < 1 or ell < 1:
         raise ValueError("bad search parameters: k and ell must be positive")
@@ -284,7 +285,8 @@ def search_certificate(
         if found is None:
             return None
         cuts.update(found)
-    cert = _certificate(d, k, ell, strong, SubdivisionPlan(cuts))
+    memo = search.strong_memo if strong else None
+    cert = _certificate(d, k, ell, strong, SubdivisionPlan(cuts), memo)
     if cert is None:
         raise InvariantBroken("certificate search invariant broken")
     return cert
@@ -314,19 +316,34 @@ def _edge_groups(pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
 
 
 def _certificate(
-    d: Drawing, k: int, ell: int, strong: bool, plan: SubdivisionPlan
+    d: Drawing,
+    k: int,
+    ell: int,
+    strong: bool,
+    plan: SubdivisionPlan,
+    memo: Optional[dict[frozenset[tuple[int, int, int]], Optional[list[Fan]]]] = None,
 ) -> Optional[Certificate]:
     """The certificate on ``plan``: per component the first (strong) cover,
-    each arc assigned to its edge's fan; None if some component has none."""
+    each arc assigned to its edge's fan; None if some component has none.
+
+    A strong search hands over its ``memo`` of covers by arc set.  Each
+    component's cover is then taken from it and checked once with
+    :func:`_strong_failures`; a missing or failing cover raises
+    ``InvariantBroken``.
+    """
     cg = crossing_graph(d, plan)
     comps = cg.components()
     keys = _arc_keys(cg)
     covers: dict[int, tuple[Fan, ...]] = {}
     assignment: dict[tuple[int, int], int] = {}
     for cid, comp in enumerate(comps):
-        part = sorted({cg.nodes[n].edge for n in comp})
-        part_edges = [d.base.edges[e] for e in part]
-        if strong:
+        part_edges = [d.base.edges[e] for e in sorted({cg.nodes[n].edge for n in comp})]
+        if memo is not None:
+            arcs = _arcs(cg, comp)
+            fans = memo.get(frozenset(arcs))
+            if fans is None or next(_strong_failures(d, plan.cuts, cid, arcs, fans), None):
+                raise InvariantBroken("certificate search invariant broken")
+        elif strong:
             fans = _strong_cover(d, plan.cuts, _arcs(cg, comp), part_edges, ell)
         else:
             fans = fan_cover(d.base, part_edges, ell)
@@ -355,7 +372,9 @@ class _GroupSearch:
       test (weak) or ``_strong_cover`` (strong).
 
     Weak checks are memoized by edge set, strong ones by arc set; both hold
-    for the whole search call, across components.
+    for the whole search call, across components.  The strong memo keeps
+    the cover ``_strong_cover`` found, or None, so the certificate reuses
+    the covers of the final plan's components.
     """
 
     def __init__(self, d: Drawing, options, ell: int, strong: bool) -> None:
@@ -369,7 +388,7 @@ class _GroupSearch:
             self.partner[(e1, x)] = e2
             self.partner[(e2, x)] = e1
         self.weak_memo: dict[frozenset[int], bool] = {}
-        self.strong_memo: dict[frozenset[tuple[int, int, int]], bool] = {}
+        self.strong_memo: dict[frozenset[tuple[int, int, int]], Optional[list[Fan]]] = {}
 
     def first_plan(self, edges: Sequence[int]) -> Optional[dict[int, tuple[int, ...]]]:
         """The first cut choice for ``edges`` under which every component
@@ -437,10 +456,12 @@ class _GroupSearch:
             return self.weak_memo[key]
         key = frozenset(arcs)
         if key not in self.strong_memo:
-            self.strong_memo[key] = self._strong_ok(key, edges, bounds)
-        return self.strong_memo[key]
+            self.strong_memo[key] = self._component_cover(key, edges, bounds)
+        return self.strong_memo[key] is not None
 
-    def _strong_ok(self, arcs, edges: set[int], bounds: dict[int, list[int]]) -> bool:
+    def _component_cover(
+        self, arcs, edges: set[int], bounds: dict[int, list[int]]
+    ) -> Optional[list[Fan]]:
         """``_strong_cover`` on the component's arcs, under the cuts on the
         component's edges.
 
@@ -450,7 +471,7 @@ class _GroupSearch:
         """
         cuts = {f: tuple(bounds[f][1:-1]) for f in edges if len(bounds[f]) > 2}
         part_edges = [self.d.base.edges[f] for f in sorted(edges)]
-        return _strong_cover(self.d, cuts, sorted(arcs), part_edges, self.ell) is not None
+        return _strong_cover(self.d, cuts, sorted(arcs), part_edges, self.ell)
 
 
 def min_ell(d: Drawing, k: int, cap: int = 12) -> int:

@@ -13,7 +13,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 # ===== Graphs =====
@@ -68,12 +68,17 @@ class Graph:
 
     @cached_property
     def adj(self) -> dict[int, tuple[int, ...]]:
-        """Sorted neighbor lists."""
+        """Sorted neighbor lists.
+
+        No sort is needed: ``edges`` is sorted with every edge ``(min,
+        max)``, so a vertex meets its smaller neighbours first, in order,
+        and then its larger ones.
+        """
         nbrs: dict[int, list[int]] = {v: [] for v in self.vertices}
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
+        return {v: tuple(ns) for v, ns in nbrs.items()}
 
     def has_vertex(self, v: int) -> bool:
         return v in self.adj
@@ -206,19 +211,29 @@ def fan_cover(
 _COLOR_KINDS = ("c", "cP", "b", "bP")
 
 
-@dataclass(frozen=True, order=True)
-class ColorLabel:
-    """A color label: kind ``c``/``cP`` (indexed from 1) or ``b``/``bP`` (from 0)."""
+class _Label(NamedTuple):
+    """The fields of a :class:`ColorLabel`."""
 
     kind: str
     index: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in _COLOR_KINDS:
-            raise ValueError(f"unknown color kind {self.kind!r}")
-        low = 1 if self.kind in ("c", "cP") else 0
-        if self.index < low:
-            raise ValueError(f"color index {self.index} out of range for {self.kind}")
+
+class ColorLabel(_Label):
+    """A color label: kind ``c``/``cP`` (indexed from 1) or ``b``/``bP`` (from 0).
+
+    A label is the tuple ``(kind, index)``: it hashes, compares and sorts
+    as that tuple, in C, and equals the plain tuple ``(kind, index)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, index: int) -> "ColorLabel":
+        if kind not in _COLOR_KINDS:
+            raise ValueError(f"unknown color kind {kind!r}")
+        low = 1 if kind in ("c", "cP") else 0
+        if index < low:
+            raise ValueError(f"color index {index} out of range for {kind}")
+        return super().__new__(cls, kind, index)
 
     def __str__(self) -> str:
         return f"{self.kind}{self.index}"

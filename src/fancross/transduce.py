@@ -27,6 +27,10 @@ vertex that looks only for the images of the later vertices and stops once
 all of them are witnessed.  The search reads the labels once, into integer
 tables (the plain vertices, the ``b0`` hubs, and per vertex bitmasks of the
 hub pairs it opens and closes), and never hashes a label inside the search.
+It keeps one frame per path vertex, made when the vertex is entered: the
+vertex's neighbour iterator and what the vertex allows after it.  A
+backtrack pops the frame, so no vertex's state is worked out twice.  Labels
+are tuples, so building the tables and pairing the holders hash them in C.
 ``roundtrip`` checks that evaluation returns the original graph.
 """
 
@@ -212,7 +216,13 @@ def _assemble(
     k: int,
     mode: str,
 ) -> TransductionOutput:
-    """Checks the surgered system and relabels it into the output graph."""
+    """Checks the surgered system and relabels it into the output graph.
+
+    ``is_plane_simple`` rules out loops, parallel pairs and edge ends
+    missing from the rotations, and the renaming is injective, so the
+    graph is built directly from its sorted vertices and sorted ``(min,
+    max)`` edges, without ``Graph.make``'s checks.
+    """
     if not rs.is_plane_simple():
         raise InvariantBroken("construction invariant broken")
     hverts = sorted(set(d.base.vertices) | set(x_edges))
@@ -224,9 +234,12 @@ def _assemble(
         else:
             ren[p] = fresh
             fresh += 1
-    gverts = sorted(ren.values()) + sorted(x_edges)
-    gedges = [(ren[a], ren[b]) for a, b in rs.ends.values()]
-    g = Graph.make(gverts, gedges)
+    gedges = []
+    for p, q in rs.ends.values():
+        a, b = ren[p], ren[q]
+        gedges.append((a, b) if a < b else (b, a))
+    gedges.sort()
+    g = Graph(tuple(sorted([*ren.values(), *x_edges])), tuple(gedges))
     colors: dict[int, set[ColorLabel]] = {ren[p]: set(ls) for p, ls in colors_s.items()}
     for i, xv in enumerate(sorted(x_edges), start=1):
         colors.setdefault(xv, set()).add(ColorLabel("c", i))
@@ -508,19 +521,19 @@ def _path_search(
     def witnessed(src: int, targets: set[int]) -> list[int]:
         left = set(targets)
         found: list[int] = []
-        path = [src]
         onpath = {src}
-        todo = [iter(adj[src])]
-        while todo:
-            cur, used = path[-1], len(path) - 1
-            may_end = not (ends_plain and used) or cur in plain
-            # Entering w leaves room for the closing edge only if used + 2
-            # edges fit the budget.  A non-plain cur in the middle lets only
-            # a successor through that closes a pair its predecessor opens.
-            deeper = used + 2 <= budget
-            mid = used >= 2 and cur not in plain
-            opened = before.get(path[-2], 0) if mid and cur in hubs else 0
-            for w in todo[-1]:
+        # One frame per path vertex, made when the vertex is entered and
+        # popped on backtrack: the vertex, its neighbour iterator, the
+        # number of edges used to reach it, whether the path may end after
+        # it, whether it may go deeper (used + 2 edges fit the budget,
+        # leaving room for the closing edge), whether it is a non-plain
+        # vertex in the middle, and, for a hub there, the pairs its
+        # predecessor opens.  A non-plain vertex in the middle lets only a
+        # successor through that closes one of those pairs.
+        stack = [(src, iter(adj[src]), 0, True, 2 <= budget, False, 0)]
+        while stack:
+            cur, nbrs, used, may_end, deeper, mid, opened = stack[-1]
+            for w in nbrs:
                 if w in onpath:
                     continue
                 if w in left and may_end:
@@ -532,13 +545,22 @@ def _path_search(
                     continue
                 if mid and not opened & after.get(w, 0):
                     continue
-                path.append(w)
                 onpath.add(w)
-                todo.append(iter(adj[w]))
+                w_plain = w in plain
+                w_mid = used >= 1 and not w_plain
+                stack.append((
+                    w,
+                    iter(adj[w]),
+                    used + 1,
+                    not ends_plain or w_plain,
+                    used + 3 <= budget,
+                    w_mid,
+                    before.get(cur, 0) if w_mid and w in hubs else 0,
+                ))
                 break
             else:
-                todo.pop()
-                onpath.remove(path.pop())
+                stack.pop()
+                onpath.remove(cur)
         return found
 
     return witnessed

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fancross import cluster, synth
-from fancross.errors import CapExceeded
+from fancross.errors import CapExceeded, InvariantBroken
 from fancross.cluster import (
     Certificate,
     _cut_options,
@@ -19,10 +19,17 @@ from fancross.cluster import (
     search_certificate,
     verify_certificate,
 )
-from fancross.drawing import CrossingGraph, Drawing, SubdivisionPlan, _fan_core, validate
+from fancross.drawing import (
+    CrossingGraph,
+    Drawing,
+    SubdivisionPlan,
+    _fan_core,
+    crossing_graph,
+    validate,
+)
 from fancross.fixtures import fig1a, fig1a_certificate, fig1b, fig3, random_kplanar
 from fancross.geometry import drawing_from_polylines, drawing_from_segments, pt
-from fancross.graphs import Fan, Graph, grid2d
+from fancross.graphs import Fan, Graph, fan_cover, grid2d
 from fancross.minors import MinorModel
 from fancross.jsonio import certificate_from_json, certificate_to_json
 from oracles import oracle_cluster_feasible, oracle_search_certificate
@@ -347,17 +354,17 @@ def test_disjoint_crossing_blocks_single_fan():
 
 def test_strong_candidates_build_no_drawing_and_no_crossing_graph(monkeypatch):
     checks, built, inside = [], [], []
-    real_ok = cluster._GroupSearch._strong_ok
+    real_cover = cluster._GroupSearch._component_cover
 
-    def strong_ok(self, *args):
+    def component_cover(self, *args):
         checks.append(args[0])
         inside.append(True)
         try:
-            return real_ok(self, *args)
+            return real_cover(self, *args)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(cluster._GroupSearch, "_strong_ok", strong_ok)
+    monkeypatch.setattr(cluster._GroupSearch, "_component_cover", component_cover)
     builders = ((Drawing, "__post_init__"), (Drawing, "with_outer"), (CrossingGraph, "__init__"))
     for cls, name in builders:
 
@@ -374,6 +381,53 @@ def test_strong_candidates_build_no_drawing_and_no_crossing_graph(monkeypatch):
             search_certificate(d, k, ell, strong=True, cap=40)
     assert any(len({a[0] for a in arcs}) < len(arcs) for arcs in checks)  # some arcs cut
     assert built == []
+
+
+def test_strong_certificate_takes_the_search_covers(monkeypatch):
+    """A strong search hands its covers to ``_certificate``, which runs no
+    ``_strong_cover`` of its own and returns what the cover search would."""
+    inside, calls = [], []
+    real_certificate, real_cover = cluster._certificate, cluster._strong_cover
+
+    def certificate(*args):
+        inside.append(True)
+        try:
+            return real_certificate(*args)
+        finally:
+            inside.pop()
+
+    def strong_cover(*args):
+        calls.append(bool(inside))
+        return real_cover(*args)
+
+    monkeypatch.setattr(cluster, "_certificate", certificate)
+    monkeypatch.setattr(cluster, "_strong_cover", strong_cover)
+    drawings = [fig3(), fig1a(), pocket(), adjacent_crossing(), chain_and_zigzag(4)]
+    drawings += [random_kplanar(9, 3, seed) for seed in range(8)]
+    found = 0
+    for d in drawings:
+        for k, ell in ((2, 2), (3, 2), (3, 1), (2, 3)):
+            cert = search_certificate(d, k, ell, strong=True, cap=40)
+            if cert is not None:
+                found += 1
+                assert cert == real_certificate(d, k, ell, True, cert.plan)
+    assert found >= 20
+    assert calls and not any(calls)
+
+
+def test_certificate_refuses_a_missing_or_failing_cover():
+    """``pocket``'s one component has a weak cover by two fans that fails
+    the strong check, and no strong cover by three."""
+    d, plan = pocket(), SubdivisionPlan()
+    cg = crossing_graph(d, plan)
+    (comp,) = cg.components()
+    key = frozenset(cluster._arcs(cg, comp))
+    weak = fan_cover(d.base, [d.base.edges[e] for e in sorted({a[0] for a in key})], 2)
+    assert cluster._certificate(d, 1, 2, False, plan) is not None
+    assert cluster._certificate(d, 1, 3, True, plan) is None
+    for memo in ({}, {key: None}, {key: weak}):
+        with pytest.raises(InvariantBroken, match="certificate search invariant broken"):
+            cluster._certificate(d, 1, 2, True, plan, memo)
 
 
 def synth_drawing_with_19_crossings():

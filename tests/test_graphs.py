@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fancross.graphs import (
     ColorLabel,
@@ -47,6 +49,22 @@ def test_make_rejects_bad_edges():
         Graph.make([1, 2], [(1, 2), (2, 1)])
     with pytest.raises(ValueError):
         Graph.make([1, 2], [(1, 3)])
+
+
+@given(st.data())
+def test_adjacency_is_sorted_from_shuffled_flipped_edges(data):
+    vertices = data.draw(st.sets(st.integers(-5, 30), min_size=1, max_size=12))
+    pairs = list(itertools.combinations(sorted(vertices), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    edges = data.draw(st.permutations(edges))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    g = Graph.make(
+        data.draw(st.permutations(sorted(vertices))),
+        [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)],
+    )
+    for v in vertices:
+        neighbours = {u for e in edges if v in e for u in e if u != v}
+        assert g.adj[v] == tuple(sorted(neighbours))
 
 
 def test_induced():
@@ -179,6 +197,52 @@ def test_color_label_round_trip():
         ColorLabel("c", 0)
     with pytest.raises(ValueError):
         ColorLabel("b", -1)
+
+
+valid_labels = st.one_of(
+    st.tuples(st.sampled_from(("c", "cP")), st.integers(1, 10**6)),
+    st.tuples(st.sampled_from(("b", "bP")), st.integers(0, 10**6)),
+)
+
+
+@given(st.lists(valid_labels, max_size=12))
+def test_color_labels_are_their_tuples(pairs):
+    labels = [ColorLabel(kind, index) for kind, index in pairs]
+    for label, pair in zip(labels, pairs):
+        assert ColorLabel.parse(str(label)) == label
+        assert label == pair and (label.kind, label.index) == pair
+        assert hash(label) == hash((label.kind, label.index))
+        assert repr(label) == f"ColorLabel(kind={pair[0]!r}, index={pair[1]!r})"
+    assert sorted(labels) == sorted(labels, key=lambda label: (label.kind, label.index))
+    assert [tuple(label) for label in sorted(labels)] == sorted(pairs)
+
+
+@pytest.mark.parametrize(
+    "kind, index, message",
+    [
+        ("q", 1, "unknown color kind 'q'"),
+        ("", 0, "unknown color kind ''"),
+        ("C", 1, "unknown color kind 'C'"),
+        ("c", 0, "color index 0 out of range for c"),
+        ("cP", -3, "color index -3 out of range for cP"),
+        ("b", -1, "color index -1 out of range for b"),
+        ("bP", -1, "color index -1 out of range for bP"),
+    ],
+)
+def test_bad_color_labels_keep_their_messages(kind, index, message):
+    with pytest.raises(ValueError) as info:
+        ColorLabel(kind, index)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        ColorLabel(kind=kind, index=index)
+    assert str(info.value) == message
+
+
+def test_color_labels_hash_and_compare_as_tuples():
+    """Labels fill every set and dict of the decode path; a Python-level
+    ``__hash__`` or ``__eq__`` on them would be called there each time."""
+    assert ColorLabel.__hash__ is tuple.__hash__
+    assert ColorLabel.__eq__ is tuple.__eq__
 
 
 def test_colored_graph_basics():

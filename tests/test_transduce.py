@@ -379,11 +379,53 @@ def add_a_loop(rs):
     rs.rot[v][:0] = [ne, ne]
 
 
+def add_a_loop_listed_once(rs):
+    v = min(rs.rot)
+    ne = rs.new_edge_id()
+    rs.ends[ne] = (v, v)
+    rs.rot[v].append(ne)
+
+
+def duplicate_an_edge_reversed_apart(rs):
+    """A second edge ``(b, a)`` beside ``(a, b)``, listed at the far end of
+    both rotations."""
+    e = min(rs.ends)
+    a, b = rs.ends[e]
+    ne = rs.new_edge_id()
+    rs.ends[ne] = (b, a)
+    rs.rot[a].insert(0, ne)
+    rs.rot[b].append(ne)
+
+
+def edge_to_an_unlisted_vertex(rs):
+    v = min(rs.rot)
+    ne, w = rs.new_edge_id(), rs.new_vertex_id()
+    rs.ends[ne] = (v, w)
+    rs.rot[v].append(ne)
+
+
+def drop_a_rotation(rs):
+    """Every edge at the vertex keeps it as an end, which ``rot`` lacks."""
+    del rs.rot[min(v for v, r in rs.rot.items() if r)]
+
+
 @pytest.mark.parametrize(
-    "corrupt", [swap_at_degree_three, duplicate_an_edge, drop_from_a_rotation, add_a_loop]
+    "corrupt",
+    [
+        swap_at_degree_three,
+        duplicate_an_edge,
+        duplicate_an_edge_reversed_apart,
+        drop_from_a_rotation,
+        drop_a_rotation,
+        edge_to_an_unlisted_vertex,
+        add_a_loop,
+        add_a_loop_listed_once,
+    ],
 )
 @pytest.mark.parametrize("mode", ["kplanar", "clustered"])
 def test_corrupted_surgery_is_refused(monkeypatch, corrupt, mode):
+    """Refused by the surgery check itself, never by ``Graph`` or a lookup
+    while the output graph is assembled."""
     seen = []
     checked = transduce._assemble
 
@@ -394,11 +436,12 @@ def test_corrupted_surgery_is_refused(monkeypatch, corrupt, mode):
         return checked(d, rs, *rest)
 
     monkeypatch.setattr(transduce, "_assemble", corrupted)
-    with pytest.raises(InvariantBroken, match="construction invariant broken"):
+    with pytest.raises(InvariantBroken, match="construction invariant broken") as info:
         if mode == "kplanar":
             transduce_kplanar(k4_drawing(), {}, 1)
         else:
             transduce_clustered(fig1a(), fig1a_certificate(), {}, 2)
+    assert type(info.value) is InvariantBroken
     assert len(seen) == 1
     assert not seen[0].is_plane_simple() and not oracle_surgery_ok(seen[0])
 
@@ -804,6 +847,15 @@ def oracle_corpus() -> tuple[TransductionOutput, ...]:
     return tuple(outs)
 
 
+def test_assembled_graph_is_normalized():
+    """``_assemble`` builds its graph without ``Graph.make``; it must equal
+    the graph ``Graph.make`` builds from the same vertices and edges."""
+    for out in oracle_corpus():
+        g = out.colored.graph
+        assert g == Graph.make(reversed(g.vertices), [(b, a) for a, b in reversed(g.edges)])
+        assert all(type(v) is int for v in g.vertices)
+
+
 def test_eval_matches_per_pair_oracle():
     corpus = oracle_corpus()
     assert len(corpus) == 33 + 1 + 4
@@ -887,6 +939,75 @@ def test_eval_matches_oracle_after_recoloring_and_mode_swap(data):
         out.x,
     )
     assert eval_formula(mutated) == oracle_eval_formula(mutated)
+
+
+# Hub-pair labels up to index 3, the plain labels of both modes and the
+# handshake labels, for colored graphs built from scratch.
+SCRATCH_LABELS = [B1, B2, ColorLabel("bP", 0)] + [
+    ColorLabel(kind, j) for kind in ("b", "bP") for j in (1, 3)
+] + [ColorLabel(kind, j) for kind in ("c", "cP") for j in (1, 2)]
+
+
+def scratch_output(rng: random.Random, mode: str) -> TransductionOutput:
+    """A colored graph on at most 10 vertices, not made by a transducer.
+
+    A random set of ``b0`` hubs, most holding ``b0`` alone, is often joined
+    into a cycle (hubs next to hubs, and a cycle through them).  Every
+    vertex gets up to two labels from ``SCRATCH_LABELS``, so original
+    vertices may be plain.  Often a chain ``x a0 h1 a1 h2 ... y`` through
+    one to three hubs is planted between two original vertices, each hub
+    between a pair it lets through at some index up to 3.  Random extra
+    edges close more cycles.
+    """
+    n = rng.randint(3, 10)
+    hubs = rng.sample(range(n), rng.randint(0, n // 2 + 1))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = set(rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n // 2))))
+    if rng.random() < 0.5:
+        edges |= {(min(a, b), max(a, b)) for a, b in zip(hubs, hubs[1:] + hubs[:1]) if a != b}
+    colors = {v: set(rng.sample(SCRATCH_LABELS, rng.randint(0, 2))) for v in range(n)}
+    for v in hubs:
+        colors[v] = {B0} | (colors[v] if rng.random() < 0.2 else set())
+    orig = set(rng.sample(range(n), rng.randint(2, n)))
+    if n >= 5 and rng.random() < 0.7:
+        chain = rng.sample(range(n), 2 * rng.randint(1, min(3, (n - 3) // 2)) + 3)
+        orig |= {chain[0], chain[-1]}
+        edges |= {(min(a, b), max(a, b)) for a, b in zip(chain, chain[1:])}
+        hub_pairs = transduce._mode(mode).hub_pairs(3)
+        for i in range(2, len(chain) - 2, 2):
+            opens, closes = rng.choice(hub_pairs)
+            colors[chain[i]] = {B0}
+            colors[chain[i - 1]].add(opens)
+            colors[chain[i + 1]].add(closes)
+    return TransductionOutput(
+        ColoredGraph(Graph.make(range(n), edges), {v: frozenset(ls) for v, ls in colors.items()}),
+        dict(enumerate(rng.sample(sorted(orig), len(orig)))),
+        TransductionFormula.for_mode(rng.randint(1, 3), mode),
+        (),
+    )
+
+
+@settings(max_examples=200)
+@given(st.randoms(use_true_random=False), st.sampled_from(("kplanar", "clustered")))
+def test_eval_matches_oracle_on_colored_graphs_from_scratch(rng, mode):
+    out = scratch_output(rng, mode)
+    assert eval_formula(out) == oracle_eval_formula(out)
+
+
+@pytest.mark.parametrize("mode", ["kplanar", "clustered"])
+def test_eval_matches_oracle_on_seeded_scratch_corpus(mode):
+    """The corpus decodes edges that only a path through a hub witnesses,
+    so frames are pushed past hubs and popped back from them."""
+    rng = random.Random(f"scratch-{mode}")
+    through_hubs = 0
+    for i in range(1000):
+        out = scratch_output(rng, mode)
+        got = eval_formula(out)
+        assert got == oracle_eval_formula(out), i
+        bare = {v: ls - {B0} for v, ls in out.colored.colors.items()}
+        no_hubs = dataclasses.replace(out, colored=ColoredGraph(out.colored.graph, bare))
+        through_hubs += bool(set(got.edges) - set(eval_formula(no_hubs).edges))
+    assert through_hubs >= 100, through_hubs
 
 
 def test_handshake_reads_indices_up_to_k_at_any_k():

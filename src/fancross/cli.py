@@ -92,20 +92,22 @@ def _parse_x(text: str) -> list[int]:
         raise _CliError(USAGE, f"bad vertex list {text!r}") from exc
 
 
-def _x_edges(args: argparse.Namespace, d: Drawing) -> dict[int, tuple[int, ...]]:
+def _x_edges(args: argparse.Namespace) -> dict[int, tuple[int, ...]]:
+    """Each ``--x`` vertex with its neighbours in the ``--graph`` graph."""
     xs = _parse_x(args.x)
     if not xs:
         return {}
     if not args.graph:
         raise _CliError(USAGE, "--x needs --graph with the full graph")
-    h = graph_from_json(_load_json(args.graph))
+    h = _full_graph(args)
+    for v in xs:
+        if not h.has_vertex(v):
+            raise _CliError(PARSE, f"--x vertex {v} is not a vertex of {args.graph}")
     return {v: h.neighbors(v) for v in xs}
 
 
-def _full_graph(args: argparse.Namespace, d: Drawing) -> Graph:
-    if args.graph:
-        return graph_from_json(_load_json(args.graph))
-    return d.base
+def _full_graph(args: argparse.Namespace) -> Graph:
+    return graph_from_json(_load_json(args.graph))
 
 
 # ===== Subcommands =====
@@ -224,7 +226,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 def _cmd_transduce(args: argparse.Namespace) -> int:
     d = _load_drawing(args.drawing)
-    xe = _x_edges(args, d)
+    xe = _x_edges(args)
     try:
         if args.mode == "kplanar":
             out = transduce_kplanar(d, xe, args.k)
@@ -248,10 +250,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_roundtrip(args: argparse.Namespace) -> int:
     d = _load_drawing(args.drawing)
-    xs = _parse_x(args.x)
-    if xs and not args.graph:
-        raise _CliError(USAGE, "--x needs --graph with the full graph")
-    h = _full_graph(args, d)
+    xs = list(_x_edges(args))
+    h = _full_graph(args) if args.graph else d.base
     cert = _load_cert(args.cert, d.base) if args.cert else None
     try:
         ok = roundtrip(h, d, xs, args.k, args.mode, cert)

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .graphs import Graph
 
@@ -45,8 +45,8 @@ class Drawing:
 
     The three maps are read-only views of private copies, so a drawing never
     changes and every fact derived from it is computed once: the lookups
-    below, the :func:`validate` verdict, and the crossing graph and cut of
-    the last plan with cuts (see :meth:`_planned`).
+    below, the :func:`validate` verdict, and the crossing graph of the last
+    plan with cuts (see :func:`crossing_graph`).
     """
 
     base: Graph
@@ -82,9 +82,9 @@ class Drawing:
         """This drawing with other outer faces (see :attr:`outers`).
 
         The new drawing shares the read-only maps and keeps every cached
-        lookup already computed here, the traced faces among them, except
-        those that depend on the outer faces: :attr:`_dual_tree` is rooted
-        at them, the verdict checks them and the cut drawing inherits them.
+        lookup already computed here, the traced faces and the crossing
+        graph among them, except those that depend on the outer faces:
+        :attr:`_dual_tree` is rooted at them and the verdict checks them.
         """
         out = object.__new__(Drawing)
         out.__dict__.update(
@@ -93,18 +93,6 @@ class Drawing:
         object.__setattr__(out, "outer", outer)
         object.__setattr__(out, "outers", tuple(outers))
         return out
-
-    def _planned(self, cuts: Mapping[int, tuple[int, ...]], i: int, build: Callable):
-        """``build(self, cuts)``, kept in entry ``i`` of the slot of the last
-        plan with cuts, ``[cuts, crossing graph, (d2, pieces)]``.  A plan
-        with other cuts replaces the slot, so a drawing holds at most one
-        cut drawing."""
-        slot = self.__dict__.get("_plan_slot")
-        if slot is None or slot[0] != cuts:
-            slot = self.__dict__["_plan_slot"] = [cuts, None, None]
-        if slot[i] is None:
-            slot[i] = build(self, cuts)
-        return slot[i]
 
     @cached_property
     def _violations(self) -> tuple[str, ...]:
@@ -228,7 +216,7 @@ class Drawing:
         }
 
 
-_OUTER_DEPENDENT = ("_dual_tree", "_violations", "_plan_slot")
+_OUTER_DEPENDENT = ("_dual_tree", "_violations")
 
 _REAL = re.compile(r"real:(-?[0-9]+)")
 
@@ -614,10 +602,17 @@ def crossing_graph(d: Drawing, plan: Optional[SubdivisionPlan] = None) -> Crossi
     Nodes are whole edges (no plan) or the arcs delimited by the plan's cut
     positions; piece indices follow cut order.  Crossing-free arcs appear as
     isolated nodes.  The graph of a plan with cuts is kept in ``d``'s plan
-    slot and shared by later calls on the same cuts.
+    slot, ``(cuts, graph)``, and shared by later calls on the same cuts; a
+    plan with other cuts replaces it.  The graph does not depend on the
+    outer faces, so :meth:`Drawing.with_outer` keeps the slot.
     """
     cuts = _checked_cuts(d, plan)
-    return d._planned(cuts, 1, _crossing_graph) if cuts else _crossing_graph(d, cuts)
+    if not cuts:
+        return _crossing_graph(d, cuts)
+    slot = d.__dict__.get("_plan_slot")
+    if slot is None or slot[0] != cuts:
+        slot = d.__dict__["_plan_slot"] = (cuts, _crossing_graph(d, cuts))
+    return slot[1]
 
 
 def _crossing_graph(d: Drawing, cuts: Mapping[int, tuple[int, ...]]) -> CrossingGraph:
@@ -652,10 +647,9 @@ def _crossing_graph(d: Drawing, cuts: Mapping[int, tuple[int, ...]]) -> Crossing
 
 class _RotSys:
     """A mutable rotation system, the one builder behind every edit of a
-    plan: cutting base edges (:func:`subdivide_with_map`) and the
-    transducers' surgery.  It is an edge list with counterclockwise
-    rotations, as in a doubly-connected edge list, and tolerates parallel
-    edges mid-surgery.
+    plan: cutting base edges (:func:`_split`) and the transducers'
+    surgery.  It is an edge list with counterclockwise rotations, as in a
+    doubly-connected edge list, and tolerates parallel edges mid-surgery.
 
     Edge ids are local: the plan's ids to start with, fresh ones above them
     for every new edge.  New vertex ids start above both the plan's and the
@@ -761,23 +755,23 @@ class _RotSys:
 
 
 def subdivide_with_map(d: Drawing, plan: SubdivisionPlan) -> tuple[Drawing, dict[int, list[int]]]:
-    """Like :func:`subdivide`, also returning the pieces of every edge.
+    """Inserts the plan's cut vertices into the base graph.
 
+    Cut vertices become real vertices of the result; each lands on the first
+    plan edge of its gap.  Crossings, rotations and faces are preserved.
     Returns ``(d2, pieces)``: ``pieces[e]`` lists the base edge ids of
     ``d2`` that edge ``e`` of ``d`` falls into, in cut order from its smaller
     endpoint; an uncut edge is its own single piece.  A plan without cuts
-    returns ``d`` itself, whose faces are then traced only once.  The result
-    of a plan with cuts is kept in ``d``'s plan slot and shared by later
-    calls on the same cuts, so callers must not modify ``pieces``.
+    returns ``d`` itself.  Nothing is kept: each call with cuts builds a
+    new drawing.
     """
-    cuts = _checked_cuts(d, plan)
-    return d._planned(cuts, 2, _cut) if cuts else _cut(d, cuts)
+    return _cut(d, _checked_cuts(d, plan))
 
 
 def _cut(
     d: Drawing, cuts: Mapping[int, tuple[int, ...]]
 ) -> tuple[Drawing, dict[int, list[int]]]:
-    """:func:`subdivide_with_map` on checked cuts, outside the plan slot.
+    """:func:`subdivide_with_map` on checked cuts.
 
     The cuts are made by :func:`_split` and wrapped into a drawing here.  A
     split keeps the rotation slots of the split edge's ends, so the root of
@@ -787,11 +781,12 @@ def _cut(
     """
     if not cuts:
         return d, {e: [e] for e in range(d.base.m)}
-    rs, kind, made = _split(d, cuts)
+    rs, made = _split(d, cuts)
     new_plan = Graph.make(rs.rot, rs.ends.values())
     canon = {e: new_plan.edge_id(a, b) for e, (a, b) in rs.ends.items()}
     rotation = {v: tuple(canon[e] for e in r) for v, r in rs.rot.items()}
     cut_vertices = [v for v in rs.rot if v not in d.rotation]
+    kind = {**d.kind, **{v: f"real:{v}" for v in cut_vertices}}
     new_base = Graph.make((*d.base.vertices, *cut_vertices), (ends for _, ends, _ in made))
     trace: dict[int, tuple[int, ...]] = {}
     pieces: dict[int, list[int]] = {e: [] for e in range(d.base.m)}
@@ -813,18 +808,17 @@ def _cut(
 
 def _split(
     d: Drawing, cuts: Mapping[int, tuple[int, ...]]
-) -> tuple[_RotSys, dict[int, str], list[tuple[int, tuple[int, int], list[int]]]]:
+) -> tuple[_RotSys, list[tuple[int, tuple[int, int], list[int]]]]:
     """The cuts made on a :class:`_RotSys`, with no drawing built.
 
     Every edge's trace is walked from its smaller endpoint and split at each
     of its cuts in turn (see :func:`_cut_step`), so cut vertices are
-    numbered by edge, then along the trace, and each is the real copy of
-    itself.  Returns the system, the kind of every vertex, and every piece
-    in that order as (edge of ``d``, its two end vertices, its plan edges in
-    the system's edge ids).
+    numbered by edge, then along the trace.  Returns the system and every
+    piece in that order as (edge of ``d``, its two end vertices, its plan
+    edges in the system's edge ids, in path order).  An end is a base
+    vertex of ``d`` or a cut vertex, which is its own real vertex.
     """
     rs = _RotSys(d)
-    kind = dict(d.kind)
     made: list[tuple[int, tuple[int, int], list[int]]] = []
     for eid, (u, v) in enumerate(d.base.edges):
         path, steps = d.paths[eid], _steps(d, eid)
@@ -834,12 +828,11 @@ def _split(
             a = path[i]
             for _ in range(at.count(i)):
                 s, e1, pe = rs.subdivide_edge(pe, a)
-                kind[s] = f"real:{s}"
                 made.append((eid, (tail, s), piece + [e1]))
                 tail, piece, a = s, [], s
             piece.append(pe)
         made.append((eid, (tail, v), piece))
-    return rs, kind, made
+    return rs, made
 
 
 def _steps(d: Drawing, eid: int) -> tuple[int, ...]:
@@ -853,15 +846,6 @@ def _cut_step(d: Drawing, eid: int, gap: int) -> int:
     cut at ``gap`` lies in: the first plan edge after crossing ``gap``, or
     the path's first plan edge at gap 0."""
     return d.paths[eid].index(d.edge_crossings[eid][gap - 1]) if gap else 0
-
-
-def subdivide(d: Drawing, plan: SubdivisionPlan) -> Drawing:
-    """Inserts the plan's cut vertices into the base graph.
-
-    Cut vertices become real vertices of the result; each lands on the first
-    plan edge of its gap.  Crossings, rotations, and faces are preserved.
-    """
-    return subdivide_with_map(d, plan)[0]
 
 
 # ===== Planarization =====

@@ -15,11 +15,12 @@ short colored path.
   center side, ``bP_j`` on the far side).
 
 Both do their surgery on ``drawing._RotSys``, the mutable rotation system
-that also cuts edges for ``subdivide_with_map``, and check it there before
-building the output graph: a simple graph that the dart kernel
+that also makes the cuts of ``subdivide_with_map``, and check it there
+before building the output graph: a simple graph that the dart kernel
 ``drawing._embed``, which also traces every ``Drawing``'s faces, accepts
 with genus 0 on every component is a plane drawing, so no intermediate
-``Drawing`` is built or validated.
+``Drawing`` is built or validated.  ``transduce_clustered`` makes the
+certificate's cuts (``drawing._split``) and its stubs on the same system.
 
 ``eval_formula`` evaluates the formula exactly.  It pairs the holders of
 each handshake color, and runs one bounded simple-path search per source
@@ -38,10 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional
 
 from .cluster import Certificate, _verified
-from .drawing import Drawing, _RotSys, _split, is_k_planar, subdivide_with_map, validate
+from .drawing import Drawing, _RotSys, _split, is_k_planar, validate
 from .errors import Infeasible, InvariantBroken
 from .graphs import ColorLabel, ColoredGraph, Graph, induced
 
@@ -308,6 +309,9 @@ def transduce_clustered(
     a ``b0`` hub.  Each spoke is subdivided once and colored by fan
     membership of its endpoint: ``b_j`` if the endpoint is reachable from
     fan ``j``'s center without traversing the cluster, ``bP_j`` otherwise.
+
+    The certificate's cuts and the stubs are made on one rotation system of
+    ``d``, before its bends are smoothed, so no cut drawing is built.
     """
     _checked_drawing(d, k)
     report, cg, comps, keys = _verified(d, cert, strong=False)
@@ -315,66 +319,60 @@ def transduce_clustered(
         raise Infeasible("certificate invalid")
     xn = _checked_x(d, x_edges, k)
 
-    # Cut per certificate, then add a stub cut next to every original
-    # endpoint so no original vertex touches a crossed edge.
-    d2, pieces_d2 = subdivide_with_map(d, cert.plan)
+    # Cut per certificate, then add a stub next to every original end of
+    # every piece, so no original vertex touches a crossed edge.  Stubs are
+    # numbered piece by piece in the order of the pieces' sorted end pairs,
+    # smaller end first; a cut or stub vertex is its own real vertex.
+    rs, made = _split(d, cert.plan.cuts)
     orig = set(d.base.vertices)
-    stub_cuts: dict[int, tuple[int, ...]] = {}
-    for e2, (u, v) in enumerate(d2.base.edges):
-        c2 = len(d2.edge_crossings[e2])
-        gaps = (0,) * (u in orig) + (c2,) * (v in orig)
-        if gaps:
-            stub_cuts[e2] = gaps
-    # The stub cut stays a rotation system: the surgery reads no face of it.
-    # Pieces are numbered in the order made; a new vertex is its own real
-    # copy, and an old one keeps its copy in d2.
-    rs, kind, made = _split(d2, stub_cuts)
-    ends = [pair for _, pair, _ in made]
-    pieces_d1: dict[int, list[int]] = {}
-    for ne, (e2, _, _) in enumerate(made):
-        pieces_d1.setdefault(e2, []).append(ne)
+    chains = [list(ends) for _, ends, _ in made]  # each piece's vertices in path order
+    for i in sorted(range(len(made)), key=lambda i: sorted(made[i][1])):
+        _, (a, b), steps = made[i]
+        for end in sorted((a, b)):
+            if end in orig:
+                at = 0 if end == a else -1
+                s, _, steps[at] = rs.subdivide_edge(steps[at], d.real_pvid[end])
+                chains[i].insert(1 if at == 0 else -1, s)
+    pieces: dict[int, list[list[int]]] = {}
+    for (eid, _, _), chain in zip(made, chains):
+        pieces.setdefault(eid, []).append(chain)
 
-    def strands(eid: int) -> list[int]:
-        return [ne for e2 in pieces_d2[eid] for ne in pieces_d1[e2]]
-
-    def crossed(e2: int) -> int:
-        """The one piece of ``e2`` that carries its crossings: the one after
-        the stub at its first end, if that end is original."""
-        if not d2.edge_crossings[e2]:
-            raise InvariantBroken("construction invariant broken")
-        return pieces_d1[e2][d2.base.edges[e2][0] in orig]
-
-    for bend in _bends(d2):
+    for bend in _bends(d):
         rs.smooth(bend)
     colors_s: dict[int, set[ColorLabel]] = {}
-    for v in sorted({v for pair in ends for v in pair} - orig):
+    for v in sorted({v for chain in chains for v in chain} - orig):
         colors_s[v] = {ColorLabel("bP", 0)}
 
     for ci, comp in enumerate(comps):
-        cluster = {crossed(pieces_d2[eid][piece]) for eid, piece in (keys[n] for n in comp)}
+        # The edge of each arc's piece that carries its crossings: the one
+        # after the stub at its first end, if that end is original.
+        cluster = set()
+        for eid, piece in (keys[n] for n in comp):
+            chain = pieces[eid][piece]
+            i = chain[0] in orig
+            cluster.add(frozenset(chain[i : i + 2]))
         # Reachable / far endpoint sets per fan of this component's cover.
         fan_sides: list[tuple[set[int], set[int]]] = []
         for fan in cert.covers[ci]:
             incident: set[int] = set()
             near: set[int] = set()
             for u, v in fan.edges:
-                eid = d.base.edge_id(u, v)
-                cur = fan.center
+                chains_uv = pieces[d.base.edge_id(u, v)]
+                path = chains_uv[0][:1] + [w for chain in chains_uv for w in chain[1:]]
+                if path[0] != fan.center:
+                    path.reverse()
                 reachable = True
-                for ne in _chain_from(ends, strands(eid), fan.center):
-                    a, b = ends[ne]
-                    far = b if a == cur else a
-                    if ne in cluster:
+                for cur, far in zip(path, path[1:]):
+                    if frozenset((cur, far)) in cluster:
                         incident.update((cur, far))
                         if reachable:
                             near.add(cur)
                             reachable = False
-                    cur = far
             fan_sides.append((near, incident - near))
 
         interior = sorted({x for n in comp for x in cg.crossings[n]})
         hub = interior[0]
-        leaves = sorted({d2.real_pvid.get(w, w) for ne in cluster for w in ends[ne]})
+        leaves = sorted({w for pair in cluster for w in pair})
         _contract_into(rs, hub, set(interior))
         colors_s[hub] = {ColorLabel("b", 0)}
         for leaf in leaves:
@@ -382,39 +380,16 @@ def transduce_clustered(
             for e in spokes[1:]:
                 rs.remove_edge(e)
             s, _, _ = rs.subdivide_edge(spokes[0], leaf)
-            lb = int(kind[leaf][5:])
             marks = set()
             for j, (near, far) in enumerate(fan_sides, start=1):
-                if lb in near:
+                if leaf in near:
                     marks.add(ColorLabel("b", j))
-                if lb in far:
+                if leaf in far:
                     marks.add(ColorLabel("bP", j))
             colors_s[s] = marks
 
-    real_of = {d2.real_pvid[v]: v for v in d.base.vertices}
+    real_of = {d.real_pvid[v]: v for v in d.base.vertices}
     return _assemble(d, rs, real_of, colors_s, xn, k, "clustered")
-
-
-def _chain_from(ends: Sequence[tuple[int, int]], eids: list[int], start: int) -> list[int]:
-    """Orders path-forming edges by walking from the endpoint ``start``."""
-    inc: dict[int, list[int]] = {}
-    for e in eids:
-        u, v = ends[e]
-        inc.setdefault(u, []).append(e)
-        inc.setdefault(v, []).append(e)
-    out: list[int] = []
-    used: set[int] = set()
-    cur = start
-    while len(out) < len(eids):
-        step = [e for e in inc[cur] if e not in used]
-        if len(step) != 1:
-            raise InvariantBroken("construction invariant broken")
-        e = step[0]
-        used.add(e)
-        out.append(e)
-        u, v = ends[e]
-        cur = v if u == cur else u
-    return out
 
 
 def _contract_into(rs: _RotSys, keep: int, interior: set[int]) -> None:

@@ -15,8 +15,10 @@ search per vertex pair, or from the rendered text of its formula, and
 the strong fan property from a face union-find over the whole plan,
 strong certificates from the earlier path checks on the cut drawing,
 cut drawings from rewriting every rotation entry by position through dart
-and edge-id maps, and the synthesizer's region arenas and polyline drawings
-from a pair loop and rotation code of their own each.
+and edge-id maps, the clustered transducer from two cuts (a whole cut
+drawing, then stubs) joined by walking each fan edge's pieces from its
+center, and the synthesizer's region arenas and polyline drawings from a
+pair loop and rotation code of their own each.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from fancross.cluster import (
     Certificate,
     _arc_keys,
     _cut_options,
+    _verified,
     verify_certificate,
 )
 from fancross.drawing import (
@@ -45,10 +48,12 @@ from fancross.drawing import (
     _crossing_graph,
     _cut,
     _RotSys,
+    _split,
     is_k_planar,
+    subdivide_with_map,
     validate,
 )
-from fancross.errors import CapExceeded, InvariantBroken
+from fancross.errors import CapExceeded, Infeasible, InvariantBroken
 from fancross.geometry import (
     Point,
     Vec,
@@ -63,7 +68,16 @@ from fancross.geometry import (
 )
 from fancross.graphs import ColoredGraph, ColorLabel, Fan, Graph, fan_cover
 from fancross.minors import MinorModel, _admissible, _touch
-from fancross.transduce import TransductionFormula, TransductionOutput, render_formula
+from fancross.transduce import (
+    TransductionFormula,
+    TransductionOutput,
+    _assemble,
+    _bends,
+    _checked_drawing,
+    _checked_x,
+    _contract_into,
+    render_formula,
+)
 
 
 # ===== Metric oracles (Floyd-Warshall based) =====
@@ -447,7 +461,7 @@ def _strong_cover(
 def oracle_subdivide_with_map(
     d: Drawing, plan: SubdivisionPlan
 ) -> tuple["Drawing", dict[tuple[int, int], int], dict[int, tuple[int, int]]]:
-    """Like :func:`subdivide`, also returning the arc correspondence.
+    """Like :func:`subdivide_with_map`, with the arc correspondence both ways.
 
     Returns ``(d2, arc_to_new, new_to_arc)`` where arcs are keyed by
     ``(original edge id, piece index)`` and map to base edge ids of ``d2``.
@@ -1172,6 +1186,118 @@ def oracle_surgery_ok(rs: _RotSys) -> bool:
     check of ``validate`` but the Euler one, with every component plane by
     the oracle's own count."""
     return oracle_surgery_nonplane(rs) == []
+
+
+# ===== Clustered transducer oracle (two cuts) =====
+
+
+def oracle_transduce_clustered(
+    d: Drawing, cert: Certificate, x_edges: Mapping[int, Iterable[int]], k: int
+) -> TransductionOutput:
+    """``transduce.transduce_clustered`` by cutting twice: the certificate's
+    cuts into a whole cut drawing (``subdivide_with_map``), then stubs cut
+    on that drawing's rotation system, with the two piece maps joined and
+    each fan edge's pieces ordered by walking them from the fan center.
+    """
+    _checked_drawing(d, k)
+    report, cg, comps, keys = _verified(d, cert, strong=False)
+    if not report.verdict or cert.k > k or cert.ell > k:
+        raise Infeasible("certificate invalid")
+    xn = _checked_x(d, x_edges, k)
+
+    d2, pieces_d2 = subdivide_with_map(d, cert.plan)
+    orig = set(d.base.vertices)
+    stub_cuts: dict[int, tuple[int, ...]] = {}
+    for e2, (u, v) in enumerate(d2.base.edges):
+        c2 = len(d2.edge_crossings[e2])
+        gaps = (0,) * (u in orig) + (c2,) * (v in orig)
+        if gaps:
+            stub_cuts[e2] = gaps
+    rs, made = _split(d2, stub_cuts)
+    kind = {**d2.kind, **{v: f"real:{v}" for v in rs.rot if v not in d2.rotation}}
+    ends = [pair for _, pair, _ in made]
+    pieces_d1: dict[int, list[int]] = {}
+    for ne, (e2, _, _) in enumerate(made):
+        pieces_d1.setdefault(e2, []).append(ne)
+
+    def strands(eid: int) -> list[int]:
+        return [ne for e2 in pieces_d2[eid] for ne in pieces_d1[e2]]
+
+    def crossed(e2: int) -> int:
+        if not d2.edge_crossings[e2]:
+            raise InvariantBroken("construction invariant broken")
+        return pieces_d1[e2][d2.base.edges[e2][0] in orig]
+
+    for bend in _bends(d2):
+        rs.smooth(bend)
+    colors_s: dict[int, set[ColorLabel]] = {}
+    for v in sorted({v for pair in ends for v in pair} - orig):
+        colors_s[v] = {ColorLabel("bP", 0)}
+
+    for ci, comp in enumerate(comps):
+        cluster = {crossed(pieces_d2[eid][piece]) for eid, piece in (keys[n] for n in comp)}
+        fan_sides: list[tuple[set[int], set[int]]] = []
+        for fan in cert.covers[ci]:
+            incident: set[int] = set()
+            near: set[int] = set()
+            for u, v in fan.edges:
+                eid = d.base.edge_id(u, v)
+                cur = fan.center
+                reachable = True
+                for ne in _chain_from(ends, strands(eid), fan.center):
+                    a, b = ends[ne]
+                    far = b if a == cur else a
+                    if ne in cluster:
+                        incident.update((cur, far))
+                        if reachable:
+                            near.add(cur)
+                            reachable = False
+                    cur = far
+            fan_sides.append((near, incident - near))
+
+        interior = sorted({x for n in comp for x in cg.crossings[n]})
+        hub = interior[0]
+        leaves = sorted({d2.real_pvid.get(w, w) for ne in cluster for w in ends[ne]})
+        _contract_into(rs, hub, set(interior))
+        colors_s[hub] = {ColorLabel("b", 0)}
+        for leaf in leaves:
+            spokes = [e for e in rs.rot[leaf] if rs.other(e, leaf) == hub]
+            for e in spokes[1:]:
+                rs.remove_edge(e)
+            s, _, _ = rs.subdivide_edge(spokes[0], leaf)
+            lb = int(kind[leaf][5:])
+            marks = set()
+            for j, (near, far) in enumerate(fan_sides, start=1):
+                if lb in near:
+                    marks.add(ColorLabel("b", j))
+                if lb in far:
+                    marks.add(ColorLabel("bP", j))
+            colors_s[s] = marks
+
+    real_of = {d2.real_pvid[v]: v for v in d.base.vertices}
+    return _assemble(d, rs, real_of, colors_s, xn, k, "clustered")
+
+
+def _chain_from(ends: Sequence[tuple[int, int]], eids: list[int], start: int) -> list[int]:
+    """Orders path-forming edges by walking from the endpoint ``start``."""
+    inc: dict[int, list[int]] = {}
+    for e in eids:
+        u, v = ends[e]
+        inc.setdefault(u, []).append(e)
+        inc.setdefault(v, []).append(e)
+    out: list[int] = []
+    used: set[int] = set()
+    cur = start
+    while len(out) < len(eids):
+        step = [e for e in inc[cur] if e not in used]
+        if len(step) != 1:
+            raise InvariantBroken("construction invariant broken")
+        e = step[0]
+        used.add(e)
+        out.append(e)
+        u, v = ends[e]
+        cur = v if u == cur else u
+    return out
 
 
 # ===== Formula oracle (one search per vertex pair) =====

@@ -439,6 +439,25 @@ def test_x_without_graph_is_usage_error(tmp_path, fig3_file, capsys):
     assert code == 2 and "--graph" in err
 
 
+@pytest.mark.parametrize("command", ["transduce", "roundtrip"])
+def test_x_must_name_a_vertex_of_the_graph(tmp_path, fig3_file, capsys, command):
+    """Both commands read ``--x`` the same way: without ``--graph`` it is a
+    usage error, and a vertex missing from ``--graph`` is an input error
+    with one ``error:`` line."""
+    gplus, apex = add_universal_vertex(fig3().base)
+    hpath = tmp_path / "g3.json"
+    hpath.write_text(json.dumps(graph_to_json(gplus)))
+    argv = (command, fig3_file, "--mode", "kplanar", "--k", "2")
+    code, _, err = run(capsys, *argv, "--x", str(apex))
+    assert code == 2 and "--graph" in err and "Traceback" not in err
+    code, out, err = run(capsys, *argv, "--graph", str(hpath), "--x", str(apex))
+    assert code == 0 and err == ""
+    assert apex == 5 and 99 not in gplus.vertices
+    code, out, err = run(capsys, *argv, "--graph", str(hpath), "--x", "99")
+    assert code == 3 and out == ""
+    assert err.splitlines() == [f"error: --x vertex 99 is not a vertex of {hpath}"]
+
+
 def test_clustered_without_cert_is_usage_error(fig1a_files, capsys):
     dpath, _ = fig1a_files
     code, _, err = run(capsys, "transduce", dpath, "--mode", "clustered", "--k", "2")

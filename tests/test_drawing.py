@@ -39,7 +39,6 @@ from fancross.drawing import (
     crossings_per_edge,
     is_k_planar,
     planarize,
-    subdivide,
     subdivide_with_map,
     validate,
 )
@@ -272,7 +271,7 @@ def face_corpus():
             out.append(random_kplanar(n, k, 10 * n + k))
     derived = []
     for i, d in enumerate(out):
-        derived.append(subdivide(d, random_plan(d, random.Random(i))))
+        derived.append(subdivide_with_map(d, random_plan(d, random.Random(i)))[0])
         derived.append(planarize(d)[0])
     return out + derived
 
@@ -303,7 +302,7 @@ def test_faces_match_oracle():
 @given(st.integers(4, 14), st.integers(1, 3), st.integers(0, 10**6))
 def test_faces_match_oracle_on_random_drawings(n, k, seed):
     d = random_kplanar(n, k, seed)
-    for each in (d, subdivide(d, random_plan(d, random.Random(seed))), planarize(d)[0]):
+    for each in (d, subdivide_with_map(d, random_plan(d, random.Random(seed)))[0], planarize(d)[0]):
         assert_faces_match_oracle(each)
 
 
@@ -389,7 +388,7 @@ def test_subdivide_lens_between_crossings():
 
 def test_subdivide_gap_zero_and_repeats():
     d = xfix()
-    d2 = subdivide(d, SubdivisionPlan({0: (0, 0, 1)}))
+    d2 = subdivide_with_map(d, SubdivisionPlan({0: (0, 0, 1)}))[0]
     assert validate(d2) == []
     # Three cuts: two chained before the crossing, one after.
     assert d2.base.m == 4 + 1  # edge (2,3) intact, edge (0,1) in four pieces
@@ -399,9 +398,9 @@ def test_subdivide_gap_zero_and_repeats():
 def test_subdivide_rejects_bad_positions():
     d = xfix()
     with pytest.raises(ValueError, match="cut on crossing"):
-        subdivide(d, SubdivisionPlan({0: (2,)}))
+        subdivide_with_map(d, SubdivisionPlan({0: (2,)}))[0]
     with pytest.raises(ValueError, match="unknown edge"):
-        subdivide(d, SubdivisionPlan({9: (0,)}))
+        subdivide_with_map(d, SubdivisionPlan({9: (0,)}))[0]
 
 
 def test_subdivide_preserves_crossing_graph():
@@ -576,6 +575,14 @@ def count_derivations(monkeypatch):
 
 def test_pipeline_derives_each_fact_once(monkeypatch):
     calls = count_derivations(monkeypatch)
+    built = []
+    post_init = Drawing.__post_init__
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Drawing, "__post_init__", counted_post_init)
     g = grid2d(2, 3)
     host = drawing_from_segments(g, {i * 3 + j: pt(j, i) for i in range(2) for j in range(3)})
     m = find_model_bruteforce(g, complete(4), 2, 2, cap=16)
@@ -585,21 +592,21 @@ def test_pipeline_derives_each_fact_once(monkeypatch):
     assert cert.plan.cuts
     assert validate(d) == []
     assert verify_certificate(d, cert, strong=True).verdict
+    built.clear()
     out = transduce_clustered(d, cert, {}, res.kPrime)
+    # The certificate's cuts and the stubs are made on one rotation system
+    # of d itself: no cut drawing, and no drawing at all.
+    assert built == []
     assert eval_formula(out) == d.base
-    d2 = subdivide_with_map(d, cert.plan)[0]
 
     def on(name, x):
         return [rest for y, *rest in calls[name] if y is x]
 
     assert on("_validate", host) == [[]]
     assert on("_validate", d) == [[]]
-    assert on("_cut", d) == [[cert.plan.cuts]]
     assert on("_crossing_graph", d) == [[cert.plan.cuts]]
-    # The stub cut of d2 stays a rotation system: no drawing, no faces.
-    assert on("_cut", d2) == [] and len(on("_split", d2)) == 1
-    assert on("_validate", d2) == []
-    assert "_plan_slot" not in d2.__dict__
+    assert calls["_cut"] == []
+    assert on("_split", d) == [[cert.plan.cuts]] and len(calls["_split"]) == 1
 
     k4 = fig3()
     transduce_kplanar(k4, {}, 2)
@@ -617,12 +624,37 @@ def test_strong_search_leaves_only_its_certificate_in_the_slot(monkeypatch):
     # only crossing graph with cuts is the certificate's, kept in the slot.
     assert calls["_cut"] == [] and calls["_split"] == []
     assert calls["_crossing_graph"] == [(d, cert.plan.cuts)]
-    assert d.__dict__["_plan_slot"][0] == cert.plan.cuts
-    assert d.__dict__["_plan_slot"][2] is None
-    assert subdivide_with_map(d, cert.plan) is d.__dict__["_plan_slot"][2]
+    slot = d.__dict__["_plan_slot"]
+    assert slot == (cert.plan.cuts, crossing_graph(d, cert.plan))
+    # Cutting builds a new drawing on every call and adds nothing to the slot.
+    d2 = subdivide_with_map(d, cert.plan)[0]
+    assert subdivide_with_map(d, cert.plan)[0] is not d2
+    assert calls["_cut"] == [(d, cert.plan.cuts)] * 2
+    assert d.__dict__["_plan_slot"] is slot and len(slot) == 2
     # Searching again finds the certificate's crossing graph kept.
     assert search_certificate(d, 2, 2, strong=True) == cert
     assert calls["_crossing_graph"] == [(d, cert.plan.cuts)]
+
+
+def test_with_outer_keeps_the_crossing_graph_slot(monkeypatch):
+    """A crossing graph does not depend on the outer faces, so a drawing
+    with other outer faces shares it; a plan with other cuts then replaces
+    the slot of that drawing alone."""
+    calls = count_derivations(monkeypatch)
+    d = fig3()
+    plan = SubdivisionPlan({1: (1,)})
+    cg = crossing_graph(d, plan)
+    slot = d.__dict__["_plan_slot"]
+    for outer in range(len(d.faces)):
+        moved = d.with_outer(outer)
+        assert moved.__dict__["_plan_slot"] is slot
+        assert crossing_graph(moved, plan) is cg
+    assert calls["_crossing_graph"] == [(d, plan.cuts)]
+    other = SubdivisionPlan({2: (1,)})
+    assert crossing_graph(moved, other) == _crossing_graph(d, other.cuts)
+    assert moved.__dict__["_plan_slot"][0] == other.cuts
+    assert d.__dict__["_plan_slot"] is slot
+    assert crossing_graph(d, plan) is cg
 
 
 # ===== Crossing graphs =====

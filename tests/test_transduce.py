@@ -21,12 +21,13 @@ from oracles import (
     oracle_nonplane_components,
     oracle_surgery_nonplane,
     oracle_surgery_ok,
+    oracle_transduce_clustered,
 )
 
-from fancross import transduce
+from fancross import cluster, transduce
 from fancross.cluster import Certificate, search_certificate
 from fancross.drawing import Drawing, SubdivisionPlan, _RotSys, validate
-from fancross.errors import Infeasible, InvariantBroken
+from fancross.errors import CapExceeded, Infeasible, InvariantBroken
 from fancross.fixtures import fig1a, fig1a_certificate, fig1b, fig3, random_kplanar
 from fancross.geometry import drawing_from_polylines, drawing_from_segments, pt
 from fancross.graphs import (
@@ -36,11 +37,13 @@ from fancross.graphs import (
     Graph,
     bfs_dists,
     complete,
+    cycle,
     grid2d,
+    path,
 )
 from fancross.jsonio import transduction_from_json, transduction_to_json
 from fancross.minors import find_model_bruteforce
-from fancross.synth import synthesize
+from fancross.synth import SynthResult, synthesize
 from fancross.transduce import (
     TransductionFormula,
     TransductionOutput,
@@ -835,16 +838,118 @@ def oracle_corpus() -> tuple[TransductionOutput, ...]:
             d = random_kplanar(n, k, seed)
             outs.append(transduce_kplanar(d, random_x(random.Random(seed), d, k), k))
     outs.append(transduce_clustered(fig1a(), fig1a_certificate(), {}, 2))
-    for pattern, rows, cols, k in [
-        (complete(4), 2, 2, 2),
-        (complete(5), 2, 2, 2),
-        (complete(6), 2, 2, 2),
-        (grid2d(3, 3), 3, 3, 1),
-    ]:
-        m = find_model_bruteforce(grid2d(rows, cols), pattern, k, k, cap=16)
-        res = synthesize(synth_grid_drawing(rows, cols), m)
+    for res in grid_syntheses()[:4]:
         outs.append(transduce_clustered(res.drawing, res.cert, {}, res.kPrime))
     return tuple(outs)
+
+
+# (pattern, rows, cols, k): the first (k, k) model of the pattern in the
+# rows x cols grid, synthesized on the grid's straight-line drawing.
+GRID_MODELS = [
+    (complete(4), 2, 2, 2),
+    (complete(5), 2, 2, 2),
+    (complete(6), 2, 2, 2),
+    (grid2d(3, 3), 3, 3, 1),
+    (path(3), 1, 3, 2),
+    (cycle(4), 2, 2, 2),
+    (complete(4), 3, 3, 2),
+    (complete(4), 2, 3, 2),
+    (complete(5), 2, 3, 2),
+]
+
+
+@lru_cache(maxsize=1)
+def grid_syntheses() -> tuple[SynthResult, ...]:
+    out = []
+    for pattern, rows, cols, k in GRID_MODELS:
+        m = find_model_bruteforce(grid2d(rows, cols), pattern, k, k, cap=16)
+        out.append(synthesize(synth_grid_drawing(rows, cols), m))
+    return tuple(out)
+
+
+# ===== The clustered transducer against its two-cut oracle =====
+
+
+def searched_certificates(d: Drawing):
+    """``(certificate, strong)`` for every weak and strong certificate that
+    the search finds on ``d`` at k = ell in 1..3."""
+    for k in (1, 2, 3):
+        for strong in (False, True):
+            try:
+                cert = search_certificate(d, k, k, strong=strong)
+            except CapExceeded:
+                continue
+            if cert is not None:
+                yield cert, strong
+
+
+def with_one_more_cut(d: Drawing, cert: Certificate, strong: bool, rng: random.Random, tries: int):
+    """Up to ``tries`` certificates on ``cert``'s plan plus one more cut at
+    gap 0 or at gap c of an edge with c crossings, each where
+    ``cluster._certificate`` still certifies the plan."""
+    spots = [
+        (eid, g)
+        for eid in range(d.base.m)
+        if len(cert.plan.cuts.get(eid, ())) < cert.k - 1
+        for g in sorted({0, len(d.edge_crossings[eid])} - set(cert.plan.cuts.get(eid, ())))
+    ]
+    for eid, g in rng.sample(spots, min(tries, len(spots))):
+        cuts = dict(cert.plan.cuts)
+        cuts[eid] = cuts.get(eid, ()) + (g,)
+        more = cluster._certificate(d, cert.k, cert.ell, strong, SubdivisionPlan(cuts))
+        if more is not None:
+            yield more
+
+
+def clustered_bytes(build, d: Drawing, cert: Certificate, x_edges, k: int) -> str:
+    out = build(d, cert, x_edges, k)
+    return json.dumps(transduction_to_json(out), sort_keys=True, separators=(",", ":"))
+
+
+def assert_matches_two_cut_oracle(d: Drawing, cert: Certificate, rng: random.Random, case=None) -> None:
+    """The compact, key-sorted JSON of both transducers, with a random X."""
+    k = max(cert.k, cert.ell)
+    x_edges = random_x(rng, d, k)
+    got = clustered_bytes(transduce_clustered, d, cert, x_edges, k)
+    assert got == clustered_bytes(oracle_transduce_clustered, d, cert, x_edges, k), case
+
+
+def test_clustered_transduction_matches_two_cut_oracle():
+    """Searched certificates on seeded k-planar drawings, fig3, fig1b(3..8)
+    and fig1a; each with up to three more cuts at an edge's first or last
+    gap; fig1a's own certificate; and synthesized drawings on grid hosts."""
+    rng = random.Random("two-cut")
+    drawings = [random_kplanar(n, k, seed) for n in range(6, 13) for k in range(1, 4) for seed in range(6)]
+    drawings += [fig3(), *(fig1b(m) for m in range(3, 9)), fig1a()]
+    cases = []
+    searched_with_cuts = 0
+    for d in drawings:
+        for cert, strong in searched_certificates(d):
+            cases.append((d, cert))
+            searched_with_cuts += bool(cert.plan.cuts)
+            cases += [(d, more) for more in with_one_more_cut(d, cert, strong, rng, 3)]
+    cases.append((fig1a(), fig1a_certificate()))
+    cases += [(res.drawing, res.cert) for res in grid_syntheses()]
+    for i, (d, cert) in enumerate(cases):
+        assert_matches_two_cut_oracle(d, cert, rng, i)
+    with_cuts = sum(bool(cert.plan.cuts) for _, cert in cases)
+    counts = (len(cases), with_cuts, searched_with_cuts)
+    assert counts[0] >= 2000 and counts[1] >= 1600 and counts[2] >= 120, counts
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(6, 12),
+    st.integers(1, 3),
+    st.integers(0, 10**6),
+    st.randoms(use_true_random=False),
+)
+def test_clustered_transduction_matches_two_cut_oracle_on_random_drawings(n, k, seed, rng):
+    d = random_kplanar(n, k, seed)
+    for cert, strong in searched_certificates(d):
+        assert_matches_two_cut_oracle(d, cert, rng)
+        for more in with_one_more_cut(d, cert, strong, rng, 2):
+            assert_matches_two_cut_oracle(d, more, rng)
 
 
 def test_assembled_graph_is_normalized():

@@ -31,7 +31,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .drawing import CrossingGraph, Drawing, SubdivisionPlan, _fan_core, crossing_graph
 from .errors import CapExceeded, InvariantBroken
@@ -264,23 +264,26 @@ def search_certificate(
     :func:`_cut_options` (edge 0 slowest), or None.  Each component of the
     uncut crossing graph constrains only its own edges, so the first plan
     overall is the union of every component's first plan; each is found by
-    :class:`_GroupSearch`.  The certificate is then built on that plan by
-    :func:`_certificate`, which checks every component again (in strong
-    mode, the cover the search found for it) and raises ``InvariantBroken``
-    if one fails.  Drawings with more than ``cap`` crossings are refused
-    with ``CapExceeded``.
+    :class:`_GroupSearch`.  In the uncut graph node ``i`` is edge ``i``, so
+    its components are the searched edge groups, each sorted.  The
+    certificate is then built on that plan by :func:`_certificate`, which
+    checks every component again (in strong mode, the cover the search found
+    for it) and raises ``InvariantBroken`` if one fails.  Drawings with
+    more than ``cap`` crossings are refused with ``CapExceeded``, and a
+    crossing not passed by exactly two edges with ``ValueError``.
     """
     if k < 1 or ell < 1:
         raise ValueError("bad search parameters: k and ell must be positive")
     total = sum(1 for p in d.plan.vertices if d.kind_of(p) == "crossing")
     if total > cap:
         raise CapExceeded("search cap exceeded")
+    groups = crossing_graph(d).components()
     pairs = d.crossing_edges.values()
     if ell == 1 and any(not (set(d.base.edges[e1]) & set(d.base.edges[e2])) for e1, e2 in pairs):
         return None
     search = _GroupSearch(d, _cut_options(d, k), ell, strong)
     cuts: dict[int, tuple[int, ...]] = {}
-    for group in _edge_groups(pairs):
+    for group in groups:
         found = search.first_plan(group)
         if found is None:
             return None
@@ -290,29 +293,6 @@ def search_certificate(
     if cert is None:
         raise InvariantBroken("certificate search invariant broken")
     return cert
-
-
-def _edge_groups(pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
-    """The edge sets of the uncut crossing graph's components, each sorted."""
-    adj: dict[int, set[int]] = {}
-    for e1, e2 in pairs:
-        adj.setdefault(e1, set()).add(e2)
-        adj.setdefault(e2, set()).add(e1)
-    groups: list[list[int]] = []
-    seen: set[int] = set()
-    for e in sorted(adj):
-        if e in seen:
-            continue
-        seen.add(e)
-        stack, group = [e], []
-        while stack:
-            f = stack.pop()
-            group.append(f)
-            for g in adj[f] - seen:
-                seen.add(g)
-                stack.append(g)
-        groups.append(sorted(group))
-    return groups
 
 
 def _certificate(

@@ -46,7 +46,7 @@ class Drawing:
     The three maps are read-only views of private copies, so a drawing never
     changes and every fact derived from it is computed once: the lookups
     below, the :func:`validate` verdict, and the crossing graph of the last
-    plan with cuts (see :func:`crossing_graph`).
+    plan asked for, with or without cuts (see :func:`crossing_graph`).
     """
 
     base: Graph
@@ -175,7 +175,9 @@ class Drawing:
         out: dict[int, tuple[int, ...]] = {}
         for eid, (u, v) in enumerate(self.base.edges):
             p = _vertex_path(self.plan, self.trace[eid])
-            ru, rv = self.real_pvid[u], self.real_pvid[v]
+            ru, rv = self.real_pvid.get(u), self.real_pvid.get(v)
+            if ru is None or rv is None:
+                raise ValueError(f"edge {eid} has an end with no real plan vertex")
             if p[0] == ru and p[-1] == rv:
                 pass
             elif p[0] == rv and p[-1] == ru:
@@ -195,11 +197,17 @@ class Drawing:
 
     @cached_property
     def crossing_edges(self) -> dict[int, tuple[int, int]]:
-        """Crossing plan vertex -> the two base edge ids crossing there, sorted."""
+        """Crossing plan vertex -> the two base edge ids crossing there, sorted.
+
+        Raises ValueError if some crossing is passed by one edge or by more
+        than two."""
         at: dict[int, list[int]] = {}
         for eid, xs in self.edge_crossings.items():
             for x in xs:
                 at.setdefault(x, []).append(eid)
+        for x, es in at.items():
+            if len(es) != 2:
+                raise ValueError(f"crossing {x} is not shared by exactly two arcs")
         return {x: (es[0], es[1]) for x, es in sorted(at.items())}
 
     @cached_property
@@ -601,14 +609,15 @@ def crossing_graph(d: Drawing, plan: Optional[SubdivisionPlan] = None) -> Crossi
 
     Nodes are whole edges (no plan) or the arcs delimited by the plan's cut
     positions; piece indices follow cut order.  Crossing-free arcs appear as
-    isolated nodes.  The graph of a plan with cuts is kept in ``d``'s plan
-    slot, ``(cuts, graph)``, and shared by later calls on the same cuts; a
-    plan with other cuts replaces it.  The graph does not depend on the
-    outer faces, so :meth:`Drawing.with_outer` keeps the slot.
+    isolated nodes.  Two arcs are adjacent iff they share a crossing of
+    :attr:`Drawing.crossing_edges`, which raises ValueError at a crossing
+    not passed by exactly two edges.  The graph of the last plan asked
+    for, with or without cuts, is kept in ``d``'s plan slot, ``(cuts,
+    graph)``, and shared by later calls on the same cuts; a plan with other
+    cuts replaces it.  The graph does not depend on the outer faces, so
+    :meth:`Drawing.with_outer` keeps the slot.
     """
     cuts = _checked_cuts(d, plan)
-    if not cuts:
-        return _crossing_graph(d, cuts)
     slot = d.__dict__.get("_plan_slot")
     if slot is None or slot[0] != cuts:
         slot = d.__dict__["_plan_slot"] = (cuts, _crossing_graph(d, cuts))
@@ -619,26 +628,16 @@ def _crossing_graph(d: Drawing, cuts: Mapping[int, tuple[int, ...]]) -> Crossing
     """:func:`crossing_graph` on checked cuts, outside the plan slot."""
     nodes: list[ArcRef] = []
     crossings: list[tuple[int, ...]] = []
-    owner: dict[tuple[int, int], int] = {}  # (edge, 1-based crossing idx) -> node
+    node_at: dict[tuple[int, int], int] = {}  # (edge, crossing) -> node
     for eid in range(d.base.m):
         xs = d.edge_crossings[eid]
         bounds = [0, *cuts.get(eid, ()), len(xs)]
         for lo, hi in zip(bounds, bounds[1:]):
-            node = len(nodes)
+            node_at.update(((eid, x), len(nodes)) for x in xs[lo:hi])
             nodes.append(ArcRef(eid, lo, hi))
             crossings.append(xs[lo:hi])
-            for j in range(lo + 1, hi + 1):
-                owner[(eid, j)] = node
-    by_point: dict[int, list[int]] = {}
-    for (eid, j), node in owner.items():
-        x = d.edge_crossings[eid][j - 1]
-        by_point.setdefault(x, []).append(node)
-    edges: set[tuple[int, int]] = set()
-    for x, ns in by_point.items():
-        if len(ns) != 2:
-            raise ValueError(f"crossing {x} is not shared by exactly two arcs")
-        a, b = sorted(ns)
-        edges.add((a, b))
+    # Nodes are numbered by edge, so each pair is sorted like its edges.
+    edges = {(node_at[e1, x], node_at[e2, x]) for x, (e1, e2) in d.crossing_edges.items()}
     return CrossingGraph(tuple(nodes), tuple(sorted(edges)), tuple(crossings))
 
 
@@ -884,6 +883,8 @@ def _passage_side(d: Drawing, eid: int, x: int, fid: int, forward: bool) -> str:
     f_in, f_out = _around(d, fid, x)
     o_in = f_in if forward else f_out
     rot = d.rotation[x]
+    if len(rot) != 4:
+        raise ValueError(f"crossing {x} does not have four plan edges")
     pos = rot.index(a_in)
     for step in range(1, 4):
         e = rot[(pos + step) % 4]

@@ -13,6 +13,8 @@ transducer's surgery check from rebuilding the surgered drawing, running
 and the decoded graph of a transduction from one path
 search per vertex pair, or from the rendered text of its formula, and
 the strong fan property from a face union-find over the whole plan,
+crossing graphs from a map of every (edge, crossing index) to its arc, the
+search's edge groups from a component search over the crossing pairs,
 strong certificates from the earlier path checks on the cut drawing,
 cut drawings from rewriting every rotation entry by position through dart
 and edge-id maps, the clustered transducer from two cuts (a whole cut
@@ -40,6 +42,7 @@ from fancross.cluster import (
     verify_certificate,
 )
 from fancross.drawing import (
+    ArcRef,
     CrossingGraph,
     Dart,
     Drawing,
@@ -271,6 +274,70 @@ def oracle_search_certificate(d, k: int, ell: int, strong: bool = False, cap: in
         if ok:
             return Certificate(k, ell, plan, covers, assignment)
     return None
+
+
+# ===== Crossing-graph oracles (arc owners by crossing index) =====
+#
+# The crossing graph and the search's edge groups as they were built before
+# the crossing graph became the one reader of a drawing's crossings: arcs
+# are paired through a map from every (edge, crossing index) to its arc,
+# and the groups come from a component search of their own over the edge
+# pairs at each crossing.
+
+
+def oracle_crossing_graph(d: Drawing, cuts: Mapping[int, tuple[int, ...]]) -> CrossingGraph:
+    """The crossing graph of ``d`` under checked ``cuts``."""
+    nodes: list[ArcRef] = []
+    crossings: list[tuple[int, ...]] = []
+    owner: dict[tuple[int, int], int] = {}  # (edge, 1-based crossing idx) -> node
+    for eid in range(d.base.m):
+        xs = d.edge_crossings[eid]
+        bounds = [0, *cuts.get(eid, ()), len(xs)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            node = len(nodes)
+            nodes.append(ArcRef(eid, lo, hi))
+            crossings.append(xs[lo:hi])
+            for j in range(lo + 1, hi + 1):
+                owner[(eid, j)] = node
+    by_point: dict[int, list[int]] = {}
+    for (eid, j), node in owner.items():
+        x = d.edge_crossings[eid][j - 1]
+        by_point.setdefault(x, []).append(node)
+    edges: set[tuple[int, int]] = set()
+    for x, ns in by_point.items():
+        if len(ns) != 2:
+            raise ValueError(f"crossing {x} is not shared by exactly two arcs")
+        a, b = sorted(ns)
+        edges.add((a, b))
+    return CrossingGraph(tuple(nodes), tuple(sorted(edges)), tuple(crossings))
+
+
+def oracle_edge_groups(d: Drawing) -> list[list[int]]:
+    """The edge sets of the uncut crossing graph's components, each sorted,
+    in the order of their least edges."""
+    at: dict[int, list[int]] = {}
+    for eid, xs in d.edge_crossings.items():
+        for x in xs:
+            at.setdefault(x, []).append(eid)
+    adj: dict[int, set[int]] = {}
+    for e1, e2 in at.values():
+        adj.setdefault(e1, set()).add(e2)
+        adj.setdefault(e2, set()).add(e1)
+    groups: list[list[int]] = []
+    seen: set[int] = set()
+    for e in sorted(adj):
+        if e in seen:
+            continue
+        seen.add(e)
+        stack, group = [e], []
+        while stack:
+            f = stack.pop()
+            group.append(f)
+            for g in adj[f] - seen:
+                seen.add(g)
+                stack.append(g)
+        groups.append(sorted(group))
+    return groups
 
 
 # ===== Strong certificates on the cut drawing (the path checks) =====

@@ -15,6 +15,8 @@ from oracles import _passage_side as oracle_passage_side
 from oracles import _strong_failures as oracle_strong_failures
 from oracles import (
     oracle_component_index,
+    oracle_crossing_graph,
+    oracle_edge_groups,
     oracle_faces,
     oracle_fan_core,
     oracle_subdivide_with_map,
@@ -42,6 +44,7 @@ from fancross.drawing import (
     subdivide_with_map,
     validate,
 )
+from fancross.errors import CapExceeded
 from fancross.fixtures import fig1a, fig1b, fig3, random_kplanar
 from fancross.geometry import drawing_from_polylines, drawing_from_segments, pt
 from fancross.graphs import Fan, Graph, complete, grid2d
@@ -49,6 +52,7 @@ from fancross.jsonio import drawing_from_json, drawing_to_json
 from fancross.minors import find_model_bruteforce
 from fancross.synth import synthesize
 from fancross.transduce import eval_formula, transduce_clustered, transduce_kplanar
+from test_transduce import grid_syntheses
 
 
 def xfix():
@@ -620,10 +624,11 @@ def test_strong_search_leaves_only_its_certificate_in_the_slot(monkeypatch):
     d = fig3()
     cert = search_certificate(d, 2, 2, strong=True)
     assert cert.plan.cuts
-    # Strong candidates are checked on d itself: nothing is cut, and the
-    # only crossing graph with cuts is the certificate's, kept in the slot.
+    # The search takes its edge groups from the uncut crossing graph and
+    # checks strong candidates on d itself, so nothing is cut; the
+    # certificate's crossing graph then replaces the uncut one in the slot.
     assert calls["_cut"] == [] and calls["_split"] == []
-    assert calls["_crossing_graph"] == [(d, cert.plan.cuts)]
+    assert calls["_crossing_graph"] == [(d, {}), (d, cert.plan.cuts)]
     slot = d.__dict__["_plan_slot"]
     assert slot == (cert.plan.cuts, crossing_graph(d, cert.plan))
     # Cutting builds a new drawing on every call and adds nothing to the slot.
@@ -631,9 +636,24 @@ def test_strong_search_leaves_only_its_certificate_in_the_slot(monkeypatch):
     assert subdivide_with_map(d, cert.plan)[0] is not d2
     assert calls["_cut"] == [(d, cert.plan.cuts)] * 2
     assert d.__dict__["_plan_slot"] is slot and len(slot) == 2
-    # Searching again finds the certificate's crossing graph kept.
+    # Searching again builds both graphs again: the slot holds one plan.
     assert search_certificate(d, 2, 2, strong=True) == cert
-    assert calls["_crossing_graph"] == [(d, cert.plan.cuts)]
+    assert calls["_crossing_graph"] == [(d, {}), (d, cert.plan.cuts)] * 2
+    assert d.__dict__["_plan_slot"][0] == cert.plan.cuts
+
+
+def test_a_certificate_without_cuts_reads_the_search_graph(monkeypatch):
+    """The slot keeps uncut plans too: the uncut graph the search reads is
+    the one that verification and the transducer read afterwards."""
+    calls = count_derivations(monkeypatch)
+    d = random_kplanar(10, 2, 3)
+    cert = search_certificate(d, 2, 2)
+    assert cert.plan.cuts == {}
+    assert calls["_crossing_graph"] == [(d, {})]
+    for _ in range(3):
+        assert verify_certificate(d, cert).verdict
+        assert eval_formula(transduce_clustered(d, cert, {}, 2)) == d.base
+    assert calls["_crossing_graph"] == [(d, {})]
 
 
 def test_with_outer_keeps_the_crossing_graph_slot(monkeypatch):
@@ -655,6 +675,15 @@ def test_with_outer_keeps_the_crossing_graph_slot(monkeypatch):
     assert moved.__dict__["_plan_slot"][0] == other.cuts
     assert d.__dict__["_plan_slot"] is slot
     assert crossing_graph(d, plan) is cg
+    # A slot that holds the uncut graph is shared the same way.
+    del calls["_crossing_graph"][:]
+    uncut = crossing_graph(d)
+    slot = d.__dict__["_plan_slot"]
+    assert slot == ({}, _crossing_graph(d, {}))
+    for outer in range(len(d.faces)):
+        assert d.with_outer(outer).__dict__["_plan_slot"] is slot
+        assert crossing_graph(d.with_outer(outer)) is uncut
+    assert calls["_crossing_graph"] == [(d, {})]
 
 
 # ===== Crossing graphs =====
@@ -685,6 +714,57 @@ def test_crossing_graph_isolated_arcs():
     assert cg.edges == ()
     assert cg.components() == []
     assert cg.components(nontrivial=False) == [[0], [1]]
+
+
+def crossing_graph_corpus():
+    """Seeded k-planar drawings, the paper's figures and the shared grid
+    syntheses."""
+    out = [random_kplanar(n, k, seed) for n in range(6, 13) for k in (1, 2, 3) for seed in range(6)]
+    out += [fig1a(), *(fig1b(m) for m in range(3, 9)), fig3()]
+    return out + [res.drawing for res in grid_syntheses()]
+
+
+def assert_crossing_graph_matches_oracles(d, rng):
+    """The uncut graph and three random cut plans against the arc-owner
+    oracle, and the uncut graph's components against the edge groups."""
+    assert crossing_graph(d).components() == oracle_edge_groups(d)
+    for plan in (SubdivisionPlan(), *(cut_plan(d, rng) for _ in range(3))):
+        cg = crossing_graph(d, plan)
+        want = oracle_crossing_graph(d, plan.cuts)
+        assert (cg.nodes, cg.edges, cg.crossings) == (want.nodes, want.edges, want.crossings)
+        assert cg.components() == want.components()
+        assert cg.components(nontrivial=False) == want.components(nontrivial=False)
+
+
+def test_crossing_graph_matches_oracles_on_seeded_corpus(monkeypatch):
+    searched = []
+    first_plan = cluster._GroupSearch.first_plan
+
+    def recorded(self, edges):
+        searched.append(list(edges))
+        return first_plan(self, edges)
+
+    monkeypatch.setattr(cluster._GroupSearch, "first_plan", recorded)
+    found = 0
+    for i, d in enumerate(crossing_graph_corpus()):
+        assert_crossing_graph_matches_oracles(d, random.Random(i))
+        # The search walks exactly these groups, in this order, until one
+        # has no plan.
+        del searched[:]
+        try:
+            cert = search_certificate(d, 2, 2)
+        except CapExceeded:
+            continue
+        groups = oracle_edge_groups(d)
+        assert searched == (groups if cert else groups[: len(searched)])
+        found += cert is not None and len(groups) > 1
+    assert found >= 60
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(6, 12), st.integers(1, 3), st.integers(0, 10**6))
+def test_crossing_graph_matches_oracles_on_random_drawings(n, k, seed):
+    assert_crossing_graph_matches_oracles(random_kplanar(n, k, seed), random.Random(seed))
 
 
 # ===== Planarize =====

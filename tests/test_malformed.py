@@ -1,0 +1,197 @@
+"""Malformed drawings: every public entry point that reads a drawing either
+answers or raises ``ValueError`` (the typed errors subclass it)."""
+
+from __future__ import annotations
+
+import inspect
+import random
+from collections import Counter
+from typing import NamedTuple, get_type_hints
+
+import pytest
+
+import fancross
+from fancross import (
+    CapExceeded,
+    Certificate,
+    Drawing,
+    SubdivisionPlan,
+    crossing_graph,
+    is_k_planar,
+    min_ell,
+    planarize,
+    search_certificate,
+    subdivide_with_map,
+    transduce_clustered,
+    transduce_kplanar,
+    validate,
+    verify_certificate,
+)
+from fancross.fixtures import fig1a, fig1b, fig3, random_kplanar
+from test_drawing import lens
+
+
+class Case(NamedTuple):
+    """What the calls take besides the mutated drawing: a plan with one cut
+    and a certificate, both made on the drawing before it was mutated."""
+
+    plan: SubdivisionPlan
+    cert: Certificate
+
+
+# Every public function that takes a drawing, with the calls made on each
+# mutated drawing.
+READERS = {
+    "validate": [lambda d, case: validate(d)],
+    "is_k_planar": [lambda d, case: is_k_planar(d, 2)],
+    "crossing_graph": [
+        lambda d, case: crossing_graph(d),
+        lambda d, case: crossing_graph(d, case.plan),
+    ],
+    "planarize": [lambda d, case: planarize(d)],
+    "subdivide_with_map": [lambda d, case: subdivide_with_map(d, case.plan)],
+    "search_certificate": [
+        lambda d, case: search_certificate(d, 2, 2),
+        lambda d, case: search_certificate(d, 2, 2, strong=True),
+    ],
+    "min_ell": [lambda d, case: min_ell(d, 2)],
+    "verify_certificate": [lambda d, case: verify_certificate(d, case.cert, strong=True)],
+    "transduce_kplanar": [lambda d, case: transduce_kplanar(d, {}, 2)],
+    "transduce_clustered": [lambda d, case: transduce_clustered(d, case.cert, {}, 2)],
+}
+
+# Public functions that take a drawing but are not fuzzed here.
+EXEMPT = {
+    "synthesize": "it refuses a host that validate refuses before reading it",
+    "pipeline_theorem2": "it hands its drawing to synthesize after checking the model",
+    "roundtrip": "it hands its drawing to the two transducers, which are fuzzed",
+}
+
+
+def source(rng: random.Random) -> Drawing:
+    """A seeded k-planar drawing or one of the paper's figures."""
+    pick = rng.randrange(4)
+    if pick == 0:
+        return random_kplanar(rng.randint(5, 9), rng.randint(1, 3), rng.randrange(10**4))
+    return (fig1a, lambda: fig1b(4), fig3)[pick - 1]()
+
+
+def mutated(d: Drawing, rng: random.Random) -> Drawing:
+    """``d`` after one or two random mutations: a kind relabelled, a
+    rotation shuffled or truncated, a trace entry dropped, inserted or
+    swapped, or two traces swapped."""
+    kind, rotation, trace = dict(d.kind), dict(d.rotation), dict(d.trace)
+    for _ in range(rng.randint(1, 2)):
+        how = rng.choice(["kind", "shuffle", "truncate", "drop", "append", "swap"])
+        if how == "kind":
+            p = rng.choice(sorted(kind))
+            new = max(d.base.vertices) + 1
+            kind[p] = rng.choice(
+                ["crossing", "subdivision", f"real:{rng.choice(d.base.vertices)}", f"real:{new}"]
+            )
+        elif how in ("shuffle", "truncate"):
+            p = rng.choice([v for v in sorted(rotation) if rotation[v]])
+            r = list(rotation[p])
+            if how == "shuffle":
+                rng.shuffle(r)
+            else:
+                del r[rng.randrange(len(r)) :]
+            rotation[p] = tuple(r)
+        else:
+            eid = rng.randrange(d.base.m)
+            t = list(trace[eid])
+            if how == "drop" and t:
+                del t[rng.randrange(len(t))]
+            elif how == "append":
+                t.insert(rng.randint(0, len(t)), rng.randrange(d.plan.m))
+            elif how == "swap" and len(t) > 1:
+                i, j = rng.sample(range(len(t)), 2)
+                t[i], t[j] = t[j], t[i]
+            else:
+                other = rng.randrange(d.base.m)
+                t, trace[other] = list(trace[other]), tuple(t)
+            trace[eid] = tuple(t)
+    return Drawing(d.base, d.plan, rotation, kind, trace, d.outer, d.outers)
+
+
+def test_mutated_drawings_raise_only_value_errors():
+    refused: Counter = Counter()
+    broken = 0
+    for seed in range(2000):
+        rng = random.Random(seed)
+        d = source(rng)
+        try:
+            cert = search_certificate(d, 2, 2) or Certificate(2, 2)
+        except CapExceeded:
+            cert = Certificate(2, 2)
+        eid = rng.randrange(d.base.m)
+        case = Case(SubdivisionPlan({eid: (rng.randint(0, len(d.edge_crossings[eid])),)}), cert)
+        md = mutated(d, rng)
+        broken += validate(md) != []
+        for name, calls in READERS.items():
+            for call in calls:
+                try:
+                    call(md, case)
+                except ValueError:
+                    refused[name] += 1
+                except Exception as exc:
+                    pytest.fail(f"seed {seed}: {name} raised {exc!r}")
+    # Most mutations break the drawing, and every reader that needs a valid
+    # one refuses some of them; validate and planarize never raise.
+    assert broken >= 1800
+    assert min(refused[name] for name in READERS if name not in ("validate", "planarize")) >= 1300
+
+
+def test_every_public_drawing_reader_is_fuzzed():
+    readers = set()
+    for name in fancross.__all__:
+        fn = getattr(fancross, name)
+        if inspect.isfunction(fn):
+            hints = get_type_hints(fn)
+            if any(hints.get(p) is Drawing for p in inspect.signature(fn).parameters):
+                readers.add(name)
+    assert set(EXEMPT) <= readers
+    assert readers - set(EXEMPT) == set(READERS)
+
+
+def test_an_end_without_a_real_copy_names_its_edge():
+    d = fig3()
+    kind = dict(d.kind)
+    kind[4] = "subdivision"
+    md = Drawing(d.base, d.plan, d.rotation, kind, d.trace, d.outer)
+    cert = search_certificate(d, 2, 2)
+    calls = [
+        lambda: is_k_planar(md, 2),
+        lambda: crossing_graph(md),
+        lambda: search_certificate(md, 2, 2),
+        lambda: min_ell(md, 2),
+        lambda: verify_certificate(md, cert),
+        lambda: subdivide_with_map(md, cert.plan),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^edge 3 has an end with no real plan vertex$"):
+            call()
+
+
+def test_a_crossing_passed_by_one_edge_is_refused_by_every_reader():
+    d = lens()
+    kind = dict(d.kind)
+    kind[6] = "crossing"  # the bend on edge 1
+    md = Drawing(d.base, d.plan, d.rotation, kind, d.trace, d.outer)
+    calls = [
+        lambda: crossing_graph(md),
+        lambda: search_certificate(md, 2, 2),
+        lambda: min_ell(md, 2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^crossing 6 is not shared by exactly two arcs$"):
+            call()
+
+
+def test_a_crossing_without_four_plan_edges_is_refused():
+    d = random_kplanar(8, 2, 1429)
+    rotation = dict(d.rotation)
+    rotation[10] = (5, 20, 22)
+    md = Drawing(d.base, d.plan, rotation, d.kind, d.trace, d.outer, d.outers)
+    with pytest.raises(ValueError, match=r"^crossing 10 does not have four plan edges$"):
+        search_certificate(md, 2, 2, strong=True)

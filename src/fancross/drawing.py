@@ -75,8 +75,12 @@ class Drawing:
         return out
 
     def kind_of(self, pvid: int) -> str:
-        """``"real"``, ``"crossing"`` or ``"subdivision"``."""
-        return self.kind[pvid].split(":", 1)[0]
+        """``"real"``, ``"crossing"`` or ``"subdivision"``; raises
+        ValueError if ``kind`` does not name the plan vertex."""
+        try:
+            return self.kind[pvid].split(":", 1)[0]
+        except KeyError:
+            raise ValueError(f"plan vertex {pvid} has no kind") from None
 
     def with_outer(self, outer: int, outers: Sequence[int] = ()) -> "Drawing":
         """This drawing with other outer faces (see :attr:`outers`).
@@ -103,7 +107,7 @@ class Drawing:
     def _embedding(self) -> _Embedding:
         """The plan's faces, components and genera; darts ``2e`` and
         ``2e + 1`` run along plan edge ``e`` (see :func:`_embed`)."""
-        emb = _embed(dict(enumerate(self.plan.edges)), self.rotation)
+        emb = _embed(self.plan.edges, self.rotation)
         if emb is None:
             raise ValueError("rotations do not list every plan edge once at both ends")
         return emb
@@ -174,6 +178,8 @@ class Drawing:
         """Base edge id -> plan vertex path, oriented from the smaller endpoint."""
         out: dict[int, tuple[int, ...]] = {}
         for eid, (u, v) in enumerate(self.base.edges):
+            if eid not in self.trace:
+                raise ValueError(f"edge {eid} has no trace")
             p = _vertex_path(self.plan, self.trace[eid])
             ru, rv = self.real_pvid.get(u), self.real_pvid.get(v)
             if ru is None or rv is None:
@@ -248,19 +254,22 @@ class _Embedding(NamedTuple):
 
 
 def _embed(
-    ends: Mapping[int, tuple[int, int]], rot: Mapping[int, Sequence[int]]
+    ends: Sequence[tuple[int, int]], rot: Mapping[int, Sequence[int]]
 ) -> Optional[_Embedding]:
     """The faces, components and genera of a rotation system, or None
     unless each rotation lists every edge exactly once at each of its two
     distinct ends.
 
-    Edges are numbered densely in the order of ``ends``: dart ``2i`` runs
-    along the ``i``-th edge from its first end to its second, and dart
-    ``2i + 1`` runs back.  The successor of a dart entering ``v`` leaves
-    ``v`` along the edge before it in ``v``'s counterclockwise rotation, so
-    each face lies on the left of its darts.  A dart written twice is an
-    edge listed twice at one vertex; with none written twice, the rotations
-    list every edge at both ends exactly when all darts are written.
+    Edges are numbered densely: ``ends[i]`` holds the two ends of edge
+    ``i``, and the rotations list these ids.  Dart ``2i`` runs along edge
+    ``i`` from its first end to its second, and dart ``2i + 1`` runs back.
+    The successor of a dart entering ``v`` leaves ``v`` along the edge
+    before it in ``v``'s counterclockwise rotation, so each face lies on the
+    left of its darts.  A dart written twice is an edge listed twice at one
+    vertex; with none written twice, the rotations list every edge at both
+    ends exactly when all darts are written.  An id that is negative, out of
+    range or not an int names no edge and is refused; a negative one is
+    caught before it can wrap round the edge lists.
 
     The components with edges are the orbits of the face successor together
     with the twin map ``d -> d ^ 1``, so one search from each vertex's first
@@ -272,55 +281,53 @@ def _embed(
     Surfaces*, ch. 3); an isolated vertex is a plane component with one
     face.
     """
-    index: dict[int, int] = {}
-    tails: list[int] = []
-    heads: list[int] = []
-    for e, (a, b) in ends.items():
-        if a == b or a not in rot or b not in rot:
-            return None
-        index[e] = len(tails)
-        tails.append(a)
-        heads.append(b)
+    tails = [a for a, _ in ends]
+    heads = [b for _, b in ends]
     nxt = [-1] * (2 * len(tails))
-    for v, r in rot.items():
-        if not r:
-            continue
-        i = index.get(r[-1])
-        if i is None:
-            return None
-        last = 2 * i + (tails[i] != v)  # the loop checks that v is an end
-        for e in r:
-            i = index.get(e)
-            if i is None:
-                return None
-            if tails[i] == v:
-                o = 2 * i
-            elif heads[i] == v:
-                o = 2 * i + 1
-            else:
-                return None
-            if nxt[o ^ 1] >= 0:
-                return None
-            nxt[o ^ 1] = last
-            last = o
+    try:
+        for v, r in rot.items():
+            if not r:
+                continue
+            e = r[-1]
+            last = 2 * e + (tails[e] != v)  # the loop checks e and that v is an end
+            for e in r:
+                # A float or a str fails the comparison or the indexing.
+                if e < 0:
+                    return None
+                if tails[e] == v:
+                    o = 2 * e
+                elif heads[e] == v:
+                    o = 2 * e + 1
+                else:
+                    return None
+                if nxt[o ^ 1] >= 0:
+                    return None
+                nxt[o ^ 1] = last
+                last = o
+    except (IndexError, TypeError):
+        return None
+    # A dart is listed only at its tail: 2i at edge i's first end, 2i + 1 at
+    # its second end if that is not also its first.  Listing dart o writes
+    # the successor of o ^ 1, so a loop or an end without a rotation leaves
+    # a successor unwritten.
     if -1 in nxt:
         return None
 
     dart_comp = [-1] * len(nxt)
     faces: list[int] = []
     comp: list[int] = []
-    euler: list[int] = []  # per component, V - E + F so far
+    euler: list[int] = []  # per component, 2 (V - E + F) so far
     for v, r in rot.items():
         c = len(euler)
         if not r:
-            euler.append(1)  # the one face of an isolated vertex
+            euler.append(2)  # the one face of an isolated vertex
         else:
-            i = index[r[0]]
-            d = 2 * i + (tails[i] != v)
+            e = r[0]
+            d = 2 * e + (tails[e] != v)
             if dart_comp[d] >= 0:
                 c = dart_comp[d]
             else:
-                first, darts, stack = len(faces), 0, [d]
+                first, stack = len(faces), [d]
                 while stack:
                     d = stack.pop()
                     if dart_comp[d] >= 0:
@@ -328,15 +335,32 @@ def _embed(
                     faces.append(d)
                     while dart_comp[d] < 0:
                         dart_comp[d] = c
-                        darts += 1
                         stack.append(d ^ 1)
                         d = nxt[d]
-                euler.append(len(faces) - first - darts // 2)
+                euler.append(2 * (len(faces) - first))
         comp.append(c)
-        euler[c] += 1
+        euler[c] += 2 - len(r)  # one vertex, half of its edges
     # g = 1 - (V - E + F) / 2; V - E + F is even, and were it miscounted odd
     # the floor would round g up, away from a plane 0.
-    return _Embedding(nxt, faces, comp, [1 - x // 2 for x in euler])
+    return _Embedding(nxt, faces, comp, [1 - x // 4 for x in euler])
+
+
+def _plane_simple(ends: Sequence[tuple[int, int]], rot: Mapping[int, Sequence[int]]) -> bool:
+    """Whether a rotation system with dense edge ids (see :func:`_embed`) is
+    a simple graph embedded in the plane: no two edges join the same pair of
+    vertices, :func:`_embed` accepts it, and every component has genus 0.
+
+    These are the checks of :func:`validate` that building a crossing-free
+    drawing can break.  Its other checks hold by construction on the
+    transducers' output drawing: every vertex is real (``real:<v>`` for
+    itself) and every trace is the single edge it draws, so there are no
+    crossing or subdivision vertices, and the kinds, the real-copy bijection
+    and the traces are right.
+    """
+    if len({(a, b) if a < b else (b, a) for a, b in ends}) != len(ends):
+        return False
+    emb = _embed(ends, rot)
+    return emb is not None and not any(emb.genus)
 
 
 def _vertex_path(plan: Graph, eids: Sequence[int]) -> tuple[int, ...]:
@@ -413,7 +437,11 @@ def _validate(d: Drawing) -> list[str]:
         incident[b].add(eid)
     for v in d.plan.vertices:
         rot = d.rotation[v]
-        if len(rot) != len(set(rot)) or set(rot) != incident[v]:
+        if (
+            len(rot) != len(set(rot))
+            or set(rot) != incident[v]
+            or not all(isinstance(e, int) for e in rot)
+        ):
             out.append(f"rotation: vertex {v} does not list incident edges once")
     if out:
         return out
@@ -645,10 +673,13 @@ def _crossing_graph(d: Drawing, cuts: Mapping[int, tuple[int, ...]]) -> Crossing
 
 
 class _RotSys:
-    """A mutable rotation system, the one builder behind every edit of a
-    plan: cutting base edges (:func:`_split`) and the transducers'
-    surgery.  It is an edge list with counterclockwise rotations, as in a
-    doubly-connected edge list, and tolerates parallel edges mid-surgery.
+    """A mutable rotation system for cutting base edges (:func:`_split`)
+    and for the clustered transducer's surgery, which contracts crossing
+    clusters into hubs.  It is an edge list with counterclockwise
+    rotations, as in a doubly-connected edge list, and tolerates parallel
+    edges mid-surgery.  The k-planar transducer needs none of this: its
+    output is the plan with every bend smoothed and every edge subdivided
+    twice, which it writes in one pass.
 
     Edge ids are local: the plan's ids to start with, fresh ones above them
     for every new edge.  New vertex ids start above both the plan's and the
@@ -658,6 +689,7 @@ class _RotSys:
     """
 
     def __init__(self, d: Drawing) -> None:
+        d._embedding  # raises ValueError unless each plan edge is listed once at both ends
         self.rot: dict[int, list[int]] = {v: list(r) for v, r in d.rotation.items()}
         self.ends: dict[int, tuple[int, int]] = dict(enumerate(d.plan.edges))
         self._fresh_e = d.plan.m
@@ -732,22 +764,13 @@ class _RotSys:
         return s, e1, e2
 
     def is_plane_simple(self) -> bool:
-        """Whether the finished system is a simple graph embedded in the plane.
-
-        Beyond what :func:`_embed` checks, no two edges may join the same
-        pair of vertices, and every component must have genus 0.  These are
-        the checks of :func:`validate` that the surgery can break.  Its other
-        checks hold by construction on the transducers' output drawing: every
-        vertex is real (``real:<v>`` for itself) and every trace is the
-        single edge it draws, so there are no crossing or subdivision
-        vertices, and the kinds, the real-copy bijection and the traces are
-        right.
-        """
-        pairs = {(a, b) if a < b else (b, a) for a, b in self.ends.values()}
-        if len(pairs) != len(self.ends):
-            return False
-        emb = _embed(self.ends, self.rot)
-        return emb is not None and not any(emb.genus)
+        """Whether the finished system is a simple graph embedded in the
+        plane (see :func:`_plane_simple`), read with its edge ids made
+        dense; an id listed in a rotation but not in ``ends`` becomes -1,
+        which the dart kernel refuses."""
+        ids = {e: i for i, e in enumerate(self.ends)}
+        rot = {v: [ids.get(e, -1) for e in r] for v, r in self.rot.items()}
+        return _plane_simple(list(self.ends.values()), rot)
 
 
 # ===== Subdivision =====
@@ -882,7 +905,7 @@ def _passage_side(d: Drawing, eid: int, x: int, fid: int, forward: bool) -> str:
     a_in, a_out = _around(d, eid, x)
     f_in, f_out = _around(d, fid, x)
     o_in = f_in if forward else f_out
-    rot = d.rotation[x]
+    rot = d.rotation.get(x, ())
     if len(rot) != 4:
         raise ValueError(f"crossing {x} does not have four plan edges")
     pos = rot.index(a_in)

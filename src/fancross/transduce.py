@@ -14,13 +14,18 @@ short colored path.
   a ``b0`` hub whose spokes are colored by fan membership (``b_j`` on the
   center side, ``bP_j`` on the far side).
 
-Both do their surgery on ``drawing._RotSys``, the mutable rotation system
-that also makes the cuts of ``subdivide_with_map``, and check it there
-before building the output graph: a simple graph that the dart kernel
+The k-planar output is the plan with every bend smoothed away and every
+edge subdivided twice, and neither step changes a face, so
+``transduce_kplanar`` writes it in one pass over the plan, as an edge list
+with dense ids and rotations.  ``transduce_clustered`` contracts clusters
+and so does its surgery on ``drawing._RotSys``, the mutable rotation system
+that also makes the cuts of ``subdivide_with_map``: it makes the
+certificate's cuts (``drawing._split``), its stubs and its hubs there.  Each
+checks its system before it builds the output graph
+(``drawing._plane_simple``): a simple graph that the dart kernel
 ``drawing._embed``, which also traces every ``Drawing``'s faces, accepts
 with genus 0 on every component is a plane drawing, so no intermediate
-``Drawing`` is built or validated.  ``transduce_clustered`` makes the
-certificate's cuts (``drawing._split``) and its stubs on the same system.
+``Drawing`` is built or validated.
 
 ``eval_formula`` evaluates the formula exactly.  It pairs the holders of
 each handshake color, and runs one bounded simple-path search per source
@@ -42,7 +47,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Mapping, Optional
 
 from .cluster import Certificate, _verified
-from .drawing import Drawing, _RotSys, _split, is_k_planar, validate
+from .drawing import Drawing, _plane_simple, _RotSys, _split, is_k_planar, validate
 from .errors import Infeasible, InvariantBroken
 from .graphs import ColorLabel, ColoredGraph, Graph, induced
 
@@ -166,15 +171,12 @@ class TransductionOutput:
             raise ValueError("X is not a subset of the embedded vertices")
 
 
-# ===== Rotation-system surgery =====
+# ===== Shared input checks and assembly =====
 
 
 def _bends(d: Drawing) -> list[int]:
     """The bend vertices of the plan, sorted."""
     return sorted(p for p in d.plan.vertices if d.kind_of(p) == "subdivision")
-
-
-# ===== Shared input checks and assembly =====
 
 
 def _checked_x(d: Drawing, x_edges: Mapping[int, Iterable[int]], k: int) -> dict[int, tuple[int, ...]]:
@@ -208,6 +210,32 @@ def _checked_drawing(d: Drawing, k: int) -> None:
         raise ValueError(f"invalid drawing: {errs[0]}")
 
 
+def _output(
+    hverts: list[int],
+    verts: list[int],
+    gedges: list[tuple[int, int]],
+    colors: dict[int, frozenset[ColorLabel]],
+    x_edges: dict[int, tuple[int, ...]],
+    k: int,
+    mode: str,
+) -> TransductionOutput:
+    """The output of a checked system: the graph on the sorted vertices
+    ``verts``, X among them, and the ``(min, max)`` edges ``gedges``, built
+    without ``Graph.make``'s checks, which the system's check has made; the
+    colors plus the handshake colors of X; and the identity embedding of the
+    original vertices ``hverts``, sorted."""
+    for i, xv in enumerate(sorted(x_edges), start=1):
+        colors[xv] = colors.get(xv, frozenset()) | {ColorLabel("c", i)}
+        for w in x_edges[xv]:
+            colors[w] = colors.get(w, frozenset()) | {ColorLabel("cP", i)}
+    gedges.sort()
+    g = Graph(tuple(verts), tuple(gedges))
+    embed = {v: v for v in hverts}
+    return TransductionOutput(
+        ColoredGraph(g, colors), embed, TransductionFormula.for_mode(k, mode), tuple(sorted(x_edges))
+    )
+
+
 def _assemble(
     d: Drawing,
     rs: _RotSys,
@@ -220,9 +248,8 @@ def _assemble(
     """Checks the surgered system and relabels it into the output graph.
 
     ``is_plane_simple`` rules out loops, parallel pairs and edge ends
-    missing from the rotations, and the renaming is injective, so the
-    graph is built directly from its sorted vertices and sorted ``(min,
-    max)`` edges, without ``Graph.make``'s checks.
+    missing from the rotations, and the renaming is injective, so
+    :func:`_output` can build the graph directly.
     """
     if not rs.is_plane_simple():
         raise InvariantBroken("construction invariant broken")
@@ -239,16 +266,9 @@ def _assemble(
     for p, q in rs.ends.values():
         a, b = ren[p], ren[q]
         gedges.append((a, b) if a < b else (b, a))
-    gedges.sort()
-    g = Graph(tuple(sorted([*ren.values(), *x_edges])), tuple(gedges))
-    colors: dict[int, set[ColorLabel]] = {ren[p]: set(ls) for p, ls in colors_s.items()}
-    for i, xv in enumerate(sorted(x_edges), start=1):
-        colors.setdefault(xv, set()).add(ColorLabel("c", i))
-        for w in x_edges[xv]:
-            colors.setdefault(w, set()).add(ColorLabel("cP", i))
-    colored = ColoredGraph(g, {v: frozenset(ls) for v, ls in colors.items()})
-    embed = {v: v for v in hverts}
-    return TransductionOutput(colored, embed, TransductionFormula.for_mode(k, mode), tuple(sorted(x_edges)))
+    colors = {ren[p]: frozenset(ls) for p, ls in colors_s.items()}
+    verts = sorted([*ren.values(), *x_edges])
+    return _output(hverts, verts, gedges, colors, x_edges, k, mode)
 
 
 # ===== Mode (a): k-planar drawings =====
@@ -263,37 +283,92 @@ def transduce_kplanar(
     Every crossing becomes a ``b0`` vertex; each incident strand is
     subdivided twice and the subdivision vertex next to the crossing names
     its edge: ``b1`` for the smaller base edge id, ``b2`` for the larger.
+
+    A strand is a plan path between two vertices that are not bends, with
+    only bends inside.  Smoothing the bends and subdividing keep every face,
+    so the output is written in one pass, as a system with dense edge ids:
+    strand ``i`` becomes the path ``a, s, s + 1, b`` with edges ``3i``,
+    ``3i + 1`` and ``3i + 2``, and each rotation of the plan names, in its
+    slots, the strand edges at that vertex.  The original vertices keep
+    their ids; the crossings are numbered next, in increasing plan id, then
+    the subdivision vertices, strand by strand.  Strands without bends come
+    first, in plan edge order, each from its smaller end; then the strands
+    with bends, by increasing largest bend, each from the end reached
+    through the first edge in that bend's rotation.  These are the ids that
+    smoothing the bends one at a time in increasing id, then subdividing
+    each remaining edge twice from its first end in increasing edge id,
+    gives.  The system is checked (:func:`drawing._plane_simple`) before the
+    graph is built.
     """
     _checked_drawing(d, k)
     if not is_k_planar(d, k):
         raise Infeasible("not k-planar")
     xn = _checked_x(d, x_edges, k)
 
-    rs = _RotSys(d)
-    # Smooth the bends away; owner maps local edge ids to base edge ids.
-    owner = {pe: eid for eid, t in d.trace.items() for pe in t}
-    for bend in _bends(d):
-        e1, _e2 = rs.rot[bend]
-        owner[rs.smooth(bend)] = owner[e1]
-    b0, b1, b2 = ColorLabel("b", 0), ColorLabel("b", 1), ColorLabel("b", 2)
-    crossing_edges = d.crossing_edges
-    rank: dict[tuple[int, int], ColorLabel] = {}
-    for x, (e1, e2) in crossing_edges.items():
-        rank[(x, e1)] = b1
-        rank[(x, e2)] = b2
-    colors_s: dict[int, set[ColorLabel]] = {x: {b0} for x in crossing_edges}
-    for e in sorted(rs.ends):
-        a, b = rs.ends[e]
-        own = owner[e]
-        s1, _, tail = rs.subdivide_edge(e, a)
-        s2, _, _ = rs.subdivide_edge(tail, s1)
-        if a in crossing_edges:
-            colors_s.setdefault(s1, set()).add(rank[(a, own)])
-        if b in crossing_edges:
-            colors_s.setdefault(s2, set()).add(rank[(b, own)])
+    pe, rotation = d.plan.edges, d.rotation
+    owner = [0] * len(pe)
+    for eid, t in d.trace.items():
+        for f in t:
+            owner[f] = eid
+    bends = _bends(d)
+    inner = set(bends)
+    # Each strand as (end, end, plan edge at the first end, at the second).
+    strands = [(a, b, f, f) for f, (a, b) in enumerate(pe) if a not in inner and b not in inner]
+    bent = []
+    seen: set[int] = set()
+    for bend in reversed(bends):  # the first bend met on a strand is its largest
+        if bend in seen:
+            continue
+        walked = []
+        for f in rotation[bend]:
+            v = bend
+            while True:
+                p, q = pe[f]
+                v = q if p == v else p
+                if v not in inner:
+                    break
+                seen.add(v)
+                r = rotation[v]
+                f = r[1] if r[0] == f else r[0]
+            walked.append((v, f))
+        (a, fa), (b, fb) = walked
+        bent.append((a, b, fa, fb))
+    strands += reversed(bent)
 
-    real_of = {d.real_pvid[v]: v for v in d.base.vertices}
-    return _assemble(d, rs, real_of, colors_s, xn, k, "kplanar")
+    hverts = sorted(set(d.base.vertices) | set(xn))
+    fresh = max(hverts, default=-1) + 1
+    ren = {p: v for v, p in d.real_pvid.items()}
+    crossing_edges = d.crossing_edges
+    ren.update((x, fresh + j) for j, x in enumerate(crossing_edges))
+    b0, b1, b2 = (frozenset({ColorLabel("b", j)}) for j in range(3))
+    colors = {ren[x]: b0 for x in crossing_edges}
+    s = fresh + len(crossing_edges)
+    edges: list[tuple[int, int]] = []
+    rot: dict[int, list[int]] = {}
+    slot = [0] * (2 * len(pe))  # plan dart leaving a strand end -> its output edge
+    for i, (a, b, fa, fb) in enumerate(strands):
+        e = 3 * i
+        ra, rb = ren[a], ren[b]
+        # Every original vertex and crossing is below every subdivision
+        # vertex, so each edge is already (min, max).
+        edges += ((ra, s), (s, s + 1), (rb, s + 1))
+        rot[s] = [e, e + 1]
+        rot[s + 1] = [e + 1, e + 2]
+        slot[2 * fa + (pe[fa][0] != a)] = e
+        slot[2 * fb + (pe[fb][0] != b)] = e + 2
+        own = owner[fa]
+        if a in crossing_edges:
+            colors[s] = b1 if crossing_edges[a][0] == own else b2
+        if b in crossing_edges:
+            colors[s + 1] = b1 if crossing_edges[b][0] == own else b2
+        s += 2
+    for v, r in rotation.items():
+        if v not in inner:
+            rot[ren[v]] = [slot[2 * f + (pe[f][0] != v)] for f in r]
+    if not _plane_simple(edges, rot):
+        raise InvariantBroken("construction invariant broken")
+    # hverts holds X, and every new vertex lies above it.
+    return _output(hverts, [*hverts, *range(fresh, s)], edges, colors, xn, k, "kplanar")
 
 
 # ===== Mode (b): clustered fan-crossing drawings =====

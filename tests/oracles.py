@@ -17,7 +17,8 @@ crossing graphs from a map of every (edge, crossing index) to its arc, the
 search's edge groups from a component search over the crossing pairs,
 strong certificates from the earlier path checks on the cut drawing,
 cut drawings from rewriting every rotation entry by position through dart
-and edge-id maps, the clustered transducer from two cuts (a whole cut
+and edge-id maps, the k-planar transducer from smoothing and subdividing
+one edge at a time on a mutable rotation system, the clustered transducer from two cuts (a whole cut
 drawing, then stubs) joined by walking each fan edge's pieces from its
 center, and the synthesizer's region arenas and polyline drawings from a
 pair loop and rotation code of their own each.
@@ -1253,6 +1254,49 @@ def oracle_surgery_ok(rs: _RotSys) -> bool:
     check of ``validate`` but the Euler one, with every component plane by
     the oracle's own count."""
     return oracle_surgery_nonplane(rs) == []
+
+
+# ===== k-planar transducer oracle (rotation-system surgery) =====
+
+
+def oracle_transduce_kplanar(
+    d: Drawing, x_edges: Mapping[int, Iterable[int]], k: int
+) -> TransductionOutput:
+    """``transduce.transduce_kplanar`` by surgery on a ``_RotSys``: every
+    bend smoothed in increasing id order, then every remaining edge, in
+    increasing local id, subdivided twice from its first end, and the
+    surgered system checked, renamed and sorted by ``_assemble``.
+    """
+    _checked_drawing(d, k)
+    if not is_k_planar(d, k):
+        raise Infeasible("not k-planar")
+    xn = _checked_x(d, x_edges, k)
+
+    rs = _RotSys(d)
+    # Smooth the bends away; owner maps local edge ids to base edge ids.
+    owner = {pe: eid for eid, t in d.trace.items() for pe in t}
+    for bend in _bends(d):
+        e1, _e2 = rs.rot[bend]
+        owner[rs.smooth(bend)] = owner[e1]
+    b0, b1, b2 = ColorLabel("b", 0), ColorLabel("b", 1), ColorLabel("b", 2)
+    crossing_edges = d.crossing_edges
+    rank: dict[tuple[int, int], ColorLabel] = {}
+    for x, (e1, e2) in crossing_edges.items():
+        rank[(x, e1)] = b1
+        rank[(x, e2)] = b2
+    colors_s: dict[int, set[ColorLabel]] = {x: {b0} for x in crossing_edges}
+    for e in sorted(rs.ends):
+        a, b = rs.ends[e]
+        own = owner[e]
+        s1, _, tail = rs.subdivide_edge(e, a)
+        s2, _, _ = rs.subdivide_edge(tail, s1)
+        if a in crossing_edges:
+            colors_s.setdefault(s1, set()).add(rank[(a, own)])
+        if b in crossing_edges:
+            colors_s.setdefault(s2, set()).add(rank[(b, own)])
+
+    real_of = {d.real_pvid[v]: v for v in d.base.vertices}
+    return _assemble(d, rs, real_of, colors_s, xn, k, "kplanar")
 
 
 # ===== Clustered transducer oracle (two cuts) =====

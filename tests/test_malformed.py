@@ -78,27 +78,37 @@ def source(rng: random.Random) -> Drawing:
 
 def mutated(d: Drawing, rng: random.Random) -> Drawing:
     """``d`` after one or two random mutations: a kind relabelled, a
-    rotation shuffled or truncated, a trace entry dropped, inserted or
-    swapped, or two traces swapped."""
+    rotation shuffled or truncated, a rotation entry renamed to its edge id
+    minus the plan's edge count (which indexes a list at the same edge), a
+    trace entry dropped, inserted or swapped, two traces swapped, or the
+    key of a kind, a rotation or a trace deleted."""
     kind, rotation, trace = dict(d.kind), dict(d.rotation), dict(d.trace)
     for _ in range(rng.randint(1, 2)):
-        how = rng.choice(["kind", "shuffle", "truncate", "drop", "append", "swap"])
-        if how == "kind":
+        how = rng.choice(
+            ["kind", "shuffle", "truncate", "alias", "drop", "append", "swap", "delete"]
+        )
+        if how == "delete":
+            table = rng.choice([kind, rotation, trace])
+            if table:
+                del table[rng.choice(sorted(table))]
+        elif how == "kind":
             p = rng.choice(sorted(kind))
             new = max(d.base.vertices) + 1
             kind[p] = rng.choice(
                 ["crossing", "subdivision", f"real:{rng.choice(d.base.vertices)}", f"real:{new}"]
             )
-        elif how in ("shuffle", "truncate"):
+        elif how in ("shuffle", "truncate", "alias"):
             p = rng.choice([v for v in sorted(rotation) if rotation[v]])
             r = list(rotation[p])
             if how == "shuffle":
                 rng.shuffle(r)
-            else:
+            elif how == "truncate":
                 del r[rng.randrange(len(r)) :]
+            else:
+                r[rng.randrange(len(r))] -= d.plan.m
             rotation[p] = tuple(r)
-        else:
-            eid = rng.randrange(d.base.m)
+        elif trace:
+            eid = rng.choice(sorted(trace))
             t = list(trace[eid])
             if how == "drop" and t:
                 del t[rng.randrange(len(t))]
@@ -108,7 +118,7 @@ def mutated(d: Drawing, rng: random.Random) -> Drawing:
                 i, j = rng.sample(range(len(t)), 2)
                 t[i], t[j] = t[j], t[i]
             else:
-                other = rng.randrange(d.base.m)
+                other = rng.choice(sorted(trace))
                 t, trace[other] = list(trace[other]), tuple(t)
             trace[eid] = tuple(t)
     return Drawing(d.base, d.plan, rotation, kind, trace, d.outer, d.outers)
@@ -117,7 +127,7 @@ def mutated(d: Drawing, rng: random.Random) -> Drawing:
 def test_mutated_drawings_raise_only_value_errors():
     refused: Counter = Counter()
     broken = 0
-    for seed in range(2000):
+    for seed in range(2200):
         rng = random.Random(seed)
         d = source(rng)
         try:
@@ -137,7 +147,8 @@ def test_mutated_drawings_raise_only_value_errors():
                 except Exception as exc:
                     pytest.fail(f"seed {seed}: {name} raised {exc!r}")
     # Most mutations break the drawing, and every reader that needs a valid
-    # one refuses some of them; validate and planarize never raise.
+    # one refuses some of them; validate never raises, and planarize refuses
+    # only a kind map that misses a plan vertex.
     assert broken >= 1800
     assert min(refused[name] for name in READERS if name not in ("validate", "planarize")) >= 1300
 
@@ -195,3 +206,60 @@ def test_a_crossing_without_four_plan_edges_is_refused():
     md = Drawing(d.base, d.plan, rotation, d.kind, d.trace, d.outer, d.outers)
     with pytest.raises(ValueError, match=r"^crossing 10 does not have four plan edges$"):
         search_certificate(md, 2, 2, strong=True)
+
+
+@pytest.mark.parametrize(
+    "table, key, message",
+    [("trace", 0, r"^edge 0 has no trace$"), ("kind", 5, r"^plan vertex 5 has no kind$")],
+)
+def test_a_missing_key_is_refused_with_its_name(table, key, message):
+    """``fig3()`` with a base edge's trace or a crossing's kind deleted."""
+    d = fig3()
+    maps = {"trace": dict(d.trace), "kind": dict(d.kind)}
+    del maps[table][key]
+    md = Drawing(d.base, d.plan, d.rotation, maps["kind"], maps["trace"], d.outer)
+    assert validate(md) == [f"{table} domain: keys differ from " + (
+        "base edge ids" if table == "trace" else "plan vertices"
+    )]
+    cert = search_certificate(d, 2, 2)
+    calls = [
+        lambda: is_k_planar(md, 2),
+        lambda: search_certificate(md, 2, 2),
+        lambda: search_certificate(md, 2, 2, strong=True),
+        lambda: min_ell(md, 2),
+        lambda: crossing_graph(md),
+    ]
+    if table == "kind":
+        calls.append(lambda: planarize(md))
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    for call in (
+        lambda: transduce_kplanar(md, {}, 2),
+        lambda: transduce_clustered(md, cert, {}, 2),
+    ):
+        with pytest.raises(ValueError, match=r"^invalid drawing: "):
+            call()
+
+
+def test_rotations_that_name_no_edge_are_refused():
+    """Crossing 10 of ``random_kplanar(8, 2, 1429)`` with its rotation
+    deleted, or with an entry renamed to its edge id minus the plan's edge
+    count, which would index a list at the same edge, or to the same id as
+    a float, which equals it in a set."""
+    d = random_kplanar(8, 2, 1429)
+    deleted = dict(d.rotation)
+    del deleted[10]
+    first, *rest = d.rotation[10]
+    plan = SubdivisionPlan({0: (0,)})
+    for rotation, verdict in (
+        (deleted, "rotation domain: keys differ from plan vertices"),
+        ({**d.rotation, 10: (first - d.plan.m, *rest)}, "rotation: vertex 10 does not list incident edges once"),
+        ({**d.rotation, 10: (float(first), *rest)}, "rotation: vertex 10 does not list incident edges once"),
+    ):
+        md = Drawing(d.base, d.plan, rotation, d.kind, d.trace, d.outer, d.outers)
+        assert validate(md) == [verdict]
+        with pytest.raises(ValueError, match=r"^rotations do not list every plan edge once at both ends$"):
+            subdivide_with_map(md, plan)
+        with pytest.raises(ValueError):
+            search_certificate(md, 2, 2, strong=True)

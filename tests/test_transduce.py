@@ -9,6 +9,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -17,16 +18,18 @@ from hypothesis import strategies as st
 from oracles import (
     oracle_eval_formula,
     oracle_eval_rendered,
+    oracle_faces,
     oracle_materialize,
     oracle_nonplane_components,
     oracle_surgery_nonplane,
     oracle_surgery_ok,
     oracle_transduce_clustered,
+    oracle_transduce_kplanar,
 )
 
 from fancross import cluster, transduce
 from fancross.cluster import Certificate, search_certificate
-from fancross.drawing import Drawing, SubdivisionPlan, _RotSys, validate
+from fancross.drawing import Drawing, SubdivisionPlan, _embed, _RotSys, validate
 from fancross.errors import CapExceeded, Infeasible, InvariantBroken
 from fancross.fixtures import fig1a, fig1a_certificate, fig1b, fig3, random_kplanar
 from fancross.geometry import drawing_from_polylines, drawing_from_segments, pt
@@ -59,17 +62,42 @@ B0, B1, B2 = ColorLabel("b", 0), ColorLabel("b", 1), ColorLabel("b", 2)
 
 @pytest.fixture(autouse=True, scope="module")
 def surgery_checked_by_oracle():
-    """Every surgered rotation system this module builds is also judged by
-    ``oracle_surgery_ok``, and the library's check must agree with it."""
-    real = transduce._assemble
+    """Every system this module's transducers check is also judged by
+    ``oracle_surgery_ok``, and the library's check must agree with it: the
+    k-planar output where ``_plane_simple`` reads it, the clustered surgery
+    where ``_assemble`` checks it."""
+    real_check, real_assemble = transduce._plane_simple, transduce._assemble
 
-    def checked(d, rs, *rest):
+    def check(ends, rot):
+        got = real_check(ends, rot)
+        assert got == oracle_surgery_ok(as_rotsys(ends, rot))
+        return got
+
+    def assemble(d, rs, *rest):
         assert rs.is_plane_simple() == oracle_surgery_ok(rs)
-        return real(d, rs, *rest)
+        return real_assemble(d, rs, *rest)
 
-    transduce._assemble = checked
+    transduce._plane_simple, transduce._assemble = check, assemble
     yield
-    transduce._assemble = real
+    transduce._plane_simple, transduce._assemble = real_check, real_assemble
+
+
+def as_rotsys(ends, rot) -> _RotSys:
+    """A ``_RotSys`` over a system with dense edge ids, sharing its
+    rotation lists, so that the oracles and the corruptions can read it."""
+    rs = object.__new__(_RotSys)
+    rs.rot = rot
+    rs.ends = dict(enumerate(ends))
+    rs._fresh_e = len(ends)
+    rs._fresh_v = max(rot, default=-1) + 1
+    return rs
+
+
+def dense_system(rs: _RotSys) -> tuple[list, dict]:
+    """The system with its edge ids made dense in ``ends`` order; a
+    rotation entry that names no edge becomes the first id past the last."""
+    ids = {e: i for i, e in enumerate(rs.ends)}
+    return list(rs.ends.values()), {v: [ids.get(e, len(ids)) for e in r] for v, r in rs.rot.items()}
 
 
 def triangle_drawing():
@@ -427,18 +455,33 @@ def drop_a_rotation(rs):
 )
 @pytest.mark.parametrize("mode", ["kplanar", "clustered"])
 def test_corrupted_surgery_is_refused(monkeypatch, corrupt, mode):
-    """Refused by the surgery check itself, never by ``Graph`` or a lookup
-    while the output graph is assembled."""
+    """Refused by the check itself, never by ``Graph`` or a lookup while the
+    output graph is assembled.  The k-planar output is corrupted where
+    ``_plane_simple`` reads it, the clustered surgery where ``_assemble``
+    checks it."""
     seen = []
-    checked = transduce._assemble
+    if mode == "kplanar":
+        checked = transduce._plane_simple
 
-    def corrupted(d, rs, *rest):
-        assert rs.is_plane_simple()
-        corrupt(rs)
-        seen.append(rs)
-        return checked(d, rs, *rest)
+        def corrupted(ends, rot):
+            rs = as_rotsys(ends, rot)
+            assert rs.is_plane_simple()
+            corrupt(rs)
+            seen.append(rs)
+            assert list(rs.ends) == list(range(len(rs.ends)))  # still dense
+            return checked(list(rs.ends.values()), rs.rot)
 
-    monkeypatch.setattr(transduce, "_assemble", corrupted)
+        monkeypatch.setattr(transduce, "_plane_simple", corrupted)
+    else:
+        checked = transduce._assemble
+
+        def corrupted(d, rs, *rest):
+            assert rs.is_plane_simple()
+            corrupt(rs)
+            seen.append(rs)
+            return checked(d, rs, *rest)
+
+        monkeypatch.setattr(transduce, "_assemble", corrupted)
     with pytest.raises(InvariantBroken, match="construction invariant broken") as info:
         if mode == "kplanar":
             transduce_kplanar(k4_drawing(), {}, 1)
@@ -709,6 +752,113 @@ def test_validate_flags_exactly_the_nonplane_components(parts, seed):
     assert rs.is_plane_simple() == (not errs) == oracle_surgery_ok(rs)
 
 
+# ===== The dart kernel on dense edge ids =====
+
+
+def kernel_faces(ends, emb) -> tuple:
+    """The kernel's faces as ``(tail, head)`` dart cycles, each rotated to
+    its least dart and ordered by it, as ``oracle_faces`` gives them."""
+    darts = [t for a, b in ends for t in ((a, b), (b, a))]
+    out = []
+    for start in emb.faces:
+        orbit, x = [darts[start]], emb.nxt[start]
+        while x != start:
+            orbit.append(darts[x])
+            x = emb.nxt[x]
+        i = orbit.index(min(orbit))
+        out.append(tuple(orbit[i:] + orbit[:i]))
+    return tuple(sorted(out))
+
+
+def kernel_nonplane(rot, emb) -> list[int]:
+    """The components of genus other than 0, numbered by least vertex as
+    ``oracle_component_index`` numbers them."""
+    least: dict[int, int] = {}
+    for v, c in zip(rot, emb.comp):
+        least[c] = min(v, least.get(c, v))
+    number = {c: i for i, c in enumerate(sorted(least, key=least.get))}
+    return sorted(number[c] for c, g in enumerate(emb.genus) if g)
+
+
+def assert_kernel_matches_oracles(rs: _RotSys) -> str:
+    """``_embed`` on the system with dense ids against ``oracle_faces`` and
+    ``oracle_nonplane_components`` on its materialized drawing: it refuses
+    exactly the systems whose drawing fails to materialize (a loop, an end
+    without a rotation, an unknown edge) or fails a rotation check of
+    ``validate``, and otherwise gives the oracles' faces and non-plane
+    components.  A system with parallel edges has no drawing to compare
+    with.  Returns which of these held."""
+    ends, rot = dense_system(rs)
+    emb = _embed(ends, rot)
+    if len({tuple(sorted(ab)) for ab in ends}) != len(ends):
+        return "parallel"
+    try:
+        d = oracle_materialize(rs)
+        errs = validate(d)
+    except (KeyError, ValueError):
+        errs = ["does not materialize"]
+    if any(not e.startswith("euler:") for e in errs):
+        assert emb is None, errs
+        return "refused"
+    assert emb is not None
+    assert kernel_faces(ends, emb) == oracle_faces(d)
+    nonplane = kernel_nonplane(rot, emb)
+    assert nonplane == oracle_nonplane_components(d)
+    return "not plane" if nonplane else "plane"
+
+
+def test_dense_kernel_matches_face_oracles_on_seeded_systems():
+    verdicts = Counter()
+    for seed in range(200):
+        rng = random.Random(f"kernel-{seed}")
+        parts = [(rng.randint(4, 12), rng.randint(1, 3), rng.randrange(10**6))
+                 for _ in range(rng.randint(1, 3))]
+        corrupt = [rng.randrange(len(CORRUPTIONS)) for _ in range(rng.choice((0, 1, 1, 2)))]
+        rs, _ = surgery_case(rng, parts, rng.randint(0, 2), corrupt)
+        verdicts[assert_kernel_matches_oracles(rs)] += 1
+    assert verdicts["plane"] >= 40 and verdicts["not plane"] >= 20, verdicts
+    assert verdicts["refused"] >= 50 and verdicts["parallel"] >= 10, verdicts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(4, 12), st.integers(1, 3), st.integers(0, 10**6)),
+             min_size=1, max_size=3),
+    st.integers(0, 2),
+    st.lists(st.integers(0, len(CORRUPTIONS) - 1), max_size=3),
+    st.integers(0, 10**6),
+)
+def test_dense_kernel_matches_face_oracles_on_random_systems(parts, isolated, corrupt, seed):
+    assert_kernel_matches_oracles(surgery_case(random.Random(seed), parts, isolated, corrupt)[0])
+
+
+@pytest.mark.parametrize(
+    "alias",
+    [
+        lambda e, m: e - m,  # wraps round to e itself
+        lambda e, m: -1,
+        lambda e, m: m,
+        lambda e, m: 10**9,
+        lambda e, m: float(e),
+        lambda e, m: str(e),
+        lambda e, m: None,
+    ],
+)
+def test_dense_kernel_refuses_ids_that_name_no_edge(alias):
+    """Edge 0 renamed at both of its ends.  ``e - m`` would index the edge
+    lists at ``e`` itself and give the same faces, were negative ids not
+    refused.  (For the last edge, ``e - m`` is -1, the mark of an unwritten
+    successor, which would refuse it anyway.)"""
+    d = plane_k4_drawing()
+    ends, m = list(d.plan.edges), d.plan.m
+    rot = {v: list(r) for v, r in d.rotation.items()}
+    assert _embed(ends, rot) is not None
+    e = 0
+    for r in rot.values():
+        r[:] = [alias(e, m) if f == e else f for f in r]
+    assert _embed(ends, rot) is None
+
+
 # ===== Shared output invariants =====
 
 
@@ -950,6 +1100,140 @@ def test_clustered_transduction_matches_two_cut_oracle_on_random_drawings(n, k, 
         assert_matches_two_cut_oracle(d, cert, rng)
         for more in with_one_more_cut(d, cert, strong, rng, 2):
             assert_matches_two_cut_oracle(d, more, rng)
+
+
+# ===== The k-planar transducer against its surgery oracle =====
+
+
+def kplanar_bytes(build, d: Drawing, x_edges, k: int) -> str:
+    out = build(d, x_edges, k)
+    return json.dumps(transduction_to_json(out), sort_keys=True, separators=(",", ":"))
+
+
+def assert_matches_surgery_oracle(d: Drawing, x_edges, k: int, case=None) -> None:
+    """The compact, key-sorted JSON of ``transduce_kplanar`` and of
+    ``oracle_transduce_kplanar``."""
+    got = kplanar_bytes(transduce_kplanar, d, x_edges, k)
+    assert got == kplanar_bytes(oracle_transduce_kplanar, d, x_edges, k), case
+
+
+def criterion4_case(seed: int) -> tuple[Drawing, dict, int]:
+    """Criterion 4's drawing and X for ``seed``."""
+    rng = random.Random(seed)
+    n, k = rng.randint(4, 12), rng.randint(1, 3)
+    d = random_kplanar(n, k, seed)
+    base = list(d.base.vertices)
+    xs = list(range(max(base) + 1, max(base) + 1 + rng.randint(0, k)))
+    hedges = set(d.base.edges)
+    for x in xs:
+        others = [v for v in base + xs if v != x]
+        for w in rng.sample(others, rng.randint(0, min(3, len(others)))):
+            hedges.add((min(x, w), max(x, w)))
+    h = Graph.make(base + xs, hedges)
+    return d, {x: h.neighbors(x) for x in xs}, k
+
+
+def bent_drawing(n: int, k: int, seed: int, rng: random.Random) -> Drawing:
+    """``random_kplanar(n, k, seed)`` with one to three bends, each a little
+    off the segment, on about a third of its edges, or the straight drawing
+    if the bends are degenerate."""
+    d = random_kplanar(n, k, seed)
+    prng = random.Random(seed)  # the generator's positions are its first n draws
+    pos = {i: pt(i, prng.randrange(0, 2 * n + 1)) for i in range(n)}
+    bends = {}
+    for eid, (u, v) in enumerate(d.base.edges):
+        if rng.random() < 0.35:
+            (x1, y1), (x2, y2) = pos[u], pos[v]
+            c = rng.randint(1, 3)
+            bends[eid] = [
+                pt(x1 + t * (x2 - x1), y1 + t * (y2 - y1) + Fraction(rng.choice((-2, -1, 1, 2)), 5))
+                for t in (Fraction(j, c + 1) for j in range(1, c + 1))
+            ]
+    try:
+        return drawing_from_polylines(d.base, pos, bends)
+    except ValueError:  # a bend on a vertex, a segment or a crossing
+        return d
+
+
+def bend_counts(d: Drawing) -> Counter:
+    """How many strands of ``d`` have 1, 2, 3, ... bends."""
+    bends = set(transduce._bends(d))
+    out = Counter()
+    for path in d.paths.values():
+        run = 0
+        for p in path[1:]:
+            if p in bends:
+                run += 1
+            else:
+                if run:
+                    out[run] += 1
+                run = 0
+    return out
+
+
+def test_kplanar_transduction_matches_surgery_oracle_on_criterion4():
+    for seed in range(100):
+        d, x_edges, k = criterion4_case(seed)
+        assert_matches_surgery_oracle(d, x_edges, k, seed)
+
+
+def test_kplanar_transduction_matches_surgery_oracle_on_decode_sized_drawings():
+    """Straight-line drawings of 24 to 48 vertices, like the decode
+    benchmark's, with two deleted vertices."""
+    rng = random.Random("decode-sized-bytes")
+    for n in (24, 36, 48):
+        for k in (2, 4, 6):
+            for _ in range(2):
+                d = random_kplanar(n, k, rng.randrange(10**6))
+                base = list(d.base.vertices)
+                xs = (max(base) + 1, max(base) + 2)
+                x_edges = {x: tuple(rng.sample(base, rng.randint(1, 4))) for x in xs}
+                assert_matches_surgery_oracle(d, x_edges, k, (n, k))
+
+
+def test_kplanar_transduction_matches_surgery_oracle_on_bent_drawings():
+    """Polyline drawings: ``case_drawing``'s, with one bend on some edges
+    and sometimes a second plan component, and drawings with up to three
+    bends on an edge; the lens, whose bend lies between two crossings.
+    Both transducers see the same k, and where it is too small both refuse
+    alike."""
+    from test_drawing import case_drawing  # test_drawing imports this module
+
+    rng = random.Random("bent-bytes")
+    drawings = [lens_drawing()]
+    for seed in range(150):
+        drawings.append(case_drawing(rng.randint(6, 12), rng.randint(1, 3), seed)[0])
+        drawings.append(bent_drawing(rng.randint(5, 12), rng.randint(1, 3), seed, rng))
+    strands = Counter()
+    refused = 0
+    for i, d in enumerate(drawings):
+        strands += bend_counts(d)
+        k = rng.randint(1, 4)
+        x_edges = random_x(rng, d, k)
+        try:
+            want = kplanar_bytes(oracle_transduce_kplanar, d, x_edges, k)
+        except Infeasible:
+            refused += 1
+            with pytest.raises(Infeasible, match="not k-planar"):
+                transduce_kplanar(d, x_edges, k)
+            continue
+        assert kplanar_bytes(transduce_kplanar, d, x_edges, k) == want, i
+    assert len(drawings) - refused >= 180 and refused >= 40, refused
+    assert strands[1] >= 600 and strands[2] >= 150 and strands[3] >= 120, strands
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(4, 14),
+    st.integers(1, 3),
+    st.integers(0, 10**6),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_kplanar_transduction_matches_surgery_oracle_on_random_drawings(n, k, seed, bent, rng):
+    d = bent_drawing(n, k, seed, rng) if bent else random_kplanar(n, k, seed)
+    k = max(k, max(map(len, d.edge_crossings.values()), default=1))
+    assert_matches_surgery_oracle(d, random_x(rng, d, k), k)
 
 
 def test_assembled_graph_is_normalized():

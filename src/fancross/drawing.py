@@ -568,14 +568,20 @@ class SubdivisionPlan:
 
 
 def _checked_cuts(d: Drawing, plan: Optional[SubdivisionPlan]) -> dict[int, tuple[int, ...]]:
+    """The plan's cuts, checked against ``d``.  An edge id or a gap that is
+    not an int (``bool`` included) is refused, as is one out of range."""
     if plan is None:
         return {}
     out: dict[int, tuple[int, ...]] = {}
     for eid, gaps in plan.cuts.items():
+        if type(eid) is not int:
+            raise ValueError(f"edge id {eid!r} in subdivision plan is not an int")
         if not (0 <= eid < d.base.m):
             raise ValueError(f"unknown edge {eid} in subdivision plan")
         c = len(d.edge_crossings[eid])
         for g in gaps:
+            if type(g) is not int:
+                raise ValueError(f"gap {g!r} on edge {eid} in subdivision plan is not an int")
             if not (0 <= g <= c):
                 raise ValueError("cut on crossing")
         out[eid] = tuple(sorted(gaps))
@@ -669,110 +675,6 @@ def _crossing_graph(d: Drawing, cuts: Mapping[int, tuple[int, ...]]) -> Crossing
     return CrossingGraph(tuple(nodes), tuple(sorted(edges)), tuple(crossings))
 
 
-# ===== The mutable rotation system =====
-
-
-class _RotSys:
-    """A mutable rotation system for cutting base edges (:func:`_split`)
-    and for the clustered transducer's surgery, which contracts crossing
-    clusters into hubs.  It is an edge list with counterclockwise
-    rotations, as in a doubly-connected edge list, and tolerates parallel
-    edges mid-surgery.  The k-planar transducer needs none of this: its
-    output is the plan with every bend smoothed and every edge subdivided
-    twice, which it writes in one pass.
-
-    Edge ids are local: the plan's ids to start with, fresh ones above them
-    for every new edge.  New vertex ids start above both the plan's and the
-    base's ids, so a cut vertex can also be a base vertex.  Every operation
-    below preserves realizability in the plane; :meth:`is_plane_simple`
-    checks that a finished surgery is a plane simple graph.
-    """
-
-    def __init__(self, d: Drawing) -> None:
-        d._embedding  # raises ValueError unless each plan edge is listed once at both ends
-        self.rot: dict[int, list[int]] = {v: list(r) for v, r in d.rotation.items()}
-        self.ends: dict[int, tuple[int, int]] = dict(enumerate(d.plan.edges))
-        self._fresh_e = d.plan.m
-        self._fresh_v = max((*d.plan.vertices, *d.base.vertices), default=-1) + 1
-
-    def other(self, eid: int, v: int) -> int:
-        a, b = self.ends[eid]
-        return b if a == v else a
-
-    def new_edge_id(self) -> int:
-        self._fresh_e += 1
-        return self._fresh_e - 1
-
-    def new_vertex_id(self) -> int:
-        self._fresh_v += 1
-        return self._fresh_v - 1
-
-    def smooth(self, v: int) -> int:
-        """Removes a degree-2 vertex, fusing its two edges into one."""
-        e1, e2 = self.rot[v]
-        p, q = self.other(e1, v), self.other(e2, v)
-        ne = self.new_edge_id()
-        self.ends[ne] = (p, q)
-        self.rot[p][self.rot[p].index(e1)] = ne
-        self.rot[q][self.rot[q].index(e2)] = ne
-        del self.rot[v], self.ends[e1], self.ends[e2]
-        return ne
-
-    def contract(self, eid: int, keep: int) -> None:
-        """Contracts an edge, merging its other endpoint into ``keep``.
-
-        The absorbed rotation is spliced in at the edge's slot; edges that
-        become loops are dropped (each drop merges two faces, keeping the
-        system planar).
-        """
-        gone = self.other(eid, keep)
-        ra, rb = self.rot[keep], self.rot[gone]
-        ia, ib = ra.index(eid), rb.index(eid)
-        spliced = ra[:ia] + rb[ib + 1 :] + rb[:ib] + ra[ia + 1 :]
-        del self.rot[gone], self.ends[eid]
-        for f in rb:
-            if f == eid:
-                continue
-            a, b = self.ends[f]
-            self.ends[f] = (keep if a == gone else a, keep if b == gone else b)
-        kept = [f for f in spliced if self.ends[f][0] != self.ends[f][1]]
-        for f in set(spliced) - set(kept):
-            del self.ends[f]
-        self.rot[keep] = kept
-
-    def remove_edge(self, eid: int) -> None:
-        a, b = self.ends.pop(eid)
-        self.rot[a].remove(eid)
-        self.rot[b].remove(eid)
-
-    def subdivide_edge(self, eid: int, start: int) -> tuple[int, int, int]:
-        """Splits an edge once at a new vertex ``s``.
-
-        Returns ``s``, the new edge from ``start`` to ``s`` and the new edge
-        from ``s`` to the other end.  Each end keeps the edge's rotation
-        slot, and ``s`` lists the two edges in that order.
-        """
-        end = self.other(eid, start)
-        del self.ends[eid]
-        s = self.new_vertex_id()
-        e1, e2 = self.new_edge_id(), self.new_edge_id()
-        self.ends[e1] = (start, s)
-        self.ends[e2] = (s, end)
-        self.rot[start][self.rot[start].index(eid)] = e1
-        self.rot[end][self.rot[end].index(eid)] = e2
-        self.rot[s] = [e1, e2]
-        return s, e1, e2
-
-    def is_plane_simple(self) -> bool:
-        """Whether the finished system is a simple graph embedded in the
-        plane (see :func:`_plane_simple`), read with its edge ids made
-        dense; an id listed in a rotation but not in ``ends`` becomes -1,
-        which the dart kernel refuses."""
-        ids = {e: i for i, e in enumerate(self.ends)}
-        rot = {v: [ids.get(e, -1) for e in r] for v, r in self.rot.items()}
-        return _plane_simple(list(self.ends.values()), rot)
-
-
 # ===== Subdivision =====
 
 
@@ -795,25 +697,27 @@ def _cut(
 ) -> tuple[Drawing, dict[int, list[int]]]:
     """:func:`subdivide_with_map` on checked cuts.
 
-    The cuts are made by :func:`_split` and wrapped into a drawing here.  A
-    split keeps the rotation slots of the split edge's ends, so the root of
-    every plan component (see :attr:`Drawing._dual_tree`) is found again
-    through the slot of its first dart's tail and becomes an outer face of
-    the cut drawing.
+    The cuts are made on the plan's dense edge list and rotations by
+    :func:`_split`, and wrapped into a drawing here, with the edges
+    renumbered in the cut plan's sorted order.  A subdivision keeps the
+    rotation slots of the split edge's ends, so the root of every plan
+    component (see :attr:`Drawing._dual_tree`) is found again through the
+    slot of its first dart's tail and becomes an outer face of the cut
+    drawing.
     """
     if not cuts:
         return d, {e: [e] for e in range(d.base.m)}
-    rs, made = _split(d, cuts)
-    new_plan = Graph.make(rs.rot, rs.ends.values())
-    canon = {e: new_plan.edge_id(a, b) for e, (a, b) in rs.ends.items()}
-    rotation = {v: tuple(canon[e] for e in r) for v, r in rs.rot.items()}
-    cut_vertices = [v for v in rs.rot if v not in d.rotation]
+    ends, rot, made = _split(d, cuts)
+    new_plan = Graph.make(rot, ends)
+    canon = [new_plan.edge_id(a, b) for a, b in ends]
+    rotation = {v: tuple(canon[e] for e in r) for v, r in rot.items()}
+    cut_vertices = [v for v in rot if v not in d.rotation]
     kind = {**d.kind, **{v: f"real:{v}" for v in cut_vertices}}
-    new_base = Graph.make((*d.base.vertices, *cut_vertices), (ends for _, ends, _ in made))
+    new_base = Graph.make((*d.base.vertices, *cut_vertices), (pair for _, pair, _ in made))
     trace: dict[int, tuple[int, ...]] = {}
     pieces: dict[int, list[int]] = {e: [] for e in range(d.base.m)}
-    for eid, ends, steps in made:
-        ne = new_base.edge_id(*ends)
+    for eid, pair, steps in made:
+        ne = new_base.edge_id(*pair)
         pieces[eid].append(ne)
         trace[ne] = tuple(canon[e] for e in steps)
 
@@ -822,25 +726,35 @@ def _cut(
     for f, x in enumerate(d._dual_tree):
         if x < 0:
             a, b = d.faces[f][0]
-            first = rs.rot[a][d.rotation[a].index(d.plan.edge_id(a, b))]
-            image[a, b] = d2.face_of_dart((a, rs.other(first, a)))
+            p, q = ends[rot[a][d.rotation[a].index(d.plan.edge_id(a, b))]]
+            image[a, b] = d2.face_of_dart((a, q if p == a else p))
     outer = image.pop(d.faces[d.outer][0])
     return d2.with_outer(outer, sorted(image.values())), pieces
 
 
 def _split(
     d: Drawing, cuts: Mapping[int, tuple[int, ...]]
-) -> tuple[_RotSys, list[tuple[int, tuple[int, int], list[int]]]]:
-    """The cuts made on a :class:`_RotSys`, with no drawing built.
+) -> tuple[
+    list[tuple[int, int]], dict[int, list[int]], list[tuple[int, tuple[int, int], list[int]]]
+]:
+    """The cuts made on the plan's rotation system, with no drawing built.
 
-    Every edge's trace is walked from its smaller endpoint and split at each
-    of its cuts in turn (see :func:`_cut_step`), so cut vertices are
-    numbered by edge, then along the trace.  Returns the system and every
-    piece in that order as (edge of ``d``, its two end vertices, its plan
-    edges in the system's edge ids, in path order).  An end is a base
-    vertex of ``d`` or a cut vertex, which is its own real vertex.
+    The system is the plan's edge ends and rotations, with dense edge ids
+    (see :func:`_embed`), and each cut adds one edge (see
+    :func:`_subdivide`).  Every edge's trace is walked from its smaller
+    endpoint and split at each of its cuts in turn (see :func:`_cut_step`),
+    so cut vertices are numbered by edge, then along the trace.  They count
+    up from one above every plan and base vertex id, so a cut vertex can
+    also be a base vertex of the cut drawing.  Returns the ends, the
+    rotations and every piece in that order as (edge of ``d``, its two end
+    vertices, its edges in path order).  An end is a base vertex of ``d``
+    or a cut vertex, which is its own real vertex.  Raises ValueError
+    unless each plan edge is listed once at both of its ends.
     """
-    rs = _RotSys(d)
+    d._embedding  # raises ValueError on malformed rotations
+    ends = list(d.plan.edges)
+    rot = {v: list(r) for v, r in d.rotation.items()}
+    fresh = max((*d.plan.vertices, *d.base.vertices), default=-1) + 1
     made: list[tuple[int, tuple[int, int], list[int]]] = []
     for eid, (u, v) in enumerate(d.base.edges):
         path, steps = d.paths[eid], _steps(d, eid)
@@ -849,12 +763,31 @@ def _split(
         for i, pe in enumerate(steps):
             a = path[i]
             for _ in range(at.count(i)):
-                s, e1, pe = rs.subdivide_edge(pe, a)
-                made.append((eid, (tail, s), piece + [e1]))
-                tail, piece, a = s, [], s
+                rest = _subdivide(ends, rot, pe, a, fresh)
+                made.append((eid, (tail, fresh), piece + [pe]))
+                tail, piece, a, pe = fresh, [], fresh, rest
+                fresh += 1
             piece.append(pe)
         made.append((eid, (tail, v), piece))
-    return rs, made
+    return ends, rot, made
+
+
+def _subdivide(
+    ends: list[tuple[int, int]], rot: dict[int, list[int]], e: int, start: int, s: int
+) -> int:
+    """Splits edge ``e`` at the new vertex ``s`` in place and returns the new
+    edge: ``e`` keeps its id and its slot at ``start`` and now ends at
+    ``s``, and the new last edge runs from ``s`` to ``e``'s other end and
+    takes ``e``'s slot there.  ``s`` lists ``e``, then the new edge."""
+    p, q = ends[e]
+    end = q if p == start else p
+    ends[e] = (start, s)
+    ends.append((s, end))
+    new = len(ends) - 1
+    r = rot[end]
+    r[r.index(e)] = new
+    rot[s] = [e, new]
+    return new
 
 
 def _steps(d: Drawing, eid: int) -> tuple[int, ...]:

@@ -14,13 +14,15 @@ short colored path.
   a ``b0`` hub whose spokes are colored by fan membership (``b_j`` on the
   center side, ``bP_j`` on the far side).
 
-The k-planar output is the plan with every bend smoothed away and every
-edge subdivided twice, and neither step changes a face, so
-``transduce_kplanar`` writes it in one pass over the plan, as an edge list
-with dense ids and rotations.  ``transduce_clustered`` contracts clusters
-and so does its surgery on ``drawing._RotSys``, the mutable rotation system
-that also makes the cuts of ``subdivide_with_map``: it makes the
-certificate's cuts (``drawing._split``), its stubs and its hubs there.  Each
+Both outputs are written in one pass over the strands of a rotation system
+with dense edge ids (``_strands``: the plan paths between two vertices that
+are not bends).  The k-planar output is the plan with every bend smoothed
+away and every edge subdivided twice, and neither step changes a face.  The
+clustered output starts from the plan with the certificate's cuts
+(``drawing._split``) and the stubs made in it, each by one in-place
+subdivision (``drawing._subdivide``); a crossing cluster is contracted by
+dropping the strands inside it and giving its hub the rotation in which a
+tour of the cluster meets the strands that leave it.  Each transducer
 checks its system before it builds the output graph
 (``drawing._plane_simple``): a simple graph that the dart kernel
 ``drawing._embed``, which also traces every ``Drawing``'s faces, accepts
@@ -44,10 +46,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .cluster import Certificate, _verified
-from .drawing import Drawing, _plane_simple, _RotSys, _split, is_k_planar, validate
+from .drawing import Drawing, _plane_simple, _split, _subdivide, is_k_planar, validate
 from .errors import Infeasible, InvariantBroken
 from .graphs import ColorLabel, ColoredGraph, Graph, induced
 
@@ -115,8 +117,17 @@ def _mode(name: str) -> _Mode:
     return entry
 
 
+def _checked_k(k: int) -> None:
+    """Refuses a fold bound that is not a positive int (``bool`` included)."""
+    if type(k) is not int:
+        raise ValueError(f"k {k!r} is not an int")
+    if k < 1:
+        raise ValueError("k must be positive")
+
+
 def _path_budget(k: int, mode: str) -> int:
     entry = _mode(mode)
+    _checked_k(k)
     return entry.slope * k + entry.offset
 
 
@@ -132,10 +143,8 @@ class TransductionFormula:
     max_path_len: int
 
     def __post_init__(self) -> None:
-        _mode(self.mode)
-        if self.k < 1:
-            raise ValueError("k must be positive")
-        if self.max_path_len != _path_budget(self.k, self.mode):
+        budget = _path_budget(self.k, self.mode)
+        if type(self.max_path_len) is not int or self.max_path_len != budget:
             raise ValueError("max_path_len does not match mode")
 
     @staticmethod
@@ -203,8 +212,7 @@ def _checked_x(d: Drawing, x_edges: Mapping[int, Iterable[int]], k: int) -> dict
 
 
 def _checked_drawing(d: Drawing, k: int) -> None:
-    if k < 1:
-        raise ValueError("k must be positive")
+    _checked_k(k)
     errs = validate(d)
     if errs:
         raise ValueError(f"invalid drawing: {errs[0]}")
@@ -236,39 +244,38 @@ def _output(
     )
 
 
-def _assemble(
-    d: Drawing,
-    rs: _RotSys,
-    real_of: dict[int, int],
-    colors_s: dict[int, set[ColorLabel]],
-    x_edges: dict[int, tuple[int, ...]],
-    k: int,
-    mode: str,
-) -> TransductionOutput:
-    """Checks the surgered system and relabels it into the output graph.
-
-    ``is_plane_simple`` rules out loops, parallel pairs and edge ends
-    missing from the rotations, and the renaming is injective, so
-    :func:`_output` can build the graph directly.
-    """
-    if not rs.is_plane_simple():
-        raise InvariantBroken("construction invariant broken")
-    hverts = sorted(set(d.base.vertices) | set(x_edges))
-    fresh = max(hverts, default=-1) + 1
-    ren: dict[int, int] = {}
-    for p in sorted(rs.rot):
-        if p in real_of:
-            ren[p] = real_of[p]
-        else:
-            ren[p] = fresh
-            fresh += 1
-    gedges = []
-    for p, q in rs.ends.values():
-        a, b = ren[p], ren[q]
-        gedges.append((a, b) if a < b else (b, a))
-    colors = {ren[p]: frozenset(ls) for p, ls in colors_s.items()}
-    verts = sorted([*ren.values(), *x_edges])
-    return _output(hverts, verts, gedges, colors, x_edges, k, mode)
+def _strands(
+    ends: Sequence[tuple[int, int]], rot: Mapping[int, Sequence[int]], inner: set[int]
+) -> list[tuple[int, int, int, int]]:
+    """The strands of a rotation system with dense edge ids (see
+    :func:`drawing._embed`) whose ``inner`` vertices have degree 2: the
+    paths between two vertices outside ``inner`` with only ``inner``
+    vertices inside, each as (end, end, its edge at the first end, at the
+    second).  Strands without inner vertices come first, in edge order, each
+    from its edge's first end; then the others, by increasing largest inner
+    vertex, each from the end reached through the first edge in that
+    vertex's rotation."""
+    strands = [(a, b, f, f) for f, (a, b) in enumerate(ends) if a not in inner and b not in inner]
+    bent = []
+    seen: set[int] = set()
+    for bend in sorted(inner, reverse=True):  # the first bend met on a strand is its largest
+        if bend in seen:
+            continue
+        walked = []
+        for f in rot[bend]:
+            v = bend
+            while True:
+                p, q = ends[f]
+                v = q if p == v else p
+                if v not in inner:
+                    break
+                seen.add(v)
+                r = rot[v]
+                f = r[1] if r[0] == f else r[0]
+            walked.append((v, f))
+        (a, fa), (b, fb) = walked
+        bent.append((a, b, fa, fb))
+    return strands + bent[::-1]
 
 
 # ===== Mode (a): k-planar drawings =====
@@ -284,21 +291,17 @@ def transduce_kplanar(
     subdivided twice and the subdivision vertex next to the crossing names
     its edge: ``b1`` for the smaller base edge id, ``b2`` for the larger.
 
-    A strand is a plan path between two vertices that are not bends, with
-    only bends inside.  Smoothing the bends and subdividing keep every face,
-    so the output is written in one pass, as a system with dense edge ids:
-    strand ``i`` becomes the path ``a, s, s + 1, b`` with edges ``3i``,
-    ``3i + 1`` and ``3i + 2``, and each rotation of the plan names, in its
-    slots, the strand edges at that vertex.  The original vertices keep
-    their ids; the crossings are numbered next, in increasing plan id, then
-    the subdivision vertices, strand by strand.  Strands without bends come
-    first, in plan edge order, each from its smaller end; then the strands
-    with bends, by increasing largest bend, each from the end reached
-    through the first edge in that bend's rotation.  These are the ids that
-    smoothing the bends one at a time in increasing id, then subdividing
-    each remaining edge twice from its first end in increasing edge id,
-    gives.  The system is checked (:func:`drawing._plane_simple`) before the
-    graph is built.
+    Smoothing the bends and subdividing keep every face, so the output is
+    written in one pass over the plan's strands (see :func:`_strands`), as
+    a system with dense edge ids: strand ``i`` becomes the path ``a, s,
+    s + 1, b`` with edges ``3i``, ``3i + 1`` and ``3i + 2``, and each
+    rotation of the plan names, in its slots, the strand edges at that
+    vertex.  The original vertices keep their ids; the crossings are
+    numbered next, in increasing plan id, then the subdivision vertices,
+    strand by strand.  These are the ids that smoothing the bends one at a
+    time in increasing id, then subdividing each remaining edge twice from
+    its first end in increasing edge id, gives.  The system is checked
+    (:func:`drawing._plane_simple`) before the graph is built.
     """
     _checked_drawing(d, k)
     if not is_k_planar(d, k):
@@ -310,31 +313,7 @@ def transduce_kplanar(
     for eid, t in d.trace.items():
         for f in t:
             owner[f] = eid
-    bends = _bends(d)
-    inner = set(bends)
-    # Each strand as (end, end, plan edge at the first end, at the second).
-    strands = [(a, b, f, f) for f, (a, b) in enumerate(pe) if a not in inner and b not in inner]
-    bent = []
-    seen: set[int] = set()
-    for bend in reversed(bends):  # the first bend met on a strand is its largest
-        if bend in seen:
-            continue
-        walked = []
-        for f in rotation[bend]:
-            v = bend
-            while True:
-                p, q = pe[f]
-                v = q if p == v else p
-                if v not in inner:
-                    break
-                seen.add(v)
-                r = rotation[v]
-                f = r[1] if r[0] == f else r[0]
-            walked.append((v, f))
-        (a, fa), (b, fb) = walked
-        bent.append((a, b, fa, fb))
-    strands += reversed(bent)
-
+    inner = set(_bends(d))
     hverts = sorted(set(d.base.vertices) | set(xn))
     fresh = max(hverts, default=-1) + 1
     ren = {p: v for v, p in d.real_pvid.items()}
@@ -346,7 +325,7 @@ def transduce_kplanar(
     edges: list[tuple[int, int]] = []
     rot: dict[int, list[int]] = {}
     slot = [0] * (2 * len(pe))  # plan dart leaving a strand end -> its output edge
-    for i, (a, b, fa, fb) in enumerate(strands):
+    for i, (a, b, fa, fb) in enumerate(_strands(pe, rotation, inner)):
         e = 3 * i
         ra, rb = ren[a], ren[b]
         # Every original vertex and crossing is below every subdivision
@@ -385,8 +364,20 @@ def transduce_clustered(
     membership of its endpoint: ``b_j`` if the endpoint is reachable from
     fan ``j``'s center without traversing the cluster, ``bP_j`` otherwise.
 
-    The certificate's cuts and the stubs are made on one rotation system of
-    ``d``, before its bends are smoothed, so no cut drawing is built.
+    The certificate's cuts (:func:`drawing._split`) and the stubs are made
+    on one rotation system of ``d`` with dense edge ids, and the output is
+    written in one pass over its strands (see :func:`_strands`): a strand
+    with both ends in one cluster is a loop of the contraction and is
+    dropped, a strand from a leaf into a cluster is the leaf's spoke unless
+    the leaf already has one to that hub, and every other strand is one
+    edge.  Contracting a connected cluster is contracting a spanning tree of
+    it, so the hub's rotation is the order in which a depth-first tour of
+    the tree, entering each crossing just after the edge it came in by,
+    meets the edges that leave the cluster (Mohar and Thomassen, *Graphs on
+    Surfaces*, ch. 3).  The original vertices keep their ids; the hubs, cut
+    and stub vertices are numbered next, in increasing system id, then the
+    spoke vertices by cluster and leaf.  The system is checked
+    (:func:`drawing._plane_simple`) before the graph is built.
     """
     _checked_drawing(d, k)
     report, cg, comps, keys = _verified(d, cert, strong=False)
@@ -396,28 +387,28 @@ def transduce_clustered(
 
     # Cut per certificate, then add a stub next to every original end of
     # every piece, so no original vertex touches a crossed edge.  Stubs are
-    # numbered piece by piece in the order of the pieces' sorted end pairs,
-    # smaller end first; a cut or stub vertex is its own real vertex.
-    rs, made = _split(d, cert.plan.cuts)
+    # numbered after the cut vertices, piece by piece in the order of the
+    # pieces' sorted end pairs, smaller end first; a cut or stub vertex is
+    # its own real vertex.
+    ends, rot, made = _split(d, cert.plan.cuts)
+    stub = max((*rot, *d.base.vertices), default=-1) + 1
     orig = set(d.base.vertices)
-    chains = [list(ends) for _, ends, _ in made]  # each piece's vertices in path order
+    chains = [list(pair) for _, pair, _ in made]  # each piece's vertices in path order
     for i in sorted(range(len(made)), key=lambda i: sorted(made[i][1])):
         _, (a, b), steps = made[i]
         for end in sorted((a, b)):
             if end in orig:
                 at = 0 if end == a else -1
-                s, _, steps[at] = rs.subdivide_edge(steps[at], d.real_pvid[end])
-                chains[i].insert(1 if at == 0 else -1, s)
+                steps[at] = _subdivide(ends, rot, steps[at], d.real_pvid[end], stub)
+                chains[i].insert(1 if at == 0 else -1, stub)
+                stub += 1
     pieces: dict[int, list[list[int]]] = {}
     for (eid, _, _), chain in zip(made, chains):
         pieces.setdefault(eid, []).append(chain)
 
-    for bend in _bends(d):
-        rs.smooth(bend)
-    colors_s: dict[int, set[ColorLabel]] = {}
-    for v in sorted({v for chain in chains for v in chain} - orig):
-        colors_s[v] = {ColorLabel("bP", 0)}
-
+    cluster_of: dict[int, int] = {}  # crossing -> the index of its cluster
+    hubs: list[int] = []
+    sides: list[list[tuple[set[int], set[int]]]] = []
     for ci, comp in enumerate(comps):
         # The edge of each arc's piece that carries its crossings: the one
         # after the stub at its first end, if that end is original.
@@ -444,41 +435,83 @@ def transduce_clustered(
                             near.add(cur)
                             reachable = False
             fan_sides.append((near, incident - near))
-
+        sides.append(fan_sides)
         interior = sorted({x for n in comp for x in cg.crossings[n]})
-        hub = interior[0]
-        leaves = sorted({w for pair in cluster for w in pair})
-        _contract_into(rs, hub, set(interior))
-        colors_s[hub] = {ColorLabel("b", 0)}
-        for leaf in leaves:
-            spokes = [e for e in rs.rot[leaf] if rs.other(e, leaf) == hub]
-            for e in spokes[1:]:
-                rs.remove_edge(e)
-            s, _, _ = rs.subdivide_edge(spokes[0], leaf)
-            marks = set()
-            for j, (near, far) in enumerate(fan_sides, start=1):
-                if leaf in near:
-                    marks.add(ColorLabel("b", j))
-                if leaf in far:
-                    marks.add(ColorLabel("bP", j))
-            colors_s[s] = marks
+        cluster_of.update(dict.fromkeys(interior, ci))
+        hubs.append(interior[0])
 
-    real_of = {d.real_pvid[v]: v for v in d.base.vertices}
-    return _assemble(d, rs, real_of, colors_s, xn, k, "clustered")
+    inner = set(_bends(d))
+    hverts = sorted(orig | set(xn))
+    first = fresh = max(hverts, default=-1) + 1
+    ren = {p: v for v, p in d.real_pvid.items()}
+    for p in sorted((rot.keys() - inner - cluster_of.keys()) | set(hubs)):
+        if p not in ren:
+            ren[p] = fresh
+            fresh += 1
+    bp0 = frozenset({ColorLabel("bP", 0)})
+    colors = {ren[v]: bp0 for chain in chains for v in chain if v not in orig}
+    colors.update((ren[hub], frozenset({ColorLabel("b", 0)})) for hub in hubs)
+    ren.update((x, ren[hubs[c]]) for x, c in cluster_of.items())
 
+    edges: list[tuple[int, int]] = []
+    slot = [-1] * (2 * len(ends))  # dart leaving a strand end -> its output edge
+    loop: dict[int, tuple[int, int]] = {}  # dart leaving a loop -> its far end and edge there
+    spokes: dict[tuple[int, int], tuple[int, int]] = {}  # (cluster, leaf) -> the darts leaving both
+    for a, b, fa, fb in _strands(ends, rot, inner):
+        da, db = 2 * fa + (ends[fa][0] != a), 2 * fb + (ends[fb][0] != b)
+        ra, rb = ren[a], ren[b]
+        if ra == rb:
+            loop[da], loop[db] = (b, fb), (a, fa)
+        elif (a in cluster_of) == (b in cluster_of):
+            slot[da] = slot[db] = len(edges)
+            edges.append((ra, rb) if ra < rb else (rb, ra))
+        elif b in cluster_of:
+            spokes.setdefault((cluster_of[b], a), (da, db))
+        else:
+            spokes.setdefault((cluster_of[a], b), (db, da))
+    out: dict[int, list[int]] = {}
+    for (c, leaf), (dl, dh) in sorted(spokes.items()):
+        e = len(edges)
+        edges += ((ren[leaf], fresh), (ren[hubs[c]], fresh))
+        out[fresh] = [e, e + 1]
+        slot[dl], slot[dh] = e, e + 1
+        marks = set()
+        for j, (near, far) in enumerate(sides[c], start=1):
+            if leaf in near:
+                marks.add(ColorLabel("b", j))
+            if leaf in far:
+                marks.add(ColorLabel("bP", j))
+        colors[fresh] = frozenset(marks)
+        fresh += 1
 
-def _contract_into(rs: _RotSys, keep: int, interior: set[int]) -> None:
-    """Contracts a connected vertex set (plus its inner edges) into one."""
-    left = interior - {keep}
-    while left:
-        eid = next(
-            (e for e in rs.rot[keep] if rs.other(e, keep) in left), None
-        )
-        if eid is None:
-            raise InvariantBroken("construction invariant broken")
-        gone = rs.other(eid, keep)
-        rs.contract(eid, keep)
-        left.discard(gone)
+    for v, r in rot.items():
+        if v not in inner and v not in cluster_of:
+            darts = [2 * f + (ends[f][0] != v) for f in r]
+            out[ren[v]] = [slot[x] for x in darts if slot[x] >= 0]
+    for hub in hubs:
+        tour = out[ren[hub]] = []
+        reached = {hub}
+        # One frame per crossing of the tour: the crossing and what is left
+        # of its rotation, from just after the edge the tour came in by.
+        stack = [(hub, iter(rot[hub]))]
+        while stack:
+            x, rest = stack[-1]
+            for f in rest:
+                dart = 2 * f + (ends[f][0] != x)
+                if slot[dart] >= 0:
+                    tour.append(slot[dart])
+                elif dart in loop and loop[dart][0] not in reached:
+                    y, g = loop[dart]
+                    reached.add(y)
+                    r = rot[y]
+                    i = r.index(g)
+                    stack.append((y, iter(r[i + 1 :] + r[:i])))
+                    break
+            else:
+                stack.pop()
+    if not _plane_simple(edges, out):
+        raise InvariantBroken("construction invariant broken")
+    return _output(hverts, [*hverts, *range(first, fresh)], edges, colors, xn, k, "clustered")
 
 
 # ===== Formula evaluation =====

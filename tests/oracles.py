@@ -19,8 +19,9 @@ strong certificates from the earlier path checks on the cut drawing,
 cut drawings from rewriting every rotation entry by position through dart
 and edge-id maps, the k-planar transducer from smoothing and subdividing
 one edge at a time on a mutable rotation system, the clustered transducer from two cuts (a whole cut
-drawing, then stubs) joined by walking each fan edge's pieces from its
-center, and the synthesizer's region arenas and polyline drawings from a
+drawing, then stubs on that system) joined by walking each fan edge's
+pieces from its center, with each cluster contracted there one edge at a
+time, and the synthesizer's region arenas and polyline drawings from a
 pair loop and rotation code of their own each.
 """
 
@@ -51,8 +52,9 @@ from fancross.drawing import (
     _checked_cuts,
     _crossing_graph,
     _cut,
-    _RotSys,
-    _split,
+    _cut_step,
+    _plane_simple,
+    _steps,
     is_k_planar,
     subdivide_with_map,
     validate,
@@ -75,11 +77,10 @@ from fancross.minors import MinorModel, _admissible, _touch
 from fancross.transduce import (
     TransductionFormula,
     TransductionOutput,
-    _assemble,
     _bends,
     _checked_drawing,
     _checked_x,
-    _contract_into,
+    _output,
     render_formula,
 )
 
@@ -1254,6 +1255,193 @@ def oracle_surgery_ok(rs: _RotSys) -> bool:
     check of ``validate`` but the Euler one, with every component plane by
     the oracle's own count."""
     return oracle_surgery_nonplane(rs) == []
+
+
+# ===== Surgery oracle (a mutable rotation system) =====
+#
+# The rotation-system surgery the library used before it built its cuts and
+# its clustered output on dense edge lists: a mutable system with its own
+# edge ids, the cuts made on it, cluster contraction one edge at a time, and
+# the check and renaming of a finished surgery.
+
+
+class _RotSys:
+    """A mutable rotation system for cutting base edges (:func:`_split`)
+    and for the clustered transducer's surgery, which contracts crossing
+    clusters into hubs.  It is an edge list with counterclockwise
+    rotations, as in a doubly-connected edge list, and tolerates parallel
+    edges mid-surgery.  The k-planar transducer needs none of this: its
+    output is the plan with every bend smoothed and every edge subdivided
+    twice, which it writes in one pass.
+
+    Edge ids are local: the plan's ids to start with, fresh ones above them
+    for every new edge.  New vertex ids start above both the plan's and the
+    base's ids, so a cut vertex can also be a base vertex.  Every operation
+    below preserves realizability in the plane; :meth:`is_plane_simple`
+    checks that a finished surgery is a plane simple graph.
+    """
+
+    def __init__(self, d: Drawing) -> None:
+        d._embedding  # raises ValueError unless each plan edge is listed once at both ends
+        self.rot: dict[int, list[int]] = {v: list(r) for v, r in d.rotation.items()}
+        self.ends: dict[int, tuple[int, int]] = dict(enumerate(d.plan.edges))
+        self._fresh_e = d.plan.m
+        self._fresh_v = max((*d.plan.vertices, *d.base.vertices), default=-1) + 1
+
+    def other(self, eid: int, v: int) -> int:
+        a, b = self.ends[eid]
+        return b if a == v else a
+
+    def new_edge_id(self) -> int:
+        self._fresh_e += 1
+        return self._fresh_e - 1
+
+    def new_vertex_id(self) -> int:
+        self._fresh_v += 1
+        return self._fresh_v - 1
+
+    def smooth(self, v: int) -> int:
+        """Removes a degree-2 vertex, fusing its two edges into one."""
+        e1, e2 = self.rot[v]
+        p, q = self.other(e1, v), self.other(e2, v)
+        ne = self.new_edge_id()
+        self.ends[ne] = (p, q)
+        self.rot[p][self.rot[p].index(e1)] = ne
+        self.rot[q][self.rot[q].index(e2)] = ne
+        del self.rot[v], self.ends[e1], self.ends[e2]
+        return ne
+
+    def contract(self, eid: int, keep: int) -> None:
+        """Contracts an edge, merging its other endpoint into ``keep``.
+
+        The absorbed rotation is spliced in at the edge's slot; edges that
+        become loops are dropped (each drop merges two faces, keeping the
+        system planar).
+        """
+        gone = self.other(eid, keep)
+        ra, rb = self.rot[keep], self.rot[gone]
+        ia, ib = ra.index(eid), rb.index(eid)
+        spliced = ra[:ia] + rb[ib + 1 :] + rb[:ib] + ra[ia + 1 :]
+        del self.rot[gone], self.ends[eid]
+        for f in rb:
+            if f == eid:
+                continue
+            a, b = self.ends[f]
+            self.ends[f] = (keep if a == gone else a, keep if b == gone else b)
+        kept = [f for f in spliced if self.ends[f][0] != self.ends[f][1]]
+        for f in set(spliced) - set(kept):
+            del self.ends[f]
+        self.rot[keep] = kept
+
+    def remove_edge(self, eid: int) -> None:
+        a, b = self.ends.pop(eid)
+        self.rot[a].remove(eid)
+        self.rot[b].remove(eid)
+
+    def subdivide_edge(self, eid: int, start: int) -> tuple[int, int, int]:
+        """Splits an edge once at a new vertex ``s``.
+
+        Returns ``s``, the new edge from ``start`` to ``s`` and the new edge
+        from ``s`` to the other end.  Each end keeps the edge's rotation
+        slot, and ``s`` lists the two edges in that order.
+        """
+        end = self.other(eid, start)
+        del self.ends[eid]
+        s = self.new_vertex_id()
+        e1, e2 = self.new_edge_id(), self.new_edge_id()
+        self.ends[e1] = (start, s)
+        self.ends[e2] = (s, end)
+        self.rot[start][self.rot[start].index(eid)] = e1
+        self.rot[end][self.rot[end].index(eid)] = e2
+        self.rot[s] = [e1, e2]
+        return s, e1, e2
+
+    def is_plane_simple(self) -> bool:
+        """Whether the finished system is a simple graph embedded in the
+        plane (see :func:`_plane_simple`), read with its edge ids made
+        dense; an id listed in a rotation but not in ``ends`` becomes -1,
+        which the dart kernel refuses."""
+        ids = {e: i for i, e in enumerate(self.ends)}
+        rot = {v: [ids.get(e, -1) for e in r] for v, r in self.rot.items()}
+        return _plane_simple(list(self.ends.values()), rot)
+
+
+def _split(
+    d: Drawing, cuts: Mapping[int, tuple[int, ...]]
+) -> tuple[_RotSys, list[tuple[int, tuple[int, int], list[int]]]]:
+    """The cuts made on a :class:`_RotSys`, with no drawing built.
+
+    Every edge's trace is walked from its smaller endpoint and split at each
+    of its cuts in turn (see :func:`_cut_step`), so cut vertices are
+    numbered by edge, then along the trace.  Returns the system and every
+    piece in that order as (edge of ``d``, its two end vertices, its plan
+    edges in the system's edge ids, in path order).  An end is a base
+    vertex of ``d`` or a cut vertex, which is its own real vertex.
+    """
+    rs = _RotSys(d)
+    made: list[tuple[int, tuple[int, int], list[int]]] = []
+    for eid, (u, v) in enumerate(d.base.edges):
+        path, steps = d.paths[eid], _steps(d, eid)
+        at = [_cut_step(d, eid, g) for g in cuts.get(eid, ())]
+        tail, piece = u, []
+        for i, pe in enumerate(steps):
+            a = path[i]
+            for _ in range(at.count(i)):
+                s, e1, pe = rs.subdivide_edge(pe, a)
+                made.append((eid, (tail, s), piece + [e1]))
+                tail, piece, a = s, [], s
+            piece.append(pe)
+        made.append((eid, (tail, v), piece))
+    return rs, made
+
+
+def _contract_into(rs: _RotSys, keep: int, interior: set[int]) -> None:
+    """Contracts a connected vertex set (plus its inner edges) into one."""
+    left = interior - {keep}
+    while left:
+        eid = next(
+            (e for e in rs.rot[keep] if rs.other(e, keep) in left), None
+        )
+        if eid is None:
+            raise InvariantBroken("construction invariant broken")
+        gone = rs.other(eid, keep)
+        rs.contract(eid, keep)
+        left.discard(gone)
+
+
+def _assemble(
+    d: Drawing,
+    rs: _RotSys,
+    real_of: dict[int, int],
+    colors_s: dict[int, set[ColorLabel]],
+    x_edges: dict[int, tuple[int, ...]],
+    k: int,
+    mode: str,
+) -> TransductionOutput:
+    """Checks the surgered system and relabels it into the output graph.
+
+    ``is_plane_simple`` rules out loops, parallel pairs and edge ends
+    missing from the rotations, and the renaming is injective, so
+    :func:`_output` can build the graph directly.
+    """
+    if not rs.is_plane_simple():
+        raise InvariantBroken("construction invariant broken")
+    hverts = sorted(set(d.base.vertices) | set(x_edges))
+    fresh = max(hverts, default=-1) + 1
+    ren: dict[int, int] = {}
+    for p in sorted(rs.rot):
+        if p in real_of:
+            ren[p] = real_of[p]
+        else:
+            ren[p] = fresh
+            fresh += 1
+    gedges = []
+    for p, q in rs.ends.values():
+        a, b = ren[p], ren[q]
+        gedges.append((a, b) if a < b else (b, a))
+    colors = {ren[p]: frozenset(ls) for p, ls in colors_s.items()}
+    verts = sorted([*ren.values(), *x_edges])
+    return _output(hverts, verts, gedges, colors, x_edges, k, mode)
 
 
 # ===== k-planar transducer oracle (rotation-system surgery) =====

@@ -34,7 +34,7 @@ from fancross.drawing import (
     _cut_step,
     _fan_core,
     _passage_side,
-    _RotSys,
+    _plane_simple,
     _steps,
     _vertex_path,
     crossing_graph,
@@ -207,13 +207,13 @@ def test_validate_names_the_nonplane_component_by_least_vertex():
     pos = {0: pt(-4, 0), 1: pt(-2, 0), 2: pt(-1, 0), 3: pt(-2, 1)}
     pos.update({4: pt(0, 0), 5: pt(4, 0), 6: pt(0, 4), 7: pt(1, 1)})
     d = drawing_from_segments(Graph.make(range(8), edges), pos)
-    assert validate(d) == [] and _RotSys(d).is_plane_simple()
+    assert validate(d) == [] and _plane_simple(d.plan.edges, d.rotation)
     rot = dict(d.rotation)
     a, b, c = rot[7]
     rot[7] = (b, a, c)
     bad = Drawing(d.base, d.plan, rot, d.kind, d.trace, d.outer)
     assert validate(bad) == ["euler: plan component 2"]
-    assert not _RotSys(bad).is_plane_simple()
+    assert not _plane_simple(bad.plan.edges, bad.rotation)
 
 
 def test_validate_flags_outer_out_of_range():

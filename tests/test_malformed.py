@@ -32,11 +32,14 @@ from test_drawing import lens
 
 
 class Case(NamedTuple):
-    """What the calls take besides the mutated drawing: a plan with one cut
-    and a certificate, both made on the drawing before it was mutated."""
+    """What the calls take besides the mutated drawing: a plan with one cut,
+    a certificate, and a plan with one cut that names its edge or its gap
+    by something other than an int, all made on the drawing before it was
+    mutated."""
 
     plan: SubdivisionPlan
     cert: Certificate
+    spoiled: SubdivisionPlan
 
 
 # Every public function that takes a drawing, with the calls made on each
@@ -60,6 +63,13 @@ READERS = {
     "transduce_clustered": [lambda d, case: transduce_clustered(d, case.cert, {}, 2)],
 }
 
+# The readers that take a subdivision plan, each called with the spoiled
+# plan, which every one of them refuses.
+PLAN_READERS = {
+    "crossing_graph": lambda d, case: crossing_graph(d, case.spoiled),
+    "subdivide_with_map": lambda d, case: subdivide_with_map(d, case.spoiled),
+}
+
 # Public functions that take a drawing but are not fuzzed here.
 EXEMPT = {
     "synthesize": "it refuses a host that validate refuses before reading it",
@@ -74,6 +84,17 @@ def source(rng: random.Random) -> Drawing:
     if pick == 0:
         return random_kplanar(rng.randint(5, 9), rng.randint(1, 3), rng.randrange(10**4))
     return (fig1a, lambda: fig1b(4), fig3)[pick - 1]()
+
+
+def spoiled(d: Drawing, rng: random.Random) -> SubdivisionPlan:
+    """A plan with one cut on ``d`` whose edge id or gap is not an int: the
+    same value as a float, a str or a bool, or half a step above it."""
+    eid = rng.randrange(d.base.m)
+    gap = rng.randint(0, len(d.edge_crossings[eid]))
+    spoil = rng.choice([float, str, bool, lambda i: i + 0.5])
+    if rng.randrange(2):
+        return SubdivisionPlan({spoil(eid): (gap,)})
+    return SubdivisionPlan({eid: (spoil(gap),)})
 
 
 def mutated(d: Drawing, rng: random.Random) -> Drawing:
@@ -135,7 +156,8 @@ def test_mutated_drawings_raise_only_value_errors():
         except CapExceeded:
             cert = Certificate(2, 2)
         eid = rng.randrange(d.base.m)
-        case = Case(SubdivisionPlan({eid: (rng.randint(0, len(d.edge_crossings[eid])),)}), cert)
+        plan = SubdivisionPlan({eid: (rng.randint(0, len(d.edge_crossings[eid])),)})
+        case = Case(plan, cert, spoiled(d, random.Random(f"spoiled-{seed}")))
         md = mutated(d, rng)
         broken += validate(md) != []
         for name, calls in READERS.items():
@@ -146,11 +168,27 @@ def test_mutated_drawings_raise_only_value_errors():
                     refused[name] += 1
                 except Exception as exc:
                     pytest.fail(f"seed {seed}: {name} raised {exc!r}")
+        for name, call in PLAN_READERS.items():
+            with pytest.raises(ValueError):
+                call(md, case)
     # Most mutations break the drawing, and every reader that needs a valid
     # one refuses some of them; validate never raises, and planarize refuses
     # only a kind map that misses a plan vertex.
     assert broken >= 1800
     assert min(refused[name] for name in READERS if name not in ("validate", "planarize")) >= 1300
+
+
+@pytest.mark.parametrize(
+    "cuts", [{0.5: (0,)}, {"0": (0,)}, {1: (0.5,)}, {2.0: (1,)}, {True: (0,)}, {1: (False,)}]
+)
+def test_plan_entries_that_are_not_ints_are_refused(cuts):
+    """On ``fig3()``, whose edges 1 and 2 are crossed twice: a half or a str
+    for an edge id once raised ``KeyError`` or ``TypeError``, a half gap a
+    ``TypeError``, and ``2.0`` was taken as edge 2."""
+    d = fig3()
+    for call in (crossing_graph, subdivide_with_map):
+        with pytest.raises(ValueError, match=r"in subdivision plan is not an int$"):
+            call(d, SubdivisionPlan(cuts))
 
 
 def test_every_public_drawing_reader_is_fuzzed():

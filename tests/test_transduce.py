@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    _RotSys,
     oracle_eval_formula,
     oracle_eval_rendered,
     oracle_faces,
@@ -29,7 +30,7 @@ from oracles import (
 
 from fancross import cluster, transduce
 from fancross.cluster import Certificate, search_certificate
-from fancross.drawing import Drawing, SubdivisionPlan, _embed, _RotSys, validate
+from fancross.drawing import Drawing, SubdivisionPlan, _embed, validate
 from fancross.errors import CapExceeded, Infeasible, InvariantBroken
 from fancross.fixtures import fig1a, fig1a_certificate, fig1b, fig3, random_kplanar
 from fancross.geometry import drawing_from_polylines, drawing_from_segments, pt
@@ -63,23 +64,18 @@ B0, B1, B2 = ColorLabel("b", 0), ColorLabel("b", 1), ColorLabel("b", 2)
 @pytest.fixture(autouse=True, scope="module")
 def surgery_checked_by_oracle():
     """Every system this module's transducers check is also judged by
-    ``oracle_surgery_ok``, and the library's check must agree with it: the
-    k-planar output where ``_plane_simple`` reads it, the clustered surgery
-    where ``_assemble`` checks it."""
-    real_check, real_assemble = transduce._plane_simple, transduce._assemble
+    ``oracle_surgery_ok``, and the library's check must agree with it: both
+    modes' output systems where ``_plane_simple`` reads them."""
+    real_check = transduce._plane_simple
 
     def check(ends, rot):
         got = real_check(ends, rot)
         assert got == oracle_surgery_ok(as_rotsys(ends, rot))
         return got
 
-    def assemble(d, rs, *rest):
-        assert rs.is_plane_simple() == oracle_surgery_ok(rs)
-        return real_assemble(d, rs, *rest)
-
-    transduce._plane_simple, transduce._assemble = check, assemble
+    transduce._plane_simple = check
     yield
-    transduce._plane_simple, transduce._assemble = real_check, real_assemble
+    transduce._plane_simple = real_check
 
 
 def as_rotsys(ends, rot) -> _RotSys:
@@ -207,6 +203,26 @@ def test_formula_rejects_bad_parameters():
         TransductionFormula.for_mode(0, "kplanar")
     with pytest.raises(ValueError, match="max_path_len"):
         TransductionFormula(2, "kplanar", 7)
+    with pytest.raises(ValueError, match="max_path_len"):
+        TransductionFormula(2, "kplanar", 9.0)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+def test_a_fold_bound_that_is_not_an_int_is_refused(k):
+    """Each transducer, ``roundtrip`` in both modes and the formula refuse
+    it, so no document is written that ``transduction_from_json`` would
+    refuse to read back."""
+    d, cert = fig1a(), fig1a_certificate()
+    for call in (
+        lambda: transduce_kplanar(d, {}, k),
+        lambda: transduce_clustered(d, cert, {}, k),
+        lambda: roundtrip(d.base, d, [], k, "kplanar"),
+        lambda: roundtrip(d.base, d, [], k, "clustered", cert),
+        lambda: TransductionFormula.for_mode(k, "clustered"),
+        lambda: TransductionFormula(k, "kplanar", 9),
+    ):
+        with pytest.raises(ValueError, match=rf"^k {k!r} is not an int$"):
+            call()
 
 
 # ===== Mode kplanar: structure =====
@@ -456,32 +472,20 @@ def drop_a_rotation(rs):
 @pytest.mark.parametrize("mode", ["kplanar", "clustered"])
 def test_corrupted_surgery_is_refused(monkeypatch, corrupt, mode):
     """Refused by the check itself, never by ``Graph`` or a lookup while the
-    output graph is assembled.  The k-planar output is corrupted where
-    ``_plane_simple`` reads it, the clustered surgery where ``_assemble``
-    checks it."""
+    output graph is assembled.  Each mode's output system is corrupted
+    where ``_plane_simple`` reads it."""
     seen = []
-    if mode == "kplanar":
-        checked = transduce._plane_simple
+    checked = transduce._plane_simple
 
-        def corrupted(ends, rot):
-            rs = as_rotsys(ends, rot)
-            assert rs.is_plane_simple()
-            corrupt(rs)
-            seen.append(rs)
-            assert list(rs.ends) == list(range(len(rs.ends)))  # still dense
-            return checked(list(rs.ends.values()), rs.rot)
+    def corrupted(ends, rot):
+        rs = as_rotsys(ends, rot)
+        assert rs.is_plane_simple()
+        corrupt(rs)
+        seen.append(rs)
+        assert list(rs.ends) == list(range(len(rs.ends)))  # still dense
+        return checked(list(rs.ends.values()), rs.rot)
 
-        monkeypatch.setattr(transduce, "_plane_simple", corrupted)
-    else:
-        checked = transduce._assemble
-
-        def corrupted(d, rs, *rest):
-            assert rs.is_plane_simple()
-            corrupt(rs)
-            seen.append(rs)
-            return checked(d, rs, *rest)
-
-        monkeypatch.setattr(transduce, "_assemble", corrupted)
+    monkeypatch.setattr(transduce, "_plane_simple", corrupted)
     with pytest.raises(InvariantBroken, match="construction invariant broken") as info:
         if mode == "kplanar":
             transduce_kplanar(k4_drawing(), {}, 1)
@@ -1237,7 +1241,7 @@ def test_kplanar_transduction_matches_surgery_oracle_on_random_drawings(n, k, se
 
 
 def test_assembled_graph_is_normalized():
-    """``_assemble`` builds its graph without ``Graph.make``; it must equal
+    """``_output`` builds its graph without ``Graph.make``; it must equal
     the graph ``Graph.make`` builds from the same vertices and edges."""
     for out in oracle_corpus():
         g = out.colored.graph

@@ -77,9 +77,18 @@ def _arc_keys(cg: CrossingGraph) -> dict[int, tuple[int, int]]:
     return keys
 
 
+def _checked_bounds(k: int, ell: int, what: str) -> None:
+    """Refuses a fold bound ``k`` or a fan bound ``ell`` that is not a
+    positive int (``bool`` included); ``what`` names the caller's input."""
+    for name, bound in (("k", k), ("ell", ell)):
+        if type(bound) is not int:
+            raise ValueError(f"{name} {bound!r} is not an int")
+    if k < 1 or ell < 1:
+        raise ValueError(f"bad {what}: k and ell must be positive")
+
+
 def _structural_check(d: Drawing, cert: Certificate) -> None:
-    if cert.k < 1 or cert.ell < 1:
-        raise ValueError("bad certificate: k and ell must be positive")
+    _checked_bounds(cert.k, cert.ell, "certificate")
     for eid, gaps in cert.plan.cuts.items():
         if len(gaps) > cert.k - 1:
             raise ValueError("too many cuts")
@@ -272,8 +281,7 @@ def search_certificate(
     more than ``cap`` crossings are refused with ``CapExceeded``, and a
     crossing not passed by exactly two edges with ``ValueError``.
     """
-    if k < 1 or ell < 1:
-        raise ValueError("bad search parameters: k and ell must be positive")
+    _checked_bounds(k, ell, "search parameters")
     total = sum(1 for p in d.plan.vertices if d.kind_of(p) == "crossing")
     if total > cap:
         raise CapExceeded("search cap exceeded")

@@ -560,11 +560,17 @@ class SubdivisionPlan:
     cuts: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "cuts",
-            {e: tuple(sorted(gs)) for e, gs in self.cuts.items() if len(gs) > 0},
-        )
+        cuts: dict[int, tuple[int, ...]] = {}
+        for e, gs in self.cuts.items():
+            try:
+                gaps = tuple(sorted(gs))
+            except TypeError:
+                raise ValueError(
+                    f"gaps {gs!r} on edge {e!r} in subdivision plan are not a sequence of ints"
+                ) from None
+            if gaps:
+                cuts[e] = gaps
+        object.__setattr__(self, "cuts", cuts)
 
 
 def _checked_cuts(d: Drawing, plan: Optional[SubdivisionPlan]) -> dict[int, tuple[int, ...]]:

@@ -11,14 +11,7 @@ import random
 
 from .cluster import Certificate
 from .drawing import Drawing, SubdivisionPlan
-from .geometry import (
-    Point,
-    cross_point,
-    drawing_from_segments,
-    properly_cross,
-    pt,
-    strictly_inside,
-)
+from .geometry import Point, _meet, drawing_from_segments, properly_cross, pt
 from .graphs import Fan, Graph
 
 
@@ -174,28 +167,33 @@ def random_kplanar(n: int, k: int, seed: int) -> Drawing:
     pos = {i: (i, rng.randrange(0, 2 * n + 1)) for i in range(n)}
     edges = [(i, i + 1) for i in range(n - 1)]
     load = {e: 0 for e in edges}  # crossings on each accepted edge
-    points: set[Point] = set()  # crossing points of the accepted edges
+    points: set[tuple[int, int, int]] = set()  # crossing points of the accepted edges
     # A chord is kept only where drawing_from_segments would accept it: no
     # vertex inside it, no crossing point shared by three edges, and at most
-    # k crossings on it and on every edge it crosses.
+    # k crossings on it and on every edge it crosses.  Vertex i sits at
+    # x = i, so only the vertices strictly between u and w can lie inside
+    # chord (u, w), and only edges whose x-range overlaps (u, w) can cross it.
     for _ in range(3 * n):
         u, w = rng.randrange(n), rng.randrange(n)
         u, w = min(u, w), max(u, w)
         if w - u < 2 or (u, w) in load:
             continue
         a, b = pos[u], pos[w]
-        if any(strictly_inside(a, b, pos[v]) for v in range(n)):
+        dx, dy = w - u, b[1] - a[1]
+        if any(dx * (pos[v][1] - a[1]) == dy * (v - u) for v in range(u + 1, w)):
             continue
         hits: list[tuple[int, int]] = []
-        new: set[Point] = set()
+        new: set[tuple[int, int, int]] = set()
         for e in edges:
+            if e[1] <= u or e[0] >= w:
+                continue
             c, d = pos[e[0]], pos[e[1]]
             if not properly_cross(a, b, c, d):
                 continue
             hits.append(e)
             if len(hits) > k or load[e] >= k:
                 break
-            x = cross_point(a, b, c, d)
+            x = _meet(a, b, c, d)
             if x in points or x in new:
                 break
             new.add(x)

@@ -2,14 +2,16 @@
 
 Callers give coordinates as ints, strings or :class:`fractions.Fraction`.
 :func:`drawing_from_polylines` multiplies every vertex and bend point once by
-the least common multiple of their denominators; positions only decide
-orders (crossing ids, rotations, the order of crossings along an edge, the
-outer face), and a positive common scale keeps every one of them.  From then
-on the predicates :func:`orientation`, :func:`strictly_inside` and
-:func:`properly_cross` see plain ``int`` coordinates, and the only rationals
-are crossing points and parameters, which :func:`cross_point` and
-:func:`param_along` build as ``Fraction(numerator, denominator)`` from
-integer parts.  Every incidence test is exact: no epsilons, no rounding.
+the least common multiple of their denominators (int coordinates pass
+through as they are); positions only decide orders (crossing ids, rotations,
+the order of crossings along an edge, the outer face), and a positive common
+scale keeps every one of them.  From then on every test runs on plain
+``int`` coordinates: the predicates :func:`orientation` and
+:func:`properly_cross`, the node-on-segment test, and :func:`_meet`, which
+gives a crossing point as the reduced integer triple ``(X, Y, D)`` for the
+point ``(X/D, Y/D)``.  Crossing points are ordered by integer
+cross-multiplication, and no ``Fraction`` is built for integer input.  Every
+incidence test is exact: no epsilons, no rounding.
 The entry points :func:`drawing_from_segments` and
 :func:`drawing_from_polylines` turn a graph with vertex positions (and
 optional per-edge bend chains) into a :class:`~fancross.drawing.Drawing`,
@@ -22,9 +24,10 @@ orders each vertex's neighbours from straight runs of vertices, and
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .drawing import Drawing
@@ -49,15 +52,6 @@ def orientation(a: Point, b: Point, c: Point) -> int:
     return (cross > 0) - (cross < 0)
 
 
-def strictly_inside(a: Point, b: Point, x: Point) -> bool:
-    """Whether ``x`` lies on segment ``ab`` strictly between its endpoints."""
-    if orientation(a, b, x) != 0:
-        return False
-    dot = (x[0] - a[0]) * (b[0] - a[0]) + (x[1] - a[1]) * (b[1] - a[1])
-    length2 = (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
-    return 0 < dot < length2
-
-
 def properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     """Whether segments ``ab`` and ``cd`` cross at a single interior point."""
     return (
@@ -66,28 +60,29 @@ def properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     )
 
 
-def cross_point(a: Point, b: Point, c: Point, d: Point) -> tuple[Fraction, Fraction]:
-    """The intersection point of the lines ``ab`` and ``cd`` (must not be
-    parallel), as ``Fraction`` coordinates."""
-    r: Vec = (b[0] - a[0], b[1] - a[1])
-    s: Vec = (d[0] - c[0], d[1] - c[1])
-    den = r[0] * s[1] - r[1] * s[0]
+def _meet(a: Point, b: Point, c: Point, d: Point) -> tuple[int, int, int]:
+    """The intersection point of the lines ``ab`` and ``cd`` on integer
+    coordinates (they must not be parallel), as the reduced integer triple
+    ``(X, Y, D)`` with ``D > 0`` for the point ``(X/D, Y/D)``; equal points
+    give equal triples."""
+    rx, ry = b[0] - a[0], b[1] - a[1]
+    sx, sy = d[0] - c[0], d[1] - c[1]
+    den = rx * sy - ry * sx
     if den == 0:
         raise ValueError("parallel lines have no crossing point")
-    num = (c[0] - a[0]) * s[1] - (c[1] - a[1]) * s[0]
-    return (
-        Fraction(a[0] * den + num * r[0], den),
-        Fraction(a[1] * den + num * r[1], den),
-    )
+    num = (c[0] - a[0]) * sy - (c[1] - a[1]) * sx
+    x, y = a[0] * den + num * rx, a[1] * den + num * ry
+    if den < 0:
+        x, y, den = -x, -y, -den
+    g = gcd(x, y, den)
+    return (x // g, y // g, den // g)
 
 
-def param_along(a: Point, b: Point, x: Point) -> Fraction:
-    """The parameter ``t`` with ``x = a + t*(b-a)`` for a point on line ``ab``."""
-    if b[0] != a[0]:
-        return Fraction(x[0] - a[0], b[0] - a[0])
-    if b[1] != a[1]:
-        return Fraction(x[1] - a[1], b[1] - a[1])
-    raise ValueError("degenerate segment")
+def _point_cmp(p: tuple[int, ...], q: tuple[int, ...]) -> int:
+    """Compare records ``(X, Y, D, ...)`` by the point ``(X/D, Y/D)`` in
+    (x, y) order."""
+    c = p[0] * q[2] - q[0] * p[2] or p[1] * q[2] - q[1] * p[2]
+    return (c > 0) - (c < 0)
 
 
 def _half(v: Vec) -> int:
@@ -116,38 +111,64 @@ def sort_ccw(items: Iterable[tuple[object, Vec]]) -> list[object]:
 # ===== Segment arrangements and the drawings along them =====
 
 
+def _box(a: Point, b: Point) -> tuple[Coord, Coord, Coord, Coord]:
+    """The bounding box ``(xlo, xhi, ylo, yhi)`` of segment ``ab``."""
+    return (min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
+
+
 def _arrangement(
     segs: Sequence[tuple[object, Point, Point]],
-) -> Optional[tuple[list[Point], list[list[int]]]]:
+) -> Optional[tuple[list[tuple[int, int, int]], list[list[int]]]]:
     """The crossings of the integer segments ``(tag, a, b)``.
 
-    Segments that share an endpoint are never tested.  Two crossing segments
-    with one tag raise ``ValueError("edge crosses itself")``, and the answer
-    is None as soon as a crossing point repeats under another set of tags.
-    Otherwise returns the crossing points in coordinate order and, for each
-    segment, the numbers of its crossings in order from ``a``.
+    Pairs are tested in order ``(s1, s2)``, ``s1 < s2``; pairs with disjoint
+    bounding boxes and pairs that share an endpoint never cross.  Two
+    crossing segments with one tag raise ``ValueError("edge crosses
+    itself")``, and the answer is None as soon as a crossing point repeats
+    under another set of tags.  Otherwise returns the crossing points as
+    :func:`_meet` triples in coordinate order and, for each segment, the
+    numbers of its crossings in order from ``a``.  A segment is monotone in
+    (x, y) order, so those are its crossing numbers increasing from its
+    smaller end.
     """
-    tags_at: dict[Point, set[object]] = {}
-    recs: list[tuple[Point, int, int]] = []
+    boxes = [_box(a, b) for _, a, b in segs]
+    tags_at: dict[tuple[int, int, int], set[object]] = {}
+    recs: list[tuple[int, int, int, int, int]] = []
     for s1, (t1, a, b) in enumerate(segs):
+        (ax, ay), (bx, by) = a, b
+        rx, ry = bx - ax, by - ay
+        xlo, xhi, ylo, yhi = boxes[s1]
         for s2 in range(s1 + 1, len(segs)):
+            cxlo, cxhi, cylo, cyhi = boxes[s2]
+            if cxhi < xlo or cxlo > xhi or cyhi < ylo or cylo > yhi:
+                continue
             t2, c, d = segs[s2]
-            if a == c or a == d or b == c or b == d or not properly_cross(a, b, c, d):
+            (cx, cy), (dx, dy) = c, d
+            o1 = rx * (cy - ay) - ry * (cx - ax)
+            o2 = rx * (dy - ay) - ry * (dx - ax)
+            if not (o1 < 0 < o2 or o2 < 0 < o1):
+                continue
+            sx, sy = dx - cx, dy - cy
+            o3 = sx * (ay - cy) - sy * (ax - cx)
+            o4 = sx * (by - cy) - sy * (bx - cx)
+            if not (o3 < 0 < o4 or o4 < 0 < o3):
                 continue
             if t1 == t2:
                 raise ValueError("edge crosses itself")
-            x = cross_point(a, b, c, d)
+            x = _meet(a, b, c, d)
             tags = {t1, t2}
             if tags_at.setdefault(x, tags) != tags:
                 return None
-            recs.append((x, s1, s2))
-    recs.sort()
-    along: list[list[tuple[Fraction, int]]] = [[] for _ in segs]
-    for i, (x, s1, s2) in enumerate(recs):
-        for s in (s1, s2):
-            _, a, b = segs[s]
-            along[s].append((param_along(a, b, x), i))
-    return [x for x, _, _ in recs], [[i for _, i in sorted(on)] for on in along]
+            recs.append((*x, s1, s2))
+    recs.sort(key=cmp_to_key(_point_cmp))  # stable: ties keep (s1, s2) order
+    along: list[list[int]] = [[] for _ in segs]
+    for i, (*_, s1, s2) in enumerate(recs):
+        along[s1].append(i)
+        along[s2].append(i)
+    for on, (_, a, b) in zip(along, segs):
+        if a > b:
+            on.reverse()
+    return [r[:3] for r in recs], along
 
 
 def _rotations(runs: Iterable[tuple[Sequence[int], Vec]]) -> dict[int, tuple[int, ...]]:
@@ -212,10 +233,13 @@ def drawing_from_polylines(
 
     # One common integer scale for every vertex and bend point.
     given = [pos[v] for v in g.vertices] + [p for chain in bends.values() for p in chain]
-    scale = lcm(*(Fraction(c).denominator for p in given for c in p))
+    scale = lcm(*(1 if type(c) is int else Fraction(c).denominator for p in given for c in p))
+
+    def coord(c: object) -> int:
+        return c * scale if type(c) is int else int(Fraction(c) * scale)
 
     def grid(p: Point) -> tuple[int, int]:
-        return (int(Fraction(p[0]) * scale), int(Fraction(p[1]) * scale))
+        return (coord(p[0]), coord(p[1]))
 
     pts = {v: grid(pos[v]) for v in g.vertices}
     chains = {
@@ -238,10 +262,17 @@ def drawing_from_polylines(
                 raise ValueError("degenerate segment")
             segs.append((eid, a, b))
 
-    for p in node_pts:
-        for _, a, b in segs:
-            if strictly_inside(a, b, p):
-                raise ValueError("vertex on edge")
+    # A node strictly inside a segment lies in its bounding box, so only the
+    # nodes in its x-range are tested, by their x order.
+    nodes = sorted(node_pts)
+    for _, a, b in segs:
+        (ax, ay), (bx, by) = a, b
+        xlo, xhi, ylo, yhi = _box(a, b)
+        for p in nodes[bisect_left(nodes, (xlo,)) : bisect_left(nodes, (xhi + 1,))]:
+            px, py = p
+            if ylo <= py <= yhi and p != a and p != b:
+                if (bx - ax) * (py - ay) == (by - ay) * (px - ax):
+                    raise ValueError("vertex on edge")
 
     # Any collinear overlap between segments puts some chain point strictly
     # inside another segment, so the check above already rejected it.
@@ -252,7 +283,7 @@ def drawing_from_polylines(
 
     fresh = max(g.vertices, default=-1) + 1
     kind = {v: f"real:{v}" for v in g.vertices}
-    ppos: dict[int, Point] = dict(pts)
+    ppos: dict[int, tuple[int, int]] = dict(pts)  # real and bend vertices
     corners: dict[int, list[int]] = {}
     for eid in sorted(bends):
         corners[eid] = []
@@ -262,9 +293,8 @@ def drawing_from_polylines(
             ppos[fresh] = p
             fresh += 1
     xid = range(fresh, fresh + len(xs))
-    for p, x in zip(xid, xs):
+    for p in xid:
         kind[p] = "crossing"
-        ppos[p] = x
 
     # Plan paths: each segment runs from its first corner through its
     # crossings to the next corner, along the segment's integer direction.
@@ -282,11 +312,14 @@ def drawing_from_polylines(
 
     d = _drawing_along(g, kind, paths, _rotations(runs))
     if d.plan.m:
-        lowest: dict[int, tuple[Coord, Coord, int]] = {}  # plan component -> (y, x, p)
-        for p, c in d.plan_components.items():
+        # A crossing lies strictly inside a segment, one of whose ends is
+        # lower, so each component's lowest vertex is a real or bend vertex.
+        comp = d.plan_components
+        lowest: dict[int, tuple[int, int, int]] = {}  # plan component -> (y, x, p)
+        for p, (x, y) in ppos.items():
             if d.plan.degree(p):
-                at = (ppos[p][1], ppos[p][0], p)
-                lowest[c] = min(lowest.get(c, at), at)
+                at = (y, x, p)
+                lowest[comp[p]] = min(lowest.get(comp[p], at), at)
         outer, *outers = (_outer_face_index(d, p) for *_, p in sorted(lowest.values()))
         d = d.with_outer(outer, sorted(outers))
     return d

@@ -21,8 +21,10 @@ and edge-id maps, the k-planar transducer from smoothing and subdividing
 one edge at a time on a mutable rotation system, the clustered transducer from two cuts (a whole cut
 drawing, then stubs on that system) joined by walking each fan edge's
 pieces from its center, with each cluster contracted there one edge at a
-time, and the synthesizer's region arenas and polyline drawings from a
-pair loop and rotation code of their own each.
+time, the synthesizer's region arenas and polyline drawings from a
+pair loop and rotation code of their own each, and the segment arrangement
+from ``Fraction`` crossing points sorted as pairs and each segment's
+crossings sorted by their ``Fraction`` parameter along it.
 """
 
 from __future__ import annotations
@@ -63,14 +65,12 @@ from fancross.errors import CapExceeded, Infeasible, InvariantBroken
 from fancross.geometry import (
     Point,
     Vec,
-    cross_point,
     dir_cmp,
     drawing_from_segments,
-    param_along,
+    orientation,
     properly_cross,
     pt,
     sort_ccw,
-    strictly_inside,
 )
 from fancross.graphs import ColoredGraph, ColorLabel, Fan, Graph, fan_cover
 from fancross.minors import MinorModel, _admissible, _touch
@@ -777,10 +777,83 @@ def oracle_find_model(
     return None
 
 
-# ===== Arrangement oracles (one pair loop per caller) =====
+# ===== Arrangement oracles =====
 #
-# The synthesizer's region arena and the polyline drawing builder as they
-# were before both drew through the shared arrangement in ``geometry``.
+# The ``Fraction`` primitives the kernel no longer calls (the on-segment
+# test, crossing points and parameters along a segment), the shared
+# arrangement as it was before it ordered crossings by integer triples and
+# read each segment's order from the crossing ids (``Fraction`` points,
+# sorted parameters along each segment), and the synthesizer's
+# region arena and the polyline drawing builder as they were before both
+# drew through the shared arrangement in ``geometry`` (one pair loop per
+# caller).
+
+
+def strictly_inside(a: Point, b: Point, x: Point) -> bool:
+    """Whether ``x`` lies on segment ``ab`` strictly between its endpoints."""
+    if orientation(a, b, x) != 0:
+        return False
+    dot = (x[0] - a[0]) * (b[0] - a[0]) + (x[1] - a[1]) * (b[1] - a[1])
+    length2 = (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
+    return 0 < dot < length2
+
+
+def cross_point(a: Point, b: Point, c: Point, d: Point) -> tuple[Fraction, Fraction]:
+    """The intersection point of the lines ``ab`` and ``cd`` (must not be
+    parallel), as ``Fraction`` coordinates."""
+    r: Vec = (b[0] - a[0], b[1] - a[1])
+    s: Vec = (d[0] - c[0], d[1] - c[1])
+    den = r[0] * s[1] - r[1] * s[0]
+    if den == 0:
+        raise ValueError("parallel lines have no crossing point")
+    num = (c[0] - a[0]) * s[1] - (c[1] - a[1]) * s[0]
+    return (
+        Fraction(a[0] * den + num * r[0], den),
+        Fraction(a[1] * den + num * r[1], den),
+    )
+
+
+def param_along(a: Point, b: Point, x: Point) -> Fraction:
+    """The parameter ``t`` with ``x = a + t*(b-a)`` for a point on line ``ab``."""
+    if b[0] != a[0]:
+        return Fraction(x[0] - a[0], b[0] - a[0])
+    if b[1] != a[1]:
+        return Fraction(x[1] - a[1], b[1] - a[1])
+    raise ValueError("degenerate segment")
+
+
+def oracle_arrangement(
+    segs: Sequence[tuple[object, Point, Point]],
+) -> Optional[tuple[list[Point], list[list[int]]]]:
+    """The crossings of the integer segments ``(tag, a, b)``.
+
+    Segments that share an endpoint are never tested.  Two crossing segments
+    with one tag raise ``ValueError("edge crosses itself")``, and the answer
+    is None as soon as a crossing point repeats under another set of tags.
+    Otherwise returns the crossing points in coordinate order and, for each
+    segment, the numbers of its crossings in order from ``a``.
+    """
+    tags_at: dict[Point, set[object]] = {}
+    recs: list[tuple[Point, int, int]] = []
+    for s1, (t1, a, b) in enumerate(segs):
+        for s2 in range(s1 + 1, len(segs)):
+            t2, c, d = segs[s2]
+            if a == c or a == d or b == c or b == d or not properly_cross(a, b, c, d):
+                continue
+            if t1 == t2:
+                raise ValueError("edge crosses itself")
+            x = cross_point(a, b, c, d)
+            tags = {t1, t2}
+            if tags_at.setdefault(x, tags) != tags:
+                return None
+            recs.append((x, s1, s2))
+    recs.sort()
+    along: list[list[tuple[Fraction, int]]] = [[] for _ in segs]
+    for i, (x, s1, s2) in enumerate(recs):
+        for s in (s1, s2):
+            _, a, b = segs[s]
+            along[s].append((param_along(a, b, x), i))
+    return [x for x, _, _ in recs], [[i for _, i in sorted(on)] for on in along]
 
 
 def oracle_arena(

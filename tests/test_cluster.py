@@ -176,6 +176,25 @@ def test_nonpositive_parameters_are_structural():
         verify_certificate(fig1a(), Certificate(0, 1))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda d: search_certificate(d, 2.0, 2), r"^k 2\.0 is not an int$"),
+        (lambda d: search_certificate(d, 2, 2.0), r"^ell 2\.0 is not an int$"),
+        (lambda d: search_certificate(d, True, 2, strong=True), r"^k True is not an int$"),
+        (lambda d: min_ell(d, 2.0), r"^k 2\.0 is not an int$"),
+        (lambda d: verify_certificate(d, Certificate(2.0, 2.5)), r"^k 2\.0 is not an int$"),
+        (lambda d: verify_certificate(d, Certificate(2, False)), r"^ell False is not an int$"),
+    ],
+)
+def test_bounds_that_are_not_ints_are_refused(call, message):
+    """On ``fig3()``: a float ``k`` once raised ``TypeError`` from the cut
+    options, a float ``ell`` came back in the certificate, and the verifier
+    took ``Certificate(2.0, 2.5)`` as it was."""
+    with pytest.raises(ValueError, match=message):
+        call(fig3())
+
+
 def test_cut_position_out_of_range_is_structural():
     d = fig1b(3)
     plan = SubdivisionPlan({d.base.edge_id(1, 3): (99,)})

@@ -2,30 +2,38 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
-from oracles import oracle_drawing_from_polylines
+from oracles import (
+    cross_point,
+    oracle_arrangement,
+    oracle_drawing_from_polylines,
+    param_along,
+    strictly_inside,
+)
+from test_exact_arithmetic import SRC
+from test_synth import RETRY_CHORDS, random_chords, random_model
 
-from fancross import fixtures
+from fancross import fixtures, geometry, synth
 from fancross.drawing import crossings_per_edge, validate
 from fancross.geometry import (
-    cross_point,
+    _arrangement,
+    _meet,
     dir_cmp,
     drawing_from_polylines,
     drawing_from_segments,
     orientation,
-    param_along,
     properly_cross,
     pt,
     sort_ccw,
-    strictly_inside,
 )
 from fancross.graphs import Graph, grid2d
 
@@ -441,3 +449,132 @@ def test_polylines_match_the_replaced_builder_on_a_seeded_corpus(monkeypatch):
 def test_random_polylines_match_the_replaced_builder(rng):
     g, pos, bends = random_polylines(rng)
     assert _build(g, pos, bends) == _build(g, pos, bends, oracle_drawing_from_polylines)
+
+
+# ===== The integer arrangement against the Fraction one it replaced =====
+
+
+ints = st.integers(-10**6, 10**6)
+int_points = st.tuples(ints, ints)
+
+
+@given(int_points, int_points, int_points, int_points)
+def test_meet_is_the_cross_point_scaled_to_a_reduced_triple(a, b, c, d):
+    r, s = (b[0] - a[0], b[1] - a[1]), (d[0] - c[0], d[1] - c[1])
+    assume(r[0] * s[1] != r[1] * s[0])
+    x, y = cross_point(a, b, c, d)
+    den = lcm(x.denominator, y.denominator)
+    assert _meet(a, b, c, d) == (int(x * den), int(y * den), den)
+    assert gcd(*_meet(a, b, c, d)) == 1 and _meet(c, d, a, b) == _meet(a, b, c, d)
+
+
+def arrangement_outcome(arrange, segs):
+    """The crossing points as ``Fraction`` pairs and each segment's crossing
+    numbers, None, or the ``ValueError`` text."""
+    try:
+        arr = arrange(segs)
+    except ValueError as exc:
+        return str(exc)
+    if arr is None:
+        return None
+    xs, along = arr
+    if arrange is _arrangement:
+        xs = [(Fraction(x, den), Fraction(y, den)) for x, y, den in xs]
+    return xs, along
+
+
+# Segment lists that the builders never hand over, or only hand over after
+# their own checks: shared endpoints, collinear touching and overlapping
+# pieces, a self-crossing, three or four segments through one point, two
+# tags that cross twice, at one point or at two, and segments given from
+# either end.
+RAW_DEGENERATE = [
+    [(0, (0, 0), (2, 2)), (1, (2, 2), (4, 0)), (2, (0, 2), (2, 2))],
+    [(0, (0, 0), (4, 0)), (1, (2, 0), (6, 0)), (2, (4, 0), (8, 0))],
+    [(0, (0, 0), (4, 0)), (1, (2, 0), (2, 3)), (2, (2, -3), (2, 0))],
+    [(0, (0, 0), (4, 4)), (0, (0, 4), (4, 0))],
+    [(0, (0, 0), (4, 4)), (1, (0, 4), (4, 0)), (2, (2, -1), (2, 5))],
+    [(0, (4, 4), (0, 0)), (1, (4, 0), (0, 4)), (2, (2, 5), (2, -1)), (3, (-1, 2), (5, 2))],
+    [(0, (0, 0), (4, 4)), (1, (0, 4), (4, 0)), (0, (4, 0), (0, 4))],
+    [(0, (0, 0), (4, 4)), (1, (0, 4), (4, 0)), (1, (2, 5), (2, -1)), (0, (-1, 2), (5, 2))],
+    [(0, (3, 0), (3, 9)), (1, (0, 1), (9, 1)), (1, (9, 2), (0, 2)), (2, (0, 9), (9, 0))],
+    [(0, (0, 0), (0, 5)), (1, (-1, 3), (1, 2)), (2, (1, 4), (-1, 1))],
+    [],
+]
+
+
+def test_arrangement_matches_the_replaced_one_on_a_seeded_corpus(monkeypatch):
+    corpus = list(RAW_DEGENERATE)
+    polylines, arenas = geometry._arrangement, synth._arrangement
+
+    def recorded(arrange):
+        def call(segs):
+            corpus.append(list(segs))
+            return arrange(segs)
+
+        return call
+
+    monkeypatch.setattr(geometry, "_arrangement", recorded(polylines))
+    monkeypatch.setattr(synth, "_arrangement", recorded(arenas))
+    for n, k, seed in itertools.product(range(4, 25, 2), range(1, 4), range(3)):
+        fixtures.random_kplanar(n, k, seed)
+    fixtures.fig1a()
+    fixtures.fig3()
+    rng = random.Random(2207)
+    for _ in range(300):
+        _build(*random_polylines(rng))
+    for g, pos, bends in (inp for inp, _ in DEGENERATE):
+        _build(g, pos, bends)
+    rng = random.Random(1)  # the synthesis model corpus of tests/test_synth.py
+    for _ in range(1500):
+        hd, m = random_model(rng)
+        synth.synthesize(hd, m)
+    rng = random.Random(4127)
+    arenas = [random_chords(rng) for _ in range(200)]
+    arenas += [(list(range(n)), [(i, a, b) for i, (a, b) in enumerate(ps)]) for n, ps in RETRY_CHORDS]
+    for vids, chords in arenas:
+        try:
+            synth._arena(vids, chords, itertools.count())
+        except synth.InvariantBroken:
+            pass
+
+    outcomes = Counter()
+    for segs in corpus:
+        got = arrangement_outcome(_arrangement, segs)
+        assert got == arrangement_outcome(oracle_arrangement, segs)
+        outcomes[got if not isinstance(got, tuple) else bool(got[0])] += 1
+    # Arrangements with and without crossings, refusals and self-crossings:
+    # there are 992, 8,919, 24 and 49.
+    assert outcomes[True] > 900 and outcomes[False] > 8000
+    assert outcomes[None] > 20 and outcomes["edge crosses itself"] > 40
+
+
+def test_integer_input_builds_no_fraction(monkeypatch):
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    # The kernel's own module is the only one in the library that names
+    # ``Fraction``, so every one the fixtures, the builders or the arenas
+    # could make would be counted here.
+    names = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+    modules = [importlib.import_module(f"fancross.{name}") for name in names]
+    assert [m for m in modules if hasattr(m, "Fraction")] == [geometry]
+    monkeypatch.setattr(geometry, "Fraction", Counted)
+    for n, k, seed in itertools.product(range(4, 25, 4), range(1, 4), range(2)):
+        fixtures.random_kplanar(n, k, seed)
+    g = grid2d(3, 3)
+    drawing_from_segments(g, {i * 3 + j: (j, i) for i in range(3) for j in range(3)})
+    xfix_pos = {0: (0, 0), 1: (2, 2), 2: (0, 2), 3: (2, 0)}
+    drawing_from_segments(Graph.make([0, 1, 2, 3], [(0, 1), (2, 3)]), xfix_pos)
+    rng = random.Random(4127)
+    for _ in range(50):
+        vids, chords = random_chords(rng)
+        synth._arena(vids, chords, itertools.count())
+    assert made == []
+    # The guard sees a Fraction when one is due.
+    drawing_from_segments(Graph.make([0, 1], [(0, 1)]), {0: (0, 0), 1: ("1/2", 0)})
+    assert made

@@ -33,13 +33,13 @@ from test_drawing import lens
 
 class Case(NamedTuple):
     """What the calls take besides the mutated drawing: a plan with one cut,
-    a certificate, and a plan with one cut that names its edge or its gap
-    by something other than an int, all made on the drawing before it was
-    mutated."""
+    a certificate, and the cuts of a plan with one edge whose id, gap or gap
+    tuple is not an int or a sequence of ints, all made on the drawing
+    before it was mutated."""
 
     plan: SubdivisionPlan
     cert: Certificate
-    spoiled: SubdivisionPlan
+    spoiled: dict
 
 
 # Every public function that takes a drawing, with the calls made on each
@@ -63,11 +63,11 @@ READERS = {
     "transduce_clustered": [lambda d, case: transduce_clustered(d, case.cert, {}, 2)],
 }
 
-# The readers that take a subdivision plan, each called with the spoiled
-# plan, which every one of them refuses.
+# The readers that take a subdivision plan, each called with a plan made
+# from the spoiled cuts, which the plan or every one of them refuses.
 PLAN_READERS = {
-    "crossing_graph": lambda d, case: crossing_graph(d, case.spoiled),
-    "subdivide_with_map": lambda d, case: subdivide_with_map(d, case.spoiled),
+    "crossing_graph": lambda d, case: crossing_graph(d, SubdivisionPlan(case.spoiled)),
+    "subdivide_with_map": lambda d, case: subdivide_with_map(d, SubdivisionPlan(case.spoiled)),
 }
 
 # Public functions that take a drawing but are not fuzzed here.
@@ -86,15 +86,22 @@ def source(rng: random.Random) -> Drawing:
     return (fig1a, lambda: fig1b(4), fig3)[pick - 1]()
 
 
-def spoiled(d: Drawing, rng: random.Random) -> SubdivisionPlan:
-    """A plan with one cut on ``d`` whose edge id or gap is not an int: the
-    same value as a float, a str or a bool, or half a step above it."""
+def spoiled(d: Drawing, rng: random.Random) -> dict:
+    """The cuts of a plan with one edge on ``d`` whose edge id or gap is
+    not an int (the same value as a float, a str or a bool, or half a step
+    above it), whose gaps mix an int with its str, or whose gap tuple is a
+    bare int."""
     eid = rng.randrange(d.base.m)
     gap = rng.randint(0, len(d.edge_crossings[eid]))
     spoil = rng.choice([float, str, bool, lambda i: i + 0.5])
-    if rng.randrange(2):
-        return SubdivisionPlan({spoil(eid): (gap,)})
-    return SubdivisionPlan({eid: (spoil(gap),)})
+    how = rng.randrange(4)
+    if how == 0:
+        return {spoil(eid): (gap,)}
+    if how == 1:
+        return {eid: (spoil(gap),)}
+    if how == 2:
+        return {eid: (gap, str(gap))}
+    return {eid: gap}
 
 
 def mutated(d: Drawing, rng: random.Random) -> Drawing:
@@ -189,6 +196,14 @@ def test_plan_entries_that_are_not_ints_are_refused(cuts):
     for call in (crossing_graph, subdivide_with_map):
         with pytest.raises(ValueError, match=r"in subdivision plan is not an int$"):
             call(d, SubdivisionPlan(cuts))
+
+
+@pytest.mark.parametrize("cuts", [{0: (0, "1")}, {0: 1}])
+def test_gaps_that_do_not_sort_as_ints_are_refused_with_their_edge(cuts):
+    """A gap tuple that mixes an int and a str, or a bare int for one, once
+    raised ``TypeError`` from the plan's sort or ``len``."""
+    with pytest.raises(ValueError, match=r"^gaps .* on edge 0 in subdivision plan are not a sequence of ints$"):
+        SubdivisionPlan(cuts)
 
 
 def test_every_public_drawing_reader_is_fuzzed():

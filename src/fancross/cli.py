@@ -15,7 +15,7 @@ from typing import Any, Optional
 
 from . import fixtures
 from .cluster import Certificate, min_ell, search_certificate, verify_certificate
-from .drawing import Drawing, crossing_graph, is_k_planar, validate
+from .drawing import Drawing, _require_valid, crossing_graph, is_k_planar, validate
 from .errors import CapExceeded, Infeasible, InvariantBroken
 from .graphs import Graph
 from .jsonio import (
@@ -70,13 +70,8 @@ def _load_json(path: str) -> Any:
         raise _CliError(PARSE, f"bad json in {path}: {exc}") from exc
 
 
-def _load_drawing(path: str, check: bool = True) -> Drawing:
-    d = drawing_from_json(_load_json(path))
-    if check:
-        errs = validate(d)
-        if errs:
-            raise _CliError(PARSE, f"invalid drawing: {errs[0]}")
-    return d
+def _load_drawing(path: str) -> Drawing:
+    return _require_valid(drawing_from_json(_load_json(path)))
 
 
 def _load_cert(path: str, base: Graph) -> Certificate:
@@ -114,8 +109,7 @@ def _full_graph(args: argparse.Namespace) -> Graph:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    d = _load_drawing(args.drawing, check=False)
-    errs = validate(d)
+    errs = validate(drawing_from_json(_load_json(args.drawing)))
     _emit({"ok": not errs, "errors": errs})
     return OK if not errs else FALSE
 

@@ -8,9 +8,10 @@ containing its edge.
 Strong verification additionally checks, for every fan and every crossed
 arc, the one-sided non-enclosing fan-crossing property.  It runs on the
 uncut drawing wherever it is used (verification, the search and its final
-certificate): an arc is a stretch ``(edge, lo, hi)`` of its edge's path, and
-a cut adds only a degree-2 vertex inside one plan edge, leaving every face
-as it is (see :func:`drawing._fan_core`), so no strong check cuts anything.
+certificate): an arc is a stretch ``(edge, lo, hi)`` of its edge's path,
+which a crossing-graph :class:`ArcRef` equals, and a cut adds only a
+degree-2 vertex inside one plan edge, leaving every face as it is (see
+:func:`drawing._fan_core`), so no strong check cuts anything.
 
 The exact search returns the first certificate in a fixed order: the product
 order of every edge's interior cut options (edge 0 varying slowest), with the
@@ -35,7 +36,7 @@ from typing import Iterator, Optional, Sequence
 
 from .drawing import CrossingGraph, Drawing, SubdivisionPlan, _fan_core, crossing_graph
 from .errors import CapExceeded, InvariantBroken
-from .graphs import Fan, fan_cover, vertex_cover
+from .graphs import Fan, _canonical_fans, _checked_int, fan_cover, vertex_cover
 
 
 # ===== Certificates =====
@@ -80,10 +81,7 @@ def _arc_keys(cg: CrossingGraph) -> dict[int, tuple[int, int]]:
 def _checked_bounds(k: int, ell: int, what: str) -> None:
     """Refuses a fold bound ``k`` or a fan bound ``ell`` that is not a
     positive int (``bool`` included); ``what`` names the caller's input."""
-    for name, bound in (("k", k), ("ell", ell)):
-        if type(bound) is not int:
-            raise ValueError(f"{name} {bound!r} is not an int")
-    if k < 1 or ell < 1:
+    if _checked_int("k", k) < 1 or _checked_int("ell", ell) < 1:
         raise ValueError(f"bad {what}: k and ell must be positive")
 
 
@@ -200,7 +198,8 @@ def _verified(
             continue
         failures += _weak_failures(d, keys, cid, comp, fans, cert.ell, cert.assignment)
         if strong:
-            failures += _strong_failures(d, cert.plan.cuts, cid, _arcs(cg, comp), fans)
+            arcs = [cg.nodes[n] for n in comp]
+            failures += _strong_failures(d, cert.plan.cuts, cid, arcs, fans)
     failures.sort()
     stats = {
         "components": len(comps),
@@ -230,11 +229,6 @@ def _cut_options(d: Drawing, k: int) -> list[list[tuple[int, ...]]]:
     return opts
 
 
-def _arcs(cg: CrossingGraph, comp: Sequence[int]) -> list[tuple[int, int, int]]:
-    """The arcs of a component as ``(edge, lo, hi)``, in node order."""
-    return [(a.edge, a.lo, a.hi) for a in (cg.nodes[n] for n in comp)]
-
-
 def _strong_cover(
     d: Drawing,
     cuts: dict[int, tuple[int, ...]],
@@ -243,23 +237,13 @@ def _strong_cover(
     ell: int,
 ) -> Optional[list[Fan]]:
     """The first center set (by size, then lexicographically) whose canonical
-    fan cover of the participating edges passes the strong conditions on
-    the component's arcs."""
+    fans of the participating edges (:func:`graphs._canonical_fans`) pass
+    the strong conditions on the component's arcs."""
     cands = sorted({u for e in part for u in e})
     for size in range(1, min(ell, len(cands)) + 1):
         for chosen in itertools.combinations(cands, size):
-            groups: dict[int, list[tuple[int, int]]] = {}
-            ok = True
-            for e in part:
-                incident = [c for c in chosen if c in e]
-                if not incident:
-                    ok = False
-                    break
-                groups.setdefault(min(incident), []).append(e)
-            if not ok:
-                continue
-            fans = [Fan(c, tuple(groups[c])) for c in sorted(groups)]
-            if next(_strong_failures(d, cuts, 0, arcs, fans), None) is None:
+            fans = _canonical_fans(part, chosen)
+            if fans is not None and next(_strong_failures(d, cuts, 0, arcs, fans), None) is None:
                 return fans
     return None
 
@@ -282,6 +266,7 @@ def search_certificate(
     crossing not passed by exactly two edges with ``ValueError``.
     """
     _checked_bounds(k, ell, "search parameters")
+    _checked_int("cap", cap)
     total = sum(1 for p in d.plan.vertices if d.kind_of(p) == "crossing")
     if total > cap:
         raise CapExceeded("search cap exceeded")
@@ -314,8 +299,10 @@ def _certificate(
     """The certificate on ``plan``: per component the first (strong) cover,
     each arc assigned to its edge's fan; None if some component has none.
 
-    A strong search hands over its ``memo`` of covers by arc set.  Each
-    component's cover is then taken from it and checked once with
+    A strong search hands over its ``memo`` of covers by arc set.  The
+    search keys it by ``(edge, lo, hi)`` tuples, which equal the
+    :class:`ArcRef` nodes of the crossing graph, so each component's cover
+    is looked up by its nodes and checked once with
     :func:`_strong_failures`; a missing or failing cover raises
     ``InvariantBroken``.
     """
@@ -325,14 +312,14 @@ def _certificate(
     covers: dict[int, tuple[Fan, ...]] = {}
     assignment: dict[tuple[int, int], int] = {}
     for cid, comp in enumerate(comps):
-        part_edges = [d.base.edges[e] for e in sorted({cg.nodes[n].edge for n in comp})]
+        arcs = [cg.nodes[n] for n in comp]
+        part_edges = [d.base.edges[e] for e in sorted({a.edge for a in arcs})]
         if memo is not None:
-            arcs = _arcs(cg, comp)
             fans = memo.get(frozenset(arcs))
             if fans is None or next(_strong_failures(d, plan.cuts, cid, arcs, fans), None):
                 raise InvariantBroken("certificate search invariant broken")
         elif strong:
-            fans = _strong_cover(d, plan.cuts, _arcs(cg, comp), part_edges, ell)
+            fans = _strong_cover(d, plan.cuts, arcs, part_edges, ell)
         else:
             fans = fan_cover(d.base, part_edges, ell)
         if fans is None:
@@ -359,7 +346,9 @@ class _GroupSearch:
     * Otherwise it is final and gets the mode's full check: the same cover
       test (weak) or ``_strong_cover`` (strong).
 
-    Weak checks are memoized by edge set, strong ones by arc set; both hold
+    The edge across each crossing is read from
+    :attr:`Drawing.crossing_edges`.  Weak checks are memoized by edge set,
+    strong ones by arc set, each arc an ``(edge, lo, hi)`` tuple; both hold
     for the whole search call, across components.  The strong memo keeps
     the cover ``_strong_cover`` found, or None, so the certificate reuses
     the covers of the final plan's components.
@@ -367,14 +356,10 @@ class _GroupSearch:
 
     def __init__(self, d: Drawing, options, ell: int, strong: bool) -> None:
         self.d, self.options, self.ell, self.strong = d, options, ell, strong
-        self.partner: dict[tuple[int, int], int] = {}  # (edge, crossing) -> other edge
         self.index: dict[tuple[int, int], int] = {}  # (edge, crossing) -> 1-based position
         for eid, xs in d.edge_crossings.items():
             for j, x in enumerate(xs, 1):
                 self.index[(eid, x)] = j
-        for x, (e1, e2) in d.crossing_edges.items():
-            self.partner[(e1, x)] = e2
-            self.partner[(e2, x)] = e1
         self.weak_memo: dict[frozenset[int], bool] = {}
         self.strong_memo: dict[frozenset[tuple[int, int, int]], Optional[list[Fan]]] = {}
 
@@ -405,6 +390,7 @@ class _GroupSearch:
         """Whether every component of the decided arcs through ``e`` passes;
         the decided edges are ``e`` and those before it in ``position``."""
         b = bounds[e]
+        across = self.d.crossing_edges
         seen: set[tuple[int, int, int]] = set()
         for lo, hi in zip(b, b[1:]):
             start = (e, lo, hi)
@@ -415,7 +401,8 @@ class _GroupSearch:
             while stack:
                 f, alo, ahi = stack.pop()
                 for x in self.d.edge_crossings[f][alo:ahi]:
-                    g = self.partner[(f, x)]
+                    pair = across[x]
+                    g = pair[pair[0] == f]
                     if position[g] > position[e]:
                         open_edges.add(g)
                         continue

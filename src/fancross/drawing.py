@@ -19,7 +19,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _checked_int
 
 Dart = tuple[int, int]
 
@@ -404,6 +404,14 @@ def validate(d: Drawing) -> list[str]:
     return list(d._violations)
 
 
+def _require_valid(d: Drawing) -> Drawing:
+    """``d``, refused with ``ValueError("invalid drawing: <first
+    violation>")`` unless :func:`validate` passes it."""
+    if d._violations:
+        raise ValueError(f"invalid drawing: {d._violations[0]}")
+    return d
+
+
 def _validate(d: Drawing) -> list[str]:
     out: list[str] = []
     pverts = set(d.plan.vertices)
@@ -452,28 +460,28 @@ def _validate(d: Drawing) -> list[str]:
         out.append("trace domain: keys differ from base edge ids")
         return out
     use_count: dict[int, int] = {eid: 0 for eid in range(d.plan.m)}
-    passages: dict[int, list[tuple[int, int]]] = {}  # plan vertex -> (eid, pos)
-    paths: dict[int, tuple[int, ...]] = {}
+    # plan vertex -> per passing edge, its plan edges in and out
+    passages: dict[int, list[tuple[int, int]]] = {}
     for eid in range(d.base.m):
         u, v = d.base.edges[eid]
+        steps = d.trace[eid]
         try:
-            p = _vertex_path(d.plan, d.trace[eid])
+            p = _vertex_path(d.plan, steps)
         except ValueError as exc:
             out.append(f"trace path: edge {eid}: {exc}")
             continue
         ru, rv = reals[u][0], reals[v][0]
         if p[0] == rv and p[-1] == ru:
-            p = tuple(reversed(p))
+            p, steps = p[::-1], steps[::-1]
         if not (p[0] == ru and p[-1] == rv):
             out.append(f"trace endpoints: edge {eid}")
             continue
-        paths[eid] = p
-        for t in d.trace[eid]:
+        for t in steps:
             use_count[t] += 1
         for i, q in enumerate(p[1:-1], start=1):
             if d.kind_of(q) == "real":
                 out.append(f"trace interior: edge {eid} passes real vertex {q}")
-            passages.setdefault(q, []).append((eid, i))
+            passages.setdefault(q, []).append((steps[i - 1], steps[i]))
     for t, cnt in use_count.items():
         if cnt != 1:
             out.append(f"edge coverage: plan edge {t} used {cnt} times")
@@ -493,14 +501,8 @@ def _validate(d: Drawing) -> list[str]:
                 out.append(f"crossing passages: vertex {p}")
                 continue
             rot = d.rotation[p]
-            pair_pos = []
-            for eid, i in ps:
-                pp = paths[eid]
-                e_in = d.plan.edge_id(pp[i - 1], p)
-                e_out = d.plan.edge_id(p, pp[i + 1])
-                pair_pos.append((rot.index(e_in), rot.index(e_out)))
-            for a, b in pair_pos:
-                if (a - b) % 4 != 2:
+            for e_in, e_out in ps:
+                if (rot.index(e_in) - rot.index(e_out)) % 4 != 2:
                     out.append(f"tangential intersection: vertex {p}")
                     break
         elif k == "subdivision":
@@ -542,6 +544,7 @@ def crossings_per_edge(d: Drawing) -> dict[int, int]:
 
 def is_k_planar(d: Drawing, k: int) -> bool:
     """True iff every base edge is crossed at most ``k`` times."""
+    _checked_int("k", k)
     return all(c <= k for c in crossings_per_edge(d).values())
 
 
@@ -594,13 +597,13 @@ def _checked_cuts(d: Drawing, plan: Optional[SubdivisionPlan]) -> dict[int, tupl
     return out
 
 
-@dataclass(frozen=True, order=True)
-class ArcRef:
+class ArcRef(NamedTuple):
     """A contiguous piece of a base edge, in crossing-gap coordinates.
 
     The arc spans gap ``lo`` to gap ``hi`` of its edge and owns the crossings
     with 1-based indices ``lo+1 .. hi``.  A whole uncut edge with ``c``
-    crossings is ``ArcRef(e, 0, c)``.
+    crossings is ``ArcRef(e, 0, c)``.  An arc is the tuple ``(edge, lo,
+    hi)``: it hashes, compares and sorts as that tuple and equals it.
     """
 
     edge: int

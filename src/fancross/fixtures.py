@@ -12,7 +12,7 @@ import random
 from .cluster import Certificate
 from .drawing import Drawing, SubdivisionPlan
 from .geometry import Point, _meet, drawing_from_segments, properly_cross, pt
-from .graphs import Fan, Graph
+from .graphs import Fan, Graph, _checked_int
 
 
 # ===== fig1a: three crossing components, a (2,2)-clustered certificate =====
@@ -123,7 +123,7 @@ def fig1b(m: int) -> Drawing:
     """A path on ``m + 2`` vertices placed on a parabola, plus the ``m``
     chords skipping one vertex; consecutive chords cross, forming a single
     path-shaped crossing component."""
-    if m < 1:
+    if _checked_int("m", m) < 1:
         raise ValueError("m must be positive")
     n = m + 2
     verts = range(n)
@@ -159,11 +159,11 @@ def random_kplanar(n: int, k: int, seed: int) -> Drawing:
     the accepted segments, with the exact integer predicates; the drawing is
     built once at the end.
     """
-    if n < 2:
+    if _checked_int("n", n) < 2:
         raise ValueError("n must be at least 2")
-    if k < 0:
+    if _checked_int("k", k) < 0:
         raise ValueError("k must be nonnegative")
-    rng = random.Random(seed)
+    rng = random.Random(_checked_int("seed", seed))
     pos = {i: (i, rng.randrange(0, 2 * n + 1)) for i in range(n)}
     edges = [(i, i + 1) for i in range(n - 1)]
     load = {e: 0 for e in edges}  # crossings on each accepted edge

@@ -19,6 +19,14 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 # ===== Graphs =====
 
 
+def _checked_int(name: str, value: int) -> int:
+    """``value``, refused with ``ValueError("<name> <value> is not an int")``
+    unless it is an int; ``bool`` is refused although it is one."""
+    if type(value) is not int:
+        raise ValueError(f"{name} {value!r} is not an int")
+    return value
+
+
 @dataclass(frozen=True)
 class Graph:
     """A finite simple graph with integer vertex ids.
@@ -36,13 +44,13 @@ class Graph:
         """Builds a graph, normalizing order and rejecting malformed input.
 
         Raises:
-            ValueError: on loops, parallel edges, or unknown endpoints.
+            ValueError: on ids that are not ints (``bool`` included), loops,
+                parallel edges, or unknown endpoints.
         """
-        vs = tuple(sorted(set(int(v) for v in vertices)))
-        vset = set(vs)
+        vset = {_checked_int("vertex", v) for v in vertices}
         norm: list[tuple[int, int]] = []
         for e in edges:
-            u, v = int(e[0]), int(e[1])
+            u, v = _checked_int("vertex", e[0]), _checked_int("vertex", e[1])
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if u not in vset or v not in vset:
@@ -52,7 +60,7 @@ class Graph:
         for a, b in zip(norm, norm[1:]):
             if a == b:
                 raise ValueError(f"parallel edge {a}")
-        return Graph(vs, tuple(norm))
+        return Graph(tuple(sorted(vset)), tuple(norm))
 
     @cached_property
     def n(self) -> int:
@@ -186,24 +194,33 @@ def fan_cover(
     """Covers the ``target`` edges by at most ``ell`` fans of ``g``, exactly.
 
     A cover exists iff the target edge set has a vertex cover of size at most
-    ``ell`` (:func:`vertex_cover`).  On success each target edge is assigned
-    to the smallest-id chosen center it contains and one fan per used center
-    is returned, sorted by center.  Returns ``None`` if no cover of size
-    ``ell`` exists.
+    ``ell`` (:func:`vertex_cover`).  On success the cover is the canonical
+    fans of the chosen centers (:func:`_canonical_fans`).  Returns ``None``
+    if no cover of size ``ell`` exists.
     """
     edges = sorted(set((min(u, v), max(u, v)) for u, v in target))
     for e in edges:
         if not g.has_edge(*e):
             raise ValueError(f"target edge {e} not in graph")
     centers = vertex_cover(edges, ell)
-    if centers is None:
-        return None
-    cs = sorted(set(centers))
-    assigned: dict[int, list[tuple[int, int]]] = {c: [] for c in cs}
+    return None if centers is None else _canonical_fans(edges, sorted(centers))
+
+
+def _canonical_fans(
+    edges: Iterable[tuple[int, int]], centers: Sequence[int]
+) -> Optional[list[Fan]]:
+    """The canonical fans of ``edges`` on the increasing ``centers``: each
+    edge goes to the least center it contains, and one fan per used center
+    is returned, sorted by center; None if some edge contains no center."""
+    groups: dict[int, list[tuple[int, int]]] = {}
     for e in edges:
-        c = min(c for c in cs if c in e)
-        assigned[c].append(e)
-    return [Fan(c, tuple(assigned[c])) for c in cs if assigned[c]]
+        for c in centers:
+            if c in e:
+                break
+        else:
+            return None
+        groups.setdefault(c, []).append(e)
+    return [Fan(c, tuple(groups[c])) for c in sorted(groups)]
 
 
 # ===== Colored graphs =====
@@ -231,7 +248,7 @@ class ColorLabel(_Label):
         if kind not in _COLOR_KINDS:
             raise ValueError(f"unknown color kind {kind!r}")
         low = 1 if kind in ("c", "cP") else 0
-        if index < low:
+        if _checked_int("color index", index) < low:
             raise ValueError(f"color index {index} out of range for {kind}")
         return super().__new__(cls, kind, index)
 
@@ -285,7 +302,7 @@ def add_universal_vertex(g: Graph) -> tuple[Graph, int]:
 
 def _positive(name: str, *dims: int) -> None:
     for d in dims:
-        if d < 1:
+        if _checked_int("dimension", d) < 1:
             raise ValueError(f"{name} requires positive dimensions, got {dims}")
 
 
@@ -305,7 +322,7 @@ def grid2d(m: int, n: int) -> Graph:
 
 def cycle(n: int) -> Graph:
     """The cycle on vertices ``0 .. n-1``; requires ``n >= 3``."""
-    if n < 3:
+    if _checked_int("n", n) < 3:
         raise ValueError(f"cycle requires n >= 3, got {n}")
     return Graph.make(range(n), [(i, (i + 1) % n) for i in range(n)])
 

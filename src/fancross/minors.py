@@ -16,7 +16,7 @@ from operator import or_
 from typing import Iterable, Optional
 
 from .errors import CapExceeded
-from .graphs import Graph, induced, radius_center
+from .graphs import Graph, _checked_int, induced, radius_center
 
 
 # ===== Models =====
@@ -41,9 +41,15 @@ def _touch(host: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
     return any(w in sb for u in sa for w in host.neighbors(u))
 
 
-def _structural_check(m: MinorModel) -> None:
-    if m.c < 1 or m.d < 0:
+def _checked_bounds(c: int, d: int) -> None:
+    """Refuses a congestion ``c`` or a depth ``d`` that is not an int
+    (``bool`` included), a ``c`` below 1 and a ``d`` below 0."""
+    if _checked_int("c", c) < 1 or _checked_int("d", d) < 0:
         raise ValueError("bad model: c must be positive and d nonnegative")
+
+
+def _structural_check(m: MinorModel) -> None:
+    _checked_bounds(m.c, m.d)
     for v in m.pattern.vertices:
         if v not in m.branch:
             raise ValueError(f"missing branch for vertex {v}")
@@ -139,9 +145,8 @@ def find_model_bruteforce(
     Hosts with more than ``cap`` vertices are refused; raise the cap
     explicitly for larger exhaustive runs.
     """
-    if c < 1 or d < 0:
-        raise ValueError("bad model: c must be positive and d nonnegative")
-    if host.n > cap:
+    _checked_bounds(c, d)
+    if host.n > _checked_int("cap", cap):
         raise CapExceeded("search cap exceeded")
     hverts = host.vertices
     bit = {u: 1 << i for i, u in enumerate(hverts)}
@@ -214,7 +219,7 @@ def strip_universal(m: MinorModel, u: int) -> tuple[tuple[int, ...], MinorModel]
     Returns the removed pattern vertices (sorted) and the restricted model,
     whose host drops ``u`` and whose pattern drops the returned vertices.
     """
-    if not m.host.has_vertex(u):
+    if not m.host.has_vertex(_checked_int("u", u)):
         raise ValueError(f"unknown host vertex {u}")
     dropped = tuple(sorted(v for v in m.pattern.vertices if u in m.branch.get(v, ())))
     keep = [v for v in m.pattern.vertices if v not in dropped]

@@ -30,10 +30,10 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from .cluster import Certificate, _arc_keys, _certificate, verify_certificate
-from .drawing import Drawing, SubdivisionPlan, crossing_graph, validate
+from .drawing import Drawing, SubdivisionPlan, _require_valid, crossing_graph, validate
 from .errors import InvariantBroken
 from .geometry import Vec, _arrangement, _drawing_along, _rotations
-from .graphs import Fan, Graph, radius_center
+from .graphs import Fan, Graph, _checked_int, radius_center
 from .minors import MinorModel, strip_universal, verify_model
 
 __all__ = ["RegionTag", "SynthResult", "synthesize", "pipeline_theorem2"]
@@ -50,7 +50,8 @@ class RegionTag:
     ref: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ref", tuple(int(x) for x in self.ref))
+        ref = tuple(_checked_int("host vertex", v) for v in self.ref)
+        object.__setattr__(self, "ref", ref)
         if self.kind == "vertexRegion":
             if len(self.ref) != 1:
                 raise ValueError("vertexRegion needs one host vertex")
@@ -80,19 +81,23 @@ class SynthResult:
 
 
 def _checked_inputs(host: Drawing, m: MinorModel) -> int:
-    errs = validate(host)
-    if errs:
-        raise ValueError(f"invalid drawing: {errs[0]}")
+    _require_valid(host)
     if any(host.kind[pv] == "crossing" for pv in host.plan.vertices):
         raise ValueError("host drawing has crossings")
     if host.base != m.host:
         raise ValueError("drawing does not match the host")
-    if m.c != m.d:
+    _checked_model(m, m.c)
+    return m.c
+
+
+def _checked_model(m: MinorModel, k: int) -> None:
+    """Refuses a model unless ``c = d = k`` and :func:`verify_model` passes
+    it, which refuses a ``c`` or ``d`` that is not an int."""
+    if m.c != k or m.d != k:
         raise ValueError("model must have c = d")
     bad = verify_model(m)
     if bad:
         raise ValueError(f"invalid model: {bad[0]}")
-    return m.c
 
 
 # ===== Branch trees, connectors, and routes =====
@@ -654,17 +659,13 @@ def pipeline_theorem2(
     whose branch sets used ``u`` (at most ``k`` of them) together with the
     synthesis result for the rest of the pattern.
     """
-    if not host_plus.has_vertex(u):
+    if not host_plus.has_vertex(_checked_int("u", u)):
         raise ValueError(f"unknown host vertex {u}")
     if host_plus.degree(u) != host_plus.n - 1:
         raise ValueError("not universal")
     if m.host != host_plus:
         raise ValueError("drawing does not match the host")
-    if m.c != k or m.d != k:
-        raise ValueError("model must have c = d")
-    bad = verify_model(m)
-    if bad:
-        raise ValueError(f"invalid model: {bad[0]}")
+    _checked_model(m, _checked_int("k", k))
     dropped, m2 = strip_universal(m, u)
     if len(dropped) > k:
         raise InvariantBroken("more than k pattern vertices use the apex")

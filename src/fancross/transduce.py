@@ -49,9 +49,9 @@ from itertools import combinations
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .cluster import Certificate, _verified
-from .drawing import Drawing, _plane_simple, _split, _subdivide, is_k_planar, validate
+from .drawing import Drawing, _plane_simple, _require_valid, _split, _subdivide, is_k_planar
 from .errors import Infeasible, InvariantBroken
-from .graphs import ColorLabel, ColoredGraph, Graph, induced
+from .graphs import ColorLabel, ColoredGraph, Graph, _checked_int, induced
 
 # ===== The path clause, one table entry per mode =====
 
@@ -119,9 +119,7 @@ def _mode(name: str) -> _Mode:
 
 def _checked_k(k: int) -> None:
     """Refuses a fold bound that is not a positive int (``bool`` included)."""
-    if type(k) is not int:
-        raise ValueError(f"k {k!r} is not an int")
-    if k < 1:
+    if _checked_int("k", k) < 1:
         raise ValueError("k must be positive")
 
 
@@ -189,8 +187,9 @@ def _bends(d: Drawing) -> list[int]:
 
 
 def _checked_x(d: Drawing, x_edges: Mapping[int, Iterable[int]], k: int) -> dict[int, tuple[int, ...]]:
-    """Validates the deleted vertex set and symmetrizes its edge lists."""
-    xs = {int(v) for v in x_edges}
+    """Validates the deleted vertex set and symmetrizes its edge lists; every
+    vertex must be an int (``bool`` refused)."""
+    xs = {_checked_int("X vertex", v) for v in x_edges}
     if len(xs) > k:
         raise ValueError("|X| > k")
     base = set(d.base.vertices)
@@ -200,22 +199,14 @@ def _checked_x(d: Drawing, x_edges: Mapping[int, Iterable[int]], k: int) -> dict
     norm: dict[int, set[int]] = {v: set() for v in xs}
     for xv, nbrs in x_edges.items():
         for w in nbrs:
-            w = int(w)
-            if w == int(xv) or w not in verts:
-                raise ValueError(f"unknown neighbor {w} of {xv}")
-            norm[int(xv)].add(w)
+            if type(w) is not int or w == xv or w not in verts:
+                raise ValueError(f"unknown neighbor {w!r} of {xv}")
+            norm[xv].add(w)
     for xv in sorted(norm):
         for w in norm[xv]:
             if w in norm:
                 norm[w].add(xv)
     return {v: tuple(sorted(ws)) for v, ws in norm.items()}
-
-
-def _checked_drawing(d: Drawing, k: int) -> None:
-    _checked_k(k)
-    errs = validate(d)
-    if errs:
-        raise ValueError(f"invalid drawing: {errs[0]}")
 
 
 def _output(
@@ -303,7 +294,8 @@ def transduce_kplanar(
     its first end in increasing edge id, gives.  The system is checked
     (:func:`drawing._plane_simple`) before the graph is built.
     """
-    _checked_drawing(d, k)
+    _checked_k(k)
+    _require_valid(d)
     if not is_k_planar(d, k):
         raise Infeasible("not k-planar")
     xn = _checked_x(d, x_edges, k)
@@ -379,7 +371,8 @@ def transduce_clustered(
     spoke vertices by cluster and leaf.  The system is checked
     (:func:`drawing._plane_simple`) before the graph is built.
     """
-    _checked_drawing(d, k)
+    _checked_k(k)
+    _require_valid(d)
     report, cg, comps, keys = _verified(d, cert, strong=False)
     if not report.verdict or cert.k > k or cert.ell > k:
         raise Infeasible("certificate invalid")
@@ -657,8 +650,9 @@ def roundtrip(
     mode: str,
     cert: Optional[Certificate] = None,
 ) -> bool:
-    """Compiles, evaluates, and compares against the original graph."""
-    xs = sorted({int(v) for v in x})
+    """Compiles, evaluates, and compares against the original graph; every
+    vertex of ``x`` must be an int (``bool`` refused)."""
+    xs = sorted({_checked_int("X vertex", v) for v in x})
     base = set(d.base.vertices)
     if set(h.vertices) != base | set(xs) or set(xs) & base:
         raise ValueError("drawing does not match the graph")

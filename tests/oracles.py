@@ -56,6 +56,7 @@ from fancross.drawing import (
     _cut,
     _cut_step,
     _plane_simple,
+    _require_valid,
     _steps,
     is_k_planar,
     subdivide_with_map,
@@ -78,7 +79,7 @@ from fancross.transduce import (
     TransductionFormula,
     TransductionOutput,
     _bends,
-    _checked_drawing,
+    _checked_k,
     _checked_x,
     _output,
     render_formula,
@@ -1528,7 +1529,8 @@ def oracle_transduce_kplanar(
     increasing local id, subdivided twice from its first end, and the
     surgered system checked, renamed and sorted by ``_assemble``.
     """
-    _checked_drawing(d, k)
+    _checked_k(k)
+    _require_valid(d)
     if not is_k_planar(d, k):
         raise Infeasible("not k-planar")
     xn = _checked_x(d, x_edges, k)
@@ -1571,7 +1573,8 @@ def oracle_transduce_clustered(
     on that drawing's rotation system, with the two piece maps joined and
     each fan edge's pieces ordered by walking them from the fan center.
     """
-    _checked_drawing(d, k)
+    _checked_k(k)
+    _require_valid(d)
     report, cg, comps, keys = _verified(d, cert, strong=False)
     if not report.verdict or cert.k > k or cert.ell > k:
         raise Infeasible("certificate invalid")

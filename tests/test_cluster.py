@@ -20,6 +20,7 @@ from fancross.cluster import (
     verify_certificate,
 )
 from fancross.drawing import (
+    ArcRef,
     CrossingGraph,
     Drawing,
     SubdivisionPlan,
@@ -440,13 +441,47 @@ def test_certificate_refuses_a_missing_or_failing_cover():
     d, plan = pocket(), SubdivisionPlan()
     cg = crossing_graph(d, plan)
     (comp,) = cg.components()
-    key = frozenset(cluster._arcs(cg, comp))
+    key = frozenset(cg.nodes[n] for n in comp)
     weak = fan_cover(d.base, [d.base.edges[e] for e in sorted({a[0] for a in key})], 2)
     assert cluster._certificate(d, 1, 2, False, plan) is not None
     assert cluster._certificate(d, 1, 3, True, plan) is None
     for memo in ({}, {key: None}, {key: weak}):
         with pytest.raises(InvariantBroken, match="certificate search invariant broken"):
             cluster._certificate(d, 1, 2, True, plan, memo)
+
+
+def test_strong_memo_keyed_by_tuples_is_read_by_crossing_graph_nodes(monkeypatch):
+    """A strong search keys its memo by plain ``(edge, lo, hi)`` tuples, and
+    ``_certificate`` looks each component up by its ``ArcRef`` nodes, which
+    equal them; the certificates are the oracle's."""
+    memos = []
+    real_certificate = cluster._certificate
+
+    def certificate(d, k, ell, strong, plan, memo=None):
+        memos.append((plan, memo))
+        return real_certificate(d, k, ell, strong, plan, memo)
+
+    monkeypatch.setattr(cluster, "_certificate", certificate)
+    drawings = [fig3(), pocket(), adjacent_crossing(), chain_and_zigzag(4)]
+    drawings += [random_kplanar(n, 2 + seed % 3, seed) for n in (7, 9) for seed in range(5)]
+    looked_up = 0
+    for d in drawings:
+        for k, ell in ((1, 2), (2, 2), (2, 3)):
+            if cut_space(d, k) > ORACLE_SPACE:
+                continue
+            memos.clear()
+            got = search_certificate(d, k, ell, strong=True, cap=64)
+            assert got == oracle_search_certificate(d, k, ell, strong=True, cap=64)
+            if got is None:
+                continue
+            ((plan, memo),) = memos
+            assert all(type(a) is tuple for key in memo for a in key)
+            cg = crossing_graph(d, plan)
+            for comp in cg.components():
+                assert all(type(cg.nodes[n]) is ArcRef for n in comp)
+                assert memo[frozenset(cg.nodes[n] for n in comp)] is not None
+                looked_up += 1
+    assert looked_up >= 20
 
 
 def synth_drawing_with_19_crossings():

@@ -706,6 +706,20 @@ def test_crossing_graph_of_lens_with_cut():
     assert cg.components() == [[0, 1, 2]]
 
 
+def test_an_arc_is_its_tuple():
+    """An arc equals, hashes, sorts and prints as it did as a frozen
+    ordered dataclass, and also equals the plain ``(edge, lo, hi)``."""
+    a = ArcRef(1, 0, 2)
+    assert (a.edge, a.lo, a.hi) == (1, 0, 2)
+    assert a == ArcRef(1, 0, 2) and a != ArcRef(1, 0, 1)
+    assert hash(a) == hash(ArcRef(1, 0, 2)) and len({a, ArcRef(1, 0, 2)}) == 1
+    assert sorted([ArcRef(2, 0, 1), ArcRef(1, 1, 2), a]) == [a, ArcRef(1, 1, 2), ArcRef(2, 0, 1)]
+    assert ArcRef(1, 0, 2) < ArcRef(1, 1, 0) < ArcRef(2, 0, 0)
+    assert repr(a) == str(a) == "ArcRef(edge=1, lo=0, hi=2)"
+    assert a == (1, 0, 2) and hash(a) == hash((1, 0, 2))
+    assert {(1, 0, 2): "memo"}[a] == "memo" and {a: "memo"}[(1, 0, 2)] == "memo"
+
+
 def test_crossing_graph_isolated_arcs():
     g = Graph.make([0, 1, 2], [(0, 1), (1, 2)])
     d = drawing_from_segments(g, {0: pt(0, 0), 1: pt(1, 0), 2: pt(1, 1)})

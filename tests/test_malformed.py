@@ -1,5 +1,6 @@
-"""Malformed drawings: every public entry point that reads a drawing either
-answers or raises ``ValueError`` (the typed errors subclass it)."""
+"""Malformed input: every public entry point that reads a drawing either
+answers or raises ``ValueError`` (the typed errors subclass it), and every
+public int parameter refuses a value that is not an int."""
 
 from __future__ import annotations
 
@@ -15,11 +16,14 @@ from fancross import (
     CapExceeded,
     Certificate,
     Drawing,
+    MinorModel,
     SubdivisionPlan,
+    add_universal_vertex,
     crossing_graph,
     is_k_planar,
     min_ell,
     planarize,
+    roundtrip,
     search_certificate,
     subdivide_with_map,
     transduce_clustered,
@@ -27,7 +31,10 @@ from fancross import (
     validate,
     verify_certificate,
 )
-from fancross.fixtures import fig1a, fig1b, fig3, random_kplanar
+from fancross.fixtures import fig1a, fig1a_certificate, fig1b, fig3, random_kplanar
+from fancross.geometry import drawing_from_segments, pt
+from fancross.graphs import ColorLabel, Graph, complete, cycle, grid2d
+from fancross.synth import RegionTag
 from test_drawing import lens
 
 
@@ -316,3 +323,107 @@ def test_rotations_that_name_no_edge_are_refused():
             subdivide_with_map(md, plan)
         with pytest.raises(ValueError):
             search_certificate(md, 2, 2, strong=True)
+
+
+# ===== Int ids and sizes =====
+
+
+def with_apex() -> Graph:
+    """The graph of ``fig3()`` plus vertex 5 joined to vertex 0."""
+    return Graph.make(range(6), [*fig3().base.edges, (0, 5)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Graph.make([0.5, 1.7, "3"], [(0.5, 1.7)]), r"^vertex 0\.5 is not an int$"),
+        (lambda: Graph.make([True, 2], []), r"^vertex True is not an int$"),
+        (lambda: Graph.make([1, 2], [(1.0, 2)]), r"^vertex 1\.0 is not an int$"),
+        (lambda: transduce_kplanar(fig3(), {5.9: [0, 1]}, 2), r"^X vertex 5\.9 is not an int$"),
+        (lambda: transduce_kplanar(fig3(), {5: [0, 1.0]}, 2), r"^unknown neighbor 1\.0 of 5$"),
+        (lambda: roundtrip(with_apex(), fig3(), [5.2], 2, "kplanar"), r"^X vertex 5\.2 is not an int$"),
+        (lambda: roundtrip(with_apex(), fig3(), [5, "6"], 2, "kplanar"), r"^X vertex '6' is not an int$"),
+        (lambda: RegionTag("vertexRegion", (1.5,)), r"^host vertex 1\.5 is not an int$"),
+        (lambda: ColorLabel("c", 1.5), r"^color index 1\.5 is not an int$"),
+        (lambda: ColorLabel("b", False), r"^color index False is not an int$"),
+        (lambda: grid2d(2.0, 3), r"^dimension 2\.0 is not an int$"),
+        (lambda: complete(None), r"^dimension None is not an int$"),
+        (lambda: cycle(4.0), r"^n 4\.0 is not an int$"),
+        (lambda: random_kplanar(5.0, 2, 1), r"^n 5\.0 is not an int$"),
+        (lambda: random_kplanar(6, 2.0, 1), r"^k 2\.0 is not an int$"),
+        (lambda: random_kplanar(6, 2, 1.5), r"^seed 1\.5 is not an int$"),
+        (lambda: fig1b(2.0), r"^m 2\.0 is not an int$"),
+    ],
+)
+def test_ids_and_sizes_that_are_not_ints_are_refused(call, message):
+    """Each was truncated, coerced or taken as the equal int, or raised
+    ``TypeError``: ``Graph.make`` gave vertices ``(0, 1, 3)`` for the first
+    and vertex 1 for ``True``, the transducer gave ``X = (5,)``, the round
+    trip returned True, the region ref became ``(1,)``, the label printed
+    ``c1.5``, which ``ColorLabel.parse`` refuses, ``random_kplanar`` took a
+    ``k`` of ``2.0``, and the other sizes raised ``TypeError``."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+# ===== Int parameters =====
+
+
+def apex_model() -> dict:
+    """Valid arguments of ``pipeline_theorem2``: the 2 x 2 grid drawn
+    without crossings, the grid plus a universal apex, and a model of the
+    wheel on five vertices whose hub is the apex, at k = 1."""
+    g = grid2d(2, 2)
+    drawing = drawing_from_segments(g, {i * 2 + j: pt(j, i) for i in range(2) for j in range(2)})
+    host_plus, apex = add_universal_vertex(g)
+    wheel = Graph.make(range(5), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)])
+    branch = {0: (0,), 1: (1,), 2: (3,), 3: (2,), 4: (apex,)}
+    m = MinorModel(host_plus, wheel, branch, 1, 1)
+    return {"host_plus": host_plus, "u": apex, "drawing": drawing, "m": m, "k": 1}
+
+
+# Every public function with an int parameter, with valid arguments that
+# name every int parameter.
+INT_CALLS = {
+    "find_model_bruteforce": lambda: {
+        "host": grid2d(2, 3), "pattern": complete(3), "c": 2, "d": 2, "cap": 10
+    },
+    "is_k_planar": lambda: {"d": fig3(), "k": 2},
+    "min_ell": lambda: {"d": fig3(), "k": 2, "cap": 12},
+    "pipeline_theorem2": apex_model,
+    "roundtrip": lambda: {"h": fig3().base, "d": fig3(), "x": [], "k": 2, "mode": "kplanar"},
+    "search_certificate": lambda: {"d": fig3(), "k": 2, "ell": 2, "cap": 12},
+    "strip_universal": lambda: {"m": apex_model()["m"], "u": 4},
+    "transduce_clustered": lambda: {
+        "d": fig1a(), "cert": fig1a_certificate(), "x_edges": {}, "k": 2
+    },
+    "transduce_kplanar": lambda: {"d": fig3(), "x_edges": {}, "k": 2},
+}
+
+
+def int_parameters(fn) -> list[str]:
+    hints = get_type_hints(fn)
+    return [p for p in inspect.signature(fn).parameters if hints.get(p) is int]
+
+
+def test_every_public_int_parameter_is_in_the_table():
+    takers = set()
+    for name in fancross.__all__:
+        fn = getattr(fancross, name)
+        if inspect.isfunction(fn) and int_parameters(fn):
+            takers.add(name)
+    assert takers == set(INT_CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(INT_CALLS))
+def test_int_parameters_refuse_what_is_not_an_int(name):
+    """``2.0``, ``True`` or ``None`` in any public int parameter, with valid
+    other arguments, raises ``ValueError``; the valid call answers."""
+    fn, args = getattr(fancross, name), INT_CALLS[name]()
+    fn(**args)
+    params = int_parameters(fn)
+    assert params and set(params) <= set(args)
+    for param in params:
+        for bad in (2.0, True, None):
+            with pytest.raises(ValueError, match=f"^{param} {bad!r} is not an int$"):
+                fn(**{**args, param: bad})

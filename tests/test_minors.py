@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 
@@ -154,6 +155,31 @@ def test_search_rejects_bad_parameters():
         find_model_bruteforce(path(3), path(2), 0, 1)
     with pytest.raises(ValueError, match="d nonnegative"):
         find_model_bruteforce(path(3), path(2), 1, -1)
+
+
+def k3_in_grid(c, d, cap=10):
+    return find_model_bruteforce(grid2d(2, 3), complete(3), c, d, cap)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m: k3_in_grid(2.0, 2), r"^c 2\.0 is not an int$"),
+        (lambda m: k3_in_grid(2, 2.0), r"^d 2\.0 is not an int$"),
+        (lambda m: k3_in_grid(True, 2), r"^c True is not an int$"),
+        (lambda m: k3_in_grid(2, 2, cap=10.5), r"^cap 10\.5 is not an int$"),
+        (lambda m: verify_model(dataclasses.replace(m, c=2.0)), r"^c 2\.0 is not an int$"),
+        (lambda m: verify_model(dataclasses.replace(m, d=False)), r"^d False is not an int$"),
+    ],
+)
+def test_bounds_that_are_not_ints_are_refused(call, message):
+    """A float ``c`` or ``d`` once raised ``TypeError`` in the search, and
+    ``c=True`` gave a model whose document ``model_from_json`` refuses;
+    ``verify_model`` took ``c=2.0`` and the search took ``cap=10.5``."""
+    m = k3_in_grid(2, 2)
+    assert m is not None and verify_model(m) == []
+    with pytest.raises(ValueError, match=message):
+        call(m)
 
 
 # ===== First model against the old search =====

@@ -103,6 +103,9 @@ def _structural_check(d: Drawing, cert: Certificate) -> None:
                 if not d.base.has_edge(u, v):
                     raise ValueError(f"unknown fan edge ({u}, {v})")
     for (eid, piece), center in cert.assignment.items():
+        _checked_int("assignment edge", eid)
+        _checked_int("assignment piece", piece)
+        _checked_int("assignment center", center)
         if not (0 <= eid < d.base.m) or not (
             0 <= piece <= len(cert.plan.cuts.get(eid, ()))
         ):

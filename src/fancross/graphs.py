@@ -10,6 +10,7 @@ ordered output.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -44,13 +45,18 @@ class Graph:
         """Builds a graph, normalizing order and rejecting malformed input.
 
         Raises:
-            ValueError: on ids that are not ints (``bool`` included), loops,
-                parallel edges, or unknown endpoints.
+            ValueError: on an edge that is not a pair, ids that are not ints
+                (``bool`` included), loops, parallel edges, or unknown
+                endpoints.
         """
         vset = {_checked_int("vertex", v) for v in vertices}
         norm: list[tuple[int, int]] = []
         for e in edges:
-            u, v = _checked_int("vertex", e[0]), _checked_int("vertex", e[1])
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {e!r} is not a pair") from None
+            u, v = _checked_int("vertex", u), _checked_int("vertex", v)
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if u not in vset or v not in vset:
@@ -89,7 +95,11 @@ class Graph:
         return {v: tuple(ns) for v, ns in nbrs.items()}
 
     def has_vertex(self, v: int) -> bool:
-        return v in self.adj
+        """Whether the int ``v`` is a vertex, by a binary search of the
+        sorted ``vertices``, so that no adjacency is built."""
+        vs = self.vertices
+        i = bisect_left(vs, v) if type(v) is int else len(vs)
+        return i < len(vs) and vs[i] == v
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self._edge_index
@@ -165,8 +175,11 @@ class Fan:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        _checked_int("fan center", self.center)
         edges = []
         for u, v in self.edges:
+            _checked_int("fan edge end", u)
+            _checked_int("fan edge end", v)
             if self.center != u and self.center != v:
                 raise ValueError("not a fan")
             edges.append((u, v) if u < v else (v, u))

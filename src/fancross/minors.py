@@ -59,7 +59,7 @@ def _structural_check(m: MinorModel) -> None:
         if not vs:
             raise ValueError(f"empty branch for vertex {v}")
         for u in vs:
-            if not m.host.has_vertex(u):
+            if not m.host.has_vertex(_checked_int("branch entry", u)):
                 raise ValueError(f"unknown host vertex {u} in branch")
 
 

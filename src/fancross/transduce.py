@@ -17,7 +17,8 @@ short colored path.
 Both outputs are written in one pass over the strands of a rotation system
 with dense edge ids (``_strands``: the plan paths between two vertices that
 are not bends).  The k-planar output is the plan with every bend smoothed
-away and every edge subdivided twice, and neither step changes a face.  The
+away and every edge subdivided twice, and neither step changes a face; its
+edges are written straight to their places in ``Graph`` order.  The
 clustered output starts from the plan with the certificate's cuts
 (``drawing._split``) and the stubs made in it, each by one in-place
 subdivision (``drawing._subdivide``); a crossing cluster is contracted by
@@ -32,13 +33,15 @@ with genus 0 on every component is a plane drawing, so no intermediate
 ``eval_formula`` evaluates the formula exactly.  It pairs the holders of
 each handshake color, and runs one bounded simple-path search per source
 vertex that looks only for the images of the later vertices and stops once
-all of them are witnessed.  The search reads the labels once, into integer
-tables (the plain vertices, the ``b0`` hubs, and per vertex bitmasks of the
-hub pairs it opens and closes), and never hashes a label inside the search.
-It keeps one frame per path vertex, made when the vertex is entered: the
+all of them are witnessed.  The search runs on vertex positions in the
+sorted vertex list, over neighbour position lists that are the decode's one
+adjacency (``Graph.adj`` is never built on this path).  It classes each
+distinct label set once (plain, ``b0`` hub, and the bitmasks of the hub
+pairs it opens and closes), spreads the classes into ``bytearray`` flags
+and int lists by position, and never hashes a label inside the search.  It
+keeps one frame per path vertex, made when the vertex is entered: the
 vertex's neighbour iterator and what the vertex allows after it.  A
-backtrack pops the frame, so no vertex's state is worked out twice.  Labels
-are tuples, so building the tables and pairing the holders hash them in C.
+backtrack pops the frame, so no vertex's state is worked out twice.
 ``roundtrip`` checks that evaluation returns the original graph.
 """
 
@@ -170,8 +173,11 @@ class TransductionOutput:
     def __post_init__(self) -> None:
         g = self.colored.graph
         for h, v in self.embed.items():
-            if not g.has_vertex(v):
+            _checked_int("embedded vertex", h)
+            if not g.has_vertex(_checked_int("embed image", v)):
                 raise ValueError(f"embed maps {h} to {v}, not a vertex of the colored graph")
+        for v in self.x:
+            _checked_int("X vertex", v)
         if len(set(self.embed.values())) != len(self.embed):
             raise ValueError("embed is not injective")
         if not set(self.x) <= set(self.embed):
@@ -198,6 +204,10 @@ def _checked_x(d: Drawing, x_edges: Mapping[int, Iterable[int]], k: int) -> dict
     verts = base | xs
     norm: dict[int, set[int]] = {v: set() for v in xs}
     for xv, nbrs in x_edges.items():
+        try:
+            nbrs = iter(nbrs)
+        except TypeError:
+            raise ValueError(f"neighbors {nbrs!r} of {xv} are not a list") from None
         for w in nbrs:
             if type(w) is not int or w == xv or w not in verts:
                 raise ValueError(f"unknown neighbor {w!r} of {xv}")
@@ -284,14 +294,15 @@ def transduce_kplanar(
 
     Smoothing the bends and subdividing keep every face, so the output is
     written in one pass over the plan's strands (see :func:`_strands`), as
-    a system with dense edge ids: strand ``i`` becomes the path ``a, s,
-    s + 1, b`` with edges ``3i``, ``3i + 1`` and ``3i + 2``, and each
-    rotation of the plan names, in its slots, the strand edges at that
-    vertex.  The original vertices keep their ids; the crossings are
-    numbered next, in increasing plan id, then the subdivision vertices,
-    strand by strand.  These are the ids that smoothing the bends one at a
-    time in increasing id, then subdividing each remaining edge twice from
-    its first end in increasing edge id, gives.  The system is checked
+    a system with dense edge ids: a strand becomes the path ``a, s, s + 1,
+    b``, and each rotation of the plan names, in its slots, the strand
+    edges at that vertex.  The original vertices keep their ids; the
+    crossings are numbered next, in increasing plan id, then the
+    subdivision vertices, strand by strand.  These are the ids that
+    smoothing the bends one at a time in increasing id, then subdividing
+    each remaining edge twice from its first end in increasing edge id,
+    gives.  An edge's id is its place in ``Graph`` order, so the edges are
+    written already sorted.  The system is checked
     (:func:`drawing._plane_simple`) before the graph is built.
     """
     _checked_k(k)
@@ -314,19 +325,32 @@ def transduce_kplanar(
     b0, b1, b2 = (frozenset({ColorLabel("b", j)}) for j in range(3))
     colors = {ren[x]: b0 for x in crossing_edges}
     s = fresh + len(crossing_edges)
-    edges: list[tuple[int, int]] = []
+    strands = _strands(pe, rotation, inner)
+    # Every original vertex and crossing r is below every subdivision
+    # vertex s, so each edge is (min, max) as written, and each goes
+    # straight to its place in Graph order: first the edges (r, s), by r,
+    # one per entry of r's rotation, and then by s, which rises strand by
+    # strand; then the edges (s, s + 1), in strand order.
+    nxt: dict[int, int] = {}  # plan vertex -> the place of its next edge
+    at = 0
+    for p in [*(d.real_pvid[v] for v in d.base.vertices), *crossing_edges]:
+        nxt[p] = at
+        at += len(rotation[p])
+    edges: list[tuple[int, int]] = [(0, 0)] * (at + len(strands))
     rot: dict[int, list[int]] = {}
     slot = [0] * (2 * len(pe))  # plan dart leaving a strand end -> its output edge
-    for i, (a, b, fa, fb) in enumerate(_strands(pe, rotation, inner)):
-        e = 3 * i
-        ra, rb = ren[a], ren[b]
-        # Every original vertex and crossing is below every subdivision
-        # vertex, so each edge is already (min, max).
-        edges += ((ra, s), (s, s + 1), (rb, s + 1))
-        rot[s] = [e, e + 1]
-        rot[s + 1] = [e + 1, e + 2]
-        slot[2 * fa + (pe[fa][0] != a)] = e
-        slot[2 * fb + (pe[fb][0] != b)] = e + 2
+    for e, (a, b, fa, fb) in enumerate(strands, start=at):
+        ea = nxt[a]
+        nxt[a] = ea + 1
+        eb = nxt[b]
+        nxt[b] = eb + 1
+        edges[ea] = (ren[a], s)
+        edges[e] = (s, s + 1)
+        edges[eb] = (ren[b], s + 1)
+        rot[s] = [ea, e]
+        rot[s + 1] = [e, eb]
+        slot[2 * fa + (pe[fa][0] != a)] = ea
+        slot[2 * fb + (pe[fb][0] != b)] = eb
         own = owner[fa]
         if a in crossing_edges:
             colors[s] = b1 if crossing_edges[a][0] == own else b2
@@ -520,8 +544,11 @@ def eval_formula(out: TransductionOutput) -> Graph:
 
     The handshake pairs every holder of ``c_i`` with every holder of
     ``cP_i``.  The path clause runs one bounded simple-path search per
-    original vertex ``a``: it looks only for the images of the vertices
-    after ``a``, and stops as soon as all of them are witnessed.
+    original vertex ``a`` (:func:`_path_search`, on vertex positions): it
+    looks only for the images of the vertices after ``a``, and stops as
+    soon as all of them are witnessed.  The original vertices are ints and
+    every edge is written ``(min, max)``, so the graph is built from them
+    directly, without ``Graph.make``'s checks.
     """
     cg, f, embed = out.colored, out.formula, out.embed
     hverts = sorted(embed)
@@ -541,7 +568,7 @@ def eval_formula(out: TransductionOutput) -> Graph:
         later.discard(embed[a])
         if later:
             edges.update((a, orig[g]) for g in witnessed(embed[a], later))
-    return Graph.make(hverts, edges)
+    return Graph(tuple(hverts), tuple(sorted(edges)))
 
 
 def _path_search(
@@ -551,24 +578,44 @@ def _path_search(
 
     Returns ``witnessed(src, targets)``, the targets ``t`` joined to ``src``
     by a simple path of at most ``f.max_path_len`` edges that avoids ``t``
-    inside and meets the conditions of the mode's ``_MODES`` entry.  The
-    labels are read once, into four integer tables: the vertices holding a
-    plain label, the ``b0`` hubs, and per vertex the bitmasks of the hub
-    pairs it opens (holds the label before the hub) and closes (holds the
-    label after it).  An internal vertex ``z`` between the first and the
-    last passes if it is plain, or a hub whose predecessor opens a pair its
-    successor closes.  With ``ends_plain``, a vertex may be entered at
-    position ``p`` only if it is plain or, for ``p >= 2``, a hub, and the
-    last internal vertex must be plain.  A witnessed target may still sit
-    inside a path to another target.
+    inside and meets the conditions of the mode's ``_MODES`` entry.  An
+    internal vertex ``z`` between the first and the last passes if it is
+    plain, or a hub whose predecessor opens a pair (holds the label before
+    the hub) that its successor closes (holds the label after it).  With
+    ``ends_plain``, a vertex may be entered at position ``p`` only if it is
+    plain or, for ``p >= 2``, a hub, and the last internal vertex must be
+    plain.  A witnessed target may still sit inside a path to another
+    target.
+
+    The search runs on vertex positions in the sorted ``cg.graph.vertices``:
+    the ids themselves when they are ``0 .. n - 1``, else through one id to
+    position dict, with the witnessed targets mapped back to ids.  It reads
+    the graph once, into neighbour position lists, and the labels once per
+    distinct label set, which is classed as plain (holds a plain label), hub
+    (``b0`` and no plain label) or neither, with the bitmasks of the hub
+    pairs it opens and closes.  Every vertex of a class gets its flags in
+    ``bytearray`` tables and its masks in int lists, so the search itself
+    hashes only the target set.
     """
-    adj = cg.graph.adj
+    g = cg.graph
+    verts = g.vertices
+    n = len(verts)
+    dense = not verts or (verts[0] == 0 and verts[-1] == n - 1)
+    index = None if dense else {v: i for i, v in enumerate(verts)}
+    ends = g.edges if index is None else [(index[u], index[v]) for u, v in g.edges]
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in ends:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     budget = f.max_path_len
     entry = _mode(f.mode)
     ends_plain = entry.ends_plain
+    classes: dict[frozenset[ColorLabel], list[int]] = {}
+    for v, ls in cg.colors.items():
+        classes.setdefault(ls, []).append(v if index is None else index[v])
     # Labels above the largest index in ``cg`` match nothing, so a large k
     # in a document costs nothing.
-    top = min(f.k, max((label.index for ls in cg.colors.values() for label in ls), default=0))
+    top = min(f.k, max((max(label.index for label in ls) for ls in classes), default=0))
     plain_labels = frozenset(entry.plain(top))
     opens: dict[ColorLabel, int] = {}
     closes: dict[ColorLabel, int] = {}
@@ -576,28 +623,32 @@ def _path_search(
         opens[a] = opens.get(a, 0) | 1 << i
         closes[b] = closes.get(b, 0) | 1 << i
     b0 = ColorLabel("b", 0)
-    plain: set[int] = set()
-    hubs: set[int] = set()  # b0 and no plain label
-    before: dict[int, int] = {}
-    after: dict[int, int] = {}
-    for v, ls in cg.colors.items():
-        if not plain_labels.isdisjoint(ls):
-            plain.add(v)
-        elif b0 in ls:
-            hubs.add(v)
+    plain = bytearray(n)
+    hub = bytearray(n)
+    before = [0] * n
+    after = [0] * n
+    for ls, members in classes.items():
+        is_plain = not plain_labels.isdisjoint(ls)
+        is_hub = not is_plain and b0 in ls
         bits_in = bits_out = 0
         for label in ls:
             bits_in |= opens.get(label, 0)
             bits_out |= closes.get(label, 0)
-        if bits_in:
-            before[v] = bits_in
-        if bits_out:
-            after[v] = bits_out
+        for p in members:
+            plain[p] = is_plain
+            hub[p] = is_hub
+            before[p] = bits_in
+            after[p] = bits_out
+    onpath = bytearray(n)  # cleared again on every exit from ``witnessed``
 
     def witnessed(src: int, targets: set[int]) -> list[int]:
-        left = set(targets)
+        if index is None:
+            left = set(targets)
+        else:
+            src = index[src]
+            left = {index[t] for t in targets}
         found: list[int] = []
-        onpath = {src}
+        onpath[src] = 1
         # One frame per path vertex, made when the vertex is entered and
         # popped on backtrack: the vertex, its neighbour iterator, the
         # number of edges used to reach it, whether the path may end after
@@ -606,38 +657,41 @@ def _path_search(
         # vertex in the middle, and, for a hub there, the pairs its
         # predecessor opens.  A non-plain vertex in the middle lets only a
         # successor through that closes one of those pairs.
-        stack = [(src, iter(adj[src]), 0, True, 2 <= budget, False, 0)]
+        stack = [(src, iter(nbrs[src]), 0, True, 2 <= budget, False, 0)]
         while stack:
-            cur, nbrs, used, may_end, deeper, mid, opened = stack[-1]
-            for w in nbrs:
-                if w in onpath:
+            cur, it, used, may_end, deeper, mid, opened = stack[-1]
+            for w in it:
+                if onpath[w]:
                     continue
-                if w in left and may_end:
+                if may_end and w in left:
                     left.remove(w)
                     found.append(w)
                     if not left:
-                        return found
-                if not deeper or (ends_plain and w not in plain and not (used and w in hubs)):
+                        for frame in stack:
+                            onpath[frame[0]] = 0
+                        stack.clear()
+                        break
+                if not deeper or (ends_plain and not plain[w] and not (used and hub[w])):
                     continue
-                if mid and not opened & after.get(w, 0):
+                if mid and not opened & after[w]:
                     continue
-                onpath.add(w)
-                w_plain = w in plain
+                onpath[w] = 1
+                w_plain = plain[w]
                 w_mid = used >= 1 and not w_plain
                 stack.append((
                     w,
-                    iter(adj[w]),
+                    iter(nbrs[w]),
                     used + 1,
                     not ends_plain or w_plain,
                     used + 3 <= budget,
                     w_mid,
-                    before.get(cur, 0) if w_mid and w in hubs else 0,
+                    before[cur] if w_mid and hub[w] else 0,
                 ))
                 break
             else:
                 stack.pop()
-                onpath.remove(cur)
-        return found
+                onpath[cur] = 0
+        return found if index is None else [verts[p] for p in found]
 
     return witnessed
 

@@ -11,7 +11,8 @@ components from V - E + F over those components and faces, the
 transducer's surgery check from rebuilding the surgered drawing, running
 ``validate`` on it but for its Euler check and counting V - E + F instead,
 and the decoded graph of a transduction from one path
-search per vertex pair, or from the rendered text of its formula, and
+search per vertex pair, or from the rendered text of its formula, the
+one-source path search from hashed tables on vertex ids, and
 the strong fan property from a face union-find over the whole plan,
 crossing graphs from a map of every (edge, crossing index) to its arc, the
 search's edge groups from a component search over the crossing pairs,
@@ -36,7 +37,7 @@ from collections import Counter, deque
 from functools import lru_cache
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from fancross.cluster import (
     Certificate,
@@ -81,6 +82,7 @@ from fancross.transduce import (
     _bends,
     _checked_k,
     _checked_x,
+    _mode,
     _output,
     render_formula,
 )
@@ -1778,6 +1780,97 @@ def _oracle_witness_path(cg: ColoredGraph, gx: int, gy: int, f: TransductionForm
     if gx == gy:
         return False
     return dfs()
+
+
+# ===== Path-search oracle (hashed tables on vertex ids) =====
+
+
+def oracle_path_search(
+    cg: ColoredGraph, f: TransductionFormula
+) -> Callable[[int, set[int]], list[int]]:
+    """``transduce._path_search`` on ids, with hashed tables: the same
+    frame machine, reading neighbours from ``Graph.adj`` and the labels
+    into sets of plain vertices and hubs and dicts of the pair masks, one
+    table entry per vertex.
+    """
+    adj = cg.graph.adj
+    budget = f.max_path_len
+    entry = _mode(f.mode)
+    ends_plain = entry.ends_plain
+    # Labels above the largest index in ``cg`` match nothing, so a large k
+    # in a document costs nothing.
+    top = min(f.k, max((label.index for ls in cg.colors.values() for label in ls), default=0))
+    plain_labels = frozenset(entry.plain(top))
+    opens: dict[ColorLabel, int] = {}
+    closes: dict[ColorLabel, int] = {}
+    for i, (a, b) in enumerate(entry.hub_pairs(top)):
+        opens[a] = opens.get(a, 0) | 1 << i
+        closes[b] = closes.get(b, 0) | 1 << i
+    b0 = ColorLabel("b", 0)
+    plain: set[int] = set()
+    hubs: set[int] = set()  # b0 and no plain label
+    before: dict[int, int] = {}
+    after: dict[int, int] = {}
+    for v, ls in cg.colors.items():
+        if not plain_labels.isdisjoint(ls):
+            plain.add(v)
+        elif b0 in ls:
+            hubs.add(v)
+        bits_in = bits_out = 0
+        for label in ls:
+            bits_in |= opens.get(label, 0)
+            bits_out |= closes.get(label, 0)
+        if bits_in:
+            before[v] = bits_in
+        if bits_out:
+            after[v] = bits_out
+
+    def witnessed(src: int, targets: set[int]) -> list[int]:
+        left = set(targets)
+        found: list[int] = []
+        onpath = {src}
+        # One frame per path vertex, made when the vertex is entered and
+        # popped on backtrack: the vertex, its neighbour iterator, the
+        # number of edges used to reach it, whether the path may end after
+        # it, whether it may go deeper (used + 2 edges fit the budget,
+        # leaving room for the closing edge), whether it is a non-plain
+        # vertex in the middle, and, for a hub there, the pairs its
+        # predecessor opens.  A non-plain vertex in the middle lets only a
+        # successor through that closes one of those pairs.
+        stack = [(src, iter(adj[src]), 0, True, 2 <= budget, False, 0)]
+        while stack:
+            cur, nbrs, used, may_end, deeper, mid, opened = stack[-1]
+            for w in nbrs:
+                if w in onpath:
+                    continue
+                if w in left and may_end:
+                    left.remove(w)
+                    found.append(w)
+                    if not left:
+                        return found
+                if not deeper or (ends_plain and w not in plain and not (used and w in hubs)):
+                    continue
+                if mid and not opened & after.get(w, 0):
+                    continue
+                onpath.add(w)
+                w_plain = w in plain
+                w_mid = used >= 1 and not w_plain
+                stack.append((
+                    w,
+                    iter(adj[w]),
+                    used + 1,
+                    not ends_plain or w_plain,
+                    used + 3 <= budget,
+                    w_mid,
+                    before.get(cur, 0) if w_mid and w in hubs else 0,
+                ))
+                break
+            else:
+                stack.pop()
+                onpath.remove(cur)
+        return found
+
+    return witnessed
 
 
 # ===== Rendered-formula oracle (parse the text, try every vertex) =====

@@ -4,6 +4,7 @@ public int parameter refuses a value that is not an int."""
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import random
 from collections import Counter
@@ -30,10 +31,11 @@ from fancross import (
     transduce_kplanar,
     validate,
     verify_certificate,
+    verify_model,
 )
 from fancross.fixtures import fig1a, fig1a_certificate, fig1b, fig3, random_kplanar
 from fancross.geometry import drawing_from_segments, pt
-from fancross.graphs import ColorLabel, Graph, complete, cycle, grid2d
+from fancross.graphs import ColorLabel, Fan, Graph, complete, cycle, grid2d
 from fancross.synth import RegionTag
 from test_drawing import lens
 
@@ -333,6 +335,25 @@ def with_apex() -> Graph:
     return Graph.make(range(6), [*fig3().base.edges, (0, 5)])
 
 
+def fig1a_assigned(change) -> Certificate:
+    """``fig1a_certificate()`` with every assignment ``(key, center)`` made
+    ``change(key, center)``."""
+    cert = fig1a_certificate()
+    assignment = dict(change(key, c) for key, c in cert.assignment.items())
+    return dataclasses.replace(cert, assignment=assignment)
+
+
+def first_fan_at(center) -> Fan:
+    """The first fan of ``fig1a_certificate()``, centered at 0, with its
+    center made ``center``."""
+    return Fan(center, fig1a_certificate().covers[0][0].edges)
+
+
+def grid_model(branch0) -> MinorModel:
+    """The 4-cycle in the 2 x 2 grid, with vertex 0's branch set ``branch0``."""
+    return MinorModel(grid2d(2, 2), cycle(4), {0: branch0, 1: (1,), 2: (3,), 3: (2,)}, 1, 1)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -353,6 +374,21 @@ def with_apex() -> Graph:
         (lambda: random_kplanar(6, 2.0, 1), r"^k 2\.0 is not an int$"),
         (lambda: random_kplanar(6, 2, 1.5), r"^seed 1\.5 is not an int$"),
         (lambda: fig1b(2.0), r"^m 2\.0 is not an int$"),
+        (lambda: first_fan_at(0.0), r"^fan center 0\.0 is not an int$"),
+        (lambda: Fan(0, ((0.0, 4),)), r"^fan edge end 0\.0 is not an int$"),
+        (
+            lambda: verify_certificate(fig1a(), fig1a_assigned(lambda key, c: (key, c or 0.0))),
+            r"^assignment center 0\.0 is not an int$",
+        ),
+        (
+            lambda: verify_certificate(fig1a(), fig1a_assigned(lambda key, c: ((float(key[0]), key[1]), c))),
+            r"^assignment edge \d+\.0 is not an int$",
+        ),
+        (
+            lambda: verify_certificate(fig1a(), fig1a_assigned(lambda key, c: ((key[0], float(key[1])), c))),
+            r"^assignment piece \d\.0 is not an int$",
+        ),
+        (lambda: verify_model(grid_model((0.0,))), r"^branch entry 0\.0 is not an int$"),
     ],
 )
 def test_ids_and_sizes_that_are_not_ints_are_refused(call, message):
@@ -361,7 +397,42 @@ def test_ids_and_sizes_that_are_not_ints_are_refused(call, message):
     and vertex 1 for ``True``, the transducer gave ``X = (5,)``, the round
     trip returned True, the region ref became ``(1,)``, the label printed
     ``c1.5``, which ``ColorLabel.parse`` refuses, ``random_kplanar`` took a
-    ``k`` of ``2.0``, and the other sizes raised ``TypeError``."""
+    ``k`` of ``2.0``, and the other sizes raised ``TypeError``.  A fan
+    centered at ``0.0``, an assignment to ``0.0`` and a branch set
+    ``(0.0,)`` passed their checks, which test membership, so fig1a's
+    certificate verified strongly and ``verify_model`` returned ``[]``,
+    though the JSON readers refuse what the writers make of them."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_float_ids_fail_the_checks_they_passed():
+    """The unchanged certificate and model still pass, so the refusals
+    above are the float ids' doing."""
+    assert verify_certificate(fig1a(), fig1a_certificate(), strong=True).verdict
+    assert first_fan_at(0) == fig1a_certificate().covers[0][0]
+    assert verify_model(grid_model((0,))) == []
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Graph.make([0, 1, 2], [(0, 1, 2)]), r"^edge \(0, 1, 2\) is not a pair$"),
+        (lambda: Graph.make([0, 1], [5]), r"^edge 5 is not a pair$"),
+        (lambda: Graph.make([0, 1], [(0,)]), r"^edge \(0,\) is not a pair$"),
+        (lambda: transduce_kplanar(fig3(), {5: 3}, 2), r"^neighbors 3 of 5 are not a list$"),
+        (lambda: transduce_kplanar(fig3(), {5: None}, 2), r"^neighbors None of 5 are not a list$"),
+        (
+            lambda: transduce_clustered(fig1a(), fig1a_certificate(), {20: 0}, 2),
+            r"^neighbors 0 of 20 are not a list$",
+        ),
+    ],
+)
+def test_containers_that_are_not_pairs_or_lists_are_refused(call, message):
+    """``Graph.make`` read an edge as ``e[0], e[1]``, so it silently took
+    ``(0, 1, 2)`` as ``(0, 1)`` and raised ``TypeError`` on ``5``; the
+    transducers iterated each X vertex's neighbours unchecked and raised
+    ``TypeError`` on an int or ``None``."""
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     _RotSys,
@@ -22,13 +22,14 @@ from oracles import (
     oracle_faces,
     oracle_materialize,
     oracle_nonplane_components,
+    oracle_path_search,
     oracle_surgery_nonplane,
     oracle_surgery_ok,
     oracle_transduce_clustered,
     oracle_transduce_kplanar,
 )
 
-from fancross import cluster, transduce
+from fancross import cluster, drawing, transduce
 from fancross.cluster import Certificate, search_certificate
 from fancross.drawing import Drawing, SubdivisionPlan, _embed, validate
 from fancross.errors import CapExceeded, Infeasible, InvariantBroken
@@ -905,6 +906,24 @@ def test_output_rejects_malformed_embed_and_x():
         transduction_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda out: {"embed": {0.0 if h == 0 else h: v for h, v in out.embed.items()}},
+         r"^embedded vertex 0\.0 is not an int$"),
+        (lambda out: {"embed": {**out.embed, 0: 0.0}}, r"^embed image 0\.0 is not an int$"),
+        (lambda out: {"x": (5.0,)}, r"^X vertex 5\.0 is not an int$"),
+    ],
+)
+def test_output_refuses_ids_that_are_not_ints(change, message):
+    """A float equal to an original vertex or its image passed the
+    membership tests; ``eval_formula`` then refused the output, and
+    ``transduction_from_json`` refused its document."""
+    out = transduce_kplanar(fig3(), {5: (0, 1)}, 2)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(out, **change(out))
+
+
 def test_eval_is_deterministic():
     out = transduce_clustered(fig1a(), fig1a_certificate(), {}, 2)
     assert eval_formula(out) == eval_formula(out)
@@ -1240,6 +1259,17 @@ def test_kplanar_transduction_matches_surgery_oracle_on_random_drawings(n, k, se
     assert_matches_surgery_oracle(d, random_x(rng, d, k), k)
 
 
+def test_decoded_graph_is_normalized():
+    """``eval_formula`` builds its graph without ``Graph.make``; it must
+    equal the graph ``Graph.make`` builds from the same vertices and
+    edges, on dense ids and on relabelled ones."""
+    for out in oracle_corpus():
+        for o in (out, relabelled(out, RELABELS["reversed"])):
+            g = eval_formula(o)
+            assert g == Graph.make(reversed(g.vertices), [(b, a) for a, b in reversed(g.edges)])
+            assert all(type(v) is int for v in g.vertices)
+
+
 def test_assembled_graph_is_normalized():
     """``_output`` builds its graph without ``Graph.make``; it must equal
     the graph ``Graph.make`` builds from the same vertices and edges."""
@@ -1401,6 +1431,154 @@ def test_eval_matches_oracle_on_seeded_scratch_corpus(mode):
         no_hubs = dataclasses.replace(out, colored=ColoredGraph(out.colored.graph, bare))
         through_hubs += bool(set(got.edges) - set(eval_formula(no_hubs).edges))
     assert through_hubs >= 100, through_hubs
+
+
+def relabelled(out: TransductionOutput, new) -> TransductionOutput:
+    """``out`` with every vertex of its colored graph and every original
+    vertex ``v`` renamed ``new(v)``."""
+    g = out.colored.graph
+    return TransductionOutput(
+        ColoredGraph(
+            Graph.make(map(new, g.vertices), [(new(u), new(v)) for u, v in g.edges]),
+            {new(v): ls for v, ls in out.colored.colors.items()},
+        ),
+        {new(h): new(v) for h, v in out.embed.items()},
+        out.formula,
+        tuple(sorted(map(new, out.x))),
+    )
+
+
+def assert_decode_ignores_ids(out: TransductionOutput, new) -> None:
+    """The decode of ``out`` relabelled by ``new`` is the relabelled decode
+    of ``out``, and the per-pair oracle's; the relabelled ids are not
+    ``0 .. n - 1``, so the search maps them to positions."""
+    moved = relabelled(out, new)
+    assert moved.colored.graph.vertices != tuple(range(out.colored.graph.n))
+    want = eval_formula(out)
+    got = eval_formula(moved)
+    assert got == Graph.make(map(new, want.vertices), [(new(a), new(b)) for a, b in want.edges])
+    assert got == oracle_eval_formula(moved)
+
+
+# Relabellings onto ids that are not 0 .. n - 1.
+RELABELS = {
+    "offset": lambda v: v + 1000,
+    "negative": lambda v: v - 37,
+    "gaps": lambda v: 3 * v + 5,
+    "reversed": lambda v: -2 * v,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELABELS))
+def test_decode_ignores_vertex_ids(name):
+    new = RELABELS[name]
+    outs = list(oracle_corpus())
+    for mode in ("kplanar", "clustered"):
+        rng = random.Random(f"relabel-{name}-{mode}")
+        outs += [scratch_output(rng, mode) for _ in range(100)]
+    for out in outs:
+        assert_decode_ignores_ids(out, new)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_decode_ignores_vertex_ids_under_any_injection(data):
+    if data.draw(st.booleans()):
+        out = data.draw(st.sampled_from(oracle_corpus()))
+    else:
+        rng = data.draw(st.randoms(use_true_random=False))
+        out = scratch_output(rng, data.draw(st.sampled_from(("kplanar", "clustered"))))
+    verts = out.colored.graph.vertices
+    if data.draw(st.booleans()):
+        # An affine map, possibly order-reversing.
+        scale = data.draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+        shift = data.draw(st.integers(-10**4, 10**4))
+        image = {v: scale * v + shift for v in verts}
+    else:
+        # Any injection onto ids with gaps, on both sides of 0.
+        low = data.draw(st.integers(-3 * len(verts), 0))
+        image = dict(zip(verts, data.draw(st.permutations(range(low, low + 3 * len(verts) + 1)))))
+    assume(sorted(image.values()) != list(range(len(verts))))
+    assert_decode_ignores_ids(out, image.__getitem__)
+
+
+@pytest.mark.parametrize("shift", [0, 100])
+def test_an_early_return_leaves_no_vertex_on_the_path(shift):
+    """The inner vertices of the path ``v0 .. v5`` are plain, so the
+    search from ``v0`` witnesses its one target ``v5`` from the frame of
+    ``v4`` and returns with ``v0 .. v4`` on its path; the searches after
+    it must find those vertices free again."""
+    verts = [v + shift for v in range(6)]
+    g = Graph.make(verts, zip(verts, verts[1:]))
+    cg = ColoredGraph(g, {v: frozenset({B1}) for v in verts[1:-1]})
+    witnessed = transduce._path_search(cg, TransductionFormula.for_mode(1, "kplanar"))
+    assert witnessed(verts[0], {verts[5]}) == [verts[5]]
+    assert witnessed(verts[5], {verts[0]}) == [verts[0]]
+    assert witnessed(verts[2], {verts[0], verts[5]}) == [verts[0], verts[5]]
+    assert witnessed(verts[0], {verts[5]}) == [verts[5]]
+
+
+def decode_sized_cases() -> list[tuple[Drawing, dict[int, tuple[int, ...]], int]]:
+    """k-planar drawings of the decode benchmark's sizes, n in (24, 36, 48)
+    and k in (2, 4, 6), each with two deleted vertices and its k."""
+    rng = random.Random("decode-sized-search")
+    cases = []
+    for n in (24, 36, 48):
+        for k in (2, 4, 6):
+            d = random_kplanar(n, k, rng.randrange(10**6))
+            x_edges = {x: tuple(rng.sample(range(n), rng.randint(1, 4))) for x in (n, n + 1)}
+            cases.append((d, x_edges, k))
+    return cases
+
+
+def test_position_search_matches_the_hashed_search():
+    """``_path_search`` witnesses the same targets, in the same order, as
+    the hashed search it replaced (``oracle_path_search``), from every
+    source ``eval_formula`` asks about, in both modes and on shifted ids."""
+    calls = 0
+    for d, x_edges, k in decode_sized_cases():
+        out = transduce_kplanar(d, x_edges, k)
+        swapped = dataclasses.replace(
+            out, formula=TransductionFormula.for_mode(out.formula.k, "clustered")
+        )
+        for o in (out, swapped, relabelled(out, RELABELS["gaps"])):
+            fast = transduce._path_search(o.colored, o.formula)
+            slow = oracle_path_search(o.colored, o.formula)
+            later = set(o.embed.values())
+            for a in sorted(o.embed):
+                later.discard(o.embed[a])
+                assert fast(o.embed[a], later) == slow(o.embed[a], later), (o.formula, a)
+                calls += 1
+    assert calls >= 9 * 3 * 24, calls
+
+
+def test_decode_builds_no_graph_adjacency_and_writes_edges_in_order(monkeypatch):
+    """On decode-sized drawings neither the k-planar compile nor
+    ``eval_formula`` computes ``Graph.adj``: the path search's neighbour
+    lists are the decode's one adjacency.  The compile hands ``_output``
+    its edges already in ``Graph`` order, so the sort there meets one
+    sorted run."""
+    cases = decode_sized_cases()
+    # The module's oracle check of each system builds drawings of its own.
+    monkeypatch.setattr(transduce, "_plane_simple", drawing._plane_simple)
+    adj = Graph.__dict__["adj"]
+    computed = []
+    monkeypatch.setattr(adj, "func", lambda g, real=adj.func: computed.append(g) or real(g))
+    handed = []
+    real_output = transduce._output
+
+    def output(hverts, verts, gedges, *rest):
+        handed.append(list(gedges))
+        return real_output(hverts, verts, gedges, *rest)
+
+    monkeypatch.setattr(transduce, "_output", output)
+    for d, x_edges, k in cases:
+        g = eval_formula(transduce_kplanar(d, x_edges, k))
+        assert g.m > d.base.m
+    assert computed == []
+    assert len(handed) == len(cases)
+    for edges in handed:
+        assert edges == sorted(edges)
 
 
 def test_handshake_reads_indices_up_to_k_at_any_k():

@@ -604,13 +604,22 @@ def random_model(rng):
             return grid_drawing(rows, cols)[1], m
 
 
+# sha256 over the corpus's 1,500 result documents, each written with
+# ``json.dumps(..., sort_keys=True)`` and a newline; it pins every byte of
+# synthesis output, including the 15 results the exact covers certify.
+CORPUS_DIGEST = "42bcb870171b8e422a099833ce17b18909456d8970cafdabc9f7db5ed96b07c0"
+
+
 def test_seeded_model_corpus_synthesizes(fallbacks):
     rng = random.Random(1)
+    digest = hashlib.sha256()
     for _ in range(1500):
         hd, m = random_model(rng)
         res = check_result(synthesize(hd, m), m.c)
         assert res.kPrime <= 2 * m.c
+        digest.update(json.dumps(synthresult_to_json(res), sort_keys=True).encode() + b"\n")
     assert len(fallbacks) == 15
+    assert digest.hexdigest() == CORPUS_DIGEST
 
 
 @settings(max_examples=100, deadline=None)

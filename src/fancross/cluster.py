@@ -36,7 +36,7 @@ from typing import Iterator, Optional, Sequence
 
 from .drawing import CrossingGraph, Drawing, SubdivisionPlan, _fan_core, crossing_graph
 from .errors import CapExceeded, InvariantBroken
-from .graphs import Fan, _canonical_fans, _checked_int, fan_cover, vertex_cover
+from .graphs import Fan, _canonical_fans, _checked_int, _checked_pair, fan_cover, vertex_cover
 
 
 # ===== Certificates =====
@@ -92,7 +92,9 @@ def _structural_check(d: Drawing, cert: Certificate) -> None:
             raise ValueError("too many cuts")
         if len(set(gaps)) != len(gaps):
             raise ValueError("repeated cut")
-    for fans in cert.covers.values():
+    for cid, fans in cert.covers.items():
+        if not isinstance(fans, (tuple, list)) or not all(isinstance(f, Fan) for f in fans):
+            raise ValueError(f"cover {cid!r} is not a list of fans")
         centers = [f.center for f in fans]
         if len(set(centers)) != len(centers):
             raise ValueError("duplicate fan center")
@@ -102,7 +104,8 @@ def _structural_check(d: Drawing, cert: Certificate) -> None:
             for u, v in f.edges:
                 if not d.base.has_edge(u, v):
                     raise ValueError(f"unknown fan edge ({u}, {v})")
-    for (eid, piece), center in cert.assignment.items():
+    for key, center in cert.assignment.items():
+        eid, piece = _checked_pair("assignment key", key)
         _checked_int("assignment edge", eid)
         _checked_int("assignment piece", piece)
         _checked_int("assignment center", center)

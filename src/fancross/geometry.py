@@ -31,7 +31,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .drawing import Drawing
-from .graphs import Graph
+from .graphs import Graph, _checked_int, _checked_pair
 
 Coord = Union[int, Fraction]
 Point = tuple[Coord, Coord]
@@ -217,19 +217,26 @@ def drawing_from_polylines(
 
     ``bends[eid]`` lists an edge's interior corner points in order from its
     smaller endpoint; corners become subdivision vertices of the plan.
-    Degenerate inputs raise ValueError: coincident points, a vertex or bend
-    in the interior of any segment, overlapping collinear pieces,
-    self-crossing edges, or three edges through one point.  Crossing vertices
+    Malformed and degenerate inputs raise ValueError: a position or bend
+    that is not a pair, bends that are not a list or name an edge ``g``
+    does not have, coincident points, a vertex or bend in the interior of
+    any segment, overlapping collinear pieces, self-crossing edges, or
+    three edges through one point.  Crossing vertices
     get fresh ids in coordinate order; the outer face, of the whole drawing
     and of every other plan component, is recovered from the geometry.
     """
     for v in g.vertices:
         if v not in pos:
             raise ValueError(f"vertex {v} has no position")
+        _checked_pair(f"position of vertex {v}", pos[v])
     bends = bends or {}
-    for eid in bends:
-        if not (0 <= eid < g.m):
+    for eid, chain in bends.items():
+        if not (0 <= _checked_int("bent edge", eid) < g.m):
             raise ValueError(f"unknown edge {eid} in bends")
+        if not isinstance(chain, (tuple, list)):
+            raise ValueError(f"bends {chain!r} of edge {eid} are not a list")
+        for p in chain:
+            _checked_pair(f"bend of edge {eid}", p)
 
     # One common integer scale for every vertex and bend point.
     given = [pos[v] for v in g.vertices] + [p for chain in bends.values() for p in chain]
@@ -255,12 +262,10 @@ def drawing_from_polylines(
         node_pts.add(p)
 
     # Segments, tagged by their edge, in chain order.
-    segs: list[tuple[int, Point, Point]] = []
-    for eid, chain in chains.items():
-        for a, b in zip(chain, chain[1:]):
-            if a == b:
-                raise ValueError("degenerate segment")
-            segs.append((eid, a, b))
+    # No segment is degenerate: its ends are two distinct nodes.
+    segs: list[tuple[int, Point, Point]] = [
+        (eid, a, b) for eid, chain in chains.items() for a, b in zip(chain, chain[1:])
+    ]
 
     # A node strictly inside a segment lies in its bounding box, so only the
     # nodes in its x-range are tested, by their x order.

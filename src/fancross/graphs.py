@@ -28,6 +28,16 @@ def _checked_int(name: str, value: int) -> int:
     return value
 
 
+def _checked_pair(name: str, value: object) -> tuple:
+    """``value`` unpacked into its two items, refused with
+    ``ValueError("<name> <value> is not a pair")`` unless it has two."""
+    try:
+        a, b = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} {value!r} is not a pair") from None
+    return a, b
+
+
 @dataclass(frozen=True)
 class Graph:
     """A finite simple graph with integer vertex ids.
@@ -52,10 +62,7 @@ class Graph:
         vset = {_checked_int("vertex", v) for v in vertices}
         norm: list[tuple[int, int]] = []
         for e in edges:
-            try:
-                u, v = e
-            except (TypeError, ValueError):
-                raise ValueError(f"edge {e!r} is not a pair") from None
+            u, v = _checked_pair("edge", e)
             u, v = _checked_int("vertex", u), _checked_int("vertex", v)
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
@@ -176,8 +183,11 @@ class Fan:
 
     def __post_init__(self) -> None:
         _checked_int("fan center", self.center)
+        if not isinstance(self.edges, (tuple, list)):
+            raise ValueError(f"fan edges {self.edges!r} are not a list")
         edges = []
-        for u, v in self.edges:
+        for e in self.edges:
+            u, v = _checked_pair("fan edge", e)
             _checked_int("fan edge end", u)
             _checked_int("fan edge end", v)
             if self.center != u and self.center != v:

@@ -165,39 +165,31 @@ def _make_routes(
 ) -> tuple[list[_Route], dict[int, int], dict[int, int]]:
     """Route every pattern edge; returns routes and the midpoint id maps."""
     branch_sets = {x: set(m.branch[x]) for x in m.pattern.vertices}
-    conns: dict[int, tuple[str, tuple[int, ...]]] = {}
-    split: set[int] = set()
-    for eid, (v, w) in enumerate(m.pattern.edges):
-        shared = sorted(branch_sets[v] & branch_sets[w])
+    # Per pattern edge: the host edge joining its branch sets (None when they
+    # share a host vertex) and the host vertices where the v and w ends stop.
+    conns: list[tuple[Optional[int], int, int]] = []
+    for v, w in m.pattern.edges:
+        shared = branch_sets[v] & branch_sets[w]
         if shared:
-            conns[eid] = ("vertex", (shared[0],))
+            conns.append((None, min(shared), min(shared)))
+            continue
+        for heid, (a, b) in enumerate(m.host.edges):
+            if a in branch_sets[v] and b in branch_sets[w]:
+                conns.append((heid, a, b))
+                break
+            if a in branch_sets[w] and b in branch_sets[v]:
+                conns.append((heid, b, a))
+                break
         else:
-            found = None
-            for heid, (a, b) in enumerate(m.host.edges):
-                if a in branch_sets[v] and b in branch_sets[w]:
-                    found = (heid, a, b)
-                    break
-                if a in branch_sets[w] and b in branch_sets[v]:
-                    found = (heid, b, a)
-                    break
-            if found is None:
-                raise InvariantBroken("construction invariant broken")
-            heid, av, aw = found
-            conns[eid] = ("edge", (heid, av, aw))
-            split.add(heid)
+            raise InvariantBroken("construction invariant broken")
 
+    split = sorted({heid for heid, _, _ in conns if heid is not None})
     base = max(m.host.vertices, default=-1) + 1
-    mid_of = {heid: base + i for i, heid in enumerate(sorted(split))}
+    mid_of = {heid: base + i for i, heid in enumerate(split)}
     eid_of_mid = {mid: heid for heid, mid in mid_of.items()}
 
     routes = []
-    for eid, (v, w) in enumerate(m.pattern.edges):
-        kind, data = conns[eid]
-        if kind == "vertex":
-            conn_eid = None
-            tv, tw = data[0], data[0]
-        else:
-            conn_eid, tv, tw = data
+    for eid, ((v, w), (conn_eid, tv, tw)) in enumerate(zip(m.pattern.edges, conns)):
         vpath = _expand(_tree_path(parents[v], roots[v], tv), m.host, mid_of)
         wpath = _expand(_tree_path(parents[w], roots[w], tw), m.host, mid_of)
         if conn_eid is not None:
@@ -334,10 +326,8 @@ class _Builder:
         self.lanes: dict[tuple[int, int], dict[int, list[int]]] = {}
         self.source_of: dict[tuple[tuple[int, int], int], int] = {}
         self.passing: dict[tuple[tuple[int, int], int], bool] = {}
-        self.route_pos: dict[int, dict[int, int]] = {}
         regions: set[int] = set(self.roots.values())
         for r in self.routes:
-            self.route_pos[r.eid] = {u: i for i, u in enumerate(r.regions)}
             regions.update(r.regions)
             for i in range(1, len(r.regions)):
                 a, b = r.regions[i - 1], r.regions[i]
@@ -351,9 +341,6 @@ class _Builder:
                 key = (c, owner)
                 self.passing[key] = self.passing.get(key, False) or goes_on
         self.regions = sorted(regions)
-        self.roots_at: dict[int, list[int]] = {}
-        for x in sorted(self.roots):
-            self.roots_at.setdefault(self.roots[x], []).append(x)
 
     def _group_lists(self) -> None:
         """Per corridor and end: the circular order of owner groups."""
@@ -370,75 +357,52 @@ class _Builder:
             else:
                 self.glist[c] = {r1: owners, r2: owners[::-1]}
 
-    def _region_rotations(self) -> None:
-        """Corridors around each region, in the host's circular order."""
-        base_rot: dict[int, list[int]] = {}
+    def _leaving(self, u: int, heid: int) -> tuple[int, int]:
+        """The corridor by which host edge ``heid`` leaves region ``u``."""
+        if heid in self.mid_of:
+            return _corr(u, self.mid_of[heid])
+        return self.host.base.edges[heid]
+
+    def _region_objects(self) -> None:
+        """Per region: its corridors' owner groups, corridor by corridor in
+        the host's circular order, then the pattern vertices rooted there."""
         owner_of = {
             pe: beid for beid, pes in self.host.trace.items() for pe in pes
         }
-        for vid, pv in self.host.real_pvid.items():
-            base_rot[vid] = [owner_of[pe] for pe in self.host.rotation[pv]]
-        self.region_rot: dict[int, list[tuple[int, int]]] = {}
+        roots_at: dict[int, list[tuple]] = {}
+        for x in sorted(self.roots):
+            roots_at.setdefault(self.roots[x], []).append(("root", x))
+        self.objects: dict[int, list[tuple]] = {}
         for u in self.regions:
             if u in self.eid_of_mid:
                 a, b = self.host.base.edges[self.eid_of_mid[u]]
-                out = [_corr(a, u), _corr(b, u)]
+                around = [_corr(a, u), _corr(b, u)]
             else:
-                out = []
-                for heid in base_rot.get(u, []):
-                    p, q = self.host.base.edges[heid]
-                    other = q if p == u else p
-                    c = (
-                        _corr(u, self.mid_of[heid])
-                        if heid in self.mid_of
-                        else _corr(u, other)
-                    )
-                    if c in self.lanes:
-                        out.append(c)
-            self.region_rot[u] = [c for c in out if c in self.lanes]
-
-    def _objects(self, u: int) -> list[tuple]:
-        cached = self._objcache.get(u)
-        if cached is None:
-            out: list[tuple] = []
-            for c in self.region_rot[u]:
-                out.extend((c, x) for x in self.glist[c][u])
-            out.extend(("root", x) for x in self.roots_at.get(u, []))
-            self._objcache[u] = cached = out
-        return cached
+                pv = self.host.real_pvid[u]
+                around = [self._leaving(u, owner_of[pe]) for pe in self.host.rotation[pv]]
+            self.objects[u] = [
+                (c, x) for c in around if c in self.lanes for x in self.glist[c][u]
+            ] + roots_at.get(u, [])
 
     # -- lane keys and port orders --
 
     def _lane_keys(self) -> None:
-        self._objcache: dict[int, list[tuple]] = {}
         self.key_of: dict[tuple[int, int], tuple[int, ...]] = {}
         for r in self.routes:
             last = len(r.regions) - 1
-            for x in (r.v, r.w):
-                if x == r.v:
-                    seq = r.regions[: r.jidx + 1]
-                    partner = r.w
-                    panchor = (
-                        ("root", partner)
-                        if r.jidx == last
-                        else (_corr(r.regions[r.jidx], r.regions[r.jidx + 1]), partner)
-                    )
-                else:
-                    seq = r.regions[r.jidx :][::-1]
-                    partner = r.v
-                    panchor = (
-                        ("root", partner)
-                        if r.jidx == 0
-                        else (_corr(r.regions[r.jidx - 1], r.regions[r.jidx]), partner)
-                    )
+            # The w end walks the reversed route, which meets at last - jidx.
+            for x, partner, walk, j in (
+                (r.v, r.w, r.regions, r.jidx),
+                (r.w, r.v, r.regions[::-1], last - r.jidx),
+            ):
                 slots = []
-                for t, u in enumerate(seq):
-                    gl = self._objects(u)
-                    anchor = ("root", x) if t == 0 else (_corr(seq[t - 1], u), x)
-                    if t < len(seq) - 1:
-                        target = (_corr(u, seq[t + 1]), x)
+                for t, u in enumerate(walk[: j + 1]):
+                    gl = self.objects[u]
+                    anchor = ("root", x) if t == 0 else (_corr(walk[t - 1], u), x)
+                    if t == last:
+                        target = ("root", partner)
                     else:
-                        target = panchor
+                        target = (_corr(u, walk[t + 1]), x if t < j else partner)
                     slots.append((gl.index(target) - gl.index(anchor)) % len(gl))
                 self.key_of[(x, r.eid)] = tuple(slots) + (r.eid,)
 
@@ -465,7 +429,7 @@ class _Builder:
         for u in self.regions:
             vids: list[int] = []
             idx: dict[tuple, int] = {}
-            for obj in self._objects(u):
+            for obj in self.objects[u]:
                 if obj[0] == "root":
                     idx[obj] = len(vids)
                     vids.append(obj[1])
@@ -519,13 +483,8 @@ class _Builder:
         outer = 0
         if self.anchor is not None:
             heid, forward = self.anchor
-            a, b = self.host.base.edges[heid]
-            u0 = a if forward else b
-            c = (
-                _corr(u0, self.mid_of[heid])
-                if heid in self.mid_of
-                else _corr(a, b)
-            )
+            u0 = self.host.base.edges[heid][0 if forward else 1]
+            c = self._leaving(u0, heid)
             block = [
                 f
                 for x in self.glist[c][u0]
@@ -573,8 +532,7 @@ class _Builder:
                     return None
                 u = regs.pop()
                 r = self.routes[eid]
-                i = self.route_pos[eid][u]
-                x = r.v if i <= r.jidx else r.w
+                x = r.v if r.regions.index(u) <= r.jidx else r.w
                 fans.setdefault(x, set()).add(self.m.pattern.edges[eid])
                 assignment[(eid, piece)] = x
             covers[cid] = tuple(
@@ -586,7 +544,7 @@ class _Builder:
     def run(self) -> SynthResult:
         self._collect_lanes()
         self._group_lists()
-        self._region_rotations()
+        self._region_objects()
         self._lane_keys()
         fresh = itertools.count(max(self.m.pattern.vertices, default=-1) + 1)
         self._assign_ports(fresh)
@@ -664,7 +622,7 @@ def pipeline_theorem2(
     if host_plus.degree(u) != host_plus.n - 1:
         raise ValueError("not universal")
     if m.host != host_plus:
-        raise ValueError("drawing does not match the host")
+        raise ValueError("model does not match the host")
     _checked_model(m, _checked_int("k", k))
     dropped, m2 = strip_universal(m, u)
     if len(dropped) > k:

@@ -299,7 +299,9 @@ def test_synth_emits_verified_result(tmp_path, capsys):
     assert obj["kPrime"] == 1
 
 
-def test_pipeline_drops_apex_branches(tmp_path, capsys):
+def pipeline_argv(tmp_path):
+    """A ``pipeline`` command line: the wheel on five vertices in the 2 x 2
+    grid plus a universal apex, whose hub is the apex, at k = 1."""
     g, dpath = grid_files(tmp_path)
     gplus, apex = add_universal_vertex(g)
     hpath = tmp_path / "host_plus.json"
@@ -313,13 +315,25 @@ def test_pipeline_drops_apex_branches(tmp_path, capsys):
     )
     mpath = tmp_path / "model.json"
     mpath.write_text(json.dumps(model_to_json(m)))
-    code, obj = run_json(
-        capsys, "pipeline", dpath, "--host-plus", str(hpath), "--apex", str(apex),
+    return [
+        "pipeline", dpath, "--host-plus", str(hpath), "--apex", str(apex),
         "--model", str(mpath), "--k", "1",
-    )
+    ]
+
+
+def test_pipeline_drops_apex_branches(tmp_path, capsys):
+    code, obj = run_json(capsys, *pipeline_argv(tmp_path))
     assert code == 0
     assert obj["dropped"] == [4]
     assert obj["result"]["kPrime"] == 1
+
+
+def test_pipeline_reports_a_broken_invariant(tmp_path, monkeypatch, capsys):
+    argv = pipeline_argv(tmp_path)
+    error = "more than k pattern vertices use the apex"
+    monkeypatch.setattr(cli, "pipeline_theorem2", raising(InvariantBroken(error)))
+    code, obj = run_json(capsys, *argv)
+    assert code == 1 and obj == {"ok": False, "error": error}
 
 
 def raising(exc):
@@ -547,6 +561,15 @@ def test_export_dot(fig1a_files, capsys):
     assert code == 0
     assert out.startswith("graph plan {")
     assert 'kind="crossing"' in out and "base=" in out
+
+
+def test_export_dot_writes_its_out_file(fig1a_files, tmp_path, capsys):
+    dpath, _ = fig1a_files
+    path = tmp_path / "plan.dot"
+    code, out, _ = run(capsys, "export-dot", dpath, "--out", str(path))
+    assert code == 0
+    assert out.startswith("graph plan {")
+    assert path.read_text(encoding="utf-8") == out
 
 
 def test_export_format_json_round_trips(fig1a_files, capsys):

@@ -172,6 +172,14 @@ def test_out_of_range_arc_is_structural():
         verify_certificate(fig1a(), replace(cert, assignment=assignment))
 
 
+def test_unknown_assignment_center_is_structural():
+    cert = fig1a_certificate()
+    assignment = dict(cert.assignment)
+    assignment[(2, 0)] = 99
+    with pytest.raises(ValueError, match="^unknown center in assignment$"):
+        verify_certificate(fig1a(), replace(cert, assignment=assignment))
+
+
 def test_nonpositive_parameters_are_structural():
     with pytest.raises(ValueError, match="k and ell must be positive"):
         verify_certificate(fig1a(), Certificate(0, 1))

@@ -156,6 +156,29 @@ def test_validate_flags_wrong_kind():
     assert any(v.startswith("subdivision degree") for v in validate(bad))
 
 
+def test_validate_flags_crossing_of_wrong_degree():
+    d = lens()
+    kind = dict(d.kind)
+    kind[6] = "crossing"
+    bad = Drawing(d.base, d.plan, d.rotation, kind, d.trace, d.outer)
+    assert validate(bad) == ["crossing degree: vertex 6"]
+
+
+def test_validate_flags_trace_through_a_real_vertex():
+    """The triangle's edge (0, 2) is traced through real vertex 1, along
+    the plan edges of the other two."""
+    base = Graph.make([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
+    plan = Graph.make([0, 1, 2], [(0, 1), (1, 2)])
+    rotation = {0: (0,), 1: (0, 1), 2: (1,)}
+    kind = {v: f"real:{v}" for v in range(3)}
+    bad = Drawing(base, plan, rotation, kind, {0: (0,), 1: (0, 1), 2: (1,)}, 0)
+    assert validate(bad) == [
+        "trace interior: edge 1 passes real vertex 1",
+        "edge coverage: plan edge 0 used 2 times",
+        "edge coverage: plan edge 1 used 2 times",
+    ]
+
+
 def test_validate_flags_missing_real_copy():
     d = xfix()
     kind = dict(d.kind)

@@ -349,6 +349,27 @@ def test_polyline_rejects_bend_on_edge():
         drawing_from_polylines(g, pos, {1: [pt(2, 0)]})
 
 
+@pytest.mark.parametrize(
+    "pos, bends, message",
+    [
+        (None, {0.5: [pt(1, 1)]}, r"^bent edge 0\.5 is not an int$"),
+        (None, {"0": [pt(1, 1)]}, r"^bent edge '0' is not an int$"),
+        (None, {0: 5}, r"^bends 5 of edge 0 are not a list$"),
+        (None, {0: pt(1, 1)}, r"^bend of edge 0 Fraction\(1, 1\) is not a pair$"),
+        (None, {0: [(1, 1, 1)]}, r"^bend of edge 0 \(1, 1, 1\) is not a pair$"),
+        ({0: (4,), 1: pt(4, 0)}, None, r"^position of vertex 0 \(4,\) is not a pair$"),
+    ],
+)
+def test_polyline_refuses_bends_and_points_of_the_wrong_shape(pos, bends, message):
+    """These raised ``KeyError``, ``TypeError`` or ``IndexError``, except
+    the three-coordinate bend, whose third coordinate was dropped."""
+    from fancross.geometry import drawing_from_polylines
+
+    g = Graph.make([0, 1], [(0, 1)])
+    with pytest.raises(ValueError, match=message):
+        drawing_from_polylines(g, pos or {0: pt(0, 0), 1: pt(4, 0)}, bends)
+
+
 # ===== The shared arrangement against the builder it replaced =====
 
 

@@ -414,6 +414,12 @@ def test_float_ids_fail_the_checks_they_passed():
     assert verify_model(grid_model((0,))) == []
 
 
+def fig1a_verified(**fields):
+    """The strong verdict on fig1a with its certificate's ``fields`` replaced."""
+    cert = dataclasses.replace(fig1a_certificate(), **fields)
+    return verify_certificate(fig1a(), cert, strong=True)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -426,13 +432,26 @@ def test_float_ids_fail_the_checks_they_passed():
             lambda: transduce_clustered(fig1a(), fig1a_certificate(), {20: 0}, 2),
             r"^neighbors 0 of 20 are not a list$",
         ),
+        (lambda: Fan(0, (5,)), r"^fan edge 5 is not a pair$"),
+        (lambda: Fan(0, ((0, 1, 2),)), r"^fan edge \(0, 1, 2\) is not a pair$"),
+        (lambda: Fan(0, 5), r"^fan edges 5 are not a list$"),
+        (lambda: fig1a_verified(assignment={5: 0}), r"^assignment key 5 is not a pair$"),
+        (
+            lambda: fig1a_verified(assignment={(0, 0, 0): 1}),
+            r"^assignment key \(0, 0, 0\) is not a pair$",
+        ),
+        (lambda: fig1a_verified(covers={0: 5}), r"^cover 0 is not a list of fans$"),
+        (lambda: fig1a_verified(covers={0: (5,)}), r"^cover 0 is not a list of fans$"),
     ],
 )
 def test_containers_that_are_not_pairs_or_lists_are_refused(call, message):
     """``Graph.make`` read an edge as ``e[0], e[1]``, so it silently took
     ``(0, 1, 2)`` as ``(0, 1)`` and raised ``TypeError`` on ``5``; the
     transducers iterated each X vertex's neighbours unchecked and raised
-    ``TypeError`` on an int or ``None``."""
+    ``TypeError`` on an int or ``None``.  ``Fan`` and the certificate check
+    unpacked each edge, assignment key and cover unchecked, and raised
+    ``TypeError``, ``AttributeError`` or a ``ValueError`` that named no
+    entry."""
     with pytest.raises(ValueError, match=message):
         call()
 

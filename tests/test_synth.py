@@ -315,6 +315,16 @@ def test_pipeline_rejects_non_universal_vertex():
         pipeline_theorem2(g, 0, hd, m, 1)
 
 
+def test_pipeline_rejects_a_model_of_another_host():
+    """The model lives in the grid, not in the grid plus the apex; the
+    drawing is fine, so the message names the model."""
+    g, hd = grid_drawing(2, 2)
+    gplus, apex = add_universal_vertex(g)
+    m = MinorModel(g, cycle(4), {0: (0,), 1: (1,), 2: (3,), 3: (2,)}, 1, 1)
+    with pytest.raises(ValueError, match="^model does not match the host$"):
+        pipeline_theorem2(gplus, apex, hd, m, 1)
+
+
 def test_pipeline_may_drop_everything():
     g, hd = grid_drawing(2, 2)
     gplus, apex = add_universal_vertex(g)

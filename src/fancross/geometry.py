@@ -221,9 +221,9 @@ def drawing_from_polylines(
     that is not a pair, bends that are not a list or name an edge ``g``
     does not have, coincident points, a vertex or bend in the interior of
     any segment, overlapping collinear pieces, self-crossing edges, or
-    three edges through one point.  Crossing vertices
-    get fresh ids in coordinate order; the outer face, of the whole drawing
-    and of every other plan component, is recovered from the geometry.
+    three edges through one point.  Crossing vertices get fresh ids in
+    coordinate order; the outer face, of the whole drawing and of every
+    other plan component, is recovered from the geometry.
     """
     for v in g.vertices:
         if v not in pos:
@@ -261,8 +261,8 @@ def drawing_from_polylines(
             raise ValueError("coincident vertices")
         node_pts.add(p)
 
-    # Segments, tagged by their edge, in chain order.
-    # No segment is degenerate: its ends are two distinct nodes.
+    # Segments, tagged by their edge, in chain order.  None is degenerate:
+    # its ends are two nodes, which are distinct.
     segs: list[tuple[int, Point, Point]] = [
         (eid, a, b) for eid, chain in chains.items() for a, b in zip(chain, chain[1:])
     ]

@@ -93,6 +93,7 @@ def _structural_check(d: Drawing, cert: Certificate) -> None:
         if len(set(gaps)) != len(gaps):
             raise ValueError("repeated cut")
     for cid, fans in cert.covers.items():
+        _checked_int("cover component", cid)
         if not isinstance(fans, (tuple, list)) or not all(isinstance(f, Fan) for f in fans):
             raise ValueError(f"cover {cid!r} is not a list of fans")
         centers = [f.center for f in fans]

@@ -389,6 +389,10 @@ def grid_model(branch0) -> MinorModel:
             r"^assignment piece \d\.0 is not an int$",
         ),
         (lambda: verify_model(grid_model((0.0,))), r"^branch entry 0\.0 is not an int$"),
+        (
+            lambda: fig1a_verified(covers={float(c): f for c, f in fig1a_certificate().covers.items()}),
+            r"^cover component 0\.0 is not an int$",
+        ),
     ],
 )
 def test_ids_and_sizes_that_are_not_ints_are_refused(call, message):
@@ -401,7 +405,8 @@ def test_ids_and_sizes_that_are_not_ints_are_refused(call, message):
     centered at ``0.0``, an assignment to ``0.0`` and a branch set
     ``(0.0,)`` passed their checks, which test membership, so fig1a's
     certificate verified strongly and ``verify_model`` returned ``[]``,
-    though the JSON readers refuse what the writers make of them."""
+    though the JSON readers refuse what the writers make of them.  So
+    did covers keyed ``0.0``, ``1.0`` and ``2.0``."""
     with pytest.raises(ValueError, match=message):
         call()
 

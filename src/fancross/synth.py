@@ -132,10 +132,10 @@ def _tree_path(parent: dict[int, int], root: int, target: int) -> list[int]:
 class _Route:
     """One pattern edge routed through the virtual host.
 
-    ``regions`` walks from the smaller endpoint's root to the larger's and
-    may pass synthetic edge-midpoint regions; ``jidx`` indexes the meeting
-    region, and ``segments`` lists ``(host edge id, corridor boundaries)``
-    per host edge along the walk.
+    ``regions`` walks from the smaller endpoint's root to the larger's,
+    visits no region twice and may pass synthetic edge-midpoint regions;
+    ``jidx`` indexes the meeting region, and ``segments`` lists
+    ``(host edge id, corridor boundaries)`` per host edge along the walk.
     """
 
     eid: int

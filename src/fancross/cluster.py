@@ -32,7 +32,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .drawing import CrossingGraph, Drawing, SubdivisionPlan, _fan_core, crossing_graph
 from .errors import CapExceeded, InvariantBroken
@@ -87,6 +87,11 @@ def _checked_bounds(k: int, ell: int, what: str) -> None:
 
 def _structural_check(d: Drawing, cert: Certificate) -> None:
     _checked_bounds(cert.k, cert.ell, "certificate")
+    if not isinstance(cert.plan, SubdivisionPlan):
+        raise ValueError(f"certificate plan {cert.plan!r} is not a SubdivisionPlan")
+    for name in ("covers", "assignment"):
+        if not isinstance(getattr(cert, name), Mapping):
+            raise ValueError(f"certificate {name} {getattr(cert, name)!r} is not a map")
     for eid, gaps in cert.plan.cuts.items():
         if len(gaps) > cert.k - 1:
             raise ValueError("too many cuts")

@@ -208,6 +208,19 @@ def _drawing_along(
 # ===== Polyline drawings =====
 
 
+def _checked_point(name: str, p: object) -> None:
+    """Refuses ``p`` with ``ValueError`` naming it unless it is a pair of
+    values that ``Fraction`` reads."""
+    for c in _checked_pair(name, p):
+        if type(c) is not int:
+            try:
+                Fraction(c)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(
+                    f"{name} {p!r} has a coordinate {c!r} that is not a number"
+                ) from None
+
+
 def drawing_from_polylines(
     g: Graph,
     pos: Mapping[int, Point],
@@ -218,8 +231,9 @@ def drawing_from_polylines(
     ``bends[eid]`` lists an edge's interior corner points in order from its
     smaller endpoint; corners become subdivision vertices of the plan.
     Malformed and degenerate inputs raise ValueError: a position or bend
-    that is not a pair, bends that are not a list or name an edge ``g``
-    does not have, coincident points, a vertex or bend in the interior of
+    that is not a pair of numbers, bends that are not a map, an edge's
+    bends that are not a list or name an edge ``g`` does not have,
+    coincident points, a vertex or bend in the interior of
     any segment, overlapping collinear pieces, self-crossing edges, or
     three edges through one point.  Crossing vertices get fresh ids in
     coordinate order; the outer face, of the whole drawing and of every
@@ -228,15 +242,17 @@ def drawing_from_polylines(
     for v in g.vertices:
         if v not in pos:
             raise ValueError(f"vertex {v} has no position")
-        _checked_pair(f"position of vertex {v}", pos[v])
+        _checked_point(f"position of vertex {v}", pos[v])
     bends = bends or {}
+    if not isinstance(bends, Mapping):
+        raise ValueError(f"bends {bends!r} are not a map from edge ids")
     for eid, chain in bends.items():
         if not (0 <= _checked_int("bent edge", eid) < g.m):
             raise ValueError(f"unknown edge {eid} in bends")
         if not isinstance(chain, (tuple, list)):
             raise ValueError(f"bends {chain!r} of edge {eid} are not a list")
         for p in chain:
-            _checked_pair(f"bend of edge {eid}", p)
+            _checked_point(f"bend of edge {eid}", p)
 
     # One common integer scale for every vertex and bend point.
     given = [pos[v] for v in g.vertices] + [p for chain in bends.values() for p in chain]

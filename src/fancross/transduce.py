@@ -24,11 +24,15 @@ clustered output starts from the plan with the certificate's cuts
 subdivision (``drawing._subdivide``); a crossing cluster is contracted by
 dropping the strands inside it and giving its hub the rotation in which a
 tour of the cluster meets the strands that leave it.  Each transducer
-checks its system before it builds the output graph
-(``drawing._plane_simple``): a simple graph that the dart kernel
+checks its system before it builds the output graph, so no intermediate
+``Drawing`` is built or validated.  The k-planar system is compared with
+the plan, whose plane verdict the drawing keeps, strand by strand and
+rotation slot by rotation slot (``_subdivides_plan``), in linear time and
+with no face traced: smoothing and subdividing keep every face.  The
+clustered system, whose contractions do change faces, is checked with
+``drawing._plane_simple``: a simple graph that the dart kernel
 ``drawing._embed``, which also traces every ``Drawing``'s faces, accepts
-with genus 0 on every component is a plane drawing, so no intermediate
-``Drawing`` is built or validated.
+with genus 0 on every component is a plane drawing.
 
 ``eval_formula`` evaluates the formula exactly.  It pairs the holders of
 each handshake color, and runs one bounded simple-path search per source
@@ -302,8 +306,35 @@ def transduce_kplanar(
     smoothing the bends one at a time in increasing id, then subdividing
     each remaining edge twice from its first end in increasing edge id,
     gives.  An edge's id is its place in ``Graph`` order, so the edges are
-    written already sorted.  The system is checked
-    (:func:`drawing._plane_simple`) before the graph is built.
+    written already sorted.
+
+    The system is checked before the graph is built, against the plan,
+    whose plane verdict ``d`` keeps (:func:`_require_valid`), and with no
+    face traced (:func:`_subdivides_plan`).  A system that passes is one
+    :func:`drawing._plane_simple` accepts; in that check's names, where
+    strand ``(a, b, fa, fb)`` is the path of edges ``x, y, z`` through ``s``
+    and ``s + 1``:
+
+    * Every edge is listed exactly once at each of its two ends.  The
+      strands name ``3 * len(strands)`` ids, all in range and each with its
+      own pair of ends, so they are all the ids, each named once.  The
+      plan darts that leave vertices outside ``inner`` number ``2 *
+      len(pe) - 2 * len(inner)``, twice the strands, and a dart that no
+      strand starts fails its slot, so each starts exactly one strand.  So
+      ``x`` is listed at ``s`` and in one slot at ``ren[a]``, ``y`` at ``s``
+      and ``s + 1``, ``z`` at ``s + 1`` and in one slot at ``ren[b]``, and
+      nowhere else.
+    * No two edges join the same pair of vertices, as the pairs ``(ren[a],
+      s)``, ``(s, s + 1)`` and ``(ren[b], s + 1)`` all differ, and no edge is
+      a loop, as no ``ren`` value is a subdivision id.
+    * Every component has genus 0.  The system is the plan's with each
+      strand's plan path replaced by a path of three edges in the same
+      rotation slots at its ends: the plan with its bends smoothed, then
+      with each edge subdivided twice.  Smoothing a vertex of degree 2 and
+      subdividing an edge each map faces one to one and lower or raise
+      ``V`` and ``E`` together, so every component keeps its ``V - E + F``
+      (Mohar and Thomassen, *Graphs on Surfaces*, ch. 3), and the plan's
+      components have genus 0 because ``d`` is valid.
     """
     _checked_k(k)
     _require_valid(d)
@@ -360,10 +391,102 @@ def transduce_kplanar(
     for v, r in rotation.items():
         if v not in inner:
             rot[ren[v]] = [slot[2 * f + (pe[f][0] != v)] for f in r]
-    if not _plane_simple(edges, rot):
+    if not _subdivides_plan(edges, rot, d, inner, strands, ren, fresh + len(crossing_edges)):
         raise InvariantBroken("construction invariant broken")
     # hverts holds X, and every new vertex lies above it.
     return _output(hverts, [*hverts, *range(fresh, s)], edges, colors, xn, k, "kplanar")
+
+
+def _subdivides_plan(
+    ends: Sequence[tuple[int, int]],
+    rot: Mapping[int, Sequence[int]],
+    d: Drawing,
+    inner: set[int],
+    strands: Sequence[tuple[int, int, int, int]],
+    ren: Mapping[int, int],
+    first: int,
+) -> bool:
+    """Whether a system with dense edge ids (see :func:`drawing._embed`) is
+    the plan of the valid drawing ``d`` with the ``inner`` vertices, its
+    bends, smoothed and every strand subdivided twice, in rotation order.
+
+    ``ren`` names the output vertex of each other plan vertex, and strand
+    ``i`` of ``strands`` (see :func:`_strands`), ``(a, b, fa, fb)``, is to
+    become the path ``ren[a], s, s + 1, ren[b]`` with ``s = first + 2i``.
+    The check holds when:
+
+    * ``ren`` names every plan vertex outside ``inner`` and no other, with
+      output ids that are distinct and are not the subdivision ids, and
+      ``rot`` has exactly these vertices and the subdivision vertices;
+    * there are ``len(d.plan.edges) - len(inner)`` strands, and three edges
+      per strand;
+    * each strand is a plan path that leaves ``a`` by ``fa``, passes only
+      ``inner`` vertices and enters ``b`` by ``fb``, and the strands pass
+      no more ``inner`` vertices than there are;
+    * ``rot[s]`` is ``[x, y]`` and ``rot[s + 1]`` is ``[y, z]``, where no id
+      is negative, ``ends[x] == (ren[a], s)``, ``ends[y] == (s, s + 1)`` and
+      ``ends[z] == (ren[b], s + 1)``;
+    * the rotation of ``ren[p]`` is the image of ``p``'s, slot by slot: the
+      ``x`` or ``z`` of the strand that starts with each dart.
+
+    It runs once over the strands, walking the bends on them, and once over
+    the other plan vertices' rotations; it traces no face.  The proof that
+    it implies :func:`drawing._plane_simple` is in :func:`transduce_kplanar`.
+    """
+    pe, rotation = d.plan.edges, d.rotation
+    m = len(strands)
+    if (
+        m != len(pe) - len(inner)
+        or len(ends) != 3 * m
+        or len(ren) != len(rotation) - len(inner)
+        or len(rot) != len(ren) + 2 * m
+        or rot.keys() != {*ren.values(), *range(first, first + 2 * m)}
+    ):
+        return False
+    unset = object()  # in no rotation, so a dart no strand starts fails its slot
+    named = [unset] * (2 * len(pe))  # plan dart leaving a strand end -> the id in its slot
+    bends_left = len(inner)  # each lies on one strand, so no walk goes round a cycle
+    s = first
+    try:
+        for a, b, fa, fb in strands:
+            t = s + 1
+            (x, y), (y2, z) = rot[s], rot[t]
+            if (
+                y != y2
+                or x < 0
+                or y < 0
+                or z < 0
+                or ends[x] != (ren[a], s)
+                or ends[y] != (s, t)
+                or ends[z] != (ren[b], t)
+            ):
+                return False
+            if fa == fb and pe[fa] == (a, b):  # a plan edge, from its first end
+                named[2 * fa] = x
+                named[2 * fa + 1] = z
+            else:
+                p, q = pe[fa]
+                v = q if p == a else p if q == a else None
+                f = fa
+                while v in inner:
+                    bends_left -= 1
+                    if bends_left < 0:
+                        return False
+                    r = rotation[v]
+                    f = r[1] if r[0] == f else r[0]
+                    p, q = pe[f]
+                    v = q if p == v else p
+                if v != b or f != fb:
+                    return False
+                named[2 * fa + (pe[fa][0] != a)] = x
+                named[2 * fb + (pe[fb][0] != b)] = z
+            s += 2
+        for p, r in rotation.items():
+            if p not in inner and rot[ren[p]] != [named[2 * f + (pe[f][0] != p)] for f in r]:
+                return False
+    except (KeyError, IndexError, TypeError, ValueError):
+        return False
+    return True
 
 
 # ===== Mode (b): clustered fan-crossing drawings =====

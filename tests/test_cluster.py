@@ -513,6 +513,42 @@ def test_strong_search_refuses_the_19_crossing_synth_drawing():
     assert search_certificate(d, 2, 2, strong=True, cap=19) is None
 
 
+# ===== k-planar drawings are k-fold 2-clustered =====
+
+
+def assert_certifies_at_k_and_two(d: Drawing, k: int) -> None:
+    """``d`` has at most ``k`` crossings per edge, so cutting each edge
+    between its consecutive crossings leaves every crossing a cluster of
+    two arcs, each a fan of its own: a k-fold 2-clustered certificate,
+    weak and strong, which the searches find and verification accepts."""
+    assert all(len(xs) <= k for xs in d.edge_crossings.values())
+    for strong in (False, True):
+        cert = search_certificate(d, k, 2, strong=strong, cap=40)
+        assert cert is not None and (cert.k, cert.ell) == (k, 2)
+        assert verify_certificate(d, cert, strong=strong).verdict
+        assert verify_certificate(d, cert).verdict
+
+
+def test_kplanar_drawings_certify_at_k_and_two():
+    """126 seeded drawings, n from 6 to 12, k from 1 to 3, seeds 0 to 5.
+    Six have more crossings than the default cap of 12, so the searches
+    get ``cap=40``."""
+    over_default_cap = 0
+    for n in range(6, 13):
+        for k in (1, 2, 3):
+            for seed in range(6):
+                d = random_kplanar(n, k, seed)
+                over_default_cap += len(d.crossing_edges) > 12
+                assert_certifies_at_k_and_two(d, k)
+    assert over_default_cap == 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(6, 12), st.integers(1, 3), st.integers(0, 10**6))
+def test_kplanar_drawings_certify_at_k_and_two_property(n, k, seed):
+    assert_certifies_at_k_and_two(random_kplanar(n, k, seed), k)
+
+
 # ===== Strong verdicts and vertex ids =====
 
 

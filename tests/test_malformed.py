@@ -34,7 +34,7 @@ from fancross import (
     verify_model,
 )
 from fancross.fixtures import fig1a, fig1a_certificate, fig1b, fig3, random_kplanar
-from fancross.geometry import drawing_from_segments, pt
+from fancross.geometry import drawing_from_polylines, drawing_from_segments, pt
 from fancross.graphs import ColorLabel, Fan, Graph, complete, cycle, grid2d
 from fancross.synth import RegionTag
 from test_drawing import lens
@@ -447,6 +447,32 @@ def fig1a_verified(**fields):
         ),
         (lambda: fig1a_verified(covers={0: 5}), r"^cover 0 is not a list of fans$"),
         (lambda: fig1a_verified(covers={0: (5,)}), r"^cover 0 is not a list of fans$"),
+        (lambda: fig1a_verified(covers=[()]), r"^certificate covers \[\(\)\] is not a map$"),
+        (lambda: fig1a_verified(assignment=[1]), r"^certificate assignment \[1\] is not a map$"),
+        (
+            lambda: fig1a_verified(plan=None),
+            r"^certificate plan None is not a SubdivisionPlan$",
+        ),
+        (
+            lambda: fig1a_verified(plan={0: (1,)}),
+            r"^certificate plan \{0: \(1,\)\} is not a SubdivisionPlan$",
+        ),
+        (
+            lambda: drawing_from_polylines(Graph.make([0, 1], [(0, 1)]), {0: (None, 0), 1: (1, 0)}),
+            r"^position of vertex 0 \(None, 0\) has a coordinate None that is not a number$",
+        ),
+        (
+            lambda: drawing_from_polylines(
+                Graph.make([0, 1], [(0, 1)]), {0: (0, 0), 1: (2, 0)}, {0: [(1, "x")]}
+            ),
+            r"^bend of edge 0 \(1, 'x'\) has a coordinate 'x' that is not a number$",
+        ),
+        (
+            lambda: drawing_from_polylines(
+                Graph.make([0, 1], [(0, 1)]), {0: (0, 0), 1: (2, 0)}, [[pt(1, 1)]]
+            ),
+            r"^bends \[\[\(Fraction\(1, 1\), Fraction\(1, 1\)\)\]\] are not a map from edge ids$",
+        ),
     ],
 )
 def test_containers_that_are_not_pairs_or_lists_are_refused(call, message):
@@ -456,7 +482,11 @@ def test_containers_that_are_not_pairs_or_lists_are_refused(call, message):
     ``TypeError`` on an int or ``None``.  ``Fan`` and the certificate check
     unpacked each edge, assignment key and cover unchecked, and raised
     ``TypeError``, ``AttributeError`` or a ``ValueError`` that named no
-    entry."""
+    entry; a certificate whose covers or assignment were lists, or whose
+    plan was not a ``SubdivisionPlan``, raised ``AttributeError``.
+    ``drawing_from_polylines`` raised ``TypeError`` from ``Fraction`` on a
+    coordinate that is not a number and ``AttributeError`` on bends given
+    as a list."""
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -11,6 +11,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -52,6 +53,7 @@ from fancross.synth import SynthResult, synthesize
 from fancross.transduce import (
     TransductionFormula,
     TransductionOutput,
+    _subdivides_plan,
     eval_formula,
     render_formula,
     roundtrip,
@@ -65,8 +67,10 @@ B0, B1, B2 = ColorLabel("b", 0), ColorLabel("b", 1), ColorLabel("b", 2)
 @pytest.fixture(autouse=True, scope="module")
 def surgery_checked_by_oracle():
     """Every system this module's transducers check is also judged by
-    ``oracle_surgery_ok``, and the library's check must agree with it: both
-    modes' output systems where ``_plane_simple`` reads them."""
+    ``oracle_surgery_ok``, and the library's checks must agree with it: the
+    clustered output system where ``_plane_simple`` reads it, and the
+    k-planar one where ``_subdivides_plan`` reads it, whose verdict must
+    also be ``_plane_simple``'s."""
     real_check = transduce._plane_simple
 
     def check(ends, rot):
@@ -74,9 +78,16 @@ def surgery_checked_by_oracle():
         assert got == oracle_surgery_ok(as_rotsys(ends, rot))
         return got
 
+    def kplanar_check(ends, rot, *plan):
+        got = _subdivides_plan(ends, rot, *plan)
+        assert got == check(ends, rot)
+        return got
+
     transduce._plane_simple = check
+    transduce._subdivides_plan = kplanar_check
     yield
     transduce._plane_simple = real_check
+    transduce._subdivides_plan = _subdivides_plan
 
 
 def as_rotsys(ends, rot) -> _RotSys:
@@ -474,19 +485,21 @@ def drop_a_rotation(rs):
 def test_corrupted_surgery_is_refused(monkeypatch, corrupt, mode):
     """Refused by the check itself, never by ``Graph`` or a lookup while the
     output graph is assembled.  Each mode's output system is corrupted
-    where ``_plane_simple`` reads it."""
+    where its check reads it: ``_subdivides_plan`` for the k-planar mode,
+    ``_plane_simple`` for the clustered one."""
     seen = []
-    checked = transduce._plane_simple
+    name = "_subdivides_plan" if mode == "kplanar" else "_plane_simple"
+    checked = getattr(transduce, name)
 
-    def corrupted(ends, rot):
+    def corrupted(ends, rot, *plan):
         rs = as_rotsys(ends, rot)
         assert rs.is_plane_simple()
         corrupt(rs)
         seen.append(rs)
         assert list(rs.ends) == list(range(len(rs.ends)))  # still dense
-        return checked(list(rs.ends.values()), rs.rot)
+        return checked(list(rs.ends.values()), rs.rot, *plan)
 
-    monkeypatch.setattr(transduce, "_plane_simple", corrupted)
+    monkeypatch.setattr(transduce, name, corrupted)
     with pytest.raises(InvariantBroken, match="construction invariant broken") as info:
         if mode == "kplanar":
             transduce_kplanar(k4_drawing(), {}, 1)
@@ -1259,6 +1272,314 @@ def test_kplanar_transduction_matches_surgery_oracle_on_random_drawings(n, k, se
     assert_matches_surgery_oracle(d, random_x(rng, d, k), k)
 
 
+# ===== The k-planar check against the plan =====
+
+
+def recorded(calls: list):
+    """``_subdivides_plan``, appending the arguments of each call to ``calls``."""
+    return lambda *args: calls.append(args) or _subdivides_plan(*args)
+
+
+def kplanar_checks(monkeypatch, cases) -> list[tuple]:
+    """The arguments of every ``_subdivides_plan`` call that compiling each
+    ``(d, x_edges, k)`` of ``cases`` makes: the output system's edge ends
+    and rotations, then the plan's side."""
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(transduce, "_subdivides_plan", recorded(calls))
+        for d, x_edges, k in cases:
+            transduce_kplanar(d, x_edges, k)
+    assert len(calls) == len(cases)
+    return calls
+
+
+class Compiled(SimpleNamespace):
+    """One ``_subdivides_plan`` call's arguments, each a copy that a
+    corruption may change."""
+
+    def plan_check(self) -> bool:
+        return _subdivides_plan(
+            self.ends, self.rot, self.d, self.inner, self.strands, self.ren, self.first
+        )
+
+    def plane_check(self) -> bool:
+        return drawing._plane_simple(self.ends, self.rot)
+
+
+def compiled(monkeypatch, d: Drawing, k: int = 1) -> Compiled:
+    ((ends, rot, d, inner, strands, ren, first),) = kplanar_checks(monkeypatch, [(d, {}, k)])
+    c = Compiled(
+        ends=list(ends), rot={v: list(r) for v, r in rot.items()}, d=d, inner=set(inner),
+        strands=list(strands), ren=dict(ren), first=first,
+    )
+    assert c.plan_check() and c.plane_check()
+    return c
+
+
+def first_strand(c: Compiled) -> tuple[int, int, int]:
+    """The ids ``x, y, z`` of the first strand's path ``a, s, s + 1, b``."""
+    (x, y), (_, z) = c.rot[c.first], c.rot[c.first + 1]
+    return x, y, z
+
+
+def swap_at_the_crossing(c):
+    """Two neighbouring entries of the crossing's rotation swapped."""
+    r = next(r for v, r in c.rot.items() if len(r) == 4)
+    r[0], r[1] = r[1], r[0]
+
+
+def join_to_the_far_end(c):
+    """The first strand's first subdivision vertex joined to the strand's
+    far end in place of its own, and listed there opposite the strand's
+    last edge."""
+    x, _, z = first_strand(c)
+    near, far = c.ends[x][0], c.ends[z][0]
+    c.ends[x] = (far, c.first)
+    c.rot[near].remove(x)
+    r = c.rot[far]
+    i = r.index(z)
+    c.rot[far] = [z, r[(i + 1) % 3], x, r[(i + 2) % 3]]
+
+
+def duplicate_the_first_middle_edge(c):
+    """A second edge ``(s, s + 1)`` beside the first strand's middle one."""
+    _, y, _ = first_strand(c)
+    c.ends.append(c.ends[y])
+    c.rot[c.first].append(len(c.ends) - 1)
+    c.rot[c.first + 1].insert(0, len(c.ends) - 1)
+
+
+def write_the_first_end_wrong(c):
+    """The first strand's first edge written to its far end; the rotations
+    still list it at its own."""
+    x, _, z = first_strand(c)
+    c.ends[x] = (c.ends[z][0], c.first)
+
+
+def write_the_first_middle_wrong(c):
+    _, y, _ = first_strand(c)
+    c.ends[y] = (c.first, c.first + 2)
+
+
+def write_the_first_last_wrong(c):
+    x, _, z = first_strand(c)
+    c.ends[z] = (c.ends[x][0], c.first + 1)
+
+
+def list_the_first_end_for_the_middle(c):
+    """``s + 1`` lists the first edge, not the middle one."""
+    c.rot[c.first + 1][0] = c.rot[c.first][0]
+
+
+def add_an_edge_listed_nowhere(c):
+    c.ends.append((0, 1))
+
+
+def name_the_last_edge_negatively(c):
+    """The last id written as ``-1``, which a list lookup would take for it."""
+    last = len(c.ends) - 1
+    for r in c.rot.values():
+        r[:] = [-1 if e == last else e for e in r]
+
+
+def list_a_strand_twice(c):
+    """The first strand again, written as a compile that met it twice
+    would: three more edges, and the second copy's end edges in the slots
+    of the first's, which are listed only at ``s`` and ``s + 1``."""
+    a, b, _, _ = c.strands[0]
+    x, _, z = first_strand(c)
+    s, e = c.first + 2 * len(c.strands), len(c.ends)
+    c.ends += [(c.ren[a], s), (s, s + 1), (c.ren[b], s + 1)]
+    c.rot[s], c.rot[s + 1] = [e, e + 1], [e + 1, e + 2]
+    for v, old, new in ((c.ren[a], x, e), (c.ren[b], z, e + 2)):
+        r = c.rot[v]
+        r[r.index(old)] = new
+    c.strands.append(c.strands[0])
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        swap_at_the_crossing,
+        join_to_the_far_end,
+        duplicate_the_first_middle_edge,
+        write_the_first_end_wrong,
+        write_the_first_middle_wrong,
+        write_the_first_last_wrong,
+        list_the_first_end_for_the_middle,
+        add_an_edge_listed_nowhere,
+        name_the_last_edge_negatively,
+        list_a_strand_twice,
+    ],
+)
+def test_plan_check_and_plane_check_refuse_a_corrupted_kplanar_system(monkeypatch, corrupt):
+    """K4 with its diagonals crossing compiles to a subdivided wheel, the
+    crossing its hub and every corner of degree 3.  Each corruption of
+    that system is refused by ``_subdivides_plan`` and by the face-tracing
+    check it replaced, and the oracle agrees."""
+    c = compiled(monkeypatch, k4_drawing())
+    corrupt(c)
+    assert not c.plane_check()
+    assert not oracle_surgery_ok(as_rotsys(c.ends, c.rot))
+    assert not c.plan_check()
+
+
+def test_strands_that_are_not_plan_paths_are_refused(monkeypatch):
+    """Strands 0 and 1 of the K4 compile with their far ends swapped: the
+    compile writes a system for them, which is not plane, and refuses it,
+    as each is no path of the plan."""
+    real_strands = transduce._strands
+
+    def swapped(*args):
+        strands = real_strands(*args)
+        (a1, b1, f1, g1), (a2, b2, f2, g2) = strands[:2]
+        return [(a1, b2, f1, g2), (a2, b1, f2, g1), *strands[2:]]
+
+    monkeypatch.setattr(transduce, "_strands", swapped)
+    seen = []
+    monkeypatch.setattr(transduce, "_subdivides_plan", recorded(seen))
+    with pytest.raises(InvariantBroken, match="construction invariant broken"):
+        transduce_kplanar(k4_drawing(), {}, 1)
+    ((ends, rot, *_),) = seen
+    assert not drawing._plane_simple(ends, rot)
+
+
+def map_the_bend_to_a_spare_vertex(c):
+    """The bend named too, as a spare vertex that lists the first edge
+    twice; not plane."""
+    spare = max(c.rot) + 1
+    c.ren[min(c.inner)] = spare
+    c.rot[spare] = [0, 0]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        map_the_bend_to_a_spare_vertex,
+        lambda c: c.ren.update({max(c.ren): c.first}),
+        lambda c: c.ren.update({max(c.ren): min(c.ren.values())}),
+        lambda c: c.inner.add(max(c.ren)),
+        lambda c: c.rot.update({max(c.rot) + 1: []}),
+    ],
+    ids=["the bend too", "a subdivision id", "one id twice", "a crossing as inner", "a spare vertex"],
+)
+def test_plan_check_refuses_a_wrong_vertex_map(monkeypatch, corrupt):
+    """The lens, whose bend lies between its two crossings, with its
+    output vertices named wrongly: not the image of the plan under this
+    map, so the plan check refuses it, whether or not it is plane."""
+    c = compiled(monkeypatch, lens_drawing(), 2)
+    corrupt(c)
+    assert not c.plan_check()
+    if corrupt is map_the_bend_to_a_spare_vertex:
+        assert not c.plane_check()
+
+
+def x_with_two_isolated_vertices() -> Drawing:
+    """Two crossing edges, and vertices 4 and 5 on their own."""
+    g = Graph.make(range(6), [(0, 2), (1, 3)])
+    pos = {0: (0, 0), 1: (0, 2), 2: (2, 2), 3: (2, 0), 4: (5, 5), 5: (6, 0)}
+    return drawing_from_segments(g, pos)
+
+
+def list_the_first_edge_at_a_spare_vertex(c):
+    """Vertex 5 named 4, and a spare vertex in its place that lists the
+    first edge twice."""
+    c.ren[c.d.real_pvid[5]] = 4
+    del c.rot[5]
+    c.rot[max(c.rot) + 1] = [0, 0]
+
+
+def drop_vertex_5_from_the_map(c):
+    del c.ren[c.d.real_pvid[5]]
+    del c.rot[5]
+
+
+def name_vertex_5_as_4(c):
+    c.ren[c.d.real_pvid[5]] = 4
+    del c.rot[5]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [list_the_first_edge_at_a_spare_vertex, drop_vertex_5_from_the_map, name_vertex_5_as_4],
+)
+def test_plan_check_refuses_a_wrong_map_of_isolated_vertices(monkeypatch, corrupt):
+    """Isolated vertices have empty rotations, so only the counts and the
+    vertex set tell that the map lost one or gave two the same id.  The
+    first corruption is not plane either."""
+    c = compiled(monkeypatch, x_with_two_isolated_vertices())
+    corrupt(c)
+    assert not c.plan_check()
+    if corrupt is list_the_first_edge_at_a_spare_vertex:
+        assert not c.plane_check()
+
+
+def test_plan_check_refuses_a_walk_round_a_cycle_of_inner_vertices():
+    """A plan path 0, 1, 2, 3, 4 with the chord 1-3, read with 1, 2 and 3 as
+    bends: from 0 the walk leaves each of them by the first edge of its
+    rotation, 1 -> 2 -> 3 -> 1 and round again.  The check stops when the
+    walk has met more bends than there are, where it would never end."""
+    pe = [(0, 1), (1, 2), (2, 3), (1, 3), (3, 4)]
+    rotation = {0: (0,), 1: (1, 0, 3), 2: (2, 1), 3: (3, 2, 4), 4: (4,)}
+    plan = SimpleNamespace(plan=SimpleNamespace(edges=pe), rotation=rotation)
+    ends = [(0, 5), (5, 6), (4, 6), (0, 7), (7, 8), (4, 8)]
+    rot = {0: [0], 4: [2], 5: [0, 1], 6: [1, 2], 7: [3, 4], 8: [4, 5]}
+    strands = [(0, 4, 0, 4), (0, 4, 0, 4)]
+    assert not _subdivides_plan(ends, rot, plan, {1, 2, 3}, strands, {0: 0, 4: 4}, 5)
+
+
+def test_plan_check_accepts_only_plane_systems_on_the_oracle_corpora(monkeypatch):
+    """Every system the k-planar compile checks on the decode-sized and the
+    bent drawings passes both checks.  Each, corrupted by one to three
+    seeded ``CORRUPTIONS``, passes ``_subdivides_plan`` only if
+    ``_plane_simple`` accepts it: the plan check is the stricter, as it
+    also fixes which plane system the compile writes."""
+    rng = random.Random("plan-check")
+    cases = decode_sized_cases()
+    for seed in range(60):
+        d = bent_drawing(rng.randint(5, 12), rng.randint(1, 3), seed, rng)
+        k = max(map(len, d.edge_crossings.values()), default=0) + 1
+        cases.append((d, random_x(rng, d, k), k))
+    verdicts = Counter()
+    for ends, rot, *plan in kplanar_checks(monkeypatch, cases):
+        assert _subdivides_plan(ends, rot, *plan) and drawing._plane_simple(ends, rot)
+        for _ in range(3):
+            rs = as_rotsys(list(ends), {v: list(r) for v, r in rot.items()})
+            for _ in range(rng.randint(1, 3)):
+                rng.choice(CORRUPTIONS)(rs, rng)
+            bad_ends, bad_rot = dense_system(rs)
+            got = (
+                _subdivides_plan(bad_ends, bad_rot, *plan),
+                drawing._plane_simple(bad_ends, bad_rot),
+            )
+            assert got != (True, False)
+            verdicts[got] += 1
+    assert verdicts[False, False] >= 150 and verdicts[False, True] >= 15, verdicts
+
+
+def test_kplanar_compile_traces_no_face_of_its_output(monkeypatch):
+    """The dart kernel runs only for the input's verdict: once on a fresh
+    drawing, from ``_require_valid``, and not at all once the drawing keeps
+    its verdict."""
+    kept = random_kplanar(12, 2, 7)
+    assert validate(kept) == []
+    fresh = Drawing(
+        kept.base, kept.plan, kept.rotation, kept.kind, kept.trace, kept.outer, kept.outers
+    )
+    x_edges = {12: (0, 5)}
+    monkeypatch.setattr(transduce, "_subdivides_plan", _subdivides_plan)
+    calls = []
+    real_embed = drawing._embed
+    monkeypatch.setattr(drawing, "_embed", lambda *args: calls.append(args) or real_embed(*args))
+    want = transduction_to_json(transduce_kplanar(kept, x_edges, 2))
+    assert calls == []
+    assert transduction_to_json(transduce_kplanar(fresh, x_edges, 2)) == want
+    assert [args[0] for args in calls] == [fresh.plan.edges]
+    calls.clear()
+    transduce_kplanar(fresh, x_edges, 2)
+    assert calls == []
+
+
 def test_decoded_graph_is_normalized():
     """``eval_formula`` builds its graph without ``Graph.make``; it must
     equal the graph ``Graph.make`` builds from the same vertices and
@@ -1560,7 +1881,7 @@ def test_decode_builds_no_graph_adjacency_and_writes_edges_in_order(monkeypatch)
     sorted run."""
     cases = decode_sized_cases()
     # The module's oracle check of each system builds drawings of its own.
-    monkeypatch.setattr(transduce, "_plane_simple", drawing._plane_simple)
+    monkeypatch.setattr(transduce, "_subdivides_plan", _subdivides_plan)
     adj = Graph.__dict__["adj"]
     computed = []
     monkeypatch.setattr(adj, "func", lambda g, real=adj.func: computed.append(g) or real(g))

@@ -13,6 +13,16 @@ which a crossing-graph :class:`ArcRef` equals, and a cut adds only a
 degree-2 vertex inside one plan edge, leaving every face as it is (see
 :func:`drawing._fan_core`), so no strong check cuts anything.
 
+The checks read what the drawing keeps instead of deriving it again.  The
+search, verification, :func:`_certificate` and the clustered compile read
+the crossing graph the drawing keeps for the last plan asked for, and that
+graph finds its components once.  The drawing also keeps the side from which each edge
+passes each crossing once a strong check has asked for it.  A strong check
+builds each arc's crossing set once per component, intersects each fan
+edge with each arc once, and hands those hits to :func:`drawing._fan_core`.
+Anything but a :class:`Drawing` is refused with ``ValueError`` by one
+shared check.
+
 The exact search returns the first certificate in a fixed order: the product
 order of every edge's interior cut options (edge 0 varying slowest), with the
 first (strong) cover of each component.  It never walks that product.  Cuts
@@ -34,7 +44,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .drawing import CrossingGraph, Drawing, SubdivisionPlan, _fan_core, crossing_graph
+from .drawing import (
+    CrossingGraph,
+    Drawing,
+    SubdivisionPlan,
+    _checked_drawing,
+    _fan_core,
+    crossing_graph,
+)
 from .errors import CapExceeded, InvariantBroken
 from .graphs import Fan, _canonical_fans, _checked_int, _checked_pair, fan_cover, vertex_cover
 
@@ -150,20 +167,29 @@ def _weak_failures(
     return out
 
 
+def _crossed_arcs(
+    d: Drawing, arcs: Sequence[tuple[int, int, int]]
+) -> list[tuple[int, int, int, set[int]]]:
+    """Each arc ``(edge, lo, hi)`` (see :class:`ArcRef`) with the set of its
+    crossings, built once per component for :func:`_strong_failures`."""
+    return [(e, lo, hi, set(d.edge_crossings[e][lo:hi])) for e, lo, hi in arcs]
+
+
 def _strong_failures(
     d: Drawing,
     cuts: dict[int, tuple[int, ...]],
     cid: int,
-    arcs: Sequence[tuple[int, int, int]],
+    crossed: Sequence[tuple[int, int, int, set[int]]],
     fans: Sequence[Fan],
 ) -> Iterator[tuple[int, str]]:
-    """The strong failures of component ``cid``, whose arcs are ``(edge,
-    lo, hi)`` (see :class:`ArcRef`) under ``cuts``, checked on the uncut
+    """The strong failures of component ``cid``, whose arcs under ``cuts``
+    are ``crossed`` (see :func:`_crossed_arcs`), checked on the uncut
     drawing by :func:`_fan_core`: one per fan and crossed arc whose edge is
-    not in the fan, in fan order and then arc order."""
+    not in the fan, in fan order and then arc order.  Each fan edge is
+    intersected with each arc once, here, and the hits are handed over."""
     comp_x_of_edge: dict[int, set[int]] = {}
-    for e, lo, hi in arcs:
-        comp_x_of_edge.setdefault(e, set()).update(d.edge_crossings[e][lo:hi])
+    for e, _, _, xs in crossed:
+        comp_x_of_edge.setdefault(e, set()).update(xs)
     for f in fans:
         fan_eids: set[int] = set()
         # Per fan edge crossing the component: its crossings there, its id
@@ -174,12 +200,13 @@ def _strong_failures(
             fan_eids.add(eid)
             if eid in comp_x_of_edge:
                 spokes.append((comp_x_of_edge[eid], eid, f.center == d.base.edges[eid][0]))
-        for e, lo, hi in arcs:
+        for e, lo, hi, alpha_x in crossed:
             if e in fan_eids:
                 continue
-            alpha_x = set(d.edge_crossings[e][lo:hi])
-            hitting = [(eid, forward) for xs, eid, forward in spokes if xs & alpha_x]
-            if hitting and not _fan_core(d, e, lo, hi, cuts, hitting):
+            hits = [
+                (common, eid, forward) for xs, eid, forward in spokes if (common := xs & alpha_x)
+            ]
+            if hits and not _fan_core(d, e, lo, hi, cuts, hits):
                 key = (e, bisect.bisect_right(cuts.get(e, ()), lo))
                 yield (cid, f"fan property: center {f.center} arc {key}")
 
@@ -195,6 +222,7 @@ def _verified(
 ) -> tuple[ClusterReport, CrossingGraph, list[list[int]], dict[int, tuple[int, int]]]:
     """:func:`verify_certificate`'s report, with the crossing graph of the
     certificate's plan, its nontrivial components and its arc keys."""
+    _checked_drawing(d)
     _structural_check(d, cert)
     cg = crossing_graph(d, cert.plan)
     comps = cg.components()
@@ -210,8 +238,8 @@ def _verified(
             continue
         failures += _weak_failures(d, keys, cid, comp, fans, cert.ell, cert.assignment)
         if strong:
-            arcs = [cg.nodes[n] for n in comp]
-            failures += _strong_failures(d, cert.plan.cuts, cid, arcs, fans)
+            crossed = _crossed_arcs(d, [cg.nodes[n] for n in comp])
+            failures += _strong_failures(d, cert.plan.cuts, cid, crossed, fans)
     failures.sort()
     stats = {
         "components": len(comps),
@@ -252,10 +280,11 @@ def _strong_cover(
     fans of the participating edges (:func:`graphs._canonical_fans`) pass
     the strong conditions on the component's arcs."""
     cands = sorted({u for e in part for u in e})
+    crossed = _crossed_arcs(d, arcs)
     for size in range(1, min(ell, len(cands)) + 1):
         for chosen in itertools.combinations(cands, size):
             fans = _canonical_fans(part, chosen)
-            if fans is not None and next(_strong_failures(d, cuts, 0, arcs, fans), None) is None:
+            if fans is not None and next(_strong_failures(d, cuts, 0, crossed, fans), None) is None:
                 return fans
     return None
 
@@ -277,6 +306,7 @@ def search_certificate(
     more than ``cap`` crossings are refused with ``CapExceeded``, and a
     crossing not passed by exactly two edges with ``ValueError``.
     """
+    _checked_drawing(d)
     _checked_bounds(k, ell, "search parameters")
     _checked_int("cap", cap)
     total = sum(1 for p in d.plan.vertices if d.kind_of(p) == "crossing")
@@ -328,7 +358,9 @@ def _certificate(
         part_edges = [d.base.edges[e] for e in sorted({a.edge for a in arcs})]
         if memo is not None:
             fans = memo.get(frozenset(arcs))
-            if fans is None or next(_strong_failures(d, plan.cuts, cid, arcs, fans), None):
+            if fans is None or next(
+                _strong_failures(d, plan.cuts, cid, _crossed_arcs(d, arcs), fans), None
+            ):
                 raise InvariantBroken("certificate search invariant broken")
         elif strong:
             fans = _strong_cover(d, plan.cuts, arcs, part_edges, ell)
@@ -463,7 +495,7 @@ class _GroupSearch:
 
 def min_ell(d: Drawing, k: int, cap: int = 12) -> int:
     """The least ``ell`` admitting a (weak) certificate at fold ``k``."""
-    for ell in range(1, max(d.base.m, 1) + 1):
+    for ell in range(1, max(_checked_drawing(d).base.m, 1) + 1):
         if search_certificate(d, k, ell, strong=False, cap=cap) is not None:
             return ell
     raise ValueError("no certificate at any ell")  # unreachable: singletons cover

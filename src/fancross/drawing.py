@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Collection, Mapping, NamedTuple, Optional, Sequence
 
 from .graphs import Graph, _checked_int
 
@@ -45,8 +45,11 @@ class Drawing:
 
     The three maps are read-only views of private copies, so a drawing never
     changes and every fact derived from it is computed once: the lookups
-    below, the :func:`validate` verdict, and the crossing graph of the last
-    plan asked for, with or without cuts (see :func:`crossing_graph`).
+    below, the :func:`validate` verdict, the crossing graph of the last
+    plan asked for, with or without cuts (see :func:`crossing_graph`), which
+    in turn keeps its components, and the side from which each edge passes
+    each crossing, relative to the other edge there, found when a strong
+    check first asks for it (see :func:`_passage_side`).
     """
 
     base: Graph
@@ -86,8 +89,9 @@ class Drawing:
         """This drawing with other outer faces (see :attr:`outers`).
 
         The new drawing shares the read-only maps and keeps every cached
-        lookup already computed here, the traced faces and the crossing
-        graph among them, except those that depend on the outer faces:
+        lookup already computed here, the traced faces, the crossing graph
+        and the table of passage sides among them, except those that
+        depend on the outer faces:
         :attr:`_dual_tree` is rooted at them and the verdict checks them.
         """
         out = object.__new__(Drawing)
@@ -97,6 +101,11 @@ class Drawing:
         object.__setattr__(out, "outer", outer)
         object.__setattr__(out, "outers", tuple(outers))
         return out
+
+    @cached_property
+    def _sides(self) -> dict[tuple[int, int, int, bool], str]:
+        """The passage sides found so far, filled by :func:`_passage_side`."""
+        return {}
 
     @cached_property
     def _violations(self) -> tuple[str, ...]:
@@ -404,10 +413,18 @@ def validate(d: Drawing) -> list[str]:
     return list(d._violations)
 
 
+def _checked_drawing(d: object) -> Drawing:
+    """``d``, refused with ``ValueError`` unless it is a :class:`Drawing`."""
+    if not isinstance(d, Drawing):
+        raise ValueError(f"drawing {d!r} is not a Drawing")
+    return d
+
+
 def _require_valid(d: Drawing) -> Drawing:
     """``d``, refused with ``ValueError("invalid drawing: <first
-    violation>")`` unless :func:`validate` passes it."""
-    if d._violations:
+    violation>")`` unless :func:`validate` passes it, and with
+    :func:`_checked_drawing`'s error unless it is a drawing."""
+    if _checked_drawing(d)._violations:
         raise ValueError(f"invalid drawing: {d._violations[0]}")
     return d
 
@@ -609,38 +626,51 @@ class ArcRef(NamedTuple):
 
 @dataclass(frozen=True)
 class CrossingGraph:
-    """Arcs as nodes, adjacent iff they share a crossing point."""
+    """Arcs as nodes, adjacent iff they share a crossing point.
+
+    A crossing graph is a frozen value, so its components are found once,
+    on the first call of :meth:`components`, and kept as tuples; every call
+    returns fresh lists, which a caller may change without changing what a
+    later call returns.
+    """
 
     nodes: tuple[ArcRef, ...]
     edges: tuple[tuple[int, int], ...]
     crossings: tuple[tuple[int, ...], ...]  # per node: its crossing plan vertices
 
+    @cached_property
+    def _kept_components(self) -> tuple[tuple[int, ...], ...]:
+        """Every component, trivial ones included (see :func:`_components`)."""
+        return _components(len(self.nodes), self.edges)
+
     def components(self, nontrivial: bool = True) -> list[list[int]]:
-        """Connected components (node index lists); optionally only those
-        containing at least two arcs."""
-        adj: dict[int, set[int]] = {i: set() for i in range(len(self.nodes))}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen: set[int] = set()
-        comps: list[list[int]] = []
-        for i in range(len(self.nodes)):
-            if i in seen:
-                continue
-            comp = []
-            stack = [i]
-            seen.add(i)
-            while stack:
-                a = stack.pop()
-                comp.append(a)
-                for b in adj[a]:
-                    if b not in seen:
-                        seen.add(b)
-                        stack.append(b)
-            if not nontrivial or len(comp) >= 2:
-                comps.append(sorted(comp))
-        comps.sort(key=lambda c: c[0])
-        return comps
+        """Connected components (node index lists), each sorted, in the order
+        of their least nodes; optionally only those containing at least two
+        arcs."""
+        return [list(c) for c in self._kept_components if not nontrivial or len(c) >= 2]
+
+
+def _components(n: int, edges: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """The components of the graph on nodes ``0 .. n-1`` with ``edges``,
+    each sorted, in the order of their least nodes."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = bytearray(n)
+    comps: list[tuple[int, ...]] = []
+    for i in range(n):
+        if seen[i]:
+            continue
+        comp = [i]
+        seen[i] = 1
+        for a in comp:
+            for b in adj[a]:
+                if not seen[b]:
+                    seen[b] = 1
+                    comp.append(b)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
 
 
 def crossing_graph(d: Drawing, plan: Optional[SubdivisionPlan] = None) -> CrossingGraph:
@@ -654,9 +684,13 @@ def crossing_graph(d: Drawing, plan: Optional[SubdivisionPlan] = None) -> Crossi
     for, with or without cuts, is kept in ``d``'s plan slot, ``(cuts,
     graph)``, and shared by later calls on the same cuts; a plan with other
     cuts replaces it.  The graph does not depend on the outer faces, so
-    :meth:`Drawing.with_outer` keeps the slot.
+    :meth:`Drawing.with_outer` keeps the slot.  The search, verification,
+    the clustered compile and the synthesizer's certificate all read the
+    components of the kept graph, which it finds once (see
+    :class:`CrossingGraph`).  Anything but a :class:`Drawing` is refused
+    with ``ValueError``.
     """
-    cuts = _checked_cuts(d, plan)
+    cuts = _checked_cuts(_checked_drawing(d), plan)
     slot = d.__dict__.get("_plan_slot")
     if slot is None or slot[0] != cuts:
         slot = d.__dict__["_plan_slot"] = (cuts, _crossing_graph(d, cuts))
@@ -839,7 +873,16 @@ def _around(d: Drawing, eid: int, x: int) -> tuple[int, int]:
 def _passage_side(d: Drawing, eid: int, x: int, fid: int, forward: bool) -> str:
     """Which side base edge ``fid`` arrives from at crossing ``x``, relative
     to the orientation of base edge ``eid``'s path; ``fid`` is walked along
-    its path if ``forward``, else against it."""
+    its path if ``forward``, else against it.
+
+    Each side is found once per drawing and kept in :attr:`Drawing._sides`
+    under its four arguments; a side that raises is not kept, so it raises
+    again on every call.
+    """
+    key = (eid, x, fid, forward)
+    side = d._sides.get(key)
+    if side is not None:
+        return side
     a_in, a_out = _around(d, eid, x)
     f_in, f_out = _around(d, fid, x)
     o_in = f_in if forward else f_out
@@ -850,10 +893,15 @@ def _passage_side(d: Drawing, eid: int, x: int, fid: int, forward: bool) -> str:
     for step in range(1, 4):
         e = rot[(pos + step) % 4]
         if e == o_in:
-            return "left"
+            side = "left"
+            break
         if e == a_out:
-            return "right"
-    raise ValueError("darts do not meet at the crossing")
+            side = "right"
+            break
+    else:
+        raise ValueError("darts do not meet at the crossing")
+    d._sides[key] = side
+    return side
 
 
 def _fan_core(
@@ -862,7 +910,7 @@ def _fan_core(
     lo: int,
     hi: int,
     cuts: Mapping[int, tuple[int, ...]],
-    spokes: Sequence[tuple[int, bool]],
+    hits: Sequence[tuple[Collection[int], int, bool]],
 ) -> bool:
     """The strong fan-property conditions for one arc and one fan, checked
     on the uncut drawing.
@@ -870,18 +918,20 @@ def _fan_core(
     The arc is the stretch of base edge ``eid`` from gap ``lo`` to gap
     ``hi`` (see :class:`ArcRef`); ``cuts`` holds every cut in effect, as
     distinct gaps per base edge, and an end of the arc is a cut iff its gap
-    is one of ``eid``'s cuts.  Each spoke is a whole fan edge ``(base edge
-    id, forward)``, walked from the fan center, which is along its path iff
-    ``forward``.  Checks: (1) each spoke meets the arc in exactly one
-    crossing; (2) all approaches come from the same side; (3) deleting
-    everything else never encloses an end of the arc.
+    is one of ``eid``'s cuts.  Each hit is a whole fan edge that meets the
+    arc, ``(crossings, base edge id, forward)``: the crossings it shares
+    with the arc, and whether the fan center, from which it is walked, is
+    the start of its path.  Checks: (1) each hit meets the arc in exactly
+    one crossing; (2) all approaches come from the same side
+    (:func:`_passage_side`); (3) deleting everything else never encloses an
+    end of the arc.
 
     A cut only adds a degree-2 vertex inside the first plan edge after
     crossing ``gap`` (see :func:`_cut_step`) and leaves every face as it
     is, so nothing is cut here.  Condition (3) is traced on the kept
-    subgraph H: the spokes' plan edges, the arc's plan edges strictly
+    subgraph H: the hits' plan edges, the arc's plan edges strictly
     between its ends, and at each end that is a cut, the half of its plan
-    edge on the arc's side.  After (1) every spoke meets the arc, and all of
+    edge on the arc's side.  After (1) every hit meets the arc, and all of
     them share the center, so H is connected.  The faces of a connected H
     are then exactly the faces of the arc's plan component merged across
     every edge outside H, and the face of H that holds the component's root
@@ -898,18 +948,12 @@ def _fan_core(
     is the depth of the dual tree plus the plan degrees along the traced
     face of H, not the size of the drawing.
     """
-    xs = d.edge_crossings[eid]
-    alpha_x = set(xs[lo:hi])
-    hits: list[tuple[int, int, bool]] = []
-    for fid, forward in spokes:
-        common = [q for q in d.edge_crossings[fid] if q in alpha_x]
-        if len(common) != 1:
-            return False
-        hits.append((common[0], fid, forward))
-    sides = {_passage_side(d, eid, x, fid, forward) for x, fid, forward in hits}
+    if any(len(common) != 1 for common, _, _ in hits):
+        return False
+    sides = {_passage_side(d, eid, x, fid, forward) for (x,), fid, forward in hits}
     if len(sides) > 1:
         return False
-    if not spokes:
+    if not hits:
         return True  # H is the arc alone, whose one face passes both ends
 
     path, steps, edges = d.paths[eid], _steps(d, eid), d.plan.edges
@@ -930,7 +974,7 @@ def _fan_core(
         ends.add(path[-1])
     ends.update(turn.values())
     kept = set(steps[first:last])
-    for fid, _ in spokes:
+    for _, fid, _ in hits:
         kept.update(d.trace[fid])
 
     _, face_of, nxt = d._face_table

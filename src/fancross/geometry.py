@@ -210,10 +210,13 @@ def _drawing_along(
 
 def _checked_point(name: str, p: object) -> None:
     """Refuses ``p`` with ``ValueError`` naming it unless it is a pair of
-    values that ``Fraction`` reads."""
+    numbers that ``Fraction`` reads.  A ``str``, which ``Fraction`` parses,
+    and a ``bool``, which it reads as 0 or 1, are not numbers here."""
     for c in _checked_pair(name, p):
         if type(c) is not int:
             try:
+                if isinstance(c, (str, bool)):
+                    raise TypeError
                 Fraction(c)
             except (TypeError, ValueError, OverflowError):
                 raise ValueError(

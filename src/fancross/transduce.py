@@ -197,8 +197,10 @@ def _bends(d: Drawing) -> list[int]:
 
 
 def _checked_x(d: Drawing, x_edges: Mapping[int, Iterable[int]], k: int) -> dict[int, tuple[int, ...]]:
-    """Validates the deleted vertex set and symmetrizes its edge lists; every
-    vertex must be an int (``bool`` refused)."""
+    """Validates the deleted vertex set and symmetrizes its edge lists; the
+    set must be a map, and every vertex an int (``bool`` refused)."""
+    if not isinstance(x_edges, Mapping):
+        raise ValueError(f"x_edges {x_edges!r} is not a map")
     xs = {_checked_int("X vertex", v) for v in x_edges}
     if len(xs) > k:
         raise ValueError("|X| > k")

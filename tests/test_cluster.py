@@ -584,9 +584,13 @@ def fan_verdicts(d, union):
     ``union``, which draws ``d`` with the same vertex ids beside more."""
 
     def check(g, alpha, center, ends):
-        spokes = [(g.base.edge_id(*e), e[0] == center) for e in ends]
         eid = g.base.edge_id(*alpha)
-        return _fan_core(g, eid, 0, len(g.edge_crossings[eid]), {}, spokes)
+        alpha_x = set(g.edge_crossings[eid])
+        hits = []
+        for e in ends:
+            fid = g.base.edge_id(*e)
+            hits.append((alpha_x & set(g.edge_crossings[fid]), fid, e[0] == center))
+        return _fan_core(g, eid, 0, len(g.edge_crossings[eid]), {}, hits)
 
     out = []
     for e, alpha in enumerate(d.base.edges):

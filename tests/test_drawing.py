@@ -29,6 +29,7 @@ from fancross.drawing import (
     ArcRef,
     Drawing,
     SubdivisionPlan,
+    _components,
     _crossing_graph,
     _cut,
     _cut_step,
@@ -45,13 +46,14 @@ from fancross.drawing import (
     validate,
 )
 from fancross.errors import CapExceeded
-from fancross.fixtures import fig1a, fig1b, fig3, random_kplanar
+from fancross.fixtures import fig1a, fig1a_certificate, fig1b, fig3, random_kplanar
 from fancross.geometry import drawing_from_polylines, drawing_from_segments, pt
 from fancross.graphs import Fan, Graph, complete, grid2d
 from fancross.jsonio import drawing_from_json, drawing_to_json
 from fancross.minors import find_model_bruteforce
 from fancross.synth import synthesize
 from fancross.transduce import eval_formula, transduce_clustered, transduce_kplanar
+from test_synth import random_model
 from test_transduce import grid_syntheses
 
 
@@ -804,6 +806,105 @@ def test_crossing_graph_matches_oracles_on_random_drawings(n, k, seed):
     assert_crossing_graph_matches_oracles(random_kplanar(n, k, seed), random.Random(seed))
 
 
+def oracle_components(cg):
+    """Every component of ``cg`` by the breadth-first oracle, each sorted,
+    in the order of their least nodes."""
+    label = oracle_component_index(range(len(cg.nodes)), cg.edges)
+    comps = {}
+    for n in range(len(cg.nodes)):
+        comps.setdefault(label[n], []).append(n)
+    return list(comps.values())
+
+
+def test_kept_components_equal_fresh_ones_on_seeded_corpus():
+    """A crossing graph keeps its components after the first call.  On
+    every call they equal those of a freshly built graph, which has kept
+    nothing yet, and the breadth-first oracle's; uncut, the nontrivial ones
+    are the edge groups."""
+    for i, d in enumerate(crossing_graph_corpus()):
+        rng = random.Random(i)
+        for plan in (SubdivisionPlan(), *(cut_plan(d, rng) for _ in range(2))):
+            cg = crossing_graph(d, plan)
+            every = cg.components(nontrivial=False)
+            fresh = _crossing_graph(d, plan.cuts)
+            assert fresh is not cg and "_kept_components" not in fresh.__dict__
+            assert fresh.components(nontrivial=False) == every == oracle_components(cg)
+            assert cg.components() == [c for c in every if len(c) >= 2]
+            assert cg.components(nontrivial=False) == every
+        assert crossing_graph(d).components() == oracle_edge_groups(d)
+
+
+def test_a_caller_cannot_change_the_kept_components():
+    d = lens()
+    cg = crossing_graph(d, SubdivisionPlan({1: (1,)}))
+    comps = cg.components()
+    comps[0].append(9)
+    comps.append([7])
+    every = cg.components(nontrivial=False)
+    every[0].clear()
+    assert cg.components() == cg.components(nontrivial=False) == [[0, 1, 2]]
+    cg = crossing_graph(drawing_from_segments(
+        Graph.make([0, 1, 2], [(0, 1), (1, 2)]), {0: pt(0, 0), 1: pt(1, 0), 2: pt(1, 1)}
+    ))
+    cg.components().append([0, 1])
+    cg.components(nontrivial=False).pop()
+    assert cg.components() == []
+    assert cg.components(nontrivial=False) == [[0], [1]]
+
+
+def test_verification_and_the_compile_find_the_components_once(monkeypatch):
+    """``verify_certificate`` and then ``transduce_clustered`` on one
+    certificate read one crossing graph, whose components are found once;
+    a search finds those of the uncut graph and of its certificate's plan
+    once each, and verification and the compile after it find none."""
+    calls = []
+    real = drawing._components
+    monkeypatch.setattr(drawing, "_components", lambda n, edges: calls.append(n) or real(n, edges))
+    d, cert = fig1a(), fig1a_certificate()
+    assert verify_certificate(d, cert, strong=True).verdict
+    assert verify_certificate(d, cert).verdict
+    assert eval_formula(transduce_clustered(d, cert, {}, 2)) == d.base
+    assert len(calls) == 1
+    del calls[:]
+    d = fig3()
+    cert = search_certificate(d, 2, 2, strong=True)
+    assert cert.plan.cuts and len(calls) == 2
+    assert verify_certificate(d, cert, strong=True).verdict
+    assert eval_formula(transduce_clustered(d, cert, {}, 2)) == d.base
+    assert len(calls) == 2
+
+
+def synth_corpus(count):
+    """The drawings of the first ``count`` results of the seeded model
+    corpus of ``tests/test_synth.py``."""
+    rng = random.Random(1)
+    return [synthesize(*random_model(rng)).drawing for _ in range(count)]
+
+
+def test_kept_passage_sides_equal_the_path_oracle():
+    """At every crossing, for both of its edges and both directions of the
+    other, the side ``_passage_side`` keeps on the drawing equals the path
+    oracle's; a later call returns the kept side.  Over the paper's
+    figures, the seeded ``random_kplanar`` set, the grid syntheses and part
+    of the synthesis corpus."""
+    corpus = [*crossing_graph_corpus(), lens(), xfix(), *synth_corpus(400)]
+    assert sum(len(d.crossing_edges) for d in corpus) >= 900
+    for d in corpus:
+        for x, pair in d.crossing_edges.items():
+            for eid, fid in (pair, pair[::-1]):
+                for forward in (True, False):
+                    side = _passage_side(d, eid, x, fid, forward)
+                    p = d.paths[fid] if forward else d.paths[fid][::-1]
+                    assert side == oracle_passage_side(d, d.paths[eid], x, (p[p.index(x) - 1], x))
+                    assert d._sides[eid, x, fid, forward] == side
+        assert len(d._sides) == 4 * len(d.crossing_edges)
+        kept = dict(d._sides)
+        for (eid, x, fid, forward), side in kept.items():
+            assert _passage_side(d, eid, x, fid, forward) == side
+        assert d._sides == kept
+        assert d.with_outer(d.outer)._sides is d._sides
+
+
 # ===== Planarize =====
 
 
@@ -847,13 +948,21 @@ def on_cut_drawing(d, eid, lo, hi, cuts, spokes):
     return d2, alpha, fan
 
 
+def hits_of(d, eid, lo, hi, spokes):
+    """The spokes as ``_fan_core`` hits on the arc of ``eid`` from gap
+    ``lo`` to gap ``hi``: each with the crossings it shares with the arc,
+    none left out, so a spoke that misses the arc fails condition (1)."""
+    alpha_x = set(d.edge_crossings[eid][lo:hi])
+    return [(alpha_x & set(d.edge_crossings[f]), f, forward) for f, forward in spokes]
+
+
 def strong_fan(d, eid, spokes, lo=0, hi=None, cuts=None):
     """``_fan_core`` on the arc of ``eid`` from gap ``lo`` to gap ``hi`` (by
     default its whole edge) under ``cuts``, checked against
     ``oracle_fan_core`` on the cut drawing."""
     cuts = cuts or {}
     hi = len(d.edge_crossings[eid]) if hi is None else hi
-    got = _fan_core(d, eid, lo, hi, cuts, spokes)
+    got = _fan_core(d, eid, lo, hi, cuts, hits_of(d, eid, lo, hi, spokes))
     assert got == oracle_fan_core(*on_cut_drawing(d, eid, lo, hi, cuts, spokes))
     return got
 
@@ -1100,7 +1209,7 @@ def strong_failures_agree(d, cuts, rng):
         for e in sorted({a[0] for a in arcs}):
             groups.setdefault(rng.choice(d.base.edges[e]), []).append(d.base.edges[e])
         fans = [Fan(c, tuple(es)) for c, es in sorted(groups.items())]
-        got = list(cluster._strong_failures(d, cuts, cid, arcs, fans))
+        got = list(cluster._strong_failures(d, cuts, cid, cluster._crossed_arcs(d, arcs), fans))
         assert got == oracle_strong_failures(d, d2, pieces, cg, keys, cid, comp, fans)
         seen["failing"] += bool(got)
         seen["off outer"] += comp_of[d.paths[arcs[0][0]][0]] != outer

@@ -597,5 +597,5 @@ def test_integer_input_builds_no_fraction(monkeypatch):
         synth._arena(vids, chords, itertools.count())
     assert made == []
     # The guard sees a Fraction when one is due.
-    drawing_from_segments(Graph.make([0, 1], [(0, 1)]), {0: (0, 0), 1: ("1/2", 0)})
+    drawing_from_segments(Graph.make([0, 1], [(0, 1)]), {0: (0, 0), 1: (Fraction(1, 2), 0)})
     assert made

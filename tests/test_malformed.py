@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import random
+import re
 from collections import Counter
 from typing import NamedTuple, get_type_hints
 
@@ -36,7 +37,7 @@ from fancross import (
 from fancross.fixtures import fig1a, fig1a_certificate, fig1b, fig3, random_kplanar
 from fancross.geometry import drawing_from_polylines, drawing_from_segments, pt
 from fancross.graphs import ColorLabel, Fan, Graph, complete, cycle, grid2d
-from fancross.synth import RegionTag
+from fancross.synth import RegionTag, synthesize
 from test_drawing import lens
 
 
@@ -469,6 +470,37 @@ def fig1a_verified(**fields):
         ),
         (
             lambda: drawing_from_polylines(
+                Graph.make([0, 1], [(0, 1)]), {0: ("0", "1/2"), 1: (1, 0)}
+            ),
+            r"^position of vertex 0 \('0', '1/2'\) has a coordinate '0' that is not a number$",
+        ),
+        (
+            lambda: drawing_from_polylines(Graph.make([0, 1], [(0, 1)]), {0: (0, 0), 1: (True, 0)}),
+            r"^position of vertex 1 \(True, 0\) has a coordinate True that is not a number$",
+        ),
+        (
+            lambda: drawing_from_polylines(
+                Graph.make([0, 1], [(0, 1)]), {0: (0, 0), 1: (2, 0)}, {0: [(1, False)]}
+            ),
+            r"^bend of edge 0 \(1, False\) has a coordinate False that is not a number$",
+        ),
+        (
+            lambda: drawing_from_polylines(
+                Graph.make([0, 1], [(0, 1)]), {0: (0, 0), 1: (2, 0)}, {0: [("1", 1)]}
+            ),
+            r"^bend of edge 0 \('1', 1\) has a coordinate '1' that is not a number$",
+        ),
+        (lambda: transduce_kplanar(fig3(), None, 2), r"^x_edges None is not a map$"),
+        (
+            lambda: transduce_kplanar(fig3(), [(5, [0])], 2),
+            r"^x_edges \[\(5, \[0\]\)\] is not a map$",
+        ),
+        (
+            lambda: transduce_clustered(fig1a(), fig1a_certificate(), None, 2),
+            r"^x_edges None is not a map$",
+        ),
+        (
+            lambda: drawing_from_polylines(
                 Graph.make([0, 1], [(0, 1)]), {0: (0, 0), 1: (2, 0)}, [[pt(1, 1)]]
             ),
             r"^bends \[\[\(Fraction\(1, 1\), Fraction\(1, 1\)\)\]\] are not a map from edge ids$",
@@ -486,9 +518,35 @@ def test_containers_that_are_not_pairs_or_lists_are_refused(call, message):
     plan was not a ``SubdivisionPlan``, raised ``AttributeError``.
     ``drawing_from_polylines`` raised ``TypeError`` from ``Fraction`` on a
     coordinate that is not a number and ``AttributeError`` on bends given
-    as a list."""
+    as a list, and took a ``str`` or a ``bool`` coordinate, which
+    ``Fraction`` reads, as a number.  The transducers raised ``TypeError``
+    on deleted-vertex edges that are not a map."""
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: search_certificate(bad, 2, 2),
+        lambda bad: search_certificate(bad, 2, 2, strong=True),
+        lambda bad: min_ell(bad, 1),
+        lambda bad: verify_certificate(bad, fig1a_certificate()),
+        lambda bad: verify_certificate(bad, fig1a_certificate(), strong=True),
+        lambda bad: crossing_graph(bad),
+        lambda bad: crossing_graph(bad, SubdivisionPlan({0: (1,)})),
+        lambda bad: transduce_kplanar(bad, {}, 2),
+        lambda bad: transduce_clustered(bad, fig1a_certificate(), {}, 2),
+        lambda bad: synthesize(bad, apex_model()["m"]),
+    ],
+)
+@pytest.mark.parametrize("bad", [None, "x", 5, fig3().base])
+def test_a_drawing_that_is_not_a_drawing_is_refused(call, bad):
+    """The cluster entry points, ``crossing_graph``, the transducers and
+    ``synthesize`` share one check of their drawing; each raised
+    ``AttributeError`` before it."""
+    with pytest.raises(ValueError, match=f"^drawing {re.escape(repr(bad))} is not a Drawing$"):
+        call(bad)
 
 
 # ===== Int parameters =====

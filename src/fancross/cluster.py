@@ -15,9 +15,14 @@ degree-2 vertex inside one plan edge, leaving every face as it is (see
 
 The checks read what the drawing keeps instead of deriving it again.  The
 search, verification, :func:`_certificate` and the clustered compile read
-the crossing graph the drawing keeps for the last plan asked for, and that
-graph finds its components once.  The drawing also keeps the side from which each edge
-passes each crossing once a strong check has asked for it.  A strong check
+the crossing graphs the drawing keeps, the uncut one and that of the last
+plan with cuts asked for, and each graph finds its components once.  For
+the search the drawing also keeps its crossing count, the position of each
+crossing along each edge, and the cut options of every effective fold
+asked for (see :func:`_kept_options`), so many (k, ell) queries on one
+drawing build each of these once.  The drawing also keeps the side from
+which each edge passes each crossing once a strong check has asked for
+it.  A strong check
 builds each arc's crossing set once per component, intersects each fan
 edge with each arc once, and hands those hits to :func:`drawing._fan_core`.
 Anything but a :class:`Drawing` is refused with ``ValueError`` by one
@@ -114,6 +119,7 @@ def _structural_check(d: Drawing, cert: Certificate) -> None:
             raise ValueError("too many cuts")
         if len(set(gaps)) != len(gaps):
             raise ValueError("repeated cut")
+    vertices, edge_index = d.base._vertex_set, d.base._edge_index
     for cid, fans in cert.covers.items():
         _checked_int("cover component", cid)
         if not isinstance(fans, (tuple, list)) or not all(isinstance(f, Fan) for f in fans):
@@ -122,21 +128,22 @@ def _structural_check(d: Drawing, cert: Certificate) -> None:
         if len(set(centers)) != len(centers):
             raise ValueError("duplicate fan center")
         for f in fans:
-            if not d.base.has_vertex(f.center):
+            # A fan's center and edge ends are ints, and its edges are
+            # (min, max) like the base's, so plain lookups decide both.
+            if f.center not in vertices:
                 raise ValueError("not a fan")
             for u, v in f.edges:
-                if not d.base.has_edge(u, v):
+                if (u, v) not in edge_index:
                     raise ValueError(f"unknown fan edge ({u}, {v})")
+    m, cuts = d.base.m, cert.plan.cuts
     for key, center in cert.assignment.items():
         eid, piece = _checked_pair("assignment key", key)
         _checked_int("assignment edge", eid)
         _checked_int("assignment piece", piece)
         _checked_int("assignment center", center)
-        if not (0 <= eid < d.base.m) or not (
-            0 <= piece <= len(cert.plan.cuts.get(eid, ()))
-        ):
+        if not (0 <= eid < m) or not (0 <= piece <= len(cuts.get(eid, ()))):
             raise ValueError("unknown arc in assignment")
-        if not d.base.has_vertex(center):
+        if center not in vertices:
             raise ValueError("unknown center in assignment")
 
 
@@ -252,20 +259,36 @@ def _verified(
 # ===== Search =====
 
 
-def _cut_options(d: Drawing, k: int) -> list[list[tuple[int, ...]]]:
+def _cut_options(d: Drawing, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Per edge: candidate interior cut sets, ordered by (size, lexicographic).
 
     Cuts at the outermost gaps only split off crossing-free arcs, which never
     change any component, so only interior gaps are enumerated.
     """
-    opts: list[list[tuple[int, ...]]] = []
+    opts: list[tuple[tuple[int, ...], ...]] = []
     for eid in range(d.base.m):
         c = len(d.edge_crossings[eid])
         interior = range(1, c)
         per: list[tuple[int, ...]] = [()]
         for size in range(1, min(k - 1, len(interior)) + 1):
             per.extend(itertools.combinations(interior, size))
-        opts.append(per)
+        opts.append(tuple(per))
+    return tuple(opts)
+
+
+def _kept_options(d: Drawing, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """:func:`_cut_options` at fold ``k``, kept on ``d``.
+
+    An edge with ``c >= 1`` crossings has ``c - 1`` interior gaps, and an
+    uncrossed edge has none, so no edge takes more than ``c_max - 1`` cuts,
+    with ``c_max`` the most crossings on one edge.  The options at ``k``
+    therefore equal those at the effective fold ``min(k, c_max)``, and they
+    are kept under that fold, so every ``k >= c_max`` shares one entry.
+    """
+    fold = min(k, max(map(len, d.edge_crossings.values()), default=0))
+    opts = d._fold_options.get(fold)
+    if opts is None:
+        opts = d._fold_options[fold] = _cut_options(d, fold)
     return opts
 
 
@@ -304,19 +327,21 @@ def search_certificate(
     checks every component again (in strong mode, the cover the search found
     for it) and raises ``InvariantBroken`` if one fails.  Drawings with
     more than ``cap`` crossings are refused with ``CapExceeded``, and a
-    crossing not passed by exactly two edges with ``ValueError``.
+    crossing not passed by exactly two edges with ``ValueError``.  The
+    crossing count, the uncut crossing graph, the crossing index and the
+    cut options are read from what ``d`` keeps, so a later query on the
+    same drawing builds none of them again.
     """
     _checked_drawing(d)
     _checked_bounds(k, ell, "search parameters")
     _checked_int("cap", cap)
-    total = sum(1 for p in d.plan.vertices if d.kind_of(p) == "crossing")
-    if total > cap:
+    if d._crossing_count > cap:
         raise CapExceeded("search cap exceeded")
     groups = crossing_graph(d).components()
     pairs = d.crossing_edges.values()
     if ell == 1 and any(not (set(d.base.edges[e1]) & set(d.base.edges[e2])) for e1, e2 in pairs):
         return None
-    search = _GroupSearch(d, _cut_options(d, k), ell, strong)
+    search = _GroupSearch(d, _kept_options(d, k), ell, strong)
     cuts: dict[int, tuple[int, ...]] = {}
     for group in groups:
         found = search.first_plan(group)
@@ -400,10 +425,7 @@ class _GroupSearch:
 
     def __init__(self, d: Drawing, options, ell: int, strong: bool) -> None:
         self.d, self.options, self.ell, self.strong = d, options, ell, strong
-        self.index: dict[tuple[int, int], int] = {}  # (edge, crossing) -> 1-based position
-        for eid, xs in d.edge_crossings.items():
-            for j, x in enumerate(xs, 1):
-                self.index[(eid, x)] = j
+        self.index = d._crossing_index  # (edge, crossing) -> 1-based position
         self.weak_memo: dict[frozenset[int], bool] = {}
         self.strong_memo: dict[frozenset[tuple[int, int, int]], Optional[list[Fan]]] = {}
 
@@ -494,7 +516,10 @@ class _GroupSearch:
 
 
 def min_ell(d: Drawing, k: int, cap: int = 12) -> int:
-    """The least ``ell`` admitting a (weak) certificate at fold ``k``."""
+    """The least ``ell`` admitting a (weak) certificate at fold ``k``.
+
+    Each ``ell`` is one :func:`search_certificate` call; all of them read
+    the tables the drawing keeps, which the first call builds."""
     for ell in range(1, max(_checked_drawing(d).base.m, 1) + 1):
         if search_certificate(d, k, ell, strong=False, cap=cap) is not None:
             return ell

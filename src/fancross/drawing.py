@@ -45,11 +45,16 @@ class Drawing:
 
     The three maps are read-only views of private copies, so a drawing never
     changes and every fact derived from it is computed once: the lookups
-    below, the :func:`validate` verdict, the crossing graph of the last
-    plan asked for, with or without cuts (see :func:`crossing_graph`), which
-    in turn keeps its components, and the side from which each edge passes
-    each crossing, relative to the other edge there, found when a strong
-    check first asks for it (see :func:`_passage_side`).
+    below, the :func:`validate` verdict, the uncut crossing graph and the
+    crossing graph of the last plan with cuts asked for (see
+    :func:`crossing_graph`), each of which in turn keeps its components,
+    and the side from which each edge passes each crossing, relative to the
+    other edge there, found when a strong check first asks for it (see
+    :func:`_passage_side`).  For the certificate search it also keeps its
+    number of crossings, the position of each crossing along each edge, and
+    the interior cut options of each fold asked for (see
+    :func:`cluster._kept_options`), so that many queries on one drawing
+    derive each of these once.
     """
 
     base: Graph
@@ -89,9 +94,9 @@ class Drawing:
         """This drawing with other outer faces (see :attr:`outers`).
 
         The new drawing shares the read-only maps and keeps every cached
-        lookup already computed here, the traced faces, the crossing graph
-        and the table of passage sides among them, except those that
-        depend on the outer faces:
+        lookup already computed here, the traced faces, both kept crossing
+        graphs, the search's tables and the table of passage sides among
+        them, except those that depend on the outer faces:
         :attr:`_dual_tree` is rooted at them and the verdict checks them.
         """
         out = object.__new__(Drawing)
@@ -106,6 +111,30 @@ class Drawing:
     def _sides(self) -> dict[tuple[int, int, int, bool], str]:
         """The passage sides found so far, filled by :func:`_passage_side`."""
         return {}
+
+    @cached_property
+    def _crossing_count(self) -> int:
+        """The number of plan vertices of kind ``"crossing"``."""
+        return sum(1 for p in self.plan.vertices if self.kind_of(p) == "crossing")
+
+    @cached_property
+    def _crossing_index(self) -> dict[tuple[int, int], int]:
+        """(base edge id, crossing) -> the crossing's 1-based position in
+        the edge's :attr:`edge_crossings`."""
+        return {
+            (eid, x): j for eid, xs in self.edge_crossings.items() for j, x in enumerate(xs, 1)
+        }
+
+    @cached_property
+    def _fold_options(self) -> dict[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+        """The search's cut options found so far, by effective fold, filled
+        by :func:`cluster._kept_options`."""
+        return {}
+
+    @cached_property
+    def _uncut_graph(self) -> CrossingGraph:
+        """The crossing graph with no cuts (see :func:`crossing_graph`)."""
+        return _crossing_graph(self, {})
 
     @cached_property
     def _violations(self) -> tuple[str, ...]:
@@ -576,6 +605,8 @@ class SubdivisionPlan:
     cuts: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.cuts, Mapping):
+            raise ValueError(f"subdivision plan cuts {self.cuts!r} are not a map")
         cuts: dict[int, tuple[int, ...]] = {}
         for e, gs in self.cuts.items():
             try:
@@ -590,10 +621,13 @@ class SubdivisionPlan:
 
 
 def _checked_cuts(d: Drawing, plan: Optional[SubdivisionPlan]) -> dict[int, tuple[int, ...]]:
-    """The plan's cuts, checked against ``d``.  An edge id or a gap that is
-    not an int (``bool`` included) is refused, as is one out of range."""
+    """The plan's cuts, checked against ``d``.  A plan that is not a
+    :class:`SubdivisionPlan` is refused, as is an edge id or a gap that is
+    not an int (``bool`` included) or is out of range."""
     if plan is None:
         return {}
+    if not isinstance(plan, SubdivisionPlan):
+        raise ValueError(f"subdivision plan {plan!r} is not a SubdivisionPlan")
     out: dict[int, tuple[int, ...]] = {}
     for eid, gaps in plan.cuts.items():
         if type(eid) is not int:
@@ -680,17 +714,22 @@ def crossing_graph(d: Drawing, plan: Optional[SubdivisionPlan] = None) -> Crossi
     positions; piece indices follow cut order.  Crossing-free arcs appear as
     isolated nodes.  Two arcs are adjacent iff they share a crossing of
     :attr:`Drawing.crossing_edges`, which raises ValueError at a crossing
-    not passed by exactly two edges.  The graph of the last plan asked
-    for, with or without cuts, is kept in ``d``'s plan slot, ``(cuts,
-    graph)``, and shared by later calls on the same cuts; a plan with other
-    cuts replaces it.  The graph does not depend on the outer faces, so
-    :meth:`Drawing.with_outer` keeps the slot.  The search, verification,
-    the clustered compile and the synthesizer's certificate all read the
-    components of the kept graph, which it finds once (see
-    :class:`CrossingGraph`).  Anything but a :class:`Drawing` is refused
-    with ``ValueError``.
+    not passed by exactly two edges.  ``d`` keeps two graphs: the uncut
+    one, in :attr:`Drawing._uncut_graph`, and the graph of the last plan
+    with cuts asked for, in its plan slot ``(cuts, graph)``, shared by later
+    calls on the same cuts; a plan with other cuts replaces the slot and
+    leaves the uncut graph.  So a certificate with cuts does not make the
+    next search build the uncut graph again.  A crossing graph does not
+    depend on the outer faces, so :meth:`Drawing.with_outer` keeps both.
+    The search, verification, the clustered compile and the synthesizer's
+    certificate all read the components of a kept graph, which it finds
+    once (see :class:`CrossingGraph`).  Anything but a :class:`Drawing`,
+    or a plan that is not a :class:`SubdivisionPlan`, is refused with
+    ``ValueError``.
     """
     cuts = _checked_cuts(_checked_drawing(d), plan)
+    if not cuts:
+        return d._uncut_graph
     slot = d.__dict__.get("_plan_slot")
     if slot is None or slot[0] != cuts:
         slot = d.__dict__["_plan_slot"] = (cuts, _crossing_graph(d, cuts))
@@ -698,7 +737,7 @@ def crossing_graph(d: Drawing, plan: Optional[SubdivisionPlan] = None) -> Crossi
 
 
 def _crossing_graph(d: Drawing, cuts: Mapping[int, tuple[int, ...]]) -> CrossingGraph:
-    """:func:`crossing_graph` on checked cuts, outside the plan slot."""
+    """:func:`crossing_graph` on checked cuts, outside the kept graphs."""
     nodes: list[ArcRef] = []
     crossings: list[tuple[int, ...]] = []
     node_at: dict[tuple[int, int], int] = {}  # (edge, crossing) -> node

@@ -84,6 +84,11 @@ class Graph:
         return len(self.edges)
 
     @cached_property
+    def _vertex_set(self) -> frozenset[int]:
+        """The vertices as a set, for checks that look up many ints."""
+        return frozenset(self.vertices)
+
+    @cached_property
     def _edge_index(self) -> dict[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}
 

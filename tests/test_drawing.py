@@ -6,6 +6,7 @@ import bisect
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,12 +20,20 @@ from oracles import (
     oracle_edge_groups,
     oracle_faces,
     oracle_fan_core,
+    oracle_search_certificate,
     oracle_subdivide_with_map,
     stitched_path,
 )
 
 from fancross import cluster, drawing, transduce
-from fancross.cluster import Certificate, _arc_keys, search_certificate, verify_certificate
+from fancross.cluster import (
+    Certificate,
+    _arc_keys,
+    _cut_options,
+    _kept_options,
+    search_certificate,
+    verify_certificate,
+)
 from fancross.drawing import (
     ArcRef,
     Drawing,
@@ -53,6 +62,7 @@ from fancross.jsonio import drawing_from_json, drawing_to_json
 from fancross.minors import find_model_bruteforce
 from fancross.synth import synthesize
 from fancross.transduce import eval_formula, transduce_clustered, transduce_kplanar
+from test_cluster import ORACLE_SPACE, cut_space
 from test_synth import random_model
 from test_transduce import grid_syntheses
 
@@ -651,20 +661,24 @@ def test_strong_search_leaves_only_its_certificate_in_the_slot(monkeypatch):
     assert cert.plan.cuts
     # The search takes its edge groups from the uncut crossing graph and
     # checks strong candidates on d itself, so nothing is cut; the
-    # certificate's crossing graph then replaces the uncut one in the slot.
+    # certificate's crossing graph then goes into the slot, and the uncut
+    # one stays kept beside it.
     assert calls["_cut"] == [] and calls["_split"] == []
     assert calls["_crossing_graph"] == [(d, {}), (d, cert.plan.cuts)]
     slot = d.__dict__["_plan_slot"]
     assert slot == (cert.plan.cuts, crossing_graph(d, cert.plan))
+    uncut = d.__dict__["_uncut_graph"]
+    assert uncut == _crossing_graph(d, {}) and crossing_graph(d) is uncut
     # Cutting builds a new drawing on every call and adds nothing to the slot.
     d2 = subdivide_with_map(d, cert.plan)[0]
     assert subdivide_with_map(d, cert.plan)[0] is not d2
     assert calls["_cut"] == [(d, cert.plan.cuts)] * 2
     assert d.__dict__["_plan_slot"] is slot and len(slot) == 2
-    # Searching again builds both graphs again: the slot holds one plan.
+    # Searching again builds neither graph again: the uncut one is kept
+    # apart from the slot, which still holds the certificate's plan.
     assert search_certificate(d, 2, 2, strong=True) == cert
-    assert calls["_crossing_graph"] == [(d, {}), (d, cert.plan.cuts)] * 2
-    assert d.__dict__["_plan_slot"][0] == cert.plan.cuts
+    assert calls["_crossing_graph"] == [(d, {}), (d, cert.plan.cuts)]
+    assert d.__dict__["_plan_slot"] is slot and d.__dict__["_uncut_graph"] is uncut
 
 
 def test_a_certificate_without_cuts_reads_the_search_graph(monkeypatch):
@@ -683,8 +697,9 @@ def test_a_certificate_without_cuts_reads_the_search_graph(monkeypatch):
 
 def test_with_outer_keeps_the_crossing_graph_slot(monkeypatch):
     """A crossing graph does not depend on the outer faces, so a drawing
-    with other outer faces shares it; a plan with other cuts then replaces
-    the slot of that drawing alone."""
+    with other outer faces shares both kept graphs; a plan with other cuts
+    then replaces the slot of that drawing alone, and leaves the uncut
+    graph."""
     calls = count_derivations(monkeypatch)
     d = fig3()
     plan = SubdivisionPlan({1: (1,)})
@@ -700,15 +715,23 @@ def test_with_outer_keeps_the_crossing_graph_slot(monkeypatch):
     assert moved.__dict__["_plan_slot"][0] == other.cuts
     assert d.__dict__["_plan_slot"] is slot
     assert crossing_graph(d, plan) is cg
-    # A slot that holds the uncut graph is shared the same way.
+    # The uncut graph is kept beside the slot and shared the same way.
     del calls["_crossing_graph"][:]
     uncut = crossing_graph(d)
-    slot = d.__dict__["_plan_slot"]
-    assert slot == ({}, _crossing_graph(d, {}))
+    assert d.__dict__["_uncut_graph"] is uncut
+    assert uncut == _crossing_graph(d, {})
+    assert d.__dict__["_plan_slot"] is slot
     for outer in range(len(d.faces)):
-        assert d.with_outer(outer).__dict__["_plan_slot"] is slot
-        assert crossing_graph(d.with_outer(outer)) is uncut
+        moved = d.with_outer(outer)
+        assert moved.__dict__["_uncut_graph"] is uncut
+        assert moved.__dict__["_plan_slot"] is slot
+        assert crossing_graph(moved) is uncut
     assert calls["_crossing_graph"] == [(d, {})]
+    # A plan with other cuts replaces the slot and leaves the uncut graph.
+    crossing_graph(d, other)
+    assert d.__dict__["_plan_slot"][0] == other.cuts
+    assert crossing_graph(d) is uncut
+    assert calls["_crossing_graph"] == [(d, {}), (d, other.cuts)]
 
 
 # ===== Crossing graphs =====
@@ -903,6 +926,101 @@ def test_kept_passage_sides_equal_the_path_oracle():
             assert _passage_side(d, eid, x, fid, forward) == side
         assert d._sides == kept
         assert d.with_outer(d.outer)._sides is d._sides
+
+
+# ===== Tables kept for certificate searches =====
+
+
+def test_kept_search_tables_equal_fresh_ones_on_seeded_corpus():
+    """The crossing count, the cut options of every fold, the crossing
+    index and the uncut crossing graph a drawing keeps equal freshly built
+    ones, and a drawing with other outer faces shares them."""
+    for d in crossing_graph_corpus():
+        assert d._crossing_count == sum(kind == "crossing" for kind in d.kind.values())
+        assert d._crossing_count == len(d.crossing_edges)
+        c_max = max(crossings_per_edge(d).values(), default=0)
+        for k in range(1, 7):
+            kept = _kept_options(d, k)
+            assert kept == _cut_options(d, k)
+            assert _kept_options(d, k) is kept is d._fold_options[min(k, c_max)]
+        assert sorted(d._fold_options) == sorted({min(k, c_max) for k in range(1, 7)})
+        # Positions counted along each edge's plan path.
+        index = {}
+        for eid, path in d.paths.items():
+            xs = [p for p in path if d.kind[p] == "crossing"]
+            index.update(((eid, x), j) for j, x in enumerate(xs, 1))
+        assert d._crossing_index == index
+        uncut = crossing_graph(d)
+        assert uncut is d._uncut_graph
+        for want in (_crossing_graph(d, {}), oracle_crossing_graph(d, {})):
+            assert (uncut.nodes, uncut.edges, uncut.crossings) == (
+                want.nodes,
+                want.edges,
+                want.crossings,
+            )
+        moved = d.with_outer(d.outer)
+        for name in ("_crossing_count", "_fold_options", "_crossing_index", "_uncut_graph"):
+            assert getattr(moved, name) is getattr(d, name), name
+
+
+def test_searches_on_kept_tables_equal_the_oracle():
+    """Every search equals the oracle's, on a fresh copy of the drawing and
+    on one whose tables, and a certificate's plan slot, are already built."""
+    compared = 0
+    for d in crossing_graph_corpus():
+        if d._crossing_count > 64:
+            continue
+        warm = Drawing(d.base, d.plan, d.rotation, d.kind, d.trace, d.outer, d.outers)
+        crossing_graph(warm, SubdivisionPlan({0: (0,)}))
+        for k in range(1, 7):
+            _kept_options(warm, k)
+        assert 2 * warm._crossing_count == len(warm._crossing_index)
+        for k in (1, 2, 3):
+            if cut_space(d, k) > ORACLE_SPACE:
+                continue
+            for ell in (1, 2, 3):
+                for strong in (False, True):
+                    want = oracle_search_certificate(d, k, ell, strong=strong, cap=64)
+                    fresh = Drawing(d.base, d.plan, d.rotation, d.kind, d.trace, d.outer, d.outers)
+                    got = search_certificate(fresh, k, ell, strong=strong, cap=64)
+                    assert got == want, (k, ell, strong)
+                    got = search_certificate(warm, k, ell, strong=strong, cap=64)
+                    assert got == want, (k, ell, strong)
+                    compared += 1
+    assert compared >= 1000
+
+
+def test_a_query_sequence_builds_each_table_once(monkeypatch):
+    """The benchmark's query pattern on one drawing: its crossing graph, a
+    weak search whose certificate has cuts, verification and the clustered
+    compile, then more searches.  The uncut crossing graph is built once
+    and the cut options once per effective fold, although the certificate's
+    cut graph took the plan slot in between."""
+    calls = count_derivations(monkeypatch)
+    folds = []
+    real_options = cluster._cut_options
+
+    def cut_options(d, k):
+        folds.append(k)
+        return real_options(d, k)
+
+    monkeypatch.setattr(cluster, "_cut_options", cut_options)
+    d = fig3()
+    assert max(crossings_per_edge(d).values()) == 2
+    uncut = crossing_graph(d)
+    cert = search_certificate(d, 2, 2)
+    assert cert.plan.cuts
+    assert verify_certificate(d, cert).verdict
+    assert eval_formula(transduce_clustered(d, cert, {}, 2)) == d.base
+    assert crossing_graph(d) is uncut
+    # Folds 2, 3 and 6 are all effective fold 2; fold 1 is its own.
+    assert search_certificate(d, 3, 2) == replace(cert, k=3)
+    assert search_certificate(d, 6, 2, strong=True) is not None
+    assert search_certificate(d, 1, 3) is not None
+    assert search_certificate(d.with_outer(d.outer), 2, 3) is not None
+    assert folds == [2, 1]
+    assert [c for c in calls["_crossing_graph"] if c == (d, {})] == [(d, {})]
+    assert d.__dict__["_uncut_graph"] is uncut
 
 
 # ===== Planarize =====

@@ -526,6 +526,30 @@ def test_containers_that_are_not_pairs_or_lists_are_refused(call, message):
 
 
 @pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: crossing_graph(fig3(), 2.0), r"^subdivision plan 2\.0 is not a SubdivisionPlan$"),
+        (
+            lambda: crossing_graph(fig3(), {0: (1,)}),
+            r"^subdivision plan \{0: \(1,\)\} is not a SubdivisionPlan$",
+        ),
+        (
+            lambda: subdivide_with_map(fig3(), {0: (1,)}),
+            r"^subdivision plan \{0: \(1,\)\} is not a SubdivisionPlan$",
+        ),
+        (lambda: SubdivisionPlan(None), r"^subdivision plan cuts None are not a map$"),
+        (lambda: SubdivisionPlan([1, 2]), r"^subdivision plan cuts \[1, 2\] are not a map$"),
+    ],
+)
+def test_plans_that_are_not_subdivision_plans_are_refused(call, message):
+    """``crossing_graph`` and ``subdivide_with_map`` read ``plan.cuts``
+    unchecked, and ``SubdivisionPlan`` called ``.items()`` on its cuts, so
+    each raised ``AttributeError``."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda bad: search_certificate(bad, 2, 2),

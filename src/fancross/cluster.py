@@ -22,11 +22,20 @@ crossing along each edge, and the cut options of every effective fold
 asked for (see :func:`_kept_options`), so many (k, ell) queries on one
 drawing build each of these once.  The drawing also keeps the side from
 which each edge passes each crossing once a strong check has asked for
-it.  A strong check
-builds each arc's crossing set once per component, intersects each fan
-edge with each arc once, and hands those hits to :func:`drawing._fan_core`.
-Anything but a :class:`Drawing` is refused with ``ValueError`` by one
-shared check.
+it.  A strong check builds each arc's crossing set once per component,
+intersects each fan edge with each arc once, and hands those hits to
+:func:`drawing._fan_core`.  The search tests each candidate center set on
+plain edge groups and builds :class:`Fan` objects only for the cover it
+returns.
+
+A :class:`Certificate` is frozen like a drawing, so a drawing also keeps
+the verdict on the last certificate verified on it, keyed by the
+certificate object, and answers that object again without checking it
+(see :func:`_verified`): the strong check :func:`synth.synthesize` runs
+on its own output is not repeated by a caller's strong verification nor
+by the clustered compile's weak one.  Anything but a :class:`Drawing` is
+refused with ``ValueError`` by one shared check, and anything but a
+:class:`Certificate` by the structural check.
 
 The exact search returns the first certificate in a fixed order: the product
 order of every edge's interior cut options (edge 0 varying slowest), with the
@@ -46,8 +55,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Optional
 
 from .drawing import (
     CrossingGraph,
@@ -58,7 +69,14 @@ from .drawing import (
     crossing_graph,
 )
 from .errors import CapExceeded, InvariantBroken
-from .graphs import Fan, _canonical_fans, _checked_int, _checked_pair, fan_cover, vertex_cover
+from .graphs import (
+    Fan,
+    _canonical_groups,
+    _checked_int,
+    _checked_pair,
+    fan_cover,
+    vertex_cover,
+)
 
 
 # ===== Certificates =====
@@ -71,13 +89,31 @@ class Certificate:
     ``covers`` maps nontrivial crossing-graph component ids to their fan
     lists; ``assignment`` maps arcs, keyed ``(edge id, piece index)``, to the
     center of their assigned fan.
+
+    Like a :class:`Drawing`, a certificate never changes: both maps become
+    read-only views of private copies, and a fan list becomes a tuple, so a
+    caller's dicts changed later do not reach it, and a drawing can keep
+    the verdict on it (see :func:`verify_certificate`).  A container of the
+    wrong shape is kept as given, for :func:`verify_certificate` to refuse.
     """
 
     k: int
     ell: int
     plan: SubdivisionPlan = field(default_factory=SubdivisionPlan)
-    covers: dict[int, tuple[Fan, ...]] = field(default_factory=dict)
-    assignment: dict[tuple[int, int], int] = field(default_factory=dict)
+    covers: Mapping[int, tuple[Fan, ...]] = field(default_factory=dict)
+    assignment: Mapping[tuple[int, int], int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # ``dict`` is tested first, so the usual maps skip the slower
+        # abstract-class check.
+        if isinstance(self.covers, (dict, Mapping)):
+            covers = dict(self.covers)
+            for cid, fans in covers.items():
+                if isinstance(fans, list):
+                    covers[cid] = tuple(fans)
+            object.__setattr__(self, "covers", MappingProxyType(covers))
+        if isinstance(self.assignment, (dict, Mapping)):
+            object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
 
 
 @dataclass(frozen=True)
@@ -89,17 +125,6 @@ class ClusterReport:
     stats: dict[str, int]
 
 
-def _arc_keys(cg: CrossingGraph) -> dict[int, tuple[int, int]]:
-    """Node index -> (edge id, piece index)."""
-    keys: dict[int, tuple[int, int]] = {}
-    counts: dict[int, int] = {}
-    for n, node in enumerate(cg.nodes):
-        piece = counts.get(node.edge, 0)
-        counts[node.edge] = piece + 1
-        keys[n] = (node.edge, piece)
-    return keys
-
-
 def _checked_bounds(k: int, ell: int, what: str) -> None:
     """Refuses a fold bound ``k`` or a fan bound ``ell`` that is not a
     positive int (``bool`` included); ``what`` names the caller's input."""
@@ -108,6 +133,8 @@ def _checked_bounds(k: int, ell: int, what: str) -> None:
 
 
 def _structural_check(d: Drawing, cert: Certificate) -> None:
+    if not isinstance(cert, Certificate):
+        raise ValueError(f"certificate {cert!r} is not a Certificate")
     _checked_bounds(cert.k, cert.ell, "certificate")
     if not isinstance(cert.plan, SubdivisionPlan):
         raise ValueError(f"certificate plan {cert.plan!r} is not a SubdivisionPlan")
@@ -149,12 +176,12 @@ def _structural_check(d: Drawing, cert: Certificate) -> None:
 
 def _weak_failures(
     d: Drawing,
-    keys: dict[int, tuple[int, int]],
+    keys: Sequence[tuple[int, int]],
     cid: int,
     comp: Sequence[int],
     fans: Sequence[Fan],
     ell: int,
-    assignment: dict[tuple[int, int], int],
+    assignment: Mapping[tuple[int, int], int],
 ) -> list[tuple[int, str]]:
     out: list[tuple[int, str]] = []
     if len(fans) > ell:
@@ -193,7 +220,9 @@ def _strong_failures(
     are ``crossed`` (see :func:`_crossed_arcs`), checked on the uncut
     drawing by :func:`_fan_core`: one per fan and crossed arc whose edge is
     not in the fan, in fan order and then arc order.  Each fan edge is
-    intersected with each arc once, here, and the hits are handed over."""
+    intersected with each arc once, here, and the hits are handed over.
+    Only each fan's ``center`` and ``edges`` are read, so the search hands
+    over plain groups (see :func:`_strong_cover`)."""
     comp_x_of_edge: dict[int, set[int]] = {}
     for e, _, _, xs in crossed:
         comp_x_of_edge.setdefault(e, set()).update(xs)
@@ -220,20 +249,55 @@ def _strong_failures(
 
 def verify_certificate(d: Drawing, cert: Certificate, strong: bool = False) -> ClusterReport:
     """Checks a certificate; malformed certificates raise, semantic failures
-    are reported per component with a stable reason phrase."""
+    are reported per component with a stable reason phrase.
+
+    ``d`` keeps the outcome of the last certificate verified on it, and
+    answers the same certificate object again from it, in the same mode or
+    weak after a strong pass (see :func:`_verified`).  Every call returns a
+    report of its own, whose ``stats`` a caller may change."""
     return _verified(d, cert, strong)[0]
 
 
 def _verified(
     d: Drawing, cert: Certificate, strong: bool
-) -> tuple[ClusterReport, CrossingGraph, list[list[int]], dict[int, tuple[int, int]]]:
+) -> tuple[ClusterReport, CrossingGraph, list[list[int]], tuple[tuple[int, int], ...]]:
     """:func:`verify_certificate`'s report, with the crossing graph of the
-    certificate's plan, its nontrivial components and its arc keys."""
+    certificate's plan, its nontrivial components and its arc keys (see
+    :attr:`CrossingGraph._arc_keys`).
+
+    ``d``'s verdict slot holds ``(cert, strong, failures, stats, graph)``
+    for the last certificate checked on it.  A certificate never
+    changes, so when ``cert`` is that very object, and the slot's mode is
+    ``strong`` or the slot passed a strong check (a strong pass is a weak
+    pass with the same stats), the slot answers and nothing is checked
+    again; a weak verdict never answers a strong query, nor a failed strong
+    verdict a weak one, whose failures differ.  Otherwise the certificate
+    is checked in full and takes the slot.  Each answer is a new report
+    with its own ``stats`` and new component lists."""
     _checked_drawing(d)
-    _structural_check(d, cert)
-    cg = crossing_graph(d, cert.plan)
-    comps = cg.components()
-    keys = _arc_keys(cg)
+    slot = d.__dict__.get("_verdict_slot")
+    if slot is not None and slot[0] is cert and (slot[1] == strong or (slot[1] and not slot[2])):
+        _, _, failures, stats, cg = slot
+        comps = cg.components()
+    else:
+        _structural_check(d, cert)
+        cg = crossing_graph(d, cert.plan)
+        comps = cg.components()
+        failures, stats = _failures(d, cert, strong, cg, comps)
+        d.__dict__["_verdict_slot"] = (cert, strong, failures, stats, cg)
+    return ClusterReport(not failures, failures, dict(stats)), cg, comps, cg._arc_keys
+
+
+def _failures(
+    d: Drawing,
+    cert: Certificate,
+    strong: bool,
+    cg: CrossingGraph,
+    comps: list[list[int]],
+) -> tuple[tuple[tuple[int, str], ...], dict[str, int]]:
+    """The sorted failures and the stats of a structurally sound ``cert``
+    whose plan's crossing graph ``cg`` has nontrivial components
+    ``comps``."""
     failures: list[tuple[int, str]] = []
     for cid in sorted(cert.covers):
         if not (0 <= cid < len(comps)):
@@ -243,7 +307,7 @@ def _verified(
         if fans is None:
             failures.append((cid, "no cover"))
             continue
-        failures += _weak_failures(d, keys, cid, comp, fans, cert.ell, cert.assignment)
+        failures += _weak_failures(d, cg._arc_keys, cid, comp, fans, cert.ell, cert.assignment)
         if strong:
             crossed = _crossed_arcs(d, [cg.nodes[n] for n in comp])
             failures += _strong_failures(d, cert.plan.cuts, cid, crossed, fans)
@@ -253,7 +317,7 @@ def _verified(
         "arcs": sum(len(c) for c in comps),
         "maxFans": max((len(f) for f in cert.covers.values()), default=0),
     }
-    return ClusterReport(not failures, tuple(failures), stats), cg, comps, keys
+    return tuple(failures), stats
 
 
 # ===== Search =====
@@ -299,16 +363,18 @@ def _strong_cover(
     part: Sequence[tuple[int, int]],
     ell: int,
 ) -> Optional[list[Fan]]:
-    """The first center set (by size, then lexicographically) whose canonical
-    fans of the participating edges (:func:`graphs._canonical_fans`) pass
-    the strong conditions on the component's arcs."""
+    """The canonical fans of the participating edges on the first center
+    set (by size, then lexicographically) that passes the strong conditions
+    on the component's arcs.  Each candidate is checked on its plain groups
+    (:func:`graphs._canonical_groups`), which :func:`_strong_failures`
+    reads like fans, and only the set returned is built as fans."""
     cands = sorted({u for e in part for u in e})
     crossed = _crossed_arcs(d, arcs)
     for size in range(1, min(ell, len(cands)) + 1):
         for chosen in itertools.combinations(cands, size):
-            fans = _canonical_fans(part, chosen)
-            if fans is not None and next(_strong_failures(d, cuts, 0, crossed, fans), None) is None:
-                return fans
+            groups = _canonical_groups(part, chosen)
+            if groups is not None and next(_strong_failures(d, cuts, 0, crossed, groups), None) is None:
+                return [Fan(c, es) for c, es in groups]
     return None
 
 
@@ -375,7 +441,7 @@ def _certificate(
     """
     cg = crossing_graph(d, plan)
     comps = cg.components()
-    keys = _arc_keys(cg)
+    keys = cg._arc_keys
     covers: dict[int, tuple[Fan, ...]] = {}
     assignment: dict[tuple[int, int], int] = {}
     for cid, comp in enumerate(comps):

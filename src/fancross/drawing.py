@@ -14,10 +14,11 @@ consecutive plan vertices are kept apart by bend vertices.
 from __future__ import annotations
 
 import re
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Collection, Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .graphs import Graph, _checked_int
 
@@ -54,7 +55,13 @@ class Drawing:
     number of crossings, the position of each crossing along each edge, and
     the interior cut options of each fold asked for (see
     :func:`cluster._kept_options`), so that many queries on one drawing
-    derive each of these once.
+    derive each of these once.  Last, it keeps in its verdict slot what the
+    last certificate verified on it gave (see :func:`cluster._verified`):
+    the certificate object itself, the mode, the failures and stats, and
+    the crossing graph of its plan, which keeps its components and arc
+    keys.  A certificate never changes either, so
+    the same object asked about again, in the same mode or weak after a
+    strong pass, is answered from the slot and not checked twice.
     """
 
     base: Graph
@@ -97,7 +104,8 @@ class Drawing:
         lookup already computed here, the traced faces, both kept crossing
         graphs, the search's tables and the table of passage sides among
         them, except those that depend on the outer faces:
-        :attr:`_dual_tree` is rooted at them and the verdict checks them.
+        :attr:`_dual_tree` is rooted at them, the verdict checks them, and
+        the verdict slot holds strong checks, which read the dual tree.
         """
         out = object.__new__(Drawing)
         out.__dict__.update(
@@ -268,7 +276,7 @@ class Drawing:
         }
 
 
-_OUTER_DEPENDENT = ("_dual_tree", "_violations")
+_OUTER_DEPENDENT = ("_dual_tree", "_violations", "_verdict_slot")
 
 _REAL = re.compile(r"real:(-?[0-9]+)")
 
@@ -600,9 +608,12 @@ class SubdivisionPlan:
     For an edge whose trace passes crossings ``x_1 .. x_c`` in order, the
     valid positions are ``0 .. c``: position ``g`` lies between ``x_g`` and
     ``x_{g+1}`` (0 = before the first crossing, ``c`` = after the last).
+    ``cuts`` is a read-only view of a private copy, each edge's gaps a
+    sorted tuple, so a plan never changes; cuts that are not a map are
+    refused with ``ValueError``.
     """
 
-    cuts: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    cuts: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not isinstance(self.cuts, Mapping):
@@ -617,7 +628,7 @@ class SubdivisionPlan:
                 ) from None
             if gaps:
                 cuts[e] = gaps
-        object.__setattr__(self, "cuts", cuts)
+        object.__setattr__(self, "cuts", MappingProxyType(cuts))
 
 
 def _checked_cuts(d: Drawing, plan: Optional[SubdivisionPlan]) -> dict[int, tuple[int, ...]]:
@@ -665,7 +676,8 @@ class CrossingGraph:
     A crossing graph is a frozen value, so its components are found once,
     on the first call of :meth:`components`, and kept as tuples; every call
     returns fresh lists, which a caller may change without changing what a
-    later call returns.
+    later call returns.  The key of each arc is also found once (see
+    :attr:`_arc_keys`).
     """
 
     nodes: tuple[ArcRef, ...]
@@ -676,6 +688,18 @@ class CrossingGraph:
     def _kept_components(self) -> tuple[tuple[int, ...], ...]:
         """Every component, trivial ones included (see :func:`_components`)."""
         return _components(len(self.nodes), self.edges)
+
+    @cached_property
+    def _arc_keys(self) -> tuple[tuple[int, int], ...]:
+        """Per node, ``(edge id, piece index)``: its edge and how many nodes
+        of that edge come before it."""
+        counts: dict[int, int] = {}
+        keys = []
+        for node in self.nodes:
+            piece = counts.get(node.edge, 0)
+            counts[node.edge] = piece + 1
+            keys.append((node.edge, piece))
+        return tuple(keys)
 
     def components(self, nontrivial: bool = True) -> list[list[int]]:
         """Connected components (node index lists), each sorted, in the order

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 
 # ===== Graphs =====
@@ -38,6 +38,15 @@ def _checked_pair(name: str, value: object) -> tuple:
     return a, b
 
 
+def _checked_iter(name: str, value: Iterable) -> Iterator:
+    """An iterator over ``value``, refused with ``ValueError("<name>
+    <value> are not iterable")`` if it has none; its items are not read."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValueError(f"{name} {value!r} are not iterable") from None
+
+
 @dataclass(frozen=True)
 class Graph:
     """A finite simple graph with integer vertex ids.
@@ -55,13 +64,14 @@ class Graph:
         """Builds a graph, normalizing order and rejecting malformed input.
 
         Raises:
-            ValueError: on an edge that is not a pair, ids that are not ints
+            ValueError: on vertices or edges that cannot be iterated, an
+                edge that is not a pair, ids that are not ints
                 (``bool`` included), loops, parallel edges, or unknown
                 endpoints.
         """
-        vset = {_checked_int("vertex", v) for v in vertices}
+        vset = {_checked_int("vertex", v) for v in _checked_iter("vertices", vertices)}
         norm: list[tuple[int, int]] = []
-        for e in edges:
+        for e in _checked_iter("edges", edges):
             u, v = _checked_pair("edge", e)
             u, v = _checked_int("vertex", u), _checked_int("vertex", v)
             if u == v:
@@ -223,7 +233,7 @@ def fan_cover(
 
     A cover exists iff the target edge set has a vertex cover of size at most
     ``ell`` (:func:`vertex_cover`).  On success the cover is the canonical
-    fans of the chosen centers (:func:`_canonical_fans`).  Returns ``None``
+    fans of the chosen centers (:func:`_canonical_groups`).  Returns ``None``
     if no cover of size ``ell`` exists.
     """
     edges = sorted(set((min(u, v), max(u, v)) for u, v in target))
@@ -231,15 +241,27 @@ def fan_cover(
         if not g.has_edge(*e):
             raise ValueError(f"target edge {e} not in graph")
     centers = vertex_cover(edges, ell)
-    return None if centers is None else _canonical_fans(edges, sorted(centers))
+    if centers is None:
+        return None
+    # A vertex cover leaves no edge without a center.
+    return [Fan(c, es) for c, es in _canonical_groups(edges, sorted(centers))]
 
 
-def _canonical_fans(
+class _FanGroup(NamedTuple):
+    """A center and the edges given to it, read like a :class:`Fan` by a
+    check that takes ``center`` and ``edges``, but made without its checks."""
+
+    center: int
+    edges: list[tuple[int, int]]
+
+
+def _canonical_groups(
     edges: Iterable[tuple[int, int]], centers: Sequence[int]
-) -> Optional[list[Fan]]:
-    """The canonical fans of ``edges`` on the increasing ``centers``: each
-    edge goes to the least center it contains, and one fan per used center
-    is returned, sorted by center; None if some edge contains no center."""
+) -> Optional[list[_FanGroup]]:
+    """The canonical groups of ``edges`` on the increasing ``centers``: each
+    edge goes to the least center it contains, and one group per used
+    center is returned, sorted by center, its edges in the given order;
+    None if some edge contains no center."""
     groups: dict[int, list[tuple[int, int]]] = {}
     for e in edges:
         for c in centers:
@@ -248,7 +270,7 @@ def _canonical_fans(
         else:
             return None
         groups.setdefault(c, []).append(e)
-    return [Fan(c, tuple(groups[c])) for c in sorted(groups)]
+    return [_FanGroup(c, groups[c]) for c in sorted(groups)]
 
 
 # ===== Colored graphs =====

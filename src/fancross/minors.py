@@ -10,10 +10,11 @@ are joined by a host edge.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import CapExceeded
 from .graphs import Graph, _checked_int, induced, radius_center
@@ -48,7 +49,26 @@ def _checked_bounds(c: int, d: int) -> None:
         raise ValueError("bad model: c must be positive and d nonnegative")
 
 
+def _checked_graphs(host: Graph, pattern: Graph) -> None:
+    """Refuses a host or a pattern that is not a :class:`Graph`."""
+    for name, g in (("host", host), ("pattern", pattern)):
+        if not isinstance(g, Graph):
+            raise ValueError(f"{name} {g!r} is not a Graph")
+
+
+def _checked_is_model(m: MinorModel) -> MinorModel:
+    """``m``, refused unless it is a :class:`MinorModel`."""
+    if not isinstance(m, MinorModel):
+        raise ValueError(f"model {m!r} is not a MinorModel")
+    return m
+
+
 def _structural_check(m: MinorModel) -> None:
+    _checked_graphs(_checked_is_model(m).host, m.pattern)
+    # The usual classes are tested first, so they skip the slower
+    # abstract-class checks.
+    if not isinstance(m.branch, (dict, Mapping)):
+        raise ValueError(f"branch {m.branch!r} is not a map")
     _checked_bounds(m.c, m.d)
     for v in m.pattern.vertices:
         if v not in m.branch:
@@ -56,6 +76,8 @@ def _structural_check(m: MinorModel) -> None:
     for v, vs in m.branch.items():
         if not m.pattern.has_vertex(v):
             raise ValueError(f"unknown pattern vertex {v} in branch")
+        if not isinstance(vs, (tuple, Collection)):
+            raise ValueError(f"branch set {vs!r} of vertex {v} is not a collection")
         if not vs:
             raise ValueError(f"empty branch for vertex {v}")
         for u in vs:
@@ -66,8 +88,9 @@ def _structural_check(m: MinorModel) -> None:
 def verify_model(m: MinorModel) -> list[str]:
     """Checks the three model conditions; returns sorted violation strings.
 
-    Malformed models (missing, empty, or out-of-range branch sets, or bad
-    parameters) raise ValueError instead.
+    Malformed models (a host or pattern that is not a :class:`Graph`,
+    branch sets that are not a map of collections, missing, empty, or
+    out-of-range branch sets, or bad parameters) raise ValueError instead.
     """
     _structural_check(m)
     out: list[str] = []
@@ -143,8 +166,10 @@ def find_model_bruteforce(
     so chaining each vertex to its latest earlier twin orders a whole class.
 
     Hosts with more than ``cap`` vertices are refused; raise the cap
-    explicitly for larger exhaustive runs.
+    explicitly for larger exhaustive runs.  A host or pattern that is not a
+    :class:`Graph` is refused with ``ValueError``.
     """
+    _checked_graphs(host, pattern)
     _checked_bounds(c, d)
     if host.n > _checked_int("cap", cap):
         raise CapExceeded("search cap exceeded")

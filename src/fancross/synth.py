@@ -29,12 +29,12 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-from .cluster import Certificate, _arc_keys, _certificate, verify_certificate
+from .cluster import Certificate, _certificate, verify_certificate
 from .drawing import Drawing, SubdivisionPlan, _require_valid, crossing_graph, validate
 from .errors import InvariantBroken
 from .geometry import Vec, _arrangement, _drawing_along, _rotations
 from .graphs import Fan, Graph, _checked_int, radius_center
-from .minors import MinorModel, strip_universal, verify_model
+from .minors import MinorModel, _checked_is_model, strip_universal, verify_model
 
 __all__ = ["RegionTag", "SynthResult", "synthesize", "pipeline_theorem2"]
 
@@ -84,7 +84,7 @@ def _checked_inputs(host: Drawing, m: MinorModel) -> int:
     _require_valid(host)
     if any(host.kind[pv] == "crossing" for pv in host.plan.vertices):
         raise ValueError("host drawing has crossings")
-    if host.base != m.host:
+    if host.base != _checked_is_model(m).host:
         raise ValueError("drawing does not match the host")
     _checked_model(m, m.c)
     return m.c
@@ -520,7 +520,7 @@ class _Builder:
         a component spans two regions."""
         cg = crossing_graph(d, plan)
         comps = cg.components(nontrivial=True)
-        piece_key = _arc_keys(cg)
+        piece_key = cg._arc_keys
         covers: dict[int, tuple[Fan, ...]] = {}
         assignment: dict[tuple[int, int], int] = {}
         for cid, comp in enumerate(comps):
@@ -621,7 +621,7 @@ def pipeline_theorem2(
         raise ValueError(f"unknown host vertex {u}")
     if host_plus.degree(u) != host_plus.n - 1:
         raise ValueError("not universal")
-    if m.host != host_plus:
+    if _checked_is_model(m).host != host_plus:
         raise ValueError("model does not match the host")
     _checked_model(m, _checked_int("k", k))
     dropped, m2 = strip_universal(m, u)

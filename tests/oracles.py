@@ -41,7 +41,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from fancross.cluster import (
     Certificate,
-    _arc_keys,
     _cut_options,
     _verified,
     verify_certificate,
@@ -164,7 +163,7 @@ def _oracle_comp_feasible(d, plan, k, ell, strong, cg, comps, cid, memo) -> bool
         ok = oracle_vertex_cover(part_edges, cands, ell) is not None
         memo[sig] = ok
         return ok
-    keys = _arc_keys(cg)
+    keys = cg._arc_keys
     ok = False
     for size in range(1, min(ell, len(cands)) + 1):
         for chosen in itertools.combinations(cands, size):
@@ -252,7 +251,7 @@ def oracle_search_certificate(d, k: int, ell: int, strong: bool = False, cap: in
         checked = _checked_cuts(d, plan)
         cg = _crossing_graph(d, checked)
         comps = cg.components()
-        keys = _arc_keys(cg)
+        keys = cg._arc_keys
         d2 = pieces_of = None
         if strong and comps:
             d2, pieces_of = _cut(d, checked)

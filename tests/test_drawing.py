@@ -25,10 +25,9 @@ from oracles import (
     stitched_path,
 )
 
-from fancross import cluster, drawing, transduce
+from fancross import cluster, drawing, synth, transduce
 from fancross.cluster import (
     Certificate,
-    _arc_keys,
     _cut_options,
     _kept_options,
     search_certificate,
@@ -843,7 +842,7 @@ def test_kept_components_equal_fresh_ones_on_seeded_corpus():
     """A crossing graph keeps its components after the first call.  On
     every call they equal those of a freshly built graph, which has kept
     nothing yet, and the breadth-first oracle's; uncut, the nontrivial ones
-    are the edge groups."""
+    are the edge groups.  It keeps its arc keys the same way."""
     for i, d in enumerate(crossing_graph_corpus()):
         rng = random.Random(i)
         for plan in (SubdivisionPlan(), *(cut_plan(d, rng) for _ in range(2))):
@@ -854,6 +853,10 @@ def test_kept_components_equal_fresh_ones_on_seeded_corpus():
             assert fresh.components(nontrivial=False) == every == oracle_components(cg)
             assert cg.components() == [c for c in every if len(c) >= 2]
             assert cg.components(nontrivial=False) == every
+            # Each arc's key: its edge and the number of earlier arcs of it.
+            edges = [a.edge for a in cg.nodes]
+            keys = tuple((e, edges[:n].count(e)) for n, e in enumerate(edges))
+            assert cg._arc_keys == fresh._arc_keys == keys and cg._arc_keys is cg._arc_keys
         assert crossing_graph(d).components() == oracle_edge_groups(d)
 
 
@@ -1021,6 +1024,217 @@ def test_a_query_sequence_builds_each_table_once(monkeypatch):
     assert folds == [2, 1]
     assert [c for c in calls["_crossing_graph"] if c == (d, {})] == [(d, {})]
     assert d.__dict__["_uncut_graph"] is uncut
+
+
+# ===== The verdict a drawing keeps =====
+
+
+def json_copy(d):
+    """``d`` read back from its JSON document: equal, and keeping nothing."""
+    copy = drawing_from_json(drawing_to_json(d))
+    assert copy == d and copy is not d
+    return copy
+
+
+def without_first_cover(cert):
+    """``cert`` less its first cover, which fails as ``"no cover"``."""
+    first = min(cert.covers)
+    return Certificate(
+        cert.k, cert.ell, cert.plan, {c: f for c, f in cert.covers.items() if c != first}, cert.assignment
+    )
+
+
+def verdict_cases():
+    """``(drawing, certificate)`` pairs: the first 400 results of the
+    synthesis corpus, whose drawings keep the strong verdict ``synthesize``
+    reached; weak and strong search certificates on the seeded
+    ``random_kplanar`` drawings and on the figures, with fig1a's own; and
+    each of the last two with its first cover removed."""
+    rng = random.Random(1)
+    for _ in range(400):
+        res = synthesize(*random_model(rng))
+        yield res.drawing, res.cert
+    drawings = [random_kplanar(n, k, seed) for n in range(6, 13) for k in (1, 2, 3) for seed in range(6)]
+    drawings += [fig1a(), *(fig1b(m) for m in range(3, 9)), fig3()]
+    certs = [(fig1a(), fig1a_certificate())]
+    for d in drawings:
+        for k, ell, strong in ((2, 1, False), (2, 2, False), (2, 2, True)):
+            try:
+                cert = search_certificate(d, k, ell, strong=strong)
+            except CapExceeded:
+                continue
+            if cert is not None:
+                certs.append((d, cert))
+    for d, cert in certs:
+        yield d, cert
+        if cert.covers:
+            yield d, without_first_cover(cert)
+
+
+def assert_kept_verdicts_equal_fresh_ones(d, cert):
+    """Over a query sequence with every pair of modes in turn, by a caller
+    who clears every report's ``stats``, each answer on ``d`` equals a
+    fresh verification on a copy of ``d`` read back from JSON; returns the
+    fresh reports, weak and strong."""
+    want = [verify_certificate(json_copy(d), cert, strong=strong) for strong in (False, True)]
+    for strong in (True, False, True, False, False, True, True):
+        rep = verify_certificate(d, cert, strong=strong)
+        assert rep == want[strong], strong
+        rep.stats.clear()
+    return want
+
+
+def test_kept_verdicts_equal_fresh_ones_on_seeded_corpus():
+    """Each case is asked on its drawing and then on that drawing with the
+    next face outside, which keeps no verdict.  The corpus holds
+    certificates that pass both checks, pass the weak one only, and fail
+    both, and certificates whose strong verdict the other outer face
+    changes."""
+    outcomes = Counter()
+    moved_differ = 0
+    for d, cert in verdict_cases():
+        want = assert_kept_verdicts_equal_fresh_ones(d, cert)
+        moved = d.with_outer((d.outer + 1) % max(len(d.faces), 1))
+        assert "_verdict_slot" in d.__dict__ and "_verdict_slot" not in moved.__dict__
+        moved_want = assert_kept_verdicts_equal_fresh_ones(moved, cert)
+        for rep in (*want, *moved_want):
+            outcomes[rep.verdict, rep is want[1] or rep is moved_want[1]] += 1
+        moved_differ += moved_want[1] != want[1]
+        outcomes["weak pass, strong fail"] += sum(w.verdict > s.verdict for w, s in (want, moved_want))
+    assert outcomes[True, True] >= 400
+    assert outcomes[False, True] >= 100
+    assert outcomes["weak pass, strong fail"] >= 20
+    assert moved_differ >= 20
+
+
+def test_a_drawing_keeps_one_verdict_for_one_certificate_object(monkeypatch):
+    """With face 5 outside, fig3's weak (2, 2) certificate passes the weak
+    check and fails the strong one.  A weak pass does not answer a strong
+    query, nor a failed strong check a weak one; the slot answers only the
+    certificate object it holds, so an equal certificate is checked again,
+    and one equal to it that holds float ids is refused as before; and the
+    drawing with face 1 outside, where the strong check passes, keeps
+    nothing of it."""
+    checked = []
+    real = cluster._structural_check
+    monkeypatch.setattr(cluster, "_structural_check", lambda d, c: checked.append(c) or real(d, c))
+    d = fig3().with_outer(5)
+    cert = search_certificate(d, 2, 2)
+    assert verify_certificate(d, cert).verdict
+    assert not verify_certificate(d, cert, strong=True).verdict
+    assert checked == [cert, cert]
+    assert verify_certificate(d, cert).verdict
+    assert not verify_certificate(d, cert, strong=True).verdict
+    assert not verify_certificate(d, cert, strong=True).verdict
+    assert checked == [cert] * 4
+    assert d.__dict__["_verdict_slot"][:2] == (cert, True)
+    twin = Certificate(cert.k, cert.ell, cert.plan, dict(cert.covers), dict(cert.assignment))
+    assert twin == cert
+    assert not verify_certificate(d, twin, strong=True).verdict
+    assert len(checked) == 5 and checked[-1] is twin
+    floats = replace(twin, assignment={key: float(c) for key, c in twin.assignment.items()})
+    assert floats == twin
+    with pytest.raises(ValueError, match=r"^assignment center \d\.0 is not an int$"):
+        verify_certificate(d, floats, strong=True)
+    assert d.__dict__["_verdict_slot"][0] is twin
+    moved = d.with_outer(1)
+    assert "_verdict_slot" not in moved.__dict__
+    assert verify_certificate(moved, twin, strong=True).verdict
+    assert not verify_certificate(d, twin, strong=True).verdict
+
+
+def test_a_caller_cannot_change_a_kept_verdict():
+    """Every report has its own ``stats`` and every call its own component
+    lists, so what a caller does to them reaches no later answer."""
+    d, cert = fig1a(), fig1a_certificate()
+    first = verify_certificate(d, cert, strong=True)
+    want = dict(first.stats)
+    first.stats["components"] = 99
+    second = verify_certificate(d, cert, strong=True)
+    assert second.stats == want and second.stats is not first.stats
+    second.stats.clear()
+    weak = verify_certificate(d, cert)
+    assert weak.stats == want and weak.verdict
+    _, cg, comps, keys = cluster._verified(d, cert, False)
+    assert keys is cg._arc_keys
+    comps[0].append(99)
+    comps.append([7])
+    with pytest.raises(TypeError):
+        keys[0] = (9, 9)
+    clusters = [[2, 3, 4, 10, 11, 13, 14, 16], [5, 6, 7, 9, 15, 17], [8, 12, 18, 19]]
+    assert cluster._verified(d, cert, False)[2] == cg.components() == clusters
+    assert verify_certificate(d, cert, strong=True).stats == want
+
+
+def test_a_certificate_never_changes():
+    """A certificate's maps and its plan's cuts refuse item assignment, its
+    fan lists are tuples, and the dicts a caller built it from, changed
+    afterwards, do not reach it."""
+    base = fig1a_certificate()
+    cuts = {e: list(g) for e, g in base.plan.cuts.items()}
+    covers = {c: list(fans) for c, fans in base.covers.items()}
+    assignment = dict(base.assignment)
+    cert = Certificate(base.k, base.ell, SubdivisionPlan(cuts), covers, assignment)
+    assert cert == base
+    assert all(type(fans) is tuple for fans in cert.covers.values())
+    for m in (cert.covers, cert.assignment, cert.plan.cuts):
+        with pytest.raises(TypeError):
+            m[0] = ()
+    cuts.clear()
+    covers[0].pop()
+    covers.clear()
+    assignment[(0, 0)] = 99
+    assert cert == base
+    d = fig1a()
+    assert verify_certificate(d, cert, strong=True).verdict
+
+
+def test_the_strong_check_runs_only_inside_synthesize(monkeypatch):
+    """From a model to the decoded pattern, the synthesized certificate is
+    checked once, strongly, inside ``synthesize``: the caller's
+    ``validate``, its strong ``verify_certificate`` and the clustered
+    compile's weak check run neither the structural nor the strong check
+    again.  Over the grid models of the theorem pipeline and part of the
+    synthesis corpus, which includes certificates from the exact covers."""
+    phase = ["synthesize"]
+    calls = Counter()
+    checked = []
+    real_failures, real_check = cluster._strong_failures, cluster._structural_check
+
+    def strong_failures(*args):
+        calls["strong", phase[0]] += 1
+        return real_failures(*args)
+
+    def structural_check(d, cert):
+        calls["structural", phase[0]] += 1
+        checked.append(cert)
+        return real_check(d, cert)
+
+    monkeypatch.setattr(cluster, "_strong_failures", strong_failures)
+    monkeypatch.setattr(cluster, "_structural_check", structural_check)
+    real_certificate = synth._certificate
+    monkeypatch.setattr(
+        synth, "_certificate", lambda *args: calls.update(["exact"]) or real_certificate(*args)
+    )
+    rng = random.Random(1)
+    models = [random_model(rng) for _ in range(360)]
+    g = grid2d(2, 3)
+    host = drawing_from_segments(g, {i * 3 + j: pt(j, i) for i in range(2) for j in range(3)})
+    models.append((host, find_model_bruteforce(g, complete(4), 2, 2, cap=16)))
+    decoded = 0
+    for host, m in models:
+        phase[0] = "synthesize"
+        del checked[:]
+        res = synthesize(host, m)
+        assert checked[-1] is res.cert
+        phase[0] = "after"
+        assert validate(res.drawing) == []
+        assert verify_certificate(res.drawing, res.cert, strong=True).verdict
+        out = transduce_clustered(res.drawing, res.cert, {}, res.kPrime)
+        decoded += eval_formula(out) == m.pattern
+    assert decoded == len(models) and calls["exact"] == 1
+    assert calls["strong", "synthesize"] > 0 and calls["structural", "synthesize"] >= len(models)
+    assert calls["strong", "after"] == calls["structural", "after"] == 0
 
 
 # ===== Planarize =====
@@ -1316,7 +1530,7 @@ def strong_failures_agree(d, cuts, rng):
     cut at gap 0 or end at a cut at the last gap, components that miss the
     outer face, and cuts next to a bend."""
     cg = _crossing_graph(d, cuts)
-    keys = _arc_keys(cg)
+    keys = cg._arc_keys
     d2, pieces = _cut(d, cuts)
     comp_of = oracle_component_index(d.plan.vertices, d.plan.edges)
     outer = comp_of[d.faces[d.outer][0][0]]

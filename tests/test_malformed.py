@@ -22,8 +22,10 @@ from fancross import (
     SubdivisionPlan,
     add_universal_vertex,
     crossing_graph,
+    find_model_bruteforce,
     is_k_planar,
     min_ell,
+    pipeline_theorem2,
     planarize,
     roundtrip,
     search_certificate,
@@ -36,7 +38,7 @@ from fancross import (
 )
 from fancross.fixtures import fig1a, fig1a_certificate, fig1b, fig3, random_kplanar
 from fancross.geometry import drawing_from_polylines, drawing_from_segments, pt
-from fancross.graphs import ColorLabel, Fan, Graph, complete, cycle, grid2d
+from fancross.graphs import ColorLabel, Fan, Graph, complete, cycle, grid2d, path
 from fancross.synth import RegionTag, synthesize
 from test_drawing import lens
 
@@ -571,6 +573,80 @@ def test_a_drawing_that_is_not_a_drawing_is_refused(call, bad):
     ``AttributeError`` before it."""
     with pytest.raises(ValueError, match=f"^drawing {re.escape(repr(bad))} is not a Drawing$"):
         call(bad)
+
+
+def path_model(**fields) -> MinorModel:
+    """The path on three vertices in the 2 x 2 grid, at c = d = 1, with
+    ``fields`` replaced."""
+    m = MinorModel(grid2d(2, 2), path(3), {0: (0,), 1: (1,), 2: (3,)}, 1, 1)
+    return dataclasses.replace(m, **fields)
+
+
+def apex_path_model(**fields) -> MinorModel:
+    """:func:`path_model` in the grid plus its universal apex."""
+    return path_model(**{"host": apex_model()["host_plus"], **fields})
+
+
+MODEL_SHAPES = [
+    ({"host": None}, r"^host None is not a Graph$"),
+    ({"pattern": None}, r"^pattern None is not a Graph$"),
+    ({"pattern": [0, 1, 2]}, r"^pattern \[0, 1, 2\] is not a Graph$"),
+    ({"branch": None}, r"^branch None is not a map$"),
+    ({"branch": [(0,), (1,), (3,)]}, r"^branch \[\(0,\), \(1,\), \(3,\)\] is not a map$"),
+    ({"branch": {0: 5, 1: (1,), 2: (3,)}}, r"^branch set 5 of vertex 0 is not a collection$"),
+]
+
+
+@pytest.mark.parametrize("fields, message", MODEL_SHAPES)
+def test_models_of_the_wrong_shape_are_refused(fields, message):
+    """``verify_model`` read the model's host, pattern and branch sets
+    unchecked, so a ``None`` or a branch set ``5`` raised ``AttributeError``
+    or ``TypeError``, a list of branch sets was refused as missing the
+    branch of vertex 0, and so did ``synthesize`` and
+    ``pipeline_theorem2``, which check their model with it.  A host that is
+    not the drawing's is refused by ``synthesize`` and
+    ``pipeline_theorem2`` before that."""
+    with pytest.raises(ValueError, match=message):
+        verify_model(path_model(**fields))
+    if "host" in fields:
+        message = r"^(drawing|model) does not match the host$"
+    with pytest.raises(ValueError, match=message):
+        synthesize(apex_model()["drawing"], path_model(**fields))
+    args = apex_model()
+    with pytest.raises(ValueError, match=message):
+        pipeline_theorem2(**{**args, "m": apex_path_model(**fields)})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: verify_model(None), r"^model None is not a MinorModel$"),
+        (lambda: synthesize(apex_model()["drawing"], None), r"^model None is not a MinorModel$"),
+        (
+            lambda: pipeline_theorem2(**{**apex_model(), "m": None}),
+            r"^model None is not a MinorModel$",
+        ),
+        (lambda: find_model_bruteforce(None, path(3), 1, 1), r"^host None is not a Graph$"),
+        (lambda: find_model_bruteforce(grid2d(2, 2), None, 1, 1), r"^pattern None is not a Graph$"),
+        (lambda: find_model_bruteforce(fig3(), path(3), 1, 1), r"^host Drawing\(.*\) is not a Graph$"),
+        (lambda: Graph.make(None, []), r"^vertices None are not iterable$"),
+        (lambda: Graph.make([0, 1], None), r"^edges None are not iterable$"),
+        (lambda: Graph.make(5, [(0, 1)]), r"^vertices 5 are not iterable$"),
+        (lambda: verify_certificate(fig1a(), None), r"^certificate None is not a Certificate$"),
+        (
+            lambda: verify_certificate(fig1a(), fig1a_certificate().covers, strong=True),
+            r"^certificate mappingproxy\(.*\) is not a Certificate$",
+        ),
+    ],
+)
+def test_graphs_models_and_certificates_that_are_not_are_refused(call, message):
+    """Each raised ``AttributeError`` or ``TypeError``: ``verify_model``,
+    ``synthesize``, ``pipeline_theorem2`` and ``verify_certificate`` read
+    fields of what they were given, the model search read ``host.n`` and
+    ``pattern.vertices``, and ``Graph.make`` iterated its arguments
+    unchecked."""
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ===== Int parameters =====

@@ -7,11 +7,11 @@ cover by at most ``ell`` fans and an assignment of each arc to the fan
 containing its edge.
 Strong verification additionally checks, for every fan and every crossed
 arc, the one-sided non-enclosing fan-crossing property.  It runs on the
-uncut drawing wherever it is used (verification, the search and its final
-certificate): an arc is a stretch ``(edge, lo, hi)`` of its edge's path,
-which a crossing-graph :class:`ArcRef` equals, and a cut adds only a
-degree-2 vertex inside one plan edge, leaving every face as it is (see
-:func:`drawing._fan_core`), so no strong check cuts anything.
+uncut drawing wherever it is used (verification and the search): an arc
+is a stretch ``(edge, lo, hi)`` of its edge's path, which a crossing-graph
+:class:`ArcRef` equals, and a cut adds only a degree-2 vertex inside one
+plan edge, leaving every face as it is (see :func:`drawing._fan_core`), so
+no strong check cuts anything.
 
 The checks read what the drawing keeps instead of deriving it again.  The
 search, verification, :func:`_certificate` and the clustered compile read
@@ -28,14 +28,14 @@ intersects each fan edge with each arc once, and hands those hits to
 plain edge groups and builds :class:`Fan` objects only for the cover it
 returns.
 
-A :class:`Certificate` is frozen like a drawing, so a drawing also keeps
-the verdict on the last certificate verified on it, keyed by the
-certificate object, and answers that object again without checking it
-(see :func:`_verified`): the strong check :func:`synth.synthesize` runs
-on its own output is not repeated by a caller's strong verification nor
-by the clustered compile's weak one.  Anything but a :class:`Drawing` is
-refused with ``ValueError`` by one shared check, and anything but a
-:class:`Certificate` by the structural check.
+Each certificate rule has one owner: a :class:`Certificate` checks its
+shape when it is built, and :func:`_verified` alone checks its ids against
+a drawing and what it means.  A certificate is frozen like a drawing, so a
+drawing keeps the verdict on the last certificate verified on it and
+answers that object again without checking it: the strong check that
+:func:`search_certificate` and :func:`synth.synthesize` run on their own
+output is not repeated by a caller's strong verification nor by the
+clustered compile's weak one.
 
 The exact search returns the first certificate in a fixed order: the product
 order of every edge's interior cut options (edge 0 varying slowest), with the
@@ -90,11 +90,11 @@ class Certificate:
     lists; ``assignment`` maps arcs, keyed ``(edge id, piece index)``, to the
     center of their assigned fan.
 
-    Like a :class:`Drawing`, a certificate never changes: both maps become
-    read-only views of private copies, and a fan list becomes a tuple, so a
-    caller's dicts changed later do not reach it, and a drawing can keep
-    the verdict on it (see :func:`verify_certificate`).  A container of the
-    wrong shape is kept as given, for :func:`verify_certificate` to refuse.
+    Every rule that needs no drawing is checked once, when it is built,
+    with ``ValueError``.  Then, like a :class:`Drawing`, it never changes:
+    both maps become read-only views of private copies, and a fan list
+    becomes a tuple, so a caller's dicts changed later do not reach it, and
+    a drawing can keep the verdict on it (see :func:`verify_certificate`).
     """
 
     k: int
@@ -104,16 +104,34 @@ class Certificate:
     assignment: Mapping[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _checked_bounds(self.k, self.ell, "certificate")
+        if not isinstance(self.plan, SubdivisionPlan):
+            raise ValueError(f"certificate plan {self.plan!r} is not a SubdivisionPlan")
         # ``dict`` is tested first, so the usual maps skip the slower
         # abstract-class check.
-        if isinstance(self.covers, (dict, Mapping)):
-            covers = dict(self.covers)
-            for cid, fans in covers.items():
-                if isinstance(fans, list):
-                    covers[cid] = tuple(fans)
-            object.__setattr__(self, "covers", MappingProxyType(covers))
-        if isinstance(self.assignment, (dict, Mapping)):
-            object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
+        for name in ("covers", "assignment"):
+            if not isinstance(getattr(self, name), (dict, Mapping)):
+                raise ValueError(f"certificate {name} {getattr(self, name)!r} is not a map")
+        for gaps in self.plan.cuts.values():
+            if len(gaps) > self.k - 1:
+                raise ValueError("too many cuts")
+            if len(set(gaps)) != len(gaps):
+                raise ValueError("repeated cut")
+        covers: dict[int, tuple[Fan, ...]] = {}
+        for cid, fans in self.covers.items():
+            _checked_int("cover component", cid)
+            if not isinstance(fans, (tuple, list)) or not all(isinstance(f, Fan) for f in fans):
+                raise ValueError(f"cover {cid!r} is not a list of fans")
+            if len({f.center for f in fans}) != len(fans):
+                raise ValueError("duplicate fan center")
+            covers[cid] = tuple(fans)
+        for key, center in self.assignment.items():
+            eid, piece = _checked_pair("assignment key", key)
+            _checked_int("assignment edge", eid)
+            _checked_int("assignment piece", piece)
+            _checked_int("assignment center", center)
+        object.__setattr__(self, "covers", MappingProxyType(covers))
+        object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
 
 
 @dataclass(frozen=True)
@@ -133,27 +151,12 @@ def _checked_bounds(k: int, ell: int, what: str) -> None:
 
 
 def _structural_check(d: Drawing, cert: Certificate) -> None:
+    """Refuses anything but a certificate whose ids all lie in ``d``'s base;
+    it checked the rest of its shape when it was built."""
     if not isinstance(cert, Certificate):
         raise ValueError(f"certificate {cert!r} is not a Certificate")
-    _checked_bounds(cert.k, cert.ell, "certificate")
-    if not isinstance(cert.plan, SubdivisionPlan):
-        raise ValueError(f"certificate plan {cert.plan!r} is not a SubdivisionPlan")
-    for name in ("covers", "assignment"):
-        if not isinstance(getattr(cert, name), Mapping):
-            raise ValueError(f"certificate {name} {getattr(cert, name)!r} is not a map")
-    for eid, gaps in cert.plan.cuts.items():
-        if len(gaps) > cert.k - 1:
-            raise ValueError("too many cuts")
-        if len(set(gaps)) != len(gaps):
-            raise ValueError("repeated cut")
     vertices, edge_index = d.base._vertex_set, d.base._edge_index
-    for cid, fans in cert.covers.items():
-        _checked_int("cover component", cid)
-        if not isinstance(fans, (tuple, list)) or not all(isinstance(f, Fan) for f in fans):
-            raise ValueError(f"cover {cid!r} is not a list of fans")
-        centers = [f.center for f in fans]
-        if len(set(centers)) != len(centers):
-            raise ValueError("duplicate fan center")
+    for fans in cert.covers.values():
         for f in fans:
             # A fan's center and edge ends are ints, and its edges are
             # (min, max) like the base's, so plain lookups decide both.
@@ -163,11 +166,7 @@ def _structural_check(d: Drawing, cert: Certificate) -> None:
                 if (u, v) not in edge_index:
                     raise ValueError(f"unknown fan edge ({u}, {v})")
     m, cuts = d.base.m, cert.plan.cuts
-    for key, center in cert.assignment.items():
-        eid, piece = _checked_pair("assignment key", key)
-        _checked_int("assignment edge", eid)
-        _checked_int("assignment piece", piece)
-        _checked_int("assignment center", center)
+    for (eid, piece), center in cert.assignment.items():
         if not (0 <= eid < m) or not (0 <= piece <= len(cuts.get(eid, ()))):
             raise ValueError("unknown arc in assignment")
         if center not in vertices:
@@ -211,7 +210,7 @@ def _crossed_arcs(
 
 def _strong_failures(
     d: Drawing,
-    cuts: dict[int, tuple[int, ...]],
+    cuts: Mapping[int, tuple[int, ...]],
     cid: int,
     crossed: Sequence[tuple[int, int, int, set[int]]],
     fans: Sequence[Fan],
@@ -358,7 +357,7 @@ def _kept_options(d: Drawing, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]
 
 def _strong_cover(
     d: Drawing,
-    cuts: dict[int, tuple[int, ...]],
+    cuts: Mapping[int, tuple[int, ...]],
     arcs: Sequence[tuple[int, int, int]],
     part: Sequence[tuple[int, int]],
     ell: int,
@@ -389,14 +388,15 @@ def search_certificate(
     overall is the union of every component's first plan; each is found by
     :class:`_GroupSearch`.  In the uncut graph node ``i`` is edge ``i``, so
     its components are the searched edge groups, each sorted.  The
-    certificate is then built on that plan by :func:`_certificate`, which
-    checks every component again (in strong mode, the cover the search found
-    for it) and raises ``InvariantBroken`` if one fails.  Drawings with
-    more than ``cap`` crossings are refused with ``CapExceeded``, and a
-    crossing not passed by exactly two edges with ``ValueError``.  The
-    crossing count, the uncut crossing graph, the crossing index and the
-    cut options are read from what ``d`` keeps, so a later query on the
-    same drawing builds none of them again.
+    certificate is then built on that plan by :func:`_certificate`.  A
+    strong one is checked by :func:`_verified`, whose verdict ``d`` keeps
+    for the caller's verification and compile, and ``InvariantBroken`` is
+    raised if it fails; a weak one is not checked.  Drawings with more than
+    ``cap`` crossings are refused with ``CapExceeded``, and a crossing not
+    passed by exactly two edges with ``ValueError``.  The crossing count,
+    the uncut crossing graph, the crossing index and the cut options are
+    read from what ``d`` keeps, so a later query on the same drawing builds
+    none of them again.
     """
     _checked_drawing(d)
     _checked_bounds(k, ell, "search parameters")
@@ -416,7 +416,7 @@ def search_certificate(
         cuts.update(found)
     memo = search.strong_memo if strong else None
     cert = _certificate(d, k, ell, strong, SubdivisionPlan(cuts), memo)
-    if cert is None:
+    if cert is None or (strong and not _verified(d, cert, True)[0].verdict):
         raise InvariantBroken("certificate search invariant broken")
     return cert
 
@@ -435,9 +435,7 @@ def _certificate(
     A strong search hands over its ``memo`` of covers by arc set.  The
     search keys it by ``(edge, lo, hi)`` tuples, which equal the
     :class:`ArcRef` nodes of the crossing graph, so each component's cover
-    is looked up by its nodes and checked once with
-    :func:`_strong_failures`; a missing or failing cover raises
-    ``InvariantBroken``.
+    is only looked up by its nodes, and a missing one gives None.
     """
     cg = crossing_graph(d, plan)
     comps = cg.components()
@@ -446,17 +444,14 @@ def _certificate(
     assignment: dict[tuple[int, int], int] = {}
     for cid, comp in enumerate(comps):
         arcs = [cg.nodes[n] for n in comp]
-        part_edges = [d.base.edges[e] for e in sorted({a.edge for a in arcs})]
         if memo is not None:
             fans = memo.get(frozenset(arcs))
-            if fans is None or next(
-                _strong_failures(d, plan.cuts, cid, _crossed_arcs(d, arcs), fans), None
-            ):
-                raise InvariantBroken("certificate search invariant broken")
-        elif strong:
-            fans = _strong_cover(d, plan.cuts, arcs, part_edges, ell)
         else:
-            fans = fan_cover(d.base, part_edges, ell)
+            part_edges = [d.base.edges[e] for e in sorted({a.edge for a in arcs})]
+            if strong:
+                fans = _strong_cover(d, plan.cuts, arcs, part_edges, ell)
+            else:
+                fans = fan_cover(d.base, part_edges, ell)
         if fans is None:
             return None
         covers[cid] = tuple(fans)

@@ -20,7 +20,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
-from .graphs import Graph, _checked_int
+from .graphs import Graph, _checked_int, _checked_iter
 
 Dart = tuple[int, int]
 
@@ -74,8 +74,12 @@ class Drawing:
 
     def __post_init__(self) -> None:
         for name in ("rotation", "kind", "trace"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
-        object.__setattr__(self, "outers", tuple(self.outers))
+            try:
+                table = dict(getattr(self, name))
+            except (TypeError, ValueError):
+                raise ValueError(f"drawing {name} {getattr(self, name)!r} is not a map") from None
+            object.__setattr__(self, name, MappingProxyType(table))
+        object.__setattr__(self, "outers", tuple(_checked_iter("outers", self.outers)))
 
     # ----- derived lookups (assume a valid drawing) -----
 
@@ -447,7 +451,7 @@ def validate(d: Drawing) -> list[str]:
 
     The checks run once per drawing; later calls copy the kept verdict.
     """
-    return list(d._violations)
+    return list(_checked_drawing(d)._violations)
 
 
 def _checked_drawing(d: object) -> Drawing:
@@ -595,7 +599,7 @@ def crossings_per_edge(d: Drawing) -> dict[int, int]:
 def is_k_planar(d: Drawing, k: int) -> bool:
     """True iff every base edge is crossed at most ``k`` times."""
     _checked_int("k", k)
-    return all(c <= k for c in crossings_per_edge(d).values())
+    return all(c <= k for c in crossings_per_edge(_checked_drawing(d)).values())
 
 
 # ===== Subdivision plans and arcs =====
@@ -609,8 +613,9 @@ class SubdivisionPlan:
     valid positions are ``0 .. c``: position ``g`` lies between ``x_g`` and
     ``x_{g+1}`` (0 = before the first crossing, ``c`` = after the last).
     ``cuts`` is a read-only view of a private copy, each edge's gaps a
-    sorted tuple, so a plan never changes; cuts that are not a map are
-    refused with ``ValueError``.
+    sorted tuple, so a plan never changes.  Cuts that are not a map, and an
+    edge id or a gap that is not an int (``bool`` included), are refused
+    here with ``ValueError``, and the ranges by :func:`_checked_cuts`.
     """
 
     cuts: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
@@ -626,33 +631,31 @@ class SubdivisionPlan:
                 raise ValueError(
                     f"gaps {gs!r} on edge {e!r} in subdivision plan are not a sequence of ints"
                 ) from None
-            if gaps:
-                cuts[e] = gaps
+            if not gaps:
+                continue
+            if type(e) is not int:
+                raise ValueError(f"edge id {e!r} in subdivision plan is not an int")
+            for g in gaps:
+                if type(g) is not int:
+                    raise ValueError(f"gap {g!r} on edge {e} in subdivision plan is not an int")
+            cuts[e] = gaps
         object.__setattr__(self, "cuts", MappingProxyType(cuts))
 
 
-def _checked_cuts(d: Drawing, plan: Optional[SubdivisionPlan]) -> dict[int, tuple[int, ...]]:
-    """The plan's cuts, checked against ``d``.  A plan that is not a
-    :class:`SubdivisionPlan` is refused, as is an edge id or a gap that is
-    not an int (``bool`` included) or is out of range."""
+def _checked_cuts(d: Drawing, plan: Optional[SubdivisionPlan]) -> Mapping[int, tuple[int, ...]]:
+    """The plan's cuts themselves, checked against ``d``: a plan that is not
+    a :class:`SubdivisionPlan` is refused, as is an edge id or a gap out of
+    range.  The plan checked its own ids and gaps when it was built."""
     if plan is None:
         return {}
     if not isinstance(plan, SubdivisionPlan):
         raise ValueError(f"subdivision plan {plan!r} is not a SubdivisionPlan")
-    out: dict[int, tuple[int, ...]] = {}
     for eid, gaps in plan.cuts.items():
-        if type(eid) is not int:
-            raise ValueError(f"edge id {eid!r} in subdivision plan is not an int")
         if not (0 <= eid < d.base.m):
             raise ValueError(f"unknown edge {eid} in subdivision plan")
-        c = len(d.edge_crossings[eid])
-        for g in gaps:
-            if type(g) is not int:
-                raise ValueError(f"gap {g!r} on edge {eid} in subdivision plan is not an int")
-            if not (0 <= g <= c):
-                raise ValueError("cut on crossing")
-        out[eid] = tuple(sorted(gaps))
-    return out
+        if not (0 <= gaps[0] and gaps[-1] <= len(d.edge_crossings[eid])):
+            raise ValueError("cut on crossing")
+    return plan.cuts
 
 
 class ArcRef(NamedTuple):
@@ -791,7 +794,7 @@ def subdivide_with_map(d: Drawing, plan: SubdivisionPlan) -> tuple[Drawing, dict
     returns ``d`` itself.  Nothing is kept: each call with cuts builds a
     new drawing.
     """
-    return _cut(d, _checked_cuts(d, plan))
+    return _cut(d, _checked_cuts(_checked_drawing(d), plan))
 
 
 def _cut(
@@ -914,7 +917,7 @@ def planarize(d: Drawing) -> tuple[Drawing, dict[int, int]]:
     Returns the crossing-free drawing of the plan graph itself, plus the map
     from former crossing vertices to their (identical) new base ids.
     """
-    base = Graph.make(d.plan.vertices, d.plan.edges)
+    base = Graph.make(_checked_drawing(d).plan.vertices, d.plan.edges)
     kind = {p: f"real:{p}" for p in d.plan.vertices}
     trace = {eid: (eid,) for eid in range(base.m)}
     out = Drawing(base, d.plan, d.rotation, kind, trace, d.outer, d.outers)

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 
 # ===== Graphs =====
@@ -45,6 +45,14 @@ def _checked_iter(name: str, value: Iterable) -> Iterator:
         return iter(value)
     except TypeError:
         raise ValueError(f"{name} {value!r} are not iterable") from None
+
+
+def _checked_graph(name: str, g: object) -> "Graph":
+    """``g``, refused with ``ValueError("<name> <g> is not a Graph")``
+    unless it is a :class:`Graph`."""
+    if not isinstance(g, Graph):
+        raise ValueError(f"{name} {g!r} is not a Graph")
+    return g
 
 
 @dataclass(frozen=True)
@@ -170,9 +178,16 @@ def radius_center(g: Graph, subset: Optional[Iterable[int]] = None) -> tuple[int
 
     Raises:
         ValueError: ``"not connected"`` if the subset is empty or the induced
-            subgraph is disconnected.
+            subgraph is disconnected, and another message if ``g`` is not a
+            :class:`Graph` or the subset is not a set of its vertices.
     """
-    verts = sorted(set(g.vertices if subset is None else subset))
+    _checked_graph("graph", g)
+    try:
+        verts = sorted(set(g.vertices if subset is None else subset))
+    except TypeError:
+        verts = None
+    if verts is None or not g._vertex_set.issuperset(verts):
+        raise ValueError(f"subset {subset!r} is not a set of vertices of the graph")
     if not verts:
         raise ValueError("not connected")
     eccs = []
@@ -307,6 +322,8 @@ class ColorLabel(_Label):
 
     @staticmethod
     def parse(text: str) -> "ColorLabel":
+        if not isinstance(text, str):
+            raise ValueError(f"bad color label {text!r}")
         for kind in ("cP", "bP", "c", "b"):
             if text.startswith(kind) and text[len(kind):].isdigit():
                 return ColorLabel(kind, int(text[len(kind):]))
@@ -321,15 +338,17 @@ class ColoredGraph:
     colors: dict[int, frozenset[ColorLabel]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        vset = set(self.graph.vertices)
+        vset = set(_checked_graph("graph", self.graph).vertices)
+        if not isinstance(self.colors, (dict, Mapping)):
+            raise ValueError(f"colors {self.colors!r} are not a map")
         for v in self.colors:
             if v not in vset:
                 raise ValueError(f"colored vertex {v} not in graph")
-        object.__setattr__(
-            self,
-            "colors",
-            {v: frozenset(ls) for v, ls in self.colors.items() if ls},
-        )
+        try:
+            colors = {v: frozenset(ls) for v, ls in self.colors.items() if ls}
+        except TypeError:
+            raise ValueError(f"colors {self.colors!r} are not a map to label sets") from None
+        object.__setattr__(self, "colors", colors)
 
     def labels(self, v: int) -> frozenset[ColorLabel]:
         return self.colors.get(v, frozenset())
@@ -343,7 +362,7 @@ class ColoredGraph:
 
 def add_universal_vertex(g: Graph) -> tuple[Graph, int]:
     """Adds a vertex adjacent to every existing vertex; returns it too."""
-    u = (max(g.vertices) + 1) if g.n else 0
+    u = (max(g.vertices) + 1) if _checked_graph("graph", g).n else 0
     return (
         Graph.make(g.vertices + (u,), g.edges + tuple((v, u) for v in g.vertices)),
         u,

@@ -14,10 +14,11 @@ from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
+from types import MappingProxyType
 from typing import Optional
 
 from .errors import CapExceeded
-from .graphs import Graph, _checked_int, induced, radius_center
+from .graphs import Graph, _checked_graph, _checked_int, induced, radius_center
 
 
 # ===== Models =====
@@ -25,13 +26,48 @@ from .graphs import Graph, _checked_int, induced, radius_center
 
 @dataclass(frozen=True)
 class MinorModel:
-    """A congestion-``c`` depth-``d`` minor model of ``pattern`` in ``host``."""
+    """A congestion-``c`` depth-``d`` minor model of ``pattern`` in ``host``.
+
+    Its shape is checked once, when it is built, and refused with
+    ``ValueError``: a host or a pattern that is not a :class:`Graph`,
+    branch sets that are not a map of collections, a missing, empty or
+    unknown branch set or host vertex, and a ``c`` or ``d`` out of range.
+    ``branch`` becomes a read-only view of a copy whose branch sets are
+    tuples, so a model never changes; :func:`verify_model` checks what it
+    means.
+    """
 
     host: Graph
     pattern: Graph
-    branch: dict[int, tuple[int, ...]]
+    branch: Mapping[int, tuple[int, ...]]
     c: int
     d: int
+
+    def __post_init__(self) -> None:
+        _checked_graph("host", self.host)
+        _checked_graph("pattern", self.pattern)
+        # The usual classes are tested first, so they skip the slower
+        # abstract-class checks.
+        if not isinstance(self.branch, (dict, Mapping)):
+            raise ValueError(f"branch {self.branch!r} is not a map")
+        _checked_bounds(self.c, self.d)
+        for v in self.pattern.vertices:
+            if v not in self.branch:
+                raise ValueError(f"missing branch for vertex {v}")
+        hosts = self.host._vertex_set
+        branch: dict[int, tuple[int, ...]] = {}
+        for v, vs in self.branch.items():
+            if not self.pattern.has_vertex(v):
+                raise ValueError(f"unknown pattern vertex {v} in branch")
+            if not isinstance(vs, (tuple, Collection)):
+                raise ValueError(f"branch set {vs!r} of vertex {v} is not a collection")
+            if not vs:
+                raise ValueError(f"empty branch for vertex {v}")
+            for u in vs:
+                if _checked_int("branch entry", u) not in hosts:
+                    raise ValueError(f"unknown host vertex {u} in branch")
+            branch[v] = tuple(vs)
+        object.__setattr__(self, "branch", MappingProxyType(branch))
 
 
 def _touch(host: Graph, a: Iterable[int], b: Iterable[int]) -> bool:
@@ -49,13 +85,6 @@ def _checked_bounds(c: int, d: int) -> None:
         raise ValueError("bad model: c must be positive and d nonnegative")
 
 
-def _checked_graphs(host: Graph, pattern: Graph) -> None:
-    """Refuses a host or a pattern that is not a :class:`Graph`."""
-    for name, g in (("host", host), ("pattern", pattern)):
-        if not isinstance(g, Graph):
-            raise ValueError(f"{name} {g!r} is not a Graph")
-
-
 def _checked_is_model(m: MinorModel) -> MinorModel:
     """``m``, refused unless it is a :class:`MinorModel`."""
     if not isinstance(m, MinorModel):
@@ -63,36 +92,13 @@ def _checked_is_model(m: MinorModel) -> MinorModel:
     return m
 
 
-def _structural_check(m: MinorModel) -> None:
-    _checked_graphs(_checked_is_model(m).host, m.pattern)
-    # The usual classes are tested first, so they skip the slower
-    # abstract-class checks.
-    if not isinstance(m.branch, (dict, Mapping)):
-        raise ValueError(f"branch {m.branch!r} is not a map")
-    _checked_bounds(m.c, m.d)
-    for v in m.pattern.vertices:
-        if v not in m.branch:
-            raise ValueError(f"missing branch for vertex {v}")
-    for v, vs in m.branch.items():
-        if not m.pattern.has_vertex(v):
-            raise ValueError(f"unknown pattern vertex {v} in branch")
-        if not isinstance(vs, (tuple, Collection)):
-            raise ValueError(f"branch set {vs!r} of vertex {v} is not a collection")
-        if not vs:
-            raise ValueError(f"empty branch for vertex {v}")
-        for u in vs:
-            if not m.host.has_vertex(_checked_int("branch entry", u)):
-                raise ValueError(f"unknown host vertex {u} in branch")
-
-
 def verify_model(m: MinorModel) -> list[str]:
     """Checks the three model conditions; returns sorted violation strings.
 
-    Malformed models (a host or pattern that is not a :class:`Graph`,
-    branch sets that are not a map of collections, missing, empty, or
-    out-of-range branch sets, or bad parameters) raise ValueError instead.
+    Anything but a :class:`MinorModel` raises ValueError; a model checked
+    its own shape when it was built.
     """
-    _structural_check(m)
+    _checked_is_model(m)
     out: list[str] = []
     for v in m.pattern.vertices:
         try:
@@ -169,7 +175,8 @@ def find_model_bruteforce(
     explicitly for larger exhaustive runs.  A host or pattern that is not a
     :class:`Graph` is refused with ``ValueError``.
     """
-    _checked_graphs(host, pattern)
+    _checked_graph("host", host)
+    _checked_graph("pattern", pattern)
     _checked_bounds(c, d)
     if host.n > _checked_int("cap", cap):
         raise CapExceeded("search cap exceeded")
@@ -244,7 +251,7 @@ def strip_universal(m: MinorModel, u: int) -> tuple[tuple[int, ...], MinorModel]
     Returns the removed pattern vertices (sorted) and the restricted model,
     whose host drops ``u`` and whose pattern drops the returned vertices.
     """
-    if not m.host.has_vertex(_checked_int("u", u)):
+    if not _checked_is_model(m).host.has_vertex(_checked_int("u", u)):
         raise ValueError(f"unknown host vertex {u}")
     dropped = tuple(sorted(v for v in m.pattern.vertices if u in m.branch.get(v, ())))
     keep = [v for v in m.pattern.vertices if v not in dropped]

@@ -33,7 +33,7 @@ from .cluster import Certificate, _certificate, verify_certificate
 from .drawing import Drawing, SubdivisionPlan, _require_valid, crossing_graph, validate
 from .errors import InvariantBroken
 from .geometry import Vec, _arrangement, _drawing_along, _rotations
-from .graphs import Fan, Graph, _checked_int, radius_center
+from .graphs import Fan, Graph, _checked_graph, _checked_int, _checked_iter, radius_center
 from .minors import MinorModel, _checked_is_model, strip_universal, verify_model
 
 __all__ = ["RegionTag", "SynthResult", "synthesize", "pipeline_theorem2"]
@@ -50,7 +50,8 @@ class RegionTag:
     ref: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ref = tuple(_checked_int("host vertex", v) for v in self.ref)
+        refs = _checked_iter("host vertices", self.ref)
+        ref = tuple(_checked_int("host vertex", v) for v in refs)
         object.__setattr__(self, "ref", ref)
         if self.kind == "vertexRegion":
             if len(self.ref) != 1:
@@ -617,7 +618,7 @@ def pipeline_theorem2(
     whose branch sets used ``u`` (at most ``k`` of them) together with the
     synthesis result for the rest of the pattern.
     """
-    if not host_plus.has_vertex(_checked_int("u", u)):
+    if not _checked_graph("host_plus", host_plus).has_vertex(_checked_int("u", u)):
         raise ValueError(f"unknown host vertex {u}")
     if host_plus.degree(u) != host_plus.n - 1:
         raise ValueError("not universal")

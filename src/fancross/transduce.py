@@ -56,9 +56,25 @@ from itertools import combinations
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .cluster import Certificate, _verified
-from .drawing import Drawing, _plane_simple, _require_valid, _split, _subdivide, is_k_planar
+from .drawing import (
+    Drawing,
+    _checked_drawing,
+    _plane_simple,
+    _require_valid,
+    _split,
+    _subdivide,
+    is_k_planar,
+)
 from .errors import Infeasible, InvariantBroken
-from .graphs import ColorLabel, ColoredGraph, Graph, _checked_int, induced
+from .graphs import (
+    ColorLabel,
+    ColoredGraph,
+    Graph,
+    _checked_graph,
+    _checked_int,
+    _checked_iter,
+    induced,
+)
 
 # ===== The path clause, one table entry per mode =====
 
@@ -175,12 +191,18 @@ class TransductionOutput:
     x: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.colored, ColoredGraph):
+            raise ValueError(f"colored {self.colored!r} is not a ColoredGraph")
+        if not isinstance(self.formula, TransductionFormula):
+            raise ValueError(f"formula {self.formula!r} is not a TransductionFormula")
+        if not isinstance(self.embed, Mapping):
+            raise ValueError(f"embed {self.embed!r} is not a map")
         g = self.colored.graph
         for h, v in self.embed.items():
             _checked_int("embedded vertex", h)
             if not g.has_vertex(_checked_int("embed image", v)):
                 raise ValueError(f"embed maps {h} to {v}, not a vertex of the colored graph")
-        for v in self.x:
+        for v in _checked_iter("X vertices", self.x):
             _checked_int("X vertex", v)
         if len(set(self.embed.values())) != len(self.embed):
             raise ValueError("embed is not injective")
@@ -675,6 +697,8 @@ def eval_formula(out: TransductionOutput) -> Graph:
     every edge is written ``(min, max)``, so the graph is built from them
     directly, without ``Graph.make``'s checks.
     """
+    if not isinstance(out, TransductionOutput):
+        raise ValueError(f"output {out!r} is not a TransductionOutput")
     cg, f, embed = out.colored, out.formula, out.embed
     hverts = sorted(embed)
     edges: set[tuple[int, int]] = set()
@@ -831,9 +855,9 @@ def roundtrip(
 ) -> bool:
     """Compiles, evaluates, and compares against the original graph; every
     vertex of ``x`` must be an int (``bool`` refused)."""
-    xs = sorted({_checked_int("X vertex", v) for v in x})
-    base = set(d.base.vertices)
-    if set(h.vertices) != base | set(xs) or set(xs) & base:
+    xs = sorted({_checked_int("X vertex", v) for v in _checked_iter("X vertices", x)})
+    base = set(_checked_drawing(d).base.vertices)
+    if set(_checked_graph("graph", h).vertices) != base | set(xs) or set(xs) & base:
         raise ValueError("drawing does not match the graph")
     if induced(h, base) != d.base:
         raise ValueError("drawing does not match the graph")
@@ -858,6 +882,8 @@ def render_formula(f: TransductionFormula) -> str:
     One disjunct per handshake index and per path length, with a separate
     existential quantifier for every internal path vertex.
     """
+    if not isinstance(f, TransductionFormula):
+        raise ValueError(f"formula {f!r} is not a TransductionFormula")
     alts = [
         f"(c{i}(x) & cP{i}(y)) | (cP{i}(x) & c{i}(y))" for i in range(1, f.k + 1)
     ]

@@ -170,6 +170,20 @@ def test_crossgraph_components_with_certificate(fig1a_files, capsys):
     assert len(obj["components"]) == 3
 
 
+def test_crossgraph_refuses_a_certificate_with_too_many_cuts(tmp_path, fig1a_files, capsys):
+    """fig1a's certificate at k = 1 has cuts that k allows none of.  The
+    certificate refuses it when it is read, so ``crossgraph`` exits 3 like
+    ``cluster-check``, where it once drew the cut graph and exited 0."""
+    dpath, cpath = fig1a_files
+    cert = json.loads(open(cpath).read())
+    cert["k"] = 1
+    bad = tmp_path / "k1.cert.json"
+    bad.write_text(json.dumps(cert))
+    for command in ("crossgraph", "cluster-check"):
+        code, out, err = run(capsys, command, dpath, "--cert", str(bad))
+        assert code == 3 and out == "" and "too many cuts" in err, command
+
+
 def test_kplanar_exit_codes(fig3_file, capsys):
     code, obj = run_json(capsys, "kplanar", fig3_file, "--k", "2")
     assert code == 0 and obj["kplanar"] is True

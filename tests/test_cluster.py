@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fancross import cluster, synth
+from fancross.transduce import transduce_clustered
 from fancross.errors import CapExceeded, InvariantBroken
 from fancross.cluster import (
     Certificate,
@@ -214,12 +215,11 @@ def test_cut_position_out_of_range_is_structural():
 def test_repeated_cut_position_is_structural():
     # fig1a's certificate at k = 3 with its cut on edge 7 given twice: the
     # copy spends a cut of the budget on a crossing-free arc, here assigned.
+    # The certificate refuses it when it is built.
     cert = fig1a_certificate()
     plan = SubdivisionPlan({**cert.plan.cuts, 7: (2, 2)})
-    repeated = replace(cert, k=3, plan=plan, assignment={**cert.assignment, (7, 2): 6})
-    for strong in (False, True):
-        with pytest.raises(ValueError, match="repeated cut"):
-            verify_certificate(fig1a(), repeated, strong=strong)
+    with pytest.raises(ValueError, match="repeated cut"):
+        replace(cert, k=3, plan=plan, assignment={**cert.assignment, (7, 2): 6})
 
 
 # ===== Search vs. oracle =====
@@ -443,9 +443,14 @@ def test_strong_certificate_takes_the_search_covers(monkeypatch):
     assert calls and not any(calls)
 
 
-def test_certificate_refuses_a_missing_or_failing_cover():
+def test_certificate_refuses_a_missing_or_failing_cover(monkeypatch):
     """``pocket``'s one component has a weak cover by two fans that fails
-    the strong check, and no strong cover by three."""
+    the strong check, and no strong cover by three.  A strong search whose
+    memo holds no cover for the component, None, or that weak cover raises
+    ``InvariantBroken``: the first two give no certificate, and the third
+    fails the verifier's strong check.  The weak cover is put in the memo
+    by a ``_strong_cover`` patched to return it, so the search accepts
+    the uncut plan."""
     d, plan = pocket(), SubdivisionPlan()
     cg = crossing_graph(d, plan)
     (comp,) = cg.components()
@@ -453,9 +458,50 @@ def test_certificate_refuses_a_missing_or_failing_cover():
     weak = fan_cover(d.base, [d.base.edges[e] for e in sorted({a[0] for a in key})], 2)
     assert cluster._certificate(d, 1, 2, False, plan) is not None
     assert cluster._certificate(d, 1, 3, True, plan) is None
-    for memo in ({}, {key: None}, {key: weak}):
+    real_certificate = cluster._certificate
+    monkeypatch.setattr(cluster, "_strong_cover", lambda *args: weak)
+    handed = []
+    for memo in ({}, {key: None}, None):
+
+        def certificate(d, k, ell, strong, plan, found=None, memo=memo):
+            handed.append(found)
+            return real_certificate(d, k, ell, strong, plan, found if memo is None else memo)
+
+        monkeypatch.setattr(cluster, "_certificate", certificate)
         with pytest.raises(InvariantBroken, match="certificate search invariant broken"):
-            cluster._certificate(d, 1, 2, True, plan, memo)
+            search_certificate(d, 1, 2, strong=True)
+    assert handed[-1] == {key: weak}
+
+
+def test_a_searched_certificate_is_checked_strongly_once(monkeypatch):
+    """From a strong search through a strong verification of its
+    certificate to the clustered compile, ``_strong_failures`` runs on each
+    final cover once, inside the verifier, and the structural check once;
+    the search's own candidates are plain groups, not fans.  A weak search
+    checks nothing of its certificate."""
+    finals, structural = [], []
+    real_failures, real_structural = cluster._strong_failures, cluster._structural_check
+
+    def strong_failures(d, cuts, cid, crossed, fans):
+        if all(isinstance(f, Fan) for f in fans):
+            finals.append(cid)
+        return real_failures(d, cuts, cid, crossed, fans)
+
+    monkeypatch.setattr(cluster, "_strong_failures", strong_failures)
+    monkeypatch.setattr(
+        cluster, "_structural_check", lambda d, c: structural.append(c) or real_structural(d, c)
+    )
+    for d, k, ell in ((fig1a(), 2, 2), (fig3(), 2, 2), (random_kplanar(8, 3, 2), 3, 2)):
+        assert search_certificate(d, k, ell, cap=64) is not None
+        assert structural == [] and "_verdict_slot" not in d.__dict__
+        finals.clear()
+        cert = search_certificate(d, k, ell, strong=True, cap=64)
+        assert cert is not None
+        assert verify_certificate(d, cert, strong=True).verdict
+        transduce_clustered(d, cert, {}, k)
+        assert sorted(finals) == list(range(len(crossing_graph(d, cert.plan).components())))
+        assert structural == [cert]
+        structural.clear()
 
 
 def test_strong_memo_keyed_by_tuples_is_read_by_crossing_graph_nodes(monkeypatch):

@@ -20,15 +20,21 @@ from fancross import (
     Drawing,
     MinorModel,
     SubdivisionPlan,
+    TransductionFormula,
+    TransductionOutput,
     add_universal_vertex,
     crossing_graph,
+    eval_formula,
     find_model_bruteforce,
     is_k_planar,
     min_ell,
     pipeline_theorem2,
     planarize,
+    radius_center,
+    render_formula,
     roundtrip,
     search_certificate,
+    strip_universal,
     subdivide_with_map,
     transduce_clustered,
     transduce_kplanar,
@@ -38,7 +44,7 @@ from fancross import (
 )
 from fancross.fixtures import fig1a, fig1a_certificate, fig1b, fig3, random_kplanar
 from fancross.geometry import drawing_from_polylines, drawing_from_segments, pt
-from fancross.graphs import ColorLabel, Fan, Graph, complete, cycle, grid2d, path
+from fancross.graphs import ColorLabel, ColoredGraph, Fan, Graph, complete, cycle, grid2d, path
 from fancross.synth import RegionTag, synthesize
 from test_drawing import lens
 
@@ -564,13 +570,19 @@ def test_plans_that_are_not_subdivision_plans_are_refused(call, message):
         lambda bad: transduce_kplanar(bad, {}, 2),
         lambda bad: transduce_clustered(bad, fig1a_certificate(), {}, 2),
         lambda bad: synthesize(bad, apex_model()["m"]),
+        lambda bad: validate(bad),
+        lambda bad: is_k_planar(bad, 1),
+        lambda bad: planarize(bad),
+        lambda bad: subdivide_with_map(bad, SubdivisionPlan({0: (1,)})),
+        lambda bad: roundtrip(fig3().base, bad, [], 2, "kplanar"),
     ],
 )
 @pytest.mark.parametrize("bad", [None, "x", 5, fig3().base])
 def test_a_drawing_that_is_not_a_drawing_is_refused(call, bad):
-    """The cluster entry points, ``crossing_graph``, the transducers and
-    ``synthesize`` share one check of their drawing; each raised
-    ``AttributeError`` before it."""
+    """The cluster entry points, ``crossing_graph``, the transducers,
+    ``synthesize``, ``validate``, ``is_k_planar``, ``planarize``,
+    ``subdivide_with_map`` and ``roundtrip`` share one check of their
+    drawing; each raised ``AttributeError`` before it."""
     with pytest.raises(ValueError, match=f"^drawing {re.escape(repr(bad))} is not a Drawing$"):
         call(bad)
 
@@ -603,18 +615,19 @@ def test_models_of_the_wrong_shape_are_refused(fields, message):
     unchecked, so a ``None`` or a branch set ``5`` raised ``AttributeError``
     or ``TypeError``, a list of branch sets was refused as missing the
     branch of vertex 0, and so did ``synthesize`` and
-    ``pipeline_theorem2``, which check their model with it.  A host that is
-    not the drawing's is refused by ``synthesize`` and
-    ``pipeline_theorem2`` before that."""
+    ``pipeline_theorem2``, which check their model with it.  Now the model
+    refuses each when it is built, so no caller is reached."""
     with pytest.raises(ValueError, match=message):
         verify_model(path_model(**fields))
-    if "host" in fields:
-        message = r"^(drawing|model) does not match the host$"
     with pytest.raises(ValueError, match=message):
         synthesize(apex_model()["drawing"], path_model(**fields))
     args = apex_model()
     with pytest.raises(ValueError, match=message):
         pipeline_theorem2(**{**args, "m": apex_path_model(**fields)})
+
+
+def kplanar_output() -> TransductionOutput:
+    return transduce_kplanar(fig3(), {}, 2)
 
 
 @pytest.mark.parametrize(
@@ -637,6 +650,40 @@ def test_models_of_the_wrong_shape_are_refused(fields, message):
             lambda: verify_certificate(fig1a(), fig1a_certificate().covers, strong=True),
             r"^certificate mappingproxy\(.*\) is not a Certificate$",
         ),
+        (lambda: roundtrip(None, fig3(), [], 2, "kplanar"), r"^graph None is not a Graph$"),
+        (lambda: roundtrip(fig3().base, fig3(), None, 2, "kplanar"), r"^X vertices None are not iterable$"),
+        (lambda: eval_formula(None), r"^output None is not a TransductionOutput$"),
+        (lambda: render_formula(None), r"^formula None is not a TransductionFormula$"),
+        (lambda: radius_center(None), r"^graph None is not a Graph$"),
+        (lambda: radius_center(cycle(4), [None]), r"^subset \[None\] is not a set of vertices of the graph$"),
+        (lambda: radius_center(cycle(4), 5), r"^subset 5 is not a set of vertices of the graph$"),
+        (lambda: strip_universal(None, 0), r"^model None is not a MinorModel$"),
+        (lambda: add_universal_vertex(None), r"^graph None is not a Graph$"),
+        (lambda: ColorLabel.parse(None), r"^bad color label None$"),
+        (lambda: ColoredGraph(None, {}), r"^graph None is not a Graph$"),
+        (lambda: ColoredGraph(cycle(4), None), r"^colors None are not a map$"),
+        (lambda: ColoredGraph(cycle(4), {0: 5}), r"^colors \{0: 5\} are not a map to label sets$"),
+        (
+            lambda: TransductionOutput(None, {}, kplanar_output().formula, ()),
+            r"^colored None is not a ColoredGraph$",
+        ),
+        (
+            lambda: dataclasses.replace(kplanar_output(), formula=None),
+            r"^formula None is not a TransductionFormula$",
+        ),
+        (lambda: dataclasses.replace(kplanar_output(), embed=[]), r"^embed \[\] is not a map$"),
+        (lambda: dataclasses.replace(kplanar_output(), x=None), r"^X vertices None are not iterable$"),
+        (lambda: dataclasses.replace(fig3(), rotation=None), r"^drawing rotation None is not a map$"),
+        (
+            lambda: dataclasses.replace(fig3(), trace=[1]),
+            r"^drawing trace \[1\] is not a map$",
+        ),
+        (lambda: dataclasses.replace(fig3(), outers=5), r"^outers 5 are not iterable$"),
+        (lambda: RegionTag("vertexRegion", None), r"^host vertices None are not iterable$"),
+        (
+            lambda: pipeline_theorem2(**{**apex_model(), "host_plus": None}),
+            r"^host_plus None is not a Graph$",
+        ),
     ],
 )
 def test_graphs_models_and_certificates_that_are_not_are_refused(call, message):
@@ -644,7 +691,9 @@ def test_graphs_models_and_certificates_that_are_not_are_refused(call, message):
     ``synthesize``, ``pipeline_theorem2`` and ``verify_certificate`` read
     fields of what they were given, the model search read ``host.n`` and
     ``pattern.vertices``, and ``Graph.make`` iterated its arguments
-    unchecked."""
+    unchecked.  So did the round trip, the formula readers, the graph
+    helpers and ``strip_universal``; a label was sliced, and the
+    containers iterated or copied a field of the wrong class."""
     with pytest.raises(ValueError, match=message):
         call()
 
@@ -710,3 +759,102 @@ def test_int_parameters_refuse_what_is_not_an_int(name):
         for bad in (2.0, True, None):
             with pytest.raises(ValueError, match=f"^{param} {bad!r} is not an int$"):
                 fn(**{**args, param: bad})
+
+
+# ===== Every public callable =====
+
+# The values the fuzz puts into each argument of a valid call in turn.
+ODD_VALUES = [
+    None, 2.0, True, "x", -1, 10**6, [], {}, (), [1], {0: 5}, [[1, 2]], (0, 1, 2),
+    {"a": 1}, 0.5, [None], {None: None},
+]
+
+
+def public_callables() -> set[str]:
+    return {name for name in fancross.__all__ if callable(getattr(fancross, name))}
+
+
+def valid_calls(seed: int) -> dict[str, tuple]:
+    """Valid positional arguments, one for each parameter, of every callable
+    in ``fancross.__all__``.  The drawing readers read a seeded k-planar
+    drawing ``d``, cut once on an edge it crosses."""
+    d = random_kplanar(7, 2, seed)
+    crossed = min(e for e, xs in d.edge_crossings.items() if xs)
+    plan = SubdivisionPlan({crossed: (1,)})
+    cd, cert = fig1a(), fig1a_certificate()
+    out = transduce_kplanar(d, {}, 2)
+    pipeline = apex_model()
+    m = pipeline["m"]
+
+    def fields(value) -> list:
+        return [getattr(value, f.name) for f in dataclasses.fields(value)]
+
+    return {
+        "ArcRef": (0, 0, 1),
+        "CapExceeded": ("search cap exceeded",),
+        "Certificate": tuple(fields(cert)),
+        "ClusterReport": (True, (), {}),
+        "ColorLabel": ("c", 1),
+        "ColoredGraph": tuple(fields(out.colored)),
+        "CrossingGraph": tuple(fields(crossing_graph(d))),
+        "Drawing": tuple(fields(d)),
+        "Fan": (0, ((0, 1),)),
+        "Graph": ((0, 1), ((0, 1),)),
+        "Infeasible": ("certificate invalid",),
+        "InvariantBroken": ("construction invariant broken",),
+        "MinorModel": tuple(fields(m)),
+        "RegionTag": ("vertexRegion", (1,)),
+        "SubdivisionPlan": (plan.cuts,),
+        "SynthResult": (d, cert, 2, {}, {}),
+        "TransductionFormula": tuple(fields(out.formula)),
+        "TransductionOutput": tuple(fields(out)),
+        "add_universal_vertex": (cycle(4),),
+        "crossing_graph": (d, plan),
+        "eval_formula": (out,),
+        "find_model_bruteforce": (grid2d(2, 3), complete(3), 2, 2, 10),
+        "is_k_planar": (d, 2),
+        "min_ell": (d, 2, 12),
+        "pipeline_theorem2": (pipeline["host_plus"], pipeline["u"], pipeline["drawing"], m, 1),
+        "planarize": (d,),
+        "radius_center": (cycle(5), (0, 1, 2)),
+        "render_formula": (TransductionFormula.for_mode(1, "kplanar"),),
+        "roundtrip": (d.base, d, [], 2, "kplanar", None),
+        "search_certificate": (d, 2, 2, True, 12),
+        "strip_universal": (m, pipeline["u"]),
+        "subdivide_with_map": (d, plan),
+        "synthesize": (pipeline["drawing"], path_model()),
+        "transduce_clustered": (cd, cert, {}, 2),
+        "transduce_kplanar": (d, {}, 2),
+        "validate": (d,),
+        "verify_certificate": (cd, cert, True),
+        "verify_model": (m,),
+    }
+
+
+def test_every_public_callable_is_in_the_fuzz_table():
+    """The table names every callable of ``__all__``, and a value for each
+    of its parameters; the exceptions take their message."""
+    table = valid_calls(0)
+    assert set(table) == public_callables()
+    for name, args in table.items():
+        fn = getattr(fancross, name)
+        if not (isinstance(fn, type) and issubclass(fn, Exception)):
+            assert len(args) == len(inspect.signature(fn).parameters), name
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", sorted(public_callables()))
+def test_odd_values_in_any_argument_raise_only_value_errors(name, seed):
+    """Each value of ``ODD_VALUES`` in each argument of a valid call, the
+    others kept, is answered or refused with ``ValueError`` (the typed
+    errors included); the valid call answers."""
+    fn, args = getattr(fancross, name), valid_calls(seed)[name]
+    fn(*args)
+    for i in range(len(args)):
+        for bad in ODD_VALUES:
+            try:
+                fn(*args[:i], bad, *args[i + 1 :])
+            except ValueError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"{name} with argument {i} = {bad!r} raised {exc!r}")

@@ -20,7 +20,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
-from .graphs import Graph, _checked_int, _checked_iter
+from .graphs import Graph, _checked_graph, _checked_int, _checked_iter
 
 Dart = tuple[int, int]
 
@@ -73,13 +73,15 @@ class Drawing:
     outers: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        _checked_graph("drawing base", self.base)
+        _checked_graph("drawing plan", self.plan)
         for name in ("rotation", "kind", "trace"):
             try:
                 table = dict(getattr(self, name))
             except (TypeError, ValueError):
                 raise ValueError(f"drawing {name} {getattr(self, name)!r} is not a map") from None
             object.__setattr__(self, name, MappingProxyType(table))
-        object.__setattr__(self, "outers", tuple(_checked_iter("outers", self.outers)))
+        object.__setattr__(self, "outers", _checked_faces(self.outer, self.outers))
 
     # ----- derived lookups (assume a valid drawing) -----
 
@@ -111,12 +113,13 @@ class Drawing:
         :attr:`_dual_tree` is rooted at them, the verdict checks them, and
         the verdict slot holds strong checks, which read the dual tree.
         """
+        outers = _checked_faces(outer, outers)
         out = object.__new__(Drawing)
         out.__dict__.update(
             (k, v) for k, v in self.__dict__.items() if k not in _OUTER_DEPENDENT
         )
         object.__setattr__(out, "outer", outer)
-        object.__setattr__(out, "outers", tuple(outers))
+        object.__setattr__(out, "outers", outers)
         return out
 
     @cached_property
@@ -220,8 +223,14 @@ class Drawing:
         return self._face_table[0]
 
     def face_of_dart(self, dart: Dart) -> int:
+        """The index of the face left of the plan dart ``(u, v)``."""
         u, v = dart
-        return self._face_table[1][2 * self.plan.edge_id(u, v) + (u > v)]
+        return self._dart_face(2 * self.plan.edge_id(u, v) + (u > v))
+
+    def _dart_face(self, x: int) -> int:
+        """The index of the face left of integer dart ``x``: dart ``2e``
+        runs along plan edge ``e`` from its smaller end, ``2e + 1`` back."""
+        return self._face_table[1][x]
 
     @cached_property
     def paths(self) -> dict[int, tuple[int, ...]]:
@@ -281,6 +290,18 @@ class Drawing:
 
 
 _OUTER_DEPENDENT = ("_dual_tree", "_violations", "_verdict_slot")
+
+
+def _checked_faces(outer: object, outers: object) -> tuple[int, ...]:
+    """``outers`` as a tuple, refused with ``ValueError`` unless ``outer``
+    is an int and ``outers`` can be iterated and holds ints; their range is
+    checked by :func:`validate`."""
+    _checked_int("outer face", outer)
+    faces = tuple(_checked_iter("outers", outers))
+    for f in faces:
+        _checked_int("outer faces entry", f)
+    return faces
+
 
 _REAL = re.compile(r"real:(-?[0-9]+)")
 
@@ -831,8 +852,8 @@ def _cut(
     for f, x in enumerate(d._dual_tree):
         if x < 0:
             a, b = d.faces[f][0]
-            p, q = ends[rot[a][d.rotation[a].index(d.plan.edge_id(a, b))]]
-            image[a, b] = d2.face_of_dart((a, q if p == a else p))
+            e = canon[rot[a][d.rotation[a].index(d.plan.edge_id(a, b))]]
+            image[a, b] = d2._dart_face(2 * e + (new_plan.edges[e][0] != a))
     outer = image.pop(d.faces[d.outer][0])
     return d2.with_outer(outer, sorted(image.values())), pieces
 

@@ -19,7 +19,11 @@ rejecting every degenerate configuration outright.  They and the
 synthesizer's region arenas draw through one path: :func:`_arrangement`
 finds and numbers the crossings of tagged segments, :func:`_rotations`
 orders each vertex's neighbours from straight runs of vertices, and
-:func:`_drawing_along` assembles the plan, rotations and traces.
+:func:`_drawing_along` assembles the plan, rotations and traces.  The last
+two work on integer ids and small integers: a crossing's four rays are two
+opposite pairs, which one :func:`dir_cmp` orders, and the plan is numbered
+once, its edges then read by their ``(min, max)`` pairs.  :func:`sort_ccw`
+stays the one general ordering of rays.
 """
 
 from __future__ import annotations
@@ -173,14 +177,44 @@ def _arrangement(
 
 def _rotations(runs: Iterable[tuple[Sequence[int], Vec]]) -> dict[int, tuple[int, ...]]:
     """Each vertex's neighbours in counterclockwise order, from straight runs
-    of vertices, each given with its integer direction from first to last."""
+    of vertices, each given with its non-zero integer direction from first
+    to last.  The order is :func:`sort_ccw`'s for every vertex.
+
+    A vertex inside a run gets the run's two rays one after the other, so a
+    crossing gets two opposite pairs.  There, with ``u`` and ``v`` the rays
+    of the two pairs in the upper half (:func:`_half` 0) and ``u`` before
+    ``v``, the order is ``u, v, -u, -v``, from one :func:`dir_cmp`.  Two
+    rays take one :func:`dir_cmp`, one ray none, and any other vertex goes
+    through :func:`sort_ccw`.
+    """
     rays: dict[int, list[tuple[int, Vec]]] = {}
     for run, (dx, dy) in runs:
         fwd, back = (dx, dy), (-dx, -dy)
         for p, q in zip(run, run[1:]):
             rays.setdefault(p, []).append((q, fwd))
             rays.setdefault(q, []).append((p, back))
-    return {v: tuple(sort_ccw(items)) for v, items in rays.items()}
+    out: dict[int, tuple[int, ...]] = {}
+    for v, items in rays.items():
+        if len(items) == 1:
+            out[v] = (items[0][0],)
+            continue
+        if len(items) == 2:
+            (p, a), (q, b) = items
+            out[v] = (q, p) if dir_cmp(b, a) < 0 else (p, q)
+            continue
+        if len(items) == 4:
+            (p, a), (q, b), (r, c), (s, e) = items
+            if a == (-b[0], -b[1]) and c == (-e[0], -e[1]):
+                u = (p, q, a) if _half(a) == 0 else (q, p, b)
+                w = (r, s, c) if _half(c) == 0 else (s, r, e)
+                turn = dir_cmp(u[2], w[2])
+                if turn:  # else both pairs lie on one line
+                    if turn > 0:
+                        u, w = w, u
+                    out[v] = (u[0], w[0], u[1], w[1])
+                    continue
+        out[v] = tuple(sort_ccw(items))
+    return out
 
 
 def _drawing_along(
@@ -194,14 +228,29 @@ def _drawing_along(
 
     The plan vertices are the keys of ``kind``.  ``around[v]`` lists the
     neighbours of ``v`` in counterclockwise order; a vertex missing from it
-    lists its edges by id, which is the order of its sorted neighbours.
+    lists its edges by id, which is the order of its sorted neighbours, as
+    the plan's edges are sorted ``(min, max)`` pairs.  The plan is numbered
+    once, by :meth:`Graph.make`, and every other rotation slot and every
+    trace step is read from its edge index by its ``(min, max)`` pair.
     """
     plan = Graph.make(kind, (e for path in paths.values() for e in zip(path, path[1:])))
-    eid = plan.edge_id
+    index = plan._edge_index
+    own: dict[int, list[int]] = {v: [] for v in plan.vertices if v not in around}
+    for i, (p, q) in enumerate(plan.edges):
+        if p in own:
+            own[p].append(i)
+        if q in own:
+            own[q].append(i)
     rotation = {
-        v: tuple(eid(v, w) for w in around.get(v, plan.adj[v])) for v in plan.vertices
+        v: tuple(own[v]) if v in own else tuple(
+            index[(v, w) if v < w else (w, v)] for w in around[v]
+        )
+        for v in plan.vertices
     }
-    trace = {e: tuple(eid(p, q) for p, q in zip(path, path[1:])) for e, path in paths.items()}
+    trace = {
+        e: tuple(index[(p, q) if p < q else (q, p)] for p, q in zip(path, path[1:]))
+        for e, path in paths.items()
+    }
     return Drawing(base, plan, rotation, kind, trace, 0)
 
 
@@ -359,5 +408,5 @@ def _outer_face_index(d: Drawing, p0: int) -> int:
     vertex is ``p0``.  Every edge at ``p0`` points into the closed upper
     half-plane, so the last edge of its rotation has the highest angle, and
     the face left of it is outer."""
-    a, b = d.plan.edges[d.rotation[p0][-1]]
-    return d.face_of_dart((p0, b if a == p0 else a))
+    e = d.rotation[p0][-1]
+    return d._dart_face(2 * e + (d.plan.edges[e][0] != p0))

@@ -77,11 +77,23 @@ class Graph:
                 (``bool`` included), loops, parallel edges, or unknown
                 endpoints.
         """
-        vset = {_checked_int("vertex", v) for v in _checked_iter("vertices", vertices)}
+        # The checks of _checked_int and _checked_pair, with their messages,
+        # written out: this runs once per vertex and edge of every plan.
+        vs = list(_checked_iter("vertices", vertices))
+        for v in vs:
+            if type(v) is not int:
+                raise ValueError(f"vertex {v!r} is not an int")
+        vset = set(vs)
         norm: list[tuple[int, int]] = []
         for e in _checked_iter("edges", edges):
-            u, v = _checked_pair("edge", e)
-            u, v = _checked_int("vertex", u), _checked_int("vertex", v)
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {e!r} is not a pair") from None
+            if type(u) is not int:
+                raise ValueError(f"vertex {u!r} is not an int")
+            if type(v) is not int:
+                raise ValueError(f"vertex {v!r} is not an int")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if u not in vset or v not in vset:
@@ -348,6 +360,17 @@ class ColoredGraph:
             colors = {v: frozenset(ls) for v, ls in self.colors.items() if ls}
         except TypeError:
             raise ValueError(f"colors {self.colors!r} are not a map to label sets") from None
+        # The classes of all the labels are gathered in C, and each of the
+        # few found is tested once.
+        kinds = set(map(type, itertools.chain.from_iterable(colors.values())))
+        if not all(issubclass(t, ColorLabel) for t in kinds):
+            v, label = next(
+                (v, x)
+                for v, ls in colors.items()
+                for x in ls
+                if not issubclass(type(x), ColorLabel)
+            )
+            raise ValueError(f"color {label!r} of vertex {v} is not a ColorLabel")
         object.__setattr__(self, "colors", colors)
 
     def labels(self, v: int) -> frozenset[ColorLabel]:

@@ -53,10 +53,21 @@ def colored_to_json(c: ColoredGraph) -> dict[str, Any]:
 
 
 def colored_from_json(obj: Mapping[str, Any]) -> ColoredGraph:
+    """A document names few distinct labels, so each text is parsed once."""
     g = graph_from_json(obj)
+    parsed: dict[str, ColorLabel] = {}
+
+    def label(text: Any) -> ColorLabel:
+        if not isinstance(text, str):
+            return ColorLabel.parse(text)  # which refuses it
+        got = parsed.get(text)
+        if got is None:
+            got = parsed[text] = ColorLabel.parse(text)
+        return got
+
     try:
         colors = {
-            int(v): frozenset(ColorLabel.parse(t) for t in labels)
+            int(v): frozenset(map(label, labels))
             for v, labels in obj.get("colors", {}).items()
         }
     except (TypeError, AttributeError) as exc:

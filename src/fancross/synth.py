@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from math import gcd
 from typing import Iterator, Optional
 
 from .cluster import Certificate, _certificate, verify_certificate
@@ -230,11 +231,20 @@ def _host_outer_anchor(
     is the first used edge with that class on one side, reported together
     with the direction whose left side is outer.
     """
+    pe, face = host.plan.edges, host._dart_face
+
+    def leaving(heid: int, end: int) -> int:
+        """The dart by which the trace of host edge ``heid`` leaves its
+        smaller end (``end`` 0) or its larger end (``end`` -1)."""
+        v, t = host.paths[heid][end], host.trace[heid]
+        e = t[end] if v in pe[t[end]] else t[~end]
+        return 2 * e + (pe[e][0] != v)
+
     across: list[list[int]] = [[] for _ in host.faces]
     for heid in range(host.base.m):
         if heid not in used:
-            p = host.paths[heid]
-            f, g = host.face_of_dart((p[0], p[1])), host.face_of_dart((p[1], p[0]))
+            x = leaving(heid, 0)
+            f, g = face(x), face(x ^ 1)
             across[f].append(g)
             across[g].append(f)
     outer, queue = {host.outer}, [host.outer]
@@ -244,10 +254,9 @@ def _host_outer_anchor(
                 outer.add(g)
                 queue.append(g)
     for heid in sorted(used):
-        p = host.paths[heid]
-        if host.face_of_dart((p[0], p[1])) in outer:
+        if face(leaving(heid, 0)) in outer:
             return heid, True
-        if host.face_of_dart((p[-1], p[-2])) in outer:
+        if face(leaving(heid, -1)) in outer:
             return heid, False
     return None
 
@@ -263,10 +272,13 @@ def _arena(
     """Realize one region as straight chords between convex positions.
 
     Positions sit on a parabola at slightly jittered abscissae ``t = N/D``,
-    scaled by ``D**2`` to the integer points ``(N*D, N*N)``; the jitter is
-    retried until the arrangement has no three chords through one point.
-    Returns every chord's plan-vertex chain with its integer direction, and
-    the new crossing vertex ids in coordinate order.
+    scaled by ``D**2`` to the integer points ``(N*D, N*N)`` and divided by
+    the common factor of all their coordinates; the jitter is retried until
+    the arrangement has no three chords through one point.  A positive
+    common scale keeps every orientation sign, crossing order and direction
+    order, and without jitter the points are just ``(j, j*j)``.  Returns
+    every chord's plan-vertex chain with its integer direction, and the new
+    crossing vertex ids in coordinate order.
     """
     n = len(vids)
     denom = 999983 * 2000
@@ -275,6 +287,8 @@ def _arena(
         for j in range(n):
             num = j * denom + attempt * ((j * j * 7919 + j * 104729 + 12345) % 999983)
             pts.append((num * denom, num * num))
+        g = gcd(*itertools.chain.from_iterable(pts)) or 1
+        pts = [(x // g, y // g) for x, y in pts]
         arr = _arrangement([(ref, pts[a], pts[b]) for ref, a, b in chords])
         if arr is not None:
             break

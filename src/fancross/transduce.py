@@ -412,10 +412,17 @@ def transduce_kplanar(
         if b in crossing_edges:
             colors[s + 1] = b1 if crossing_edges[b][0] == own else b2
         s += 2
+    # The darts of every rotation but the bends', computed once for the
+    # output and its check, in one flat list: one comprehension in all, not
+    # one per vertex.
+    darts = [2 * f + (pe[f][0] != v) for v, r in rotation.items() if v not in inner for f in r]
+    listed = list(map(slot.__getitem__, darts))
+    i = 0
     for v, r in rotation.items():
         if v not in inner:
-            rot[ren[v]] = [slot[2 * f + (pe[f][0] != v)] for f in r]
-    if not _subdivides_plan(edges, rot, d, inner, strands, ren, fresh + len(crossing_edges)):
+            rot[ren[v]] = listed[i : i + len(r)]
+            i += len(r)
+    if not _subdivides_plan(edges, rot, d, inner, strands, ren, fresh + len(crossing_edges), darts):
         raise InvariantBroken("construction invariant broken")
     # hverts holds X, and every new vertex lies above it.
     return _output(hverts, [*hverts, *range(fresh, s)], edges, colors, xn, k, "kplanar")
@@ -429,10 +436,14 @@ def _subdivides_plan(
     strands: Sequence[tuple[int, int, int, int]],
     ren: Mapping[int, int],
     first: int,
+    darts: Sequence[int],
 ) -> bool:
     """Whether a system with dense edge ids (see :func:`drawing._embed`) is
     the plan of the valid drawing ``d`` with the ``inner`` vertices, its
     bends, smoothed and every strand subdivided twice, in rotation order.
+    ``darts`` lists the darts leaving the plan vertices outside ``inner``
+    in their rotations, vertex after vertex in ``d.rotation`` order: ``2 *
+    f + (pe[f][0] != p)`` for each plan edge ``f`` of ``d.rotation[p]``.
 
     ``ren`` names the output vertex of each other plan vertex, and strand
     ``i`` of ``strands`` (see :func:`_strands`), ``(a, b, fa, fb)``, is to
@@ -505,12 +516,16 @@ def _subdivides_plan(
                 named[2 * fa + (pe[fa][0] != a)] = x
                 named[2 * fb + (pe[fb][0] != b)] = z
             s += 2
+        listed = list(map(named.__getitem__, darts))
+        i = 0
         for p, r in rotation.items():
-            if p not in inner and rot[ren[p]] != [named[2 * f + (pe[f][0] != p)] for f in r]:
-                return False
+            if p not in inner:
+                if rot[ren[p]] != listed[i : i + len(r)]:
+                    return False
+                i += len(r)
     except (KeyError, IndexError, TypeError, ValueError):
         return False
-    return True
+    return i == len(darts)
 
 
 # ===== Mode (b): clustered fan-crossing drawings =====

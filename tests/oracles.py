@@ -23,7 +23,8 @@ one edge at a time on a mutable rotation system, the clustered transducer from t
 drawing, then stubs on that system) joined by walking each fan edge's
 pieces from its center, with each cluster contracted there one edge at a
 time, the synthesizer's region arenas and polyline drawings from a
-pair loop and rotation code of their own each, and the segment arrangement
+pair loop and rotation code of their own each, the plan builder from one
+``edge_id`` lookup per rotation slot and trace step, and the segment arrangement
 from ``Fraction`` crossing points sorted as pairs and each segment's
 crossings sorted by their ``Fraction`` parameter along it.
 """
@@ -947,6 +948,24 @@ def oracle_arena(
         if len(items) >= 2:
             rots[vids[pos]] = tuple(sort_ccw(items))
     return chains, edges, rots, xids
+
+
+def oracle_drawing_along(
+    base: Graph,
+    kind: Mapping[int, str],
+    paths: Mapping[int, Sequence[int]],
+    around: Mapping[int, Sequence[int]],
+) -> Drawing:
+    """The plan builder that looked every plan edge up by its vertex pair,
+    and listed a vertex without an ``around`` entry by its sorted
+    neighbours."""
+    plan = Graph.make(kind, (e for path in paths.values() for e in zip(path, path[1:])))
+    eid = plan.edge_id
+    rotation = {
+        v: tuple(eid(v, w) for w in around.get(v, plan.adj[v])) for v in plan.vertices
+    }
+    trace = {e: tuple(eid(p, q) for p, q in zip(path, path[1:])) for e, path in paths.items()}
+    return Drawing(base, plan, rotation, kind, trace, 0)
 
 
 def oracle_drawing_from_polylines(

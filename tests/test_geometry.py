@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from oracles import (
     cross_point,
     oracle_arrangement,
+    oracle_drawing_along,
     oracle_drawing_from_polylines,
     param_along,
     strictly_inside,
@@ -26,7 +27,9 @@ from fancross import fixtures, geometry, synth
 from fancross.drawing import crossings_per_edge, validate
 from fancross.geometry import (
     _arrangement,
+    _drawing_along,
     _meet,
+    _rotations,
     dir_cmp,
     drawing_from_polylines,
     drawing_from_segments,
@@ -452,7 +455,15 @@ def test_polylines_match_the_replaced_builder_on_a_seeded_corpus(monkeypatch):
     outcomes = Counter()
     for g, pos, bends in corpus:
         got = _build(g, pos, bends)
-        assert got == _build(g, pos, bends, oracle_drawing_from_polylines)
+        want = _build(g, pos, bends, oracle_drawing_from_polylines)
+        if not isinstance(want, str):
+            # Slot by slot first, so that a difference names its vertex or edge.
+            assert got.plan == want.plan
+            for p in want.plan.vertices:
+                assert (p, got.rotation[p]) == (p, want.rotation[p])
+            for e in range(want.base.m):
+                assert (e, got.trace[e]) == (e, want.trace[e])
+        assert got == want
         outcomes[got if isinstance(got, str) else "drawn"] += 1
     for (g, pos, bends), err in DEGENERATE:
         assert _build(g, pos, bends) == err
@@ -470,6 +481,96 @@ def test_polylines_match_the_replaced_builder_on_a_seeded_corpus(monkeypatch):
 def test_random_polylines_match_the_replaced_builder(rng):
     g, pos, bends = random_polylines(rng)
     assert _build(g, pos, bends) == _build(g, pos, bends, oracle_drawing_from_polylines)
+
+
+# ===== The kernel: rotations from runs, and the plan along them =====
+
+
+# The four axis directions and one direction in each quadrant.
+COMPASS = [(1, 0), (0, 1), (-1, 0), (0, -1), (2, 3), (-3, 2), (-2, -5), (5, -1)]
+directions = st.one_of(
+    st.sampled_from(COMPASS),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda v: v != (0, 0)),
+)
+# Runs of distinct vertices over a few ids, so that runs share vertices: a
+# vertex inside two runs gets two opposite pairs, as a crossing does, and
+# one inside a run and at the end of others gets an opposite pair and more.
+runs_of_vertices = st.lists(
+    st.tuples(st.lists(st.integers(0, 7), min_size=2, max_size=5, unique=True), directions),
+    max_size=8,
+)
+
+
+def rays_at(runs):
+    """Each vertex's ``(neighbour, direction)`` rays, run by run."""
+    rays = {}
+    for run, (dx, dy) in runs:
+        for p, q in zip(run, run[1:]):
+            rays.setdefault(p, []).append((q, (dx, dy)))
+            rays.setdefault(q, []).append((p, (-dx, -dy)))
+    return rays
+
+
+@given(runs_of_vertices)
+def test_rotations_are_sort_ccw_per_vertex(runs):
+    want = {v: tuple(sort_ccw(items)) for v, items in rays_at(runs).items()}
+    assert _rotations(runs) == want
+
+
+def test_crossings_are_ordered_as_sort_ccw_orders_them():
+    # Every pair of lines through the crossing 0, each run given from
+    # either end, and the two runs in either order; pairs on one line too.
+    lines = COMPASS[:2] + COMPASS[4:6] + [(1, 1), (1, -1), (4, 1)]
+    for u, v in itertools.product(lines, repeat=2):
+        for su, sv in itertools.product((1, -1), repeat=2):
+            du, dv = (su * u[0], su * u[1]), (sv * v[0], sv * v[1])
+            for runs in (
+                [([10, 0, 11], du), ([12, 0, 13], dv)],
+                [([12, 0, 13], dv), ([10, 0, 11], du)],
+            ):
+                got = _rotations(runs)[0]
+                assert got == tuple(sort_ccw(rays_at(runs)[0])), (runs, got)
+
+
+def test_drawing_along_matches_the_edge_id_builder_slot_by_slot():
+    """The seeded ``random_kplanar`` drawings rebuilt from their plan paths,
+    with the rotations of a random half of the plan vertices given and the
+    other half left to take their edges in id order."""
+    rng = random.Random(3131)
+    unordered = 0
+    for n, k, seed in itertools.product(range(4, 13, 2), range(1, 4), range(3)):
+        d = fixtures.random_kplanar(n, k, seed)
+        given_at = {p for p in d.plan.vertices if rng.random() < 0.5}
+        around = {
+            p: [b if a == p else a for a, b in (d.plan.edges[e] for e in d.rotation[p])]
+            for p in given_at
+        }
+        paths = {e: list(path) for e, path in d.paths.items()}
+        got = _drawing_along(d.base, d.kind, paths, around)
+        want = oracle_drawing_along(d.base, d.kind, paths, around)
+        assert got.plan == want.plan == d.plan
+        for p in want.plan.vertices:
+            assert (p, got.rotation[p]) == (p, want.rotation[p])
+        for e in range(want.base.m):
+            assert (e, got.trace[e]) == (e, want.trace[e]) == (e, d.trace[e])
+        assert got == want
+        unordered += sum(1 for p in d.plan.vertices if p not in given_at and d.plan.degree(p) > 2)
+    assert unordered > 50
+
+
+@pytest.mark.parametrize(
+    "paths, message",
+    [
+        ({0: [0, 1, 1]}, r"^loop at vertex 1$"),
+        ({0: [0, 1, 2], 1: [2, 1]}, r"^parallel edge \(1, 2\)$"),
+        ({0: [0, 1], 1: [1, 3]}, r"^edge \(1, 3\) has unknown endpoint$"),
+    ],
+)
+def test_drawing_along_refuses_what_graph_make_refuses(paths, message):
+    base = Graph.make(range(3), [(0, 1), (1, 2)])
+    kind = {v: f"real:{v}" for v in range(3)}
+    with pytest.raises(ValueError, match=message):
+        _drawing_along(base, kind, paths, {})
 
 
 # ===== The integer arrangement against the Fraction one it replaced =====

@@ -45,6 +45,7 @@ from fancross import (
 from fancross.fixtures import fig1a, fig1a_certificate, fig1b, fig3, random_kplanar
 from fancross.geometry import drawing_from_polylines, drawing_from_segments, pt
 from fancross.graphs import ColorLabel, ColoredGraph, Fan, Graph, complete, cycle, grid2d, path
+from fancross.jsonio import colored_from_json, colored_to_json
 from fancross.synth import RegionTag, synthesize
 from test_drawing import lens
 
@@ -630,6 +631,12 @@ def kplanar_output() -> TransductionOutput:
     return transduce_kplanar(fig3(), {}, 2)
 
 
+def recolored(colors) -> TransductionOutput:
+    """The k-planar output of fig3 with other colors."""
+    out = kplanar_output()
+    return dataclasses.replace(out, colored=ColoredGraph(out.colored.graph, colors))
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -679,6 +686,23 @@ def kplanar_output() -> TransductionOutput:
             r"^drawing trace \[1\] is not a map$",
         ),
         (lambda: dataclasses.replace(fig3(), outers=5), r"^outers 5 are not iterable$"),
+        (lambda: validate(dataclasses.replace(fig3(), base=None)), r"^drawing base None is not a Graph$"),
+        (lambda: dataclasses.replace(fig3(), plan=fig3()), r"^drawing plan Drawing\(.*\) is not a Graph$"),
+        (lambda: validate(dataclasses.replace(fig3(), outer="x")), r"^outer face 'x' is not an int$"),
+        (lambda: dataclasses.replace(fig3(), outer=True), r"^outer face True is not an int$"),
+        (lambda: dataclasses.replace(fig3(), outers=[1.0]), r"^outer faces entry 1\.0 is not an int$"),
+        (lambda: fig3().with_outer("y"), r"^outer face 'y' is not an int$"),
+        (lambda: fig3().with_outer(0, [None]), r"^outer faces entry None is not an int$"),
+        (lambda: fig3().with_outer(0, 7), r"^outers 7 are not iterable$"),
+        (lambda: eval_formula(recolored({0: ["x"]})), r"^color 'x' of vertex 0 is not a ColorLabel$"),
+        (
+            lambda: eval_formula(recolored({3: [ColorLabel("b", 0), None]})),
+            r"^color None of vertex 3 is not a ColorLabel$",
+        ),
+        (
+            lambda: eval_formula(recolored({1: frozenset({("b", 0)})})),
+            r"^color \('b', 0\) of vertex 1 is not a ColorLabel$",
+        ),
         (lambda: RegionTag("vertexRegion", None), r"^host vertices None are not iterable$"),
         (
             lambda: pipeline_theorem2(**{**apex_model(), "host_plus": None}),
@@ -693,9 +717,47 @@ def test_graphs_models_and_certificates_that_are_not_are_refused(call, message):
     ``pattern.vertices``, and ``Graph.make`` iterated its arguments
     unchecked.  So did the round trip, the formula readers, the graph
     helpers and ``strip_universal``; a label was sliced, and the
-    containers iterated or copied a field of the wrong class."""
+    containers iterated or copied a field of the wrong class.  ``validate``
+    read a drawing's base ``None`` as a graph and compared an outer face
+    ``"x"`` with ints, also after ``with_outer("x")``, which took any value,
+    and ``eval_formula`` read the ``kind`` of a label ``"x"``.  A plain
+    tuple equals the label with its fields, and is refused too."""
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (["b1", "x1"], r"^bad color label 'x1'$"),
+        (["b1", "b-1"], r"^bad color label 'b-1'$"),
+        (["c0"], r"^color index 0 out of range for c$"),
+        (["b1", 5], r"^bad color label 5$"),
+        ([["b1"]], r"^bad color label \['b1'\]$"),
+        (5, r"^bad colors document: 'int' object is not iterable$"),
+    ],
+)
+def test_colored_documents_keep_their_label_messages(labels, message):
+    doc = colored_to_json(kplanar_output().colored)
+    doc["colors"]["0"] = labels
+    with pytest.raises(ValueError, match=message):
+        colored_from_json(doc)
+
+
+def test_a_colored_document_parses_each_label_text_once(monkeypatch):
+    parse = ColorLabel.parse
+    texts = []
+
+    def counted(text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(ColorLabel, "parse", staticmethod(counted))
+    out = transduce_kplanar(random_kplanar(10, 3, 2), {}, 3)
+    doc = colored_to_json(out.colored)
+    named = [t for labels in doc["colors"].values() for t in labels]
+    assert colored_from_json(doc) == out.colored
+    assert sorted(texts) == sorted(set(named)) and len(named) > 2 * len(texts)
 
 
 # ===== Int parameters =====

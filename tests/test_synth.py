@@ -7,6 +7,8 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -404,6 +406,15 @@ def random_chords(rng):
     return rng.sample(range(10 * n), n), chords
 
 
+def arena_corpus(size):
+    """``size`` seeded random arenas, then the arenas that retry the jitter."""
+    rng = random.Random(4127)
+    corpus = [random_chords(rng) for _ in range(size)]
+    for n, pairs in RETRY_CHORDS:
+        corpus.append((list(range(n)), [((i, 0), a, b) for i, (a, b) in enumerate(pairs)]))
+    return corpus
+
+
 def arena_outcome(arena, vids, chords):
     """Chains, rotations and crossing ids of one arena, and the next fresh id."""
     fresh = itertools.count(1000)
@@ -421,10 +432,7 @@ def arena_outcome(arena, vids, chords):
 
 
 def test_arenas_match_the_replaced_arena_on_a_seeded_corpus():
-    rng = random.Random(4127)
-    corpus = [random_chords(rng) for _ in range(200)]
-    for n, pairs in RETRY_CHORDS:
-        corpus.append((list(range(n)), [((i, 0), a, b) for i, (a, b) in enumerate(pairs)]))
+    corpus = arena_corpus(200)
     crossings = 0
     for vids, chords in corpus:
         got = arena_outcome(synth._arena, vids, chords)
@@ -437,6 +445,48 @@ def test_arenas_match_the_replaced_arena_on_a_seeded_corpus():
 def test_random_arenas_match_the_replaced_arena(rng):
     vids, chords = random_chords(rng)
     assert arena_outcome(synth._arena, vids, chords) == arena_outcome(oracle_arena, vids, chords)
+
+
+@pytest.mark.parametrize("factor", [1, 3, 999983 * 2000, (999983 * 2000) ** 2 + 1])
+def test_arena_is_invariant_under_a_positive_scale(monkeypatch, factor):
+    """``_arena`` divides its points by their greatest common divisor.  With
+    that divisor replaced by ``1 / factor``, every point is instead the
+    unreduced one times ``factor``, and the chains, the crossing ids and
+    the order of the directions at every vertex stay the same; the first
+    factor leaves the points unreduced."""
+    corpus = arena_corpus(150)
+    reduced = [arena_outcome(synth._arena, vids, chords) for vids, chords in corpus]
+    monkeypatch.setattr(synth, "gcd", lambda *coords: Fraction(1, factor))
+    scaled = [arena_outcome(synth._arena, vids, chords) for vids, chords in corpus]
+    assert scaled == reduced
+    assert sum(len(got[2]) for got in reduced if not isinstance(got, str)) > 500
+
+
+def test_arena_points_are_divided_by_their_common_factor(monkeypatch):
+    """The points ``_arena`` hands to the arrangement are its unreduced
+    points, read with the divisor replaced by 1, divided by one common
+    factor; without jitter that factor is ``D**2``."""
+    corpus = arena_corpus(150)
+
+    def handed(**patch):
+        seen = []
+        arrangement = synth._arrangement
+        with monkeypatch.context() as m:
+            for name, value in patch.items():
+                m.setattr(synth, name, value)
+            m.setattr(synth, "_arrangement", lambda segs: seen.append(segs) or arrangement(segs))
+            for vids, chords in corpus:
+                arena_outcome(synth._arena, vids, chords)
+        return [[c for _, a, b in segs for c in (*a, *b)] for segs in seen]
+
+    reduced, raw = handed(), handed(gcd=lambda *coords: 1)
+    assert len(reduced) == len(raw) > len(corpus)
+    factors = Counter()
+    for small, big in zip(reduced, raw):
+        g = next(b // a for a, b in zip(small, big) if a)
+        assert g > 0 and big == [c * g for c in small]
+        factors[g == (999983 * 2000) ** 2] += 1
+    assert factors[True] > 100 and factors[False] > 10
 
 
 def test_arena_retries_the_jitter_for_k6_in_the_2x2_grid(monkeypatch):

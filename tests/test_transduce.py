@@ -1299,7 +1299,7 @@ class Compiled(SimpleNamespace):
 
     def plan_check(self) -> bool:
         return _subdivides_plan(
-            self.ends, self.rot, self.d, self.inner, self.strands, self.ren, self.first
+            self.ends, self.rot, self.d, self.inner, self.strands, self.ren, self.first, self.darts
         )
 
     def plane_check(self) -> bool:
@@ -1307,10 +1307,10 @@ class Compiled(SimpleNamespace):
 
 
 def compiled(monkeypatch, d: Drawing, k: int = 1) -> Compiled:
-    ((ends, rot, d, inner, strands, ren, first),) = kplanar_checks(monkeypatch, [(d, {}, k)])
+    ((ends, rot, d, inner, strands, ren, first, darts),) = kplanar_checks(monkeypatch, [(d, {}, k)])
     c = Compiled(
         ends=list(ends), rot={v: list(r) for v, r in rot.items()}, d=d, inner=set(inner),
-        strands=list(strands), ren=dict(ren), first=first,
+        strands=list(strands), ren=dict(ren), first=first, darts=list(darts),
     )
     assert c.plan_check() and c.plane_check()
     return c
@@ -1460,8 +1460,18 @@ def map_the_bend_to_a_spare_vertex(c):
         lambda c: c.ren.update({max(c.ren): min(c.ren.values())}),
         lambda c: c.inner.add(max(c.ren)),
         lambda c: c.rot.update({max(c.rot) + 1: []}),
+        lambda c: c.darts.pop(),
+        lambda c: c.darts.append(0),
     ],
-    ids=["the bend too", "a subdivision id", "one id twice", "a crossing as inner", "a spare vertex"],
+    ids=[
+        "the bend too",
+        "a subdivision id",
+        "one id twice",
+        "a crossing as inner",
+        "a spare vertex",
+        "a dart short",
+        "a dart too many",
+    ],
 )
 def test_plan_check_refuses_a_wrong_vertex_map(monkeypatch, corrupt):
     """The lens, whose bend lies between its two crossings, with its
@@ -1525,7 +1535,31 @@ def test_plan_check_refuses_a_walk_round_a_cycle_of_inner_vertices():
     ends = [(0, 5), (5, 6), (4, 6), (0, 7), (7, 8), (4, 8)]
     rot = {0: [0], 4: [2], 5: [0, 1], 6: [1, 2], 7: [3, 4], 8: [4, 5]}
     strands = [(0, 4, 0, 4), (0, 4, 0, 4)]
-    assert not _subdivides_plan(ends, rot, plan, {1, 2, 3}, strands, {0: 0, 4: 4}, 5)
+    darts = [0, 9]  # 0 leaves by edge 0 forward, 4 by edge 4 backward
+    assert not _subdivides_plan(ends, rot, plan, {1, 2, 3}, strands, {0: 0, 4: 4}, 5, darts)
+
+
+def test_kplanar_compile_hands_its_check_the_darts_of_the_plan(monkeypatch):
+    """The compile turns each plan rotation into darts once, and its check
+    reads the same list: for every vertex that is not a bend, in rotation
+    map order, the darts leaving it, in rotation order."""
+    rng = random.Random("darts")
+    cases = decode_sized_cases()
+    for seed in range(10):
+        d = bent_drawing(rng.randint(5, 12), rng.randint(1, 3), seed, rng)
+        cases.append((d, {}, max(map(len, d.edge_crossings.values()), default=0) + 1))
+    bends = 0
+    for ends, rot, d, inner, strands, ren, first, darts in kplanar_checks(monkeypatch, cases):
+        pe = d.plan.edges
+        want = [
+            2 * f if pe[f][0] == p else 2 * f + 1
+            for p, r in d.rotation.items()
+            if p not in inner
+            for f in r
+        ]
+        assert darts == want
+        bends += len(inner)
+    assert bends > 10
 
 
 def test_plan_check_accepts_only_plane_systems_on_the_oracle_corpora(monkeypatch):
